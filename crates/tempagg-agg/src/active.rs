@@ -551,6 +551,23 @@ impl<A: SweepAggregate, B: SweepAggregate> SweepAggregate for (A, B) {
     fn sweep_class(&self) -> SweepClass {
         self.0.sweep_class().max(self.1.sweep_class())
     }
+
+    fn active_reserve(&self, active: &mut Self::Active, slots: usize) {
+        self.0.active_reserve(&mut active.0, slots);
+        self.1.active_reserve(&mut active.1, slots);
+    }
+
+    #[inline]
+    fn active_insert_slot(&self, active: &mut Self::Active, slot: usize, value: &Self::Input) {
+        self.0.active_insert_slot(&mut active.0, slot, &value.0);
+        self.1.active_insert_slot(&mut active.1, slot, &value.1);
+    }
+
+    #[inline]
+    fn active_remove_slot(&self, active: &mut Self::Active, slot: usize, value: &Self::Input) {
+        self.0.active_remove_slot(&mut active.0, slot, &value.0);
+        self.1.active_remove_slot(&mut active.1, slot, &value.1);
+    }
 }
 
 impl<A: SweepAggregate, B: SweepAggregate, C: SweepAggregate> SweepAggregate for (A, B, C) {
@@ -591,6 +608,26 @@ impl<A: SweepAggregate, B: SweepAggregate, C: SweepAggregate> SweepAggregate for
             .sweep_class()
             .max(self.1.sweep_class())
             .max(self.2.sweep_class())
+    }
+
+    fn active_reserve(&self, active: &mut Self::Active, slots: usize) {
+        self.0.active_reserve(&mut active.0, slots);
+        self.1.active_reserve(&mut active.1, slots);
+        self.2.active_reserve(&mut active.2, slots);
+    }
+
+    #[inline]
+    fn active_insert_slot(&self, active: &mut Self::Active, slot: usize, value: &Self::Input) {
+        self.0.active_insert_slot(&mut active.0, slot, &value.0);
+        self.1.active_insert_slot(&mut active.1, slot, &value.1);
+        self.2.active_insert_slot(&mut active.2, slot, &value.2);
+    }
+
+    #[inline]
+    fn active_remove_slot(&self, active: &mut Self::Active, slot: usize, value: &Self::Input) {
+        self.0.active_remove_slot(&mut active.0, slot, &value.0);
+        self.1.active_remove_slot(&mut active.1, slot, &value.1);
+        self.2.active_remove_slot(&mut active.2, slot, &value.2);
     }
 }
 

@@ -7,7 +7,8 @@
 //! The paper's five aggregates — [`Count`], [`Sum`], [`Min`], [`Max`],
 //! [`Avg`] — are provided, plus [`Variance`]/[`StdDev`] as extensions, and
 //! a [`DynAggregate`] layer for queries configured at runtime (the SQL
-//! front end).
+//! front end): [`MultiDyn`] evaluates any select list in one pass, and
+//! [`TypedMulti`] is its heap-free lowering for `INT`-column lists.
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
@@ -23,6 +24,7 @@ mod min_max;
 mod multi;
 mod slot_extremes;
 mod sum;
+mod typed;
 mod variance;
 
 pub use active::{BoolCounts, DynActive, SweepAggregate, SweepClass};
@@ -36,4 +38,5 @@ pub use min_max::{Max, Min};
 pub use multi::MultiDyn;
 pub use slot_extremes::SlotExtremes;
 pub use sum::Sum;
+pub use typed::{TypedAcc, TypedActive, TypedInput, TypedMulti, TYPED_WIDTH};
 pub use variance::{StdDev, Variance, VarianceKind, VarianceState};

@@ -46,6 +46,20 @@ impl<V> Chunk<V> {
         }
     }
 
+    /// An empty chunk with the same bound as
+    /// [`with_capacity`](Chunk::with_capacity) but nothing reserved: the
+    /// columns grow as tuples arrive. For producers that fill many chunks
+    /// of unknown final size at once (one per `GROUP BY` value), where
+    /// reserving every bound up front would multiply the footprint.
+    pub fn bounded(capacity: usize) -> Chunk<V> {
+        Chunk {
+            starts: Vec::new(),
+            ends: Vec::new(),
+            values: Vec::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
     /// An empty chunk with the pipeline's default capacity.
     pub fn new() -> Chunk<V> {
         Chunk::with_capacity(DEFAULT_CHUNK_CAPACITY)
@@ -284,6 +298,16 @@ mod tests {
             c.first_outside(Interval::at(0, 9)),
             Some(Interval::at(5, 10))
         );
+    }
+
+    #[test]
+    fn bounded_chunks_refuse_growth_past_the_bound() {
+        let mut c: Chunk<u8> = Chunk::bounded(2);
+        assert_eq!(c.capacity(), 2);
+        c.push(Interval::at(0, 0), 1).unwrap();
+        c.push(Interval::at(1, 1), 2).unwrap();
+        assert!(c.is_full());
+        assert!(c.push(Interval::at(2, 2), 3).is_err());
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Plan execution: drive the chosen algorithm over a relation.
+//! Plan execution: drive the chosen algorithm over pre-extracted chunks.
 //!
-//! Tuples are fed in [`Chunk`]s of [`DEFAULT_CHUNK_CAPACITY`] through
-//! [`TemporalAggregator::push_batch`], so every algorithm gets its batch
-//! fast path (the linked list's binary-search insert, the tree's arena
-//! reservation). When the plan prescribes `parallelism > 1`, the domain is
-//! cut at seams drawn from the hull of the relation's tuple *start* times
-//! (finite even when the domain or tuple ends are unbounded) and each
-//! sub-domain runs its own inner aggregator on a scoped worker via
+//! The executor consumes `(interval, input)` rows already projected into
+//! [`Chunk`]s ([`execute_chunks`], [`execute_chunks_streaming`]) and feeds
+//! them through [`TemporalAggregator::push_batch`], so every algorithm gets
+//! its batch fast path (the linked list's binary-search insert, the tree's
+//! arena reservation, the sweep's column append). [`execute`] and
+//! [`execute_streaming`] are the relation-fed wrappers: they extract the
+//! relation into chunks of [`DEFAULT_CHUNK_CAPACITY`] and call the
+//! chunk-fed entry points. When the plan prescribes `parallelism > 1`,
+//! the domain is cut at seams drawn from the hull of the rows' *start*
+//! times (finite even when the domain or tuple ends are unbounded) and
+//! each sub-domain runs its own inner aggregator on a scoped worker via
 //! [`PartitionedAggregator`]; the stitched result is byte-identical to the
-//! serial run.
+//! serial run. Materialized and streaming execution share one drive loop
+//! that differs only in the [`SeriesSink`] it drains into.
 
 use crate::planner::{plan, AlgorithmChoice, Plan, PlannerConfig};
 use crate::stats::RelationStats;
@@ -19,8 +24,8 @@ use tempagg_algo::{
     PartitionedAggregator, SweepAggregator, TemporalAggregator,
 };
 use tempagg_core::{
-    Chunk, ChunkedSink, Interval, Result, Series, SeriesEntry, TempAggError, TemporalRelation,
-    Timestamp, Tuple, DEFAULT_CHUNK_CAPACITY,
+    Chunk, ChunkedSink, Interval, Result, Series, SeriesEntry, SeriesSink, TempAggError,
+    TemporalRelation, Timestamp, Tuple, DEFAULT_CHUNK_CAPACITY,
 };
 
 /// The error every executor entry point returns for a
@@ -111,68 +116,60 @@ pub struct ExecutionReport {
     pub cache: CacheReport,
 }
 
-/// Feed the whole relation through `push_batch` in bounded chunks.
-fn feed<A, G, F>(aggregator: &mut G, relation: &TemporalRelation, extract: &F) -> Result<()>
+/// Project a relation into executor-ready chunks, in storage order.
+fn chunks_of<V, F>(relation: &TemporalRelation, extract: &F) -> Result<Vec<Chunk<V>>>
 where
-    A: Aggregate,
-    A::Input: Clone,
-    G: TemporalAggregator<A>,
-    F: Fn(&Tuple) -> A::Input,
+    F: Fn(&Tuple) -> V,
 {
-    let mut chunk: Chunk<A::Input> = Chunk::with_capacity(DEFAULT_CHUNK_CAPACITY);
-    for tuple in relation {
-        if chunk.is_full() {
-            aggregator.push_batch(&chunk)?;
-            chunk.clear();
+    let mut chunks = Vec::with_capacity(relation.len().div_ceil(DEFAULT_CHUNK_CAPACITY));
+    for tuples in relation.tuples().chunks(DEFAULT_CHUNK_CAPACITY) {
+        let mut chunk = Chunk::with_capacity(tuples.len());
+        for tuple in tuples {
+            chunk.push(tuple.valid(), extract(tuple))?;
         }
-        chunk.push(tuple.valid(), extract(tuple))?;
+        chunks.push(chunk);
     }
-    if !chunk.is_empty() {
-        aggregator.push_batch(&chunk)?;
-    }
-    Ok(())
+    Ok(chunks)
 }
 
-fn drive<A, G, F>(
-    mut aggregator: G,
-    relation: &TemporalRelation,
-    extract: &F,
-) -> Result<(Series<A::Output>, MemoryStats, &'static str)>
-where
-    A: Aggregate,
-    A::Input: Clone,
-    G: TemporalAggregator<A>,
-    F: Fn(&Tuple) -> A::Input,
-{
-    feed(&mut aggregator, relation, extract)?;
-    let memory = aggregator.memory();
-    let name = aggregator.algorithm();
-    let mut series = Series::new();
-    aggregator.finish_into(&mut series);
-    Ok((series, memory, name))
+/// The rows of `chunks` sorted totally by time (start, then end; equal
+/// intervals keep their input order), re-chunked — the presort a
+/// `KOrderedTree { presort: true }` plan prescribes.
+fn sorted_chunks<V: Clone>(chunks: &[Chunk<V>]) -> Result<Vec<Chunk<V>>> {
+    let mut rows: Vec<(Interval, &V)> = chunks.iter().flat_map(Chunk::iter).collect();
+    rows.sort_by_key(|(interval, _)| (interval.start(), interval.end()));
+    let mut sorted = Vec::with_capacity(chunks.len());
+    for run in rows.chunks(DEFAULT_CHUNK_CAPACITY) {
+        let mut chunk = Chunk::with_capacity(run.len());
+        for (interval, value) in run {
+            chunk.push(*interval, (*value).clone())?;
+        }
+        sorted.push(chunk);
+    }
+    Ok(sorted)
 }
 
-fn drive_partitioned<A, G, F>(
-    mut aggregator: PartitionedAggregator<A, G>,
-    relation: &TemporalRelation,
-    extract: &F,
-) -> Result<(Series<A::Output>, MemoryStats, Vec<PartitionReport>)>
-where
-    A: Aggregate,
-    A::Input: Clone + Send + Sync,
-    A::Output: PartialEq + Send,
-    G: TemporalAggregator<A> + Send,
-    F: Fn(&Tuple) -> A::Input,
-{
-    feed(&mut aggregator, relation, extract)?;
-    let memory = aggregator.memory();
-    let partitions = aggregator.partition_reports();
-    // The parallel `finish` joins the workers; collecting it through the
-    // sink keeps this file on the single emission path the
-    // `no-materialize-in-exec` lint enforces.
-    let mut series = Series::new();
-    aggregator.finish_into(&mut series);
-    Ok((series, memory, partitions))
+/// Seams cutting `domain` into up to `parallelism` pieces, drawn from the
+/// even split of the hull of row *start* times — always finite, so an
+/// unbounded domain (the usual `[0, ∞]` time-line) still partitions as
+/// long as the data itself is bounded. Returns no seams (serial) when
+/// there are no rows, all starts coincide, or `parallelism ≤ 1`.
+fn data_seams<V>(chunks: &[Chunk<V>], domain: Interval, parallelism: usize) -> Vec<Timestamp> {
+    if parallelism <= 1 {
+        return Vec::new();
+    }
+    let mut starts = chunks.iter().flat_map(|c| c.starts().iter().copied());
+    let Some(first) = starts.next() else {
+        return Vec::new();
+    };
+    let (lo, hi) = starts.fold((first, first), |(lo, hi), s| (lo.min(s), hi.max(s)));
+    // Clamp into the domain so every seam is interior to it.
+    let lo = lo.max(domain.start());
+    let hi = hi.min(domain.end());
+    match Interval::new(lo, hi) {
+        Ok(hull) => hull.even_seams(parallelism),
+        Err(_) => Vec::new(),
+    }
 }
 
 fn partitioned_name(choice: AlgorithmChoice) -> &'static str {
@@ -188,35 +185,237 @@ fn partitioned_name(choice: AlgorithmChoice) -> &'static str {
     }
 }
 
-/// Seams cutting `domain` into up to `parallelism` pieces, drawn from the
-/// even split of the hull of tuple *start* times — always finite, so an
-/// unbounded domain (the usual `[0, ∞]` time-line) still partitions as
-/// long as the data itself is bounded. Returns no seams (serial) when the
-/// relation is empty, all starts coincide, or `parallelism ≤ 1`.
-fn data_seams(relation: &TemporalRelation, domain: Interval, parallelism: usize) -> Vec<Timestamp> {
-    if parallelism <= 1 {
-        return Vec::new();
+/// What a drive reports besides the entries it pushed into the sink.
+struct Driven {
+    algorithm: &'static str,
+    memory: MemoryStats,
+    partitions: Vec<PartitionReport>,
+}
+
+/// Push every chunk, draining whatever each one settled (the k-ordered
+/// tree's GC; a no-op for the buffering algorithms) so results leave
+/// executor memory as soon as they are final.
+fn feed<A, G, S>(aggregator: &mut G, chunks: &[Chunk<A::Input>], sink: &mut S) -> Result<()>
+where
+    A: Aggregate,
+    A::Input: Clone,
+    G: TemporalAggregator<A>,
+    S: SeriesSink<A::Output>,
+{
+    for chunk in chunks {
+        aggregator.push_batch(chunk)?;
+        aggregator.emit_ready(sink);
     }
-    let mut starts = relation.intervals().map(|iv| iv.start());
-    let Some(first) = starts.next() else {
-        return Vec::new();
+    Ok(())
+}
+
+/// Run one algorithm — `make(sub_domain)` builds it — over `chunks` into
+/// `sink`: serially over the whole domain without seams, otherwise one
+/// instance per sub-domain with seam-aware stitching done inline (no
+/// per-partition series is materialized).
+fn drive<A, G, S>(
+    make: impl Fn(Interval) -> G,
+    choice: AlgorithmChoice,
+    domain: Interval,
+    seams: Vec<Timestamp>,
+    chunks: &[Chunk<A::Input>],
+    sink: &mut S,
+) -> Result<Driven>
+where
+    A: Aggregate,
+    A::Input: Clone + Send + Sync,
+    A::Output: PartialEq + Send,
+    G: TemporalAggregator<A> + Send,
+    S: SeriesSink<A::Output>,
+{
+    if seams.is_empty() {
+        let mut aggregator = make(domain);
+        feed(&mut aggregator, chunks, sink)?;
+        let driven = Driven {
+            algorithm: aggregator.algorithm(),
+            memory: aggregator.memory(),
+            partitions: Vec::new(),
+        };
+        aggregator.finish_into(sink);
+        return Ok(driven);
+    }
+    let mut aggregator = PartitionedAggregator::with_seams(domain, seams, make)?;
+    feed(&mut aggregator, chunks, sink)?;
+    let driven = Driven {
+        algorithm: partitioned_name(choice),
+        memory: aggregator.memory(),
+        partitions: aggregator.partition_reports(),
     };
-    let (lo, hi) = starts.fold((first, first), |(lo, hi), s| (lo.min(s), hi.max(s)));
-    // Clamp into the domain so every seam is interior to it.
-    let lo = lo.max(domain.start());
-    let hi = hi.min(domain.end());
-    match Interval::new(lo, hi) {
-        Ok(hull) => hull.even_seams(parallelism),
-        Err(_) => Vec::new(),
+    aggregator.finish_into(sink);
+    Ok(driven)
+}
+
+/// A pass-through sink that counts what the algorithm emitted.
+struct Counted<'a, S> {
+    inner: &'a mut S,
+    accepted: usize,
+}
+
+impl<T, S: SeriesSink<T>> SeriesSink<T> for Counted<'_, S> {
+    fn accept(&mut self, interval: Interval, value: T) {
+        self.accepted += 1;
+        self.inner.accept(interval, value);
     }
 }
 
-/// Execute a plan over `relation`, computing `agg` of `extract(tuple)` per
-/// constant interval of `domain`.
+/// Execute a plan over pre-extracted `chunks`, computing `agg` of each
+/// row's input per constant interval of `domain` and pushing the
+/// intervals, in time order, into the caller's `sink` — the entry point
+/// [`execute_chunks`] (a collecting [`Series`]) and
+/// [`execute_chunks_streaming`] (a bounded [`ChunkedSink`]) wrap, for
+/// callers that turn entries into something else on the fly. The executor
+/// holds no result entry itself, so the report's
+/// `peak_resident_result_entries` and `emitted_chunks` are zero.
 ///
 /// `the_plan.parallelism > 1` routes through the domain-partitioned
 /// pipeline; its output is byte-identical to the serial run of the same
-/// algorithm (seam-aware stitching, see [`PartitionedAggregator`]).
+/// algorithm (seam-aware stitching, see [`PartitionedAggregator`]). On
+/// k-ordered input the k-ordered tree emits as it garbage-collects; the
+/// buffering algorithms emit at the end.
+pub fn execute_chunks_into<A, S>(
+    the_plan: &Plan,
+    agg: A,
+    chunks: &[Chunk<A::Input>],
+    domain: Interval,
+    sink: &mut S,
+) -> Result<ExecutionReport>
+where
+    A: SweepAggregate + Clone + Send,
+    A::State: Send,
+    A::Input: Clone + Send + Sync,
+    A::Output: PartialEq + Send,
+    S: SeriesSink<A::Output>,
+{
+    let sink = &mut Counted {
+        inner: sink,
+        accepted: 0,
+    };
+    let started = Instant::now();
+    let choice = the_plan.choice;
+    let seams = data_seams(chunks, domain, the_plan.parallelism);
+    let parallelism = seams.len() + 1;
+    let mut presorted = false;
+    let driven = match choice {
+        AlgorithmChoice::LinkedList => drive(
+            |sub| LinkedListAggregate::with_domain(agg.clone(), sub),
+            choice,
+            domain,
+            seams,
+            chunks,
+            sink,
+        )?,
+        AlgorithmChoice::AggregationTree => drive(
+            |sub| AggregationTree::with_domain(agg.clone(), sub),
+            choice,
+            domain,
+            seams,
+            chunks,
+            sink,
+        )?,
+        AlgorithmChoice::Sweep => drive(
+            |sub| SweepAggregator::with_domain(agg.clone(), sub),
+            choice,
+            domain,
+            seams,
+            chunks,
+            sink,
+        )?,
+        AlgorithmChoice::CachedSeries => return Err(cached_series_is_not_executable()),
+        AlgorithmChoice::SweepJoin => return Err(sweep_join_is_not_executable()),
+        AlgorithmChoice::IndexProbe => return Err(index_probe_is_not_executable()),
+        AlgorithmChoice::KOrderedTree { k, presort } => {
+            // Probe once so an invalid k errors before any instance builds.
+            KOrderedAggregationTree::with_domain(agg.clone(), k, domain)?;
+            let make = |sub| {
+                KOrderedAggregationTree::with_domain(agg.clone(), k, sub)
+                    // lint: allow(no-unwrap): k was validated by the probe construction just above
+                    .expect("k validated above")
+            };
+            if presort {
+                presorted = true;
+                let sorted = sorted_chunks(chunks)?;
+                drive(make, choice, domain, seams, &sorted, sink)?
+            } else {
+                drive(make, choice, domain, seams, chunks, sink)?
+            }
+        }
+    };
+    Ok(ExecutionReport {
+        algorithm: driven.algorithm,
+        tuples: chunks.iter().map(Chunk::len).sum(),
+        result_rows: sink.accepted,
+        elapsed: started.elapsed(),
+        memory: driven.memory,
+        presorted,
+        parallelism,
+        partitions: driven.partitions,
+        peak_resident_result_entries: 0,
+        emitted_chunks: 0,
+        cache: CacheReport::default(),
+    })
+}
+
+/// [`execute_chunks_into`] a collected [`Series`].
+pub fn execute_chunks<A>(
+    the_plan: &Plan,
+    agg: A,
+    chunks: &[Chunk<A::Input>],
+    domain: Interval,
+) -> Result<(Series<A::Output>, ExecutionReport)>
+where
+    A: SweepAggregate + Clone + Send,
+    A::State: Send,
+    A::Input: Clone + Send + Sync,
+    A::Output: PartialEq + Send,
+{
+    let mut series = Series::new();
+    let mut report = execute_chunks_into(the_plan, agg, chunks, domain, &mut series)?;
+    // Materialized execution holds the full series before returning.
+    report.peak_resident_result_entries = series.len();
+    Ok((series, report))
+}
+
+/// [`execute_chunks_into`] in streaming mode: result entries are pushed
+/// to `consumer` in fixed-size chunks of at most `chunk_capacity` entries
+/// instead of being collected into a [`Series`], so executor-resident
+/// result memory is bounded by one chunk regardless of how many constant
+/// intervals the query produces.
+///
+/// The entries streamed to `consumer`, concatenated, are byte-identical
+/// to the series [`execute_chunks`] returns for the same plan. On
+/// k-ordered input the whole run is O(k + chunk) resident; the buffering
+/// algorithms still hold their internal state but never a second
+/// materialized copy of the result.
+pub fn execute_chunks_streaming<A, C>(
+    the_plan: &Plan,
+    agg: A,
+    chunks: &[Chunk<A::Input>],
+    domain: Interval,
+    chunk_capacity: usize,
+    consumer: C,
+) -> Result<ExecutionReport>
+where
+    A: SweepAggregate + Clone + Send,
+    A::State: Send,
+    A::Input: Clone + Send + Sync,
+    A::Output: PartialEq + Send,
+    C: FnMut(&[SeriesEntry<A::Output>]),
+{
+    let mut sink = ChunkedSink::new(chunk_capacity, consumer);
+    let mut report = execute_chunks_into(the_plan, agg, chunks, domain, &mut sink)?;
+    sink.flush();
+    report.peak_resident_result_entries = sink.peak_resident();
+    report.emitted_chunks = sink.chunks_emitted();
+    Ok(report)
+}
+
+/// [`execute_chunks`] over `relation`, each tuple's input projected by
+/// `extract`.
 pub fn execute<A, F>(
     the_plan: &Plan,
     agg: A,
@@ -231,199 +430,11 @@ where
     A::Output: PartialEq + Send,
     F: Fn(&Tuple) -> A::Input,
 {
-    let started = Instant::now();
-    let mut presorted = false;
-    let seams = data_seams(relation, domain, the_plan.parallelism);
-    let parallelism = seams.len() + 1;
-
-    let (series, memory, algorithm, partitions) = if parallelism > 1 {
-        let (series, memory, partitions) = match the_plan.choice {
-            AlgorithmChoice::LinkedList => {
-                let par = PartitionedAggregator::with_seams(domain, seams, |sub| {
-                    LinkedListAggregate::with_domain(agg.clone(), sub)
-                })?;
-                drive_partitioned(par, relation, &extract)?
-            }
-            AlgorithmChoice::AggregationTree => {
-                let par = PartitionedAggregator::with_seams(domain, seams, |sub| {
-                    AggregationTree::with_domain(agg.clone(), sub)
-                })?;
-                drive_partitioned(par, relation, &extract)?
-            }
-            AlgorithmChoice::Sweep => {
-                let par = PartitionedAggregator::with_seams(domain, seams, |sub| {
-                    SweepAggregator::with_domain(agg.clone(), sub)
-                })?;
-                drive_partitioned(par, relation, &extract)?
-            }
-            AlgorithmChoice::CachedSeries => return Err(cached_series_is_not_executable()),
-            AlgorithmChoice::SweepJoin => return Err(sweep_join_is_not_executable()),
-            AlgorithmChoice::IndexProbe => return Err(index_probe_is_not_executable()),
-            AlgorithmChoice::KOrderedTree { k, presort } => {
-                // Probe once so an invalid k errors before partitions build.
-                KOrderedAggregationTree::with_domain(agg.clone(), k, domain)?;
-                let par = PartitionedAggregator::with_seams(domain, seams, |sub| {
-                    KOrderedAggregationTree::with_domain(agg.clone(), k, sub)
-                        // lint: allow(no-unwrap): k was validated by the probe construction just above
-                        .expect("k validated above")
-                })?;
-                if presort {
-                    presorted = true;
-                    let sorted = relation.sorted_by_time();
-                    drive_partitioned(par, &sorted, &extract)?
-                } else {
-                    drive_partitioned(par, relation, &extract)?
-                }
-            }
-        };
-        (
-            series,
-            memory,
-            partitioned_name(the_plan.choice),
-            partitions,
-        )
-    } else {
-        let (series, memory, name) = match the_plan.choice {
-            AlgorithmChoice::LinkedList => drive(
-                LinkedListAggregate::with_domain(agg, domain),
-                relation,
-                &extract,
-            )?,
-            AlgorithmChoice::AggregationTree => drive(
-                AggregationTree::with_domain(agg, domain),
-                relation,
-                &extract,
-            )?,
-            AlgorithmChoice::Sweep => drive(
-                SweepAggregator::with_domain(agg, domain),
-                relation,
-                &extract,
-            )?,
-            AlgorithmChoice::CachedSeries => return Err(cached_series_is_not_executable()),
-            AlgorithmChoice::SweepJoin => return Err(sweep_join_is_not_executable()),
-            AlgorithmChoice::IndexProbe => return Err(index_probe_is_not_executable()),
-            AlgorithmChoice::KOrderedTree { k, presort } => {
-                let aggregator = KOrderedAggregationTree::with_domain(agg, k, domain)?;
-                if presort {
-                    presorted = true;
-                    let sorted = relation.sorted_by_time();
-                    drive(aggregator, &sorted, &extract)?
-                } else {
-                    drive(aggregator, relation, &extract)?
-                }
-            }
-        };
-        (series, memory, name, Vec::new())
-    };
-    let report = ExecutionReport {
-        algorithm,
-        tuples: relation.len(),
-        result_rows: series.len(),
-        elapsed: started.elapsed(),
-        memory,
-        presorted,
-        parallelism,
-        partitions,
-        // Materialized execution holds the full series before returning.
-        peak_resident_result_entries: series.len(),
-        emitted_chunks: 0,
-        cache: CacheReport::default(),
-    };
-    Ok((series, report))
+    execute_chunks(the_plan, agg, &chunks_of(relation, &extract)?, domain)
 }
 
-/// Counters a streaming drive reads back off its [`ChunkedSink`].
-struct StreamStats {
-    accepted: usize,
-    peak_resident: usize,
-    chunks_emitted: usize,
-}
-
-fn drive_streaming<A, G, F, C>(
-    mut aggregator: G,
-    relation: &TemporalRelation,
-    extract: &F,
-    chunk_capacity: usize,
-    consumer: C,
-) -> Result<(StreamStats, MemoryStats, &'static str)>
-where
-    A: Aggregate,
-    A::Input: Clone,
-    G: TemporalAggregator<A>,
-    F: Fn(&Tuple) -> A::Input,
-    C: FnMut(&[SeriesEntry<A::Output>]),
-{
-    let mut sink = ChunkedSink::new(chunk_capacity, consumer);
-    let mut chunk: Chunk<A::Input> = Chunk::with_capacity(DEFAULT_CHUNK_CAPACITY);
-    for tuple in relation {
-        if chunk.is_full() {
-            aggregator.push_batch(&chunk)?;
-            chunk.clear();
-            // Drain whatever this input chunk settled (the k-ordered
-            // tree's GC; a no-op for the buffering algorithms) so
-            // results leave executor memory as soon as they are final.
-            aggregator.emit_ready(&mut sink);
-        }
-        chunk.push(tuple.valid(), extract(tuple))?;
-    }
-    if !chunk.is_empty() {
-        aggregator.push_batch(&chunk)?;
-        aggregator.emit_ready(&mut sink);
-    }
-    let memory = aggregator.memory();
-    let name = aggregator.algorithm();
-    aggregator.finish_into(&mut sink);
-    sink.flush();
-    let stats = StreamStats {
-        accepted: sink.accepted(),
-        peak_resident: sink.peak_resident(),
-        chunks_emitted: sink.chunks_emitted(),
-    };
-    Ok((stats, memory, name))
-}
-
-fn drive_partitioned_streaming<A, G, F, C>(
-    mut aggregator: PartitionedAggregator<A, G>,
-    relation: &TemporalRelation,
-    extract: &F,
-    chunk_capacity: usize,
-    consumer: C,
-) -> Result<(StreamStats, MemoryStats, Vec<PartitionReport>)>
-where
-    A: Aggregate,
-    A::Input: Clone + Send + Sync,
-    A::Output: PartialEq + Send,
-    G: TemporalAggregator<A> + Send,
-    F: Fn(&Tuple) -> A::Input,
-    C: FnMut(&[SeriesEntry<A::Output>]),
-{
-    let mut sink = ChunkedSink::new(chunk_capacity, consumer);
-    feed(&mut aggregator, relation, extract)?;
-    let memory = aggregator.memory();
-    let partitions = aggregator.partition_reports();
-    // Partitions drain through the sink in domain order with seam-aware
-    // stitching done inline — no per-partition series is materialized.
-    aggregator.finish_into(&mut sink);
-    sink.flush();
-    let stats = StreamStats {
-        accepted: sink.accepted(),
-        peak_resident: sink.peak_resident(),
-        chunks_emitted: sink.chunks_emitted(),
-    };
-    Ok((stats, memory, partitions))
-}
-
-/// Execute a plan in streaming mode: result entries are pushed to
-/// `consumer` in fixed-size chunks of at most `chunk_capacity` entries
-/// instead of being collected into a [`Series`], so executor-resident
-/// result memory is bounded by one chunk regardless of how many constant
-/// intervals the query produces.
-///
-/// The entries streamed to `consumer`, concatenated, are byte-identical
-/// to the series `execute` returns for the same plan. On k-ordered input
-/// the k-ordered tree emits as it garbage-collects, so the whole run is
-/// O(k + chunk) resident; the buffering algorithms still hold their
-/// internal state but never a second materialized copy of the result.
+/// [`execute_chunks_streaming`] over `relation`, each tuple's input
+/// projected by `extract`.
 pub fn execute_streaming<A, F, C>(
     the_plan: &Plan,
     agg: A,
@@ -441,103 +452,8 @@ where
     F: Fn(&Tuple) -> A::Input,
     C: FnMut(&[SeriesEntry<A::Output>]),
 {
-    let started = Instant::now();
-    let mut presorted = false;
-    let seams = data_seams(relation, domain, the_plan.parallelism);
-    let parallelism = seams.len() + 1;
-
-    let (stats, memory, algorithm, partitions) = if parallelism > 1 {
-        let (stats, memory, partitions) = match the_plan.choice {
-            AlgorithmChoice::LinkedList => {
-                let par = PartitionedAggregator::with_seams(domain, seams, |sub| {
-                    LinkedListAggregate::with_domain(agg.clone(), sub)
-                })?;
-                drive_partitioned_streaming(par, relation, &extract, chunk_capacity, consumer)?
-            }
-            AlgorithmChoice::AggregationTree => {
-                let par = PartitionedAggregator::with_seams(domain, seams, |sub| {
-                    AggregationTree::with_domain(agg.clone(), sub)
-                })?;
-                drive_partitioned_streaming(par, relation, &extract, chunk_capacity, consumer)?
-            }
-            AlgorithmChoice::Sweep => {
-                let par = PartitionedAggregator::with_seams(domain, seams, |sub| {
-                    SweepAggregator::with_domain(agg.clone(), sub)
-                })?;
-                drive_partitioned_streaming(par, relation, &extract, chunk_capacity, consumer)?
-            }
-            AlgorithmChoice::CachedSeries => return Err(cached_series_is_not_executable()),
-            AlgorithmChoice::SweepJoin => return Err(sweep_join_is_not_executable()),
-            AlgorithmChoice::IndexProbe => return Err(index_probe_is_not_executable()),
-            AlgorithmChoice::KOrderedTree { k, presort } => {
-                KOrderedAggregationTree::with_domain(agg.clone(), k, domain)?;
-                let par = PartitionedAggregator::with_seams(domain, seams, |sub| {
-                    KOrderedAggregationTree::with_domain(agg.clone(), k, sub)
-                        // lint: allow(no-unwrap): k was validated by the probe construction just above
-                        .expect("k validated above")
-                })?;
-                if presort {
-                    presorted = true;
-                    let sorted = relation.sorted_by_time();
-                    drive_partitioned_streaming(par, &sorted, &extract, chunk_capacity, consumer)?
-                } else {
-                    drive_partitioned_streaming(par, relation, &extract, chunk_capacity, consumer)?
-                }
-            }
-        };
-        (stats, memory, partitioned_name(the_plan.choice), partitions)
-    } else {
-        let (stats, memory, name) = match the_plan.choice {
-            AlgorithmChoice::LinkedList => drive_streaming(
-                LinkedListAggregate::with_domain(agg, domain),
-                relation,
-                &extract,
-                chunk_capacity,
-                consumer,
-            )?,
-            AlgorithmChoice::AggregationTree => drive_streaming(
-                AggregationTree::with_domain(agg, domain),
-                relation,
-                &extract,
-                chunk_capacity,
-                consumer,
-            )?,
-            AlgorithmChoice::Sweep => drive_streaming(
-                SweepAggregator::with_domain(agg, domain),
-                relation,
-                &extract,
-                chunk_capacity,
-                consumer,
-            )?,
-            AlgorithmChoice::CachedSeries => return Err(cached_series_is_not_executable()),
-            AlgorithmChoice::SweepJoin => return Err(sweep_join_is_not_executable()),
-            AlgorithmChoice::IndexProbe => return Err(index_probe_is_not_executable()),
-            AlgorithmChoice::KOrderedTree { k, presort } => {
-                let aggregator = KOrderedAggregationTree::with_domain(agg, k, domain)?;
-                if presort {
-                    presorted = true;
-                    let sorted = relation.sorted_by_time();
-                    drive_streaming(aggregator, &sorted, &extract, chunk_capacity, consumer)?
-                } else {
-                    drive_streaming(aggregator, relation, &extract, chunk_capacity, consumer)?
-                }
-            }
-        };
-        (stats, memory, name, Vec::new())
-    };
-    Ok(ExecutionReport {
-        algorithm,
-        tuples: relation.len(),
-        result_rows: stats.accepted,
-        elapsed: started.elapsed(),
-        memory,
-        presorted,
-        parallelism,
-        partitions,
-        peak_resident_result_entries: stats.peak_resident,
-        emitted_chunks: stats.chunks_emitted,
-        cache: CacheReport::default(),
-    })
+    let chunks = chunks_of(relation, &extract)?;
+    execute_chunks_streaming(the_plan, agg, &chunks, domain, chunk_capacity, consumer)
 }
 
 /// One-call evaluation: measure statistics, plan per Section 6.3, execute.
@@ -840,6 +756,63 @@ mod tests {
             "peak {} should be chunk-bounded",
             report.peak_resident_result_entries
         );
+    }
+
+    #[test]
+    fn chunk_fed_execution_matches_relation_fed() {
+        // Storage order matters to the presort: equal intervals must keep
+        // it, exactly as `sorted_by_time` does.
+        let relation = generate(&WorkloadConfig::random(3000));
+        let salary = relation.schema().index_of("salary").unwrap();
+        let extract = |t: &Tuple| t.value(salary).as_i64().unwrap();
+        let chunks = chunks_of(&relation, &extract).unwrap();
+        assert_eq!(chunks.iter().map(Chunk::len).sum::<usize>(), 3000);
+        for choice in [
+            AlgorithmChoice::Sweep,
+            AlgorithmChoice::AggregationTree,
+            AlgorithmChoice::KOrderedTree {
+                k: 1,
+                presort: true,
+            },
+        ] {
+            for parallelism in [1usize, 3] {
+                let p = Plan {
+                    parallelism,
+                    ..serial_plan(choice)
+                };
+                let agg = Sum::<i64>::new();
+                let (want, _) = execute(&p, agg, &relation, extract, Interval::TIMELINE).unwrap();
+                let (got, report) = execute_chunks(&p, agg, &chunks, Interval::TIMELINE).unwrap();
+                assert_eq!(got, want, "choice {choice:?} × {parallelism}");
+                assert_eq!(report.tuples, 3000);
+                assert_eq!(report.parallelism, parallelism);
+                let mut streamed = Vec::new();
+                execute_chunks_streaming(&p, agg, &chunks, Interval::TIMELINE, 100, |c| {
+                    streamed.extend_from_slice(c);
+                })
+                .unwrap();
+                assert_eq!(streamed, want.entries());
+            }
+        }
+        // No chunks at all is the empty relation: one run over the domain.
+        let none: [Chunk<i64>; 0] = [];
+        let p = serial_plan(AlgorithmChoice::Sweep);
+        let (series, report) =
+            execute_chunks(&p, Sum::<i64>::new(), &none, Interval::TIMELINE).unwrap();
+        assert_eq!(series.len(), 1);
+        assert_eq!(report.tuples, 0);
+    }
+
+    #[test]
+    fn presort_of_chunk_rows_is_the_relations_total_order() {
+        let relation = generate(&WorkloadConfig::random(5000));
+        let identity = |t: &Tuple| t.clone();
+        let sorted = sorted_chunks(&chunks_of(&relation, &identity).unwrap()).unwrap();
+        let rows: Vec<Tuple> = sorted
+            .iter()
+            .flat_map(|c| c.values().iter().cloned())
+            .collect();
+        assert_eq!(rows, relation.sorted_by_time().tuples());
     }
 
     #[test]

@@ -27,7 +27,10 @@ pub use cost::{
     choose_algorithm, choose_window_algorithm, estimate, plan_by_cost, plan_join, Calibration,
     CostEstimate, CostModel,
 };
-pub use executor::{evaluate_auto, execute, execute_streaming, CacheReport, ExecutionReport};
+pub use executor::{
+    evaluate_auto, execute, execute_chunks, execute_chunks_into, execute_chunks_streaming,
+    execute_streaming, CacheReport, ExecutionReport,
+};
 pub use planner::{
     choose_parallelism, estimate_ktree_nodes, estimate_list_cells, estimate_tree_nodes, plan,
     AlgorithmChoice, Plan, PlannerConfig,

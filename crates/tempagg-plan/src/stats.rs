@@ -1,7 +1,7 @@
 //! Relation statistics the optimizer consumes (Section 6.3: "The optimizer
 //! can exploit information on the sortedness of the underlying relation").
 
-use tempagg_core::{sortedness, TemporalRelation};
+use tempagg_core::{sortedness, Interval, TemporalRelation};
 
 /// What the optimizer knows about a relation's storage order.
 ///
@@ -89,13 +89,22 @@ impl RelationStats {
         }
     }
 
-    /// Measure stats from an in-memory relation: sortedness via the
-    /// Section 5.2 metrics, long-lived fraction relative to the relation's
-    /// lifespan, and exact distinct-timestamp counts.
+    /// Measure stats from an in-memory relation; see
+    /// [`analyze_intervals`](Self::analyze_intervals).
     pub fn analyze(relation: &TemporalRelation) -> RelationStats {
-        let intervals: Vec<_> = relation.intervals().collect();
+        let intervals: Vec<Interval> = relation.intervals().collect();
+        RelationStats::analyze_intervals(&intervals)
+    }
+
+    /// Measure stats from valid-time intervals in storage order:
+    /// sortedness via the Section 5.2 metrics, long-lived fraction
+    /// relative to the intervals' hull (the relation's lifespan), and
+    /// exact distinct-timestamp counts. Callers that already hold the
+    /// projected intervals of a filtered tuple set (the SQL scan) plan
+    /// from them without building a relation.
+    pub fn analyze_intervals(intervals: &[Interval]) -> RelationStats {
         let n = intervals.len();
-        let report = sortedness::analyze(&intervals);
+        let report = sortedness::analyze(intervals);
         let ordering = if n <= 1 || report.k_order == 0 {
             OrderingKnowledge::Sorted
         } else if report.k_order <= n / 8 {
@@ -104,7 +113,11 @@ impl RelationStats {
             OrderingKnowledge::Unordered
         };
 
-        let lifespan = relation.lifespan().map_or(0, |iv| iv.duration());
+        let lifespan = intervals
+            .iter()
+            .copied()
+            .reduce(|a, b| a.hull(&b))
+            .map_or(0, |iv| iv.duration());
         let long_lived = if lifespan > 0 {
             intervals
                 .iter()
@@ -116,7 +129,7 @@ impl RelationStats {
         };
 
         let mut ts: Vec<i64> = Vec::with_capacity(2 * n);
-        for iv in &intervals {
+        for iv in intervals {
             ts.push(iv.start().get());
             ts.push(iv.end().get());
         }
@@ -172,7 +185,7 @@ impl RelationStats {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tempagg_core::{Interval, Schema, Value, ValueType};
+    use tempagg_core::{Schema, Value, ValueType};
 
     fn relation(intervals: &[(i64, i64)]) -> TemporalRelation {
         let schema: Arc<Schema> = Schema::of(&[("x", ValueType::Int)]);

@@ -1,30 +1,39 @@
 //! Binding and execution of parsed queries.
 //!
-//! Each aggregate in the select list is computed separately (Section 3's
-//! scalar-aggregate strategy) over the same filtered tuple set; since every
-//! aggregate sees the same tuples, their constant intervals coincide and
-//! the series zip into rows losslessly. Instant-grouped queries go through
-//! calibrated cost-based selection ([`choose_algorithm`]), which extends
-//! the Section 6.3 optimizer with the columnar endpoint-sweep kernel,
-//! gated on the select list's weakest retraction class; `GROUP BY SPAN n`
-//! uses the span-grouping bucket algorithm; `GROUP BY col` partitions
-//! first and evaluates per group (Section 4.1's "aggregation sets").
+//! All aggregates of a select list run in ONE pass per aggregation set via
+//! a product aggregate (Section 3 computes each scalar aggregate
+//! separately, but the product of monoids is a monoid and every aggregate
+//! sees the same tuples, so their constant intervals coincide and a single
+//! tree construction or sweep serves every select-list entry). The scan
+//! path is one borrowed pass: conditions are evaluated on `&Tuple` in
+//! place, the interval is clipped to the `VALID` window, only the
+//! referenced columns are projected, and the projected rows are appended
+//! to per-group [`Chunk`]s that the chunk-fed executor consumes — no tuple
+//! is cloned and no scratch relation is built. Select lists over `INT`
+//! columns lower to the heap-free [`TypedMulti`]; everything else keeps
+//! [`MultiDyn`]. Instant-grouped queries go through calibrated cost-based
+//! selection ([`choose_algorithm`]), which extends the Section 6.3
+//! optimizer with the columnar endpoint-sweep kernel, gated on the select
+//! list's weakest retraction class; `GROUP BY SPAN n` uses the
+//! span-grouping bucket algorithm; `GROUP BY col` partitions first and
+//! evaluates per group (Section 4.1's "aggregation sets").
 
-use crate::ast::{Query, TemporalGrouping};
+use crate::ast::{CompareOp, Query, TemporalGrouping};
 use crate::catalog::Catalog;
 use crate::parser::parse;
 use std::collections::BTreeMap;
 use std::fmt;
-use tempagg_agg::{AggKind, Aggregate, DynAggregate, MultiDyn, SweepAggregate};
+use tempagg_agg::{
+    AggKind, Aggregate, DynAggregate, MultiDyn, SweepAggregate, TypedInput, TypedMulti,
+};
 use tempagg_algo::{scan_window, SpanGrouper, TemporalAggregator, WindowAggregate};
 use tempagg_core::{
-    Chunk, ChunkedSink, Interval, Result, Schema, Series, SeriesEntry, TempAggError,
+    Chunk, Interval, Result, Schema, Series, SeriesEntry, SeriesSink, TempAggError,
     TemporalRelation, Tuple, Value, DEFAULT_CHUNK_CAPACITY,
 };
 use tempagg_plan::{
-    choose_algorithm, choose_window_algorithm, execute as execute_plan,
-    execute_streaming as execute_plan_streaming, AlgorithmChoice, CacheReport, CachedSeriesInfo,
-    CostModel, Plan, PlannerConfig, RelationStats,
+    choose_algorithm, choose_window_algorithm, execute_chunks_into, AlgorithmChoice, CacheReport,
+    CachedSeriesInfo, CostModel, Plan, PlannerConfig, RelationStats,
 };
 use tempagg_store::{index_mode_for, IndexMode, TemporalStore};
 
@@ -125,25 +134,13 @@ pub fn execute_str(catalog: &Catalog, sql: &str) -> Result<QueryResult> {
     execute_query(catalog, &parse(sql)?, &PlannerConfig::default())
 }
 
-/// The bound, filtered, grouped input shared by the materialized and
-/// streaming execution paths.
-struct BoundQuery {
-    schema: std::sync::Arc<Schema>,
-    bound_aggs: Vec<(DynAggregate, Option<usize>, String)>,
-    groups: Vec<(Option<Value>, TemporalRelation)>,
-    domain: Interval,
-}
-
-impl BoundQuery {
-    fn agg_labels(&self) -> Vec<String> {
-        self.bound_aggs.iter().map(|(_, _, l)| l.clone()).collect()
-    }
-}
+/// One select-list entry bound to the schema: the aggregate, its input
+/// column (`None` for `COUNT(*)`), and its display label.
+type BoundAgg = (DynAggregate, Option<usize>, String);
 
 /// Resolve and type-check the select list against a schema.
-fn bind_aggs(schema: &Schema, query: &Query) -> Result<Vec<(DynAggregate, Option<usize>, String)>> {
-    let mut bound_aggs: Vec<(DynAggregate, Option<usize>, String)> =
-        Vec::with_capacity(query.aggregates.len());
+fn bind_aggs(schema: &Schema, query: &Query) -> Result<Vec<BoundAgg>> {
+    let mut bound_aggs: Vec<BoundAgg> = Vec::with_capacity(query.aggregates.len());
     for agg in &query.aggregates {
         let (idx, ty) = match &agg.column {
             Some(col) => {
@@ -157,65 +154,408 @@ fn bind_aggs(schema: &Schema, query: &Query) -> Result<Vec<(DynAggregate, Option
     Ok(bound_aggs)
 }
 
-/// Bind names, filter on WHERE + VALID, and partition into aggregation
-/// sets: everything a query needs before any aggregate runs.
-fn bind_and_group(catalog: &Catalog, query: &Query) -> Result<BoundQuery> {
-    let relation = catalog.get(&query.relation)?;
-    let schema = relation.schema().clone();
+/// A query bound to its relation: everything a scan needs that does not
+/// depend on which product aggregate evaluates it.
+struct BoundScan<'a> {
+    relation: &'a TemporalRelation,
+    conditions: Vec<(usize, CompareOp, Value)>,
+    aggs: Vec<BoundAgg>,
+    group_idx: Option<usize>,
+    /// The `VALID` window: tuples are clipped to it and the result
+    /// time-line is the window.
+    domain: Interval,
+}
 
-    // Bind: resolve and type-check conditions and aggregates up front.
-    let mut bound_conditions = Vec::with_capacity(query.conditions.len());
+/// Bind names: resolve and type-check conditions, aggregates and the
+/// grouping column up front.
+fn bind_scan<'a>(catalog: &'a Catalog, query: &Query) -> Result<BoundScan<'a>> {
+    let relation = catalog.get(&query.relation)?;
+    let schema = relation.schema();
+    let mut conditions = Vec::with_capacity(query.conditions.len());
     for cond in &query.conditions {
-        bound_conditions.push((
+        conditions.push((
             schema.index_of_ignore_case(&cond.column)?,
             cond.op,
             cond.value.clone(),
         ));
     }
-    let bound_aggs = bind_aggs(&schema, query)?;
-    let group_idx = query
-        .group_column
-        .as_deref()
-        .map(|c| schema.index_of_ignore_case(c))
-        .transpose()?;
+    Ok(BoundScan {
+        relation,
+        conditions,
+        aggs: bind_aggs(schema, query)?,
+        group_idx: query
+            .group_column
+            .as_deref()
+            .map(|c| schema.index_of_ignore_case(c))
+            .transpose()?,
+        domain: query.valid_window.unwrap_or(Interval::TIMELINE),
+    })
+}
 
-    // Filter: WHERE conditions plus the VALID window (tuples are clipped to
-    // the window; the result time-line is the window).
-    let domain = query.valid_window.unwrap_or(Interval::TIMELINE);
-    let mut filtered = TemporalRelation::new(schema.clone());
-    'tuples: for tuple in relation {
-        for (idx, op, value) in &bound_conditions {
+/// One aggregation set: its grouping value and its qualifying tuples,
+/// already clipped and projected to the product aggregate's input, in
+/// storage order.
+struct Group<V> {
+    key: Option<Value>,
+    chunks: Vec<Chunk<V>>,
+    rows: usize,
+}
+
+impl<V> Group<V> {
+    fn new(key: Option<Value>) -> Group<V> {
+        Group {
+            key,
+            chunks: Vec::new(),
+            rows: 0,
+        }
+    }
+
+    fn push(&mut self, valid: Interval, input: V) -> Result<()> {
+        if self.chunks.last().map_or(true, Chunk::is_full) {
+            // Bounded but not reserved: a high-cardinality GROUP BY opens
+            // many small sets at once.
+            self.chunks.push(Chunk::bounded(DEFAULT_CHUNK_CAPACITY));
+        }
+        if let Some(chunk) = self.chunks.last_mut() {
+            chunk.push(valid, input)?;
+        }
+        self.rows += 1;
+        Ok(())
+    }
+
+    fn intervals(&self) -> Vec<Interval> {
+        self.chunks
+            .iter()
+            .flat_map(|c| c.iter().map(|(interval, _)| interval))
+            .collect()
+    }
+
+    fn lifespan(&self) -> Option<Interval> {
+        self.chunks
+            .iter()
+            .filter_map(Chunk::extent)
+            .reduce(|a, b| a.hull(&b))
+    }
+}
+
+/// The aggregation set of `key`, opened (the key cloned once) at its
+/// first tuple.
+fn group_of<'m, 'a, V>(
+    sets: &'m mut BTreeMap<&'a Value, Group<V>>,
+    key: &'a Value,
+) -> &'m mut Group<V> {
+    sets.entry(key)
+        .or_insert_with(|| Group::new(Some(key.clone())))
+}
+
+/// Filter on WHERE + VALID, clip, project and partition into aggregation
+/// sets in one borrowed pass over the relation. Ungrouped queries have
+/// exactly one set, which exists even when no tuple qualifies (its result
+/// is the empty aggregate over the whole window); value-grouped queries
+/// have one per distinct grouping value, ascending.
+fn project_groups<V>(
+    bound: &BoundScan<'_>,
+    project: impl Fn(&Tuple) -> V,
+) -> Result<Vec<Group<V>>> {
+    let mut whole = Group::new(None);
+    let mut sets: BTreeMap<&Value, Group<V>> = BTreeMap::new();
+    // lint: hot-loop(scan-project) — per tuple: evaluate, clip, project, append; never a Tuple clone or a relation push
+    'tuples: for tuple in bound.relation {
+        for (idx, op, value) in &bound.conditions {
             if !op.eval(tuple.value(*idx), value) {
                 continue 'tuples;
             }
         }
-        let Some(clipped) = tuple.valid().intersect(&domain) else {
+        let Some(valid) = tuple.valid().intersect(&bound.domain) else {
             continue;
         };
-        // lint: allow(store-mutation): scratch per-query relation, not a cataloged store
-        filtered.push_tuple(tuple.clone().with_valid(clipped))?;
+        let set = match bound.group_idx {
+            None => &mut whole,
+            Some(idx) => group_of(&mut sets, tuple.value(idx)),
+        };
+        set.push(valid, project(tuple))?;
+    }
+    Ok(match bound.group_idx {
+        None => vec![whole],
+        Some(_) => sets.into_values().collect(),
+    })
+}
+
+/// [`MultiDyn`]'s input: one cloned [`Value`] per select-list entry.
+fn project_values(columns: &[Option<usize>], tuple: &Tuple) -> Vec<Value> {
+    columns
+        .iter()
+        .map(|column| match column {
+            Some(i) => tuple.value(*i).clone(),
+            // COUNT(*): any non-null marker.
+            None => Value::Bool(true),
+        })
+        .collect()
+}
+
+/// [`TypedMulti`]'s input: the referenced `INT` cells copied inline, NULLs
+/// (and `COUNT(*)`'s unused slot) left absent.
+fn project_typed(columns: &[Option<usize>], tuple: &Tuple) -> TypedInput {
+    let mut input = TypedInput::default();
+    for (slot, column) in columns.iter().enumerate() {
+        if let Some(Value::Int(v)) = column.map(|i| tuple.value(i)) {
+            input.set(slot, *v);
+        }
+    }
+    input
+}
+
+/// Where a scan's plan comes from, and with it whether its rows coalesce.
+#[derive(Clone, Copy)]
+enum Planning<'a> {
+    /// Choose by cost from the largest aggregation set; coalesce the rows
+    /// (TSQL2 results).
+    Choose(&'a PlannerConfig),
+    /// Run every aggregation set under this plan and keep every constant
+    /// interval: the `OVER` / `TOP k` linear fallbacks reduce the
+    /// uncoalesced series.
+    Given(&'a Plan),
+}
+
+/// What a scan reports besides the rows it produced.
+struct ScanOutcome {
+    agg_labels: Vec<String>,
+    /// The plan the aggregation sets ran under (`None` for span grouping
+    /// and `SNAPSHOT`, which do not plan).
+    plan: Option<Plan>,
+}
+
+/// Where a scan's rows go, in (group, time) order: collected whole
+/// ([`execute_query`]), or buffered up to a bound and drained to a
+/// callback ([`execute_streaming`]). Values move from the algorithm's
+/// output into the row; nothing is copied on the way.
+struct RowBuffer<'a> {
+    rows: Vec<ResultRow>,
+    /// Streaming: the bound on finished rows held, and their consumer.
+    drain_to: Option<(usize, &'a mut dyn FnMut(ResultRow))>,
+    produced: usize,
+    peak: usize,
+    drains: usize,
+}
+
+impl<'a> RowBuffer<'a> {
+    fn collecting() -> RowBuffer<'a> {
+        RowBuffer {
+            rows: Vec::new(),
+            drain_to: None,
+            produced: 0,
+            peak: 0,
+            drains: 0,
+        }
     }
 
-    // Group: partition into aggregation sets if requested.
-    let groups: Vec<(Option<Value>, TemporalRelation)> = match group_idx {
-        None => vec![(None, filtered)],
-        Some(idx) => {
-            let mut map: BTreeMap<Value, TemporalRelation> = BTreeMap::new();
-            for tuple in &filtered {
-                map.entry(tuple.value(idx).clone())
-                    .or_insert_with(|| TemporalRelation::new(schema.clone()))
-                    // lint: allow(store-mutation): scratch per-group relation, not a cataloged store
-                    .push_tuple(tuple.clone())?;
+    fn streaming(capacity: usize, on_row: &'a mut dyn FnMut(ResultRow)) -> RowBuffer<'a> {
+        RowBuffer {
+            drain_to: Some((capacity.max(1), on_row)),
+            ..RowBuffer::collecting()
+        }
+    }
+
+    fn push(&mut self, row: ResultRow) {
+        self.rows.push(row);
+        self.produced += 1;
+        if let Some((capacity, on_row)) = &mut self.drain_to {
+            self.peak = self.peak.max(self.rows.len());
+            if self.rows.len() > *capacity {
+                // The newest row stays: the next entry may still extend it.
+                let finished = self.rows.len() - 1;
+                self.rows.drain(..finished).for_each(&mut **on_row);
+                self.drains += 1;
             }
-            map.into_iter().map(|(k, v)| (Some(k), v)).collect()
+        }
+    }
+
+    /// End of the scan: hand the remaining rows to the consumer.
+    fn flush(&mut self) {
+        if let Some((_, on_row)) = &mut self.drain_to {
+            if !self.rows.is_empty() {
+                self.rows.drain(..).for_each(&mut **on_row);
+                self.drains += 1;
+            }
+        }
+    }
+}
+
+/// The sink one aggregation set's series drains into: each constant
+/// interval becomes a row, or — TSQL2's coalesced results, when
+/// `coalesce` is set — extends the previous row when the two meet with
+/// equal values. The lookahead row is simply the buffer's last; a set's
+/// series tiles the window, so its first interval never meets the
+/// previous set's last row.
+struct GroupSink<'b, 'a> {
+    out: &'b mut RowBuffer<'a>,
+    key: &'b Option<Value>,
+    coalesce: bool,
+}
+
+impl SeriesSink<Vec<Value>> for GroupSink<'_, '_> {
+    fn accept(&mut self, interval: Interval, values: Vec<Value>) {
+        if self.coalesce {
+            if let Some(prev) = self.out.rows.last_mut() {
+                if prev.valid.meets(&interval) && prev.values == values {
+                    prev.valid = prev.valid.hull(&interval);
+                    return;
+                }
+            }
+        }
+        self.out.push(ResultRow {
+            group: self.key.clone(),
+            valid: interval,
+            values,
+        });
+    }
+}
+
+/// Execute the scan arm of a query: bind, then run [`scan`] on the typed
+/// product aggregate when the select list lowers to one and on
+/// [`MultiDyn`] otherwise — the only place that choice is made — pushing
+/// result rows to `out` in (group, time) order.
+fn run_scan(
+    catalog: &Catalog,
+    query: &Query,
+    planning: Planning<'_>,
+    out: &mut RowBuffer<'_>,
+) -> Result<ScanOutcome> {
+    let bound = bind_scan(catalog, query)?;
+    let members: Vec<DynAggregate> = bound.aggs.iter().map(|(a, _, _)| *a).collect();
+    let columns: Vec<Option<usize>> = bound.aggs.iter().map(|(_, idx, _)| *idx).collect();
+    let plan = match TypedMulti::lower(&members) {
+        Some(typed) => {
+            let project = |t: &Tuple| project_typed(&columns, t);
+            scan(&bound, query, typed, project, planning, out)?
+        }
+        None => {
+            let project = |t: &Tuple| project_values(&columns, t);
+            scan(
+                &bound,
+                query,
+                MultiDyn::new(members),
+                project,
+                planning,
+                out,
+            )?
         }
     };
-    Ok(BoundQuery {
-        schema,
-        bound_aggs,
-        groups,
-        domain,
+    out.flush();
+    // An eligible scan saw the whole relation unfiltered, so its result is
+    // exactly what a cache would hold: warm one per aggregate and let the
+    // next execution serve snapshots.
+    if cache_eligible(query) {
+        if let Ok(store) = catalog.store(&query.relation) {
+            for (agg, idx, _) in &bound.aggs {
+                store.ensure_cache(*agg, *idx);
+            }
+        }
+    }
+    Ok(ScanOutcome {
+        agg_labels: bound.aggs.into_iter().map(|(_, _, l)| l).collect(),
+        plan,
     })
+}
+
+/// One scan, generic over the product aggregate: project the relation
+/// into aggregation sets, then evaluate each — `SNAPSHOT` as a scalar
+/// fold, instant grouping through the chunk-fed executor under one plan
+/// made from the largest set (the sets share the input's ordering
+/// characteristics), span grouping through the bucket array. Returns the
+/// plan the sets ran under (`None` for span grouping and `SNAPSHOT`).
+fn scan<A>(
+    bound: &BoundScan<'_>,
+    query: &Query,
+    agg: A,
+    project: impl Fn(&Tuple) -> A::Input,
+    planning: Planning<'_>,
+    out: &mut RowBuffer<'_>,
+) -> Result<Option<Plan>>
+where
+    A: SweepAggregate<Output = Vec<Value>> + Clone + Send,
+    A::State: Send,
+    A::Input: Clone + Send + Sync,
+{
+    let groups = project_groups(bound, project)?;
+
+    // SNAPSHOT: scalar aggregates over each set's full tuple set
+    // (Section 3 semantics) — no temporal grouping at all.
+    if query.snapshot {
+        for group in &groups {
+            let mut state = agg.empty_state();
+            for input in group.chunks.iter().flat_map(Chunk::values) {
+                agg.insert(&mut state, input);
+            }
+            out.push(ResultRow {
+                group: group.key.clone(),
+                valid: bound.domain,
+                values: agg.finish(&state),
+            });
+        }
+        return Ok(None);
+    }
+
+    match query.temporal_grouping {
+        TemporalGrouping::Instant => {
+            let the_plan = match planning {
+                Planning::Given(plan) => plan.clone(),
+                Planning::Choose(config) => {
+                    let representative = groups
+                        .iter()
+                        .max_by_key(|g| g.rows)
+                        .map_or_else(Vec::new, Group::intervals);
+                    // Calibrated cost-based selection: the select list's
+                    // weakest retraction class gates whether the endpoint
+                    // sweep competes.
+                    choose_algorithm(
+                        &RelationStats::analyze_intervals(&representative),
+                        agg.sweep_class(),
+                        config,
+                        &CostModel::default(),
+                        agg.state_model_bytes().max(4),
+                    )
+                }
+            };
+            if !query.explain {
+                for group in &groups {
+                    let mut sink = GroupSink {
+                        out: &mut *out,
+                        key: &group.key,
+                        coalesce: matches!(planning, Planning::Choose(_)),
+                    };
+                    execute_chunks_into(
+                        &the_plan,
+                        agg.clone(),
+                        &group.chunks,
+                        bound.domain,
+                        &mut sink,
+                    )?;
+                }
+            }
+            Ok(Some(the_plan))
+        }
+        TemporalGrouping::Span(_) if query.explain => Ok(None),
+        TemporalGrouping::Span(len) => {
+            // Spans need a bounded window: the VALID clause, or the
+            // relation's lifespan.
+            let window = span_window(query.valid_window, &groups, len)?;
+            for group in &groups {
+                let mut grouper = SpanGrouper::new(agg.clone(), window, len)?;
+                for chunk in &group.chunks {
+                    grouper.push_batch(chunk)?;
+                }
+                // One row per span: fixed calendar partitions are not
+                // coalesced even when adjacent values repeat.
+                grouper.finish_into(&mut GroupSink {
+                    out: &mut *out,
+                    key: &group.key,
+                    coalesce: false,
+                });
+            }
+            Ok(None)
+        }
+    }
 }
 
 /// Execute a parsed query.
@@ -241,163 +581,19 @@ pub fn execute_query(
             return Ok(served);
         }
     }
-    let BoundQuery {
-        schema,
-        bound_aggs,
-        groups,
-        domain,
-    } = bind_and_group(catalog, query)?;
-
-    // SNAPSHOT: scalar aggregates over each group's full tuple set
-    // (Section 3 semantics) — no temporal grouping at all.
-    if query.snapshot {
-        let mut rows = Vec::new();
-        for (key, group_rel) in &groups {
-            let mut values = Vec::with_capacity(bound_aggs.len());
-            for (agg, idx, _) in &bound_aggs {
-                let extract = make_extractor(*idx);
-                let mut state = agg.empty_state();
-                for tuple in group_rel {
-                    agg.insert(&mut state, &extract(tuple));
-                }
-                values.push(agg.finish(&state));
-            }
-            rows.push(ResultRow {
-                group: key.clone(),
-                valid: domain,
-                values,
-            });
-        }
-        return Ok(QueryResult {
-            group_column: query.group_column.clone(),
-            agg_labels: bound_aggs.into_iter().map(|(_, _, l)| l).collect(),
-            rows,
-            plan: None,
-            explain_only: false,
-            snapshot: true,
-            cache: CacheReport::default(),
-        });
-    }
-
-    // All aggregates of the query run in ONE pass per group via a product
-    // aggregate (the paper computes them separately — Section 3 — but the
-    // product of monoids is a monoid, and the constant intervals coincide,
-    // so a single tree construction serves every select-list entry).
-    let multi = MultiDyn::new(bound_aggs.iter().map(|(a, _, _)| *a).collect());
-    let extract_indices: Vec<Option<usize>> = bound_aggs.iter().map(|(_, idx, _)| *idx).collect();
-    let extract_all = |tuple: &Tuple| -> Vec<Value> {
-        extract_indices
-            .iter()
-            .map(|idx| make_extractor(*idx)(tuple))
-            .collect()
-    };
-
-    match query.temporal_grouping {
-        TemporalGrouping::Instant => {
-            // Plan once from the whole filtered input (the groups share its
-            // ordering characteristics), then evaluate per group.
-            let representative = groups
-                .iter()
-                .map(|(_, r)| r)
-                .max_by_key(|r| r.len())
-                .cloned()
-                .unwrap_or_else(|| TemporalRelation::new(schema.clone()));
-            let stats = RelationStats::analyze(&representative);
-            // Calibrated cost-based selection: the select list's weakest
-            // retraction class gates whether the endpoint sweep competes.
-            let the_plan = choose_algorithm(
-                &stats,
-                multi.sweep_class(),
-                config,
-                &CostModel::default(),
-                multi.state_model_bytes().max(4),
-            );
-            if query.explain {
-                return Ok(QueryResult {
-                    group_column: query.group_column.clone(),
-                    agg_labels: bound_aggs.into_iter().map(|(_, _, l)| l).collect(),
-                    rows: Vec::new(),
-                    plan: Some(the_plan),
-                    explain_only: true,
-                    snapshot: false,
-                    cache: CacheReport::default(),
-                });
-            }
-
-            let mut rows = Vec::new();
-            for (key, group_rel) in &groups {
-                let (series, _report) =
-                    execute_plan(&the_plan, multi.clone(), group_rel, &extract_all, domain)?;
-                append_series_rows(key.clone(), series, true, &mut rows);
-            }
-            // This scan saw the whole relation unfiltered, so its result
-            // is exactly what a cache would hold: warm one per aggregate
-            // and let the next execution serve snapshots.
-            if cache_eligible(query) {
-                if let Ok(store) = catalog.store(&query.relation) {
-                    for (agg, idx, _) in &bound_aggs {
-                        store.ensure_cache(*agg, *idx);
-                    }
-                }
-            }
-            Ok(QueryResult {
-                group_column: query.group_column.clone(),
-                agg_labels: bound_aggs.into_iter().map(|(_, _, l)| l).collect(),
-                rows,
-                plan: Some(the_plan),
-                explain_only: false,
-                snapshot: false,
-                cache: CacheReport::default(),
-            })
-        }
-        TemporalGrouping::Span(len) => {
-            if query.explain {
-                return Ok(QueryResult {
-                    group_column: query.group_column.clone(),
-                    agg_labels: bound_aggs.into_iter().map(|(_, _, l)| l).collect(),
-                    rows: Vec::new(),
-                    plan: None,
-                    explain_only: true,
-                    snapshot: false,
-                    cache: CacheReport::default(),
-                });
-            }
-            // Spans need a bounded window: the VALID clause, or the
-            // relation's lifespan.
-            let window = span_window(query.valid_window, &groups, len)?;
-            let mut rows = Vec::new();
-            for (key, group_rel) in &groups {
-                let mut grouper = SpanGrouper::new(multi.clone(), window, len)?;
-                // Feed in bounded chunks through the batch pipeline, like
-                // the instant-grouped executor path.
-                let mut chunk: Chunk<Vec<Value>> = Chunk::with_capacity(DEFAULT_CHUNK_CAPACITY);
-                for tuple in group_rel {
-                    if chunk.is_full() {
-                        grouper.push_batch(&chunk)?;
-                        chunk.clear();
-                    }
-                    chunk.push(tuple.valid(), extract_all(tuple))?;
-                }
-                if !chunk.is_empty() {
-                    grouper.push_batch(&chunk)?;
-                }
-                // One row per span: fixed calendar partitions are not
-                // coalesced even when adjacent values repeat.
-                let mut series = Series::new();
-                grouper.finish_into(&mut series);
-                append_series_rows(key.clone(), series, false, &mut rows);
-            }
-            Ok(QueryResult {
-                group_column: query.group_column.clone(),
-                agg_labels: bound_aggs.into_iter().map(|(_, _, l)| l).collect(),
-                rows,
-                plan: None,
-                explain_only: false,
-                snapshot: false,
-                cache: CacheReport::default(),
-            })
-        }
-    }
+    // The same scan `execute_streaming` runs, with a collecting buffer.
+    let mut out = RowBuffer::collecting();
+    let outcome = run_scan(catalog, query, Planning::Choose(config), &mut out)?;
+    Ok(QueryResult {
+        group_column: query.group_column.clone(),
+        agg_labels: outcome.agg_labels,
+        rows: out.rows,
+        plan: outcome.plan,
+        // SNAPSHOT has no plan to explain and answers regardless.
+        explain_only: query.explain && !query.snapshot,
+        snapshot: query.snapshot,
+        cache: CacheReport::default(),
+    })
 }
 
 /// Whether a query can be answered from store-maintained aggregate
@@ -555,14 +751,13 @@ fn window_scalar(agg: &DynAggregate, series: &Series<Value>, window: Interval) -
     }
 }
 
-/// Project one column of a product-aggregate series for window reduction.
-fn column_series(series: &Series<Vec<Value>>, j: usize) -> Series<Value> {
+/// Project one select-list entry of a scan's uncoalesced rows (all of
+/// one aggregation set) back into a series for window reduction.
+fn column_series(rows: &[ResultRow], j: usize) -> Series<Value> {
     Series::from_entries(
-        series
-            .entries()
-            .iter()
+        rows.iter()
             // lint: allow(indexing): j < width by construction of the product aggregate
-            .map(|e| SeriesEntry::new(e.interval, e.value[j].clone()))
+            .map(|row| SeriesEntry::new(row.valid, row.values[j].clone()))
             .collect(),
     )
 }
@@ -672,22 +867,12 @@ fn execute_window(
             };
         }
         _ => {
-            let bound = bind_and_group(catalog, query)?;
-            let extract_indices: Vec<Option<usize>> =
-                bound.bound_aggs.iter().map(|(_, idx, _)| *idx).collect();
-            let extract_all = |tuple: &Tuple| -> Vec<Value> {
-                extract_indices
-                    .iter()
-                    .map(|idx| make_extractor(*idx)(tuple))
-                    .collect()
-            };
-            // OVER queries never value-group, so there is exactly one
-            // aggregation set.
-            let (_, rel) = &bound.groups[0];
-            let (series, _report) =
-                execute_plan(&the_plan, multi.clone(), rel, &extract_all, bound.domain)?;
-            for (j, (agg, _, _)) in bound.bound_aggs.iter().enumerate() {
-                values.push(window_scalar(agg, &column_series(&series, j), window));
+            // OVER queries never value-group, so the scan has exactly one
+            // aggregation set and its rows are one series.
+            let mut out = RowBuffer::collecting();
+            run_scan(catalog, query, Planning::Given(&the_plan), &mut out)?;
+            for (j, (agg, _, _)) in bound_aggs.iter().enumerate() {
+                values.push(window_scalar(agg, &column_series(&out.rows, j), window));
             }
         }
     }
@@ -805,26 +990,22 @@ fn execute_top_k(catalog: &Catalog, query: &Query, config: &PlannerConfig) -> Re
 
     // Linear fallback: sweep every group, reduce each window, rank by
     // the same key the grouped index prunes on.
-    let bound = bind_and_group(catalog, query)?;
-    let extract_indices: Vec<Option<usize>> =
-        bound.bound_aggs.iter().map(|(_, idx, _)| *idx).collect();
-    let extract_all = |tuple: &Tuple| -> Vec<Value> {
-        extract_indices
-            .iter()
-            .map(|idx| make_extractor(*idx)(tuple))
-            .collect()
-    };
-    let mut scored: Vec<(Value, Value)> = Vec::with_capacity(bound.groups.len());
-    for (key, rel) in &bound.groups {
-        let (series, _report) =
-            execute_plan(&the_plan, multi.clone(), rel, &extract_all, bound.domain)?;
-        let projected = column_series(&series, 0);
+    let mut out = RowBuffer::collecting();
+    run_scan(catalog, query, Planning::Given(&the_plan), &mut out)?;
+    let mut scored: Vec<(Value, Value)> = Vec::new();
+    let mut rest: &[ResultRow] = &out.rows;
+    while let Some(first) = rest.first() {
+        // Rows arrive in (group, time) order: one run per group.
+        let len = rest.iter().take_while(|r| r.group == first.group).count();
+        let (group_rows, tail) = rest.split_at(len);
+        let projected = column_series(group_rows, 0);
         let scalar = if indexable {
             rank_value(&agg, &scan_window(&projected, window))
         } else {
             window_scalar(&agg, &projected, window)
         };
-        scored.push((key.clone().unwrap_or(Value::Null), scalar));
+        scored.push((first.group.clone().unwrap_or(Value::Null), scalar));
+        rest = tail;
     }
     // Stable sort: ties keep the ascending group order, matching the
     // grouped index's lowest-group-first tie-break.
@@ -938,201 +1119,23 @@ pub fn execute_streaming(
             });
         }
     }
-    let bound = bind_and_group(catalog, query)?;
-    let agg_labels = bound.agg_labels();
-    let BoundQuery {
-        schema,
-        bound_aggs,
-        groups,
-        domain,
-    } = bound;
-    let mut rows = 0usize;
-    let mut peak_resident = 0usize;
-    let mut emitted_chunks = 0usize;
-
-    // SNAPSHOT: one scalar row per group, pushed as soon as computed.
-    if query.snapshot {
-        for (key, group_rel) in &groups {
-            let mut values = Vec::with_capacity(bound_aggs.len());
-            for (agg, idx, _) in &bound_aggs {
-                let extract = make_extractor(*idx);
-                let mut state = agg.empty_state();
-                for tuple in group_rel {
-                    agg.insert(&mut state, &extract(tuple));
-                }
-                values.push(agg.finish(&state));
-            }
-            on_row(ResultRow {
-                group: key.clone(),
-                valid: domain,
-                values,
-            });
-            rows += 1;
-            peak_resident = peak_resident.max(1);
-        }
-        return Ok(StreamSummary {
-            group_column: query.group_column.clone(),
-            agg_labels,
-            rows,
-            plan: None,
-            peak_resident_result_entries: peak_resident,
-            emitted_chunks,
-        });
-    }
-
-    let multi = MultiDyn::new(bound_aggs.iter().map(|(a, _, _)| *a).collect());
-    let extract_indices: Vec<Option<usize>> = bound_aggs.iter().map(|(_, idx, _)| *idx).collect();
-    let extract_all = |tuple: &Tuple| -> Vec<Value> {
-        extract_indices
-            .iter()
-            .map(|idx| make_extractor(*idx)(tuple))
-            .collect()
-    };
-
-    match query.temporal_grouping {
-        TemporalGrouping::Instant => {
-            let representative = groups
-                .iter()
-                .map(|(_, r)| r)
-                .max_by_key(|r| r.len())
-                .cloned()
-                .unwrap_or_else(|| TemporalRelation::new(schema.clone()));
-            let stats = RelationStats::analyze(&representative);
-            let the_plan = choose_algorithm(
-                &stats,
-                multi.sweep_class(),
-                config,
-                &CostModel::default(),
-                multi.state_model_bytes().max(4),
-            );
-            if query.explain {
-                return Ok(StreamSummary {
-                    group_column: query.group_column.clone(),
-                    agg_labels,
-                    rows: 0,
-                    plan: Some(the_plan),
-                    peak_resident_result_entries: 0,
-                    emitted_chunks: 0,
-                });
-            }
-            for (key, group_rel) in &groups {
-                // Coalesce on a one-row lookahead: a finished row leaves
-                // as soon as the next entry cannot extend it.
-                let mut pending: Option<ResultRow> = None;
-                let report = execute_plan_streaming(
-                    &the_plan,
-                    multi.clone(),
-                    group_rel,
-                    &extract_all,
-                    domain,
-                    chunk_capacity,
-                    |chunk: &[SeriesEntry<Vec<Value>>]| {
-                        for entry in chunk {
-                            match &mut pending {
-                                Some(prev)
-                                    if prev.valid.meets(&entry.interval)
-                                        && prev.values == entry.value =>
-                                {
-                                    prev.valid = prev.valid.hull(&entry.interval);
-                                }
-                                _ => {
-                                    if let Some(done) = pending.take() {
-                                        on_row(done);
-                                        rows += 1;
-                                    }
-                                    pending = Some(ResultRow {
-                                        group: key.clone(),
-                                        valid: entry.interval,
-                                        values: entry.value.clone(),
-                                    });
-                                }
-                            }
-                        }
-                    },
-                )?;
-                if let Some(done) = pending.take() {
-                    on_row(done);
-                    rows += 1;
-                }
-                peak_resident = peak_resident.max(report.peak_resident_result_entries);
-                emitted_chunks += report.emitted_chunks;
-            }
-            // Warm the caches, exactly as the materialized path does.
-            if cache_eligible(query) {
-                if let Ok(store) = catalog.store(&query.relation) {
-                    for (agg, idx, _) in &bound_aggs {
-                        store.ensure_cache(*agg, *idx);
-                    }
-                }
-            }
-            Ok(StreamSummary {
-                group_column: query.group_column.clone(),
-                agg_labels,
-                rows,
-                plan: Some(the_plan),
-                peak_resident_result_entries: peak_resident,
-                emitted_chunks,
-            })
-        }
-        TemporalGrouping::Span(len) => {
-            if query.explain {
-                return Ok(StreamSummary {
-                    group_column: query.group_column.clone(),
-                    agg_labels,
-                    rows: 0,
-                    plan: None,
-                    peak_resident_result_entries: 0,
-                    emitted_chunks: 0,
-                });
-            }
-            let window = span_window(query.valid_window, &groups, len)?;
-            for (key, group_rel) in &groups {
-                let mut grouper = SpanGrouper::new(multi.clone(), window, len)?;
-                let mut chunk: Chunk<Vec<Value>> = Chunk::with_capacity(DEFAULT_CHUNK_CAPACITY);
-                for tuple in group_rel {
-                    if chunk.is_full() {
-                        grouper.push_batch(&chunk)?;
-                        chunk.clear();
-                    }
-                    chunk.push(tuple.valid(), extract_all(tuple))?;
-                }
-                if !chunk.is_empty() {
-                    grouper.push_batch(&chunk)?;
-                }
-                // Spans are never coalesced: each bucket leaves as a row.
-                let mut sink =
-                    ChunkedSink::new(chunk_capacity, |c: &[SeriesEntry<Vec<Value>>]| {
-                        for entry in c {
-                            on_row(ResultRow {
-                                group: key.clone(),
-                                valid: entry.interval,
-                                values: entry.value.clone(),
-                            });
-                            rows += 1;
-                        }
-                    });
-                grouper.finish_into(&mut sink);
-                sink.flush();
-                peak_resident = peak_resident.max(sink.peak_resident());
-                emitted_chunks += sink.chunks_emitted();
-            }
-            Ok(StreamSummary {
-                group_column: query.group_column.clone(),
-                agg_labels,
-                rows,
-                plan: None,
-                peak_resident_result_entries: peak_resident,
-                emitted_chunks,
-            })
-        }
-    }
+    let mut out = RowBuffer::streaming(chunk_capacity, &mut on_row);
+    let outcome = run_scan(catalog, query, Planning::Choose(config), &mut out)?;
+    Ok(StreamSummary {
+        group_column: query.group_column.clone(),
+        agg_labels: outcome.agg_labels,
+        rows: out.produced,
+        plan: outcome.plan,
+        peak_resident_result_entries: out.peak,
+        emitted_chunks: out.drains,
+    })
 }
 
 /// The bounded window span grouping buckets: the VALID clause when
 /// bounded, otherwise the hull of the groups' lifespans.
-fn span_window(
+fn span_window<V>(
     valid_window: Option<Interval>,
-    groups: &[(Option<Value>, TemporalRelation)],
+    groups: &[Group<V>],
     len: i64,
 ) -> Result<Interval> {
     match valid_window {
@@ -1140,7 +1143,7 @@ fn span_window(
         Some(_) | None => {
             let hull = groups
                 .iter()
-                .filter_map(|(_, r)| r.lifespan())
+                .filter_map(Group::lifespan)
                 .reduce(|a, b| a.hull(&b))
                 .ok_or(TempAggError::InvalidSpan { length: len })?;
             if hull.end().is_forever() {
@@ -1148,15 +1151,6 @@ fn span_window(
             }
             Ok(hull)
         }
-    }
-}
-
-/// Build the tuple→input projection for one aggregate.
-fn make_extractor(idx: Option<usize>) -> impl Fn(&Tuple) -> Value {
-    move |tuple: &Tuple| match idx {
-        Some(i) => tuple.value(i).clone(),
-        // COUNT(*): any non-null marker.
-        None => Value::Bool(true),
     }
 }
 

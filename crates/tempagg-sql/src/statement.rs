@@ -7,8 +7,8 @@ use crate::catalog::Catalog;
 use crate::exec::{execute_query, QueryResult};
 use crate::parser::parse_statement;
 use std::fmt;
-use tempagg_algo::SweepJoinOperator;
-use tempagg_core::{Interval, Result, Schema, TempAggError, Tuple, Value};
+use tempagg_algo::{JoinPair, SweepJoinOperator};
+use tempagg_core::{Interval, Result, Schema, SeriesSink, TempAggError, Tuple, Value};
 use tempagg_plan::{plan_join, CacheReport, CostModel, PlannerConfig, RelationStats};
 
 /// A plain-SELECT result: projected attribute values plus valid time.
@@ -299,25 +299,44 @@ fn interval_join(
 
     let mut operator =
         SweepJoinOperator::new(join.predicate).with_parallelism(plan.parallelism.max(1));
-    let left_tuples: Vec<&Tuple> = left.into_iter().collect();
-    let right_tuples: Vec<&Tuple> = right.into_iter().collect();
-    for tuple in &left_tuples {
+    for tuple in left {
         operator.push_left(tuple.valid())?;
     }
-    for tuple in &right_tuples {
+    for tuple in right {
         operator.push_right(tuple.valid())?;
     }
-    let rows = operator
-        .finish()
-        .into_iter()
-        .map(|entry| {
-            let mut values = Vec::with_capacity(left.schema().len() + right.schema().len());
-            values.extend(left_tuples[entry.value.left].values().iter().cloned());
-            values.extend(right_tuples[entry.value.right].values().iter().cloned());
-            (values, entry.interval)
-        })
-        .collect();
+    // Pairs leave the operator straight into result rows; the pair list
+    // itself is never materialized.
+    let mut sink = JoinRows {
+        left: left.tuples(),
+        right: right.tuples(),
+        rows: Vec::new(),
+    };
+    operator.finish_into(&mut sink);
+    let rows = sink.rows;
     Ok(StatementOutput::Tuples(TupleTable { columns, rows }))
+}
+
+/// The join's result sink: each emitted pair becomes the two tuples'
+/// attributes side by side, valid over the pair's intersection.
+struct JoinRows<'a> {
+    left: &'a [Tuple],
+    right: &'a [Tuple],
+    rows: Vec<(Vec<Value>, Interval)>,
+}
+
+impl SeriesSink<JoinPair> for JoinRows<'_> {
+    fn accept(&mut self, interval: Interval, pair: JoinPair) {
+        // lint: allow(indexing): pair indices are the operator's push order, i.e. positions in these slices
+        let (l, r) = (
+            self.left[pair.left].values(),
+            self.right[pair.right].values(),
+        );
+        let mut values = Vec::with_capacity(l.len() + r.len());
+        values.extend_from_slice(l);
+        values.extend_from_slice(r);
+        self.rows.push((values, interval));
+    }
 }
 
 fn plain_select(catalog: &Catalog, select: &PlainSelect) -> Result<TupleTable> {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full correctness gate: format, clippy, build, tests,
-# invariant-validated tests, lint, bench smoke. Run from the workspace root. Any failing
-# step fails the gate; the cheap static checks run first so a style or
-# clippy failure is reported before the release build spends minutes.
+# invariant-validated tests, lint, harness smokes, end-to-end benchmark
+# smoke. Run from anywhere. Any failing step fails the gate; the cheap
+# static checks run first so a style or clippy failure is reported before
+# the release build spends minutes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,6 +42,18 @@ cargo run -q --release -p tempagg-bench --bin harness -- paged --test
 
 echo "==> harness windowq smoke (probe-vs-scan byte identity + TOP-k oracle, tracked artifacts untouched)"
 cargo run -q --release -p tempagg-bench --bin harness -- windowq --test
+
+# bench/ is its own package (own lock file, path dependencies on the engine
+# crates) and is read-only to engine PRs, so an engine change can break it
+# without touching it: compile and unit-test it, then run every workload
+# once at n <= 4,096 with each statement checked against its independent
+# expectation. Both share this workspace's target directory.
+echo "==> bench/ unit tests (the end-to-end benchmark still compiles against the engine)"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
+    cargo test -q --offline --manifest-path bench/Cargo.toml
+
+echo "==> bench/run.sh --smoke (every workload, every statement checked, no files written)"
+bench/run.sh --smoke >/dev/null
 
 # Opt-in Miri smoke (MIRI=1 ./scripts/check.sh): interpret the tempagg-core
 # and tempagg-agg unit tests under the nightly Miri interpreter to catch UB

@@ -201,6 +201,60 @@ fn partitioned_sweep_is_identical_to_serial_sweep() {
 }
 
 #[test]
+fn products_with_extremes_equal_their_members_under_heavy_concurrency() {
+    // A tuple product must forward the slot hooks to MIN/MAX members, or
+    // each retract falls back to a linear search of the live set. 6,000
+    // tuples all live over [3000, 5999] (well past 4,096 concurrently
+    // live), with many duplicate values, retracted in an order unrelated
+    // to their admits. The product must equal its members run separately,
+    // serial and partitioned.
+    let mut rng = StdRng::seed_from_u64(0x51D7);
+    let tuples: Vec<(Interval, i64)> = (0..6000)
+        .map(|i| {
+            let end = 6000 + rng.random_range(0i64..4000);
+            (Interval::at(i, end), rng.random_range(0i64..500))
+        })
+        .collect();
+    let product = (Sum::<i64>::new(), Min::<i64>::new(), Max::<i64>::new());
+    let triples: Vec<(Interval, (i64, i64, i64))> =
+        tuples.iter().map(|&(iv, v)| (iv, (v, v, v))).collect();
+    let sums = sweep(Sum::<i64>::new(), DOMAIN, &tuples);
+    let mins = sweep(Min::<i64>::new(), DOMAIN, &tuples);
+    let maxs = sweep(Max::<i64>::new(), DOMAIN, &tuples);
+    let check = |got: Series<(Option<i64>, Option<i64>, Option<i64>)>, what: &str| {
+        assert_eq!(got.len(), sums.len(), "{what}");
+        for (((p, s), lo), hi) in got.iter().zip(&sums).zip(&mins).zip(&maxs) {
+            assert_eq!(p.interval, s.interval, "{what}");
+            assert_eq!(
+                p.value,
+                (s.value, lo.value, hi.value),
+                "{what} at {}",
+                p.interval
+            );
+        }
+    };
+    check(sweep(product, DOMAIN, &triples), "serial product");
+    for partitions in [2usize, 8] {
+        let seams = Interval::at(0, 9999).even_seams(partitions);
+        let mut par = PartitionedAggregator::with_seams(DOMAIN, seams, |sub| {
+            SweepAggregator::with_domain(product, sub)
+        })
+        .unwrap();
+        for batch in triples.chunks(1024) {
+            let mut chunk: Chunk<(i64, i64, i64)> = Chunk::with_capacity(batch.len());
+            for (iv, v) in batch {
+                chunk.push(*iv, *v).unwrap();
+            }
+            par.push_batch(&chunk).unwrap();
+        }
+        check(
+            par.finish(),
+            &format!("partitioned product (P = {partitions})"),
+        );
+    }
+}
+
+#[test]
 fn sweep_join_agrees_with_a_nested_loop_for_every_predicate() {
     // The sweep-based interval join must enumerate exactly the pairs a
     // quadratic nested loop finds, for each Allen-style predicate and at
