@@ -40,7 +40,6 @@ pub mod scan;
 pub mod snapshot;
 mod span_group;
 mod sweep;
-mod sweep_v1;
 mod traits;
 mod tree;
 mod two_scan;
@@ -60,10 +59,8 @@ pub use parallel::{scoped_map, PartitionReport, PartitionedAggregator};
 pub use scan::{feed, feed_streaming, page_seams, run_paged_partitioned};
 pub use span_group::SpanGrouper;
 pub use sweep::SweepAggregator;
-pub use sweep_v1::SweepAggregatorV1;
 pub use traits::{run, run_with_stats, TemporalAggregator};
 pub use two_scan::TwoScanAggregate;
 pub use windex::{
-    scan_window, top_k, GroupProbe, IndexMode, IndexNode, RunSource, TopKOutcome, WindowAggregate,
-    WindowIndex,
+    scan_window, top_k, GroupProbe, IndexMode, RunSource, TopKOutcome, WindowAggregate, WindowIndex,
 };

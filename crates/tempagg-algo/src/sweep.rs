@@ -13,11 +13,12 @@
 //! straight into time-bucketed `(event, value)` pairs — an admit at each
 //! start, a retract at the instant after each end, the tuple index baked
 //! into the 16-byte [`EndpointEvent`] payload and a copy of the tuple's
-//! value riding alongside — and each bucket is sorted once, directly. v1
-//! ([`SweepAggregatorV1`](crate::sweep_v1::SweepAggregatorV1)) paid three
-//! sorts (a boundary sort-and-dedup plus two indirect permutation sorts
-//! whose comparisons chase random-access keys) and a double-indirect
-//! scan; v2 pays one sort of flat self-contained records. The fused
+//! value riding alongside — and each bucket is sorted once, directly. The
+//! first version of this kernel (deleted; `BENCH_sweep.json` records the
+//! 6.6×/5.0× between them) paid three sorts (a boundary sort-and-dedup
+//! plus two indirect permutation sorts whose comparisons chase
+//! random-access keys) and a double-indirect scan; this one pays one sort
+//! of flat self-contained records. The fused
 //! build-and-scatter ([`scatter_event_pairs`]) radix-partitions the
 //! pairs into disjoint ascending [`TimeBuckets`] sized to L2 as it
 //! builds them — no intermediate event array — so each `sort_unstable`
@@ -579,7 +580,7 @@ where
 mod tests {
     use super::*;
     use crate::oracle::oracle;
-    use crate::sweep_v1::SweepAggregatorV1;
+    use crate::AggregationTree;
     use tempagg_agg::{Count, Max, Min, Sum};
 
     fn employed_sweep() -> SweepAggregator<Count> {
@@ -732,10 +733,10 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_v1_at_every_parallelism() {
+    fn agrees_with_the_aggregation_tree_at_every_parallelism() {
         // A seeded workload big enough to exercise the scatter path, run
-        // through v2 at P∈{1,2,8} — every series must be byte-identical
-        // to the v1 reference kernel.
+        // at P∈{1,2,8} — every series must be byte-identical to the
+        // aggregation tree's (an independent, oracle-tied algorithm).
         let mut state = 0x243f6a8885a308d3u64;
         let mut step = move || {
             state ^= state << 13;
@@ -752,18 +753,18 @@ mod tests {
             let v = i64::try_from(step() % 1_000).unwrap();
             tuples.push((iv, v));
         }
-        let mut v1 = SweepAggregatorV1::with_domain(Sum::<i64>::new(), domain);
+        let mut tree = AggregationTree::with_domain(Sum::<i64>::new(), domain);
         for (iv, v) in &tuples {
-            v1.push(*iv, *v).unwrap();
+            tree.push(*iv, *v).unwrap();
         }
-        let want = v1.finish();
+        let want = tree.finish();
         for p in [1usize, 2, 8] {
-            let mut v2 =
+            let mut sweep =
                 SweepAggregator::with_domain(Sum::<i64>::new(), domain).with_parallelism(p);
             for (iv, v) in &tuples {
-                v2.push(*iv, *v).unwrap();
+                sweep.push(*iv, *v).unwrap();
             }
-            assert_eq!(v2.finish().entries(), want.entries(), "P = {p}");
+            assert_eq!(sweep.finish().entries(), want.entries(), "P = {p}");
         }
     }
 
@@ -772,13 +773,13 @@ mod tests {
         // Enough events to clear PARALLEL_SORT_MIN so the bucketed sort
         // actually runs, including duplicate endpoints across buckets.
         let domain = Interval::at(0, 1_000_000);
-        let mut v2 = SweepAggregator::with_domain(Count, domain).with_parallelism(4);
-        let mut v1 = SweepAggregatorV1::with_domain(Count, domain);
+        let mut sweep = SweepAggregator::with_domain(Count, domain).with_parallelism(4);
+        let mut tree = AggregationTree::with_domain(Count, domain);
         for i in 0..6_000i64 {
             let iv = Interval::at((i * 97) % 900_000, (i * 97) % 900_000 + 50_000);
-            v2.push(iv, ()).unwrap();
-            v1.push(iv, ()).unwrap();
+            sweep.push(iv, ()).unwrap();
+            tree.push(iv, ()).unwrap();
         }
-        assert_eq!(v2.finish().entries(), v1.finish().entries());
+        assert_eq!(sweep.finish().entries(), tree.finish().entries());
     }
 }

@@ -40,7 +40,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use tempagg_core::{Interval, Result, Series, TempAggError, Timestamp, Value};
+use tempagg_core::{Interval, Series, Timestamp, Value};
 
 /// What the index nodes combine, decided by the aggregate's retraction
 /// class and value type (see [`WindowIndex::build`]).
@@ -53,25 +53,6 @@ pub enum IndexMode {
     /// Min/max of the instantaneous series value (`MIN`, `MAX` over any
     /// totally-ordered column type).
     Extremes,
-}
-
-impl IndexMode {
-    /// Stable on-disk / display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexMode::Integral => "integral",
-            IndexMode::Extremes => "extremes",
-        }
-    }
-
-    /// Inverse of [`name`](IndexMode::name).
-    pub fn parse(text: &str) -> Option<IndexMode> {
-        match text {
-            "integral" => Some(IndexMode::Integral),
-            "extremes" => Some(IndexMode::Extremes),
-            _ => None,
-        }
-    }
 }
 
 /// Read access to the constant-interval runs an index summarises: the
@@ -102,21 +83,21 @@ impl RunSource for Series<Value> {
 /// min/max-value augmentation. All fields are exact; see the module docs
 /// for why floats never reach an index.
 #[derive(Clone, Debug, PartialEq)]
-pub struct IndexNode {
+struct IndexNode {
     /// `Σ value·instants` over the node's span, counting only runs with a
     /// non-null integer value (saturating `i128`).
-    pub integral: i128,
+    integral: i128,
     /// Instants covered by non-null runs in the node's span.
-    pub covered: i128,
+    covered: i128,
     /// Minimum non-null series value over the span; `Null` when none.
-    pub min_value: Value,
+    min_value: Value,
     /// Maximum non-null series value over the span; `Null` when none.
-    pub max_value: Value,
+    max_value: Value,
 }
 
 impl IndexNode {
     /// The combine identity: an empty span.
-    pub fn neutral() -> IndexNode {
+    fn neutral() -> IndexNode {
         IndexNode {
             integral: 0,
             covered: 0,
@@ -282,45 +263,6 @@ impl WindowIndex {
         index
     }
 
-    /// Reassemble an index from persisted parts: the leaf cuts and leaf
-    /// payloads (internal nodes are derived bottom-up, so corruption of a
-    /// persisted block can only fail loudly here, never mis-answer).
-    pub fn from_leaves(
-        mode: IndexMode,
-        starts: Vec<Timestamp>,
-        end: Timestamp,
-        leaf_nodes: Vec<IndexNode>,
-    ) -> Result<WindowIndex> {
-        if starts.is_empty() || starts.len() != leaf_nodes.len() {
-            return Err(TempAggError::storage(
-                "window-index block has mismatched cut and leaf counts",
-            ));
-        }
-        if !starts.windows(2).all(|w| w[0] < w[1]) {
-            return Err(TempAggError::storage(
-                "window-index block has non-increasing leaf cuts",
-            ));
-        }
-        let leaves = starts.len();
-        let size = leaves.next_power_of_two();
-        let mut nodes = vec![IndexNode::neutral(); 2 * size];
-        for (l, leaf) in leaf_nodes.into_iter().enumerate() {
-            if let Some(slot) = nodes.get_mut(size + l) {
-                *slot = leaf;
-            }
-        }
-        let mut index = WindowIndex {
-            mode,
-            leaves,
-            size,
-            starts,
-            end,
-            nodes,
-        };
-        index.rebuild_internal(0, leaves - 1);
-        Ok(index)
-    }
-
     pub fn mode(&self) -> IndexMode {
         self.mode
     }
@@ -328,21 +270,6 @@ impl WindowIndex {
     /// Leaf count (the build-time run count).
     pub fn leaf_count(&self) -> usize {
         self.leaves
-    }
-
-    /// The leaf cut timestamps (leaf `l` starts at `starts()[l]`).
-    pub fn leaf_starts(&self) -> &[Timestamp] {
-        &self.starts
-    }
-
-    /// End of the indexed extent (inclusive).
-    pub fn extent_end(&self) -> Timestamp {
-        self.end
-    }
-
-    /// The leaf payloads, for persistence.
-    pub fn leaf_nodes(&self) -> impl Iterator<Item = &IndexNode> {
-        self.nodes.iter().skip(self.size).take(self.leaves)
     }
 
     /// The root's augmentation: a bound on any window probe.
@@ -1067,36 +994,6 @@ mod tests {
             .map(|(g, wa)| (*g, wa.max.clone()))
             .collect();
         assert_eq!(got, vec![(0, Value::Int(3)), (1, Value::Int(1))],);
-    }
-
-    #[test]
-    fn from_leaves_roundtrips_and_rejects_corruption() {
-        let mut rng = Rng(0xd15c);
-        let series = random_series(&mut rng, 137);
-        let index = WindowIndex::build(IndexMode::Integral, &series);
-        let rebuilt = WindowIndex::from_leaves(
-            index.mode(),
-            index.leaf_starts().to_vec(),
-            index.extent_end(),
-            index.leaf_nodes().cloned().collect(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt, index);
-        // Mismatched counts and unsorted cuts fail loudly.
-        assert!(WindowIndex::from_leaves(
-            IndexMode::Integral,
-            vec![Timestamp::new(0)],
-            Timestamp::new(9),
-            vec![]
-        )
-        .is_err());
-        assert!(WindowIndex::from_leaves(
-            IndexMode::Integral,
-            vec![Timestamp::new(5), Timestamp::new(5)],
-            Timestamp::new(9),
-            vec![IndexNode::neutral(), IndexNode::neutral()]
-        )
-        .is_err());
     }
 
     #[test]

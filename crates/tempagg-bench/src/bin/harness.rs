@@ -13,7 +13,7 @@
 //! harness ablation               # §7 future-work ablations
 //! harness pipeline               # serial vs domain-partitioned execution
 //! harness stream                 # streaming vs materialized result emission
-//! harness sweep                  # parallel sweep v2 vs v1 + interval join
+//! harness sweep                  # parallel sweep per P + interval join
 //! harness ingest                 # incremental cache patching vs recompute
 //! harness paged                  # out-of-core paged scans + fence pruning
 //! harness windowq                # window-index probes + TOP-k vs scans
@@ -142,6 +142,24 @@ fn repo_root() -> PathBuf {
 /// files) never observes a half-written JSON document.
 fn write_atomic(path: &Path, contents: &str) -> tempagg_core::Result<()> {
     tempagg_core::pager::write_atomic(path, contents.as_bytes())
+}
+
+/// Land one tracked artifact (a `BENCH_*.json` or `calibration.json`):
+/// `--test` leaves the tracked file alone; otherwise it is written at the
+/// repository root atomically and mirrored under `target/`.
+fn write_artifact(sink: &mut Sink, name: &str, contents: &str, smoke: bool) {
+    if smoke {
+        emit!(sink, "\n[--test: tracked {name} left untouched]");
+        return;
+    }
+    let path = repo_root().join(name);
+    match write_atomic(&path, contents) {
+        Ok(()) => emit!(sink, "\n[{name} written to {}]", path.display()),
+        Err(e) => emit!(sink, "\n[could not write {}: {e}]", path.display()),
+    }
+    if let Ok(dir) = target_dir() {
+        let _ = write_atomic(&dir.join(name), contents);
+    }
 }
 
 fn main() {
@@ -682,25 +700,7 @@ fn pipeline(options: &Options, sink: &mut Sink) {
          \"threads_available\": {threads},\n  \"results\": [\n{}\n  ]\n}}\n",
         json_results.join(",\n")
     );
-    if options.smoke {
-        emit!(
-            sink,
-            "\n[--test: tracked BENCH_pipeline.json left untouched]"
-        );
-        return;
-    }
-    let root_path = repo_root().join("BENCH_pipeline.json");
-    match write_atomic(&root_path, &json) {
-        Ok(()) => emit!(
-            sink,
-            "\n[pipeline timings written to {}]",
-            root_path.display()
-        ),
-        Err(e) => emit!(sink, "\n[could not write {}: {e}]", root_path.display()),
-    }
-    if let Ok(dir) = target_dir() {
-        let _ = write_atomic(&dir.join("BENCH_pipeline.json"), &json);
-    }
+    write_artifact(sink, "BENCH_pipeline.json", &json, options.smoke);
 }
 
 /// Streaming vs materialized result emission on k-ordered input: the
@@ -830,22 +830,7 @@ fn stream_bench(options: &Options, sink: &mut Sink) {
         .collect::<Vec<_>>()
         .join(",\n")
     );
-    if options.smoke {
-        emit!(sink, "\n[--test: tracked BENCH_stream.json left untouched]");
-    } else {
-        let root_path = repo_root().join("BENCH_stream.json");
-        match write_atomic(&root_path, &json) {
-            Ok(()) => emit!(
-                sink,
-                "\n[stream residency written to {}]",
-                root_path.display()
-            ),
-            Err(e) => emit!(sink, "\n[could not write {}: {e}]", root_path.display()),
-        }
-    }
-    if let Ok(dir) = target_dir() {
-        let _ = write_atomic(&dir.join("BENCH_stream.json"), &json);
-    }
+    write_artifact(sink, "BENCH_stream.json", &json, options.smoke);
 }
 
 // ───────────────────────────── Ablations ────────────────────────────
@@ -983,7 +968,7 @@ fn ablation(options: &Options, sink: &mut Sink) {
 
 /// Time one aggregator run (pushes + finish, matching [`run_agg`]),
 /// returning the measurement *and* the series so the caller can assert
-/// byte-identity between the v1 and v2 sweeps.
+/// byte-identity between the sweep and its reference.
 fn timed_series<A, G>(
     mut aggregator: G,
     tuples: &[(Interval, A::Input)],
@@ -1013,7 +998,8 @@ where
 fn sweep_bench(options: &Options, sink: &mut Sink) {
     use tempagg_agg::{Count, Sum};
     use tempagg_algo::{
-        JoinPredicate, MemoryStats, SweepAggregator, SweepAggregatorV1, SweepJoinOperator,
+        oracle::oracle, AggregationTree, JoinPredicate, MemoryStats, SweepAggregator,
+        SweepJoinOperator,
     };
     use tempagg_core::CountingSink;
 
@@ -1028,8 +1014,8 @@ fn sweep_bench(options: &Options, sink: &mut Sink) {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     emit!(
         sink,
-        "\n== Sweep v2 (cache-partitioned parallel sort, gapless live set) \
-         vs sweep v1: n = {n}, host threads = {threads_available} =="
+        "\n== Endpoint sweep (cache-partitioned parallel sort, gapless live set): \
+         n = {n}, host threads = {threads_available} =="
     );
 
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -1063,13 +1049,14 @@ fn sweep_bench(options: &Options, sink: &mut Sink) {
         elapsed
     };
 
-    // Random input (the acceptance scenario), COUNT and SUM: the v1 sweep
-    // (three endpoint-column sorts, double-indirect merge scan) against
-    // the v2 sweep at P ∈ {1, 2, 4, 8}. Every v2 run must produce a
-    // byte-identical series to v1. Each configuration is timed `reps`
-    // times and the minimum kept — virtualized hosts show multi-second
-    // scheduling noise on identical work, and the minimum is the least
-    // contaminated estimate of the true cost.
+    // Random input (the acceptance scenario), COUNT and SUM: the sweep at
+    // P ∈ {1, 2, 4, 8}. Every run must produce a series byte-identical
+    // to a reference that is not the sweep — the O(n²) oracle at smoke
+    // size, the aggregation tree (itself oracle-tied by the test suites)
+    // at full size. Each configuration is timed `reps` times and the
+    // minimum kept — virtualized hosts show multi-second scheduling noise
+    // on identical work, and the minimum is the least contaminated
+    // estimate of the true cost.
     let reps = if options.smoke { 1 } else { 3 };
     let relation = generate(&WorkloadConfig::random(n).with_seed(1));
     // lint: allow(no-unwrap): the workload generator always emits a salary column
@@ -1081,27 +1068,20 @@ fn sweep_bench(options: &Options, sink: &mut Sink) {
         .map(|t| (t.valid(), t.value(salary_idx).as_i64().expect("int salary")))
         .collect();
     drop(relation);
-    let mut speedups: Vec<String> = Vec::new();
+    let reference = if options.smoke {
+        "the O(n²) oracle"
+    } else {
+        "the aggregation tree"
+    };
+    let mut notes: Vec<String> = Vec::new();
 
-    macro_rules! versus_v1 {
+    macro_rules! sweep_rows {
         ($aggregate:literal, $agg:expr, $tuples:expr) => {{
-            let (mut v1, v1_series) = timed_series(SweepAggregatorV1::new($agg), $tuples);
-            for _ in 1..reps {
-                let (m, _) = timed_series(SweepAggregatorV1::new($agg), $tuples);
-                if m.elapsed < v1.elapsed {
-                    v1 = m;
-                }
-            }
-            let v1_secs = record(
-                &mut rows,
-                &mut json,
-                AlgoConfig::SweepV1.label(),
-                $aggregate,
-                "random",
-                n,
-                v1,
-            );
-            let mut best = 0.0f64;
+            let want = if options.smoke {
+                oracle(&$agg, Interval::TIMELINE, $tuples)
+            } else {
+                timed_series(AggregationTree::new($agg), $tuples).1
+            };
             for threads in [1usize, 2, 4, 8] {
                 let mut fastest: Option<RunMeasurement> = None;
                 for _ in 0..reps {
@@ -1110,8 +1090,8 @@ fn sweep_bench(options: &Options, sink: &mut Sink) {
                         $tuples,
                     );
                     assert!(
-                        series == v1_series,
-                        "sweep v2 P={threads} diverges from v1 on {}",
+                        series == want,
+                        "sweep P={threads} diverges from {reference} on {}",
                         $aggregate
                     );
                     if fastest.as_ref().map_or(true, |f| m.elapsed < f.elapsed) {
@@ -1120,7 +1100,7 @@ fn sweep_bench(options: &Options, sink: &mut Sink) {
                 }
                 // lint: allow(no-unwrap): reps >= 1, so at least one measurement landed
                 let m = fastest.expect("at least one timed rep");
-                let v2_secs = record(
+                record(
                     &mut rows,
                     &mut json,
                     AlgoConfig::SweepParallel { threads }.label(),
@@ -1129,19 +1109,16 @@ fn sweep_bench(options: &Options, sink: &mut Sink) {
                     n,
                     m,
                 );
-                let speedup = v1_secs / v2_secs.max(f64::EPSILON);
-                best = best.max(speedup);
-                speedups.push(format!(
-                    "sweep v2 P={threads} vs v1 ({}, random): {speedup:.1}x (byte-identical)",
-                    $aggregate
-                ));
             }
-            best
+            notes.push(format!(
+                "sweep P∈{{1,2,4,8}} ({}, random): byte-identical to {reference}",
+                $aggregate
+            ));
         }};
     }
 
-    let best_count = versus_v1!("COUNT", Count, &unit);
-    let best_sum = versus_v1!("SUM", Sum::<i64>::new(), &sums);
+    sweep_rows!("COUNT", Count, &unit);
+    sweep_rows!("SUM", Sum::<i64>::new(), &sums);
 
     // Sweep-based interval join (OVERLAPS) through a CountingSink: join
     // output may overlap, so only relaxed sinks apply. Full runs use a
@@ -1193,7 +1170,7 @@ fn sweep_bench(options: &Options, sink: &mut Sink) {
             result_rows: pairs,
         },
     );
-    speedups.push(format!(
+    notes.push(format!(
         "join throughput: {:.2}M pairs/s ({pairs} pairs from {join_n} tuples/side)",
         pairs as f64 / join_secs.max(f64::EPSILON) / 1e6
     ));
@@ -1219,7 +1196,7 @@ fn sweep_bench(options: &Options, sink: &mut Sink) {
 
     print_table(
         sink,
-        "sweep v2 vs v1 and the interval join (P = sort workers; \"random\" = unordered)",
+        "the sweep per P and the interval join (P = sort workers; \"random\" = unordered)",
         &[
             "algorithm".into(),
             "aggregate".into(),
@@ -1231,7 +1208,7 @@ fn sweep_bench(options: &Options, sink: &mut Sink) {
         ],
         &rows,
     );
-    for line in &speedups {
+    for line in &notes {
         emit!(sink, "{line}");
     }
 
@@ -1240,25 +1217,7 @@ fn sweep_bench(options: &Options, sink: &mut Sink) {
          \"results\": [\n{}\n  ]\n}}\n",
         json.join(",\n")
     );
-    if options.smoke {
-        emit!(sink, "\n[--test: tracked BENCH_sweep.json left untouched]");
-        return;
-    }
-    // Acceptance gate for the tracked artifact: v2's one direct 16-byte
-    // event sort + gapless-slot scan must beat v1's three column sorts +
-    // double-indirect scan by ≥3x on both aggregates.
-    assert!(
-        best_count >= 3.0 && best_sum >= 3.0,
-        "sweep v2 must beat v1 by ≥3x (got COUNT {best_count:.1}x, SUM {best_sum:.1}x)"
-    );
-    let root_path = repo_root().join("BENCH_sweep.json");
-    match write_atomic(&root_path, &payload) {
-        Ok(()) => emit!(sink, "\n[sweep timings written to {}]", root_path.display()),
-        Err(e) => emit!(sink, "\n[could not write {}: {e}]", root_path.display()),
-    }
-    if let Ok(dir) = target_dir() {
-        let _ = write_atomic(&dir.join("BENCH_sweep.json"), &payload);
-    }
+    write_artifact(sink, "BENCH_sweep.json", &payload, options.smoke);
 }
 
 // ─────────────────────────── Out-of-core ────────────────────────────
@@ -1467,24 +1426,13 @@ fn paged(options: &Options, sink: &mut Sink) {
         stats.file_bytes
     );
     let _ = pager::remove_file(&path);
-    if options.smoke {
-        emit!(sink, "\n[--test: tracked BENCH_paged.json left untouched]");
-        return;
-    }
     // Acceptance gate for the tracked artifact: a window covering ≤10%
     // of the domain must beat the forced full scan by ≥5x.
     assert!(
-        speedup >= 5.0,
+        options.smoke || speedup >= 5.0,
         "fence pruning must win ≥5x on a ≤10% window (got {speedup:.1}x)"
     );
-    let root_path = repo_root().join("BENCH_paged.json");
-    match write_atomic(&root_path, &json) {
-        Ok(()) => emit!(sink, "\n[paged timings written to {}]", root_path.display()),
-        Err(e) => emit!(sink, "\n[could not write {}: {e}]", root_path.display()),
-    }
-    if let Ok(dir) = target_dir() {
-        let _ = write_atomic(&dir.join("BENCH_paged.json"), &json);
-    }
+    write_artifact(sink, "BENCH_paged.json", &json, options.smoke);
 }
 
 // ──────────────────────────── Calibration ───────────────────────────
@@ -1675,22 +1623,7 @@ fn ingest(options: &Options, sink: &mut Sink) {
         stats.live_versions,
         stats.pinned_versions
     );
-    if options.smoke {
-        emit!(sink, "\n[--test: tracked BENCH_ingest.json left untouched]");
-        return;
-    }
-    let root_path = repo_root().join("BENCH_ingest.json");
-    match write_atomic(&root_path, &json) {
-        Ok(()) => emit!(
-            sink,
-            "\n[ingest timings written to {}]",
-            root_path.display()
-        ),
-        Err(e) => emit!(sink, "\n[could not write {}: {e}]", root_path.display()),
-    }
-    if let Ok(dir) = target_dir() {
-        let _ = write_atomic(&dir.join("BENCH_ingest.json"), &json);
-    }
+    write_artifact(sink, "BENCH_ingest.json", &json, options.smoke);
 }
 
 /// Window queries: `O(log n)` segment-tree probes vs a linear window
@@ -2020,25 +1953,7 @@ fn windowq(options: &Options, sink: &mut Sink) {
          \"speedup_vs_warm_clipped\": {warm_ratio:.1},\n    \
          \"exact_descents_per_query\": {descents:.2}\n  }}\n}}\n"
     );
-    if options.smoke {
-        emit!(
-            sink,
-            "\n[--test: tracked BENCH_windowq.json left untouched]"
-        );
-        return;
-    }
-    let root_path = repo_root().join("BENCH_windowq.json");
-    match write_atomic(&root_path, &json) {
-        Ok(()) => emit!(
-            sink,
-            "\n[window-query timings written to {}]",
-            root_path.display()
-        ),
-        Err(e) => emit!(sink, "\n[could not write {}: {e}]", root_path.display()),
-    }
-    if let Ok(dir) = target_dir() {
-        let _ = write_atomic(&dir.join("BENCH_windowq.json"), &json);
-    }
+    write_artifact(sink, "BENCH_windowq.json", &json, options.smoke);
 }
 
 fn calibrate(options: &Options, sink: &mut Sink) {
@@ -2141,19 +2056,7 @@ fn calibrate(options: &Options, sink: &mut Sink) {
     };
     emit!(sink, "\n{}", cal.emit().trim_end());
 
-    if options.smoke {
-        emit!(sink, "\n[--test: tracked calibration.json left untouched]");
-        return;
-    }
-    let path = repo_root().join("calibration.json");
-    match write_atomic(&path, &cal.emit()) {
-        Ok(()) => emit!(
-            sink,
-            "\n[calibration profile written to {}]",
-            path.display()
-        ),
-        Err(e) => emit!(sink, "\n[could not write {}: {e}]", path.display()),
-    }
+    write_artifact(sink, "calibration.json", &cal.emit(), options.smoke);
 }
 
 /// Measure the window index's per-node fold cost: build a `COUNT(*)`

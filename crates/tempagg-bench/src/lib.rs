@@ -13,8 +13,7 @@ use std::time::{Duration, Instant};
 use tempagg_agg::{Count, SweepAggregate};
 use tempagg_algo::{
     AggregationTree, BalancedAggregationTree, KOrderedAggregationTree, LinkedListAggregate,
-    MemoryStats, PartitionedAggregator, SweepAggregator, SweepAggregatorV1, TemporalAggregator,
-    TwoScanAggregate,
+    MemoryStats, PartitionedAggregator, SweepAggregator, TemporalAggregator, TwoScanAggregate,
 };
 use tempagg_core::{Chunk, Interval, Timestamp, DEFAULT_CHUNK_CAPACITY};
 use tempagg_workload::{generate, TupleOrder, WorkloadConfig};
@@ -36,10 +35,7 @@ pub enum AlgoConfig {
     Balanced,
     /// Columnar endpoint sweep (beyond the paper).
     Sweep,
-    /// The v1 sweep kept as a comparison baseline: three endpoint-column
-    /// sorts and a double-indirect merge scan.
-    SweepV1,
-    /// The v2 sweep with its cache-partitioned endpoint sort on `threads`
+    /// The sweep with its cache-partitioned endpoint sort on `threads`
     /// workers.
     SweepParallel { threads: usize },
 }
@@ -54,7 +50,6 @@ impl AlgoConfig {
             AlgoConfig::TwoScan => "Two-scan (Tuma)".into(),
             AlgoConfig::Balanced => "Balanced Tree".into(),
             AlgoConfig::Sweep => "Endpoint Sweep".into(),
-            AlgoConfig::SweepV1 => "Endpoint Sweep v1".into(),
             AlgoConfig::SweepParallel { threads } => format!("Endpoint Sweep P={threads}"),
         }
     }
@@ -116,7 +111,6 @@ where
         AlgoConfig::TwoScan => drive(TwoScanAggregate::new(agg), tuples),
         AlgoConfig::Balanced => drive(BalancedAggregationTree::new(agg), tuples),
         AlgoConfig::Sweep => drive(SweepAggregator::new(agg), tuples),
-        AlgoConfig::SweepV1 => drive(SweepAggregatorV1::new(agg), tuples),
         AlgoConfig::SweepParallel { threads } => {
             drive(SweepAggregator::new(agg).with_parallelism(threads), tuples)
         }
@@ -297,7 +291,6 @@ mod tests {
             AlgoConfig::TwoScan,
             AlgoConfig::Balanced,
             AlgoConfig::Sweep,
-            AlgoConfig::SweepV1,
             AlgoConfig::SweepParallel { threads: 4 },
         ] {
             let m = run_count(config, &tuples);
@@ -322,7 +315,6 @@ mod tests {
             AlgoConfig::TwoScan,
             AlgoConfig::Balanced,
             AlgoConfig::Sweep,
-            AlgoConfig::SweepV1,
             AlgoConfig::SweepParallel { threads: 8 },
         ]
         .iter()
@@ -368,7 +360,6 @@ mod tests {
         assert_eq!(AlgoConfig::KTree { k: 40 }.label(), "Ktree K=40");
         assert_eq!(AlgoConfig::KTreeSorted.label(), "Ktree sorted K=1");
         assert_eq!(AlgoConfig::Sweep.label(), "Endpoint Sweep");
-        assert_eq!(AlgoConfig::SweepV1.label(), "Endpoint Sweep v1");
         assert_eq!(
             AlgoConfig::SweepParallel { threads: 8 }.label(),
             "Endpoint Sweep P=8"

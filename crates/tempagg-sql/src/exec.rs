@@ -35,7 +35,7 @@ use tempagg_plan::{
     choose_algorithm, choose_window_algorithm, execute_chunks_into, AlgorithmChoice, CacheReport,
     CachedSeriesInfo, CostModel, Plan, PlannerConfig, RelationStats,
 };
-use tempagg_store::{index_mode_for, IndexMode, TemporalStore};
+use tempagg_store::{index_mode_for, IndexMode, TemporalStore, WindowIndexStats};
 
 /// One row of a query result: optional group key, a valid-time interval,
 /// and one value per aggregate in the select list.
@@ -317,15 +317,19 @@ enum Planning<'a> {
     Given(&'a Plan),
 }
 
-/// What a scan reports besides the rows it produced.
-struct ScanOutcome {
+/// What executing a query reports besides the rows it pushed: everything
+/// [`QueryResult`] and [`StreamSummary`] carry that the query text does
+/// not already say.
+struct Outcome {
     agg_labels: Vec<String>,
-    /// The plan the aggregation sets ran under (`None` for span grouping
-    /// and `SNAPSHOT`, which do not plan).
+    /// The plan that ran — under `EXPLAIN`, would run (`None` for span
+    /// grouping and `SNAPSHOT`, which do not plan).
     plan: Option<Plan>,
+    /// Whether (and how) the store's caches and indexes answered.
+    cache: CacheReport,
 }
 
-/// Where a scan's rows go, in (group, time) order: collected whole
+/// Where a query's rows go, in (group, time) order: collected whole
 /// ([`execute_query`]), or buffered up to a bound and drained to a
 /// callback ([`execute_streaming`]). Values move from the algorithm's
 /// output into the row; nothing is copied on the way.
@@ -370,7 +374,7 @@ impl<'a> RowBuffer<'a> {
         }
     }
 
-    /// End of the scan: hand the remaining rows to the consumer.
+    /// End of the query: hand the remaining rows to the consumer.
     fn flush(&mut self) {
         if let Some((_, on_row)) = &mut self.drain_to {
             if !self.rows.is_empty() {
@@ -381,7 +385,8 @@ impl<'a> RowBuffer<'a> {
     }
 }
 
-/// The sink one aggregation set's series drains into: each constant
+/// The sink one aggregation set's series — scanned, or served from the
+/// store's caches — drains into: each constant
 /// interval becomes a row, or — TSQL2's coalesced results, when
 /// `coalesce` is set — extends the previous row when the two meet with
 /// equal values. The lookahead row is simply the buffer's last; a set's
@@ -420,7 +425,7 @@ fn run_scan(
     query: &Query,
     planning: Planning<'_>,
     out: &mut RowBuffer<'_>,
-) -> Result<ScanOutcome> {
+) -> Result<Outcome> {
     let bound = bind_scan(catalog, query)?;
     let members: Vec<DynAggregate> = bound.aggs.iter().map(|(a, _, _)| *a).collect();
     let columns: Vec<Option<usize>> = bound.aggs.iter().map(|(_, idx, _)| *idx).collect();
@@ -441,20 +446,19 @@ fn run_scan(
             )?
         }
     };
-    out.flush();
     // An eligible scan saw the whole relation unfiltered, so its result is
     // exactly what a cache would hold: warm one per aggregate and let the
     // next execution serve snapshots.
     if cache_eligible(query) {
-        if let Ok(store) = catalog.store(&query.relation) {
-            for (agg, idx, _) in &bound.aggs {
-                store.ensure_cache(*agg, *idx);
-            }
+        let store = catalog.store(&query.relation)?;
+        for (agg, idx, _) in &bound.aggs {
+            store.ensure_cache(*agg, *idx);
         }
     }
-    Ok(ScanOutcome {
+    Ok(Outcome {
         agg_labels: bound.aggs.into_iter().map(|(_, _, l)| l).collect(),
         plan,
+        cache: CacheReport::default(),
     })
 }
 
@@ -558,32 +562,48 @@ where
     }
 }
 
-/// Execute a parsed query.
+/// The one dispatcher. Every query, collected or streamed, takes the
+/// first arm that applies — `TOP k` ranking, `OVER` window, cache serve,
+/// scan — and pushes its rows to `out` in (group, time) order.
+fn run(
+    catalog: &Catalog,
+    query: &Query,
+    config: &PlannerConfig,
+    out: &mut RowBuffer<'_>,
+) -> Result<Outcome> {
+    // `TOP k BY … OVER` and plain `OVER` windows collapse history into
+    // scalar rows; they have their own index-served paths.
+    let outcome = if query.top_k.is_some() {
+        run_top_k(catalog, query, config, out)?
+    } else if let Some(window) = query.window {
+        run_window(catalog, query, window, config, out)?
+    } else {
+        // Serve from the store's aggregate caches when the query shape
+        // allows it and every selected aggregate is cached: an MVCC
+        // snapshot answers without scanning the relation. The first
+        // eligible execution takes the scan arm and warms the caches.
+        let served = if cache_eligible(query) {
+            serve(catalog.store(&query.relation)?, query, config, out)?
+        } else {
+            None
+        };
+        match served {
+            Some(outcome) => outcome,
+            None => run_scan(catalog, query, Planning::Choose(config), out)?,
+        }
+    };
+    out.flush();
+    Ok(outcome)
+}
+
+/// Execute a parsed query: [`run`] into a collecting buffer.
 pub fn execute_query(
     catalog: &Catalog,
     query: &Query,
     config: &PlannerConfig,
 ) -> Result<QueryResult> {
-    // `TOP k BY … OVER` and plain `OVER` windows collapse history into
-    // scalar rows; they have their own index-served paths.
-    if query.top_k.is_some() {
-        return execute_top_k(catalog, query, config);
-    }
-    if let Some(window) = query.window {
-        return execute_window(catalog, query, window, config);
-    }
-    // Serve from the store's aggregate caches when the query shape
-    // allows it and every selected aggregate is cached: an MVCC snapshot
-    // answers without scanning the relation. The first eligible
-    // execution takes the scan path below and warms the caches.
-    if cache_eligible(query) {
-        if let Some(served) = try_serve(catalog.store(&query.relation)?, query, config)? {
-            return Ok(served);
-        }
-    }
-    // The same scan `execute_streaming` runs, with a collecting buffer.
     let mut out = RowBuffer::collecting();
-    let outcome = run_scan(catalog, query, Planning::Choose(config), &mut out)?;
+    let outcome = run(catalog, query, config, &mut out)?;
     Ok(QueryResult {
         group_column: query.group_column.clone(),
         agg_labels: outcome.agg_labels,
@@ -592,7 +612,7 @@ pub fn execute_query(
         // SNAPSHOT has no plan to explain and answers regardless.
         explain_only: query.explain && !query.snapshot,
         snapshot: query.snapshot,
-        cache: CacheReport::default(),
+        cache: outcome.cache,
     })
 }
 
@@ -639,14 +659,16 @@ fn zip_snapshots(snapshots: &[std::sync::Arc<Series<Value>>]) -> Option<Series<V
 }
 
 /// Answer an eligible query from MVCC snapshots of the store's aggregate
-/// caches, or `None` when any selected aggregate is not cached yet.
-fn try_serve(
+/// caches, or `None` — with nothing pushed — when any selected aggregate
+/// is not cached yet.
+fn serve(
     store: &TemporalStore,
     query: &Query,
     config: &PlannerConfig,
-) -> Result<Option<QueryResult>> {
-    let schema = store.schema().clone();
-    let bound_aggs = bind_aggs(&schema, query)?;
+    out: &mut RowBuffer<'_>,
+) -> Result<Option<Outcome>> {
+    let bound_aggs = bind_aggs(store.schema(), query)?;
+    // Checked first: taking a snapshot publishes a version.
     if !bound_aggs
         .iter()
         .all(|(agg, idx, _)| store.has_cache(agg.kind(), *idx))
@@ -680,16 +702,18 @@ fn try_serve(
         multi.state_model_bytes().max(4),
     );
 
-    let mut rows = Vec::new();
-    append_series_rows(None, zipped, true, &mut rows);
+    let mut sink = GroupSink {
+        out,
+        key: &None,
+        coalesce: true,
+    };
+    for entry in zipped {
+        sink.accept(entry.interval, entry.value);
+    }
     let cache_stats = store.cache_stats();
-    Ok(Some(QueryResult {
-        group_column: None,
+    Ok(Some(Outcome {
         agg_labels: bound_aggs.into_iter().map(|(_, _, l)| l).collect(),
-        rows,
         plan: Some(the_plan),
-        explain_only: false,
-        snapshot: false,
         cache: CacheReport {
             served_from_cache: true,
             patched_runs: cache_stats.patched_runs,
@@ -762,142 +786,129 @@ fn column_series(rows: &[ResultRow], j: usize) -> Series<Value> {
     )
 }
 
+/// Plan an `OVER` / `TOP k` query. With `cached_runs` — a clean shape,
+/// so the store's cached series (warm, or buildable on first probe)
+/// answers it — the series and, when `indexable`, its window index are
+/// candidates; otherwise plan a scan over the filtered tuples.
+fn plan_window(
+    store: &TemporalStore,
+    cached_runs: Option<usize>,
+    multi: &MultiDyn,
+    indexable: bool,
+    config: &PlannerConfig,
+) -> Plan {
+    let stats = match cached_runs {
+        Some(runs) => RelationStats::unknown(store.len()).with_cached_series(CachedSeriesInfo {
+            runs,
+            epoch: store.epoch().get(),
+        }),
+        None => RelationStats::analyze(store.relation()),
+    };
+    choose_window_algorithm(
+        &stats,
+        multi.sweep_class(),
+        indexable && cached_runs.is_some(),
+        config,
+        &CostModel::default(),
+        multi.state_model_bytes().max(4),
+    )
+}
+
+/// What the store's window indexes did for a query: how far their
+/// counters moved since `before`, taken as the query started probing.
+fn index_report(store: &TemporalStore, before: WindowIndexStats) -> CacheReport {
+    let after = store.windex_stats();
+    CacheReport {
+        served_from_cache: true,
+        index_hits: after.hits - before.hits,
+        index_misses: after.misses - before.misses,
+        index_probes: after.probes - before.probes,
+        ..CacheReport::default()
+    }
+}
+
 /// Execute `SELECT aggs OVER [a, b] FROM r`: collapse each aggregate's
-/// history over the window into one scalar row. Clean shapes over a
-/// store go through the `O(log n)` segment-tree window index (built and
-/// cached on first probe); WHERE / VALID shapes and inexact float
-/// aggregates compute the series and reduce the window linearly.
-fn execute_window(
+/// history over the window into one scalar row. Clean shapes go through
+/// the store's `O(log n)` segment-tree window index (built and cached on
+/// first probe); WHERE / VALID shapes and inexact float aggregates
+/// compute the series and reduce the window linearly.
+fn run_window(
     catalog: &Catalog,
     query: &Query,
     window: Interval,
     config: &PlannerConfig,
-) -> Result<QueryResult> {
-    let relation = catalog.get(&query.relation)?;
-    let schema = relation.schema().clone();
-    let bound_aggs = bind_aggs(&schema, query)?;
+    out: &mut RowBuffer<'_>,
+) -> Result<Outcome> {
+    let store = catalog.store(&query.relation)?;
+    let bound_aggs = bind_aggs(store.schema(), query)?;
     let agg_labels: Vec<String> = bound_aggs.iter().map(|(_, _, l)| l.clone()).collect();
     let multi = MultiDyn::new(bound_aggs.iter().map(|(a, _, _)| *a).collect());
-    let state_bytes = multi.state_model_bytes().max(4);
     let clean_shape = query.conditions.is_empty() && query.valid_window.is_none();
-    let store = catalog.store(&query.relation).ok();
     let indexable = bound_aggs
         .iter()
         .all(|(agg, _, _)| index_mode_for(agg).is_some());
-
-    // When the shape is clean and a store backs the relation, the cached
-    // aggregate series (warm, or buildable on first probe) is a
-    // candidate; otherwise plan a scan over the filtered tuples.
-    let the_plan = match store {
-        Some(s) if clean_shape => {
-            let runs = bound_aggs
-                .first()
-                .and_then(|(a, i, _)| s.snapshot(a.kind(), *i))
-                .map_or_else(|| s.len().max(1), |snap| snap.len());
-            let stats = RelationStats::unknown(s.len()).with_cached_series(CachedSeriesInfo {
-                runs,
-                epoch: s.epoch().get(),
-            });
-            choose_window_algorithm(
-                &stats,
-                multi.sweep_class(),
-                indexable,
-                config,
-                &CostModel::default(),
-                state_bytes,
-            )
-        }
-        _ => choose_window_algorithm(
-            &RelationStats::analyze(relation),
-            multi.sweep_class(),
-            false,
-            config,
-            &CostModel::default(),
-            state_bytes,
-        ),
-    };
-    if query.explain {
-        return Ok(QueryResult {
-            group_column: None,
-            agg_labels,
-            rows: Vec::new(),
-            plan: Some(the_plan),
-            explain_only: true,
-            snapshot: false,
-            cache: CacheReport::default(),
-        });
-    }
+    let cached_runs = clean_shape.then(|| {
+        bound_aggs
+            .first()
+            .and_then(|(a, i, _)| store.snapshot(a.kind(), *i))
+            .map_or_else(|| store.len().max(1), |snap| snap.len())
+    });
+    let the_plan = plan_window(store, cached_runs, &multi, indexable, config);
 
     let mut cache = CacheReport::default();
-    let mut values = Vec::with_capacity(bound_aggs.len());
-    match the_plan.choice {
-        AlgorithmChoice::IndexProbe => {
-            let Some(s) = store else {
-                return Err(TempAggError::internal(
-                    "index-probe plans require a store-backed relation",
-                ));
-            };
-            let before = s.windex_stats();
-            for (agg, idx, _) in &bound_aggs {
-                let probed = s.window_probe(agg.kind(), *idx, window)?;
-                values.push(window_value(agg, &probed));
+    if !query.explain {
+        let mut values = Vec::with_capacity(bound_aggs.len());
+        match the_plan.choice {
+            AlgorithmChoice::IndexProbe => {
+                let before = store.windex_stats();
+                for (agg, idx, _) in &bound_aggs {
+                    let probed = store.window_probe(agg.kind(), *idx, window)?;
+                    values.push(window_value(agg, &probed));
+                }
+                cache = index_report(store, before);
             }
-            let after = s.windex_stats();
-            cache = CacheReport {
-                served_from_cache: true,
-                index_hits: after.hits - before.hits,
-                index_misses: after.misses - before.misses,
-                index_probes: after.probes - before.probes,
-                ..CacheReport::default()
-            };
-        }
-        AlgorithmChoice::CachedSeries => {
-            let Some(s) = store else {
-                return Err(TempAggError::internal(
-                    "cached-series plans require a store-backed relation",
-                ));
-            };
-            for (agg, idx, _) in &bound_aggs {
-                let series = s.snapshot_or_build(*agg, *idx);
-                values.push(window_scalar(agg, &series, window));
+            AlgorithmChoice::CachedSeries => {
+                for (agg, idx, _) in &bound_aggs {
+                    let series = store.snapshot_or_build(*agg, *idx);
+                    values.push(window_scalar(agg, &series, window));
+                }
+                cache.served_from_cache = true;
             }
-            cache = CacheReport {
-                served_from_cache: true,
-                ..CacheReport::default()
-            };
-        }
-        _ => {
-            // OVER queries never value-group, so the scan has exactly one
-            // aggregation set and its rows are one series.
-            let mut out = RowBuffer::collecting();
-            run_scan(catalog, query, Planning::Given(&the_plan), &mut out)?;
-            for (j, (agg, _, _)) in bound_aggs.iter().enumerate() {
-                values.push(window_scalar(agg, &column_series(&out.rows, j), window));
+            _ => {
+                // OVER queries never value-group, so the scan has exactly
+                // one aggregation set and its rows are one series.
+                let mut series = RowBuffer::collecting();
+                run_scan(catalog, query, Planning::Given(&the_plan), &mut series)?;
+                for (j, (agg, _, _)) in bound_aggs.iter().enumerate() {
+                    values.push(window_scalar(agg, &column_series(&series.rows, j), window));
+                }
             }
         }
-    }
-    Ok(QueryResult {
-        group_column: None,
-        agg_labels,
-        rows: vec![ResultRow {
+        out.push(ResultRow {
             group: None,
             valid: window,
             values,
-        }],
+        });
+    }
+    Ok(Outcome {
+        agg_labels,
         plan: Some(the_plan),
-        explain_only: false,
-        snapshot: false,
         cache,
     })
 }
 
 /// Execute `SELECT TOP k BY agg(col) OVER [a, b] FROM r GROUP BY g`:
 /// rank the distinct grouping values by their windowed aggregate and
-/// keep the k best. Clean shapes over a store go through one window
-/// index per group with a shared bound heap (most groups are pruned by
-/// their `O(1)` root bound); WHERE / VALID shapes and inexact float
-/// aggregates sweep every group and rank linearly.
-fn execute_top_k(catalog: &Catalog, query: &Query, config: &PlannerConfig) -> Result<QueryResult> {
+/// keep the k best. Clean shapes go through the store's one window index
+/// per group with a shared bound heap (most groups are pruned by their
+/// `O(1)` root bound); WHERE / VALID shapes and inexact float aggregates
+/// sweep every group and rank linearly.
+fn run_top_k(
+    catalog: &Catalog,
+    query: &Query,
+    config: &PlannerConfig,
+    out: &mut RowBuffer<'_>,
+) -> Result<Outcome> {
     let (Some(k), Some(window), Some(group_col)) =
         (query.top_k, query.window, query.group_column.as_deref())
     else {
@@ -905,128 +916,72 @@ fn execute_top_k(catalog: &Catalog, query: &Query, config: &PlannerConfig) -> Re
             "TOP-k queries carry OVER and GROUP BY by construction",
         ));
     };
-    let relation = catalog.get(&query.relation)?;
-    let schema = relation.schema().clone();
-    let bound_aggs = bind_aggs(&schema, query)?;
+    let store = catalog.store(&query.relation)?;
+    let bound_aggs = bind_aggs(store.schema(), query)?;
     let (agg, column, label) = bound_aggs[0].clone();
-    let agg_labels = vec![label];
-    let group_idx = schema.index_of_ignore_case(group_col)?;
+    let group_idx = store.schema().index_of_ignore_case(group_col)?;
     let clean_shape = query.conditions.is_empty() && query.valid_window.is_none();
-    let store = catalog.store(&query.relation).ok();
     let indexable = index_mode_for(&agg).is_some();
-    let multi = MultiDyn::new(vec![agg]);
-    let state_bytes = multi.state_model_bytes().max(4);
+    let use_index = clean_shape && indexable;
+    let cached_runs = use_index.then(|| store.len().max(1));
+    let the_plan = plan_window(
+        store,
+        cached_runs,
+        &MultiDyn::new(vec![agg]),
+        indexable,
+        config,
+    );
 
-    let use_index = clean_shape && indexable && store.is_some();
-    let the_plan = match store {
-        Some(s) if use_index => {
-            let stats = RelationStats::unknown(s.len()).with_cached_series(CachedSeriesInfo {
-                runs: s.len().max(1),
-                epoch: s.epoch().get(),
-            });
-            choose_window_algorithm(
-                &stats,
-                multi.sweep_class(),
-                true,
-                config,
-                &CostModel::default(),
-                state_bytes,
-            )
-        }
-        _ => choose_window_algorithm(
-            &RelationStats::analyze(relation),
-            multi.sweep_class(),
-            false,
-            config,
-            &CostModel::default(),
-            state_bytes,
-        ),
-    };
+    let mut cache = CacheReport::default();
     if query.explain {
-        return Ok(QueryResult {
-            group_column: query.group_column.clone(),
-            agg_labels,
-            rows: Vec::new(),
-            plan: Some(the_plan),
-            explain_only: true,
-            snapshot: false,
-            cache: CacheReport::default(),
-        });
-    }
-
-    if use_index {
-        let Some(s) = store else {
-            return Err(TempAggError::internal(
-                "grouped index ranking requires a store-backed relation",
-            ));
-        };
-        let before = s.windex_stats();
-        let (ranked, _probes) = s.top_k_by_window(agg.kind(), column, group_idx, window, k)?;
-        let after = s.windex_stats();
-        let rows = ranked
-            .into_iter()
-            .map(|(gval, wa)| ResultRow {
-                group: Some(gval),
+        // The plan is the answer.
+    } else if use_index {
+        let before = store.windex_stats();
+        let (ranked, _probes) = store.top_k_by_window(agg.kind(), column, group_idx, window, k)?;
+        cache = index_report(store, before);
+        for (group, wa) in ranked {
+            out.push(ResultRow {
+                group: Some(group),
                 valid: window,
                 values: vec![rank_value(&agg, &wa)],
-            })
-            .collect();
-        return Ok(QueryResult {
-            group_column: query.group_column.clone(),
-            agg_labels,
-            rows,
-            plan: Some(the_plan),
-            explain_only: false,
-            snapshot: false,
-            cache: CacheReport {
-                served_from_cache: true,
-                index_hits: after.hits - before.hits,
-                index_misses: after.misses - before.misses,
-                index_probes: after.probes - before.probes,
-                ..CacheReport::default()
-            },
-        });
+            });
+        }
+    } else {
+        // Linear fallback: sweep every group, reduce each window, rank by
+        // the same key the grouped index prunes on.
+        let mut series = RowBuffer::collecting();
+        run_scan(catalog, query, Planning::Given(&the_plan), &mut series)?;
+        let mut scored: Vec<(Value, Value)> = Vec::new();
+        let mut rest: &[ResultRow] = &series.rows;
+        while let Some(first) = rest.first() {
+            // Rows arrive in (group, time) order: one run per group.
+            let len = rest.iter().take_while(|r| r.group == first.group).count();
+            let (group_rows, tail) = rest.split_at(len);
+            let projected = column_series(group_rows, 0);
+            let scalar = if indexable {
+                rank_value(&agg, &scan_window(&projected, window))
+            } else {
+                window_scalar(&agg, &projected, window)
+            };
+            scored.push((first.group.clone().unwrap_or(Value::Null), scalar));
+            rest = tail;
+        }
+        // Stable sort: ties keep the ascending group order, matching the
+        // grouped index's lowest-group-first tie-break.
+        scored.sort_by(|a, b| b.1.cmp(&a.1));
+        scored.truncate(k);
+        for (group, value) in scored {
+            out.push(ResultRow {
+                group: Some(group),
+                valid: window,
+                values: vec![value],
+            });
+        }
     }
-
-    // Linear fallback: sweep every group, reduce each window, rank by
-    // the same key the grouped index prunes on.
-    let mut out = RowBuffer::collecting();
-    run_scan(catalog, query, Planning::Given(&the_plan), &mut out)?;
-    let mut scored: Vec<(Value, Value)> = Vec::new();
-    let mut rest: &[ResultRow] = &out.rows;
-    while let Some(first) = rest.first() {
-        // Rows arrive in (group, time) order: one run per group.
-        let len = rest.iter().take_while(|r| r.group == first.group).count();
-        let (group_rows, tail) = rest.split_at(len);
-        let projected = column_series(group_rows, 0);
-        let scalar = if indexable {
-            rank_value(&agg, &scan_window(&projected, window))
-        } else {
-            window_scalar(&agg, &projected, window)
-        };
-        scored.push((first.group.clone().unwrap_or(Value::Null), scalar));
-        rest = tail;
-    }
-    // Stable sort: ties keep the ascending group order, matching the
-    // grouped index's lowest-group-first tie-break.
-    scored.sort_by(|a, b| b.1.cmp(&a.1));
-    scored.truncate(k);
-    let rows = scored
-        .into_iter()
-        .map(|(group, value)| ResultRow {
-            group: Some(group),
-            valid: window,
-            values: vec![value],
-        })
-        .collect();
-    Ok(QueryResult {
-        group_column: query.group_column.clone(),
-        agg_labels,
-        rows,
+    Ok(Outcome {
+        agg_labels: vec![label],
         plan: Some(the_plan),
-        explain_only: false,
-        snapshot: false,
-        cache: CacheReport::default(),
+        cache,
     })
 }
 
@@ -1043,11 +998,11 @@ pub struct StreamSummary {
     pub rows: usize,
     /// The plan chosen for instant-grouped evaluation.
     pub plan: Option<Plan>,
-    /// Most result entries resident in engine memory at once (max over
-    /// groups).
+    /// Most finished result rows resident in the engine's row buffer at
+    /// once: at most the chunk capacity plus the lookahead row, for every
+    /// query shape.
     pub peak_resident_result_entries: usize,
-    /// Result chunks drained through the engine's sinks (summed over
-    /// groups).
+    /// Times the row buffer drained to the callback.
     pub emitted_chunks: usize,
 }
 
@@ -1069,14 +1024,16 @@ pub fn execute_streaming_str(
 
 /// Cursor-style execution: result rows are pushed to `on_row` as the
 /// engine produces them, in (group, time) order — the same rows, in the
-/// same order, as [`execute_query`] collects into [`QueryResult::rows`].
+/// same order, as [`execute_query`] collects into [`QueryResult::rows`],
+/// because both are [`run`] and differ only in the buffer they hand it.
 ///
 /// The engine never materializes the result series: instant-grouped
 /// queries drain the executor's streaming mode chunk by chunk (at most
 /// `chunk_capacity` entries resident), span grouping drains its bucket
-/// array through a bounded sink, and coalescing happens inline on a
-/// one-row lookahead. The callback is push-based rather than a pull
-/// cursor so no background thread is needed to invert control.
+/// array through a bounded sink, served snapshots flow row by row, and
+/// coalescing happens inline on a one-row lookahead. The callback is
+/// push-based rather than a pull cursor so no background thread is
+/// needed to invert control.
 pub fn execute_streaming(
     catalog: &Catalog,
     query: &Query,
@@ -1084,43 +1041,8 @@ pub fn execute_streaming(
     chunk_capacity: usize,
     mut on_row: impl FnMut(ResultRow),
 ) -> Result<StreamSummary> {
-    // Window and TOP-k results are at most k scalar rows: materialize
-    // through the ordinary path and flow them to the callback.
-    if query.top_k.is_some() || query.window.is_some() {
-        let served = execute_query(catalog, query, config)?;
-        let rows = served.rows.len();
-        for row in served.rows {
-            on_row(row);
-        }
-        return Ok(StreamSummary {
-            group_column: served.group_column,
-            agg_labels: served.agg_labels,
-            rows,
-            plan: served.plan,
-            peak_resident_result_entries: rows,
-            emitted_chunks: 0,
-        });
-    }
-    // Served-from-cache results stream too: the snapshot is already
-    // materialized in the store, so rows just flow to the callback.
-    if cache_eligible(query) {
-        if let Some(served) = try_serve(catalog.store(&query.relation)?, query, config)? {
-            let rows = served.rows.len();
-            for row in served.rows {
-                on_row(row);
-            }
-            return Ok(StreamSummary {
-                group_column: None,
-                agg_labels: served.agg_labels,
-                rows,
-                plan: served.plan,
-                peak_resident_result_entries: rows,
-                emitted_chunks: 0,
-            });
-        }
-    }
     let mut out = RowBuffer::streaming(chunk_capacity, &mut on_row);
-    let outcome = run_scan(catalog, query, Planning::Choose(config), &mut out)?;
+    let outcome = run(catalog, query, config, &mut out)?;
     Ok(StreamSummary {
         group_column: query.group_column.clone(),
         agg_labels: outcome.agg_labels,
@@ -1150,34 +1072,6 @@ fn span_window<V>(
                 return Err(TempAggError::InvalidSpan { length: len });
             }
             Ok(hull)
-        }
-    }
-}
-
-/// Convert a product-aggregate series into result rows, coalescing
-/// adjacent rows whose values are all equal when `coalesce` is set
-/// (TSQL2's coalesced results).
-fn append_series_rows(
-    group: Option<Value>,
-    series: Series<Vec<Value>>,
-    coalesce: bool,
-    out: &mut Vec<ResultRow>,
-) {
-    for entry in series {
-        match out.last_mut() {
-            Some(prev)
-                if coalesce
-                    && prev.group == group
-                    && prev.valid.meets(&entry.interval)
-                    && prev.values == entry.value =>
-            {
-                prev.valid = prev.valid.hull(&entry.interval);
-            }
-            _ => out.push(ResultRow {
-                group: group.clone(),
-                valid: entry.interval,
-                values: entry.value,
-            }),
         }
     }
 }
@@ -1550,8 +1444,8 @@ mod tests {
 
     #[test]
     fn streaming_rows_match_materialized_for_query_shapes() {
-        let mut c = catalog();
-        c.register("big", generate(&WorkloadConfig::k_ordered(4096, 8, 0.05)));
+        let mut cold = catalog();
+        cold.register("big", generate(&WorkloadConfig::k_ordered(4096, 8, 0.05)));
         let queries = [
             "SELECT COUNT(Name) FROM Employed",
             "SELECT COUNT(name), SUM(salary), AVG(salary) FROM Employed",
@@ -1560,15 +1454,46 @@ mod tests {
             "SELECT COUNT(name) FROM Employed WHERE VALID OVERLAPS [0, 29] GROUP BY SPAN 10",
             "SELECT SNAPSHOT AVG(salary), COUNT(*) FROM Employed",
             "SELECT COUNT(*) FROM big",
+            "SELECT SUM(salary), MAX(salary) OVER [5, 25) FROM Employed",
+            "SELECT AVG(salary) OVER [5, 25) FROM Employed WHERE salary >= 40000",
+            "SELECT TOP 2 BY SUM(salary) OVER [5, 25) FROM Employed GROUP BY name",
+            "SELECT TOP 2 BY SUM(salary) OVER [5, 25) FROM Employed \
+             WHERE VALID OVERLAPS [0, 19] GROUP BY name",
         ];
+        let config = PlannerConfig::default();
         for sql in queries {
-            let materialized = execute_str(&c, sql).unwrap();
-            let mut streamed = Vec::new();
-            let summary = execute_streaming_str(&c, sql, |row| streamed.push(row)).unwrap();
-            assert_eq!(streamed, materialized.rows, "query: {sql}");
-            assert_eq!(summary.rows, materialized.rows.len(), "query: {sql}");
-            assert_eq!(summary.agg_labels, materialized.agg_labels);
-            assert_eq!(summary.group_column, materialized.group_column);
+            let query = parse(sql).unwrap();
+            for capacity in [1, 2, DEFAULT_CHUNK_CAPACITY] {
+                // One catalog per side, so both sides scan on the cold pass
+                // and both are served (where the shape allows) on the warm.
+                let (collecting, streaming) = (cold.clone(), cold.clone());
+                for pass in ["cold", "warm"] {
+                    let materialized = execute_query(&collecting, &query, &config).unwrap();
+                    let mut streamed = Vec::new();
+                    let summary = execute_streaming(&streaming, &query, &config, capacity, |row| {
+                        streamed.push(row);
+                    })
+                    .unwrap();
+                    let case = format!("{pass} at capacity {capacity}: {sql}");
+                    assert_eq!(streamed, materialized.rows, "{case}");
+                    assert_eq!(summary.rows, materialized.rows.len(), "{case}");
+                    assert_eq!(summary.plan, materialized.plan, "{case}");
+                    assert_eq!(summary.agg_labels, materialized.agg_labels, "{case}");
+                    assert_eq!(summary.group_column, materialized.group_column, "{case}");
+                    assert!(
+                        summary.peak_resident_result_entries <= capacity + 1,
+                        "{case}: peak {}",
+                        summary.peak_resident_result_entries
+                    );
+                    if query.window.is_none() {
+                        assert_eq!(
+                            materialized.cache.served_from_cache,
+                            pass == "warm" && cache_eligible(&query),
+                            "{case}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -30,6 +30,7 @@
 //! an immutable epoch-stamped version through the core
 //! [`VersionedSeries`] chain, materialized at most once per epoch.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tempagg_agg::{DynActive, DynAggregate, SweepAggregate};
@@ -50,50 +51,60 @@ pub(crate) fn extract(tuple: &Tuple, column: Option<usize>) -> Value {
     }
 }
 
-/// Sweep an arbitrary tuple subset (e.g. one group of a `TOP k BY`
-/// ranking query) into its constant-interval aggregate series, using the
-/// same dyn-level admit/retract endpoint scan as [`AggCache::build`] so
-/// the result is byte-identical to what a full cache over just those
-/// tuples would publish.
-pub fn sweep_values(agg: &DynAggregate, column: Option<usize>, tuples: &[&Tuple]) -> Series<Value> {
+/// The interior boundaries a tuple interval contributes.
+fn boundary_candidates(iv: Interval) -> impl Iterator<Item = Timestamp> {
     let origin = Interval::TIMELINE.start();
-    let mut boundaries: std::collections::BTreeSet<Timestamp> = std::collections::BTreeSet::new();
+    let start = (iv.start() > origin).then_some(iv.start());
+    let end = (!iv.end().is_forever()).then(|| iv.end().next());
+    start.into_iter().chain(end)
+}
+
+/// The dyn-level admit/retract endpoint scan behind every cached series:
+/// cut the timeline at the tuples' boundaries, walk the cuts in time order
+/// admitting by start and retracting by end, and hand `emit` each constant
+/// interval with the active state over it. Returns the boundary refcounts
+/// (how many tuples contribute each interior cut).
+///
+/// Deliberately not `SweepAggregator`: float kinds admit in a different
+/// order there, and a cache must stay byte-identical to its own rebuild.
+fn sweep_runs<T: Borrow<Tuple>>(
+    agg: &DynAggregate,
+    column: Option<usize>,
+    tuples: &[T],
+    mut emit: impl FnMut(Interval, &DynActive),
+) -> BTreeMap<Timestamp, u32> {
+    let mut boundaries: BTreeMap<Timestamp, u32> = BTreeMap::new();
     for tuple in tuples {
-        let iv = tuple.valid();
-        if iv.start() > origin {
-            boundaries.insert(iv.start());
-        }
-        if !iv.end().is_forever() {
-            boundaries.insert(iv.end().next());
+        for b in boundary_candidates(tuple.borrow().valid()) {
+            *boundaries.entry(b).or_insert(0) += 1;
         }
     }
 
     let n = tuples.len();
     let mut by_start: Vec<usize> = (0..n).collect();
     // lint: allow(indexing): by_start/by_end are permutations of 0..n
-    by_start.sort_unstable_by_key(|&i| tuples[i].valid().start());
+    by_start.sort_unstable_by_key(|&i| tuples[i].borrow().valid().start());
     let mut by_end: Vec<usize> = (0..n).collect();
     // lint: allow(indexing): by_start/by_end are permutations of 0..n
-    by_end.sort_unstable_by_key(|&i| tuples[i].valid().end());
+    by_end.sort_unstable_by_key(|&i| tuples[i].borrow().valid().end());
 
     let mut cuts: Vec<Timestamp> = Vec::with_capacity(boundaries.len() + 1);
-    cuts.push(origin);
-    cuts.extend(boundaries.iter().copied());
+    cuts.push(Interval::TIMELINE.start());
+    cuts.extend(boundaries.keys().copied());
 
-    let mut entries = Vec::with_capacity(cuts.len());
     let mut active = agg.active_empty();
     let (mut si, mut ei) = (0usize, 0usize);
     for (i, &start) in cuts.iter().enumerate() {
         // lint: allow(indexing): permutation of 0..n, si < n is the loop guard
-        while si < n && tuples[by_start[si]].valid().start() <= start {
+        while si < n && tuples[by_start[si]].borrow().valid().start() <= start {
             // lint: allow(indexing): same permutation bound as the loop guard above
-            agg.active_insert(&mut active, &extract(tuples[by_start[si]], column));
+            agg.active_insert(&mut active, &extract(tuples[by_start[si]].borrow(), column));
             si += 1;
         }
         // lint: allow(indexing): permutation of 0..n, ei < n is the loop guard
-        while ei < n && tuples[by_end[ei]].valid().end() < start {
+        while ei < n && tuples[by_end[ei]].borrow().valid().end() < start {
             // lint: allow(indexing): same permutation bound as the loop guard above
-            agg.active_remove(&mut active, &extract(tuples[by_end[ei]], column));
+            agg.active_remove(&mut active, &extract(tuples[by_end[ei]].borrow(), column));
             ei += 1;
         }
         let end = cuts
@@ -101,11 +112,23 @@ pub fn sweep_values(agg: &DynAggregate, column: Option<usize>, tuples: &[&Tuple]
             .map_or(Interval::TIMELINE.end(), |next| next.prev());
         // lint: allow(no-unwrap): cuts are sorted and deduplicated, so start <= end by construction
         let interval = Interval::new(start, end).expect("cuts are increasing");
+        emit(interval, &active);
+    }
+    boundaries
+}
+
+/// Sweep an arbitrary tuple subset (e.g. one group of a `TOP k BY`
+/// ranking query) into its constant-interval aggregate series — the same
+/// scan as [`AggCache::build`], so the result is byte-identical to what a
+/// full cache over just those tuples would publish.
+pub fn sweep_values(agg: &DynAggregate, column: Option<usize>, tuples: &[&Tuple]) -> Series<Value> {
+    let mut entries = Vec::new();
+    sweep_runs(agg, column, tuples, |interval, active| {
         entries.push(SeriesEntry {
             interval,
-            value: agg.active_output(&active),
+            value: agg.active_output(active),
         });
-    }
+    });
     Series::from_entries(entries)
 }
 
@@ -148,58 +171,14 @@ impl AggCache {
         column: Option<usize>,
         relation: &TemporalRelation,
     ) -> AggCache {
-        let origin = Interval::TIMELINE.start();
-        let mut boundaries: BTreeMap<Timestamp, u32> = BTreeMap::new();
-        for iv in relation.intervals() {
-            if iv.start() > origin {
-                *boundaries.entry(iv.start()).or_insert(0) += 1;
-            }
-            if !iv.end().is_forever() {
-                *boundaries.entry(iv.end().next()).or_insert(0) += 1;
-            }
-        }
-
-        let tuples = relation.tuples();
-        let n = tuples.len();
-        let mut by_start: Vec<usize> = (0..n).collect();
-        // lint: allow(indexing): by_start/by_end are permutations of 0..n
-        by_start.sort_unstable_by_key(|&i| tuples[i].valid().start());
-        let mut by_end: Vec<usize> = (0..n).collect();
-        // lint: allow(indexing): by_start/by_end are permutations of 0..n
-        by_end.sort_unstable_by_key(|&i| tuples[i].valid().end());
-
-        let mut cuts: Vec<Timestamp> = Vec::with_capacity(boundaries.len() + 1);
-        cuts.push(origin);
-        cuts.extend(boundaries.keys().copied());
-
-        let mut runs = Vec::with_capacity(cuts.len());
-        let mut active = agg.active_empty();
-        let (mut si, mut ei) = (0usize, 0usize);
-        for (i, &start) in cuts.iter().enumerate() {
-            // lint: allow(indexing): permutation of 0..n, si < n is the loop guard
-            while si < n && tuples[by_start[si]].valid().start() <= start {
-                // lint: allow(indexing): same permutation bound as the loop guard above
-                agg.active_insert(&mut active, &extract(&tuples[by_start[si]], column));
-                si += 1;
-            }
-            // lint: allow(indexing): permutation of 0..n, ei < n is the loop guard
-            while ei < n && tuples[by_end[ei]].valid().end() < start {
-                // lint: allow(indexing): same permutation bound as the loop guard above
-                agg.active_remove(&mut active, &extract(&tuples[by_end[ei]], column));
-                ei += 1;
-            }
-            let end = cuts
-                .get(i + 1)
-                .map_or(Interval::TIMELINE.end(), |next| next.prev());
-            // lint: allow(no-unwrap): cuts are sorted and deduplicated, so start <= end by construction
-            let interval = Interval::new(start, end).expect("cuts are increasing");
+        let mut runs = Vec::new();
+        let boundaries = sweep_runs(&agg, column, relation.tuples(), |interval, active| {
             runs.push(Run {
                 interval,
                 state: active.clone(),
-                value: agg.active_output(&active),
+                value: agg.active_output(active),
             });
-        }
-
+        });
         AggCache {
             agg,
             column,
@@ -271,14 +250,6 @@ impl AggCache {
                 f(clipped, &run.value);
             }
         }
-    }
-
-    /// The interior boundaries a tuple interval contributes.
-    fn boundary_candidates(iv: Interval) -> impl Iterator<Item = Timestamp> {
-        let origin = Interval::TIMELINE.start();
-        let start = (iv.start() > origin).then_some(iv.start());
-        let end = (!iv.end().is_forever()).then(|| iv.end().next());
-        start.into_iter().chain(end)
     }
 
     /// Reference a boundary; its first contributor splits the run.
@@ -354,7 +325,7 @@ impl AggCache {
         value: &Value,
         relation: &TemporalRelation,
     ) -> Result<()> {
-        for b in Self::boundary_candidates(valid) {
+        for b in boundary_candidates(valid) {
             self.add_boundary(b);
         }
         if self.patches_states() {
@@ -376,12 +347,12 @@ impl AggCache {
             // Retract first: after retraction the states on both sides of
             // a released boundary are equal, making the merge sound.
             self.patch(valid, value, DynAggregate::active_remove);
-            for b in Self::boundary_candidates(valid) {
+            for b in boundary_candidates(valid) {
                 self.drop_boundary(b);
             }
             Ok(())
         } else {
-            for b in Self::boundary_candidates(valid) {
+            for b in boundary_candidates(valid) {
                 self.drop_boundary(b);
             }
             self.recompute_window(valid, relation)

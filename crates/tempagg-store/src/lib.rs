@@ -330,7 +330,6 @@ mod tests {
             )
             .unwrap();
         assert!(reopened.is_dirty());
-        assert!(!reopened.dirty_pages().is_empty());
         // Both restored series are now live, incrementally-patched caches.
         assert_eq!(reopened.cache_stats().caches, 2);
         for (kind, column) in [(AggKind::CountStar, None), (AggKind::Sum, Some(1))] {
@@ -380,7 +379,6 @@ mod tests {
             .unwrap();
         assert!(reopened.flush().unwrap().is_some());
         assert!(!reopened.is_dirty());
-        assert!(reopened.dirty_pages().is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -577,7 +575,7 @@ mod tests {
     }
 
     #[test]
-    fn windex_persists_through_the_footer() {
+    fn reopened_store_rebuilds_its_window_index_on_first_probe() {
         let path = temp_path("windex.tapg");
         let mut store = TemporalStore::new(employed());
         let window = Interval::at(6, 21);
@@ -585,17 +583,30 @@ mod tests {
         store.window_probe(AggKind::Min, Some(1), window).unwrap();
         store.persist_to(&path).unwrap();
 
+        // The footer carries the two series and nothing derived from them.
+        let reader = tempagg_core::pager::PagedReader::open(&path).unwrap();
+        let labels: Vec<&str> = reader.caches().iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels.len(), 2, "{labels:?}");
+        assert!(
+            labels.iter().all(|l| !l.starts_with("windex:")),
+            "{labels:?}"
+        );
+
         let reopened = TemporalStore::open(&path).unwrap();
-        // Restored warm: the first probe is a hit, with no live cache built.
-        assert!(reopened.has_window_index(AggKind::Sum, Some(1)));
-        assert!(reopened.has_window_index(AggKind::Min, Some(1)));
-        let got = reopened
-            .window_probe(AggKind::Sum, Some(1), window)
-            .unwrap();
-        assert_eq!(got, want);
+        assert!(!reopened.has_window_index(AggKind::Sum, Some(1)));
+        assert!(!reopened.has_window_index(AggKind::Min, Some(1)));
+        // First probe: a miss that builds from the restored series (no live
+        // cache), second: a hit. Both equal the pre-flush answer.
+        for expected in [(0, 1), (1, 1)] {
+            let got = reopened
+                .window_probe(AggKind::Sum, Some(1), window)
+                .unwrap();
+            assert_eq!(got, want);
+            assert_eq!(got, window_oracle(&reopened, AggKind::Sum, Some(1), window));
+            let stats = reopened.windex_stats();
+            assert_eq!((stats.hits, stats.misses), expected);
+        }
         assert_eq!(reopened.cache_stats().caches, 0);
-        let stats = reopened.windex_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 0));
         // Oracle agreement for a window the original never probed.
         let fresh = Interval::at(0, 11);
         assert_eq!(
@@ -606,39 +617,61 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_windex_blocks_degrade_to_rebuild() {
-        use tempagg_core::pager::{write_relation, PagedWriteOptions, PersistedSeries};
-        let path = temp_path("badwindex.tapg");
+    fn legacy_windex_blocks_are_skipped_on_open() {
+        use tempagg_core::pager::{
+            write_relation, PagedReader, PagedWriteOptions, PersistedSeries,
+        };
+        use tempagg_core::SeriesEntry;
+        let path = temp_path("legacywindex.tapg");
         let relation = employed();
         let cache = {
             let store = TemporalStore::new(relation.clone());
             store.snapshot_or_build(agg(AggKind::Sum), Some(1))
         };
+        // What an earlier build's flush wrote beside the series: per-leaf
+        // blocks over the same cuts, integrals as text.
+        let leaf = |value: Value| -> Vec<SeriesEntry<Value>> {
+            cache
+                .entries()
+                .iter()
+                .map(|e| SeriesEntry::new(e.interval, value.clone()))
+                .collect()
+        };
+        let block = |label: &str, entries| PersistedSeries {
+            label: label.to_string(),
+            column: Some(1),
+            entries,
+        };
+        let meta = |text: &str| vec![SeriesEntry::new(Interval::at(0, 0), Value::from(text))];
         write_relation(
             &relation,
             &path,
             &PagedWriteOptions {
                 caches: vec![
+                    block("SUM", cache.entries().to_vec()),
+                    // A well-formed four-part index ...
+                    block("windex:meta:SUM", meta("v1 integral 7 9223372036854775807")),
+                    block("windex:sum:SUM", leaf(Value::from("0 0"))),
+                    block("windex:min:SUM", leaf(Value::Null)),
+                    block("windex:max:SUM", leaf(Value::Null)),
+                    // ... and malformed ones: an orphaned meta for an
+                    // aggregate with no series, an unknown part, a column
+                    // the schema does not have.
+                    block("windex:meta:MIN", meta("v9 nonsense")),
+                    block("windex:bogus:SUM", Vec::new()),
                     PersistedSeries {
-                        label: "SUM".to_string(),
-                        column: Some(1),
-                        entries: cache.entries().to_vec(),
-                    },
-                    // A meta block with no sum/min/max parts: incomplete.
-                    PersistedSeries {
-                        label: "windex:meta:SUM".to_string(),
-                        column: Some(1),
-                        entries: vec![tempagg_core::SeriesEntry {
-                            interval: Interval::at(0, 0),
-                            value: Value::from("v1 integral 4 9999"),
-                        }],
+                        label: "windex:max:MEDIAN".to_string(),
+                        column: Some(9),
+                        entries: Vec::new(),
                     },
                 ],
                 ..PagedWriteOptions::default()
             },
         )
         .unwrap();
-        let reopened = TemporalStore::open(&path).unwrap();
+        let mut reopened = TemporalStore::open(&path).unwrap();
+        assert!(reopened.has_cache(AggKind::Sum, Some(1)));
+        assert!(!reopened.has_cache(AggKind::Min, Some(1)));
         assert!(!reopened.has_window_index(AggKind::Sum, Some(1)));
         // The probe rebuilds from the restored series and stays exact.
         let window = Interval::at(6, 21);
@@ -649,6 +682,43 @@ mod tests {
             window_oracle(&reopened, AggKind::Sum, Some(1), window),
         );
         assert_eq!(reopened.windex_stats().misses, 1);
+        // The next write + flush drops the blocks, index warm or not.
+        reopened
+            .insert(vec![Value::from("Eve"), Value::Int(1)], Interval::at(0, 5))
+            .unwrap();
+        reopened.flush().unwrap().unwrap();
+        let reader = PagedReader::open(&path).unwrap();
+        let labels: Vec<&str> = reader.caches().iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["SUM"]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn statements_that_change_nothing_leave_restored_series_alone() {
+        let path = temp_path("nopromote.tapg");
+        let mut store = TemporalStore::new(employed());
+        store.ensure_cache(count_star(), None);
+        store.ensure_cache(agg(AggKind::Sum), Some(1));
+        store.persist_to(&path).unwrap();
+
+        let mut reopened = TemporalStore::open(&path).unwrap();
+        let before = reopened.snapshot(AggKind::Sum, Some(1)).unwrap();
+        assert_eq!(reopened.delete_where(|_| false).unwrap(), 0);
+        assert_eq!(
+            reopened
+                .update_where(|_| false, &[(1, Value::Int(1))])
+                .unwrap(),
+            0
+        );
+        assert!(reopened
+            .insert(vec![Value::Int(7), Value::Int(1)], Interval::at(0, 5))
+            .is_err());
+        assert_eq!(reopened.cache_stats().caches, 0);
+        assert!(!reopened.is_dirty());
+        assert_eq!(reopened.epoch().get(), 0);
+        let after = reopened.snapshot(AggKind::Sum, Some(1)).unwrap();
+        assert!(Arc::ptr_eq(&before, &after));
+        assert!(reopened.has_cache(AggKind::CountStar, None));
         std::fs::remove_file(&path).ok();
     }
 

@@ -3,17 +3,17 @@
 
 use crate::cache::{extract, sweep_values, AggCache};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tempagg_agg::{AggKind, DynAggregate, SweepAggregate, SweepClass};
-use tempagg_algo::{GroupProbe, IndexMode, IndexNode, RunSource, WindowAggregate, WindowIndex};
+use tempagg_algo::{GroupProbe, IndexMode, RunSource, WindowAggregate, WindowIndex};
 use tempagg_core::pager::{
     self, PagedReader, PagedWriteOptions, PagedWriteStats, PersistedSeries, DEFAULT_PAGE_BYTES,
 };
 use tempagg_core::{
-    Epoch, Interval, Result, Schema, Series, SeriesEntry, TempAggError, TemporalRelation,
-    Timestamp, Tuple, Value, ValueType,
+    Epoch, Interval, Result, Schema, Series, TempAggError, TemporalRelation, Timestamp, Tuple,
+    Value, ValueType,
 };
 
 /// Identifies one cached aggregate series: the aggregate kind plus the
@@ -116,19 +116,12 @@ pub struct TemporalStore {
     backing: Option<PathBuf>,
     /// Page size used by [`flush`](TemporalStore::flush).
     page_size: u32,
-    /// Cumulative tuple counts per page as of the last open/flush —
-    /// the baseline for attributing mutations to pages.
-    page_prefix: Vec<u64>,
-    /// Pages touched since the last flush (best-effort attribution
-    /// against the baseline; index `page_prefix.len()` is the virtual
-    /// trailing page appended-to by inserts).
-    dirty_pages: BTreeSet<usize>,
     /// Any mutation since the last open/flush.
     dirty: bool,
     /// Warm segment-tree window indexes, one per indexable cached
-    /// aggregate: built lazily on the first window probe (or restored
-    /// from the paged footer) and patched along root-to-leaf paths under
-    /// every write.
+    /// aggregate: built lazily on the first window probe and patched
+    /// along root-to-leaf paths under every write. Never persisted — a
+    /// reopened store rebuilds them from its restored series.
     windex: RefCell<BTreeMap<CacheKey, WindowIndex>>,
     /// Per-group window indexes for `TOP k BY` ranking probes, keyed by
     /// the ranked aggregate plus the grouping column. Rebuilt lazily
@@ -149,8 +142,6 @@ impl TemporalStore {
             restored: RefCell::new(BTreeMap::new()),
             backing: None,
             page_size: DEFAULT_PAGE_BYTES,
-            page_prefix: Vec::new(),
-            dirty_pages: BTreeSet::new(),
             dirty: true,
             windex: RefCell::new(BTreeMap::new()),
             grouped: RefCell::new(BTreeMap::new()),
@@ -176,25 +167,16 @@ impl TemporalStore {
         let mut reader = PagedReader::open(path)?;
         let relation = reader.read_relation()?;
         let page_size = reader.page_size();
-        let mut prefix = Vec::with_capacity(reader.page_count());
-        let mut total = 0u64;
-        for fence in reader.fences() {
-            total += u64::from(fence.tuples);
-            prefix.push(total);
-        }
         let persisted = reader.take_caches();
         let schema = relation.schema().clone();
         let mut restored = BTreeMap::new();
-        let mut windex_parts = Vec::new();
         for series in persisted {
-            if series.label.starts_with(WINDEX_LABEL_PREFIX) {
-                windex_parts.push(series);
+            if series.label.starts_with(LEGACY_WINDEX_LABEL_PREFIX) {
                 continue;
             }
             let key = key_for_persisted(&schema, &series)?;
             restored.insert(key, Arc::new(Series::from_entries(series.entries)));
         }
-        let windex = assemble_windex(&schema, windex_parts, &restored);
         Ok(TemporalStore {
             relation,
             epoch: Epoch::ZERO,
@@ -202,10 +184,8 @@ impl TemporalStore {
             restored: RefCell::new(restored),
             backing: Some(path.to_path_buf()),
             page_size,
-            page_prefix: prefix,
-            dirty_pages: BTreeSet::new(),
             dirty: false,
-            windex: RefCell::new(windex),
+            windex: RefCell::new(BTreeMap::new()),
             grouped: RefCell::new(BTreeMap::new()),
             windex_stats: RefCell::new(WindowIndexStats::default()),
         })
@@ -221,15 +201,6 @@ impl TemporalStore {
         self.dirty
     }
 
-    /// Pages touched since the last flush, attributed against the
-    /// baseline layout of the last open/flush (best-effort: index drift
-    /// from earlier deletes may over-mark, never the reverse — the page
-    /// index `page_prefix.len()` stands for the virtual trailing page
-    /// inserts append to). Empty when clean.
-    pub fn dirty_pages(&self) -> Vec<usize> {
-        self.dirty_pages.iter().copied().collect()
-    }
-
     /// Attach `path` as the backing file and flush immediately.
     pub fn persist_to(&mut self, path: impl Into<PathBuf>) -> Result<PagedWriteStats> {
         self.backing = Some(path.into());
@@ -243,10 +214,10 @@ impl TemporalStore {
     /// backing file (atomic temp-file + rename). A clean store is a no-op
     /// returning `Ok(None)`. Errors if no backing file is attached.
     ///
-    /// The write is a full rewrite of the file — dirty-page tracking
-    /// decides *whether* to write, not which bytes (honest trade-off: the
-    /// format packs pages greedily, so one mid-file mutation can shift
-    /// every later page anyway).
+    /// The write is a full rewrite of the file — the dirty flag decides
+    /// *whether* to write, not which bytes (honest trade-off: the format
+    /// packs pages greedily, so one mid-file mutation can shift every
+    /// later page anyway).
     pub fn flush(&mut self) -> Result<Option<PagedWriteStats>> {
         let Some(path) = self.backing.clone() else {
             return Err(TempAggError::storage(
@@ -265,24 +236,13 @@ impl TemporalStore {
                 caches,
             },
         )?;
-        let ranges = pager::format::plan_pages(
-            self.relation.schema(),
-            self.relation.tuples(),
-            self.page_size,
-        )?;
-        let mut total = 0u64;
-        self.page_prefix.clear();
-        for range in &ranges {
-            total += range.len() as u64;
-            self.page_prefix.push(total);
-        }
-        self.dirty_pages.clear();
         self.dirty = false;
         Ok(Some(stats))
     }
 
     /// Snapshot every cache (live and restored) into the value-erased
-    /// form the paged footer stores.
+    /// form the paged footer stores. Window indexes are derived from
+    /// these series in O(runs) and are never written.
     fn collect_persisted(&mut self) -> Vec<PersistedSeries> {
         let epoch = self.epoch;
         let mut out: Vec<PersistedSeries> = Vec::new();
@@ -304,9 +264,6 @@ impl TemporalStore {
                 column: key.column.and_then(|c| u32::try_from(c).ok()),
                 entries: series.entries().to_vec(),
             });
-        }
-        for (key, index) in self.windex.get_mut().iter() {
-            out.extend(persist_windex(*key, index));
         }
         out
     }
@@ -330,18 +287,6 @@ impl TemporalStore {
             };
             caches.insert(key, AggCache::build(agg, key.column, &self.relation));
         }
-    }
-
-    /// Baseline page containing tuple `index` (see
-    /// [`dirty_pages`](TemporalStore::dirty_pages)).
-    fn page_of(&self, index: usize) -> usize {
-        self.page_prefix.partition_point(|c| *c <= index as u64)
-    }
-
-    fn mark_tuple_dirty(&mut self, index: usize) {
-        let page = self.page_of(index);
-        self.dirty_pages.insert(page);
-        self.dirty = true;
     }
 
     /// Read access to the stored relation.
@@ -374,20 +319,17 @@ impl TemporalStore {
 
     /// Insert one tuple, patching every cache.
     pub fn insert(&mut self, values: Vec<Value>, valid: Interval) -> Result<()> {
-        self.promote_restored();
-        self.relation.push(values, valid)?;
-        self.mark_tuple_dirty(self.relation.len().saturating_sub(1));
-        let Some(tuple) = self.relation.tuples().last().cloned() else {
-            return Ok(());
-        };
-        self.commit_insert(&tuple)
+        self.insert_tuple(Tuple::new(values, valid))
     }
 
-    /// Insert an already-built tuple, patching every cache.
+    /// Insert an already-built tuple, patching every cache. A tuple that
+    /// fails the schema check changes nothing — restored series stay
+    /// restored and the store stays clean.
     pub fn insert_tuple(&mut self, tuple: Tuple) -> Result<()> {
+        self.relation.schema().check(tuple.values())?;
         self.promote_restored();
         self.relation.push_tuple(tuple.clone())?;
-        self.mark_tuple_dirty(self.relation.len().saturating_sub(1));
+        self.dirty = true;
         self.commit_insert(&tuple)
     }
 
@@ -405,7 +347,6 @@ impl TemporalStore {
     /// Delete every tuple satisfying `pred`, retracting each from every
     /// cache. Returns the number of tuples deleted.
     pub fn delete_where(&mut self, pred: impl FnMut(&Tuple) -> bool) -> Result<usize> {
-        self.promote_restored();
         let flags: Vec<bool> = self.relation.iter().map(pred).collect();
         let removed: Vec<Tuple> = self
             .relation
@@ -417,11 +358,8 @@ impl TemporalStore {
         if removed.is_empty() {
             return Ok(0);
         }
-        for (index, &flagged) in flags.iter().enumerate() {
-            if flagged {
-                self.mark_tuple_dirty(index);
-            }
-        }
+        self.promote_restored();
+        self.dirty = true;
         let mut index = 0usize;
         self.relation.retain(|_| {
             let keep = !flags.get(index).copied().unwrap_or(false);
@@ -452,7 +390,6 @@ impl TemporalStore {
         mut pred: impl FnMut(&Tuple) -> bool,
         assignments: &[(usize, Value)],
     ) -> Result<usize> {
-        self.promote_restored();
         let mut replacements: Vec<(usize, Tuple, Tuple)> = Vec::new();
         for (index, old) in self.relation.iter().enumerate() {
             if !pred(old) {
@@ -472,12 +409,10 @@ impl TemporalStore {
         if replacements.is_empty() {
             return Ok(0);
         }
+        self.promote_restored();
+        self.dirty = true;
         for (index, _, replacement) in &replacements {
             let _previous = self.relation.replace(*index, replacement.clone())?;
-        }
-        let touched: Vec<usize> = replacements.iter().map(|(index, _, _)| *index).collect();
-        for index in touched {
-            self.mark_tuple_dirty(index);
         }
         let caches = self.caches.get_mut();
         for cache in caches.values_mut() {
@@ -911,176 +846,11 @@ fn dyn_for(schema: &Schema, key: CacheKey) -> Result<DynAggregate> {
     DynAggregate::new(key.kind, input)
 }
 
-/// Label prefix for window-index footer blocks: `windex:<part>:<agg>`,
-/// where `<part>` is `meta`, `sum`, `min`, or `max`. Intercepted before
-/// [`key_for_persisted`] so the aggregate-label validation never sees
-/// them.
-const WINDEX_LABEL_PREFIX: &str = "windex:";
-
-/// Encode one window index as footer blocks: a `meta` header series
-/// (version, mode, leaf count, extent end) plus three per-leaf series —
-/// the integral/covered pair (as text; the values are `i128`, wider than
-/// [`Value::Int`]), the min values, and the max values. Each part is a
-/// well-formed constant-interval series over the leaf cuts, so the
-/// footer format needs no new entry types.
-fn persist_windex(key: CacheKey, index: &WindowIndex) -> Vec<PersistedSeries> {
-    let column = key.column.and_then(|c| u32::try_from(c).ok());
-    let label = |part: &str| format!("{WINDEX_LABEL_PREFIX}{part}:{}", key.kind.name());
-    let starts = index.leaf_starts();
-    let mut intervals = Vec::with_capacity(starts.len());
-    for (i, &start) in starts.iter().enumerate() {
-        let end = starts
-            .get(i + 1)
-            .map_or(index.extent_end(), |next| next.prev());
-        // lint: allow(no-unwrap): leaf starts are strictly increasing by construction
-        intervals.push(Interval::new(start, end).expect("leaf cuts are increasing"));
-    }
-    let mut sums = Vec::with_capacity(intervals.len());
-    let mut mins = Vec::with_capacity(intervals.len());
-    let mut maxs = Vec::with_capacity(intervals.len());
-    for (interval, node) in intervals.iter().copied().zip(index.leaf_nodes()) {
-        sums.push(SeriesEntry {
-            interval,
-            value: Value::Str(format!("{} {}", node.integral, node.covered)),
-        });
-        mins.push(SeriesEntry {
-            interval,
-            value: node.min_value.clone(),
-        });
-        maxs.push(SeriesEntry {
-            interval,
-            value: node.max_value.clone(),
-        });
-    }
-    vec![
-        PersistedSeries {
-            label: label("meta"),
-            column,
-            entries: vec![SeriesEntry {
-                interval: Interval::at(0, 0),
-                value: Value::Str(format!(
-                    "v1 {} {} {}",
-                    index.mode().name(),
-                    index.leaf_count(),
-                    index.extent_end().get()
-                )),
-            }],
-        },
-        PersistedSeries {
-            label: label("sum"),
-            column,
-            entries: sums,
-        },
-        PersistedSeries {
-            label: label("min"),
-            column,
-            entries: mins,
-        },
-        PersistedSeries {
-            label: label("max"),
-            column,
-            entries: maxs,
-        },
-    ]
-}
-
-/// The four footer blocks of one persisted window index, collected by
-/// key before decoding.
-#[derive(Default)]
-struct WindexParts {
-    meta: Option<Vec<SeriesEntry<Value>>>,
-    sums: Option<Vec<SeriesEntry<Value>>>,
-    mins: Option<Vec<SeriesEntry<Value>>>,
-    maxs: Option<Vec<SeriesEntry<Value>>>,
-}
-
-/// Decode one collected part set back into a window index. `None` on any
-/// malformed or inconsistent part — restoration is strictly best-effort.
-fn decode_windex(parts: WindexParts) -> Option<WindowIndex> {
-    let meta = parts.meta?;
-    let sums = parts.sums?;
-    let mins = parts.mins?;
-    let maxs = parts.maxs?;
-    let header = match &meta.first()?.value {
-        Value::Str(text) => text.clone(),
-        _ => return None,
-    };
-    let mut fields = header.split_whitespace();
-    if fields.next() != Some("v1") {
-        return None;
-    }
-    let mode = fields.next().and_then(IndexMode::parse)?;
-    let leaves = fields.next().and_then(|t| t.parse::<usize>().ok())?;
-    let end = fields.next().and_then(|t| t.parse::<i64>().ok())?;
-    if sums.len() != leaves || mins.len() != leaves || maxs.len() != leaves {
-        return None;
-    }
-    let mut starts = Vec::with_capacity(leaves);
-    let mut nodes = Vec::with_capacity(leaves);
-    for ((sum, min), max) in sums.iter().zip(&mins).zip(&maxs) {
-        starts.push(sum.interval.start());
-        let Value::Str(text) = &sum.value else {
-            return None;
-        };
-        let mut numbers = text.split_whitespace();
-        let integral = numbers.next().and_then(|t| t.parse::<i128>().ok())?;
-        let covered = numbers.next().and_then(|t| t.parse::<i128>().ok())?;
-        nodes.push(IndexNode {
-            integral,
-            covered,
-            min_value: min.value.clone(),
-            max_value: max.value.clone(),
-        });
-    }
-    WindowIndex::from_leaves(mode, starts, Timestamp::new(end), nodes).ok()
-}
-
-/// Reassemble the window indexes persisted in a paged footer. Any
-/// malformed, incomplete, or orphaned (no restored series to probe
-/// against) part set is skipped silently: the store degrades to
-/// rebuilding that index from the restored series on the first probe,
-/// never to an open error.
-fn assemble_windex(
-    schema: &Schema,
-    parts: Vec<PersistedSeries>,
-    restored: &BTreeMap<CacheKey, Arc<Series<Value>>>,
-) -> BTreeMap<CacheKey, WindowIndex> {
-    let mut by_key: BTreeMap<CacheKey, WindexParts> = BTreeMap::new();
-    for series in parts {
-        let Some(rest) = series.label.strip_prefix(WINDEX_LABEL_PREFIX) else {
-            continue;
-        };
-        let Some((part, label)) = rest.split_once(':') else {
-            continue;
-        };
-        let Some(kind) = kind_for_label(label) else {
-            continue;
-        };
-        let column = match series.column {
-            Some(raw) if (raw as usize) < schema.len() => Some(raw as usize),
-            Some(_) => continue,
-            None => None,
-        };
-        let slot = by_key.entry(CacheKey { kind, column }).or_default();
-        match part {
-            "meta" => slot.meta = Some(series.entries),
-            "sum" => slot.sums = Some(series.entries),
-            "min" => slot.mins = Some(series.entries),
-            "max" => slot.maxs = Some(series.entries),
-            _ => {}
-        }
-    }
-    let mut out = BTreeMap::new();
-    for (key, parts) in by_key {
-        if !restored.contains_key(&key) {
-            continue;
-        }
-        if let Some(index) = decode_windex(parts) {
-            out.insert(key, index);
-        }
-    }
-    out
-}
+/// Label prefix of the window-index footer blocks earlier builds wrote.
+/// [`TemporalStore::open`] skips them (before [`key_for_persisted`], which
+/// rightly rejects unknown labels) so those files still open; the next
+/// flush drops the blocks.
+const LEGACY_WINDEX_LABEL_PREFIX: &str = "windex:";
 
 /// `--features validate`: after a root-to-leaf refresh, rebuild the
 /// index from scratch over the patched cache runs and assert the two
@@ -1092,10 +862,7 @@ fn assemble_windex(
 fn validate_refreshed(index: &WindowIndex, cache: &AggCache, dirty: &[Interval]) {
     let mut entries = Vec::new();
     cache.for_each_run_in(Interval::TIMELINE, &mut |interval, value| {
-        entries.push(SeriesEntry {
-            interval,
-            value: value.clone(),
-        });
+        entries.push(tempagg_core::SeriesEntry::new(interval, value.clone()));
     });
     let fresh = WindowIndex::build(index.mode(), &Series::from_entries(entries));
     let source = CacheRuns(cache);

@@ -34,7 +34,7 @@ cargo run -q --release -p tempagg-bench --bin harness -- stream --test
 echo "==> harness ingest smoke (patched-vs-rebuilt series identity, tracked artifacts untouched)"
 cargo run -q --release -p tempagg-bench --bin harness -- ingest --test
 
-echo "==> harness sweep smoke (v2-vs-v1 byte identity + join throughput, tracked artifacts untouched)"
+echo "==> harness sweep smoke (sweep-vs-oracle byte identity at every P + join-vs-nested-loop count, tracked artifacts untouched)"
 cargo run -q --release -p tempagg-bench --bin harness -- sweep --test
 
 echo "==> harness paged smoke (paged-vs-RAM identity + resident budget, tracked artifacts untouched)"

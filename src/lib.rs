@@ -114,7 +114,7 @@ pub use tempagg_algo::{
     run, run_with_stats, scoped_map, AggregationTree, BalancedAggregationTree, GroupedAggregate,
     JoinPair, JoinPredicate, KOrderedAggregationTree, LinkedListAggregate, MemoryStats,
     PagedAggregationTree, PartitionReport, PartitionedAggregator, SpanGrouper, SweepAggregator,
-    SweepAggregatorV1, SweepJoinOperator, TemporalAggregator, TwoScanAggregate,
+    SweepJoinOperator, TemporalAggregator, TwoScanAggregate,
 };
 pub use tempagg_core::{
     BitemporalRelation, Calendar, Chunk, ChunkedSink, CountingSink, EventRelation, Interval,

@@ -1,9 +1,9 @@
 //! Oracle and property tests for the columnar endpoint-sweep kernel.
 //!
-//! The contract under test: the v2 [`SweepAggregator`] at every
-//! parallelism P ∈ {1, 2, 8} produces output byte-identical to the v1
-//! sweep ([`SweepAggregatorV1`]) and to the quadratic reference oracle
-//! for every aggregate and every input shape — random, sorted,
+//! The contract under test: [`SweepAggregator`] at every parallelism
+//! P ∈ {1, 2, 8} produces output byte-identical to the quadratic
+//! reference oracle — the specification; there is no second sweep to
+//! compare against — for every aggregate and every input shape — random, sorted,
 //! reverse-sorted, duplicate-endpoint, touching-interval, dense-instant,
 //! and empty-domain — a domain-partitioned sweep agrees with the serial
 //! sweep at every partition count, and the sweep-based interval join
@@ -14,9 +14,7 @@
 use temporal_aggregates::algo::oracle::oracle;
 use temporal_aggregates::prelude::*;
 use temporal_aggregates::workload::rng::StdRng;
-use temporal_aggregates::{
-    Calibration, JoinPredicate, SweepAggregate, SweepAggregatorV1, SweepJoinOperator,
-};
+use temporal_aggregates::{Calibration, JoinPredicate, SweepAggregate, SweepJoinOperator};
 
 const DOMAIN: Interval = Interval::TIMELINE;
 
@@ -35,8 +33,8 @@ where
     s.finish()
 }
 
-/// Assert v2 sweep (P ∈ {1, 2, 8}) == v1 sweep == the quadratic oracle
-/// for all five of the paper's aggregates.
+/// Assert the sweep (P ∈ {1, 2, 8}) == the quadratic oracle for all five
+/// of the paper's aggregates.
 fn assert_all_aggregates(tuples: &[(Interval, i64)], label: &str) {
     fn family<A>(agg: A, tuples: &[(Interval, A::Input)], label: &str, what: &str)
     where
@@ -45,24 +43,15 @@ fn assert_all_aggregates(tuples: &[(Interval, i64)], label: &str) {
         A::Output: std::fmt::Debug + PartialEq,
     {
         let want = oracle(&agg, DOMAIN, tuples);
-        let mut v1 = SweepAggregatorV1::with_domain(agg.clone(), DOMAIN);
-        for (iv, v) in tuples {
-            v1.push(*iv, v.clone()).unwrap();
-        }
-        assert_eq!(
-            v1.finish(),
-            want,
-            "v1 sweep diverged from the oracle: {what} on {label}"
-        );
         for p in [1usize, 2, 8] {
-            let mut v2 = SweepAggregator::with_domain(agg.clone(), DOMAIN).with_parallelism(p);
+            let mut sweep = SweepAggregator::with_domain(agg.clone(), DOMAIN).with_parallelism(p);
             for (iv, v) in tuples {
-                v2.push(*iv, v.clone()).unwrap();
+                sweep.push(*iv, v.clone()).unwrap();
             }
             assert_eq!(
-                v2.finish(),
+                sweep.finish(),
                 want,
-                "v2 sweep (P = {p}) diverged: {what} on {label}"
+                "sweep (P = {p}) diverged from the oracle: {what} on {label}"
             );
         }
     }
