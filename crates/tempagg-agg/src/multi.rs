@@ -102,7 +102,11 @@ impl<A: Aggregate, B: Aggregate, C: Aggregate> Aggregate for (A, B, C) {
 
 /// A runtime-width product of [`DynAggregate`]s: all of a query's
 /// aggregates evaluated in one pass over one tree. Input is one
-/// pre-extracted [`Value`] per member aggregate.
+/// pre-extracted [`Value`] per member aggregate. The output is a plain
+/// `Vec<Value>` — this is the reference the typed product and the
+/// end-to-end benchmark's independent checks are held against, and they
+/// name that type; a consumer that wants rows converts
+/// (`RowValues: From<Vec<Value>>` keeps a wide row's `Vec` as its spill).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MultiDyn {
     members: Vec<DynAggregate>,

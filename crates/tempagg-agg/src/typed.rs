@@ -11,8 +11,10 @@
 //! (values ride with the sorted events and the live set is a dense array,
 //! Piatov et al., arXiv:2008.12665).
 //!
-//! The output stays `Vec<Value>` and is **byte-identical** to `MultiDyn`'s
-//! for every algorithm: NULL inputs are skipped by every member except
+//! The output is an inline [`RowValues`] — a constant interval leaves the
+//! kernel without touching the allocator when the list fits its width —
+//! and is **byte-identical** to `MultiDyn`'s `Vec<Value>` for every
+//! algorithm: NULL inputs are skipped by every member except
 //! `COUNT(*)`, `SUM` saturates (and retracts with `saturating_sub`), an
 //! aggregate over no non-NULL value reports `Value::Null`, and `AVG`
 //! accumulates `f64` in the same order. [`TypedMulti::lower`] decides from
@@ -23,7 +25,7 @@ use crate::active::{SweepAggregate, SweepClass};
 use crate::aggregate::{Aggregate, Numeric};
 use crate::dynamic::{AggKind, DynAggregate};
 use crate::slot_extremes::SlotExtremes;
-use tempagg_core::{Value, ValueType};
+use tempagg_core::{RowValues, Value, ValueType};
 
 /// Most members a [`TypedMulti`] holds, and the slots of a
 /// [`TypedInput`]. Fixed at compile time so the input stays an inline
@@ -188,7 +190,7 @@ pub enum TypedActive {
 
 /// A product of up to [`TYPED_WIDTH`] typed aggregates over `INT`
 /// inputs, evaluated in one pass like [`MultiDyn`](crate::MultiDyn) and
-/// reporting the same `Vec<Value>` per constant interval.
+/// reporting the same values per constant interval, inline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TypedMulti {
     members: Vec<TypedKind>,
@@ -240,7 +242,7 @@ impl TypedMulti {
 impl Aggregate for TypedMulti {
     type Input = TypedInput;
     type State = [TypedAcc; TYPED_WIDTH];
-    type Output = Vec<Value>;
+    type Output = RowValues;
 
     fn name(&self) -> &'static str {
         "TYPED MULTI"
@@ -266,7 +268,7 @@ impl Aggregate for TypedMulti {
         }
     }
 
-    fn finish(&self, state: &Self::State) -> Vec<Value> {
+    fn finish(&self, state: &Self::State) -> RowValues {
         self.members
             .iter()
             .zip(state)
@@ -312,7 +314,7 @@ impl SweepAggregate for TypedMulti {
         self.apply(active, None, input, false);
     }
 
-    fn active_output(&self, active: &Vec<TypedActive>) -> Vec<Value> {
+    fn active_output(&self, active: &Vec<TypedActive>) -> RowValues {
         self.members
             .iter()
             .zip(active)

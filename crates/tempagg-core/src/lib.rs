@@ -11,6 +11,8 @@
 //!   interval-timestamped relational model;
 //! * [`Series`] — time-ordered aggregate results (constant intervals) with
 //!   TSQL2-style coalescing;
+//! * [`RowValues`] — one result row's values, inline up to
+//!   [`ROW_INLINE_WIDTH`];
 //! * [`SeriesSink`] — streaming emission of those results at bounded
 //!   memory ([`ChunkedSink`], [`CountingSink`], [`StitchSink`]);
 //! * [`Epoch`], [`VersionedSeries`] — write-generation stamps and an MVCC
@@ -36,6 +38,7 @@ mod granularity;
 mod interval;
 pub mod pager;
 mod relation;
+mod row;
 mod schema;
 mod series;
 mod sink;
@@ -56,6 +59,7 @@ pub use granularity::{Calendar, TimeUnit};
 pub use interval::Interval;
 pub use pager::TupleSource;
 pub use relation::TemporalRelation;
+pub use row::{RowValues, ROW_INLINE_WIDTH};
 pub use schema::{Column, Schema};
 pub use series::{Series, SeriesEntry};
 pub use sink::{ChunkedSink, CountingSink, SeriesSink, StitchSink};

@@ -359,7 +359,7 @@ mod tests {
         let mut rel = TemporalRelation::new(schema);
         for i in 0..n {
             rel.push(
-                vec![Value::Int(i), Value::Str(format!("row{i}"))],
+                vec![Value::Int(i), Value::from(format!("row{i}"))],
                 Interval::at(i, i + 10),
             )
             .unwrap();

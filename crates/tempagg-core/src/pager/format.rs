@@ -563,10 +563,9 @@ pub fn decode_page(
                         values.push(if validity[i] == 0 {
                             Value::Null
                         } else {
-                            Value::Str(
+                            Value::from(
                                 std::str::from_utf8(raw)
-                                    .map_err(|_| storage("string payload is not valid UTF-8"))?
-                                    .to_string(),
+                                    .map_err(|_| storage("string payload is not valid UTF-8"))?,
                             )
                         });
                     }
@@ -702,11 +701,9 @@ fn decode_value(r: &mut ByteReader<'_>) -> Result<Value> {
         2 => Ok(Value::Float(f64::from_bits(r.u64()?))),
         3 => {
             let len = r.u32()? as usize;
-            Ok(Value::Str(
-                std::str::from_utf8(r.take(len)?)
-                    .map_err(|_| storage("cached string is not valid UTF-8"))?
-                    .to_string(),
-            ))
+            Ok(Value::from(std::str::from_utf8(r.take(len)?).map_err(
+                |_| storage("cached string is not valid UTF-8"),
+            )?))
         }
         4 => Ok(Value::Bool(r.u8()? != 0)),
         other => Err(storage(format!("unknown value tag {other} in cache"))),
@@ -839,7 +836,7 @@ mod tests {
                     vec![
                         Value::Int(i * 10),
                         Value::Float(i as f64 / 2.0),
-                        Value::Str(format!("t{i}")),
+                        Value::from(format!("t{i}")),
                         Value::Bool(i % 2 == 0),
                     ],
                     Interval::at(i, i + 5),
@@ -942,7 +939,7 @@ mod tests {
                 vec![
                     Value::Int(i64::MAX),
                     Value::Float(-0.0),
-                    Value::Str(String::new()),
+                    Value::from(""),
                     Value::Bool(false),
                 ],
                 Interval::at(-100, 100),
@@ -1004,7 +1001,7 @@ mod tests {
             vec![
                 Value::Int(0),
                 Value::Float(0.0),
-                Value::Str("x".repeat(4096)),
+                Value::from("x".repeat(4096)),
                 Value::Bool(false),
             ],
             Interval::at(0, 1),

@@ -176,8 +176,13 @@ fn file_context<'a>(root: &Path, root_pkg: &'a str, file: &'a Path) -> FileConte
         crate_name,
         is_crate_root: is_crate_root(file),
         is_thread_hub,
+        // tempagg-sql's execution layer is the dispatcher plus the row
+        // buffer and sinks it drains into.
         is_exec_path: is_executor
-            || (crate_name == "tempagg-sql" && file.ends_with(Path::new("src").join("exec.rs"))),
+            || (crate_name == "tempagg-sql"
+                && ["exec.rs", "rows.rs"]
+                    .iter()
+                    .any(|name| file.ends_with(Path::new("src").join(name)))),
         is_seam_hub: is_thread_hub || is_executor,
         is_pager,
     }

@@ -21,6 +21,7 @@
 use crate::ast::{CompareOp, Query, TemporalGrouping};
 use crate::catalog::Catalog;
 use crate::parser::parse;
+use crate::rows::{merge_snapshots, GroupSink, ResultRow, RowBuffer};
 use std::collections::BTreeMap;
 use std::fmt;
 use tempagg_agg::{
@@ -28,7 +29,7 @@ use tempagg_agg::{
 };
 use tempagg_algo::{scan_window, SpanGrouper, TemporalAggregator, WindowAggregate};
 use tempagg_core::{
-    Chunk, Interval, Result, Schema, Series, SeriesEntry, SeriesSink, TempAggError,
+    Chunk, Interval, Result, RowValues, Schema, Series, SeriesEntry, TempAggError,
     TemporalRelation, Tuple, Value, DEFAULT_CHUNK_CAPACITY,
 };
 use tempagg_plan::{
@@ -36,15 +37,6 @@ use tempagg_plan::{
     CachedSeriesInfo, CostModel, Plan, PlannerConfig, RelationStats,
 };
 use tempagg_store::{index_mode_for, IndexMode, TemporalStore, WindowIndexStats};
-
-/// One row of a query result: optional group key, a valid-time interval,
-/// and one value per aggregate in the select list.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ResultRow {
-    pub group: Option<Value>,
-    pub valid: Interval,
-    pub values: Vec<Value>,
-}
 
 /// A query result: a (temporal) relation of aggregate values.
 #[derive(Clone, Debug, PartialEq)]
@@ -329,93 +321,6 @@ struct Outcome {
     cache: CacheReport,
 }
 
-/// Where a query's rows go, in (group, time) order: collected whole
-/// ([`execute_query`]), or buffered up to a bound and drained to a
-/// callback ([`execute_streaming`]). Values move from the algorithm's
-/// output into the row; nothing is copied on the way.
-struct RowBuffer<'a> {
-    rows: Vec<ResultRow>,
-    /// Streaming: the bound on finished rows held, and their consumer.
-    drain_to: Option<(usize, &'a mut dyn FnMut(ResultRow))>,
-    produced: usize,
-    peak: usize,
-    drains: usize,
-}
-
-impl<'a> RowBuffer<'a> {
-    fn collecting() -> RowBuffer<'a> {
-        RowBuffer {
-            rows: Vec::new(),
-            drain_to: None,
-            produced: 0,
-            peak: 0,
-            drains: 0,
-        }
-    }
-
-    fn streaming(capacity: usize, on_row: &'a mut dyn FnMut(ResultRow)) -> RowBuffer<'a> {
-        RowBuffer {
-            drain_to: Some((capacity.max(1), on_row)),
-            ..RowBuffer::collecting()
-        }
-    }
-
-    fn push(&mut self, row: ResultRow) {
-        self.rows.push(row);
-        self.produced += 1;
-        if let Some((capacity, on_row)) = &mut self.drain_to {
-            self.peak = self.peak.max(self.rows.len());
-            if self.rows.len() > *capacity {
-                // The newest row stays: the next entry may still extend it.
-                let finished = self.rows.len() - 1;
-                self.rows.drain(..finished).for_each(&mut **on_row);
-                self.drains += 1;
-            }
-        }
-    }
-
-    /// End of the query: hand the remaining rows to the consumer.
-    fn flush(&mut self) {
-        if let Some((_, on_row)) = &mut self.drain_to {
-            if !self.rows.is_empty() {
-                self.rows.drain(..).for_each(&mut **on_row);
-                self.drains += 1;
-            }
-        }
-    }
-}
-
-/// The sink one aggregation set's series — scanned, or served from the
-/// store's caches — drains into: each constant
-/// interval becomes a row, or — TSQL2's coalesced results, when
-/// `coalesce` is set — extends the previous row when the two meet with
-/// equal values. The lookahead row is simply the buffer's last; a set's
-/// series tiles the window, so its first interval never meets the
-/// previous set's last row.
-struct GroupSink<'b, 'a> {
-    out: &'b mut RowBuffer<'a>,
-    key: &'b Option<Value>,
-    coalesce: bool,
-}
-
-impl SeriesSink<Vec<Value>> for GroupSink<'_, '_> {
-    fn accept(&mut self, interval: Interval, values: Vec<Value>) {
-        if self.coalesce {
-            if let Some(prev) = self.out.rows.last_mut() {
-                if prev.valid.meets(&interval) && prev.values == values {
-                    prev.valid = prev.valid.hull(&interval);
-                    return;
-                }
-            }
-        }
-        self.out.push(ResultRow {
-            group: self.key.clone(),
-            valid: interval,
-            values,
-        });
-    }
-}
-
 /// Execute the scan arm of a query: bind, then run [`scan`] on the typed
 /// product aggregate when the select list lowers to one and on
 /// [`MultiDyn`] otherwise — the only place that choice is made — pushing
@@ -477,9 +382,10 @@ fn scan<A>(
     out: &mut RowBuffer<'_>,
 ) -> Result<Option<Plan>>
 where
-    A: SweepAggregate<Output = Vec<Value>> + Clone + Send,
+    A: SweepAggregate + Clone + Send,
     A::State: Send,
     A::Input: Clone + Send + Sync,
+    A::Output: Into<RowValues> + PartialEq + Send,
 {
     let groups = project_groups(bound, project)?;
 
@@ -494,7 +400,7 @@ where
             out.push(ResultRow {
                 group: group.key.clone(),
                 valid: bound.domain,
-                values: agg.finish(&state),
+                values: agg.finish(&state).into(),
             });
         }
         return Ok(None);
@@ -631,33 +537,6 @@ fn cache_eligible(query: &Query) -> bool {
         && matches!(query.temporal_grouping, TemporalGrouping::Instant)
 }
 
-/// Zip per-aggregate snapshot series into one row series. Every cache of
-/// a store shares the same interval structure — runs derive from tuple
-/// intervals alone, never values — so the zip is index-wise. Any
-/// structural mismatch returns `None` and the caller falls back to a
-/// scan rather than risking a wrong answer.
-fn zip_snapshots(snapshots: &[std::sync::Arc<Series<Value>>]) -> Option<Series<Vec<Value>>> {
-    let first = snapshots.first()?;
-    let runs = first.len();
-    let mut zipped: Vec<SeriesEntry<Vec<Value>>> = first
-        .entries()
-        .iter()
-        .map(|e| SeriesEntry::new(e.interval, Vec::with_capacity(snapshots.len())))
-        .collect();
-    for series in snapshots {
-        if series.len() != runs {
-            return None;
-        }
-        for (slot, entry) in zipped.iter_mut().zip(series.entries()) {
-            if entry.interval != slot.interval {
-                return None;
-            }
-            slot.value.push(entry.value.clone());
-        }
-    }
-    Some(Series::from_entries(zipped))
-}
-
 /// Answer an eligible query from MVCC snapshots of the store's aggregate
 /// caches, or `None` — with nothing pushed — when any selected aggregate
 /// is not cached yet.
@@ -682,16 +561,16 @@ fn serve(
             None => return Ok(None),
         }
     }
-    let Some(zipped) = zip_snapshots(&snapshots) else {
+    if !merge_snapshots(&snapshots, out)? {
         return Ok(None);
-    };
+    }
 
     // Record the served plan through the ordinary cost-based chooser:
     // with `cached_series` present the cached-series candidate wins, and
     // the rationale explains why no scan ran.
     let multi = MultiDyn::new(bound_aggs.iter().map(|(a, _, _)| *a).collect());
     let stats = RelationStats::unknown(store.len()).with_cached_series(CachedSeriesInfo {
-        runs: zipped.len(),
+        runs: snapshots.first().map_or(0, |series| series.len()),
         epoch: store.epoch().get(),
     });
     let the_plan = choose_algorithm(
@@ -702,14 +581,6 @@ fn serve(
         multi.state_model_bytes().max(4),
     );
 
-    let mut sink = GroupSink {
-        out,
-        key: &None,
-        coalesce: true,
-    };
-    for entry in zipped {
-        sink.accept(entry.interval, entry.value);
-    }
     let cache_stats = store.cache_stats();
     Ok(Some(Outcome {
         agg_labels: bound_aggs.into_iter().map(|(_, _, l)| l).collect(),
@@ -847,17 +718,19 @@ fn run_window(
     let indexable = bound_aggs
         .iter()
         .all(|(agg, _, _)| index_mode_for(agg).is_some());
+    // Planning needs the series' size, not the series: no snapshot, so a
+    // probe after a write publishes nothing.
     let cached_runs = clean_shape.then(|| {
         bound_aggs
             .first()
-            .and_then(|(a, i, _)| store.snapshot(a.kind(), *i))
-            .map_or_else(|| store.len().max(1), |snap| snap.len())
+            .and_then(|(a, i, _)| store.cached_runs(a.kind(), *i))
+            .unwrap_or_else(|| store.len().max(1))
     });
     let the_plan = plan_window(store, cached_runs, &multi, indexable, config);
 
     let mut cache = CacheReport::default();
     if !query.explain {
-        let mut values = Vec::with_capacity(bound_aggs.len());
+        let mut values = RowValues::new();
         match the_plan.choice {
             AlgorithmChoice::IndexProbe => {
                 let before = store.windex_stats();
@@ -943,7 +816,7 @@ fn run_top_k(
             out.push(ResultRow {
                 group: Some(group),
                 valid: window,
-                values: vec![rank_value(&agg, &wa)],
+                values: std::iter::once(rank_value(&agg, &wa)).collect(),
             });
         }
     } else {
@@ -974,7 +847,7 @@ fn run_top_k(
             out.push(ResultRow {
                 group: Some(group),
                 valid: window,
-                values: vec![value],
+                values: std::iter::once(value).collect(),
             });
         }
     }
@@ -1449,6 +1322,8 @@ mod tests {
         let queries = [
             "SELECT COUNT(Name) FROM Employed",
             "SELECT COUNT(name), SUM(salary), AVG(salary) FROM Employed",
+            // Five values spill the row and are past the typed width.
+            "SELECT COUNT(*), COUNT(salary), SUM(salary), MIN(salary), MAX(salary) FROM Employed",
             "SELECT COUNT(name) FROM Employed WHERE salary >= 40000",
             "SELECT COUNT(name) FROM Employed GROUP BY name",
             "SELECT COUNT(name) FROM Employed WHERE VALID OVERLAPS [0, 29] GROUP BY SPAN 10",

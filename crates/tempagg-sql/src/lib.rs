@@ -26,16 +26,18 @@ mod display;
 mod exec;
 mod lexer;
 mod parser;
+mod rows;
 mod statement;
 mod token;
 
 pub use catalog::Catalog;
 pub use exec::{
-    execute_query, execute_str, execute_streaming, execute_streaming_str, QueryResult, ResultRow,
+    execute_query, execute_str, execute_streaming, execute_streaming_str, QueryResult,
     StreamSummary,
 };
 pub use lexer::lex;
 pub use parser::{parse, parse_statement, parse_statement_with_calendar, parse_with_calendar};
+pub use rows::ResultRow;
 pub use statement::{execute_parsed_statement, execute_statement, StatementOutput, TupleTable};
 pub use tempagg_algo::JoinPredicate;
 pub use tempagg_plan::CacheReport;

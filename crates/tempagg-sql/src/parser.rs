@@ -550,7 +550,7 @@ impl Parser {
         match self.bump() {
             Some(Token::Int(v)) => Ok(Value::Int(v)),
             Some(Token::Float(v)) => Ok(Value::Float(v)),
-            Some(Token::Str(s)) => Ok(Value::Str(s)),
+            Some(Token::Str(s)) => Ok(Value::from(s)),
             Some(Token::Keyword(Keyword::True)) => Ok(Value::Bool(true)),
             Some(Token::Keyword(Keyword::False)) => Ok(Value::Bool(false)),
             Some(Token::Keyword(Keyword::Null)) => Ok(Value::Null),

@@ -62,10 +62,10 @@ fn literal(rng: &mut StdRng) -> Value {
         }
         2 => {
             let len = rng.random_range(0usize..=12);
-            Value::Str(
+            Value::from(
                 (0..len)
                     .map(|_| STR_POOL[rng.random_range(0usize..STR_POOL.len())] as char)
-                    .collect(),
+                    .collect::<String>(),
             )
         }
         3 => Value::Bool(rng.random_bool(0.5)),

@@ -749,6 +749,20 @@ impl TemporalStore {
         self.caches.borrow().contains_key(&key) || self.restored.borrow().contains_key(&key)
     }
 
+    /// How many constant-interval runs the cached series for
+    /// `(kind, column)` has — a live cache's working runs, or a restored
+    /// series' entries — or `None` if that aggregate has no cache yet.
+    /// What a planner needs of a series it will not read: unlike
+    /// [`snapshot`](TemporalStore::snapshot) this publishes no version, so
+    /// it costs the same before and after a write.
+    pub fn cached_runs(&self, kind: AggKind, column: Option<usize>) -> Option<usize> {
+        let key = CacheKey { kind, column };
+        if let Some(cache) = self.caches.borrow().get(&key) {
+            return Some(cache.runs_len());
+        }
+        self.restored.borrow().get(&key).map(|series| series.len())
+    }
+
     /// Snapshot the cached series for `(kind, column)` at the current
     /// epoch, or `None` if that aggregate has no cache yet. The returned
     /// `Arc` pins the version: concurrent writes publish new versions but

@@ -80,7 +80,7 @@ pub fn generate(config: &WorkloadConfig) -> TemporalRelation {
         let salary = rng.random_range(20_000i64..=100_000);
         let mut values = vec![Value::from(name), Value::Int(salary)];
         if config.payload_bytes > 0 {
-            values.push(Value::Str("x".repeat(config.payload_bytes)));
+            values.push(Value::from("x".repeat(config.payload_bytes)));
         }
         relation
             .push(values, interval)

@@ -118,8 +118,9 @@ pub use tempagg_algo::{
 };
 pub use tempagg_core::{
     BitemporalRelation, Calendar, Chunk, ChunkedSink, CountingSink, EventRelation, Interval,
-    Result, Schema, Series, SeriesEntry, SeriesSink, StitchSink, TempAggError, TemporalRelation,
-    TimeUnit, Timestamp, Tuple, Value, ValueType, WindowAlignment, DEFAULT_CHUNK_CAPACITY,
+    Result, RowValues, Schema, Series, SeriesEntry, SeriesSink, StitchSink, TempAggError,
+    TemporalRelation, TimeUnit, Timestamp, Tuple, Value, ValueType, WindowAlignment,
+    DEFAULT_CHUNK_CAPACITY,
 };
 pub use tempagg_plan::{
     choose_algorithm, choose_parallelism, evaluate_auto, execute, execute_streaming, plan,

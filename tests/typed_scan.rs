@@ -12,8 +12,8 @@ use temporal_aggregates::sql::{execute_query, execute_streaming, parse, ResultRo
 use temporal_aggregates::store::{index_mode_for, IndexMode};
 use temporal_aggregates::{
     execute, execute_str, AggKind, Aggregate, AlgorithmChoice, Catalog, Chunk, DynAggregate,
-    Interval, Plan, PlannerConfig, Schema, Series, SeriesEntry, TempAggError, TemporalRelation,
-    Timestamp, Tuple, Value, ValueType,
+    Interval, Plan, PlannerConfig, RowValues, Schema, Series, SeriesEntry, TempAggError,
+    TemporalRelation, Timestamp, Tuple, Value, ValueType,
 };
 
 const KINDS: [AggKind; 9] = [
@@ -204,7 +204,7 @@ fn typed_product_matches_multidyn_and_oracle_for_every_algorithm() {
                 .iter()
                 .map(|t| (t.valid(), extract(&columns)(t)))
                 .collect();
-            let want = oracle(&multi, Interval::TIMELINE, &tuples);
+            let want = oracle(&multi, Interval::TIMELINE, &tuples).map(RowValues::from);
             for choice in CHOICES {
                 for parallelism in [1usize, 2, 8] {
                     let plan = forced(choice, parallelism);
@@ -219,6 +219,7 @@ fn typed_product_matches_multidyn_and_oracle_for_every_algorithm() {
                     .unwrap();
                     let (lowered, report) =
                         execute_chunks(&plan, typed.clone(), &chunks, Interval::TIMELINE).unwrap();
+                    let dynamic = dynamic.map(RowValues::from);
                     assert_eq!(lowered, dynamic, "typed vs MultiDyn: {what}");
                     assert_eq!(lowered, want, "typed vs oracle: {what}");
                     assert_eq!(report.tuples, r.len());
@@ -229,7 +230,7 @@ fn typed_product_matches_multidyn_and_oracle_for_every_algorithm() {
                         &chunks,
                         Interval::TIMELINE,
                         16,
-                        |c: &[SeriesEntry<Vec<Value>>]| streamed.extend_from_slice(c),
+                        |c: &[SeriesEntry<RowValues>]| streamed.extend_from_slice(c),
                     )
                     .unwrap();
                     assert_eq!(streamed, lowered.entries(), "streamed: {what}");
@@ -286,7 +287,11 @@ fn saturating_sums_agree_between_the_products() {
             .unwrap();
             let (lowered, _) =
                 execute_chunks(&plan, typed.clone(), &chunks, Interval::TIMELINE).unwrap();
-            assert_eq!(lowered, dynamic, "{choice:?} × {parallelism}");
+            assert_eq!(
+                lowered,
+                dynamic.map(RowValues::from),
+                "{choice:?} × {parallelism}"
+            );
         }
     }
     if VALIDATED {
@@ -317,7 +322,7 @@ fn rows_of(group: Option<Value>, series: Series<Vec<Value>>, coalesce: bool) -> 
         .map(|e| ResultRow {
             group: group.clone(),
             valid: e.interval,
-            values: e.value,
+            values: e.value.into(),
         })
         .collect()
 }
@@ -531,7 +536,7 @@ fn check_shapes(r: &TemporalRelation, select_list: &str, members: &[DynAggregate
             want.push(ResultRow {
                 group: Some(key.clone()),
                 valid: span,
-                values: multi.finish(&state),
+                values: multi.finish(&state).into(),
             });
         }
     }
@@ -715,7 +720,7 @@ fn empty_relation_edges() {
         vec![ResultRow {
             group: None,
             valid: Interval::TIMELINE,
-            values: vec![Value::Int(0), Value::Null, Value::Null],
+            values: vec![Value::Int(0), Value::Null, Value::Null].into(),
         }]
     );
     let grouped = execute_str(&c, "SELECT SUM(i) FROM t GROUP BY g").unwrap();

@@ -337,6 +337,47 @@ fn cache_report_counts_index_probes() {
     assert_eq!(warm.cache.index_probes, 1);
 }
 
+/// Planning an `OVER` statement reads how many runs the cached series
+/// has, not the series: the first probe after a write publishes no MVCC
+/// version (a reader pinning the old one would otherwise see a second
+/// version appear), still takes the index, and equals a linear
+/// `scan_window` over the series as it stands after the write.
+#[test]
+fn over_probe_after_a_write_publishes_nothing() {
+    use temporal_aggregates::algo::scan_window;
+    let mut rng = 0xFACE;
+    let mut catalog = Catalog::new();
+    catalog.register("t", shaped_relation("random", &mut rng, 1_024, 4));
+    let sql = "SELECT SUM(x) OVER [100, 900] FROM t";
+    execute_str(&catalog, sql).unwrap(); // builds the cache and its index
+    let store = catalog.store("t").unwrap();
+    let pinned = store.snapshot(AggKind::Sum, Some(1)).unwrap();
+    assert_eq!(store.cached_runs(AggKind::Sum, Some(1)), Some(pinned.len()));
+    assert_eq!(store.cached_runs(AggKind::Max, Some(1)), None);
+
+    execute_statement(&mut catalog, "INSERT INTO t VALUES (1, 7) VALID [150, 450]").unwrap();
+    let store = catalog.store("t").unwrap();
+    let before = store.cache_stats();
+    assert_eq!((before.live_versions, before.pinned_versions), (1, 1));
+
+    let probed = execute_str(&catalog, sql).unwrap();
+    assert_eq!(
+        probed.plan.as_ref().unwrap().choice,
+        AlgorithmChoice::IndexProbe
+    );
+    assert_eq!(probed.cache.index_hits, 1);
+    assert_eq!(store.cache_stats(), before);
+
+    // The answer is the live series', not the pinned one's.
+    let fresh = store.snapshot(AggKind::Sum, Some(1)).unwrap();
+    assert_eq!(store.cache_stats().live_versions, 2);
+    assert_eq!(store.cached_runs(AggKind::Sum, Some(1)), Some(fresh.len()));
+    let window = Interval::at(100, 900);
+    let want = scan_window(&*fresh, window).integral_value();
+    assert_eq!(probed.rows[0].values, vec![want.clone()]);
+    assert_ne!(scan_window(&*pinned, window).integral_value(), want);
+}
+
 /// `sweep_values` (the grouped fallback's kernel) agrees with the cache
 /// the store publishes for the same tuples — the byte-identity bridge
 /// the TOP-k machinery depends on.
