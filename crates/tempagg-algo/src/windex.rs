@@ -233,23 +233,31 @@ impl WindowIndex {
     /// Build in `O(n)` from a constant-interval series: one leaf per run,
     /// then one bottom-up pass over the internal levels.
     pub fn build(mode: IndexMode, series: &Series<Value>) -> WindowIndex {
-        let entries = series.entries();
-        let leaves = entries.len().max(1);
+        WindowIndex::over(mode, series)
+    }
+
+    /// [`build`](WindowIndex::build) over whatever runs `source` holds
+    /// now — how a maintained series gets its first index, and a fresh one
+    /// once it has outgrown the cuts of the last.
+    pub fn over(mode: IndexMode, source: &dyn RunSource) -> WindowIndex {
+        // Count first, so the node array is allocated once at its final
+        // size and the leaves are written where they stay.
+        let mut runs = 0usize;
+        source.for_each_run_in(Interval::TIMELINE, &mut |_, _| runs += 1);
+        let leaves = runs.max(1);
         let size = leaves.next_power_of_two();
         let mut nodes = vec![IndexNode::neutral(); 2 * size];
         let mut starts = Vec::with_capacity(leaves);
         let mut end = Timestamp::ORIGIN;
-        if entries.is_empty() {
-            starts.push(Timestamp::ORIGIN);
-        } else {
-            for (l, entry) in entries.iter().enumerate() {
-                starts.push(entry.interval.start());
-                end = entry.interval.end();
-                let Some(leaf) = nodes.get_mut(size + l) else {
-                    continue;
-                };
-                leaf.absorb_run(entry.interval, &entry.value);
+        source.for_each_run_in(Interval::TIMELINE, &mut |interval, value| {
+            if let Some(leaf) = nodes.get_mut(size + starts.len()) {
+                leaf.absorb_run(interval, value);
             }
+            starts.push(interval.start());
+            end = interval.end();
+        });
+        if starts.is_empty() {
+            starts.push(Timestamp::ORIGIN);
         }
         let mut index = WindowIndex {
             mode,
@@ -267,7 +275,9 @@ impl WindowIndex {
         self.mode
     }
 
-    /// Leaf count (the build-time run count).
+    /// Leaf count: the run count this index was cut for. A series that
+    /// has since doubled wants a fresh index (its leaves each cover two
+    /// runs or more, and the edges of a probe scan them).
     pub fn leaf_count(&self) -> usize {
         self.leaves
     }

@@ -122,6 +122,24 @@ impl TemporalRelation {
         self.tuples.retain(|t| pred(t));
     }
 
+    /// Remove the tuples whose position is flagged, compacting the rest in
+    /// place (storage order kept), and return the removed ones in storage
+    /// order. Positions past the end of `flags` are kept. The single pass a
+    /// `DELETE` needs once its predicate has been evaluated.
+    pub fn remove_flagged(&mut self, flags: &[bool]) -> Vec<Tuple> {
+        let mut removed = Vec::new();
+        let mut flags = flags.iter();
+        self.tuples.retain_mut(|tuple| {
+            let flagged = flags.next().copied().unwrap_or(false);
+            if flagged {
+                let hole = Tuple::new(Vec::new(), tuple.valid());
+                removed.push(std::mem::replace(tuple, hole));
+            }
+            !flagged
+        });
+        removed
+    }
+
     /// Reorder tuples by the given permutation: the tuple currently at
     /// position `perm[i]` moves to position `i`. Used by workload
     /// generators to realise k-ordered layouts.

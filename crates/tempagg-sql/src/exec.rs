@@ -1654,9 +1654,12 @@ mod tests {
         .unwrap();
         assert!(!scanned.cache.served_from_cache);
         assert_eq!(scanned.rows, top.rows);
-        // DML invalidates the grouped indexes: a big insert re-ranks.
+        // DML patches the group it writes to (g=3's cache and index, no
+        // rebuild: the ranking after it is an index hit): a big insert
+        // re-ranks.
         execute_statement(&mut c, "INSERT INTO m VALUES (3, 50) VALID [0, 19]").unwrap();
         let reranked = execute_str(&c, sql).unwrap();
+        assert_eq!(reranked.cache.index_misses, 0);
         // g=3 now integrates 51·5 + 50·15 = 1005.
         assert_eq!(reranked.rows[0].group, Some(Value::Int(3)));
         assert_eq!(reranked.rows[0].values, vec![Value::Int(1005)]);

@@ -30,11 +30,12 @@
 //! an immutable epoch-stamped version through the core
 //! [`VersionedSeries`] chain, materialized at most once per epoch.
 
+use crate::runs::{Run, RunList};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tempagg_agg::{DynActive, DynAggregate, SweepAggregate};
-use tempagg_algo::{SweepAggregator, TemporalAggregator};
+use tempagg_algo::{RunSource, SweepAggregator, TemporalAggregator, WindowIndex};
 use tempagg_core::{
     Epoch, Interval, Result, Series, SeriesEntry, TemporalRelation, Timestamp, Tuple, Value,
     VersionedSeries,
@@ -132,17 +133,6 @@ pub fn sweep_values(agg: &DynAggregate, column: Option<usize>, tuples: &[&Tuple]
     Series::from_entries(entries)
 }
 
-/// One constant-interval run of the working series.
-#[derive(Clone, Debug)]
-struct Run {
-    interval: Interval,
-    /// The retractable active state over the tuples covering this run.
-    /// Meaningful only for retractable classes; recompute-mode caches
-    /// keep an empty placeholder.
-    state: DynActive,
-    value: Value,
-}
-
 /// A versioned, incrementally maintained cache of one aggregate's
 /// constant-interval series.
 #[derive(Clone, Debug)]
@@ -150,7 +140,7 @@ pub(crate) struct AggCache {
     agg: DynAggregate,
     column: Option<usize>,
     /// Working series: runs tile `[0, ∞]` in time order.
-    runs: Vec<Run>,
+    runs: RunList,
     /// Interior boundary refcounts: how many live tuples contribute each
     /// run edge strictly after the origin.
     boundaries: BTreeMap<Timestamp, u32>,
@@ -163,16 +153,17 @@ pub(crate) struct AggCache {
 }
 
 impl AggCache {
-    /// Build the cache from scratch: the sweep kernel's admit/retract
-    /// endpoint scan, but retaining the active state per run so later
-    /// writes can patch it.
-    pub(crate) fn build(
+    /// Build the cache from scratch over `tuples` (a relation's, or one
+    /// group's members): the sweep kernel's admit/retract endpoint scan,
+    /// but retaining the active state per run so later writes can patch
+    /// it.
+    pub(crate) fn build<T: Borrow<Tuple>>(
         agg: DynAggregate,
         column: Option<usize>,
-        relation: &TemporalRelation,
+        tuples: &[T],
     ) -> AggCache {
-        let mut runs = Vec::new();
-        let boundaries = sweep_runs(&agg, column, relation.tuples(), |interval, active| {
+        let mut runs = RunList::new();
+        let boundaries = sweep_runs(&agg, column, tuples, |interval, active| {
             runs.push(Run {
                 interval,
                 state: active.clone(),
@@ -220,73 +211,21 @@ impl AggCache {
         self.agg.sweep_class().retractable()
     }
 
-    /// Index of the run containing instant `t` (runs tile the timeline).
-    fn run_index_at(&self, t: Timestamp) -> usize {
-        self.runs.partition_point(|r| r.interval.end() < t)
-    }
-
-    /// Index range of the runs overlapping `iv`.
-    fn run_range(&self, iv: Interval) -> std::ops::Range<usize> {
-        let lo = self.runs.partition_point(|r| r.interval.end() < iv.start());
-        let hi = self
-            .runs
-            .partition_point(|r| r.interval.start() <= iv.end());
-        lo..hi
-    }
-
-    /// Visit every run overlapping `window`, in time order, clipped to
-    /// the window — the [`tempagg_algo::RunSource`] contract, reading the
-    /// working series directly so the window index can probe and refresh
-    /// without materialising a snapshot.
-    pub(crate) fn for_each_run_in(&self, window: Interval, f: &mut dyn FnMut(Interval, &Value)) {
-        let range = self.run_range(window);
-        for run in self
-            .runs
-            .iter()
-            .skip(range.start)
-            .take(range.end.saturating_sub(range.start))
-        {
-            if let Some(clipped) = run.interval.intersect(&window) {
-                f(clipped, &run.value);
-            }
-        }
-    }
-
-    /// Reference a boundary; its first contributor splits the run.
+    /// Reference a boundary; its first contributor splits the run
+    /// containing it, both halves inheriting the state and value (the
+    /// active set is unchanged until the new tuple is folded in).
     fn add_boundary(&mut self, b: Timestamp) {
         let count = self.boundaries.entry(b).or_insert(0);
         *count += 1;
         if *count == 1 {
-            self.split_at(b);
+            self.runs.split_at(b);
         }
     }
 
-    /// Split the run containing `b` into `[.., b-1]` and `[b, ..]`, both
-    /// inheriting the state and value (the active set is unchanged until
-    /// the new tuple is folded in).
-    fn split_at(&mut self, b: Timestamp) {
-        let idx = self.run_index_at(b);
-        let Some(run) = self.runs.get_mut(idx) else {
-            return;
-        };
-        let Some((left, right)) = run.interval.split_before(b) else {
-            return;
-        };
-        run.interval = left;
-        let state = run.state.clone();
-        let value = run.value.clone();
-        self.runs.insert(
-            idx + 1,
-            Run {
-                interval: right,
-                state,
-                value,
-            },
-        );
-    }
-
     /// Release a boundary; its last contributor leaving merges the runs
-    /// it separated.
+    /// it separated. With no tuple edge left at `b`, the active set is
+    /// identical on both sides, so the predecessor's state and value
+    /// stand for the merged run.
     fn drop_boundary(&mut self, b: Timestamp) {
         let Some(count) = self.boundaries.get_mut(&b) else {
             return;
@@ -294,27 +233,7 @@ impl AggCache {
         *count = count.saturating_sub(1);
         if *count == 0 {
             self.boundaries.remove(&b);
-            self.merge_at(b);
-        }
-    }
-
-    /// Merge the run starting at `b` into its predecessor. With no tuple
-    /// edge left at `b`, the active set is identical on both sides, so
-    /// the predecessor's state and value stand for the merged run.
-    fn merge_at(&mut self, b: Timestamp) {
-        let idx = self.run_index_at(b);
-        if idx == 0 {
-            return;
-        }
-        let Some(run) = self.runs.get(idx) else {
-            return;
-        };
-        if run.interval.start() != b {
-            return;
-        }
-        let right = self.runs.remove(idx);
-        if let Some(left) = self.runs.get_mut(idx - 1) {
-            left.interval = left.interval.hull(&right.interval);
+            self.runs.merge_at(b);
         }
     }
 
@@ -359,6 +278,29 @@ impl AggCache {
         }
     }
 
+    /// Absorb one tuple whose cached column changed from `old` to `new`
+    /// while its valid time stayed: retract and fold in one pass over the
+    /// runs it covers. Its boundaries and their refcounts end where they
+    /// began, so they are not touched. The relation already holds `new`.
+    pub(crate) fn apply_update(
+        &mut self,
+        valid: Interval,
+        old: &Value,
+        new: &Value,
+        relation: &TemporalRelation,
+    ) -> Result<()> {
+        if !self.patches_states() {
+            return self.recompute_window(valid, relation);
+        }
+        let agg = self.agg;
+        self.patched_runs += self.runs.for_each_in_mut(valid, |run| {
+            agg.active_remove(&mut run.state, old);
+            agg.active_insert(&mut run.state, new);
+            run.value = agg.active_output(&run.state);
+        });
+        Ok(())
+    }
+
     /// Fold `value` into (or retract it from) the state of every run
     /// overlapping `iv`, refreshing the cached outputs.
     fn patch(
@@ -367,20 +309,11 @@ impl AggCache {
         value: &Value,
         op: fn(&DynAggregate, &mut DynActive, &Value),
     ) {
-        let range = self.run_range(iv);
         let agg = self.agg;
-        let mut patched = 0u64;
-        for run in self
-            .runs
-            .iter_mut()
-            .skip(range.start)
-            .take(range.end.saturating_sub(range.start))
-        {
+        self.patched_runs += self.runs.for_each_in_mut(iv, |run| {
             op(&agg, &mut run.state, value);
             run.value = agg.active_output(&run.state);
-            patched += 1;
-        }
-        self.patched_runs += patched;
+        });
     }
 
     /// The Approximate-class fallback: re-run the sweep kernel over just
@@ -389,10 +322,9 @@ impl AggCache {
     /// window's edges are existing run edges, so the recomputed segments
     /// align with the refcounted boundary structure exactly.
     fn recompute_window(&mut self, dirty: Interval, relation: &TemporalRelation) -> Result<()> {
-        let range = self.run_range(dirty);
         let window = match (
-            self.runs.get(range.start),
-            range.end.checked_sub(1).and_then(|i| self.runs.get(i)),
+            self.runs.run_at(dirty.start()),
+            self.runs.run_at(dirty.end()),
         ) {
             (Some(first), Some(last)) => first.interval.hull(&last.interval),
             _ => return Ok(()),
@@ -414,7 +346,7 @@ impl AggCache {
                 value: e.value,
             })
             .collect();
-        drop(self.runs.splice(range, replacement));
+        self.runs.splice(window, replacement);
         self.recomputed_windows += 1;
         Ok(())
     }
@@ -424,45 +356,141 @@ impl AggCache {
     /// collected on publish.
     pub(crate) fn snapshot(&mut self, epoch: Epoch) -> Arc<Series<Value>> {
         let runs = &self.runs;
-        self.versions.snapshot_at(epoch, || {
-            Series::from_entries(
-                runs.iter()
-                    .map(|r| SeriesEntry::new(r.interval, r.value.clone()))
-                    .collect(),
-            )
-        })
+        self.versions
+            .snapshot_at(epoch, || Series::from_entries(runs.entries()))
     }
 
-    /// Structural invariants: runs tile `[0, ∞]`, and interior run edges
-    /// are exactly the refcounted boundaries.
+    /// The working series as a snapshot would publish it, without
+    /// publishing one.
     #[cfg(feature = "validate")]
+    pub(crate) fn series(&self) -> Series<Value> {
+        Series::from_entries(self.runs.entries())
+    }
+
+    /// Structural invariants: the chunked runs tile `[0, ∞]`, and interior
+    /// run edges are exactly the refcounted boundaries.
+    #[cfg(any(test, feature = "validate"))]
     pub(crate) fn validate_structure(&self) {
-        let mut expected_start = Interval::TIMELINE.start();
-        for (i, run) in self.runs.iter().enumerate() {
-            assert_eq!(
-                run.interval.start(),
-                expected_start,
-                "cache runs must tile the timeline (run {i})"
+        self.runs.validate_structure();
+        for run in self.runs.chunks().flatten().skip(1) {
+            assert!(
+                self.boundaries.contains_key(&run.interval.start()),
+                "interior run edge {} has no boundary refcount",
+                run.interval.start()
             );
-            if i > 0 {
-                assert!(
-                    self.boundaries.contains_key(&run.interval.start()),
-                    "interior run edge {} has no boundary refcount",
-                    run.interval.start()
-                );
-            }
-            expected_start = run.interval.end().next();
         }
-        let last_end = self.runs.last().map(|r| r.interval.end());
-        assert_eq!(
-            last_end,
-            Some(Interval::TIMELINE.end()),
-            "cache runs must extend to FOREVER"
-        );
         assert_eq!(
             self.boundaries.len(),
             self.runs.len().saturating_sub(1),
             "boundary refcounts must match interior run edges"
         );
+    }
+}
+
+/// The window index probes and refreshes straight off the working series:
+/// no snapshot is materialised on the way.
+impl RunSource for AggCache {
+    fn for_each_run_in(&self, window: Interval, f: &mut dyn FnMut(Interval, &Value)) {
+        self.runs.for_each_in(window, |run| {
+            if let Some(clipped) = run.interval.intersect(&window) {
+                f(clipped, &run.value);
+            }
+        });
+    }
+}
+
+/// Bring `index` back in step with `cache` after writes over `dirty`:
+/// recompute the leaves they overlap and refold their root paths. An
+/// index keeps the leaf cuts it was built with, so once the series holds
+/// twice the runs it was cut for (a group born from one tuple, a table
+/// created empty) it is rebuilt instead — amortized O(1) per write.
+pub(crate) fn refresh_index(index: &mut WindowIndex, cache: &AggCache, dirty: &[Interval]) {
+    if cache.runs_len() >= 2 * index.leaf_count() {
+        *index = WindowIndex::over(index.mode(), cache);
+    } else {
+        for iv in dirty {
+            index.refresh(*iv, cache);
+        }
+    }
+}
+
+/// `--features validate`: after an index was refreshed (or re-cut), build
+/// one from scratch over `fresh` — the series the cache holds now — and
+/// assert that the two answer the full timeline plus windows around every
+/// dirty interval byte-identically. A refreshed index keeps its original
+/// leaf cuts while the rebuilt one re-cuts at current run boundaries, so
+/// this compares probe *results*, never node layouts.
+#[cfg(feature = "validate")]
+pub(crate) fn validate_index(
+    index: &WindowIndex,
+    cache: &AggCache,
+    fresh: &Series<Value>,
+    dirty: &[Interval],
+) {
+    let rebuilt = WindowIndex::build(index.mode(), fresh);
+    let mut windows = vec![Interval::TIMELINE];
+    for iv in dirty {
+        windows.push(*iv);
+        let lo = Timestamp::new(iv.start().get().saturating_sub(16).max(0));
+        let hi = Timestamp::new(iv.end().get().saturating_add(16));
+        if let Ok(widened) = Interval::new(lo, hi) {
+            windows.push(widened);
+        }
+    }
+    for window in windows {
+        assert_eq!(
+            index.probe(window, cache),
+            rebuilt.probe(window, fresh),
+            "refreshed window index diverged from a rebuilt one"
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tempagg_agg::AggKind;
+    use tempagg_core::{Schema, ValueType};
+
+    /// The cache's runs, read through the window index's own door, clip
+    /// to any window exactly as the published series does — also where the
+    /// window's edges fall mid-run on either side of a chunk edge.
+    #[test]
+    fn runs_clip_across_a_chunk_edge_like_the_published_series() {
+        let mut relation = TemporalRelation::new(Schema::of(&[("x", ValueType::Int)]));
+        for i in 0..300i64 {
+            relation
+                .push(vec![Value::Int(i)], Interval::at(20 * i + 5, 20 * i + 14))
+                .unwrap();
+        }
+        let sum = DynAggregate::new(AggKind::Sum, ValueType::Int).unwrap();
+        let mut cache = AggCache::build(sum, Some(0), relation.tuples());
+        cache.validate_structure();
+        let edges: Vec<Timestamp> = cache
+            .runs
+            .chunks()
+            .skip(1)
+            .filter_map(|chunk| chunk.first().map(|run| run.interval.start()))
+            .collect();
+        assert_eq!(edges.len(), 2, "601 runs sit in three chunks");
+        let series = cache.snapshot(Epoch::ZERO);
+        let collect = |source: &dyn RunSource, window: Interval| {
+            let mut out = Vec::new();
+            source.for_each_run_in(window, &mut |iv, v| out.push((iv, v.clone())));
+            out
+        };
+        for edge in edges {
+            for (before, after) in [(0, 0), (1, 0), (0, 1), (3, 3), (17, 26), (400, 2)] {
+                let window = Interval::new(
+                    Timestamp::new(edge.get() - before),
+                    Timestamp::new(edge.get() + after),
+                )
+                .unwrap();
+                let got = collect(&cache, window);
+                assert_eq!(got, collect(&*series, window), "{window}");
+                assert_eq!(got.first().map(|(iv, _)| iv.start()), Some(window.start()));
+                assert_eq!(got.last().map(|(iv, _)| iv.end()), Some(window.end()));
+            }
+        }
     }
 }

@@ -23,6 +23,13 @@
 //!   kernel over just the dirty window — the hull of the runs overlapping
 //!   the change — never the full timeline.
 //!
+//! A write costs what it changes: each working series is a list of
+//! fixed-capacity run chunks (`runs.rs`), so a new run edge moves one
+//! chunk's runs and not the series; the window index over a cache is
+//! refreshed along the leaves the write dirtied; and the per-group caches
+//! behind `TOP k BY ... GROUP BY` (`grouped.rs`) are patched for the one
+//! or two groups the written tuple belongs to.
+//!
 //! Readers get MVCC snapshots: epoch-stamped immutable series versions
 //! published through [`VersionedSeries`](tempagg_core::VersionedSeries),
 //! shared as `Arc`s, with superseded versions collected once no reader
@@ -34,6 +41,8 @@
 #![forbid(unsafe_code)]
 
 mod cache;
+mod grouped;
+mod runs;
 mod store;
 
 pub use cache::sweep_values;
@@ -278,6 +287,186 @@ mod tests {
         assert!(!store.has_cache(AggKind::CountStar, None));
         store.ensure_cache(count_star(), None);
         assert!(store.has_cache(AggKind::CountStar, None));
+    }
+
+    /// A deterministic xorshift generator (no external dependencies).
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: i64) -> i64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            i64::try_from(self.0 % u64::try_from(n.max(1)).unwrap()).unwrap()
+        }
+    }
+
+    fn assert_close(got: &Series<Value>, want: &Series<Value>) {
+        assert_eq!(got.len(), want.len());
+        for (got, want) in got.iter().zip(want.iter()) {
+            assert_eq!(got.interval, want.interval);
+            match (&got.value, &want.value) {
+                (Value::Float(a), Value::Float(b)) => {
+                    assert!((a - b).abs() < 1e-9, "drifted: {a} vs {b}");
+                }
+                (a, b) => assert_eq!(a, b),
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_window_splice_spans_several_chunks() {
+        let schema = Schema::of(&[("x", ValueType::Float)]);
+        let mut relation = TemporalRelation::new(schema);
+        for i in 0..700i64 {
+            relation
+                .push(
+                    vec![Value::Float(
+                        f64::from(i32::try_from(i % 97).unwrap()) / 7.0,
+                    )],
+                    Interval::at(i * 10, i * 10 + 4),
+                )
+                .unwrap();
+        }
+        let mut store = TemporalStore::new(relation);
+        let avg = DynAggregate::new(AggKind::Avg, ValueType::Float).unwrap();
+        store.ensure_cache(avg, Some(0));
+        // 1,400 runs in six chunks; each write below dirties ≈ 1,000 of
+        // them, from the first chunk into the fifth.
+        assert_eq!(store.cache_stats().runs, 1400);
+        store
+            .insert(vec![Value::Float(2.5)], Interval::at(1002, 6003))
+            .unwrap();
+        store.validate_structure();
+        assert_eq!(store.cache_stats().runs, 1402);
+        assert_close(
+            &store.snapshot(AggKind::Avg, Some(0)).unwrap(),
+            &recompute(store.relation(), avg, Some(0)),
+        );
+        // An update keeps valid time: one recompute, not a delete's and an
+        // insert's.
+        let before = store.cache_stats().recomputed_windows;
+        store
+            .update_where(
+                |t| t.valid() == Interval::at(1002, 6003),
+                &[(0, Value::Float(-4.0))],
+            )
+            .unwrap();
+        assert_eq!(store.cache_stats().recomputed_windows, before + 1);
+        store.validate_structure();
+        assert_close(
+            &store.snapshot(AggKind::Avg, Some(0)).unwrap(),
+            &recompute(store.relation(), avg, Some(0)),
+        );
+        store
+            .delete_where(|t| t.valid() == Interval::at(1002, 6003))
+            .unwrap();
+        store.validate_structure();
+        assert_eq!(store.cache_stats().runs, 1400);
+        assert_close(
+            &store.snapshot(AggKind::Avg, Some(0)).unwrap(),
+            &recompute(store.relation(), avg, Some(0)),
+        );
+    }
+
+    #[test]
+    fn chunks_stay_sound_over_ten_thousand_seeded_writes() {
+        let mut store = TemporalStore::with_schema(schema());
+        store.ensure_cache(count_star(), None);
+        store.ensure_cache(agg(AggKind::Sum), Some(1));
+        store.ensure_cache(agg(AggKind::Min), Some(1));
+        let mut rng = Rng(0x1995_0306);
+        let mut live: Vec<Interval> = Vec::new();
+        let mut peak = 0;
+        for step in 0..10_000 {
+            // Grow to ≈ 2,000 tuples (≈ 3,900 runs in fifteen chunks and
+            // more per cache), shrink to almost nothing, then hover.
+            let grow = match step {
+                0..=3_999 => 75,
+                4_000..=7_499 => 20,
+                _ => 50,
+            };
+            if live.is_empty() || rng.below(100) < grow {
+                let start = rng.below(50_000);
+                let valid = if rng.below(50) == 0 {
+                    Interval::from_start(start)
+                } else {
+                    Interval::at(start, start + rng.below(400))
+                };
+                store
+                    .insert(vec![Value::from("t"), Value::Int(rng.below(1000))], valid)
+                    .unwrap();
+                live.push(valid);
+            } else {
+                let at = usize::try_from(rng.below(i64::try_from(live.len()).unwrap())).unwrap();
+                let valid = live.swap_remove(at);
+                let mut first = true;
+                let deleted = store
+                    .delete_where(|t| t.valid() == valid && std::mem::take(&mut first))
+                    .unwrap();
+                assert_eq!(deleted, 1);
+            }
+            // A broken tiling or fence stays broken until its chunk is
+            // rewritten, so every eighth write is often enough.
+            if step % 8 == 0 {
+                store.validate_structure();
+            }
+            peak = peak.max(store.cache_stats().runs);
+            if step % 500 == 499 {
+                for (kind, column) in [
+                    (AggKind::CountStar, None),
+                    (AggKind::Sum, Some(1)),
+                    (AggKind::Min, Some(1)),
+                ] {
+                    let snap = store.snapshot(kind, column).unwrap();
+                    assert_eq!(*snap, recompute(store.relation(), agg(kind), column));
+                }
+            }
+        }
+        store.validate_structure();
+        assert_eq!(store.len(), live.len());
+        assert!(peak > 3 * 3_500, "three caches of fourteen chunks: {peak}");
+    }
+
+    #[test]
+    fn update_in_place_leaves_boundaries_alone() {
+        let mut store = TemporalStore::new(employed());
+        store.ensure_cache(agg(AggKind::Sum), Some(1));
+        store.ensure_cache(agg(AggKind::Min), Some(1));
+        let before = store.cache_stats();
+        // Nathan's [7, 12] covers two runs ([7, 7] and [8, 12]) in each of
+        // the two caches; nobody shares his endpoints.
+        store
+            .update_where(
+                |t| t.value(0) == &Value::from("Nathan"),
+                &[(1, Value::Int(1))],
+            )
+            .unwrap();
+        let after = store.cache_stats();
+        assert_eq!(after.runs, before.runs);
+        assert_eq!(after.patched_runs, before.patched_runs + 4);
+        store.validate_structure();
+        for kind in [AggKind::Sum, AggKind::Min] {
+            let snap = store.snapshot(kind, Some(1)).unwrap();
+            assert_eq!(*snap, recompute(store.relation(), agg(kind), Some(1)));
+        }
+    }
+
+    #[test]
+    fn delete_evaluates_its_predicate_once_per_tuple() {
+        let mut store = TemporalStore::new(employed());
+        store.ensure_cache(count_star(), None);
+        let mut calls = 0;
+        let deleted = store
+            .delete_where(|t| {
+                calls += 1;
+                t.valid().start() == Timestamp::new(18)
+            })
+            .unwrap();
+        assert_eq!((deleted, calls), (2, 4));
+        let names: Vec<&Value> = store.relation().iter().map(|t| t.value(0)).collect();
+        assert_eq!(names, [&Value::from("Karen"), &Value::from("Nathan")]);
+        let snap = store.snapshot(AggKind::CountStar, None).unwrap();
+        assert_eq!(*snap, recompute(store.relation(), count_star(), None));
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -571,6 +760,66 @@ mod tests {
         store
             .top_k_by_window(AggKind::Sum, Some(1), 0, window, 3)
             .unwrap();
+        assert_eq!(store.windex_stats().misses, misses);
+    }
+
+    #[test]
+    fn a_write_between_two_rankings_patches_the_groups() {
+        let schema = Schema::of(&[("g", ValueType::Int), ("v", ValueType::Int)]);
+        let mut relation = TemporalRelation::new(schema);
+        for g in 0..4i64 {
+            for j in 0..5i64 {
+                relation
+                    .push(
+                        vec![Value::Int(g), Value::Int(10 * g + j)],
+                        Interval::at(g + 2 * j, g + 2 * j + 10),
+                    )
+                    .unwrap();
+            }
+        }
+        let mut store = TemporalStore::new(relation);
+        let window = Interval::at(3, 25);
+        let rank = |store: &TemporalStore| {
+            let (ranked, _) = store
+                .top_k_by_window(AggKind::Sum, Some(1), 0, window, 2)
+                .unwrap();
+            let fresh = TemporalStore::new(store.relation().clone());
+            let (want, _) = fresh
+                .top_k_by_window(AggKind::Sum, Some(1), 0, window, 2)
+                .unwrap();
+            assert_eq!(ranked, want, "patched groups rank unlike rebuilt ones");
+            ranked
+        };
+        assert_eq!(rank(&store)[0].0, Value::Int(3));
+        let misses = store.windex_stats().misses;
+        assert_eq!(misses, 1);
+        // An insert into a group, one that founds a group, an update that
+        // moves a tuple between groups, one that changes the ranked value,
+        // and a delete that empties a group: each ranking after is a hit.
+        store
+            .insert(vec![Value::Int(0), Value::Int(500)], Interval::at(0, 30))
+            .unwrap();
+        assert_eq!(rank(&store)[0].0, Value::Int(0));
+        store
+            .insert(vec![Value::Int(9), Value::Int(900)], Interval::at(5, 20))
+            .unwrap();
+        assert_eq!(rank(&store)[0].0, Value::Int(9));
+        store
+            .update_where(|t| t.value(0) == &Value::Int(9), &[(0, Value::Int(1))])
+            .unwrap();
+        assert_eq!(rank(&store)[0].0, Value::Int(1));
+        store
+            .update_where(|t| t.value(1) == &Value::Int(900), &[(1, Value::Int(1))])
+            .unwrap();
+        assert_eq!(rank(&store)[0].0, Value::Int(0));
+        store
+            .delete_where(|t| t.value(0) == &Value::Int(0))
+            .unwrap();
+        let ranked = rank(&store);
+        assert!(
+            ranked.iter().all(|(g, _)| g != &Value::Int(0)),
+            "{ranked:?}"
+        );
         assert_eq!(store.windex_stats().misses, misses);
     }
 

@@ -1,13 +1,16 @@
 //! The mutable temporal store: an updatable interval relation plus the
 //! versioned aggregate caches maintained under every write.
 
-use crate::cache::{extract, sweep_values, AggCache};
+#[cfg(feature = "validate")]
+use crate::cache::validate_index;
+use crate::cache::{extract, refresh_index, AggCache};
+use crate::grouped::GroupedIndexes;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tempagg_agg::{AggKind, DynAggregate, SweepAggregate, SweepClass};
-use tempagg_algo::{GroupProbe, IndexMode, RunSource, WindowAggregate, WindowIndex};
+use tempagg_algo::{IndexMode, WindowAggregate, WindowIndex};
 use tempagg_core::pager::{
     self, PagedReader, PagedWriteOptions, PagedWriteStats, PersistedSeries, DEFAULT_PAGE_BYTES,
 };
@@ -57,25 +60,6 @@ pub struct WindowIndexStats {
     pub probes: u64,
 }
 
-/// The per-group window indexes behind one `TOP k BY agg(col) OVER w`
-/// shape: for each distinct grouping value, the group's aggregate series
-/// and the window index built over it. Ordered by grouping value.
-#[derive(Clone, Debug)]
-struct GroupedIndexes {
-    groups: Vec<(Value, Arc<Series<Value>>, WindowIndex)>,
-}
-
-/// [`RunSource`] over a live cache's working series: the window index
-/// probes and refreshes straight off the maintained runs, with no
-/// snapshot materialisation on the hot path.
-struct CacheRuns<'a>(&'a AggCache);
-
-impl RunSource for CacheRuns<'_> {
-    fn for_each_run_in(&self, window: Interval, f: &mut dyn FnMut(Interval, &Value)) {
-        self.0.for_each_run_in(window, f);
-    }
-}
-
 /// The index mode a cached aggregate supports, or `None` when it cannot
 /// be indexed at all: float combines (`SUM`/`AVG` over floats, variance
 /// family) are inexact under reassociation, and the tree folds values in
@@ -123,9 +107,10 @@ pub struct TemporalStore {
     /// along root-to-leaf paths under every write. Never persisted — a
     /// reopened store rebuilds them from its restored series.
     windex: RefCell<BTreeMap<CacheKey, WindowIndex>>,
-    /// Per-group window indexes for `TOP k BY` ranking probes, keyed by
-    /// the ranked aggregate plus the grouping column. Rebuilt lazily
-    /// after any write (group membership can change arbitrarily).
+    /// Per-group caches and window indexes for `TOP k BY` ranking
+    /// probes, keyed by the ranked aggregate plus the grouping column.
+    /// Built on the first ranking of a shape; every write then patches
+    /// the groups its tuples belong to.
     grouped: RefCell<BTreeMap<(CacheKey, usize), GroupedIndexes>>,
     /// Cumulative window-index usage counters.
     windex_stats: RefCell<WindowIndexStats>,
@@ -285,7 +270,10 @@ impl TemporalStore {
             let Ok(agg) = dyn_for(&schema, key) else {
                 continue;
             };
-            caches.insert(key, AggCache::build(agg, key.column, &self.relation));
+            caches.insert(
+                key,
+                AggCache::build(agg, key.column, self.relation.tuples()),
+            );
         }
     }
 
@@ -340,32 +328,27 @@ impl TemporalStore {
             cache.apply_insert(tuple.valid(), &value, &self.relation)?;
         }
         self.refresh_indexes(&[tuple.valid()]);
+        for grouped in self.grouped.get_mut().values_mut() {
+            grouped.insert(tuple, &self.relation)?;
+        }
         self.bump();
+        #[cfg(feature = "validate")]
+        self.validate_groups(std::iter::once(tuple));
         Ok(())
     }
 
     /// Delete every tuple satisfying `pred`, retracting each from every
-    /// cache. Returns the number of tuples deleted.
+    /// cache. Returns the number of tuples deleted. `pred` sees each tuple
+    /// once; a statement that matches nothing changes nothing — restored
+    /// series stay restored and the store stays clean.
     pub fn delete_where(&mut self, pred: impl FnMut(&Tuple) -> bool) -> Result<usize> {
         let flags: Vec<bool> = self.relation.iter().map(pred).collect();
-        let removed: Vec<Tuple> = self
-            .relation
-            .iter()
-            .zip(&flags)
-            .filter(|(_, &flagged)| flagged)
-            .map(|(t, _)| t.clone())
-            .collect();
-        if removed.is_empty() {
+        if !flags.contains(&true) {
             return Ok(0);
         }
         self.promote_restored();
         self.dirty = true;
-        let mut index = 0usize;
-        self.relation.retain(|_| {
-            let keep = !flags.get(index).copied().unwrap_or(false);
-            index += 1;
-            keep
-        });
+        let removed = self.relation.remove_flagged(&flags);
         let caches = self.caches.get_mut();
         for cache in caches.values_mut() {
             for tuple in &removed {
@@ -375,16 +358,24 @@ impl TemporalStore {
         }
         let dirty: Vec<Interval> = removed.iter().map(Tuple::valid).collect();
         self.refresh_indexes(&dirty);
+        for grouped in self.grouped.get_mut().values_mut() {
+            for tuple in &removed {
+                grouped.remove(tuple, &self.relation)?;
+            }
+        }
         self.bump();
+        #[cfg(feature = "validate")]
+        self.validate_groups(removed.iter());
         Ok(removed.len())
     }
 
     /// Update every tuple satisfying `pred`: each `(column, value)`
     /// assignment overwrites that attribute, valid time is unchanged.
-    /// Caches reading an assigned column see an exact retract-then-insert
-    /// of the changed value; all other caches (including `COUNT(*)`) are
-    /// untouched. The whole statement is validated before any tuple is
-    /// written, so a failed UPDATE mutates nothing.
+    /// Caches reading an assigned column retract the old value and fold
+    /// the new one in one pass over the tuple's runs; all other caches
+    /// (including `COUNT(*)`) are untouched. The whole statement is
+    /// validated before any tuple is written, so a failed UPDATE mutates
+    /// nothing.
     pub fn update_where(
         &mut self,
         mut pred: impl FnMut(&Tuple) -> bool,
@@ -423,35 +414,50 @@ impl TemporalStore {
                 continue;
             }
             for (_, old, new) in &replacements {
-                cache.apply_delete(old.valid(), &extract(old, Some(column)), &self.relation)?;
-                cache.apply_insert(new.valid(), &extract(new, Some(column)), &self.relation)?;
+                cache.apply_update(
+                    new.valid(),
+                    old.value(column),
+                    new.value(column),
+                    &self.relation,
+                )?;
             }
         }
         let dirty: Vec<Interval> = replacements.iter().map(|(_, _, new)| new.valid()).collect();
         self.refresh_indexes(&dirty);
+        for grouped in self.grouped.get_mut().values_mut() {
+            for (_, old, new) in &replacements {
+                grouped.update(old, new, &self.relation)?;
+            }
+        }
         self.bump();
+        #[cfg(feature = "validate")]
+        self.validate_groups(replacements.iter().flat_map(|(_, old, new)| [old, new]));
         Ok(replacements.len())
     }
 
     fn bump(&mut self) {
         self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]
-        {
-            for cache in self.caches.get_mut().values() {
-                cache.validate_structure();
-            }
+        self.validate_structure();
+    }
+
+    /// Every cache's chunked runs tile the timeline on exactly the
+    /// refcounted boundaries.
+    #[cfg(any(test, feature = "validate"))]
+    pub(crate) fn validate_structure(&self) {
+        for cache in self.caches.borrow().values() {
+            cache.validate_structure();
         }
     }
 
     /// Patch every warm window index for the changed intervals: each
     /// dirty interval recomputes the leaves it overlaps from the
     /// already-patched cache runs, then refolds only the root-to-leaf
-    /// ancestor paths — O(runs-in-dirty + log n) per index, never a
-    /// rebuild. Grouped `TOP k` indexes are invalidated instead (a write
-    /// can move tuples between groups arbitrarily) and rebuilt lazily on
-    /// the next ranking probe.
+    /// ancestor paths — O(runs-in-dirty + log n) per index, and a rebuild
+    /// only once the series has doubled since the index was cut (see
+    /// [`refresh_index`]). The grouped `TOP k` indexes get the same
+    /// treatment per touched group, from the write paths themselves.
     fn refresh_indexes(&mut self, dirty: &[Interval]) {
-        self.grouped.get_mut().clear();
         let caches = self.caches.get_mut();
         let windex = self.windex.get_mut();
         windex.retain(|key, _| caches.contains_key(key));
@@ -459,12 +465,19 @@ impl TemporalStore {
             let Some(cache) = caches.get(key) else {
                 continue;
             };
-            let source = CacheRuns(cache);
-            for iv in dirty {
-                index.refresh(*iv, &source);
-            }
+            refresh_index(index, cache, dirty);
             #[cfg(feature = "validate")]
-            validate_refreshed(index, cache, dirty);
+            validate_index(index, cache, &cache.series(), dirty);
+        }
+    }
+
+    /// `--features validate`: the groups the statement's tuples belong to
+    /// (or left) match a rebuild from their members, in every ranking
+    /// shape.
+    #[cfg(feature = "validate")]
+    fn validate_groups<'a>(&self, touched: impl Iterator<Item = &'a Tuple> + Clone) {
+        for grouped in self.grouped.borrow().values() {
+            grouped.validate(&self.relation, touched.clone());
         }
     }
 
@@ -518,8 +531,16 @@ impl TemporalStore {
         if self.windex.borrow().contains_key(&key) {
             return true;
         }
-        let series = self.snapshot_or_build(agg, key.column);
-        let index = WindowIndex::build(mode, &series);
+        let index = match self.restored.borrow().get(&key) {
+            Some(series) => WindowIndex::build(mode, series),
+            None => {
+                let mut caches = self.caches.borrow_mut();
+                let cache = caches
+                    .entry(key)
+                    .or_insert_with(|| AggCache::build(agg, key.column, self.relation.tuples()));
+                WindowIndex::over(mode, cache)
+            }
+        };
         self.windex.borrow_mut().insert(key, index);
         false
     }
@@ -556,12 +577,11 @@ impl TemporalStore {
         let index = windex.get(&key).expect("ensure_windex built the index");
         let caches = self.caches.borrow();
         if let Some(cache) = caches.get(&key) {
-            let source = CacheRuns(cache);
-            let out = index.probe(window, &source);
+            let out = index.probe(window, cache);
             #[cfg(feature = "validate")]
             assert_eq!(
                 out,
-                tempagg_algo::scan_window(&source, window),
+                tempagg_algo::scan_window(cache, window),
                 "window index probe diverged from the linear scan oracle"
             );
             Ok(out)
@@ -609,7 +629,7 @@ impl TemporalStore {
         let index = windex.get(&key).expect("ensure_windex built the index");
         let caches = self.caches.borrow();
         if let Some(cache) = caches.get(&key) {
-            Ok(index.extreme_instant(window, want_max, &CacheRuns(cache)))
+            Ok(index.extreme_instant(window, want_max, cache))
         } else {
             let restored = self.restored.borrow();
             let series = restored
@@ -628,7 +648,9 @@ impl TemporalStore {
     /// each group first contributes a cheap O(1) upper bound from its
     /// index root, and only groups whose bound can still reach the
     /// current top-k are resolved exactly — most groups are pruned
-    /// without a full descent.
+    /// without a full descent. The groups are built on the first ranking
+    /// of a shape (a *miss*) and patched under writes from then on, so a
+    /// ranking after a write is a *hit* like any other.
     pub fn top_k_by_window(
         &self,
         kind: AggKind,
@@ -646,83 +668,20 @@ impl TemporalStore {
             )));
         }
         let gkey = (key, group_column);
-        let hit = self.grouped.borrow().contains_key(&gkey);
-        if !hit {
-            let built = self.build_grouped(&agg, column, group_column, mode);
-            self.grouped.borrow_mut().insert(gkey, built);
-        }
-        let grouped = self.grouped.borrow();
-        // lint: allow(no-unwrap): inserted above when absent
-        let entry = grouped.get(&gkey).expect("grouped indexes built above");
-        let probes: Vec<GroupProbe<'_>> = entry
-            .groups
-            .iter()
-            .map(|(_, series, index)| GroupProbe {
-                index,
-                source: &**series,
-            })
-            .collect();
-        let outcome = tempagg_algo::top_k(&probes, window, k);
-        {
-            let mut stats = self.windex_stats.borrow_mut();
-            if hit {
-                stats.hits += 1;
-            } else {
-                stats.misses += 1;
-            }
-            stats.probes += outcome.probes;
-        }
-        let ranked = outcome
-            .ranked
-            .into_iter()
-            .filter_map(|(group, aggregate)| {
-                entry
-                    .groups
-                    .get(group)
-                    .map(|(value, _, _)| (value.clone(), aggregate))
-            })
-            .collect();
-        Ok((ranked, outcome.probes))
-    }
-
-    /// Partition the relation by `group_column` and build one aggregate
-    /// series plus window index per distinct grouping value.
-    fn build_grouped(
-        &self,
-        agg: &DynAggregate,
-        column: Option<usize>,
-        group_column: usize,
-        mode: IndexMode,
-    ) -> GroupedIndexes {
-        let tuples = self.relation.tuples();
-        let mut order: Vec<usize> = (0..tuples.len()).collect();
-        order.sort_by(|&a, &b| {
-            // lint: allow(indexing): order is a permutation of 0..len
-            tuples[a]
-                .value(group_column)
-                .total_cmp(tuples[b].value(group_column))
-                .then(a.cmp(&b))
+        let mut grouped = self.grouped.borrow_mut();
+        let hit = grouped.contains_key(&gkey);
+        let entry = grouped.entry(gkey).or_insert_with(|| {
+            GroupedIndexes::build(agg, column, group_column, mode, &self.relation)
         });
-        let mut groups = Vec::new();
-        let mut at = 0usize;
-        while at < order.len() {
-            // lint: allow(indexing): at < order.len() is the loop guard over a permutation
-            let value = tuples[order[at]].value(group_column).clone();
-            let mut members: Vec<&Tuple> = Vec::new();
-            while let Some(&index) = order.get(at) {
-                // lint: allow(indexing): order holds valid tuple indices by construction
-                let tuple = &tuples[index];
-                if tuple.value(group_column).total_cmp(&value).is_ne() {
-                    break;
-                }
-                members.push(tuple);
-                at += 1;
-            }
-            let series = sweep_values(agg, column, &members);
-            let index = WindowIndex::build(mode, &series);
-            groups.push((value, Arc::new(series), index));
+        let (ranked, probes) = entry.top_k(window, k);
+        let mut stats = self.windex_stats.borrow_mut();
+        if hit {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
         }
-        GroupedIndexes { groups }
+        stats.probes += probes;
+        Ok((ranked, probes))
     }
 
     /// Build (if absent) the cache for `agg` over `column`. A series
@@ -739,7 +698,7 @@ impl TemporalStore {
         let mut caches = self.caches.borrow_mut();
         caches
             .entry(key)
-            .or_insert_with(|| AggCache::build(agg, column, &self.relation));
+            .or_insert_with(|| AggCache::build(agg, column, self.relation.tuples()));
     }
 
     /// Whether a cache (live or restored from a paged file) exists for
@@ -798,7 +757,7 @@ impl TemporalStore {
         let mut caches = self.caches.borrow_mut();
         let cache = caches
             .entry(key)
-            .or_insert_with(|| AggCache::build(agg, column, &self.relation));
+            .or_insert_with(|| AggCache::build(agg, column, self.relation.tuples()));
         cache.snapshot(self.epoch)
     }
 
@@ -865,38 +824,6 @@ fn dyn_for(schema: &Schema, key: CacheKey) -> Result<DynAggregate> {
 /// rightly rejects unknown labels) so those files still open; the next
 /// flush drops the blocks.
 const LEGACY_WINDEX_LABEL_PREFIX: &str = "windex:";
-
-/// `--features validate`: after a root-to-leaf refresh, rebuild the
-/// index from scratch over the patched cache runs and assert the two
-/// answer the full timeline plus windows around every dirty interval
-/// byte-identically. The refreshed index keeps its original leaf cuts
-/// while the rebuilt one re-cuts at current run boundaries, so this
-/// compares probe *results*, never node layouts.
-#[cfg(feature = "validate")]
-fn validate_refreshed(index: &WindowIndex, cache: &AggCache, dirty: &[Interval]) {
-    let mut entries = Vec::new();
-    cache.for_each_run_in(Interval::TIMELINE, &mut |interval, value| {
-        entries.push(tempagg_core::SeriesEntry::new(interval, value.clone()));
-    });
-    let fresh = WindowIndex::build(index.mode(), &Series::from_entries(entries));
-    let source = CacheRuns(cache);
-    let mut windows = vec![Interval::TIMELINE];
-    for iv in dirty {
-        windows.push(*iv);
-        let lo = Timestamp::new(iv.start().get().saturating_sub(16).max(0));
-        let hi = Timestamp::new(iv.end().get().saturating_add(16));
-        if let Ok(widened) = Interval::new(lo, hi) {
-            windows.push(widened);
-        }
-    }
-    for window in windows {
-        assert_eq!(
-            index.probe(window, &source),
-            fresh.probe(window, &source),
-            "refreshed window index diverged from a rebuilt one"
-        );
-    }
-}
 
 /// Decode a footer cache entry into the key it was stored under,
 /// validating the label and column against the file's own schema.
