@@ -119,9 +119,18 @@ impl Value {
     }
 }
 
+/// Equality is the total order's (`NaN == NaN`, `Int(1) == Float(1.0)`).
+/// Two values of one numeric type — what a coalescing loop compares run
+/// after run — are decided inline: `f64::total_cmp` is `Equal` exactly
+/// when the bit patterns are.
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.total_cmp(other) == Ordering::Equal
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => self.total_cmp(other) == Ordering::Equal,
+        }
     }
 }
 

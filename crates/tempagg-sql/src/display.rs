@@ -10,6 +10,40 @@ use crate::ast::{
 use std::fmt;
 use tempagg_core::{Interval, Value, ValueType};
 
+/// Print a result table: the header, a rule, then one line per row, every
+/// column padded to its widest cell. `rows` yields each row's cells and is
+/// walked twice — once for the widths, once to print — so the rows of a
+/// result are read through their cursor and never gathered into a table of
+/// strings first.
+pub(crate) fn write_table(
+    f: &mut fmt::Formatter<'_>,
+    header: &[String],
+    rows: impl Iterator<Item = Vec<String>> + Clone,
+) -> fmt::Result {
+    let mut widths: Vec<usize> = header.iter().map(|cell| cell.chars().count()).collect();
+    for cells in rows.clone() {
+        for (width, cell) in widths.iter_mut().zip(&cells) {
+            *width = (*width).max(cell.chars().count());
+        }
+    }
+    let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| {
+        for (c, (cell, width)) in cells.iter().zip(&widths).enumerate() {
+            if c > 0 {
+                write!(f, "  ")?;
+            }
+            write!(f, "{cell:<width$}")?;
+        }
+        writeln!(f)
+    };
+    line(f, header)?;
+    let rule = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
+    writeln!(f, "{}", "-".repeat(rule))?;
+    for cells in rows {
+        line(f, &cells)?;
+    }
+    Ok(())
+}
+
 /// Print a value as a re-parseable SQL literal.
 pub(crate) fn sql_literal(value: &Value, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     match value {

@@ -20,8 +20,9 @@
 
 use crate::ast::{CompareOp, Query, TemporalGrouping};
 use crate::catalog::Catalog;
+use crate::display::write_table;
 use crate::parser::parse;
-use crate::rows::{merge_snapshots, GroupSink, ResultRow, RowBuffer};
+use crate::rows::{GroupSink, ResultRow, ResultRows, RowBuffer};
 use std::collections::BTreeMap;
 use std::fmt;
 use tempagg_agg::{
@@ -45,8 +46,9 @@ pub struct QueryResult {
     pub group_column: Option<String>,
     /// Display labels of the aggregates, e.g. `["COUNT(Name)"]`.
     pub agg_labels: Vec<String>,
-    /// Rows in (group, time) order, coalesced by valid time.
-    pub rows: Vec<ResultRow>,
+    /// Rows in (group, time) order, coalesced by valid time: read them
+    /// with `for row in &result.rows`, or take `result.rows.to_vec()`.
+    pub rows: ResultRows,
     /// The plan chosen for instant-grouped evaluation (`None` for span
     /// grouping, which is bucket-based).
     pub plan: Option<Plan>,
@@ -69,7 +71,6 @@ impl fmt::Display for QueryResult {
                 None => writeln!(f, "algorithm: span-grouping (bucket array)"),
             };
         }
-        // Collect all cells as strings, then align columns.
         let mut header: Vec<String> = Vec::new();
         if let Some(g) = &self.group_column {
             header.push(g.clone());
@@ -78,10 +79,8 @@ impl fmt::Display for QueryResult {
             header.push("VALID".to_owned());
         }
         header.extend(self.agg_labels.iter().cloned());
-
-        let mut table: Vec<Vec<String>> = vec![header];
-        for row in &self.rows {
-            let mut cells = Vec::new();
+        let cells = self.rows.iter().map(|row| {
+            let mut cells = Vec::with_capacity(header.len());
             if self.group_column.is_some() {
                 cells.push(row.group.as_ref().map_or(String::new(), Value::to_string));
             }
@@ -89,34 +88,9 @@ impl fmt::Display for QueryResult {
                 cells.push(row.valid.to_string());
             }
             cells.extend(row.values.iter().map(Value::to_string));
-            table.push(cells);
-        }
-        let widths: Vec<usize> = (0..table[0].len())
-            .map(|c| {
-                table
-                    .iter()
-                    .map(|r| r[c].chars().count())
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect();
-        for (i, row) in table.iter().enumerate() {
-            for (c, cell) in row.iter().enumerate() {
-                if c > 0 {
-                    write!(f, "  ")?;
-                }
-                write!(f, "{cell:<width$}", width = widths[c])?;
-            }
-            writeln!(f)?;
-            if i == 0 {
-                writeln!(
-                    f,
-                    "{}",
-                    "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-                )?;
-            }
-        }
-        Ok(())
+            cells
+        });
+        write_table(f, &header, cells)
     }
 }
 
@@ -513,7 +487,7 @@ pub fn execute_query(
     Ok(QueryResult {
         group_column: query.group_column.clone(),
         agg_labels: outcome.agg_labels,
-        rows: out.rows,
+        rows: out.into_rows(),
         plan: outcome.plan,
         // SNAPSHOT has no plan to explain and answers regardless.
         explain_only: query.explain && !query.snapshot,
@@ -539,7 +513,8 @@ fn cache_eligible(query: &Query) -> bool {
 
 /// Answer an eligible query from MVCC snapshots of the store's aggregate
 /// caches, or `None` — with nothing pushed — when any selected aggregate
-/// is not cached yet.
+/// is not cached yet (or, which no store produces, the cached series
+/// disagree on their constant intervals).
 fn serve(
     store: &TemporalStore,
     query: &Query,
@@ -561,7 +536,10 @@ fn serve(
             None => return Ok(None),
         }
     }
-    if !merge_snapshots(&snapshots, out)? {
+    let runs = snapshots.first().map_or(0, |series| series.len());
+    // The snapshots themselves are the answer; a result row exists once
+    // its reader reaches it.
+    if !out.serve(snapshots) {
         return Ok(None);
     }
 
@@ -570,7 +548,7 @@ fn serve(
     // the rationale explains why no scan ran.
     let multi = MultiDyn::new(bound_aggs.iter().map(|(a, _, _)| *a).collect());
     let stats = RelationStats::unknown(store.len()).with_cached_series(CachedSeriesInfo {
-        runs: snapshots.first().map_or(0, |series| series.len()),
+        runs,
         epoch: store.epoch().get(),
     });
     let the_plan = choose_algorithm(
@@ -1088,7 +1066,7 @@ mod tests {
         let result =
             execute_str(&catalog(), "SELECT COUNT(name) FROM Employed GROUP BY name").unwrap();
         assert_eq!(result.group_column.as_deref(), Some("name"));
-        let nathan: Vec<&ResultRow> = result
+        let nathan: Vec<_> = result
             .rows
             .iter()
             .filter(|r| r.group == Some(Value::from("Nathan")))
@@ -1141,7 +1119,7 @@ mod tests {
         let result = execute_str(&c, "SELECT COUNT(name) FROM bounded GROUP BY SPAN 5").unwrap();
         // Lifespan [7, 21] → buckets [7,11], [12,16], [17,21].
         assert_eq!(result.rows.len(), 3);
-        assert_eq!(result.rows[0].valid, Interval::at(7, 11));
+        assert_eq!(result.rows.to_vec()[0].valid, Interval::at(7, 11));
     }
 
     #[test]
@@ -1260,10 +1238,11 @@ mod tests {
         )
         .unwrap();
         assert!(result.snapshot);
-        assert_eq!(result.rows.len(), 1);
-        let avg = result.rows[0].values[0].as_f64().unwrap();
+        let rows = result.rows.to_vec();
+        assert_eq!(rows.len(), 1);
+        let avg = rows[0].values[0].as_f64().unwrap();
         assert!((avg - (40_000.0 + 45_000.0 + 35_000.0 + 37_000.0) / 4.0).abs() < 1e-9);
-        assert_eq!(result.rows[0].values[1], Value::Int(4));
+        assert_eq!(rows[0].values[1], Value::Int(4));
         // No VALID column in the rendering.
         assert!(!result.to_string().contains("VALID"));
     }
@@ -1559,10 +1538,11 @@ mod tests {
             "SELECT COUNT(*), SUM(x), MIN(x), MAX(x) OVER [5, 15) FROM t",
         )
         .unwrap();
-        assert_eq!(r.rows.len(), 1);
-        assert_eq!(r.rows[0].valid, Interval::at(5, 14));
+        let rows = r.rows.to_vec();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].valid, Interval::at(5, 14));
         assert_eq!(
-            r.rows[0].values,
+            rows[0].values,
             vec![Value::Int(20), Value::Int(40), Value::Int(1), Value::Int(3)]
         );
         // The WHERE-shaped fallback scans the filtered tuples and must
@@ -1589,7 +1569,7 @@ mod tests {
         // AVG series: [5,9]→1.5, [10,14]→2.5; the duration-weighted mean
         // over [5, 15) is 2.0.
         let r = execute_str(&c, "SELECT AVG(x) OVER [5, 15) FROM t").unwrap();
-        assert_eq!(r.rows[0].values, vec![Value::Float(2.0)]);
+        assert_eq!(r.rows.to_vec()[0].values, vec![Value::Float(2.0)]);
     }
 
     #[test]
@@ -1620,7 +1600,10 @@ mod tests {
         )
         .unwrap();
         assert!(!scanned.cache.served_from_cache);
-        assert_eq!(scanned.rows[0].values, probed.rows[0].values);
+        assert_eq!(
+            scanned.rows.to_vec()[0].values,
+            probed.rows.to_vec()[0].values
+        );
     }
 
     #[test]
@@ -1639,12 +1622,13 @@ mod tests {
         assert!(top.cache.served_from_cache);
         assert_eq!(top.cache.index_misses, 1);
         assert_eq!(top.group_column.as_deref(), Some("g"));
-        assert_eq!(top.rows.len(), 2);
+        let rows = top.rows.to_vec();
+        assert_eq!(rows.len(), 2);
         // g=2 integrates 6·20 = 120, g=1 integrates 10·10 = 100.
-        assert_eq!(top.rows[0].group, Some(Value::Int(2)));
-        assert_eq!(top.rows[0].values, vec![Value::Int(120)]);
-        assert_eq!(top.rows[1].group, Some(Value::Int(1)));
-        assert_eq!(top.rows[1].values, vec![Value::Int(100)]);
+        assert_eq!(rows[0].group, Some(Value::Int(2)));
+        assert_eq!(rows[0].values, vec![Value::Int(120)]);
+        assert_eq!(rows[1].group, Some(Value::Int(1)));
+        assert_eq!(rows[1].values, vec![Value::Int(100)]);
         // The WHERE-shaped fallback ranks every group linearly with the
         // same key and must agree.
         let scanned = execute_str(
@@ -1660,10 +1644,11 @@ mod tests {
         execute_statement(&mut c, "INSERT INTO m VALUES (3, 50) VALID [0, 19]").unwrap();
         let reranked = execute_str(&c, sql).unwrap();
         assert_eq!(reranked.cache.index_misses, 0);
+        let rows = reranked.rows.to_vec();
         // g=3 now integrates 51·5 + 50·15 = 1005.
-        assert_eq!(reranked.rows[0].group, Some(Value::Int(3)));
-        assert_eq!(reranked.rows[0].values, vec![Value::Int(1005)]);
-        assert_eq!(reranked.rows[1].group, Some(Value::Int(2)));
+        assert_eq!(rows[0].group, Some(Value::Int(3)));
+        assert_eq!(rows[0].values, vec![Value::Int(1005)]);
+        assert_eq!(rows[1].group, Some(Value::Int(2)));
     }
 
     #[test]
@@ -1711,8 +1696,9 @@ mod tests {
         )
         .unwrap();
         // One coalesced row covering the whole time-line with count 0.
-        assert_eq!(result.rows.len(), 1);
-        assert_eq!(result.rows[0].valid, Interval::TIMELINE);
-        assert_eq!(result.rows[0].values[0], Value::Int(0));
+        let rows = result.rows.to_vec();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].valid, Interval::TIMELINE);
+        assert_eq!(rows[0].values[0], Value::Int(0));
     }
 }

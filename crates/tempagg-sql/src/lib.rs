@@ -15,6 +15,14 @@
 //! catalog.register("Employed", employed_relation());
 //! let result = execute_str(&catalog, "SELECT COUNT(Name) FROM Employed E").unwrap();
 //! assert_eq!(result.rows.len(), 7); // Table 1 of the paper
+//! // Rows are read through a cursor (a served `SELECT` builds them as the
+//! // loop reaches them, from the store's pinned snapshots) ...
+//! for row in &result.rows {
+//!     println!("{}\t{:?}", row.valid, row.values);
+//! }
+//! // ... or taken whole.
+//! let rows: Vec<tempagg_sql::ResultRow> = result.rows.to_vec();
+//! assert_eq!(result.rows, rows);
 //! ```
 
 #![warn(missing_debug_implementations)]
@@ -37,7 +45,7 @@ pub use exec::{
 };
 pub use lexer::lex;
 pub use parser::{parse, parse_statement, parse_statement_with_calendar, parse_with_calendar};
-pub use rows::ResultRow;
+pub use rows::{ResultRow, ResultRows, RowCursor};
 pub use statement::{execute_parsed_statement, execute_statement, StatementOutput, TupleTable};
 pub use tempagg_algo::JoinPredicate;
 pub use tempagg_plan::CacheReport;

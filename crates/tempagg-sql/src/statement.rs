@@ -4,8 +4,10 @@
 
 use crate::ast::{JoinSelect, PlainSelect, Statement};
 use crate::catalog::Catalog;
+use crate::display::write_table;
 use crate::exec::{execute_query, QueryResult};
 use crate::parser::parse_statement;
+use crate::rows::ResultRows;
 use std::fmt;
 use tempagg_algo::{JoinPair, SweepJoinOperator};
 use tempagg_core::{Interval, Result, Schema, SeriesSink, TempAggError, Tuple, Value};
@@ -22,38 +24,12 @@ impl fmt::Display for TupleTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut header: Vec<String> = self.columns.clone();
         header.push("VALID".to_owned());
-        let mut table = vec![header];
-        for (values, valid) in &self.rows {
+        let cells = self.rows.iter().map(|(values, valid)| {
             let mut cells: Vec<String> = values.iter().map(Value::to_string).collect();
             cells.push(valid.to_string());
-            table.push(cells);
-        }
-        let widths: Vec<usize> = (0..table[0].len())
-            .map(|c| {
-                table
-                    .iter()
-                    .map(|r| r[c].chars().count())
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect();
-        for (i, row) in table.iter().enumerate() {
-            for (c, cell) in row.iter().enumerate() {
-                if c > 0 {
-                    write!(f, "  ")?;
-                }
-                write!(f, "{cell:<width$}", width = widths[c])?;
-            }
-            writeln!(f)?;
-            if i == 0 {
-                writeln!(
-                    f,
-                    "{}",
-                    "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-                )?;
-            }
-        }
-        Ok(())
+            cells
+        });
+        write_table(f, &header, cells)
     }
 }
 
@@ -276,7 +252,7 @@ fn interval_join(
         return Ok(StatementOutput::Rows(QueryResult {
             group_column: None,
             agg_labels: Vec::new(),
-            rows: Vec::new(),
+            rows: ResultRows::default(),
             plan: Some(plan),
             explain_only: true,
             snapshot: false,

@@ -46,6 +46,9 @@ cargo run -q --release -p tempagg-bench --bin harness -- windowq --test
 echo "==> write_cost --check (median insert at n = 65,536 within 4x of n = 4,096 at the same tuple density: a write costs what it changes, not what is stored)"
 cargo run -q --release --example write_cost -- --check
 
+echo "==> serve_rows --check (a served SELECT's execute is under 40 % of serve + read + drop: rows are built under the reader, not collected first)"
+cargo run -q --release --example serve_rows -- --check
+
 # bench/ is its own package (own lock file, path dependencies on the engine
 # crates) and is read-only to engine PRs, so an engine change can break it
 # without touching it: compile and unit-test it, then run every workload

@@ -128,8 +128,8 @@ pub use tempagg_plan::{
     OrderingKnowledge, Plan, PlannerConfig, RelationStats,
 };
 pub use tempagg_sql::{
-    execute_statement, execute_str, execute_streaming_str, Catalog, QueryResult, StatementOutput,
-    StreamSummary,
+    execute_statement, execute_str, execute_streaming_str, Catalog, QueryResult, ResultRow,
+    ResultRows, StatementOutput, StreamSummary,
 };
 pub use tempagg_store::{StoreCacheStats, TemporalStore};
 

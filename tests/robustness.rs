@@ -134,11 +134,12 @@ fn empty_relation_through_every_path() {
     // Aggregate query over an empty relation: one empty constant interval.
     let result = execute_str(&catalog, "SELECT COUNT(x) FROM empty").unwrap();
     assert_eq!(result.rows.len(), 1);
-    assert_eq!(result.rows[0].values[0], Value::Int(0));
+    assert_eq!(result.rows.to_vec()[0].values[0], Value::Int(0));
     // Snapshot over empty: one row of NULL/0.
     let result = execute_str(&catalog, "SELECT SNAPSHOT COUNT(x), SUM(x) FROM empty").unwrap();
-    assert_eq!(result.rows[0].values[0], Value::Int(0));
-    assert!(result.rows[0].values[1].is_null());
+    let rows = result.rows.to_vec();
+    assert_eq!(rows[0].values[0], Value::Int(0));
+    assert!(rows[0].values[1].is_null());
     // Plain select: no rows.
     match temporal_aggregates::sql::execute_statement(&mut catalog, "SELECT * FROM empty").unwrap()
     {

@@ -1,22 +1,25 @@
 //! Served rows == scanned rows == rows rebuilt from `snapshot()`.
 //!
-//! A cache-eligible `SELECT` is answered by walking the store's MVCC
-//! snapshots in lockstep and writing each coalesced row once (DESIGN.md
-//! §17). Over seeded random `INSERT`/`UPDATE`/`DELETE` programs this suite
-//! holds those rows equal to a cold scan of the same relation and to an
+//! A cache-eligible `SELECT` is answered with the store's MVCC snapshots
+//! themselves: the result pins them, and its cursor walks them in lockstep
+//! and builds each coalesced row as the reader reaches it (DESIGN.md §17).
+//! Over seeded random `INSERT`/`UPDATE`/`DELETE` programs this suite holds
+//! those rows equal to a cold scan of the same relation and to an
 //! independent index-wise zip of `TemporalStore::snapshot`, for select
 //! lists of 1, 2, 3 and 5 aggregates — up to `ROW_INLINE_WIDTH` the row
 //! values stay inline, past it they spill, and the 5-wide list is also
 //! past `TYPED_WIDTH`, so its scan keeps `MultiDyn` — on live stores
 //! (patched caches) and on reopened ones (series restored from the file's
-//! footer). `--features validate` adds the store's structural validators
-//! after every write.
+//! footer) — and the count a served result reports before any row exists
+//! equal to the rows its cursor then yields. A last test holds a result
+//! across writes: it is a pinned version, not a view. `--features validate`
+//! adds the store's structural validators after every write.
 
 use temporal_aggregates::agg::TYPED_WIDTH;
 use temporal_aggregates::core::ROW_INLINE_WIDTH;
 use temporal_aggregates::prelude::*;
-use temporal_aggregates::sql::ResultRow;
-use temporal_aggregates::{execute_streaming_str, AggKind, StatementOutput};
+use temporal_aggregates::sql::{execute_streaming, parse};
+use temporal_aggregates::{execute_streaming_str, AggKind, ResultRow, StatementOutput};
 
 /// xorshift64*, as in the other integration tests.
 fn xorshift(state: &mut u64) -> u64 {
@@ -169,16 +172,39 @@ fn check(catalog: &Catalog, what: &str, expect_served: bool) {
             answered.cache.served_from_cache, expect_served,
             "{what}: {sql}"
         );
+        // `==` is the row sequence, whichever side holds snapshots.
         assert_eq!(answered.rows, scanned.rows, "{what}: {sql}");
+        assert_eq!(scanned.rows, answered.rows, "{what}: {sql}");
+        // A served result counted its rows before building one: the count
+        // is the scan's, and it is what the cursor goes on to yield.
+        assert_eq!(answered.rows.len(), scanned.rows.len(), "{what}: {sql}");
+        assert_eq!(
+            answered.rows.iter().count(),
+            answered.rows.len(),
+            "{what}: {sql}"
+        );
         assert_eq!(
             answered.rows,
             rows_from_snapshots(store, &aggs),
             "{what}: {sql} vs snapshot()"
         );
-        // The same rows through the streaming buffer.
+        // The same rows through the streaming buffer, at the default chunk
+        // capacity and with one row resident besides the lookahead.
         let mut streamed = Vec::new();
         execute_streaming_str(catalog, &sql, |row| streamed.push(row)).unwrap();
         assert_eq!(streamed, answered.rows, "{what}: streamed {sql}");
+        let mut one_by_one = Vec::new();
+        let summary = execute_streaming(
+            catalog,
+            &parse(&sql).unwrap(),
+            &PlannerConfig::default(),
+            1,
+            |row| one_by_one.push(row),
+        )
+        .unwrap();
+        assert_eq!(one_by_one, answered.rows, "{what}: streamed at 1 {sql}");
+        assert_eq!(summary.rows, answered.rows.len(), "{what}: {sql}");
+        assert!(summary.peak_resident_result_entries <= 2, "{what}: {sql}");
         for row in &answered.rows {
             assert_eq!(row.values.len(), aggs.len());
         }
@@ -257,4 +283,84 @@ fn served_rows_equal_scanned_rows_and_the_snapshot_zip_on_reopened_stores() {
         drop(reopened);
         temporal_aggregates::core::pager::remove_file(&path).unwrap();
     }
+}
+
+/// A served result holds its snapshots, so it is the answer as of its
+/// statement however long it is read for: half of it read, the relation
+/// written under it three ways, the rest read — the whole is the scan taken
+/// before the writes. The pins go when the result does, and the store
+/// collects the superseded versions at its next publish.
+#[test]
+fn a_held_result_is_a_pinned_version() {
+    let mut rng = 0x91E0_0001u64;
+    let mut catalog = Catalog::new();
+    execute_statement(&mut catalog, "CREATE TABLE t (g INT, x INT, y INT)").unwrap();
+    // Enough rows that the second half is built well after the writes,
+    // whatever the cursor builds ahead of its reader.
+    for _ in 0..40 {
+        let rows: Vec<String> = (0..50)
+            .map(|_| {
+                let start = below(&mut rng, 20_000);
+                format!(
+                    "({}, {}, 0) VALID [{start}, {}]",
+                    below(&mut rng, 6),
+                    below(&mut rng, 50),
+                    start + below(&mut rng, 40)
+                )
+            })
+            .collect();
+        execute_statement(
+            &mut catalog,
+            &format!("INSERT INTO t VALUES {}", rows.join(", ")),
+        )
+        .unwrap();
+    }
+    let sql = "SELECT COUNT(*), SUM(x) FROM t";
+    let before: Vec<ResultRow> = execute_str(&catalog, sql).unwrap().rows.to_vec(); // scans, warms
+    assert!(before.len() > 2_000);
+    let stats = |catalog: &Catalog| catalog.store("t").unwrap().cache_stats();
+    assert_eq!(stats(&catalog).pinned_versions, 0);
+
+    let held = execute_str(&catalog, sql).unwrap();
+    assert!(held.cache.served_from_cache);
+    assert_eq!(stats(&catalog).pinned_versions, 2, "one per aggregate");
+    let mut cursor = held.rows.iter();
+    let mut read: Vec<ResultRow> = Vec::new();
+    read.extend(
+        cursor
+            .by_ref()
+            .take(before.len() / 2)
+            .map(std::borrow::Cow::into_owned),
+    );
+
+    for write in [
+        "INSERT INTO t VALUES (1, 7, 0) VALID [0, 30000], (2, 9, 0) VALID [15000, FOREVER]",
+        "UPDATE t SET x = 1000 WHERE g = 3",
+        "DELETE FROM t WHERE g = 4",
+    ] {
+        execute_statement(&mut catalog, write).unwrap();
+        // Each answer after a write publishes a new version of both series.
+        let fresh = execute_str(&catalog, sql).unwrap();
+        assert!(fresh.cache.served_from_cache);
+        assert_ne!(fresh.rows, before);
+        assert_eq!(held.rows.len(), before.len());
+    }
+    assert_eq!(cursor.len(), before.len() - read.len());
+    read.extend(cursor.map(std::borrow::Cow::into_owned));
+    assert_eq!(read, before);
+    assert_eq!(held.rows, before);
+
+    // The held versions and the newest: two per series, two of them pinned.
+    assert_eq!(stats(&catalog).live_versions, 4);
+    assert_eq!(stats(&catalog).pinned_versions, 2);
+    drop(held);
+    assert_eq!(stats(&catalog).pinned_versions, 0);
+    execute_statement(&mut catalog, "INSERT INTO t VALUES (5, 5, 5) VALID [1, 2]").unwrap();
+    drop(execute_str(&catalog, sql).unwrap());
+    assert_eq!(
+        stats(&catalog).live_versions,
+        2,
+        "superseded versions collected"
+    );
+    assert_eq!(stats(&catalog).pinned_versions, 0);
 }

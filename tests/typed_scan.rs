@@ -441,7 +441,7 @@ fn check_shapes(r: &TemporalRelation, select_list: &str, members: &[DynAggregate
     let plan = result.plan.as_ref().unwrap();
     check_instant_set(
         &format!("{what}: {sql}"),
-        &result.rows,
+        &result.rows.to_vec(),
         plan,
         (members, columns),
         None,
@@ -455,7 +455,7 @@ fn check_shapes(r: &TemporalRelation, select_list: &str, members: &[DynAggregate
     let filtered = select(r, passes, timeline);
     check_instant_set(
         &format!("{what}: {sql}"),
-        &result.rows,
+        &result.rows.to_vec(),
         result.plan.as_ref().unwrap(),
         (members, columns),
         None,
@@ -469,7 +469,7 @@ fn check_shapes(r: &TemporalRelation, select_list: &str, members: &[DynAggregate
     let result = execute_str(&c, &sql).unwrap();
     check_instant_set(
         &format!("{what}: {sql}"),
-        &result.rows,
+        &result.rows.to_vec(),
         result.plan.as_ref().unwrap(),
         (members, columns),
         None,
@@ -489,7 +489,7 @@ fn check_shapes(r: &TemporalRelation, select_list: &str, members: &[DynAggregate
             .rows
             .iter()
             .filter(|row| row.group.as_ref() == Some(&key))
-            .cloned()
+            .map(std::borrow::Cow::into_owned)
             .collect();
         if set.is_empty() {
             assert!(got.is_empty());
@@ -508,7 +508,11 @@ fn check_shapes(r: &TemporalRelation, select_list: &str, members: &[DynAggregate
     }
     assert_eq!(seen, result.rows.len(), "rows of unexpected groups: {sql}");
     assert!(
-        result.rows.windows(2).all(|p| p[0].group <= p[1].group),
+        result
+            .rows
+            .to_vec()
+            .windows(2)
+            .all(|p| p[0].group <= p[1].group),
         "groups ascend: {sql}"
     );
     assert_eq!(stream(&c, &sql, 5), result.rows, "streamed {what}: {sql}");
@@ -578,9 +582,10 @@ fn check_shapes(r: &TemporalRelation, select_list: &str, members: &[DynAggregate
             })
         };
         if let Some(want) = reduce(&filtered, false) {
-            assert_eq!(result.rows.len(), 1);
-            assert_eq!(result.rows[0].valid, over);
-            assert_eq!(result.rows[0].values, vec![want], "{what}: {sql}");
+            let rows = result.rows.to_vec();
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0].valid, over);
+            assert_eq!(rows[0].values, vec![want], "{what}: {sql}");
         }
 
         let sql = format!("SELECT TOP 3 BY {text} OVER [600, 1400) FROM t WHERE w > 10 GROUP BY g");
@@ -738,7 +743,10 @@ fn empty_relation_edges() {
         Err(TempAggError::InvalidSpan { .. })
     ));
     let snapshot = execute_str(&c, "SELECT SNAPSHOT COUNT(*), AVG(i) FROM t").unwrap();
-    assert_eq!(snapshot.rows[0].values, vec![Value::Int(0), Value::Null]);
+    assert_eq!(
+        snapshot.rows.to_vec()[0].values,
+        vec![Value::Int(0), Value::Null]
+    );
 }
 
 /// `FOREVER`-ended tuples keep the last row open-ended in the lowered
@@ -749,7 +757,7 @@ fn open_ended_tuples_and_forced_parallelism() {
     assert!(r.tuples().iter().any(|t| t.valid().end().is_forever()));
     let sql = "SELECT COUNT(i), SUM(i), MAX(i) FROM t WHERE w >= 0";
     let serial = execute_str(&catalog(&r), sql).unwrap();
-    let last = serial.rows.last().unwrap();
+    let last = serial.rows.iter().last().unwrap();
     assert_eq!(last.valid.end(), Timestamp::FOREVER);
     assert!(
         last.values[0] > Value::Int(0),

@@ -374,7 +374,7 @@ fn over_probe_after_a_write_publishes_nothing() {
     assert_eq!(store.cached_runs(AggKind::Sum, Some(1)), Some(fresh.len()));
     let window = Interval::at(100, 900);
     let want = scan_window(&*fresh, window).integral_value();
-    assert_eq!(probed.rows[0].values, vec![want.clone()]);
+    assert_eq!(probed.rows.to_vec()[0].values, vec![want.clone()]);
     assert_ne!(scan_window(&*pinned, window).integral_value(), want);
 }
 
