@@ -14,11 +14,10 @@
 //! start, a retract at the instant after each end, the tuple index baked
 //! into the 16-byte [`EndpointEvent`] payload and a copy of the tuple's
 //! value riding alongside — and each bucket is sorted once, directly. The
-//! first version of this kernel (deleted; `BENCH_sweep.json` records the
-//! 6.6×/5.0× between them) paid three sorts (a boundary sort-and-dedup
-//! plus two indirect permutation sorts whose comparisons chase
-//! random-access keys) and a double-indirect scan; this one pays one sort
-//! of flat self-contained records. The fused
+//! first version of this kernel (deleted) paid three sorts (a boundary
+//! sort-and-dedup plus two indirect permutation sorts whose comparisons
+//! chase random-access keys) and a double-indirect scan; this one pays
+//! one sort of flat self-contained records. The fused
 //! build-and-scatter ([`scatter_event_pairs`]) radix-partitions the
 //! pairs into disjoint ascending [`TimeBuckets`] sized to L2 as it
 //! builds them — no intermediate event array — so each `sort_unstable`

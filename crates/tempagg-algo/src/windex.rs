@@ -95,6 +95,14 @@ struct IndexNode {
     max_value: Value,
 }
 
+/// The instants `iv` holds, exactly: the full timeline has 2^63 of them,
+/// one more than `Interval::duration` can say. A series over an emptied
+/// relation is that one run, and an index cut before it was emptied sums
+/// the same span leaf by leaf — the two must count alike.
+fn instants(iv: Interval) -> i128 {
+    i128::from(iv.end().get()) - i128::from(iv.start().get()) + 1
+}
+
 impl IndexNode {
     /// The combine identity: an empty span.
     fn neutral() -> IndexNode {
@@ -110,13 +118,13 @@ impl IndexNode {
         if value.is_null() {
             return;
         }
-        let instants = i128::from(clipped.duration());
+        let span = instants(clipped);
         if let Some(v) = value.as_i64() {
             self.integral = self
                 .integral
-                .saturating_add(i128::from(v).saturating_mul(instants));
+                .saturating_add(i128::from(v).saturating_mul(span));
         }
-        self.covered = self.covered.saturating_add(instants);
+        self.covered = self.covered.saturating_add(span);
         if self.min_value.is_null() || value.total_cmp(&self.min_value).is_lt() {
             self.min_value = value.clone();
         }
@@ -577,8 +585,7 @@ impl WindowIndex {
         match self.mode {
             IndexMode::Integral => {
                 let m = root.max_value.as_i64().unwrap_or(0).max(0);
-                let dur = i128::from(window.duration().max(0));
-                RankKey::Int(i128::from(m).saturating_mul(dur))
+                RankKey::Int(i128::from(m).saturating_mul(instants(window)))
             }
             IndexMode::Extremes => RankKey::Val(root.max_value.clone()),
         }
@@ -1033,5 +1040,24 @@ mod tests {
             WindowAggregate::empty()
         );
         assert_eq!(index.leaf_count(), 1);
+    }
+
+    /// One run over the whole timeline — the series of an emptied relation
+    /// — counts its instants like the same span summed leaf by leaf, which
+    /// is what an index cut before the relation was emptied does.
+    #[test]
+    fn the_whole_timeline_counts_alike_however_it_is_cut() {
+        let forever = Interval::TIMELINE.end().get();
+        let whole = series_of(&[(0, forever, Some(0))]);
+        let cut = series_of(&[(0, 9, Some(0)), (10, 19, Some(0)), (20, forever, Some(0))]);
+        let want = scan_window(&whole, Interval::TIMELINE);
+        assert_eq!(want.covered, 1i128 << 63);
+        assert_eq!(scan_window(&cut, Interval::TIMELINE), want);
+        let index = WindowIndex::build(IndexMode::Integral, &cut);
+        assert_eq!(index.probe(Interval::TIMELINE, &whole), want);
+        assert_eq!(
+            WindowIndex::build(IndexMode::Integral, &whole).probe(Interval::TIMELINE, &whole),
+            want
+        );
     }
 }

@@ -11,12 +11,7 @@
 //! harness fig9                   # Figure 9: memory, no long-lived
 //! harness fig9 --long-lived 80   # §6.2: memory with long-lived tuples
 //! harness ablation               # §7 future-work ablations
-//! harness pipeline               # serial vs domain-partitioned execution
-//! harness stream                 # streaming vs materialized result emission
-//! harness sweep                  # parallel sweep per P + interval join
-//! harness ingest                 # incremental cache patching vs recompute
-//! harness paged                  # out-of-core paged scans + fence pruning
-//! harness windowq                # window-index probes + TOP-k vs scans
+//! harness aggkinds               # the five aggregates through one tree
 //! harness calibrate              # measure per-unit costs for the planner
 //!
 //! options: --max <tuples>  (default 65536; the paper's 64K)
@@ -26,15 +21,12 @@
 //! ```
 //!
 //! Every report line is printed and also saved to
-//! `target/harness_output.txt`. Seven commands refresh *tracked*
-//! perf-trajectory artifacts at the repo root (plus a `target/` copy):
-//! `pipeline` → `BENCH_pipeline.json`, `stream` → `BENCH_stream.json`,
-//! `sweep` → `BENCH_sweep.json`, `ingest` → `BENCH_ingest.json`,
-//! `paged` → `BENCH_paged.json`, `windowq` → `BENCH_windowq.json`,
-//! and `calibrate` → the committed
+//! `target/harness_output.txt`. One command refreshes a *tracked* file at
+//! the repo root (plus a `target/` copy): `calibrate` → the committed
 //! `calibration.json` profile ([`tempagg_plan::Calibration`]) for the
-//! current host. `--test` is the CI smoke mode: tiny inputs, assertions
-//! on, tracked artifacts left untouched.
+//! current host; `--test` runs it on tiny inputs and leaves the tracked
+//! file untouched. What is measured beyond the paper — store, window
+//! index, pager, SQL — is measured by `bench/` (see `BENCHMARK.json`).
 //!
 //! Absolute numbers will differ from the paper's 1995 SPARCstation, but the
 //! *shape* — who wins, by what factor, where crossovers sit — is the
@@ -43,8 +35,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tempagg_bench::{
-    count_tuples, median_over_seeds, run_count, run_count_partitioned, secs, size_sweep,
-    AlgoConfig, RunMeasurement,
+    count_tuples, median_over_seeds, run_count, secs, size_sweep, AlgoConfig, RunMeasurement,
 };
 use tempagg_core::sortedness;
 use tempagg_core::Interval;
@@ -57,8 +48,7 @@ struct Options {
     seeds: u64,
     k_pct: f64,
     long_lived_override: Option<u8>,
-    /// `--test`: tiny inputs, assertions on, no tracked artifacts
-    /// overwritten — the CI smoke mode.
+    /// `--test`: tiny inputs, no tracked artifact overwritten.
     smoke: bool,
 }
 
@@ -121,9 +111,9 @@ fn target_dir() -> std::io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// The repository root (for the *tracked* artifacts: the `BENCH_*.json`
-/// trajectory files and `calibration.json`), falling back to the working
-/// directory when the workspace no longer exists around the binary.
+/// The repository root (for the *tracked* `calibration.json`), falling
+/// back to the working directory when the workspace no longer exists
+/// around the binary.
 fn repo_root() -> PathBuf {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -138,14 +128,13 @@ fn repo_root() -> PathBuf {
 
 /// Write a tracked artifact atomically through the pager's shared
 /// temp-file + rename helper — the same code path the data files use —
-/// so an interrupted run (or a concurrent reader of the trajectory
-/// files) never observes a half-written JSON document.
+/// so an interrupted run never leaves a half-written JSON document.
 fn write_atomic(path: &Path, contents: &str) -> tempagg_core::Result<()> {
     tempagg_core::pager::write_atomic(path, contents.as_bytes())
 }
 
-/// Land one tracked artifact (a `BENCH_*.json` or `calibration.json`):
-/// `--test` leaves the tracked file alone; otherwise it is written at the
+/// Land one tracked artifact (`calibration.json`): `--test` leaves the
+/// tracked file alone; otherwise it is written at the
 /// repository root atomically and mirrored under `target/`.
 fn write_artifact(sink: &mut Sink, name: &str, contents: &str, smoke: bool) {
     if smoke {
@@ -221,12 +210,6 @@ fn main() {
         "fig9" => fig9(&options, &mut sink),
         "ablation" => ablation(&options, &mut sink),
         "aggkinds" => aggregate_kinds(&options, &mut sink),
-        "pipeline" => pipeline(&options, &mut sink),
-        "stream" => stream_bench(&options, &mut sink),
-        "sweep" => sweep_bench(&options, &mut sink),
-        "ingest" => ingest(&options, &mut sink),
-        "paged" => paged(&options, &mut sink),
-        "windowq" => windowq(&options, &mut sink),
         "calibrate" => calibrate(&options, &mut sink),
         "all" => {
             table1(&mut sink);
@@ -240,12 +223,6 @@ fn main() {
             fig9(&with_long, &mut sink);
             ablation(&options, &mut sink);
             aggregate_kinds(&options, &mut sink);
-            pipeline(&options, &mut sink);
-            stream_bench(&options, &mut sink);
-            sweep_bench(&options, &mut sink);
-            ingest(&options, &mut sink);
-            paged(&options, &mut sink);
-            windowq(&options, &mut sink);
             calibrate(&options, &mut sink);
         }
         other => usage(&format!("unknown command `{other}`")),
@@ -260,9 +237,8 @@ fn main() {
 fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!(
-        "usage: harness [table1|table2|fig6|fig7|fig8|fig9|ablation|aggkinds|pipeline|stream|\
-         sweep|ingest|paged|windowq|calibrate|all] [--max N] [--seeds N] [--kpct F] [--long-lived P] \
-         [--quick] [--test]"
+        "usage: harness [table1|table2|fig6|fig7|fig8|fig9|ablation|aggkinds|calibrate|all] \
+         [--max N] [--seeds N] [--kpct F] [--long-lived P] [--quick] [--test]"
     );
     std::process::exit(2)
 }
@@ -599,240 +575,6 @@ fn aggregate_kinds(options: &Options, sink: &mut Sink) {
     );
 }
 
-// ──────────────────────────── Pipeline ──────────────────────────────
-
-/// Serial vs domain-partitioned execution of the same algorithm over the
-/// same random relation, emitting `BENCH_pipeline.json` (repo root +
-/// `target/`; `--test` keeps the tracked artifact untouched). Even on a
-/// single core the partitioned linked list wins algorithmically: each
-/// partition walks a list of ~`cells / P` nodes instead of one list of
-/// `cells`, so total work drops from `Θ(n · cells)` towards
-/// `Θ(n · cells / P)`.
-fn pipeline(options: &Options, sink: &mut Sink) {
-    let n = options.max_tuples.min(16_384);
-    let seeds = options.seeds;
-    emit!(
-        sink,
-        "\n== Pipeline: serial vs domain-partitioned execution, \
-         {n} random tuples (seconds, median of {seeds} seeds) =="
-    );
-
-    let partition_counts = [2usize, 4, 8];
-    let configs = [AlgoConfig::LinkedList, AlgoConfig::AggregationTree];
-    let make = |seed| WorkloadConfig {
-        tuples: n,
-        long_lived_pct: 0,
-        order: TupleOrder::Random,
-        seed,
-        ..Default::default()
-    };
-
-    fn median(runs: &mut [RunMeasurement]) -> RunMeasurement {
-        runs.sort_by_key(|m| m.elapsed);
-        runs[runs.len() / 2]
-    }
-
-    let mut header = vec!["algorithm".to_owned(), "serial".to_owned()];
-    for p in partition_counts {
-        header.push(format!("P={p}"));
-        header.push(format!("speedup P={p}"));
-    }
-    let mut rows = Vec::new();
-    let mut json_results = Vec::new();
-    for config in configs {
-        // Serial and every partition count run over the *same* relation
-        // within each seed, so row counts must agree seed by seed; the
-        // reported time per mode is the median across seeds.
-        let mut serial_runs: Vec<RunMeasurement> = Vec::new();
-        let mut part_runs: Vec<Vec<RunMeasurement>> = vec![Vec::new(); partition_counts.len()];
-        for s in 0..seeds {
-            let tuples = count_tuples(&make(s + 1));
-            let serial = run_count(config, &tuples);
-            for (slot, &p) in part_runs.iter_mut().zip(&partition_counts) {
-                let m = run_count_partitioned(config, &tuples, p);
-                assert_eq!(
-                    m.result_rows,
-                    serial.result_rows,
-                    "partitioned {} (P = {p}, seed {}) produced a different row count",
-                    config.label(),
-                    s + 1
-                );
-                slot.push(m);
-            }
-            serial_runs.push(serial);
-        }
-        let serial = median(&mut serial_runs);
-        let serial_secs = serial.elapsed.as_secs_f64();
-        json_results.push(format!(
-            "    {{\"algorithm\": \"{}\", \"partitions\": 1, \"seconds\": {:.6}, \
-             \"result_rows\": {}, \"speedup\": 1.0}}",
-            config.label(),
-            serial_secs,
-            serial.result_rows
-        ));
-        let mut row = vec![config.label(), secs(serial.elapsed)];
-        for (slot, &p) in part_runs.iter_mut().zip(&partition_counts) {
-            let m = median(slot);
-            let speedup = serial_secs / m.elapsed.as_secs_f64().max(f64::EPSILON);
-            row.push(secs(m.elapsed));
-            row.push(format!("{speedup:.2}x"));
-            json_results.push(format!(
-                "    {{\"algorithm\": \"{}\", \"partitions\": {p}, \"seconds\": {:.6}, \
-                 \"result_rows\": {}, \"speedup\": {:.3}}}",
-                config.label(),
-                m.elapsed.as_secs_f64(),
-                m.result_rows,
-                speedup
-            ));
-        }
-        rows.push(row);
-    }
-    print_table(
-        sink,
-        "serial vs partitioned time (result rows verified identical)",
-        &header,
-        &rows,
-    );
-
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let json = format!(
-        "{{\n  \"experiment\": \"pipeline\",\n  \"tuples\": {n},\n  \"seeds\": {seeds},\n  \
-         \"threads_available\": {threads},\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_results.join(",\n")
-    );
-    write_artifact(sink, "BENCH_pipeline.json", &json, options.smoke);
-}
-
-/// Streaming vs materialized result emission on k-ordered input: the
-/// k-ordered tree garbage-collects finished constant intervals as the scan
-/// advances, so draining them through a bounded [`ChunkedSink`] keeps the
-/// resident result at O(chunk) while the materialized `finish` holds all
-/// ~2n rows. Writes `BENCH_stream.json` (repo root + `target/`; `--test`
-/// keeps the tracked artifact untouched).
-fn stream_bench(options: &Options, sink: &mut Sink) {
-    use tempagg_agg::Count;
-    use tempagg_plan::{execute, execute_streaming, AlgorithmChoice, Plan};
-
-    let n = if options.smoke { 4_096 } else { 100_000 };
-    let k = 16usize;
-    let chunk_capacity = 256usize;
-    emit!(
-        sink,
-        "\n== Streaming emission: resident result entries, {n} k-ordered tuples (k = {k}) =="
-    );
-
-    let relation = generate(&WorkloadConfig::k_ordered(n, k, options.k_pct).with_seed(1));
-    let the_plan = Plan {
-        choice: AlgorithmChoice::KOrderedTree { k, presort: false },
-        parallelism: 1,
-        estimated_state_bytes: 0,
-        rationale: Vec::new(),
-    };
-
-    let (series, materialized) = execute(&the_plan, Count, &relation, |_| (), Interval::TIMELINE)
-        // lint: allow(no-unwrap): measurement must abort on a misconfigured scenario, not skew numbers with handling
-        .expect("k-ordered workload fits the timeline domain");
-
-    let mut streamed_rows = 0usize;
-    let streaming = execute_streaming(
-        &the_plan,
-        Count,
-        &relation,
-        |_| (),
-        Interval::TIMELINE,
-        chunk_capacity,
-        |chunk| streamed_rows += chunk.len(),
-    )
-    // lint: allow(no-unwrap): same relation and plan as the materialized run just above
-    .expect("streaming run matches the materialized configuration");
-    assert_eq!(
-        streamed_rows,
-        series.len(),
-        "streaming emitted a different row count than the materialized series"
-    );
-
-    let sweep_plan = Plan {
-        choice: AlgorithmChoice::Sweep,
-        ..the_plan.clone()
-    };
-    let mut sweep_rows = 0usize;
-    let sweep_streaming = execute_streaming(
-        &sweep_plan,
-        Count,
-        &relation,
-        |_| (),
-        Interval::TIMELINE,
-        chunk_capacity,
-        |chunk| sweep_rows += chunk.len(),
-    )
-    // lint: allow(no-unwrap): same relation as above; the sweep accepts any order
-    .expect("sweep accepts the same workload");
-    assert_eq!(sweep_rows, series.len(), "sweep row count diverged");
-
-    let ratio = materialized.peak_resident_result_entries as f64
-        / streaming.peak_resident_result_entries.max(1) as f64;
-    let rows = vec![
-        vec![
-            "materialized k-tree".to_owned(),
-            materialized.result_rows.to_string(),
-            materialized.peak_resident_result_entries.to_string(),
-            materialized.emitted_chunks.to_string(),
-            secs(materialized.elapsed),
-        ],
-        vec![
-            "streaming k-tree".to_owned(),
-            streaming.result_rows.to_string(),
-            streaming.peak_resident_result_entries.to_string(),
-            streaming.emitted_chunks.to_string(),
-            secs(streaming.elapsed),
-        ],
-        vec![
-            "streaming sweep".to_owned(),
-            sweep_streaming.result_rows.to_string(),
-            sweep_streaming.peak_resident_result_entries.to_string(),
-            sweep_streaming.emitted_chunks.to_string(),
-            secs(sweep_streaming.elapsed),
-        ],
-    ];
-    print_table(
-        sink,
-        &format!("resident result entries, chunk capacity {chunk_capacity} (ratio {ratio:.0}x)"),
-        &[
-            "mode".to_owned(),
-            "result rows".to_owned(),
-            "peak resident".to_owned(),
-            "chunks".to_owned(),
-            "seconds".to_owned(),
-        ],
-        &rows,
-    );
-    let floor = if options.smoke { 10.0 } else { 100.0 };
-    assert!(
-        ratio >= floor,
-        "streaming k-tree must cut resident results by at least {floor}x (got {ratio:.0}x)"
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"stream\",\n  \"tuples\": {n},\n  \"k\": {k},\n  \"chunk_capacity\": {chunk_capacity},\n  \"resident_ratio\": {ratio:.1},\n  \"results\": [\n{}\n  ]\n}}\n",
-        [
-            ("materialized-ktree", &materialized),
-            ("streaming-ktree", &streaming),
-            ("streaming-sweep", &sweep_streaming),
-        ]
-        .iter()
-        .map(|(mode, r)| format!(
-            "    {{\"mode\": \"{mode}\", \"result_rows\": {}, \"peak_resident_result_entries\": {}, \"emitted_chunks\": {}, \"seconds\": {:.6}}}",
-            r.result_rows,
-            r.peak_resident_result_entries,
-            r.emitted_chunks,
-            r.elapsed.as_secs_f64()
-        ))
-        .collect::<Vec<_>>()
-        .join(",\n")
-    );
-    write_artifact(sink, "BENCH_stream.json", &json, options.smoke);
-}
-
 // ───────────────────────────── Ablations ────────────────────────────
 
 fn ablation(options: &Options, sink: &mut Sink) {
@@ -964,998 +706,12 @@ fn ablation(options: &Options, sink: &mut Sink) {
     );
 }
 
-// ─────────────────────────── Endpoint sweep ─────────────────────────
-
-/// Time one aggregator run (pushes + finish, matching [`run_agg`]),
-/// returning the measurement *and* the series so the caller can assert
-/// byte-identity between the sweep and its reference.
-fn timed_series<A, G>(
-    mut aggregator: G,
-    tuples: &[(Interval, A::Input)],
-) -> (RunMeasurement, tempagg_core::Series<A::Output>)
-where
-    A: tempagg_agg::SweepAggregate,
-    G: tempagg_algo::TemporalAggregator<A>,
-    A::Input: Clone,
-{
-    let started = Instant::now();
-    for (iv, v) in tuples {
-        aggregator
-            .push(*iv, v.clone())
-            // lint: allow(no-unwrap): measurement must abort on a misconfigured scenario, not skew timings with handling
-            .expect("benchmark tuples fit the timeline");
-    }
-    let memory = aggregator.memory();
-    let series = aggregator.finish();
-    let m = RunMeasurement {
-        elapsed: started.elapsed(),
-        memory,
-        result_rows: series.len(),
-    };
-    (m, series)
-}
-
-fn sweep_bench(options: &Options, sink: &mut Sink) {
-    use tempagg_agg::{Count, Sum};
-    use tempagg_algo::{
-        oracle::oracle, AggregationTree, JoinPredicate, MemoryStats, SweepAggregator,
-        SweepJoinOperator,
-    };
-    use tempagg_core::CountingSink;
-
-    // n = 1e7 is the tracked acceptance point; `--max` / `--quick`
-    // override it for exploratory runs.
-    let n = if options.max_tuples == 65_536 {
-        10_000_000
-    } else {
-        options.max_tuples
-    };
-    let threads_available =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    emit!(
-        sink,
-        "\n== Endpoint sweep (cache-partitioned parallel sort, gapless live set): \
-         n = {n}, host threads = {threads_available} =="
-    );
-
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut json: Vec<String> = Vec::new();
-    let record = |rows: &mut Vec<Vec<String>>,
-                  json: &mut Vec<String>,
-                  algo: String,
-                  aggregate: &str,
-                  k: &str,
-                  n_row: usize,
-                  m: RunMeasurement|
-     -> f64 {
-        let elapsed = m.elapsed.as_secs_f64();
-        let ns_per_tuple = m.elapsed.as_nanos() as f64 / n_row as f64;
-        rows.push(vec![
-            algo.clone(),
-            aggregate.to_owned(),
-            k.to_owned(),
-            secs(m.elapsed),
-            format!("{ns_per_tuple:.1}"),
-            m.memory.peak_model_bytes().to_string(),
-            m.result_rows.to_string(),
-        ]);
-        json.push(format!(
-            "    {{\"algo\": \"{algo}\", \"aggregate\": \"{aggregate}\", \"n\": {n_row}, \
-             \"k\": \"{k}\", \"seconds\": {elapsed:.6}, \"ns_per_tuple\": {ns_per_tuple:.2}, \
-             \"peak_model_bytes\": {}, \"result_rows\": {}}}",
-            m.memory.peak_model_bytes(),
-            m.result_rows
-        ));
-        elapsed
-    };
-
-    // Random input (the acceptance scenario), COUNT and SUM: the sweep at
-    // P ∈ {1, 2, 4, 8}. Every run must produce a series byte-identical
-    // to a reference that is not the sweep — the O(n²) oracle at smoke
-    // size, the aggregation tree (itself oracle-tied by the test suites)
-    // at full size. Each configuration is timed `reps` times and the
-    // minimum kept — virtualized hosts show multi-second scheduling noise
-    // on identical work, and the minimum is the least contaminated
-    // estimate of the true cost.
-    let reps = if options.smoke { 1 } else { 3 };
-    let relation = generate(&WorkloadConfig::random(n).with_seed(1));
-    // lint: allow(no-unwrap): the workload generator always emits a salary column
-    let salary_idx = relation.schema().index_of("salary").expect("salary column");
-    let unit: Vec<(Interval, ())> = relation.intervals().map(|iv| (iv, ())).collect();
-    let sums: Vec<(Interval, i64)> = relation
-        .iter()
-        // lint: allow(no-unwrap): generated salaries are always integers
-        .map(|t| (t.valid(), t.value(salary_idx).as_i64().expect("int salary")))
-        .collect();
-    drop(relation);
-    let reference = if options.smoke {
-        "the O(n²) oracle"
-    } else {
-        "the aggregation tree"
-    };
-    let mut notes: Vec<String> = Vec::new();
-
-    macro_rules! sweep_rows {
-        ($aggregate:literal, $agg:expr, $tuples:expr) => {{
-            let want = if options.smoke {
-                oracle(&$agg, Interval::TIMELINE, $tuples)
-            } else {
-                timed_series(AggregationTree::new($agg), $tuples).1
-            };
-            for threads in [1usize, 2, 4, 8] {
-                let mut fastest: Option<RunMeasurement> = None;
-                for _ in 0..reps {
-                    let (m, series) = timed_series(
-                        SweepAggregator::new($agg).with_parallelism(threads),
-                        $tuples,
-                    );
-                    assert!(
-                        series == want,
-                        "sweep P={threads} diverges from {reference} on {}",
-                        $aggregate
-                    );
-                    if fastest.as_ref().map_or(true, |f| m.elapsed < f.elapsed) {
-                        fastest = Some(m);
-                    }
-                }
-                // lint: allow(no-unwrap): reps >= 1, so at least one measurement landed
-                let m = fastest.expect("at least one timed rep");
-                record(
-                    &mut rows,
-                    &mut json,
-                    AlgoConfig::SweepParallel { threads }.label(),
-                    $aggregate,
-                    "random",
-                    n,
-                    m,
-                );
-            }
-            notes.push(format!(
-                "sweep P∈{{1,2,4,8}} ({}, random): byte-identical to {reference}",
-                $aggregate
-            ));
-        }};
-    }
-
-    sweep_rows!("COUNT", Count, &unit);
-    sweep_rows!("SUM", Sum::<i64>::new(), &sums);
-
-    // Sweep-based interval join (OVERLAPS) through a CountingSink: join
-    // output may overlap, so only relaxed sinks apply. Full runs use a
-    // stretched lifespan to keep the pair count near the input size (a
-    // throughput row, not an output-explosion stress test); the smoke run
-    // keeps the domain dense and checks the count against a nested loop.
-    let (join_n, join_lifespan) = if options.smoke {
-        (400usize, 100_000i64)
-    } else {
-        (n / 10, 1_000_000_000i64)
-    };
-    let gen_side = |seed: u64| -> Vec<Interval> {
-        generate(
-            &WorkloadConfig::random(join_n)
-                .with_seed(seed)
-                .with_lifespan(join_lifespan),
-        )
-        .intervals()
-        .collect()
-    };
-    let (left, right) = (gen_side(2), gen_side(3));
-    let started = Instant::now();
-    let mut operator =
-        SweepJoinOperator::new(JoinPredicate::Overlaps).with_parallelism(threads_available.min(8));
-    for iv in &left {
-        // lint: allow(no-unwrap): generated intervals always fit the timeline
-        operator.push_left(*iv).expect("interval fits the timeline");
-    }
-    for iv in &right {
-        operator
-            .push_right(*iv)
-            // lint: allow(no-unwrap): generated intervals always fit the timeline
-            .expect("interval fits the timeline");
-    }
-    let mut counting = CountingSink::new();
-    operator.finish_into(&mut counting);
-    let join_elapsed = started.elapsed();
-    let pairs = counting.entries();
-    let join_secs = record(
-        &mut rows,
-        &mut json,
-        "Sweep Join (OVERLAPS)".into(),
-        "JOIN",
-        "random",
-        2 * join_n,
-        RunMeasurement {
-            elapsed: join_elapsed,
-            memory: MemoryStats::default(),
-            result_rows: pairs,
-        },
-    );
-    notes.push(format!(
-        "join throughput: {:.2}M pairs/s ({pairs} pairs from {join_n} tuples/side)",
-        pairs as f64 / join_secs.max(f64::EPSILON) / 1e6
-    ));
-    if options.smoke {
-        let want = left
-            .iter()
-            .map(|l| {
-                right
-                    .iter()
-                    .filter(|r| JoinPredicate::Overlaps.matches(*l, **r))
-                    .count()
-            })
-            .sum::<usize>();
-        assert_eq!(
-            pairs, want,
-            "sweep join disagrees with the nested-loop oracle"
-        );
-        emit!(
-            sink,
-            "[--test: sweep join agrees with the nested-loop oracle: {pairs} pairs]"
-        );
-    }
-
-    print_table(
-        sink,
-        "the sweep per P and the interval join (P = sort workers; \"random\" = unordered)",
-        &[
-            "algorithm".into(),
-            "aggregate".into(),
-            "k".into(),
-            "time (s)".into(),
-            "ns/tuple".into(),
-            "peak bytes".into(),
-            "result rows".into(),
-        ],
-        &rows,
-    );
-    for line in &notes {
-        emit!(sink, "{line}");
-    }
-
-    let payload = format!(
-        "{{\n  \"experiment\": \"sweep\",\n  \"n\": {n},\n  \"threads\": {threads_available},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        json.join(",\n")
-    );
-    write_artifact(sink, "BENCH_sweep.json", &payload, options.smoke);
-}
-
-// ─────────────────────────── Out-of-core ────────────────────────────
-
-/// Out-of-core paged evaluation. Writes a sorted relation much larger
-/// than a fixed resident-tuple budget to the paged columnar format, then
-/// aggregates it three ways:
-/// * all-in-RAM sweep over the resident relation (the oracle),
-/// * streaming k-ordered tree over the fence-pruned paged scan — one
-///   decoded page plus one chunk of input tuples resident at a time,
-/// * page-partitioned runs (P ∈ {2, 8}) over the same file.
-///
-/// All three must agree exactly. A narrow-window query then measures the
-/// fence-pruning payoff against a forced full scan. Writes
-/// `BENCH_paged.json` (repo root + `target/`; `--test` keeps the tracked
-/// artifact untouched).
-fn paged(options: &Options, sink: &mut Sink) {
-    use tempagg_agg::Count;
-    use tempagg_algo::{
-        feed, feed_streaming, run_paged_partitioned, KOrderedAggregationTree, SweepAggregator,
-        TemporalAggregator,
-    };
-    use tempagg_core::pager::{self, PageCursor, PagedReader, PagedWriteOptions};
-    use tempagg_core::{Series, DEFAULT_CHUNK_CAPACITY};
-
-    emit!(
-        sink,
-        "\n== Out-of-core: fence-pruned paged scans under a resident-tuple budget =="
-    );
-
-    let n = if options.smoke {
-        options.max_tuples
-    } else {
-        options.max_tuples.max(1_048_576)
-    };
-
-    let relation = generate(&WorkloadConfig::sorted(n).with_seed(11));
-    let mut path = std::env::temp_dir();
-    path.push(format!("tempagg-harness-paged-{}.tapg", std::process::id()));
-    let write_started = Instant::now();
-    let stats = pager::write_relation(&relation, &path, &PagedWriteOptions::default())
-        // lint: allow(no-unwrap): an unwritable temp dir must abort the benchmark, not skew it
-        .expect("paged write to the temp dir");
-    let write_secs = write_started.elapsed().as_secs_f64();
-    // lint: allow(no-unwrap): reopening the file just written; failure is a harness bug
-    let reader = PagedReader::open(&path).expect("reopen the paged file");
-    // lint: allow(no-unwrap): the generator always emits at least one tuple
-    let domain = reader.lifespan().expect("non-empty relation");
-    emit!(
-        sink,
-        "file: {} tuples, {} pages of {} B ({} B total), sorted = {} ({write_secs:.3}s write)",
-        stats.tuples,
-        stats.pages,
-        reader.page_size(),
-        stats.file_bytes,
-        stats.sorted
-    );
-
-    // Resident-input budget. The paged pipeline holds one decoded page
-    // plus one in-flight chunk of tuples, nothing else; non-smoke runs
-    // pin the budget at n/16 so the file is provably 16× bigger than
-    // what is ever resident. Smoke inputs are smaller than a chunk, so
-    // the budget there is just "page + chunk with headroom".
-    let max_page_tuples = reader
-        .fences()
-        .iter()
-        .map(|fence| fence.tuples as usize)
-        .max()
-        .unwrap_or(0);
-    let budget_tuples = if options.smoke {
-        DEFAULT_CHUNK_CAPACITY + 2 * max_page_tuples
-    } else {
-        n / 16
-    };
-
-    // Oracle: the all-in-RAM sweep over the resident relation.
-    let ram_started = Instant::now();
-    let mut sweep = SweepAggregator::with_domain(Count, domain);
-    for interval in relation.intervals() {
-        // lint: allow(no-unwrap): generator output always lies on the unbounded timeline
-        sweep.push(interval, ()).expect("tuple fits the timeline");
-    }
-    let oracle = sweep.finish();
-    let ram_secs = ram_started.elapsed().as_secs_f64();
-
-    // Streaming paged run: k-ordered tree (k = 1 — the file is sorted)
-    // fed from the fence-pruned cursor, results drained as they finalise.
-    let paged_started = Instant::now();
-    // lint: allow(no-unwrap): the reader's lifespan is bounded by construction
-    let mut tree = KOrderedAggregationTree::with_domain(Count, 1, domain).expect("bounded domain");
-    let mut source = PageCursor::new(&reader, domain).units();
-    let mut streamed = Series::new();
-    // lint: allow(no-unwrap): a decode error on the file just written must abort loudly
-    feed_streaming(&mut tree, &mut source, &mut streamed).expect("paged streaming scan");
-    tree.finish_into(&mut streamed);
-    let paged_secs = paged_started.elapsed().as_secs_f64();
-    let scan = source.stats();
-    let peak_resident = scan.peak_page_tuples + DEFAULT_CHUNK_CAPACITY;
-
-    assert_eq!(
-        streamed, oracle,
-        "paged streaming result must be byte-identical to the in-RAM sweep"
-    );
-    assert!(
-        peak_resident <= budget_tuples,
-        "resident input tuples {peak_resident} exceed the budget {budget_tuples}"
-    );
-    if !options.smoke {
-        assert!(
-            n >= 8 * budget_tuples,
-            "the file must be ≥ 8× the resident budget (n = {n}, budget = {budget_tuples})"
-        );
-    }
-    emit!(
-        sink,
-        "full scan: in-RAM sweep {ram_secs:.3}s vs paged stream {paged_secs:.3}s — identical \
-         {} rows; peak resident input = {} page tuples + {DEFAULT_CHUNK_CAPACITY} chunk = \
-         {peak_resident} tuples (budget {budget_tuples})",
-        oracle.len(),
-        scan.peak_page_tuples
-    );
-
-    // Page-partitioned runs must stitch to the same series.
-    for partitions in [2usize, 8] {
-        let stitched =
-            run_paged_partitioned(&reader, domain, partitions, PageCursor::units, |sub| {
-                SweepAggregator::with_domain(Count, sub)
-            })
-            // lint: allow(no-unwrap): identity check; a scan error must abort, not be handled
-            .expect("partitioned paged run");
-        assert_eq!(
-            stitched, oracle,
-            "P = {partitions} must stitch to the oracle"
-        );
-    }
-    emit!(
-        sink,
-        "page-partitioned runs (P = 2, 8) stitch to the identical series"
-    );
-
-    // Narrow-window query: 10% of the domain, centred. Fence pruning
-    // should skip ~90% of this sorted file's pages.
-    let span = domain.duration();
-    let w_start = domain
-        .start()
-        .get()
-        .saturating_add(span.saturating_mul(45) / 100);
-    let w_end = w_start.saturating_add((span / 10).max(1));
-    // lint: allow(no-unwrap): saturating arithmetic keeps start <= end by construction
-    let window = Interval::new(w_start, w_end).expect("narrow window is well-formed");
-
-    let reps = usize::try_from(options.seeds.max(1)).unwrap_or(1);
-    let timed = |full: bool| {
-        let mut times = Vec::with_capacity(reps);
-        let mut pages_read = 0usize;
-        let mut result = Series::new();
-        for _ in 0..reps {
-            let cursor = if full {
-                PageCursor::full_scan(&reader, window)
-            } else {
-                PageCursor::new(&reader, window)
-            };
-            let started = Instant::now();
-            let mut agg = SweepAggregator::with_domain(Count, window);
-            let mut source = cursor.units();
-            // lint: allow(no-unwrap): a decode error mid-measurement must abort, not skew the median
-            feed(&mut agg, &mut source).expect("windowed paged scan");
-            result = agg.finish();
-            times.push(started.elapsed().as_secs_f64());
-            pages_read = source.stats().pages_read;
-        }
-        times.sort_by(f64::total_cmp);
-        (times[times.len() / 2], pages_read, result)
-    };
-    let (full_secs, full_pages, full_series) = timed(true);
-    let (pruned_secs, pruned_pages, pruned_series) = timed(false);
-    assert_eq!(
-        pruned_series, full_series,
-        "fence pruning must not change the answer"
-    );
-    let speedup = full_secs / pruned_secs.max(1e-9);
-    let window_pct = 100.0 * window.duration() as f64 / span.max(1) as f64;
-    emit!(
-        sink,
-        "window {window_pct:.1}% of domain: full scan reads {full_pages} pages in \
-         {full_secs:.4}s; fence-pruned reads {pruned_pages} pages in {pruned_secs:.4}s — \
-         {speedup:.1}x"
-    );
-    emit!(
-        sink,
-        "(warm-cache caveat: the file was just written, so both scans hit the OS page cache; \
-         the ratio measures decode + filter work saved, not disk seeks)"
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"paged\",\n  \"tuples\": {n},\n  \"pages\": {},\n  \
-         \"page_bytes\": {},\n  \"file_bytes\": {},\n  \"budget_tuples\": {budget_tuples},\n  \
-         \"peak_resident_tuples\": {peak_resident},\n  \"write_secs\": {write_secs:.6},\n  \
-         \"ram_sweep_secs\": {ram_secs:.6},\n  \"paged_stream_secs\": {paged_secs:.6},\n  \
-         \"window_pct\": {window_pct:.2},\n  \"full_scan_pages\": {full_pages},\n  \
-         \"pruned_scan_pages\": {pruned_pages},\n  \"full_scan_secs\": {full_secs:.6},\n  \
-         \"pruned_scan_secs\": {pruned_secs:.6},\n  \"prune_speedup\": {speedup:.2},\n  \
-         \"identical_to_in_ram\": true\n}}\n",
-        stats.pages,
-        reader.page_size(),
-        stats.file_bytes
-    );
-    let _ = pager::remove_file(&path);
-    // Acceptance gate for the tracked artifact: a window covering ≤10%
-    // of the domain must beat the forced full scan by ≥5x.
-    assert!(
-        options.smoke || speedup >= 5.0,
-        "fence pruning must win ≥5x on a ≤10% window (got {speedup:.1}x)"
-    );
-    write_artifact(sink, "BENCH_paged.json", &json, options.smoke);
-}
-
 // ──────────────────────────── Calibration ───────────────────────────
 
 /// Measure the cost model's per-unit nanosecond constants on this host and
 /// rewrite the repo root's `calibration.json` profile. Each algorithm runs
 /// a workload whose unit count the model predicts in closed form; the
 /// measured wall-clock divided by that count is the per-unit cost.
-/// xorshift64: a tiny deterministic PRNG for the ingest mix — the harness
-/// must not depend on wall-clock entropy so reruns are reproducible.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// Ingest: incremental aggregate maintenance on a mutable
-/// [`TemporalStore`] vs rebuilding the constant-interval series from
-/// scratch after every write, plus a 90/10 read/write mix served from
-/// MVCC snapshots. Writes `BENCH_ingest.json` (repo root + `target/`;
-/// `--test` keeps the tracked artifact untouched).
-fn ingest(options: &Options, sink: &mut Sink) {
-    use std::hint::black_box;
-    use tempagg_agg::{AggKind, DynAggregate};
-    use tempagg_core::{Value, ValueType};
-    use tempagg_store::TemporalStore;
-
-    let n = if options.smoke { 2_000 } else { 100_000 };
-    let patch_ops = if options.smoke { 64usize } else { 512 };
-    let recompute_iters = if options.smoke { 4usize } else { 16 };
-    let mixed_ops = if options.smoke { 1_000usize } else { 20_000 };
-    emit!(
-        sink,
-        "\n== Ingest: incremental cache patching vs full recompute, \
-         {n} random tuples =="
-    );
-
-    // lint: allow(no-unwrap): COUNT(*) over Int is a statically valid pairing
-    let count = DynAggregate::new(AggKind::CountStar, ValueType::Int).expect("COUNT(*) over Int");
-    // lint: allow(no-unwrap): SUM over Int is a statically valid pairing
-    let sum = DynAggregate::new(AggKind::Sum, ValueType::Int).expect("SUM over Int");
-    let aggs = [(count, None), (sum, Some(1usize))];
-
-    let config = WorkloadConfig::random(n).with_seed(7);
-    let lifespan = config.lifespan;
-    let relation = generate(&config);
-    let mut store = TemporalStore::new(relation);
-    for (agg, column) in aggs {
-        store.ensure_cache(agg, column);
-    }
-
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    let random_row = |rng: &mut u64| {
-        let start = (xorshift(rng) % (lifespan as u64 - 1_000)) as i64;
-        let len = (xorshift(rng) % 1_000) as i64 + 1;
-        let salary = 20_000 + (xorshift(rng) % 80_001) as i64;
-        (
-            vec![Value::from("ingest"), Value::Int(salary)],
-            Interval::at(start, start + len),
-        )
-    };
-
-    // Patch path: single-tuple inserts against the warm store; every
-    // cached series is split/merged in place.
-    let started = Instant::now();
-    for _ in 0..patch_ops {
-        let (values, valid) = random_row(&mut rng);
-        store
-            .insert(values, valid)
-            // lint: allow(no-unwrap): generated rows match the workload schema and fit the timeline
-            .expect("generated row fits the store");
-    }
-    let patch_per_op = started.elapsed().as_secs_f64() / patch_ops as f64;
-
-    // Recompute path: after each insert, rebuild both series from scratch
-    // on a fresh store (construction untimed; only the builds are timed).
-    let mut rel2 = store.relation().clone();
-    let mut recompute_total = 0.0f64;
-    for _ in 0..recompute_iters {
-        let (values, valid) = random_row(&mut rng);
-        rel2.push(values, valid)
-            // lint: allow(no-unwrap): generated rows match the workload schema and fit the timeline
-            .expect("generated row fits the relation");
-        let fresh = TemporalStore::new(rel2.clone());
-        let started = Instant::now();
-        for (agg, column) in aggs {
-            fresh.ensure_cache(agg, column);
-        }
-        recompute_total += started.elapsed().as_secs_f64();
-        black_box(fresh.cache_stats());
-    }
-    let recompute_per_op = recompute_total / recompute_iters as f64;
-    let speedup = recompute_per_op / patch_per_op.max(f64::EPSILON);
-
-    // Correctness gate: the patched series must be byte-identical to a
-    // from-scratch rebuild over the same tuples.
-    let rebuilt = TemporalStore::new(store.relation().clone());
-    for (agg, column) in aggs {
-        assert_eq!(
-            store.snapshot_or_build(agg, column).entries(),
-            rebuilt.snapshot_or_build(agg, column).entries(),
-            "patched {} series diverged from a from-scratch rebuild",
-            agg.kind().name()
-        );
-    }
-    if !options.smoke {
-        assert!(
-            speedup >= 10.0,
-            "incremental patching must be >= 10x faster than full recompute \
-             (measured {speedup:.1}x)"
-        );
-    }
-
-    // Mixed 90/10 read/write: reads pin an MVCC snapshot of the COUNT(*)
-    // series, writes insert a fresh tuple and patch every cache.
-    let mut resident = 0usize;
-    let mut writes = 0usize;
-    let started = Instant::now();
-    for _ in 0..mixed_ops {
-        if xorshift(&mut rng) % 10 == 0 {
-            let (values, valid) = random_row(&mut rng);
-            store
-                .insert(values, valid)
-                // lint: allow(no-unwrap): generated rows match the workload schema and fit the timeline
-                .expect("generated row fits the store");
-            writes += 1;
-        } else {
-            let snapshot = store
-                .snapshot(AggKind::CountStar, None)
-                // lint: allow(no-unwrap): the COUNT(*) cache was warmed above and is never dropped
-                .expect("COUNT(*) cache is warm");
-            resident += black_box(snapshot.len());
-        }
-    }
-    let mixed_secs = started.elapsed().as_secs_f64();
-    let mixed_ops_per_sec = mixed_ops as f64 / mixed_secs.max(f64::EPSILON);
-    black_box(resident);
-
-    let stats = store.cache_stats();
-    let rows = vec![
-        vec![
-            "patch (per insert)".to_owned(),
-            format!("{:.3} µs", patch_per_op * 1e6),
-        ],
-        vec![
-            "recompute (per insert)".to_owned(),
-            format!("{:.3} µs", recompute_per_op * 1e6),
-        ],
-        vec!["patch speedup".to_owned(), format!("{speedup:.1}x")],
-        vec![
-            format!("mixed 90/10 ({mixed_ops} ops, {writes} writes)"),
-            format!("{mixed_ops_per_sec:.0} ops/s"),
-        ],
-    ];
-    print_table(
-        sink,
-        "incremental maintenance vs recompute (series verified identical)",
-        &["mode".to_owned(), "measured".to_owned()],
-        &rows,
-    );
-    emit!(
-        sink,
-        "[cache stats: {} caches, {} runs, {} patched runs, {} recomputed windows]",
-        stats.caches,
-        stats.runs,
-        stats.patched_runs,
-        stats.recomputed_windows
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"ingest\",\n  \"tuples\": {n},\n  \
-         \"patch_ops\": {patch_ops},\n  \"patch_seconds_per_op\": {patch_per_op:.9},\n  \
-         \"recompute_iterations\": {recompute_iters},\n  \
-         \"recompute_seconds_per_op\": {recompute_per_op:.9},\n  \
-         \"patch_speedup\": {speedup:.3},\n  \"mixed_ops\": {mixed_ops},\n  \
-         \"mixed_write_ops\": {writes},\n  \"mixed_read_pct\": 90,\n  \
-         \"mixed_ops_per_sec\": {mixed_ops_per_sec:.1},\n  \"cache_stats\": {{\n    \
-         \"caches\": {},\n    \"runs\": {},\n    \"patched_runs\": {},\n    \
-         \"recomputed_windows\": {},\n    \"live_versions\": {},\n    \
-         \"pinned_versions\": {}\n  }}\n}}\n",
-        stats.caches,
-        stats.runs,
-        stats.patched_runs,
-        stats.recomputed_windows,
-        stats.live_versions,
-        stats.pinned_versions
-    );
-    write_artifact(sink, "BENCH_ingest.json", &json, options.smoke);
-}
-
-/// Window queries: `O(log n)` segment-tree probes vs a linear window
-/// scan over the same cached series, plus grouped TOP-k ranking vs
-/// scanning every group. Every probe is asserted byte-identical to the
-/// scan oracle, rep by rep. Writes `BENCH_windowq.json` (repo root +
-/// `target/`; `--test` keeps the tracked artifact untouched).
-fn windowq(options: &Options, sink: &mut Sink) {
-    use std::hint::black_box;
-    use tempagg_agg::{AggKind, DynAggregate};
-    use tempagg_algo::{scan_window, IndexMode, RunSource, WindowIndex};
-    use tempagg_core::{Schema, Series, TemporalRelation, Tuple, Value, ValueType};
-    use tempagg_store::{sweep_values, TemporalStore};
-
-    /// The no-index strawman: a run store with no ordering metadata, so
-    /// every query walks every run. [`Series`]'s own `RunSource` impl
-    /// binary-searches to the window instead — that clipped scan is the
-    /// byte-identity oracle and is reported separately, unasserted.
-    struct FullScan<'a>(&'a Series<Value>);
-    impl RunSource for FullScan<'_> {
-        fn for_each_run_in(&self, window: Interval, f: &mut dyn FnMut(Interval, &Value)) {
-            for entry in self.0.entries() {
-                if let Some(clipped) = entry.interval.intersect(&window) {
-                    f(clipped, &entry.value);
-                }
-            }
-        }
-    }
-
-    let n = if options.smoke { 20_000 } else { 750_000 };
-    let probe_reps = if options.smoke { 2_000u64 } else { 20_000 };
-    let scan_reps = if options.smoke { 5u64 } else { 50 };
-    let groups = if options.smoke { 100usize } else { 1_000 };
-    let per_group = if options.smoke { 20usize } else { 200 };
-    let topk_reps = if options.smoke { 10u64 } else { 200 };
-    let sweep_reps = if options.smoke { 2u64 } else { 20 };
-    let k = 10usize;
-
-    emit!(
-        sink,
-        "\n== Window queries: segment-tree probes vs linear scans, \
-         {n} random tuples =="
-    );
-
-    // ---- Arbitrary-window probes over one big cached series ----------
-    // A 4M-instant lifespan keeps boundary collisions rare, so 750K
-    // tuples really produce the targeted ~1e6 distinct runs.
-    let config = if options.smoke {
-        WorkloadConfig::random(n).with_seed(11)
-    } else {
-        WorkloadConfig::random(n)
-            .with_seed(11)
-            .with_lifespan(4_000_000)
-    };
-    let lifespan = config.lifespan;
-    let width = lifespan / 100; // the 1%-width window of EXPERIMENTS.md
-    let store = TemporalStore::new(generate(&config));
-    // lint: allow(no-unwrap): COUNT(*) over Int is a statically valid pairing
-    let count = DynAggregate::new(AggKind::CountStar, ValueType::Int).expect("COUNT(*) over Int");
-    let series = store.snapshot_or_build(count, None);
-    let runs = series.len();
-    let index = WindowIndex::build(IndexMode::Integral, &series);
-    let seed = 0x5EED_CAFEu64;
-    let window_at = |rng: &mut u64| {
-        let start = (xorshift(rng) % (lifespan - width) as u64) as i64;
-        Interval::at(start, start + width)
-    };
-
-    // Probes, timed alone; both scan baselines replay the same windows.
-    let mut rng = seed;
-    let mut acc = 0i128;
-    let started = Instant::now();
-    for _ in 0..probe_reps {
-        acc += index.probe(window_at(&mut rng), &*series).integral;
-    }
-    let probe_ns = started.elapsed().as_nanos() as f64 / probe_reps as f64;
-    black_box(acc);
-
-    let mut rng = seed;
-    let mut acc = 0i128;
-    let started = Instant::now();
-    for _ in 0..scan_reps {
-        acc += scan_window(&FullScan(&series), window_at(&mut rng)).integral;
-    }
-    let linear_ns = started.elapsed().as_nanos() as f64 / scan_reps as f64;
-    black_box(acc);
-
-    let mut rng = seed;
-    let mut acc = 0i128;
-    let started = Instant::now();
-    for _ in 0..probe_reps {
-        acc += scan_window(&*series, window_at(&mut rng)).integral;
-    }
-    let clipped_ns = started.elapsed().as_nanos() as f64 / probe_reps as f64;
-    black_box(acc);
-
-    // Byte-identity, every probe rep: the descent must reproduce the
-    // clipped scan oracle exactly over the very same windows. The first
-    // rep also ties the oracles together against the full linear pass.
-    let mut rng = seed;
-    for rep in 0..probe_reps {
-        let window = window_at(&mut rng);
-        let probed = index.probe(window, &*series);
-        assert_eq!(
-            probed,
-            scan_window(&*series, window),
-            "probe diverged from the scan oracle at rep {rep} over {window}"
-        );
-        if rep == 0 {
-            assert_eq!(
-                probed,
-                scan_window(&FullScan(&series), window),
-                "clipped and linear scans disagree over {window}"
-            );
-        }
-    }
-    let probe_speedup = linear_ns / probe_ns.max(f64::EPSILON);
-    let clipped_speedup = clipped_ns / probe_ns.max(f64::EPSILON);
-    if !options.smoke {
-        assert!(
-            probe_speedup >= 100.0,
-            "index probes must be >= 100x over the linear scan at 1%-width \
-             windows (measured {probe_speedup:.1}x over {runs} runs)"
-        );
-    }
-
-    // ---- TOP-k ranking across a grouped relation ---------------------
-    // Per-group value scales are skewed (uniform 1..=1000) and tuples are
-    // long-lived, so each group's SUM series is roughly flat: the root
-    // bound `max · duration` sits close to the true windowed integral and
-    // the shared bound heap can actually prune cold groups. With i.i.d.
-    // groups every bound looks alike and top-k degrades to probing all
-    // groups — EXPERIMENTS.md spells out that dependence on skew.
-    let schema = Schema::of(&[("g", ValueType::Int), ("v", ValueType::Int)]);
-    let mut grouped = TemporalRelation::new(schema.clone());
-    let mut rng = 0xFACE_FEEDu64;
-    for g in 0..groups {
-        let scale = (xorshift(&mut rng) % 1_000) as i64 + 1;
-        for _ in 0..per_group {
-            let start = (xorshift(&mut rng) % (lifespan as u64 * 9 / 10)) as i64;
-            let len = lifespan / 20 + (xorshift(&mut rng) % (lifespan as u64 / 10)) as i64;
-            let v = scale + (xorshift(&mut rng) % 10) as i64;
-            grouped
-                .push(
-                    vec![Value::Int(g as i64), Value::Int(v)],
-                    Interval::at(start, start + len),
-                )
-                // lint: allow(no-unwrap): generated rows match the schema built above
-                .expect("generated row fits the schema");
-        }
-    }
-    let grouped_store = TemporalStore::new(grouped.clone());
-    // lint: allow(no-unwrap): SUM over Int is a statically valid pairing
-    let sum = DynAggregate::new(AggKind::Sum, ValueType::Int).expect("SUM over Int");
-
-    // The relation partitioned by group, and (separately) the per-group
-    // series those partitions sweep into. The asserted baseline re-sweeps
-    // every group per query — the engine's real fallback when no grouped
-    // index exists. The pre-swept series feed the softer "warm clipped
-    // scan" comparison, reported but not asserted: it only exists once
-    // this PR's grouped cache exists.
-    let mut partitions: Vec<Vec<&Tuple>> = vec![Vec::new(); groups];
-    for tuple in &grouped {
-        // lint: allow(no-unwrap): column 0 is Int(g) by construction above
-        let g = tuple.value(0).as_i64().expect("g is an integer") as usize;
-        // lint: allow(indexing): g < groups by construction above
-        partitions[g].push(tuple);
-    }
-    let warm: Vec<(Value, Series<Value>)> = partitions
-        .iter()
-        .enumerate()
-        .map(|(g, tuples)| (Value::Int(g as i64), sweep_values(&sum, Some(1), tuples)))
-        .collect();
-    let rank = |mut ranked: Vec<(Value, tempagg_algo::WindowAggregate)>| {
-        ranked.sort_by_key(|entry| std::cmp::Reverse(entry.1.integral));
-        ranked.truncate(k);
-        ranked
-    };
-    let sweep_top_k = |window: Interval| {
-        rank(
-            partitions
-                .iter()
-                .enumerate()
-                .map(|(g, tuples)| {
-                    let series = sweep_values(&sum, Some(1), tuples);
-                    (Value::Int(g as i64), scan_window(&series, window))
-                })
-                .collect(),
-        )
-    };
-    let warm_top_k = |window: Interval| {
-        rank(
-            warm.iter()
-                .map(|(g, series)| (g.clone(), scan_window(series, window)))
-                .collect(),
-        )
-    };
-
-    // Warm the grouped indexes (untimed, counted as the one-time miss),
-    // then time repeated rankings and verify each against the baselines.
-    let seed_topk = 0xBEAD_5EEDu64;
-    let mut rng = seed_topk;
-    let warm_window = window_at(&mut rng);
-    grouped_store
-        .top_k_by_window(AggKind::Sum, Some(1), 0, warm_window, k)
-        // lint: allow(no-unwrap): SUM(v) BY g over the schema built above is indexable
-        .expect("grouped ranking over an indexable aggregate");
-
-    let mut rng = seed_topk;
-    let mut bound_probes = 0u64;
-    let started = Instant::now();
-    for _ in 0..topk_reps {
-        let (ranked, probes) = grouped_store
-            .top_k_by_window(AggKind::Sum, Some(1), 0, window_at(&mut rng), k)
-            // lint: allow(no-unwrap): same aggregate/window family as the warm call
-            .expect("grouped ranking over an indexable aggregate");
-        bound_probes += probes;
-        black_box(ranked.len());
-    }
-    let indexed_ns = started.elapsed().as_nanos() as f64 / topk_reps as f64;
-
-    let mut rng = seed_topk;
-    let started = Instant::now();
-    for _ in 0..sweep_reps {
-        black_box(sweep_top_k(window_at(&mut rng)).len());
-    }
-    let sweep_ns = started.elapsed().as_nanos() as f64 / sweep_reps as f64;
-
-    let mut rng = seed_topk;
-    let started = Instant::now();
-    for _ in 0..topk_reps {
-        black_box(warm_top_k(window_at(&mut rng)).len());
-    }
-    let warm_ns = started.elapsed().as_nanos() as f64 / topk_reps as f64;
-
-    let mut rng = seed_topk;
-    for rep in 0..topk_reps {
-        let window = window_at(&mut rng);
-        let (ranked, _) = grouped_store
-            .top_k_by_window(AggKind::Sum, Some(1), 0, window, k)
-            // lint: allow(no-unwrap): same aggregate/window family as the warm call
-            .expect("grouped ranking over an indexable aggregate");
-        assert_eq!(
-            ranked,
-            warm_top_k(window),
-            "grouped ranking diverged from the warm-scan oracle at \
-             rep {rep} over {window}"
-        );
-        if rep == 0 {
-            assert_eq!(
-                ranked,
-                sweep_top_k(window),
-                "grouped ranking diverged from the sweep oracle over {window}"
-            );
-        }
-    }
-    let topk_speedup = sweep_ns / indexed_ns.max(f64::EPSILON);
-    let warm_ratio = warm_ns / indexed_ns.max(f64::EPSILON);
-    if !options.smoke {
-        assert!(
-            topk_speedup >= 10.0,
-            "grouped ranking must be >= 10x over sweeping and scanning \
-             every group (measured {topk_speedup:.1}x at {groups} groups)"
-        );
-    }
-
-    let descents = bound_probes as f64 / topk_reps as f64;
-    let rows = vec![
-        vec![
-            format!("index probe ({runs} runs, 1% window)"),
-            format!("{:.3} µs", probe_ns / 1e3),
-        ],
-        vec![
-            "linear scan (all runs)".to_owned(),
-            format!("{:.3} µs", linear_ns / 1e3),
-        ],
-        vec![
-            "clipped scan (binary-searched)".to_owned(),
-            format!("{:.3} µs", clipped_ns / 1e3),
-        ],
-        vec![
-            "probe speedup vs linear / clipped".to_owned(),
-            format!("{probe_speedup:.1}x / {clipped_speedup:.1}x"),
-        ],
-        vec![
-            format!("TOP-{k} of {groups} groups, indexed"),
-            format!("{:.3} µs", indexed_ns / 1e3),
-        ],
-        vec![
-            "sweep + scan every group (fallback)".to_owned(),
-            format!("{:.3} µs", sweep_ns / 1e3),
-        ],
-        vec![
-            "warm clipped scan, every group".to_owned(),
-            format!("{:.3} µs", warm_ns / 1e3),
-        ],
-        vec![
-            "TOP-k speedup vs fallback / warm".to_owned(),
-            format!("{topk_speedup:.1}x / {warm_ratio:.1}x"),
-        ],
-        vec![
-            "exact descents per ranking".to_owned(),
-            format!("{descents:.1} of {groups}"),
-        ],
-    ];
-    print_table(
-        sink,
-        "window probes and TOP-k ranking (probes verified byte-identical, every rep)",
-        &["mode".to_owned(), "measured".to_owned()],
-        &rows,
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"windowq\",\n  \"tuples\": {n},\n  \
-         \"series_runs\": {runs},\n  \"window_width_pct\": 1,\n  \
-         \"probe_reps\": {probe_reps},\n  \"probe_ns_per_query\": {probe_ns:.1},\n  \
-         \"linear_scan_ns_per_query\": {linear_ns:.1},\n  \
-         \"clipped_scan_ns_per_query\": {clipped_ns:.1},\n  \
-         \"probe_speedup_vs_linear\": {probe_speedup:.1},\n  \
-         \"probe_speedup_vs_clipped\": {clipped_speedup:.1},\n  \
-         \"topk\": {{\n    \"groups\": {groups},\n    \"tuples_per_group\": {per_group},\n    \
-         \"k\": {k},\n    \"reps\": {topk_reps},\n    \
-         \"indexed_ns_per_query\": {indexed_ns:.1},\n    \
-         \"sweep_fallback_ns_per_query\": {sweep_ns:.1},\n    \
-         \"warm_clipped_ns_per_query\": {warm_ns:.1},\n    \
-         \"speedup_vs_fallback\": {topk_speedup:.1},\n    \
-         \"speedup_vs_warm_clipped\": {warm_ratio:.1},\n    \
-         \"exact_descents_per_query\": {descents:.2}\n  }}\n}}\n"
-    );
-    write_artifact(sink, "BENCH_windowq.json", &json, options.smoke);
-}
-
 fn calibrate(options: &Options, sink: &mut Sink) {
     use tempagg_plan::Calibration;
 
@@ -2057,6 +813,17 @@ fn calibrate(options: &Options, sink: &mut Sink) {
     emit!(sink, "\n{}", cal.emit().trim_end());
 
     write_artifact(sink, "calibration.json", &cal.emit(), options.smoke);
+}
+
+/// xorshift64: a tiny deterministic PRNG for the probe windows — the
+/// harness must not depend on wall-clock entropy so reruns are reproducible.
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
 }
 
 /// Measure the window index's per-node fold cost: build a `COUNT(*)`

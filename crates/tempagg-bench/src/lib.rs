@@ -13,9 +13,9 @@ use std::time::{Duration, Instant};
 use tempagg_agg::{Count, SweepAggregate};
 use tempagg_algo::{
     AggregationTree, BalancedAggregationTree, KOrderedAggregationTree, LinkedListAggregate,
-    MemoryStats, PartitionedAggregator, SweepAggregator, TemporalAggregator, TwoScanAggregate,
+    MemoryStats, SweepAggregator, TemporalAggregator, TwoScanAggregate,
 };
-use tempagg_core::{Chunk, Interval, Timestamp, DEFAULT_CHUNK_CAPACITY};
+use tempagg_core::Interval;
 use tempagg_workload::{generate, TupleOrder, WorkloadConfig};
 
 /// One algorithm configuration, as named in the paper's figure legends.
@@ -121,90 +121,6 @@ where
 /// timing the scan + finish.
 pub fn run_count(config: AlgoConfig, tuples: &[(Interval, ())]) -> RunMeasurement {
     run_agg(config, Count, tuples)
-}
-
-/// Run `COUNT` through a [`PartitionedAggregator`] cut into `partitions`
-/// sub-domains at seams drawn from the hull of the tuples' start times,
-/// feeding the input in [`Chunk`] batches — the same pipeline the plan
-/// executor drives. Configurations without a partitioned form (and inputs
-/// with no meaningful cut) fall back to [`run_count`].
-pub fn run_count_partitioned(
-    config: AlgoConfig,
-    tuples: &[(Interval, ())],
-    partitions: usize,
-) -> RunMeasurement {
-    let Some(seams) = start_hull(tuples).map(|hull| hull.even_seams(partitions)) else {
-        return run_count(config, tuples);
-    };
-    fn drive<G>(
-        factory: impl FnMut(Interval) -> G,
-        seams: Vec<Timestamp>,
-        tuples: &[(Interval, ())],
-    ) -> RunMeasurement
-    where
-        G: TemporalAggregator<Count> + Send,
-    {
-        let started = Instant::now();
-        let mut partitioned = PartitionedAggregator::with_seams(Interval::TIMELINE, seams, factory)
-            // lint: allow(no-unwrap): even seams over a bounded data hull always satisfy with_seams
-            .expect("even seams over a bounded hull are valid");
-        let mut chunk: Chunk<()> = Chunk::with_capacity(DEFAULT_CHUNK_CAPACITY);
-        for &(iv, ()) in tuples {
-            if chunk.is_full() {
-                partitioned
-                    .push_batch(&chunk)
-                    // lint: allow(no-unwrap): measurement must abort on a misconfigured scenario, not skew timings with handling
-                    .expect("benchmark tuples fit the timeline");
-                chunk.clear();
-            }
-            // lint: allow(no-unwrap): the chunk was cleared when full just above
-            chunk.push(iv, ()).expect("chunk has room");
-        }
-        if !chunk.is_empty() {
-            partitioned
-                .push_batch(&chunk)
-                // lint: allow(no-unwrap): measurement must abort on a misconfigured scenario, not skew timings with handling
-                .expect("benchmark tuples fit the timeline");
-        }
-        let memory = partitioned.memory();
-        let series = partitioned.finish();
-        RunMeasurement {
-            elapsed: started.elapsed(),
-            memory,
-            result_rows: series.len(),
-        }
-    }
-    match config {
-        AlgoConfig::LinkedList => drive(
-            |sub| LinkedListAggregate::with_domain(Count, sub),
-            seams,
-            tuples,
-        ),
-        AlgoConfig::AggregationTree => drive(
-            |sub| AggregationTree::with_domain(Count, sub),
-            seams,
-            tuples,
-        ),
-        AlgoConfig::Sweep => drive(
-            |sub| SweepAggregator::with_domain(Count, sub),
-            seams,
-            tuples,
-        ),
-        _ => run_count(config, tuples),
-    }
-}
-
-/// The bounded hull of the tuples' start times — `None` when the input is
-/// empty or every tuple starts at the same instant (no meaningful cut).
-fn start_hull(tuples: &[(Interval, ())]) -> Option<Interval> {
-    let mut starts = tuples.iter().map(|&(iv, ())| iv.start());
-    let first = starts.next()?;
-    let (lo, hi) = starts.fold((first, first), |(lo, hi), s| (lo.min(s), hi.max(s)));
-    if lo < hi {
-        Interval::new(lo, hi).ok()
-    } else {
-        None
-    }
 }
 
 /// The input ordering each configuration expects, given the experiment's
@@ -321,28 +237,6 @@ mod tests {
         .map(|&c| run_count(c, &tuples).result_rows)
         .collect();
         assert!(rows.windows(2).all(|w| w[0] == w[1]), "rows {rows:?}");
-    }
-
-    #[test]
-    fn partitioned_run_matches_serial_rows() {
-        let tuples = count_tuples(&WorkloadConfig::random(512).with_seed(2));
-        for config in [
-            AlgoConfig::LinkedList,
-            AlgoConfig::AggregationTree,
-            AlgoConfig::Sweep,
-        ] {
-            let serial = run_count(config, &tuples);
-            for partitions in [2usize, 4, 8] {
-                let par = run_count_partitioned(config, &tuples, partitions);
-                assert_eq!(
-                    par.result_rows, serial.result_rows,
-                    "{config:?} P={partitions}"
-                );
-            }
-        }
-        // A single tuple has a degenerate hull: falls back to a serial run.
-        let single = run_count_partitioned(AlgoConfig::LinkedList, &tuples[..1], 4);
-        assert!(single.result_rows >= 1);
     }
 
     #[test]

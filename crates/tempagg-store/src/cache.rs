@@ -26,26 +26,36 @@
 //!   the hull of the runs touching the changed interval (tuples clipped
 //!   to the window), never the full timeline.
 //!
-//! Readers never see the working series: [`AggCache::snapshot`] publishes
-//! an immutable epoch-stamped version through the core
+//! Readers never see the working series: [`CachedSeries::snapshot`]
+//! publishes an immutable epoch-stamped version through the core
 //! [`VersionedSeries`] chain, materialized at most once per epoch.
+//!
+//! What the store and each ranking group hold is a [`CachedSeries`]: that
+//! cache — or, after a reopen and until the first write, the series the
+//! file's footer restored — together with the window index cut over it.
+//! Every write goes through the entry, which patches the runs and then
+//! brings its own index back in step.
 
 use crate::runs::{Run, RunList};
+use crate::store::StoreCacheStats;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tempagg_agg::{DynActive, DynAggregate, SweepAggregate};
-use tempagg_algo::{RunSource, SweepAggregator, TemporalAggregator, WindowIndex};
+use tempagg_algo::{
+    GroupProbe, IndexMode, RunSource, SweepAggregator, TemporalAggregator, WindowAggregate,
+    WindowIndex,
+};
 use tempagg_core::{
-    Epoch, Interval, Result, Series, SeriesEntry, TemporalRelation, Timestamp, Tuple, Value,
-    VersionedSeries,
+    Epoch, Interval, Result, Series, SeriesEntry, TempAggError, TemporalRelation, Timestamp, Tuple,
+    Value, VersionedSeries,
 };
 
 /// The input value a cache feeds its aggregate for one tuple: the cached
 /// column's value, or the `COUNT(*)` placeholder when there is no input
 /// column. Mirrors the SQL executor's extractor so cached and freshly
 /// computed series agree byte for byte.
-pub(crate) fn extract(tuple: &Tuple, column: Option<usize>) -> Value {
+fn extract(tuple: &Tuple, column: Option<usize>) -> Value {
     match column {
         Some(idx) => tuple.value(idx).clone(),
         None => Value::Bool(true),
@@ -136,7 +146,7 @@ pub fn sweep_values(agg: &DynAggregate, column: Option<usize>, tuples: &[&Tuple]
 /// A versioned, incrementally maintained cache of one aggregate's
 /// constant-interval series.
 #[derive(Clone, Debug)]
-pub(crate) struct AggCache {
+struct AggCache {
     agg: DynAggregate,
     column: Option<usize>,
     /// Working series: runs tile `[0, ∞]` in time order.
@@ -157,11 +167,7 @@ impl AggCache {
     /// group's members): the sweep kernel's admit/retract endpoint scan,
     /// but retaining the active state per run so later writes can patch
     /// it.
-    pub(crate) fn build<T: Borrow<Tuple>>(
-        agg: DynAggregate,
-        column: Option<usize>,
-        tuples: &[T],
-    ) -> AggCache {
+    fn build<T: Borrow<Tuple>>(agg: DynAggregate, column: Option<usize>, tuples: &[T]) -> AggCache {
         let mut runs = RunList::new();
         let boundaries = sweep_runs(&agg, column, tuples, |interval, active| {
             runs.push(Run {
@@ -179,30 +185,6 @@ impl AggCache {
             patched_runs: 0,
             recomputed_windows: 0,
         }
-    }
-
-    pub(crate) fn column(&self) -> Option<usize> {
-        self.column
-    }
-
-    pub(crate) fn runs_len(&self) -> usize {
-        self.runs.len()
-    }
-
-    pub(crate) fn patched_runs(&self) -> u64 {
-        self.patched_runs
-    }
-
-    pub(crate) fn recomputed_windows(&self) -> u64 {
-        self.recomputed_windows
-    }
-
-    pub(crate) fn live_versions(&self) -> usize {
-        self.versions.live_versions()
-    }
-
-    pub(crate) fn pinned_versions(&self) -> usize {
-        self.versions.pinned_versions()
     }
 
     /// Whether writes patch active states (exact retraction) or fall back
@@ -235,70 +217,6 @@ impl AggCache {
             self.boundaries.remove(&b);
             self.runs.merge_at(b);
         }
-    }
-
-    /// Absorb one inserted tuple. The relation already contains it.
-    pub(crate) fn apply_insert(
-        &mut self,
-        valid: Interval,
-        value: &Value,
-        relation: &TemporalRelation,
-    ) -> Result<()> {
-        for b in boundary_candidates(valid) {
-            self.add_boundary(b);
-        }
-        if self.patches_states() {
-            self.patch(valid, value, DynAggregate::active_insert);
-            Ok(())
-        } else {
-            self.recompute_window(valid, relation)
-        }
-    }
-
-    /// Absorb one deleted tuple. The relation no longer contains it.
-    pub(crate) fn apply_delete(
-        &mut self,
-        valid: Interval,
-        value: &Value,
-        relation: &TemporalRelation,
-    ) -> Result<()> {
-        if self.patches_states() {
-            // Retract first: after retraction the states on both sides of
-            // a released boundary are equal, making the merge sound.
-            self.patch(valid, value, DynAggregate::active_remove);
-            for b in boundary_candidates(valid) {
-                self.drop_boundary(b);
-            }
-            Ok(())
-        } else {
-            for b in boundary_candidates(valid) {
-                self.drop_boundary(b);
-            }
-            self.recompute_window(valid, relation)
-        }
-    }
-
-    /// Absorb one tuple whose cached column changed from `old` to `new`
-    /// while its valid time stayed: retract and fold in one pass over the
-    /// runs it covers. Its boundaries and their refcounts end where they
-    /// began, so they are not touched. The relation already holds `new`.
-    pub(crate) fn apply_update(
-        &mut self,
-        valid: Interval,
-        old: &Value,
-        new: &Value,
-        relation: &TemporalRelation,
-    ) -> Result<()> {
-        if !self.patches_states() {
-            return self.recompute_window(valid, relation);
-        }
-        let agg = self.agg;
-        self.patched_runs += self.runs.for_each_in_mut(valid, |run| {
-            agg.active_remove(&mut run.state, old);
-            agg.active_insert(&mut run.state, new);
-            run.value = agg.active_output(&run.state);
-        });
-        Ok(())
     }
 
     /// Fold `value` into (or retract it from) the state of every run
@@ -350,99 +268,292 @@ impl AggCache {
         self.recomputed_windows += 1;
         Ok(())
     }
+}
 
-    /// An immutable snapshot of the working series at `epoch`, shared
-    /// with every reader of that epoch. Superseded unpinned versions are
-    /// collected on publish.
+/// What a cached series is read from: the patchable runs of a live
+/// [`AggCache`], or the series a paged file's footer restored for an
+/// aggregate — immutable, equal to what a cache built over the reopened
+/// relation would publish, and served as it is until the first write
+/// swaps that cache in.
+#[derive(Clone, Debug)]
+enum Body {
+    Live(AggCache),
+    Restored(DynAggregate, Arc<Series<Value>>),
+}
+
+/// The window index probes and refreshes straight off the working series:
+/// no snapshot is materialised on the way.
+impl RunSource for Body {
+    fn for_each_run_in(&self, window: Interval, f: &mut dyn FnMut(Interval, &Value)) {
+        match self {
+            Body::Live(cache) => cache.runs.for_each_in(window, |run| {
+                if let Some(clipped) = run.interval.intersect(&window) {
+                    f(clipped, &run.value);
+                }
+            }),
+            Body::Restored(_, series) => series.for_each_run_in(window, f),
+        }
+    }
+}
+
+/// One cached aggregate series and the window index over it — what the
+/// store keeps per `(aggregate, column)` and a ranking keeps per group.
+///
+/// The index is cut by the first probe and never persisted. From then on
+/// the entry keeps it in step: [`insert`](CachedSeries::insert),
+/// [`delete`](CachedSeries::delete) and [`update`](CachedSeries::update)
+/// patch the runs and then refresh the index over the intervals they
+/// dirtied, so nobody outside can leave the two apart. A restored body
+/// takes no writes; [`promote`](CachedSeries::promote) comes first.
+#[derive(Clone, Debug)]
+pub(crate) struct CachedSeries {
+    body: Body,
+    index: Option<WindowIndex>,
+}
+
+impl CachedSeries {
+    /// A live series built from scratch over `tuples` (a relation's, or
+    /// one group's members).
+    pub(crate) fn build<T: Borrow<Tuple>>(
+        agg: DynAggregate,
+        column: Option<usize>,
+        tuples: &[T],
+    ) -> CachedSeries {
+        CachedSeries {
+            body: Body::Live(AggCache::build(agg, column, tuples)),
+            index: None,
+        }
+    }
+
+    /// The series of `agg` as a paged file's footer stored it.
+    pub(crate) fn restored(agg: DynAggregate, entries: Vec<SeriesEntry<Value>>) -> CachedSeries {
+        CachedSeries {
+            body: Body::Restored(agg, Arc::new(Series::from_entries(entries))),
+            index: None,
+        }
+    }
+
+    /// Swap a restored body for a live cache over `column` of `tuples` —
+    /// the relation *before* the write that forces this, so that write
+    /// patches real, retractable state. Both bodies hold the same series,
+    /// so an index already cut stays. A live body is left alone.
+    pub(crate) fn promote(&mut self, column: Option<usize>, tuples: &[Tuple]) {
+        if let Body::Restored(agg, _) = self.body {
+            self.body = Body::Live(AggCache::build(agg, column, tuples));
+        }
+    }
+
+    fn live_mut(&mut self) -> Result<&mut AggCache> {
+        match &mut self.body {
+            Body::Live(cache) => Ok(cache),
+            Body::Restored(..) => Err(TempAggError::internal(
+                "a write reached a restored series before its promotion",
+            )),
+        }
+    }
+
+    /// How many constant-interval runs the series has now.
+    pub(crate) fn runs_len(&self) -> usize {
+        match &self.body {
+            Body::Live(cache) => cache.runs.len(),
+            Body::Restored(_, series) => series.len(),
+        }
+    }
+
+    /// The series as a snapshot would publish it, without publishing one.
+    pub(crate) fn entries(&self) -> Vec<SeriesEntry<Value>> {
+        match &self.body {
+            Body::Live(cache) => cache.runs.entries(),
+            Body::Restored(_, series) => series.entries().to_vec(),
+        }
+    }
+
+    /// An immutable snapshot of the series at `epoch`, shared with every
+    /// reader of that epoch; superseded unpinned versions are collected on
+    /// publish. A restored series is its own snapshot: the relation has
+    /// not changed since the flush that wrote it.
     pub(crate) fn snapshot(&mut self, epoch: Epoch) -> Arc<Series<Value>> {
-        let runs = &self.runs;
-        self.versions
-            .snapshot_at(epoch, || Series::from_entries(runs.entries()))
+        match &mut self.body {
+            Body::Live(cache) => cache
+                .versions
+                .snapshot_at(epoch, || Series::from_entries(cache.runs.entries())),
+            Body::Restored(_, series) => series.clone(),
+        }
     }
 
-    /// The working series as a snapshot would publish it, without
-    /// publishing one.
-    #[cfg(feature = "validate")]
-    pub(crate) fn series(&self) -> Series<Value> {
-        Series::from_entries(self.runs.entries())
+    /// Add a live body's maintenance counters to `stats`.
+    pub(crate) fn tally(&self, stats: &mut StoreCacheStats) {
+        if let Body::Live(cache) = &self.body {
+            stats.caches += 1;
+            stats.runs += cache.runs.len();
+            stats.patched_runs += cache.patched_runs;
+            stats.recomputed_windows += cache.recomputed_windows;
+            stats.live_versions += cache.versions.live_versions();
+            stats.pinned_versions += cache.versions.pinned_versions();
+        }
     }
 
-    /// Structural invariants: the chunked runs tile `[0, ∞]`, and interior
-    /// run edges are exactly the refcounted boundaries.
+    pub(crate) fn has_index(&self) -> bool {
+        self.index.is_some()
+    }
+
+    /// The index, cut now over the current runs if no probe has yet, and
+    /// the runs it reads its edge leaves from.
+    pub(crate) fn indexed(&mut self, mode: IndexMode) -> GroupProbe<'_> {
+        let index = self
+            .index
+            .get_or_insert_with(|| WindowIndex::over(mode, &self.body));
+        GroupProbe {
+            index,
+            source: &self.body,
+        }
+    }
+
+    /// The aggregate over `window` in O(log n) node folds.
+    pub(crate) fn probe(&mut self, mode: IndexMode, window: Interval) -> WindowAggregate {
+        let GroupProbe { index, source } = self.indexed(mode);
+        let out = index.probe(window, source);
+        #[cfg(feature = "validate")]
+        assert_eq!(
+            out,
+            tempagg_algo::scan_window(source, window),
+            "window index probe diverged from the linear scan oracle"
+        );
+        out
+    }
+
+    /// Absorb one inserted tuple. The relation already contains it.
+    pub(crate) fn insert(&mut self, tuple: &Tuple, relation: &TemporalRelation) -> Result<()> {
+        let (cache, valid) = (self.live_mut()?, tuple.valid());
+        for b in boundary_candidates(valid) {
+            cache.add_boundary(b);
+        }
+        if cache.patches_states() {
+            let value = extract(tuple, cache.column);
+            cache.patch(valid, &value, DynAggregate::active_insert);
+        } else {
+            cache.recompute_window(valid, relation)?;
+        }
+        self.refresh(valid);
+        Ok(())
+    }
+
+    /// Retract one deleted tuple. The relation no longer contains it.
+    pub(crate) fn delete(&mut self, tuple: &Tuple, relation: &TemporalRelation) -> Result<()> {
+        let (cache, valid) = (self.live_mut()?, tuple.valid());
+        let retracts = cache.patches_states();
+        if retracts {
+            // Retract first: after retraction the states on both sides of
+            // a released boundary are equal, making the merge sound.
+            let value = extract(tuple, cache.column);
+            cache.patch(valid, &value, DynAggregate::active_remove);
+        }
+        for b in boundary_candidates(valid) {
+            cache.drop_boundary(b);
+        }
+        if !retracts {
+            cache.recompute_window(valid, relation)?;
+        }
+        self.refresh(valid);
+        Ok(())
+    }
+
+    /// Absorb one tuple rewritten in place from `old` to `new`, valid time
+    /// kept: retract and fold in one pass over the runs it covers. Its
+    /// boundaries and their refcounts end where they began, so they are
+    /// not touched. The relation already holds `new`. A series without an
+    /// input column reads nothing an `UPDATE` can assign.
+    pub(crate) fn update(
+        &mut self,
+        old: &Tuple,
+        new: &Tuple,
+        relation: &TemporalRelation,
+    ) -> Result<()> {
+        let (cache, valid) = (self.live_mut()?, new.valid());
+        let Some(column) = cache.column else {
+            return Ok(());
+        };
+        if cache.patches_states() {
+            let agg = cache.agg;
+            cache.patched_runs += cache.runs.for_each_in_mut(valid, |run| {
+                agg.active_remove(&mut run.state, old.value(column));
+                agg.active_insert(&mut run.state, new.value(column));
+                run.value = agg.active_output(&run.state);
+            });
+        } else {
+            cache.recompute_window(valid, relation)?;
+        }
+        self.refresh(valid);
+        Ok(())
+    }
+
+    /// Bring the index back in step with the runs after a write over
+    /// `dirty`: recompute the leaves it overlaps and refold their root
+    /// paths — O(runs-in-dirty + log n). An index keeps the leaf cuts it
+    /// was built with, so once the series holds twice the runs it was cut
+    /// for (a group born from one tuple, a table created empty) it is
+    /// rebuilt instead — amortized O(1) per write.
+    fn refresh(&mut self, dirty: Interval) {
+        #[cfg(feature = "validate")]
+        self.validate_structure();
+        let runs = self.runs_len();
+        let Some(index) = &mut self.index else {
+            return;
+        };
+        if runs >= 2 * index.leaf_count() {
+            *index = WindowIndex::over(index.mode(), &self.body);
+        } else {
+            index.refresh(dirty, &self.body);
+        }
+        #[cfg(feature = "validate")]
+        self.validate_index(dirty);
+    }
+
+    /// Structural invariants of a live body: the chunked runs tile
+    /// `[0, ∞]`, and interior run edges are exactly the refcounted
+    /// boundaries.
     #[cfg(any(test, feature = "validate"))]
     pub(crate) fn validate_structure(&self) {
-        self.runs.validate_structure();
-        for run in self.runs.chunks().flatten().skip(1) {
+        let Body::Live(cache) = &self.body else {
+            return;
+        };
+        cache.runs.validate_structure();
+        for run in cache.runs.chunks().flatten().skip(1) {
             assert!(
-                self.boundaries.contains_key(&run.interval.start()),
+                cache.boundaries.contains_key(&run.interval.start()),
                 "interior run edge {} has no boundary refcount",
                 run.interval.start()
             );
         }
         assert_eq!(
-            self.boundaries.len(),
-            self.runs.len().saturating_sub(1),
+            cache.boundaries.len(),
+            cache.runs.len().saturating_sub(1),
             "boundary refcounts must match interior run edges"
         );
     }
-}
 
-/// The window index probes and refreshes straight off the working series:
-/// no snapshot is materialised on the way.
-impl RunSource for AggCache {
-    fn for_each_run_in(&self, window: Interval, f: &mut dyn FnMut(Interval, &Value)) {
-        self.runs.for_each_in(window, |run| {
-            if let Some(clipped) = run.interval.intersect(&window) {
-                f(clipped, &run.value);
-            }
-        });
-    }
-}
-
-/// Bring `index` back in step with `cache` after writes over `dirty`:
-/// recompute the leaves they overlap and refold their root paths. An
-/// index keeps the leaf cuts it was built with, so once the series holds
-/// twice the runs it was cut for (a group born from one tuple, a table
-/// created empty) it is rebuilt instead — amortized O(1) per write.
-pub(crate) fn refresh_index(index: &mut WindowIndex, cache: &AggCache, dirty: &[Interval]) {
-    if cache.runs_len() >= 2 * index.leaf_count() {
-        *index = WindowIndex::over(index.mode(), cache);
-    } else {
-        for iv in dirty {
-            index.refresh(*iv, cache);
+    /// `--features validate`: after the index was refreshed (or re-cut),
+    /// cut one from scratch over the runs the entry holds now and
+    /// assert that the two answer the full timeline and windows around
+    /// the dirty interval byte-identically. A refreshed index keeps its
+    /// original leaf cuts while the rebuilt one re-cuts at current run
+    /// boundaries, so this compares probe *results*, never node layouts.
+    #[cfg(feature = "validate")]
+    fn validate_index(&self, dirty: Interval) {
+        let Some(index) = &self.index else {
+            return;
+        };
+        let rebuilt = WindowIndex::over(index.mode(), &self.body);
+        let lo = Timestamp::new(dirty.start().get().saturating_sub(16).max(0));
+        let hi = Timestamp::new(dirty.end().get().saturating_add(16));
+        let widened = Interval::new(lo, hi).unwrap_or(dirty);
+        for window in [Interval::TIMELINE, dirty, widened] {
+            assert_eq!(
+                index.probe(window, &self.body),
+                rebuilt.probe(window, &self.body),
+                "refreshed window index diverged from a rebuilt one"
+            );
         }
-    }
-}
-
-/// `--features validate`: after an index was refreshed (or re-cut), build
-/// one from scratch over `fresh` — the series the cache holds now — and
-/// assert that the two answer the full timeline plus windows around every
-/// dirty interval byte-identically. A refreshed index keeps its original
-/// leaf cuts while the rebuilt one re-cuts at current run boundaries, so
-/// this compares probe *results*, never node layouts.
-#[cfg(feature = "validate")]
-pub(crate) fn validate_index(
-    index: &WindowIndex,
-    cache: &AggCache,
-    fresh: &Series<Value>,
-    dirty: &[Interval],
-) {
-    let rebuilt = WindowIndex::build(index.mode(), fresh);
-    let mut windows = vec![Interval::TIMELINE];
-    for iv in dirty {
-        windows.push(*iv);
-        let lo = Timestamp::new(iv.start().get().saturating_sub(16).max(0));
-        let hi = Timestamp::new(iv.end().get().saturating_add(16));
-        if let Ok(widened) = Interval::new(lo, hi) {
-            windows.push(widened);
-        }
-    }
-    for window in windows {
-        assert_eq!(
-            index.probe(window, cache),
-            rebuilt.probe(window, fresh),
-            "refreshed window index diverged from a rebuilt one"
-        );
     }
 }
 
@@ -464,8 +575,11 @@ mod tests {
                 .unwrap();
         }
         let sum = DynAggregate::new(AggKind::Sum, ValueType::Int).unwrap();
-        let mut cache = AggCache::build(sum, Some(0), relation.tuples());
-        cache.validate_structure();
+        let mut cached = CachedSeries::build(sum, Some(0), relation.tuples());
+        cached.validate_structure();
+        let Body::Live(cache) = &cached.body else {
+            panic!("a built series is live");
+        };
         let edges: Vec<Timestamp> = cache
             .runs
             .chunks()
@@ -473,7 +587,7 @@ mod tests {
             .filter_map(|chunk| chunk.first().map(|run| run.interval.start()))
             .collect();
         assert_eq!(edges.len(), 2, "601 runs sit in three chunks");
-        let series = cache.snapshot(Epoch::ZERO);
+        let series = cached.snapshot(Epoch::ZERO);
         let collect = |source: &dyn RunSource, window: Interval| {
             let mut out = Vec::new();
             source.for_each_run_in(window, &mut |iv, v| out.push((iv, v.clone())));
@@ -486,11 +600,47 @@ mod tests {
                     Timestamp::new(edge.get() + after),
                 )
                 .unwrap();
-                let got = collect(&cache, window);
+                let got = collect(&cached.body, window);
                 assert_eq!(got, collect(&*series, window), "{window}");
                 assert_eq!(got.first().map(|(iv, _)| iv.start()), Some(window.start()));
                 assert_eq!(got.last().map(|(iv, _)| iv.end()), Some(window.end()));
             }
         }
+    }
+
+    /// A series born from one tuple (three runs) does not keep a three-leaf
+    /// index for life: whenever the series has doubled, the index is cut
+    /// again, and in between it is refreshed in place.
+    #[test]
+    fn an_index_is_recut_when_its_series_has_doubled() {
+        let schema = Schema::of(&[("g", ValueType::Int), ("v", ValueType::Int)]);
+        let mut relation = TemporalRelation::new(schema);
+        let sum = DynAggregate::new(AggKind::Sum, ValueType::Int).unwrap();
+        let mut cached = CachedSeries::build(sum, Some(1), relation.tuples());
+        let mut cuts = Vec::new();
+        for i in 0..200i64 {
+            let tuple = Tuple::new(
+                vec![Value::Int(7), Value::Int(i)],
+                Interval::at(13 * i % 500 + 1, 13 * i % 500 + 40),
+            );
+            relation.push_tuple(tuple.clone()).unwrap();
+            cached.insert(&tuple, &relation).unwrap();
+            for window in [Interval::TIMELINE, Interval::at(20, 300), tuple.valid()] {
+                assert_eq!(
+                    cached.probe(IndexMode::Integral, window),
+                    tempagg_algo::scan_window(&cached.body, window)
+                );
+            }
+            let leaves = cached.index.as_ref().map(WindowIndex::leaf_count).unwrap();
+            assert!(cached.runs_len() < 2 * leaves);
+            if cuts.last() != Some(&leaves) {
+                cuts.push(leaves);
+            }
+        }
+        // Cut for 3 runs at the first probe, then each time the series had
+        // doubled: a handful of rebuilds for two hundred writes.
+        assert_eq!(cuts.first(), Some(&3));
+        assert!(cuts.windows(2).all(|w| w[1] >= 2 * w[0]), "{cuts:?}");
+        assert!((4..=8).contains(&cuts.len()), "{cuts:?}");
     }
 }

@@ -1,38 +1,29 @@
-//! The per-group window indexes behind one `TOP k BY agg(col) OVER w ...
+//! The per-group cached series behind one `TOP k BY agg(col) OVER w ...
 //! GROUP BY g` shape, kept live under writes.
 //!
-//! Each distinct grouping value owns an [`AggCache`] over its members and
-//! the [`WindowIndex`] cut over that cache. A write patches the one or two
-//! groups its tuple belongs to — the same `apply_insert` / `apply_delete` /
-//! `apply_update` and index refresh the store's own caches get — instead
-//! of throwing every group away for the next ranking to re-sort and
-//! re-sweep the relation.
+//! Each distinct grouping value owns a [`CachedSeries`] over its members:
+//! the store's whole-relation entry is the one-group case of it. A write
+//! patches the one or two groups its tuple belongs to — the entry
+//! refreshes its own index — instead of throwing every group away for the
+//! next ranking to re-sort and re-sweep the relation.
 
-use crate::cache::{extract, refresh_index, AggCache};
+use crate::cache::CachedSeries;
 use std::collections::BTreeMap;
 use tempagg_agg::DynAggregate;
-use tempagg_algo::{GroupProbe, IndexMode, WindowAggregate, WindowIndex};
+use tempagg_algo::{GroupProbe, IndexMode, WindowAggregate};
 use tempagg_core::{Interval, Result, TemporalRelation, Tuple, Value};
 
-/// One grouping value's members, as a live cache and its index.
+/// One grouping value's cached series, and how many tuples it aggregates.
 #[derive(Clone, Debug)]
 struct Group {
-    cache: AggCache,
-    index: WindowIndex,
+    series: CachedSeries,
     members: usize,
 }
 
 impl Group {
-    fn over(
-        agg: DynAggregate,
-        column: Option<usize>,
-        mode: IndexMode,
-        members: &[&Tuple],
-    ) -> Group {
-        let cache = AggCache::build(agg, column, members);
+    fn over(agg: DynAggregate, column: Option<usize>, members: &[&Tuple]) -> Group {
         Group {
-            index: WindowIndex::over(mode, &cache),
-            cache,
+            series: CachedSeries::build(agg, column, members),
             members: members.len(),
         }
     }
@@ -44,21 +35,19 @@ pub(crate) struct GroupedIndexes {
     agg: DynAggregate,
     column: Option<usize>,
     group_column: usize,
-    mode: IndexMode,
     groups: BTreeMap<Value, Group>,
 }
 
 impl GroupedIndexes {
-    /// Partition `relation` by `group_column` and build one cache plus
-    /// window index per distinct grouping value. `agg` must be indexable
-    /// (see [`crate::index_mode_for`]), hence retractable: a group's cache
-    /// is patched from the written tuple alone and never re-reads a
-    /// relation.
+    /// Partition `relation` by `group_column` and build one cached series
+    /// per distinct grouping value; the first ranking cuts their indexes.
+    /// `agg` must be indexable (see [`crate::index_mode_for`]), hence
+    /// retractable: a group's series is patched from the written tuple
+    /// alone and never re-reads a relation.
     pub(crate) fn build(
         agg: DynAggregate,
         column: Option<usize>,
         group_column: usize,
-        mode: IndexMode,
         relation: &TemporalRelation,
     ) -> GroupedIndexes {
         let mut members: BTreeMap<&Value, Vec<&Tuple>> = BTreeMap::new();
@@ -70,13 +59,12 @@ impl GroupedIndexes {
         }
         let groups = members
             .into_iter()
-            .map(|(value, tuples)| (value.clone(), Group::over(agg, column, mode, &tuples)))
+            .map(|(value, tuples)| (value.clone(), Group::over(agg, column, &tuples)))
             .collect();
         GroupedIndexes {
             agg,
             column,
             group_column,
-            mode,
             groups,
         }
     }
@@ -86,13 +74,10 @@ impl GroupedIndexes {
     pub(crate) fn insert(&mut self, tuple: &Tuple, relation: &TemporalRelation) -> Result<()> {
         let value = tuple.value(self.group_column);
         if let Some(group) = self.groups.get_mut(value) {
-            group
-                .cache
-                .apply_insert(tuple.valid(), &extract(tuple, self.column), relation)?;
+            group.series.insert(tuple, relation)?;
             group.members += 1;
-            refresh_index(&mut group.index, &group.cache, &[tuple.valid()]);
         } else {
-            let group = Group::over(self.agg, self.column, self.mode, &[tuple]);
+            let group = Group::over(self.agg, self.column, &[tuple]);
             self.groups.insert(value.clone(), group);
         }
         Ok(())
@@ -109,11 +94,8 @@ impl GroupedIndexes {
             self.groups.remove(value);
             return Ok(());
         }
-        group
-            .cache
-            .apply_delete(tuple.valid(), &extract(tuple, self.column), relation)?;
+        group.series.delete(tuple, relation)?;
         group.members -= 1;
-        refresh_index(&mut group.index, &group.cache, &[tuple.valid()]);
         Ok(())
     }
 
@@ -130,33 +112,28 @@ impl GroupedIndexes {
             self.remove(old, relation)?;
             return self.insert(new, relation);
         }
-        let (before, after) = (extract(old, self.column), extract(new, self.column));
-        if before == after {
+        if self.column.map_or(true, |c| old.value(c) == new.value(c)) {
             return Ok(());
         }
-        if let Some(group) = self.groups.get_mut(new.value(self.group_column)) {
-            group
-                .cache
-                .apply_update(new.valid(), &before, &after, relation)?;
-            refresh_index(&mut group.index, &group.cache, &[new.valid()]);
+        match self.groups.get_mut(new.value(self.group_column)) {
+            Some(group) => group.series.update(old, new, relation),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// The `k` best groups over `window` with their exact window
     /// aggregates, best first, and the number of groups probed (the rest
-    /// were pruned by their root bound).
-    pub(crate) fn top_k(&self, window: Interval, k: usize) -> (Vec<(Value, WindowAggregate)>, u64) {
+    /// were pruned by their root bound); `mode` cuts a group's first index.
+    pub(crate) fn top_k(
+        &mut self,
+        mode: IndexMode,
+        window: Interval,
+        k: usize,
+    ) -> (Vec<(Value, WindowAggregate)>, u64) {
         let (values, probes): (Vec<&Value>, Vec<GroupProbe<'_>>) = self
             .groups
-            .iter()
-            .map(|(value, group)| {
-                let probe = GroupProbe {
-                    index: &group.index,
-                    source: &group.cache,
-                };
-                (value, probe)
-            })
+            .iter_mut()
+            .map(|(value, group)| (value, group.series.indexed(mode)))
             .unzip();
         let outcome = tempagg_algo::top_k(&probes, window, k);
         let ranked = outcome
@@ -170,9 +147,9 @@ impl GroupedIndexes {
     }
 
     /// `--features validate`: every group a statement's tuples belong to
-    /// holds exactly the series a sweep of its members gives and an index
-    /// answering like one built over that series; a group without members
-    /// is gone.
+    /// holds exactly the series a sweep of its members gives (its entry has
+    /// checked its own structure and index on the way); a group without
+    /// members is gone.
     #[cfg(feature = "validate")]
     pub(crate) fn validate<'a>(
         &self,
@@ -192,10 +169,12 @@ impl GroupedIndexes {
                 continue;
             };
             assert_eq!(group.members, members.len(), "group {value:?} member count");
-            group.cache.validate_structure();
             let fresh = crate::sweep_values(&self.agg, self.column, &members);
-            assert_eq!(group.cache.series(), fresh, "group {value:?} series");
-            crate::cache::validate_index(&group.index, &group.cache, &fresh, &[tuple.valid()]);
+            assert_eq!(
+                group.series.entries(),
+                fresh.entries(),
+                "group {value:?} series"
+            );
         }
     }
 }
@@ -204,20 +183,18 @@ impl GroupedIndexes {
 mod tests {
     use super::*;
     use tempagg_agg::AggKind;
-    use tempagg_algo::scan_window;
     use tempagg_core::{Schema, ValueType};
 
-    /// A group born from one tuple (three runs) does not keep a three-leaf
-    /// index for life: whenever its series has doubled, the index is cut
-    /// again, and in between it is refreshed in place.
+    /// A group is founded by its first member, counts the ones that follow,
+    /// ranks like a scan of its own series after every write, and leaves
+    /// with its last member.
     #[test]
-    fn an_index_is_recut_when_its_series_has_doubled() {
+    fn a_group_lives_as_long_as_it_has_members() {
         let schema = Schema::of(&[("g", ValueType::Int), ("v", ValueType::Int)]);
         let mut relation = TemporalRelation::new(schema);
         let sum = DynAggregate::new(AggKind::Sum, ValueType::Int).unwrap();
-        let mut grouped = GroupedIndexes::build(sum, Some(1), 0, IndexMode::Integral, &relation);
+        let mut grouped = GroupedIndexes::build(sum, Some(1), 0, &relation);
         assert!(grouped.groups.is_empty());
-        let mut cuts = Vec::new();
         for i in 0..200i64 {
             let tuple = Tuple::new(
                 vec![Value::Int(7), Value::Int(i)],
@@ -225,25 +202,18 @@ mod tests {
             );
             relation.push_tuple(tuple.clone()).unwrap();
             grouped.insert(&tuple, &relation).unwrap();
-            let group = &grouped.groups[&Value::Int(7)];
-            assert_eq!(group.members, usize::try_from(i).unwrap() + 1);
-            assert!(group.cache.runs_len() < 2 * group.index.leaf_count());
-            if cuts.last() != Some(&group.index.leaf_count()) {
-                cuts.push(group.index.leaf_count());
-            }
+            assert_eq!(
+                grouped.groups[&Value::Int(7)].members,
+                usize::try_from(i).unwrap() + 1
+            );
+            let members: Vec<&Tuple> = relation.iter().collect();
+            let fresh = crate::sweep_values(&sum, Some(1), &members);
             for window in [Interval::TIMELINE, Interval::at(20, 300), tuple.valid()] {
-                assert_eq!(
-                    group.index.probe(window, &group.cache),
-                    scan_window(&group.cache, window)
-                );
+                let (ranked, _) = grouped.top_k(IndexMode::Integral, window, 1);
+                let want = tempagg_algo::scan_window(&fresh, window);
+                assert_eq!(ranked, [(Value::Int(7), want)]);
             }
         }
-        // Cut for 3 runs at birth, then each time the series had doubled:
-        // a handful of rebuilds for two hundred writes.
-        assert_eq!(cuts.first(), Some(&3));
-        assert!(cuts.windows(2).all(|w| w[1] >= 2 * w[0]), "{cuts:?}");
-        assert!((4..=8).contains(&cuts.len()), "{cuts:?}");
-        // And the last member leaving takes the group along.
         for tuple in &relation.clone() {
             relation.remove_flagged(&[true]);
             grouped.remove(tuple, &relation).unwrap();

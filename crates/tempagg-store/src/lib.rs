@@ -194,12 +194,56 @@ mod tests {
     }
 
     #[test]
+    fn update_does_not_visit_a_series_it_did_not_assign() {
+        let mut store = TemporalStore::new(employed());
+        let window = Interval::at(5, 22);
+        let before = store
+            .window_probe(AggKind::CountStar, None, window)
+            .unwrap();
+        assert!(store.has_window_index(AggKind::CountStar, None));
+        let patched = store.cache_stats().patched_runs;
+        let updated = store.update_where(|_| true, &[(1, Value::Int(1))]).unwrap();
+        assert_eq!(updated, 4);
+        assert_eq!(store.cache_stats().patched_runs, patched);
+        assert_eq!(
+            store
+                .window_probe(AggKind::CountStar, None, window)
+                .unwrap(),
+            before
+        );
+    }
+
+    #[test]
     fn update_is_atomic_on_type_errors() {
         let mut store = TemporalStore::new(employed());
         let err = store.update_where(|_| true, &[(1, Value::from("oops"))]);
         assert!(err.is_err());
         assert_eq!(store.epoch().get(), 0);
         assert_eq!(store.relation().tuples()[1].value(1), &Value::Int(45_000));
+    }
+
+    #[test]
+    fn update_rejects_an_assignment_past_the_schema() {
+        let path = temp_path("badassign.tapg");
+        let mut store = TemporalStore::new(employed());
+        store.ensure_cache(agg(AggKind::Sum), Some(1));
+        store.persist_to(&path).unwrap();
+
+        let mut reopened = TemporalStore::open(&path).unwrap();
+        let err = reopened
+            .update_where(|_| true, &[(1, Value::Int(1)), (2, Value::Int(1))])
+            .unwrap_err();
+        assert!(err.to_string().contains("column 2"), "{err}");
+        // Nothing was written: no series promoted, no tuple changed.
+        assert_eq!(reopened.cache_stats().caches, 0);
+        assert!(!reopened.is_dirty());
+        assert_eq!(reopened.epoch().get(), 0);
+        assert_eq!(reopened.relation(), store.relation());
+        // A statement that matches nothing is as malformed.
+        assert!(reopened
+            .update_where(|_| false, &[(2, Value::Int(1))])
+            .is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -866,10 +910,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_windex_blocks_are_skipped_on_open() {
-        use tempagg_core::pager::{
-            write_relation, PagedReader, PagedWriteOptions, PersistedSeries,
-        };
+    fn legacy_windex_blocks_are_an_unknown_label() {
+        use tempagg_core::pager::{write_relation, PagedWriteOptions, PersistedSeries};
         use tempagg_core::SeriesEntry;
         let path = temp_path("legacywindex.tapg");
         let relation = employed();
@@ -877,68 +919,35 @@ mod tests {
             let store = TemporalStore::new(relation.clone());
             store.snapshot_or_build(agg(AggKind::Sum), Some(1))
         };
-        // What an earlier build's flush wrote beside the series: per-leaf
-        // blocks over the same cuts, integrals as text.
-        let leaf = |value: Value| -> Vec<SeriesEntry<Value>> {
-            cache
-                .entries()
-                .iter()
-                .map(|e| SeriesEntry::new(e.interval, value.clone()))
-                .collect()
-        };
+        // What a build before the footer stopped carrying indexes wrote
+        // beside the series: blocks labelled `windex:<part>:<aggregate>`.
         let block = |label: &str, entries| PersistedSeries {
             label: label.to_string(),
             column: Some(1),
             entries,
         };
-        let meta = |text: &str| vec![SeriesEntry::new(Interval::at(0, 0), Value::from(text))];
+        let meta = vec![SeriesEntry::new(
+            Interval::at(0, 0),
+            Value::from("v1 integral 7 9223372036854775807"),
+        )];
         write_relation(
             &relation,
             &path,
             &PagedWriteOptions {
                 caches: vec![
                     block("SUM", cache.entries().to_vec()),
-                    // A well-formed four-part index ...
-                    block("windex:meta:SUM", meta("v1 integral 7 9223372036854775807")),
-                    block("windex:sum:SUM", leaf(Value::from("0 0"))),
-                    block("windex:min:SUM", leaf(Value::Null)),
-                    block("windex:max:SUM", leaf(Value::Null)),
-                    // ... and malformed ones: an orphaned meta for an
-                    // aggregate with no series, an unknown part, a column
-                    // the schema does not have.
-                    block("windex:meta:MIN", meta("v9 nonsense")),
-                    block("windex:bogus:SUM", Vec::new()),
-                    PersistedSeries {
-                        label: "windex:max:MEDIAN".to_string(),
-                        column: Some(9),
-                        entries: Vec::new(),
-                    },
+                    block("windex:meta:SUM", meta),
                 ],
                 ..PagedWriteOptions::default()
             },
         )
         .unwrap();
-        let mut reopened = TemporalStore::open(&path).unwrap();
-        assert!(reopened.has_cache(AggKind::Sum, Some(1)));
-        assert!(!reopened.has_cache(AggKind::Min, Some(1)));
-        assert!(!reopened.has_window_index(AggKind::Sum, Some(1)));
-        // The probe rebuilds from the restored series and stays exact.
-        let window = Interval::at(6, 21);
-        assert_eq!(
-            reopened
-                .window_probe(AggKind::Sum, Some(1), window)
-                .unwrap(),
-            window_oracle(&reopened, AggKind::Sum, Some(1), window),
+        let err = TemporalStore::open(&path).unwrap_err();
+        assert!(
+            matches!(err, tempagg_core::TempAggError::Storage { .. }),
+            "{err:?}"
         );
-        assert_eq!(reopened.windex_stats().misses, 1);
-        // The next write + flush drops the blocks, index warm or not.
-        reopened
-            .insert(vec![Value::from("Eve"), Value::Int(1)], Interval::at(0, 5))
-            .unwrap();
-        reopened.flush().unwrap().unwrap();
-        let reader = PagedReader::open(&path).unwrap();
-        let labels: Vec<&str> = reader.caches().iter().map(|c| c.label.as_str()).collect();
-        assert_eq!(labels, ["SUM"]);
+        assert!(err.to_string().contains("windex:meta:SUM"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,16 +1,14 @@
 //! The mutable temporal store: an updatable interval relation plus the
 //! versioned aggregate caches maintained under every write.
 
-#[cfg(feature = "validate")]
-use crate::cache::validate_index;
-use crate::cache::{extract, refresh_index, AggCache};
+use crate::cache::CachedSeries;
 use crate::grouped::GroupedIndexes;
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tempagg_agg::{AggKind, DynAggregate, SweepAggregate, SweepClass};
-use tempagg_algo::{IndexMode, WindowAggregate, WindowIndex};
+use tempagg_algo::{IndexMode, WindowAggregate};
 use tempagg_core::pager::{
     self, PagedReader, PagedWriteOptions, PagedWriteStats, PersistedSeries, DEFAULT_PAGE_BYTES,
 };
@@ -92,25 +90,21 @@ pub fn index_mode_for(agg: &DynAggregate) -> Option<IndexMode> {
 pub struct TemporalStore {
     relation: TemporalRelation,
     epoch: Epoch,
-    caches: RefCell<BTreeMap<CacheKey, AggCache>>,
-    /// Aggregate series restored from a paged file's footer, served
-    /// read-only until the first mutation promotes them to live caches.
-    restored: RefCell<BTreeMap<CacheKey, Arc<Series<Value>>>>,
+    /// One entry per cached aggregate: its series — a live cache, or what
+    /// a paged file's footer restored, served read-only until the first
+    /// mutation promotes it — and the window index the first probe cut
+    /// over it, which the entry keeps in step under every write.
+    series: RefCell<BTreeMap<CacheKey, CachedSeries>>,
     /// The paged file this store persists to, if any.
     backing: Option<PathBuf>,
     /// Page size used by [`flush`](TemporalStore::flush).
     page_size: u32,
     /// Any mutation since the last open/flush.
     dirty: bool,
-    /// Warm segment-tree window indexes, one per indexable cached
-    /// aggregate: built lazily on the first window probe and patched
-    /// along root-to-leaf paths under every write. Never persisted — a
-    /// reopened store rebuilds them from its restored series.
-    windex: RefCell<BTreeMap<CacheKey, WindowIndex>>,
-    /// Per-group caches and window indexes for `TOP k BY` ranking
-    /// probes, keyed by the ranked aggregate plus the grouping column.
-    /// Built on the first ranking of a shape; every write then patches
-    /// the groups its tuples belong to.
+    /// The same entries per group for `TOP k BY` ranking probes, keyed by
+    /// the ranked aggregate plus the grouping column. Built on the first
+    /// ranking of a shape; every write then patches the groups its tuples
+    /// belong to.
     grouped: RefCell<BTreeMap<(CacheKey, usize), GroupedIndexes>>,
     /// Cumulative window-index usage counters.
     windex_stats: RefCell<WindowIndexStats>,
@@ -123,12 +117,10 @@ impl TemporalStore {
         TemporalStore {
             relation,
             epoch: Epoch::ZERO,
-            caches: RefCell::new(BTreeMap::new()),
-            restored: RefCell::new(BTreeMap::new()),
+            series: RefCell::new(BTreeMap::new()),
             backing: None,
             page_size: DEFAULT_PAGE_BYTES,
             dirty: true,
-            windex: RefCell::new(BTreeMap::new()),
             grouped: RefCell::new(BTreeMap::new()),
             windex_stats: RefCell::new(WindowIndexStats::default()),
         }
@@ -152,27 +144,18 @@ impl TemporalStore {
         let mut reader = PagedReader::open(path)?;
         let relation = reader.read_relation()?;
         let page_size = reader.page_size();
-        let persisted = reader.take_caches();
-        let schema = relation.schema().clone();
         let mut restored = BTreeMap::new();
-        for series in persisted {
-            if series.label.starts_with(LEGACY_WINDEX_LABEL_PREFIX) {
-                continue;
-            }
-            let key = key_for_persisted(&schema, &series)?;
-            restored.insert(key, Arc::new(Series::from_entries(series.entries)));
+        for series in reader.take_caches() {
+            let key = key_for_persisted(&series)?;
+            let agg = dyn_for(relation.schema(), key)?;
+            restored.insert(key, CachedSeries::restored(agg, series.entries));
         }
         Ok(TemporalStore {
-            relation,
-            epoch: Epoch::ZERO,
-            caches: RefCell::new(BTreeMap::new()),
-            restored: RefCell::new(restored),
+            series: RefCell::new(restored),
             backing: Some(path.to_path_buf()),
             page_size,
             dirty: false,
-            windex: RefCell::new(BTreeMap::new()),
-            grouped: RefCell::new(BTreeMap::new()),
-            windex_stats: RefCell::new(WindowIndexStats::default()),
+            ..TemporalStore::new(relation)
         })
     }
 
@@ -212,7 +195,19 @@ impl TemporalStore {
         if !self.dirty {
             return Ok(None);
         }
-        let caches = self.collect_persisted();
+        // Window indexes are derived from these series in O(runs) and are
+        // never written; the entries are read off the runs, so a flush
+        // publishes no version.
+        let caches = self
+            .series
+            .get_mut()
+            .iter()
+            .map(|(key, entry)| PersistedSeries {
+                label: key.kind.name().to_string(),
+                column: key.column.and_then(|c| u32::try_from(c).ok()),
+                entries: entry.entries(),
+            })
+            .collect();
         let stats = pager::write_relation(
             &self.relation,
             &path,
@@ -225,55 +220,12 @@ impl TemporalStore {
         Ok(Some(stats))
     }
 
-    /// Snapshot every cache (live and restored) into the value-erased
-    /// form the paged footer stores. Window indexes are derived from
-    /// these series in O(runs) and are never written.
-    fn collect_persisted(&mut self) -> Vec<PersistedSeries> {
-        let epoch = self.epoch;
-        let mut out: Vec<PersistedSeries> = Vec::new();
-        let caches = self.caches.get_mut();
-        for (key, cache) in caches.iter_mut() {
-            let snap = cache.snapshot(epoch);
-            out.push(PersistedSeries {
-                label: key.kind.name().to_string(),
-                column: key.column.and_then(|c| u32::try_from(c).ok()),
-                entries: snap.entries().to_vec(),
-            });
-        }
-        for (key, series) in self.restored.get_mut().iter() {
-            if caches.contains_key(key) {
-                continue;
-            }
-            out.push(PersistedSeries {
-                label: key.kind.name().to_string(),
-                column: key.column.and_then(|c| u32::try_from(c).ok()),
-                entries: series.entries().to_vec(),
-            });
-        }
-        out
-    }
-
     /// Promote footer-restored series to live caches before a mutation:
     /// the live cache is rebuilt from the (pre-mutation) relation, so the
     /// mutation's patch applies to real, retractable state.
     fn promote_restored(&mut self) {
-        let restored = std::mem::take(self.restored.get_mut());
-        if restored.is_empty() {
-            return;
-        }
-        let schema = self.relation.schema().clone();
-        let caches = self.caches.get_mut();
-        for key in restored.into_keys() {
-            if caches.contains_key(&key) {
-                continue;
-            }
-            let Ok(agg) = dyn_for(&schema, key) else {
-                continue;
-            };
-            caches.insert(
-                key,
-                AggCache::build(agg, key.column, self.relation.tuples()),
-            );
+        for (key, entry) in self.series.get_mut().iter_mut() {
+            entry.promote(key.column, self.relation.tuples());
         }
     }
 
@@ -318,22 +270,15 @@ impl TemporalStore {
         self.promote_restored();
         self.relation.push_tuple(tuple.clone())?;
         self.dirty = true;
-        self.commit_insert(&tuple)
-    }
-
-    fn commit_insert(&mut self, tuple: &Tuple) -> Result<()> {
-        let caches = self.caches.get_mut();
-        for cache in caches.values_mut() {
-            let value = extract(tuple, cache.column());
-            cache.apply_insert(tuple.valid(), &value, &self.relation)?;
+        for entry in self.series.get_mut().values_mut() {
+            entry.insert(&tuple, &self.relation)?;
         }
-        self.refresh_indexes(&[tuple.valid()]);
         for grouped in self.grouped.get_mut().values_mut() {
-            grouped.insert(tuple, &self.relation)?;
+            grouped.insert(&tuple, &self.relation)?;
         }
-        self.bump();
+        self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]
-        self.validate_groups(std::iter::once(tuple));
+        self.validate_groups(std::iter::once(&tuple));
         Ok(())
     }
 
@@ -349,21 +294,17 @@ impl TemporalStore {
         self.promote_restored();
         self.dirty = true;
         let removed = self.relation.remove_flagged(&flags);
-        let caches = self.caches.get_mut();
-        for cache in caches.values_mut() {
+        for entry in self.series.get_mut().values_mut() {
             for tuple in &removed {
-                let value = extract(tuple, cache.column());
-                cache.apply_delete(tuple.valid(), &value, &self.relation)?;
+                entry.delete(tuple, &self.relation)?;
             }
         }
-        let dirty: Vec<Interval> = removed.iter().map(Tuple::valid).collect();
-        self.refresh_indexes(&dirty);
         for grouped in self.grouped.get_mut().values_mut() {
             for tuple in &removed {
                 grouped.remove(tuple, &self.relation)?;
             }
         }
-        self.bump();
+        self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]
         self.validate_groups(removed.iter());
         Ok(removed.len())
@@ -373,14 +314,23 @@ impl TemporalStore {
     /// assignment overwrites that attribute, valid time is unchanged.
     /// Caches reading an assigned column retract the old value and fold
     /// the new one in one pass over the tuple's runs; all other caches
-    /// (including `COUNT(*)`) are untouched. The whole statement is
-    /// validated before any tuple is written, so a failed UPDATE mutates
+    /// (including `COUNT(*)`) are not visited. The whole statement is
+    /// validated before any tuple is written — an assignment to a column
+    /// the schema does not have included — so a failed UPDATE mutates
     /// nothing.
     pub fn update_where(
         &mut self,
         mut pred: impl FnMut(&Tuple) -> bool,
         assignments: &[(usize, Value)],
     ) -> Result<usize> {
+        let width = self.relation.schema().len();
+        if let Some((column, _)) = assignments.iter().find(|(column, _)| *column >= width) {
+            return Err(TempAggError::SchemaMismatch {
+                detail: format!(
+                    "UPDATE assigns column {column}, but the schema has {width} columns"
+                ),
+            });
+        }
         let mut replacements: Vec<(usize, Tuple, Tuple)> = Vec::new();
         for (index, old) in self.relation.iter().enumerate() {
             if !pred(old) {
@@ -388,10 +338,9 @@ impl TemporalStore {
             }
             let mut values = old.values().to_vec();
             for (column, value) in assignments {
-                let Some(slot) = values.get_mut(*column) else {
-                    continue;
-                };
-                *slot = value.clone();
+                if let Some(slot) = values.get_mut(*column) {
+                    *slot = value.clone();
+                }
             }
             self.relation.schema().check(&values)?;
             let replacement = Tuple::new(values, old.valid());
@@ -405,69 +354,31 @@ impl TemporalStore {
         for (index, _, replacement) in &replacements {
             let _previous = self.relation.replace(*index, replacement.clone())?;
         }
-        let caches = self.caches.get_mut();
-        for cache in caches.values_mut() {
-            let Some(column) = cache.column() else {
-                continue;
-            };
-            if !assignments.iter().any(|(assigned, _)| *assigned == column) {
+        for (key, entry) in self.series.get_mut().iter_mut() {
+            if !assignments.iter().any(|(c, _)| Some(*c) == key.column) {
                 continue;
             }
             for (_, old, new) in &replacements {
-                cache.apply_update(
-                    new.valid(),
-                    old.value(column),
-                    new.value(column),
-                    &self.relation,
-                )?;
+                entry.update(old, new, &self.relation)?;
             }
         }
-        let dirty: Vec<Interval> = replacements.iter().map(|(_, _, new)| new.valid()).collect();
-        self.refresh_indexes(&dirty);
         for grouped in self.grouped.get_mut().values_mut() {
             for (_, old, new) in &replacements {
                 grouped.update(old, new, &self.relation)?;
             }
         }
-        self.bump();
+        self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]
         self.validate_groups(replacements.iter().flat_map(|(_, old, new)| [old, new]));
         Ok(replacements.len())
     }
 
-    fn bump(&mut self) {
-        self.epoch = self.epoch.next();
-        #[cfg(feature = "validate")]
-        self.validate_structure();
-    }
-
-    /// Every cache's chunked runs tile the timeline on exactly the
+    /// Every live cache's chunked runs tile the timeline on exactly the
     /// refcounted boundaries.
-    #[cfg(any(test, feature = "validate"))]
+    #[cfg(test)]
     pub(crate) fn validate_structure(&self) {
-        for cache in self.caches.borrow().values() {
-            cache.validate_structure();
-        }
-    }
-
-    /// Patch every warm window index for the changed intervals: each
-    /// dirty interval recomputes the leaves it overlaps from the
-    /// already-patched cache runs, then refolds only the root-to-leaf
-    /// ancestor paths — O(runs-in-dirty + log n) per index, and a rebuild
-    /// only once the series has doubled since the index was cut (see
-    /// [`refresh_index`]). The grouped `TOP k` indexes get the same
-    /// treatment per touched group, from the write paths themselves.
-    fn refresh_indexes(&mut self, dirty: &[Interval]) {
-        let caches = self.caches.get_mut();
-        let windex = self.windex.get_mut();
-        windex.retain(|key, _| caches.contains_key(key));
-        for (key, index) in windex.iter_mut() {
-            let Some(cache) = caches.get(key) else {
-                continue;
-            };
-            refresh_index(index, cache, dirty);
-            #[cfg(feature = "validate")]
-            validate_index(index, cache, &cache.series(), dirty);
+        for entry in self.series.borrow().values() {
+            entry.validate_structure();
         }
     }
 
@@ -485,17 +396,15 @@ impl TemporalStore {
     /// segment-tree index (the aggregate combines exactly) — the
     /// planner's eligibility input for its `IndexProbe` algorithm choice.
     pub fn window_indexable(&self, kind: AggKind, column: Option<usize>) -> bool {
-        dyn_for(self.relation.schema(), CacheKey { kind, column })
-            .ok()
-            .and_then(|agg| index_mode_for(&agg))
-            .is_some()
+        self.indexable(kind, column).is_ok()
     }
 
     /// Whether a warm window index currently exists for `(kind, column)`.
     pub fn has_window_index(&self, kind: AggKind, column: Option<usize>) -> bool {
-        self.windex
+        self.series
             .borrow()
-            .contains_key(&CacheKey { kind, column })
+            .get(&CacheKey { kind, column })
+            .is_some_and(CachedSeries::has_index)
     }
 
     /// Cumulative window-index usage counters (per-query callers report
@@ -504,15 +413,10 @@ impl TemporalStore {
         *self.windex_stats.borrow()
     }
 
-    /// Resolve `(kind, column)` to its cache key, aggregate, and index
-    /// mode, rejecting non-indexable aggregates.
-    fn indexable(
-        &self,
-        kind: AggKind,
-        column: Option<usize>,
-    ) -> Result<(CacheKey, DynAggregate, IndexMode)> {
-        let key = CacheKey { kind, column };
-        let agg = dyn_for(self.relation.schema(), key)?;
+    /// Resolve `(kind, column)` to its aggregate and index mode,
+    /// rejecting non-indexable aggregates.
+    fn indexable(&self, kind: AggKind, column: Option<usize>) -> Result<(DynAggregate, IndexMode)> {
+        let agg = dyn_for(self.relation.schema(), CacheKey { kind, column })?;
         let mode = index_mode_for(&agg).ok_or_else(|| TempAggError::TypeError {
             detail: format!(
                 "{} is not window-indexable: its combine is inexact under \
@@ -521,34 +425,50 @@ impl TemporalStore {
                 kind.name()
             ),
         })?;
-        Ok((key, agg, mode))
+        Ok((agg, mode))
     }
 
-    /// Build the window index for `key` if absent (warming the aggregate
-    /// cache first if needed). Returns whether the index was already
-    /// warm.
-    fn ensure_windex(&self, key: CacheKey, agg: DynAggregate, mode: IndexMode) -> bool {
-        if self.windex.borrow().contains_key(&key) {
-            return true;
-        }
-        let index = match self.restored.borrow().get(&key) {
-            Some(series) => WindowIndex::build(mode, series),
-            None => {
-                let mut caches = self.caches.borrow_mut();
-                let cache = caches
-                    .entry(key)
-                    .or_insert_with(|| AggCache::build(agg, key.column, self.relation.tuples()));
-                WindowIndex::over(mode, cache)
-            }
+    /// The entry for `agg` over `column`, built over the relation if there
+    /// is none. A series restored from a paged file counts as present.
+    fn entry(&self, agg: DynAggregate, column: Option<usize>) -> RefMut<'_, CachedSeries> {
+        let key = CacheKey {
+            kind: agg.kind(),
+            column,
         };
-        self.windex.borrow_mut().insert(key, index);
-        false
+        RefMut::map(self.series.borrow_mut(), |all| {
+            all.entry(key)
+                .or_insert_with(|| CachedSeries::build(agg, column, self.relation.tuples()))
+        })
+    }
+
+    /// Count one read served by indexes that were already warm (`hit`) or
+    /// had to be cut first, and the index probes it spent.
+    fn count_probes(&self, hit: bool, probes: u64) {
+        let mut stats = self.windex_stats.borrow_mut();
+        stats.hits += u64::from(hit);
+        stats.misses += u64::from(!hit);
+        stats.probes += probes;
+    }
+
+    /// Find (building it if absent) the entry of an indexable aggregate,
+    /// count the probe, and let `read` ask the entry's index — which the
+    /// entry cuts from its series on first use (a *miss*; later probes are
+    /// *hits* and never touch the series linearly).
+    fn probe_entry<T>(
+        &self,
+        kind: AggKind,
+        column: Option<usize>,
+        read: impl FnOnce(&mut CachedSeries, IndexMode) -> T,
+    ) -> Result<T> {
+        let (agg, mode) = self.indexable(kind, column)?;
+        let mut entry = self.entry(agg, column);
+        self.count_probes(entry.has_index(), 1);
+        Ok(read(&mut entry, mode))
     }
 
     /// Answer `kind(column)` over `window` through the window index in
     /// O(log n) node folds, building the index from the cached series on
-    /// first use (a *miss*; later probes are *hits* and never touch the
-    /// series linearly).
+    /// first use.
     ///
     /// The result carries the duration-weighted combine for Delta-class
     /// aggregates (time integral `Σ value·duration` plus covered
@@ -561,45 +481,7 @@ impl TemporalStore {
         column: Option<usize>,
         window: Interval,
     ) -> Result<WindowAggregate> {
-        let (key, agg, mode) = self.indexable(kind, column)?;
-        let hit = self.ensure_windex(key, agg, mode);
-        {
-            let mut stats = self.windex_stats.borrow_mut();
-            if hit {
-                stats.hits += 1;
-            } else {
-                stats.misses += 1;
-            }
-            stats.probes += 1;
-        }
-        let windex = self.windex.borrow();
-        // lint: allow(no-unwrap): ensure_windex built the index above
-        let index = windex.get(&key).expect("ensure_windex built the index");
-        let caches = self.caches.borrow();
-        if let Some(cache) = caches.get(&key) {
-            let out = index.probe(window, cache);
-            #[cfg(feature = "validate")]
-            assert_eq!(
-                out,
-                tempagg_algo::scan_window(cache, window),
-                "window index probe diverged from the linear scan oracle"
-            );
-            Ok(out)
-        } else {
-            let restored = self.restored.borrow();
-            let series = restored
-                .get(&key)
-                // lint: allow(no-unwrap): an index exists only over a live cache or restored series
-                .expect("a window index implies a cache or restored series");
-            let out = index.probe(window, &**series);
-            #[cfg(feature = "validate")]
-            assert_eq!(
-                out,
-                tempagg_algo::scan_window(&**series, window),
-                "window index probe diverged from the linear scan oracle"
-            );
-            Ok(out)
-        }
+        self.probe_entry(kind, column, |entry, mode| entry.probe(mode, window))
     }
 
     /// The earliest instant in `window` where the cached series attains
@@ -613,31 +495,10 @@ impl TemporalStore {
         window: Interval,
         want_max: bool,
     ) -> Result<Option<(Timestamp, Value)>> {
-        let (key, agg, mode) = self.indexable(kind, column)?;
-        let hit = self.ensure_windex(key, agg, mode);
-        {
-            let mut stats = self.windex_stats.borrow_mut();
-            if hit {
-                stats.hits += 1;
-            } else {
-                stats.misses += 1;
-            }
-            stats.probes += 1;
-        }
-        let windex = self.windex.borrow();
-        // lint: allow(no-unwrap): ensure_windex built the index above
-        let index = windex.get(&key).expect("ensure_windex built the index");
-        let caches = self.caches.borrow();
-        if let Some(cache) = caches.get(&key) {
-            Ok(index.extreme_instant(window, want_max, cache))
-        } else {
-            let restored = self.restored.borrow();
-            let series = restored
-                .get(&key)
-                // lint: allow(no-unwrap): an index exists only over a live cache or restored series
-                .expect("a window index implies a cache or restored series");
-            Ok(index.extreme_instant(window, want_max, &**series))
-        }
+        self.probe_entry(kind, column, |entry, mode| {
+            let probe = entry.indexed(mode);
+            probe.index.extreme_instant(window, want_max, probe.source)
+        })
     }
 
     /// Rank the distinct values of `group_column` by `kind(column)` over
@@ -659,7 +520,7 @@ impl TemporalStore {
         window: Interval,
         k: usize,
     ) -> Result<(Vec<(Value, WindowAggregate)>, u64)> {
-        let (key, agg, mode) = self.indexable(kind, column)?;
+        let (agg, mode) = self.indexable(kind, column)?;
         if group_column >= self.relation.schema().len() {
             return Err(TempAggError::storage(format!(
                 "ranking group column {group_column} is out of range for a \
@@ -667,20 +528,14 @@ impl TemporalStore {
                 self.relation.schema().len()
             )));
         }
-        let gkey = (key, group_column);
+        let gkey = (CacheKey { kind, column }, group_column);
         let mut grouped = self.grouped.borrow_mut();
         let hit = grouped.contains_key(&gkey);
-        let entry = grouped.entry(gkey).or_insert_with(|| {
-            GroupedIndexes::build(agg, column, group_column, mode, &self.relation)
-        });
-        let (ranked, probes) = entry.top_k(window, k);
-        let mut stats = self.windex_stats.borrow_mut();
-        if hit {
-            stats.hits += 1;
-        } else {
-            stats.misses += 1;
-        }
-        stats.probes += probes;
+        let entry = grouped
+            .entry(gkey)
+            .or_insert_with(|| GroupedIndexes::build(agg, column, group_column, &self.relation));
+        let (ranked, probes) = entry.top_k(mode, window, k);
+        self.count_probes(hit, probes);
         Ok((ranked, probes))
     }
 
@@ -688,24 +543,15 @@ impl TemporalStore {
     /// restored from a paged file counts as present — it is served
     /// read-only until the first mutation promotes it.
     pub fn ensure_cache(&self, agg: DynAggregate, column: Option<usize>) {
-        let key = CacheKey {
-            kind: agg.kind(),
-            column,
-        };
-        if self.restored.borrow().contains_key(&key) {
-            return;
-        }
-        let mut caches = self.caches.borrow_mut();
-        caches
-            .entry(key)
-            .or_insert_with(|| AggCache::build(agg, column, self.relation.tuples()));
+        drop(self.entry(agg, column));
     }
 
     /// Whether a cache (live or restored from a paged file) exists for
     /// `(kind, column)`.
     pub fn has_cache(&self, kind: AggKind, column: Option<usize>) -> bool {
-        let key = CacheKey { kind, column };
-        self.caches.borrow().contains_key(&key) || self.restored.borrow().contains_key(&key)
+        self.series
+            .borrow()
+            .contains_key(&CacheKey { kind, column })
     }
 
     /// How many constant-interval runs the cached series for
@@ -715,11 +561,10 @@ impl TemporalStore {
     /// [`snapshot`](TemporalStore::snapshot) this publishes no version, so
     /// it costs the same before and after a write.
     pub fn cached_runs(&self, kind: AggKind, column: Option<usize>) -> Option<usize> {
-        let key = CacheKey { kind, column };
-        if let Some(cache) = self.caches.borrow().get(&key) {
-            return Some(cache.runs_len());
-        }
-        self.restored.borrow().get(&key).map(|series| series.len())
+        self.series
+            .borrow()
+            .get(&CacheKey { kind, column })
+            .map(CachedSeries::runs_len)
     }
 
     /// Snapshot the cached series for `(kind, column)` at the current
@@ -730,14 +575,10 @@ impl TemporalStore {
     /// relation has not changed since — any mutation promotes them to
     /// live caches first).
     pub fn snapshot(&self, kind: AggKind, column: Option<usize>) -> Option<Arc<Series<Value>>> {
-        let key = CacheKey { kind, column };
-        {
-            let mut caches = self.caches.borrow_mut();
-            if let Some(cache) = caches.get_mut(&key) {
-                return Some(cache.snapshot(self.epoch));
-            }
-        }
-        self.restored.borrow().get(&key).cloned()
+        self.series
+            .borrow_mut()
+            .get_mut(&CacheKey { kind, column })
+            .map(|entry| entry.snapshot(self.epoch))
     }
 
     /// [`ensure_cache`](TemporalStore::ensure_cache) then
@@ -747,33 +588,14 @@ impl TemporalStore {
         agg: DynAggregate,
         column: Option<usize>,
     ) -> Arc<Series<Value>> {
-        let key = CacheKey {
-            kind: agg.kind(),
-            column,
-        };
-        if let Some(series) = self.restored.borrow().get(&key) {
-            return series.clone();
-        }
-        let mut caches = self.caches.borrow_mut();
-        let cache = caches
-            .entry(key)
-            .or_insert_with(|| AggCache::build(agg, column, self.relation.tuples()));
-        cache.snapshot(self.epoch)
+        self.entry(agg, column).snapshot(self.epoch)
     }
 
-    /// Aggregated maintenance counters across all caches.
+    /// Aggregated maintenance counters across all live caches.
     pub fn cache_stats(&self) -> StoreCacheStats {
-        let caches = self.caches.borrow();
-        let mut stats = StoreCacheStats {
-            caches: caches.len(),
-            ..StoreCacheStats::default()
-        };
-        for cache in caches.values() {
-            stats.runs += cache.runs_len();
-            stats.patched_runs += cache.patched_runs();
-            stats.recomputed_windows += cache.recomputed_windows();
-            stats.live_versions += cache.live_versions();
-            stats.pinned_versions += cache.pinned_versions();
+        let mut stats = StoreCacheStats::default();
+        for entry in self.series.borrow().values() {
+            entry.tally(&mut stats);
         }
         stats
     }
@@ -791,13 +613,6 @@ const ALL_KINDS: [AggKind; 9] = [
     AggKind::Variance,
     AggKind::StdDev,
 ];
-
-/// Map a persisted footer label (written as [`AggKind::name`]) back to its
-/// kind. `AggKind::parse` is *not* the inverse of `name` (it speaks SQL
-/// keywords, not display labels like `COUNT(*)`), hence this table lookup.
-fn kind_for_label(label: &str) -> Option<AggKind> {
-    ALL_KINDS.into_iter().find(|kind| kind.name() == label)
-}
 
 /// Rebuild a live aggregate for `key`, deriving the input type from the
 /// schema column (columnless aggregates like `COUNT(*)` never read their
@@ -819,34 +634,23 @@ fn dyn_for(schema: &Schema, key: CacheKey) -> Result<DynAggregate> {
     DynAggregate::new(key.kind, input)
 }
 
-/// Label prefix of the window-index footer blocks earlier builds wrote.
-/// [`TemporalStore::open`] skips them (before [`key_for_persisted`], which
-/// rightly rejects unknown labels) so those files still open; the next
-/// flush drops the blocks.
-const LEGACY_WINDEX_LABEL_PREFIX: &str = "windex:";
-
-/// Decode a footer cache entry into the key it was stored under,
-/// validating the label and column against the file's own schema.
-fn key_for_persisted(schema: &Schema, series: &PersistedSeries) -> Result<CacheKey> {
-    let kind = kind_for_label(&series.label).ok_or_else(|| {
-        TempAggError::storage(format!(
-            "unknown persisted aggregate label {:?}",
-            series.label
-        ))
-    })?;
-    let column = match series.column {
-        Some(raw) => {
-            let index = raw as usize;
-            if index >= schema.len() {
-                return Err(TempAggError::storage(format!(
-                    "persisted cache {:?} references column {index}, but the schema has {} columns",
-                    series.label,
-                    schema.len()
-                )));
-            }
-            Some(index)
-        }
-        None => None,
-    };
-    Ok(CacheKey { kind, column })
+/// Decode a footer cache entry into the key it was stored under; the
+/// caller holds the key's column and aggregate against the file's own
+/// schema ([`dyn_for`]). The label was written as [`AggKind::name`], of
+/// which `AggKind::parse` is *not* the inverse (it speaks SQL keywords, not
+/// display labels like `COUNT(*)`), hence the table lookup.
+fn key_for_persisted(series: &PersistedSeries) -> Result<CacheKey> {
+    let kind = ALL_KINDS
+        .into_iter()
+        .find(|kind| kind.name() == series.label)
+        .ok_or_else(|| {
+            TempAggError::storage(format!(
+                "unknown persisted aggregate label {:?}",
+                series.label
+            ))
+        })?;
+    Ok(CacheKey {
+        kind,
+        column: series.column.map(|raw| raw as usize),
+    })
 }

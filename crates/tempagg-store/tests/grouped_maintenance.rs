@@ -6,10 +6,12 @@
 //! store and over one reopened from a paged file (its series *restored*
 //! until the first write promotes them). After every statement, ranking by
 //! `SUM`, `COUNT(*)`, `MIN` and `MAX` returns what the same call returns
-//! on a store built from scratch over the same relation, and every cached
-//! series equals a rebuild. Under `--features validate` each write
-//! additionally asserts every touched group against a sweep of its
-//! members.
+//! on a store built from scratch over the same relation, every cached
+//! series equals a rebuild, and a window probe of each — through the index
+//! the store cut before the program began, for the reopened store over the
+//! *restored* series — answers like one over the rebuild. Under
+//! `--features validate` each write additionally asserts every touched
+//! group against a sweep of its members.
 
 use tempagg_agg::{AggKind, DynAggregate};
 use tempagg_core::{Interval, Schema, TemporalRelation, Value, ValueType};
@@ -64,13 +66,35 @@ fn seed_relation(rng: &mut Rng) -> TemporalRelation {
     relation
 }
 
-/// Warm every ranked shape's groups and the per-aggregate caches.
+/// What the window index of `kind(column)` answers over `window`: the
+/// aggregate, and where the series is highest and lowest.
+fn probe(
+    store: &TemporalStore,
+    kind: AggKind,
+    column: Option<usize>,
+    window: Interval,
+) -> impl PartialEq + std::fmt::Debug {
+    (
+        store.window_probe(kind, column, window).unwrap(),
+        store
+            .window_extreme_instant(kind, column, window, true)
+            .unwrap(),
+        store
+            .window_extreme_instant(kind, column, window, false)
+            .unwrap(),
+    )
+}
+
+/// Warm every ranked shape's groups, the per-aggregate caches and their
+/// window indexes.
 fn warm(store: &TemporalStore) {
     for (kind, column) in RANKED {
         store
             .top_k_by_window(kind, column, GROUP, Interval::at(0, 500), 3)
             .unwrap();
         store.ensure_cache(DynAggregate::new(kind, ValueType::Int).unwrap(), column);
+        probe(store, kind, column, Interval::at(0, 500));
+        assert!(store.has_window_index(kind, column));
     }
 }
 
@@ -92,6 +116,11 @@ fn assert_matches_a_rebuild(store: &TemporalStore, rng: &mut Rng, context: &str)
             store.snapshot_or_build(agg, column),
             rebuilt.snapshot_or_build(agg, column),
             "{context}: {kind:?} series"
+        );
+        assert_eq!(
+            probe(store, kind, column, window),
+            probe(&rebuilt, kind, column, window),
+            "{context}: {kind:?} OVER {window}"
         );
     }
 }
@@ -146,7 +175,7 @@ fn step(store: &mut TemporalStore, rng: &mut Rng) -> String {
     }
 }
 
-fn run_program(mut store: TemporalStore, seed: u64, label: &str) {
+fn run_program(mut store: TemporalStore, seed: u64, label: &str) -> TemporalStore {
     let mut rng = Rng(seed);
     let mut groups_seen = std::collections::BTreeSet::new();
     let (mut emptied, mut founded) = (0, 0);
@@ -177,6 +206,7 @@ fn run_program(mut store: TemporalStore, seed: u64, label: &str) {
         emptied >= 5 && founded >= 5,
         "{label}: {emptied} emptied, {founded} founded"
     );
+    store
 }
 
 #[test]
@@ -200,17 +230,26 @@ fn reopened_store_groups_follow_random_programs() {
         warm(&store);
         store.persist_to(&path).unwrap();
         let reopened = TemporalStore::open(&path).unwrap();
-        // Groups are built from the reopened relation while the
-        // per-aggregate series are still the restored ones; the first
-        // write promotes those and patches the groups in the same commit.
+        // Groups are built from the reopened relation, and the window
+        // indexes cut, while the per-aggregate series are still the restored
+        // ones; the first write promotes those under the indexes they
+        // already have and patches the groups in the same commit.
         for (kind, column) in RANKED {
             assert!(reopened.has_cache(kind, column));
+            assert!(!reopened.has_window_index(kind, column));
             reopened
                 .top_k_by_window(kind, column, GROUP, Interval::at(0, 500), 3)
                 .unwrap();
+            assert_eq!(
+                probe(&reopened, kind, column, Interval::at(0, 500)),
+                probe(&store, kind, column, Interval::at(0, 500))
+            );
         }
         assert_eq!(reopened.cache_stats().caches, 0);
-        run_program(reopened, seed, "reopened");
+        let misses = reopened.windex_stats().misses;
+        let reopened = run_program(reopened, seed, "reopened");
+        // Promotion kept every index: no probe of the program cut a second.
+        assert_eq!(reopened.windex_stats().misses, misses);
         std::fs::remove_file(&path).ok();
     }
 }

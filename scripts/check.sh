@@ -1,11 +1,23 @@
 #!/usr/bin/env bash
-# The full correctness gate: format, clippy, build, tests,
-# invariant-validated tests, lint, harness smokes, end-to-end benchmark
-# smoke. Run from anywhere. Any failing step fails the gate; the cheap
-# static checks run first so a style or clippy failure is reported before
-# the release build spends minutes.
+# The full correctness gate: retired-citation guard, format, clippy, build,
+# tests, invariant-validated tests, lint, located-cost checks, end-to-end
+# benchmark smoke. Run from anywhere. Any failing step fails the gate; the
+# cheap static checks run first so a style or clippy failure is reported
+# before the release build spends minutes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The beyond-the-paper harness commands and their BENCH_*.json are retired
+# (bench/ measures the same things like for like), so nothing that ships
+# may quote them: a number nobody can re-run is not a number. History
+# (CHANGES.md, ROADMAP.md, EXPERIMENTS.md's retired table) is exempt, and
+# bench/ is read-only to engine PRs.
+echo "==> no citation of a retired harness command or BENCH_*.json"
+if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq)\b' -- \
+    README.md DESIGN.md .claude scripts crates src examples tests ':!scripts/check.sh'; then
+    echo "retired benchmark cited above: name a bench/ metric and workload instead" >&2
+    exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -27,21 +39,6 @@ cargo run -q -p tempagg-lint
 
 echo "==> bench smoke (one-sample sweep matrix)"
 cargo bench -q -p tempagg-bench --bench algorithms -- --test
-
-echo "==> harness stream smoke (bounded-residency assertion, tracked artifacts untouched)"
-cargo run -q --release -p tempagg-bench --bin harness -- stream --test
-
-echo "==> harness ingest smoke (patched-vs-rebuilt series identity, tracked artifacts untouched)"
-cargo run -q --release -p tempagg-bench --bin harness -- ingest --test
-
-echo "==> harness sweep smoke (sweep-vs-oracle byte identity at every P + join-vs-nested-loop count, tracked artifacts untouched)"
-cargo run -q --release -p tempagg-bench --bin harness -- sweep --test
-
-echo "==> harness paged smoke (paged-vs-RAM identity + resident budget, tracked artifacts untouched)"
-cargo run -q --release -p tempagg-bench --bin harness -- paged --test
-
-echo "==> harness windowq smoke (probe-vs-scan byte identity + TOP-k oracle, tracked artifacts untouched)"
-cargo run -q --release -p tempagg-bench --bin harness -- windowq --test
 
 echo "==> write_cost --check (median insert at n = 65,536 within 4x of n = 4,096 at the same tuple density: a write costs what it changes, not what is stored)"
 cargo run -q --release --example write_cost -- --check

@@ -1,7 +1,7 @@
 //! Oracle and property tests for the columnar endpoint-sweep kernel.
 //!
 //! The contract under test: [`SweepAggregator`] at every parallelism
-//! P ∈ {1, 2, 8} produces output byte-identical to the quadratic
+//! P ∈ {1, 2, 4, 8} produces output byte-identical to the quadratic
 //! reference oracle — the specification; there is no second sweep to
 //! compare against — for every aggregate and every input shape — random, sorted,
 //! reverse-sorted, duplicate-endpoint, touching-interval, dense-instant,
@@ -33,7 +33,7 @@ where
     s.finish()
 }
 
-/// Assert the sweep (P ∈ {1, 2, 8}) == the quadratic oracle for all five
+/// Assert the sweep (P ∈ {1, 2, 4, 8}) == the quadratic oracle for all five
 /// of the paper's aggregates.
 fn assert_all_aggregates(tuples: &[(Interval, i64)], label: &str) {
     fn family<A>(agg: A, tuples: &[(Interval, A::Input)], label: &str, what: &str)
@@ -43,7 +43,7 @@ fn assert_all_aggregates(tuples: &[(Interval, i64)], label: &str) {
         A::Output: std::fmt::Debug + PartialEq,
     {
         let want = oracle(&agg, DOMAIN, tuples);
-        for p in [1usize, 2, 8] {
+        for p in [1usize, 2, 4, 8] {
             let mut sweep = SweepAggregator::with_domain(agg.clone(), DOMAIN).with_parallelism(p);
             for (iv, v) in tuples {
                 sweep.push(*iv, v.clone()).unwrap();
