@@ -12,7 +12,7 @@
 //! | [`SweepAggregator`] | — (Piatov/Colley, see PAPERS.md) | large unsorted batches, invertible aggregates |
 //! | [`TwoScanAggregate`] | §4.1 | baseline (Tuma's prior implementation) |
 //! | [`BalancedAggregationTree`] | §7 (future work) | order-insensitive, buffered |
-//! | [`PagedAggregationTree`] | §5.1 (limited memory) | memory-bounded, region-at-a-time |
+//! | [`PagedAggregationTree`] | §5.1 (limited memory) | memory-bounded: [`PartitionedAggregator`] finishing one region's tree at a time |
 //! | [`SpanGrouper`] | §2, §7 | grouping by span instead of instant |
 //! | [`GroupedAggregate`] | §2 | GROUP BY attribute × time |
 //!

@@ -5,50 +5,91 @@
 //! > portions of the tree to disk. … Simply accumulate the tuples which
 //! > would overlap this region of the tree and process them later."
 //!
-//! The domain is split into `regions` contiguous sub-intervals. During the
-//! scan, each tuple is clipped to the regions it overlaps and *accumulated*
-//! per region (the stand-in for the paper's on-disk runs — see DESIGN.md's
-//! substitution notes). At `finish`, one region at a time is aggregated
-//! with a private aggregation tree, so peak tree memory is bounded by the
-//! busiest region rather than the whole relation.
-//!
-//! Region edges are not tuple endpoints, so naive concatenation would
-//! split genuine constant intervals at artificial boundaries. The fix is
-//! exact: a boundary between two regions is *real* only if some tuple
-//! starts at the boundary's right edge or ends at its left edge; otherwise
-//! the tuple set crossing it is unchanged and the adjacent result entries
-//! are stitched back together.
+//! That is the partition pipeline run one region at a time, so it *is* a
+//! [`PartitionedAggregator`]: the combinator cuts the domain, clips each
+//! tuple to the regions it overlaps, records which cuts coincide with a
+//! tuple endpoint and stitches the artificial ones back at `finish`. The
+//! only thing this module adds is the per-region inner aggregator, which
+//! *accumulates* its clipped tuples (the stand-in for the paper's on-disk
+//! runs — see DESIGN.md's substitution notes) and builds its aggregation
+//! tree only when the combinator finishes it. Regions are finished in
+//! domain order on one thread, each dropped before the next, so peak tree
+//! memory is bounded by the busiest region rather than the whole relation.
 
 use crate::agg_tree::AggregationTree;
 use crate::memory::{model_node_bytes, MemoryStats};
+use crate::parallel::PartitionedAggregator;
 use crate::traits::TemporalAggregator;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use tempagg_agg::Aggregate;
-use tempagg_core::{Interval, Result, Series, SeriesSink, StitchSink, TempAggError, Timestamp};
+use tempagg_core::{Interval, Result, Series, SeriesSink, TempAggError};
+
+/// One region: the run of clipped tuples accumulated for it, and the tree
+/// that is built over them when the region's turn comes.
+struct Region<A: Aggregate> {
+    agg: A,
+    sub: Interval,
+    run: Vec<(Interval, A::Input)>,
+    /// Shared with the owning [`PagedAggregationTree`]: the largest tree
+    /// any finished region has held (a statistic, read once every region
+    /// is done — hence `Relaxed`).
+    peak_tree_nodes: Arc<AtomicUsize>,
+}
+
+impl<A: Aggregate> TemporalAggregator<A> for Region<A> {
+    fn algorithm(&self) -> &'static str {
+        "paged-region"
+    }
+
+    fn domain(&self) -> Interval {
+        self.sub
+    }
+
+    fn push(&mut self, interval: Interval, value: A::Input) -> Result<()> {
+        self.run.push((interval, value));
+        Ok(())
+    }
+
+    fn finish_into(self, sink: &mut impl SeriesSink<A::Output>) {
+        let mut tree = AggregationTree::with_domain(self.agg, self.sub);
+        for (interval, value) in self.run {
+            tree.push(interval, value)
+                // lint: allow(no-unwrap): push only rejects out-of-domain tuples and the combinator clipped every tuple to this region
+                .expect("clipped tuples fit their region");
+        }
+        self.peak_tree_nodes
+            .fetch_max(tree.memory().peak_nodes, Ordering::Relaxed);
+        tree.finish_into(sink);
+    }
+
+    /// Before the tree exists: an estimate from the run's length.
+    fn memory(&self) -> MemoryStats {
+        MemoryStats {
+            live_nodes: 0,
+            peak_nodes: 4 * self.run.len() + 1,
+            node_model_bytes: model_node_bytes(self.agg.state_model_bytes()),
+            node_actual_bytes: std::mem::size_of::<crate::tree::arena::Node<A::State>>(),
+        }
+    }
+}
 
 /// The paged (memory-bounded) aggregation tree.
 ///
-/// Requires a *bounded* domain (region arithmetic over `[t, ∞]` is
-/// meaningless); use the plain [`AggregationTree`] for open-ended
-/// time-lines, or bound the query with a valid-time window.
-#[derive(Clone, Debug)]
+/// Requires a *bounded* domain (there is no even cut of `[t, ∞]`); use the
+/// plain [`AggregationTree`] for open-ended time-lines, or bound the query
+/// with a valid-time window.
+#[derive(Debug)]
 pub struct PagedAggregationTree<A: Aggregate> {
-    agg: A,
-    domain: Interval,
-    region_len: i64,
-    /// Per-region accumulated tuples, clipped to the region.
-    buffers: Vec<Vec<(Interval, A::Input)>>,
-    /// `true` when some tuple starts exactly at region `i`'s first instant
-    /// (making the boundary between regions `i−1` and `i` real).
-    boundary_start_real: Vec<bool>,
-    /// `true` when some tuple ends exactly at region `i`'s last instant.
-    boundary_end_real: Vec<bool>,
-    tuples: usize,
-    peak_tree_nodes: usize,
+    regions: PartitionedAggregator<A, Region<A>>,
+    peak_tree_nodes: Arc<AtomicUsize>,
 }
 
-impl<A: Aggregate + Clone> PagedAggregationTree<A>
+impl<A> PagedAggregationTree<A>
 where
-    A::Input: Clone,
+    A: Aggregate + Clone + Send,
+    A::Input: Clone + Send + Sync,
+    A::Output: Send,
 {
     /// Split `domain` into `regions` near-equal parts.
     ///
@@ -61,177 +102,84 @@ where
                 length: regions_i64,
             });
         }
-        let region_len = (domain.duration() + regions_i64 - 1) / regions_i64;
-        // The rounded-up length may need fewer regions to cover the domain.
-        // lint: allow(no-as-cast): the quotient is positive and no larger than the requested region count
-        let actual = ((domain.duration() + region_len - 1) / region_len) as usize;
+        let peak_tree_nodes = Arc::new(AtomicUsize::new(0));
+        let regions = PartitionedAggregator::new(domain, regions, |sub| Region {
+            agg: agg.clone(),
+            sub,
+            run: Vec::new(),
+            peak_tree_nodes: Arc::clone(&peak_tree_nodes),
+        })
+        // One region's tree at a time, whichever `finish` runs.
+        .with_threads(1);
         Ok(PagedAggregationTree {
-            agg,
-            domain,
-            region_len,
-            buffers: (0..actual).map(|_| Vec::new()).collect(),
-            boundary_start_real: vec![false; actual],
-            boundary_end_real: vec![false; actual],
-            tuples: 0,
-            peak_tree_nodes: 0,
+            regions,
+            peak_tree_nodes,
         })
     }
 
     /// Number of regions the domain was split into.
     pub fn region_count(&self) -> usize {
-        self.buffers.len()
+        self.regions.partition_count()
     }
 
     /// Tuples pushed so far.
     pub fn len(&self) -> usize {
-        self.tuples
+        self.regions.len()
     }
 
     /// `true` before the first insertion.
     pub fn is_empty(&self) -> bool {
-        self.tuples == 0
+        self.regions.is_empty()
     }
 
     /// Total buffered `(interval, input)` entries across regions (a tuple
     /// spanning r regions contributes r entries). This models the size of
     /// the paper's on-disk runs.
     pub fn buffered_entries(&self) -> usize {
-        self.buffers.iter().map(Vec::len).sum()
+        let reports = self.regions.partition_reports();
+        reports.iter().map(|region| region.tuples).sum()
     }
 
-    fn region_interval(&self, i: usize) -> Interval {
-        // lint: allow(no-as-cast): region indices are derived from an i64 region count, so they convert back losslessly
-        let start = self.domain.start() + (i as i64 * self.region_len);
-        let end = (start + (self.region_len - 1)).min(self.domain.end());
-        // lint: allow(no-unwrap): every region starts inside the bounded domain and ends no earlier than it starts
-        Interval::new(start, end).expect("regions are well-formed")
-    }
-
-    fn region_of(&self, t: Timestamp) -> usize {
-        // lint: allow(no-as-cast): t lies inside the bounded domain, so the quotient is a non-negative region index
-        (t.distance_from(self.domain.start()) / self.region_len) as usize
-    }
-}
-
-impl<A: Aggregate + Clone> PagedAggregationTree<A>
-where
-    A::Input: Clone,
-{
     /// Like [`TemporalAggregator::finish`], but also reports the true peak
     /// tree memory over all regions (the `memory` method can only estimate
     /// before the regions have been processed).
-    pub fn finish_with_stats(mut self) -> (Series<A::Output>, MemoryStats) {
-        let mut series = Series::new();
-        self.finish_regions_into(&mut series);
-        let stats = MemoryStats {
-            live_nodes: 0,
-            peak_nodes: self.peak_tree_nodes.max(1),
-            node_model_bytes: model_node_bytes(self.agg.state_model_bytes()),
-            node_actual_bytes: std::mem::size_of::<crate::tree::arena::Node<A::State>>(),
-        };
+    pub fn finish_with_stats(self) -> (Series<A::Output>, MemoryStats) {
+        let mut stats = self.memory();
+        let peak = Arc::clone(&self.peak_tree_nodes);
+        let series = self.finish();
+        stats.peak_nodes = peak.load(Ordering::Relaxed).max(1);
         (series, stats)
-    }
-
-    /// Process every region in time order, streaming the pieces through a
-    /// [`StitchSink`] that merges across artificial region boundaries (a
-    /// boundary is real when a tuple endpoint lands on it). Records the
-    /// busiest region's peak in `self.peak_tree_nodes`. Only one region's
-    /// tree is ever resident, and its output flows straight to the sink.
-    fn finish_regions_into(&mut self, sink: &mut impl SeriesSink<A::Output>) {
-        let mut stitch = StitchSink::new(&mut *sink);
-        let mut peak = 0usize;
-        for region in 0..self.buffers.len() {
-            if region > 0 {
-                let boundary_real =
-                    // lint: allow(indexing): region < buffers.len() and the boundary tables share that length
-                    self.boundary_start_real[region] || self.boundary_end_real[region - 1];
-                // lint: allow(seam-protocol): page edges are this aggregator's own partition seams — same audited marking as parallel.rs, byte-identity covered by paged tests
-                stitch.seam(!boundary_real);
-            }
-            let region_iv = self.region_interval(region);
-            let mut tree = AggregationTree::with_domain(self.agg.clone(), region_iv);
-            // lint: allow(indexing): region ranges over 0..buffers.len()
-            for (iv, value) in self.buffers[region].drain(..) {
-                tree.push(iv, value)
-                    // lint: allow(no-unwrap): push only rejects out-of-domain tuples and every buffered tuple was clipped to this region
-                    .expect("clipped tuples fit their region");
-            }
-            peak = peak.max(tree.memory().peak_nodes);
-            tree.finish_into(&mut stitch);
-        }
-        self.peak_tree_nodes = peak;
-        stitch.finish();
     }
 }
 
-impl<A: Aggregate + Clone> TemporalAggregator<A> for PagedAggregationTree<A>
+impl<A> TemporalAggregator<A> for PagedAggregationTree<A>
 where
-    A::Input: Clone,
+    A: Aggregate + Clone + Send,
+    A::Input: Clone + Send + Sync,
+    A::Output: Send,
 {
     fn algorithm(&self) -> &'static str {
         "paged-aggregation-tree"
     }
 
     fn domain(&self) -> Interval {
-        self.domain
+        self.regions.domain()
     }
 
     fn push(&mut self, interval: Interval, value: A::Input) -> Result<()> {
-        if !self.domain.covers(&interval) {
-            return Err(TempAggError::OutOfDomain {
-                tuple: (interval.start(), interval.end()),
-                domain: (self.domain.start(), self.domain.end()),
-            });
-        }
-        let first = self.region_of(interval.start());
-        let last = self.region_of(interval.end());
-        for region in first..=last {
-            let region_iv = self.region_interval(region);
-            let clipped = interval.intersect(&region_iv).ok_or_else(|| {
-                TempAggError::internal(format!(
-                    "tuple {interval} does not overlap region {region} ({region_iv}) \
-                     despite lying between its first and last regions"
-                ))
-            })?;
-            // Record whether the tuple's own endpoints land on region
-            // edges — those boundaries are real constant-interval breaks.
-            if clipped.start() == interval.start() && clipped.start() == region_iv.start() {
-                // lint: allow(indexing): region_of clamps to the last region, so region < boundary_start_real.len()
-                self.boundary_start_real[region] = true;
-            }
-            if clipped.end() == interval.end() && clipped.end() == region_iv.end() {
-                // lint: allow(indexing): region_of clamps to the last region, so region < boundary_end_real.len()
-                self.boundary_end_real[region] = true;
-            }
-            // lint: allow(indexing): region_of clamps to the last region, so region < buffers.len()
-            self.buffers[region].push((clipped, value.clone()));
-        }
-        self.tuples += 1;
-        Ok(())
+        self.regions.push(interval, value)
     }
 
-    fn finish_into(mut self, sink: &mut impl SeriesSink<A::Output>) {
-        self.finish_regions_into(sink);
+    fn finish_into(self, sink: &mut impl SeriesSink<A::Output>) {
+        self.regions.finish_into(sink);
     }
 
+    /// Peak *tree* memory is the busiest single region's (the runs stand
+    /// in for disk); before `finish` that is an estimate from its run.
     fn memory(&self) -> MemoryStats {
-        // Peak *tree* memory: the busiest single region (the buffers stand
-        // in for disk). Before `finish`, estimate from the busiest buffer.
-        let peak = if self.peak_tree_nodes > 0 {
-            self.peak_tree_nodes
-        } else {
-            self.buffers
-                .iter()
-                .map(|b| 4 * b.len() + 1)
-                .max()
-                .unwrap_or(1)
-        };
-        MemoryStats {
-            live_nodes: 0,
-            peak_nodes: peak,
-            node_model_bytes: model_node_bytes(self.agg.state_model_bytes()),
-            node_actual_bytes: std::mem::size_of::<crate::tree::arena::Node<A::State>>(),
-        }
+        let reports = self.regions.partition_reports();
+        let busiest = reports.iter().map(|region| region.memory);
+        busiest.max_by_key(|m| m.peak_nodes).unwrap_or_default()
     }
 }
 
@@ -240,8 +188,6 @@ mod tests {
     use super::*;
     use crate::oracle::oracle;
     use tempagg_agg::{Count, Sum};
-
-    const DOMAIN: Interval = Interval::TIMELINE;
 
     fn bounded() -> Interval {
         Interval::at(0, 9_999)
@@ -253,7 +199,6 @@ mod tests {
             paged.push(iv, ()).unwrap();
         }
         let buffered = paged.buffered_entries();
-        let _ = DOMAIN;
         let memory_estimate = paged.memory();
         let series = paged.finish();
         (series, buffered, memory_estimate)
@@ -293,13 +238,76 @@ mod tests {
 
     #[test]
     fn real_boundaries_are_preserved() {
-        // A tuple ending exactly at a region edge (region_len = 1000 for
-        // 10 regions of [0, 9999]).
+        // A tuple ending exactly at a region edge (10 regions of [0, 9999]
+        // are 1000 instants each).
         let tuples = vec![(Interval::at(0, 999), ()), (Interval::at(1000, 1999), ())];
         let (series, _, _) = run_paged(10, &tuples);
         let expected = oracle(&Count, bounded(), &tuples);
         assert_eq!(series, expected);
         assert_eq!(series.len(), 3); // [0,999]=1, [1000,1999]=1, rest=0
+    }
+
+    /// The inputs the cut / mark / stitch protocol exists for, on a region
+    /// count that does not divide the domain: `[0, 9_999]` into 7 cuts at
+    /// 1_428, 2_857, 4_285, ….
+    #[test]
+    fn uneven_regions_keep_real_boundaries_and_merge_artificial_ones() {
+        let seam = bounded().even_seams(7)[1].get();
+        assert_eq!(seam, 2_857);
+        let touching = [
+            (Interval::at(100, seam - 1), 5i64), // ends exactly at seam − 1
+            (Interval::at(seam, 6_000), 5),      // starts exactly at seam
+        ];
+        let spanning = [(bounded(), 3i64)];
+        for tuples in [&touching[..], &spanning[..]] {
+            let units: Vec<(Interval, ())> = tuples.iter().map(|&(iv, _)| (iv, ())).collect();
+            let mut count = PagedAggregationTree::new(Count, bounded(), 7).unwrap();
+            let mut sum = PagedAggregationTree::new(Sum::<i64>::new(), bounded(), 7).unwrap();
+            assert_eq!(count.region_count(), 7);
+            for &(iv, v) in tuples {
+                count.push(iv, ()).unwrap();
+                sum.push(iv, v).unwrap();
+            }
+            let (count, sum) = (count.finish(), sum.finish());
+            assert_eq!(count, oracle(&Count, bounded(), &units));
+            assert_eq!(sum, oracle(&Sum::<i64>::new(), bounded(), tuples));
+            assert_eq!(count.len(), sum.len());
+        }
+        // Equal values either side of the real boundary stay two entries;
+        // the tuple spanning all seven regions comes back as one.
+        let (series, _, _) = run_paged(7, &[(touching[0].0, ()), (touching[1].0, ())]);
+        let ones: Vec<Interval> = series
+            .entries()
+            .iter()
+            .filter(|e| e.value == 1)
+            .map(|e| e.interval)
+            .collect();
+        assert_eq!(ones, [touching[0].0, touching[1].0]);
+        let (series, buffered, _) = run_paged(7, &[(bounded(), ())]);
+        assert_eq!((series.len(), buffered), (1, 7));
+    }
+
+    /// A bounded domain is accepted however close to the `i64` range it
+    /// reaches: the cut is `Interval::even_seams`' `i128` arithmetic.
+    #[test]
+    fn domains_near_the_i64_range_aggregate_correctly() {
+        for domain in [
+            Interval::at(0, i64::MAX - 1),
+            Interval::at(i64::MIN + 1, i64::MAX - 1),
+        ] {
+            let (lo, hi) = (domain.start().get(), domain.end().get());
+            let tuples = [
+                (Interval::at(lo, lo + 10), ()),
+                (Interval::at(hi - 10, hi), ()),
+                (Interval::at(lo + 5, hi - 5), ()),
+            ];
+            let mut paged = PagedAggregationTree::new(Count, domain, 4).unwrap();
+            assert_eq!(paged.region_count(), 4);
+            for &(iv, ()) in &tuples {
+                paged.push(iv, ()).unwrap();
+            }
+            assert_eq!(paged.finish(), oracle(&Count, domain, &tuples), "{domain}");
+        }
     }
 
     #[test]

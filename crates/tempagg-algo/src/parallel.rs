@@ -31,9 +31,9 @@ use crate::memory::MemoryStats;
 use crate::traits::TemporalAggregator;
 use std::time::{Duration, Instant};
 use tempagg_agg::Aggregate;
-use tempagg_core::{
-    Chunk, Interval, Result, Series, SeriesSink, StitchSink, TempAggError, Timestamp,
-};
+#[cfg(not(feature = "validate"))]
+use tempagg_core::StitchSink;
+use tempagg_core::{Chunk, Interval, Result, Series, SeriesSink, TempAggError, Timestamp};
 
 /// Map `f` over `items` on up to `threads` scoped OS threads, preserving
 /// input order in the output.

@@ -145,7 +145,7 @@ pub fn assert_series_tiles<T>(entries: &[SeriesEntry<T>], expected: Interval, al
 /// meet, and the union must equal `tuple`. This is path-sum conservation
 /// for a single covering insertion: the tuple contributes to every instant
 /// of its interval exactly once.
-pub(crate) fn assert_exact_cover(tuple: Interval, covered: &mut Vec<Interval>, context: &str) {
+pub(crate) fn assert_exact_cover(tuple: Interval, covered: &mut [Interval], context: &str) {
     covered.sort_unstable_by_key(Interval::start);
     assert!(
         !covered.is_empty(),
@@ -160,10 +160,8 @@ pub(crate) fn assert_exact_cover(tuple: Interval, covered: &mut Vec<Interval>, c
         let [a, b] = w else { continue };
         assert!(
             a.meets(b),
-            "validate[{context}]: covering nodes {} and {} for {tuple} leave a gap \
-             or double-count",
-            a,
-            b
+            "validate[{context}]: covering nodes {a} and {b} for {tuple} leave a gap \
+             or double-count"
         );
     }
     let last = covered[covered.len() - 1];

@@ -21,12 +21,12 @@
 //! ```
 //!
 //! Every report line is printed and also saved to
-//! `target/harness_output.txt`. One command refreshes a *tracked* file at
-//! the repo root (plus a `target/` copy): `calibrate` → the committed
-//! `calibration.json` profile ([`tempagg_plan::Calibration`]) for the
-//! current host; `--test` runs it on tiny inputs and leaves the tracked
-//! file untouched. What is measured beyond the paper — store, window
-//! index, pager, SQL — is measured by `bench/` (see `BENCHMARK.json`).
+//! `target/harness_output.txt`. One command refreshes a *tracked* file:
+//! `calibrate` rewrites the repo root's `calibration.json` profile
+//! ([`tempagg_plan::Calibration`]) for the current host; `--test` runs it
+//! on tiny inputs and leaves the tracked file untouched. What is measured
+//! beyond the paper — store, window index, pager, SQL — is measured by
+//! `bench/` (see `BENCHMARK.json`).
 //!
 //! Absolute numbers will differ from the paper's 1995 SPARCstation, but the
 //! *shape* — who wins, by what factor, where crossovers sit — is the
@@ -109,46 +109,6 @@ fn target_dir() -> std::io::Result<PathBuf> {
     };
     std::fs::create_dir_all(&dir)?;
     Ok(dir)
-}
-
-/// The repository root (for the *tracked* `calibration.json`), falling
-/// back to the working directory when the workspace no longer exists
-/// around the binary.
-fn repo_root() -> PathBuf {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map_or_else(|| PathBuf::from("."), Path::to_path_buf);
-    if root.is_dir() {
-        root
-    } else {
-        PathBuf::from(".")
-    }
-}
-
-/// Write a tracked artifact atomically through the pager's shared
-/// temp-file + rename helper — the same code path the data files use —
-/// so an interrupted run never leaves a half-written JSON document.
-fn write_atomic(path: &Path, contents: &str) -> tempagg_core::Result<()> {
-    tempagg_core::pager::write_atomic(path, contents.as_bytes())
-}
-
-/// Land one tracked artifact (`calibration.json`): `--test` leaves the
-/// tracked file alone; otherwise it is written at the
-/// repository root atomically and mirrored under `target/`.
-fn write_artifact(sink: &mut Sink, name: &str, contents: &str, smoke: bool) {
-    if smoke {
-        emit!(sink, "\n[--test: tracked {name} left untouched]");
-        return;
-    }
-    let path = repo_root().join(name);
-    match write_atomic(&path, contents) {
-        Ok(()) => emit!(sink, "\n[{name} written to {}]", path.display()),
-        Err(e) => emit!(sink, "\n[could not write {}: {e}]", path.display()),
-    }
-    if let Ok(dir) = target_dir() {
-        let _ = write_atomic(&dir.join(name), contents);
-    }
 }
 
 fn main() {
@@ -812,18 +772,19 @@ fn calibrate(options: &Options, sink: &mut Sink) {
     };
     emit!(sink, "\n{}", cal.emit().trim_end());
 
-    write_artifact(sink, "calibration.json", &cal.emit(), options.smoke);
-}
-
-/// xorshift64: a tiny deterministic PRNG for the probe windows — the
-/// harness must not depend on wall-clock entropy so reruns are reproducible.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
+    if options.smoke {
+        emit!(sink, "\n[--test: tracked calibration.json left untouched]");
+        return;
+    }
+    // The tracked profile sits at the workspace root, two levels above this
+    // crate; written through the pager's temp-file + rename helper so an
+    // interrupted run never leaves half a JSON document.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    let path = root.unwrap_or(Path::new(".")).join("calibration.json");
+    match tempagg_core::pager::write_atomic(&path, cal.emit().as_bytes()) {
+        Ok(()) => emit!(sink, "\n[calibration.json written to {}]", path.display()),
+        Err(e) => emit!(sink, "\n[could not write {}: {e}]", path.display()),
+    }
 }
 
 /// Measure the window index's per-node fold cost: build a `COUNT(*)`
@@ -848,11 +809,11 @@ fn measure_index_probe() -> f64 {
 
     let width = lifespan / 100;
     let probes = 20_000u64;
-    let mut rng = 0x00DD_BA11_u64;
+    let mut rng = tempagg_workload::rng::StdRng::seed_from_u64(0x00DD_BA11);
     let mut acc = 0i128;
     let started = Instant::now();
     for _ in 0..probes {
-        let start = (xorshift(&mut rng) % (lifespan - width) as u64) as i64;
+        let start = rng.random_range(0..lifespan - width);
         acc += index
             .probe(Interval::at(start, start + width), &*series)
             .integral;

@@ -325,17 +325,8 @@ impl PagedReader {
             usize::try_from(self.header.tuple_count).unwrap_or(0),
         );
         for index in 0..self.fences.len() {
-            let page = self.read_page(index, None)?;
-            let mut columns = Vec::with_capacity(page.columns.len());
-            for col in page.columns {
-                columns.push(col.ok_or_else(|| {
-                    TempAggError::internal("read_relation requested all columns")
-                })?);
-            }
-            for (i, interval) in page.intervals.iter().enumerate() {
-                // lint: allow(indexing): decode guarantees every column matches intervals.len()
-                let values: Vec<_> = columns.iter().map(|c| c[i].clone()).collect();
-                relation.push(values, *interval)?;
+            for tuple in self.read_page(index, None)?.into_tuples() {
+                relation.push_tuple(tuple)?;
             }
         }
         Ok(relation)
@@ -396,6 +387,55 @@ mod tests {
         assert_eq!(reader.caches()[0].label, "COUNT");
         let back = reader.read_relation().unwrap();
         assert_eq!(back.tuples(), rel.tuples());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `DecodedPage::into_tuples` is the one page → rows loop: over an
+    /// `INT`, a `STR` and a NULL-bearing column it yields exactly the rows
+    /// `read_relation` returns, and a projected-out column reads as NULL.
+    #[test]
+    fn pages_materialise_into_the_rows_read_relation_returns() {
+        use crate::schema::Column;
+        let path = temp_path("rows.tapg");
+        let schema = Schema::new(vec![
+            Column::new("amount", ValueType::Int),
+            Column::new("tag", ValueType::Str),
+            Column::new("bonus", ValueType::Int).nullable(),
+        ])
+        .unwrap();
+        let mut rel = TemporalRelation::new(schema);
+        for i in 0..300i64 {
+            let bonus = if i % 3 == 0 {
+                Value::Null
+            } else {
+                Value::Int(-i)
+            };
+            let values = vec![Value::Int(i), Value::from(format!("row{i}")), bonus];
+            rel.push(values, Interval::at(i, i + 10)).unwrap();
+        }
+        let options = PagedWriteOptions {
+            page_size: 1024,
+            caches: Vec::new(),
+        };
+        write_relation(&rel, &path, &options).unwrap();
+        let reader = PagedReader::open(&path).unwrap();
+        assert!(reader.page_count() > 2);
+
+        let mut rows = Vec::new();
+        let mut projected = Vec::new();
+        for index in 0..reader.page_count() {
+            rows.extend(reader.read_page(index, None).unwrap().into_tuples());
+            projected.extend(reader.read_page(index, Some(&[0])).unwrap().into_tuples());
+        }
+        assert_eq!(rows, rel.tuples());
+        assert_eq!(rows, reader.read_relation().unwrap().tuples());
+        for (row, full) in projected.iter().zip(rel.tuples()) {
+            assert_eq!(row.valid(), full.valid());
+            assert_eq!(
+                row.values(),
+                [full.values()[0].clone(), Value::Null, Value::Null]
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -478,6 +478,24 @@ impl DecodedPage {
     pub fn is_empty(&self) -> bool {
         self.intervals.is_empty()
     }
+
+    /// The page as row-major tuples in page order, values moved out of the
+    /// columns; a column the projection left out reads as NULL.
+    pub fn into_tuples(self) -> impl Iterator<Item = Tuple> {
+        let mut columns: Vec<_> = self
+            .columns
+            .into_iter()
+            .map(|column| column.map(Vec::into_iter))
+            .collect();
+        self.intervals.into_iter().map(move |interval| {
+            let values = columns
+                .iter_mut()
+                .map(|column| column.as_mut().and_then(Iterator::next))
+                .map(|value| value.unwrap_or(Value::Null))
+                .collect();
+            Tuple::new(values, interval)
+        })
+    }
 }
 
 /// Decode a page. `projection = None` decodes every column; otherwise only

@@ -6,19 +6,18 @@
 //! [are] randomized when they are read … performed on each group of pages
 //! read into memory, and therefore would not affect the I/O time."*
 //!
-//! This module used to carry its own 128-byte fixed-record codec; it now
-//! rides the workspace's real paged columnar format
+//! The files are the workspace's paged columnar format
 //! ([`tempagg_core::pager`]) — checksummed header, fence-indexed pages,
-//! atomic writes — and keeps only the workload-specific pieces: a
-//! tuple-at-a-time sequential [`Scan`], and [`scan_with_page_shuffle`],
-//! which shuffles tuples *within each group of pages* as they are read,
-//! leaving the I/O order untouched.
+//! atomic writes, rows materialised by `DecodedPage::into_tuples`. This
+//! module adds only the workload-specific pieces: a tuple-at-a-time
+//! sequential [`Scan`], and [`scan_with_page_shuffle`], which shuffles
+//! tuples *within each group of pages* as they are read, leaving the I/O
+//! order untouched.
 
 use crate::rng::{SliceRandom, StdRng};
-use std::collections::VecDeque;
 use std::path::Path;
-use tempagg_core::pager::{DecodedPage, PagedReader, PagedWriteOptions, PagedWriteStats};
-use tempagg_core::{pager, Result, TemporalRelation, Tuple, Value};
+use tempagg_core::pager::{PagedReader, PagedWriteOptions, PagedWriteStats};
+use tempagg_core::{pager, Result, TemporalRelation, Tuple};
 
 /// Bytes per page — the core pager's default page size.
 pub const PAGE_BYTES: usize = pager::DEFAULT_PAGE_BYTES as usize;
@@ -35,32 +34,15 @@ pub fn read_relation(path: &Path) -> Result<TemporalRelation> {
     PagedReader::open(path)?.read_relation()
 }
 
-/// Materialise a decoded columnar page into row-major tuples.
-fn page_tuples(page: &DecodedPage) -> Vec<Tuple> {
-    let mut out = Vec::with_capacity(page.len());
-    for (row, interval) in page.intervals.iter().enumerate() {
-        let values: Vec<Value> = page
-            .columns
-            .iter()
-            .map(|column| {
-                column
-                    .as_ref()
-                    .and_then(|values| values.get(row).cloned())
-                    .unwrap_or(Value::Null)
-            })
-            .collect();
-        out.push(Tuple::new(values, *interval));
-    }
-    out
-}
-
 /// A sequential tuple scanner over a paged file: one page resident at a
 /// time, tuples yielded in storage order.
 #[derive(Debug)]
 pub struct Scan {
     reader: PagedReader,
-    next_page: usize,
-    buffer: VecDeque<Tuple>,
+    /// Pages not yet read.
+    pages: std::ops::Range<usize>,
+    /// The rows of the one resident page not yet yielded.
+    page: std::vec::IntoIter<Tuple>,
     remaining: u64,
 }
 
@@ -70,9 +52,9 @@ impl Scan {
         let reader = PagedReader::open(path)?;
         let remaining = reader.tuple_count();
         Ok(Scan {
+            pages: 0..reader.page_count(),
             reader,
-            next_page: 0,
-            buffer: VecDeque::new(),
+            page: Vec::new().into_iter(),
             remaining,
         })
     }
@@ -98,20 +80,14 @@ impl Iterator for Scan {
 
     fn next(&mut self) -> Option<Result<Tuple>> {
         loop {
-            if let Some(tuple) = self.buffer.pop_front() {
+            if let Some(tuple) = self.page.next() {
                 self.remaining = self.remaining.saturating_sub(1);
                 return Some(Ok(tuple));
             }
-            if self.next_page >= self.reader.page_count() {
-                return None;
-            }
-            match self.reader.read_page(self.next_page, None) {
-                Ok(page) => {
-                    self.next_page += 1;
-                    self.buffer.extend(page_tuples(&page));
-                }
+            match self.reader.read_page(self.pages.next()?, None) {
+                Ok(page) => self.page = page.into_tuples().collect::<Vec<_>>().into_iter(),
                 Err(e) => {
-                    self.next_page = self.reader.page_count();
+                    self.pages = 0..0;
                     self.remaining = 0;
                     return Some(Err(e));
                 }
@@ -132,33 +108,18 @@ pub fn scan_with_page_shuffle(
     group_pages: usize,
     seed: u64,
 ) -> Result<impl Iterator<Item = Result<Tuple>>> {
-    let scan = Scan::open(path)?;
-    let counts = scan.page_tuple_counts();
-    let mut group_sizes = counts
+    let mut scan = Scan::open(path)?;
+    let group_sizes: Vec<usize> = scan
+        .page_tuple_counts()
         .chunks(group_pages.max(1))
-        .map(|group| group.iter().sum::<usize>())
-        .collect::<Vec<usize>>()
-        .into_iter();
+        .map(|group| group.iter().sum())
+        .collect();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut source = scan;
-
-    let iter = std::iter::from_fn(move || -> Option<Vec<Result<Tuple>>> {
-        let target = group_sizes.next()?;
-        let mut group: Vec<Result<Tuple>> = Vec::with_capacity(target);
-        for _ in 0..target {
-            match source.next() {
-                Some(item) => group.push(item),
-                None => break,
-            }
-        }
-        if group.is_empty() {
-            return None;
-        }
+    Ok(group_sizes.into_iter().flat_map(move |size| {
+        let mut group: Vec<Result<Tuple>> = scan.by_ref().take(size).collect();
         group.shuffle(&mut rng);
-        Some(group)
-    })
-    .flatten();
-    Ok(iter)
+        group
+    }))
 }
 
 #[cfg(test)]
@@ -222,6 +183,37 @@ mod tests {
         scan.next().unwrap().unwrap();
         assert_eq!(scan.remaining(), 9);
         assert_eq!(scan.count(), 9);
+    }
+
+    /// `Scan` and `read_relation` read rows through the same page
+    /// materialiser: same tuples, same order, NULLs and strings included.
+    #[test]
+    fn scan_yields_the_rows_read_relation_returns() {
+        use tempagg_core::{Column, Schema, Value, ValueType};
+        let schema = Schema::new(vec![
+            Column::new("amount", ValueType::Int),
+            Column::new("tag", ValueType::Str),
+            Column::new("bonus", ValueType::Int).nullable(),
+        ])
+        .unwrap();
+        let mut relation = TemporalRelation::new(schema);
+        for i in 0..1_000i64 {
+            let bonus = if i % 3 == 0 {
+                Value::Null
+            } else {
+                Value::Int(-i)
+            };
+            let values = vec![Value::Int(i), Value::from(format!("row{i}")), bonus];
+            relation.push(values, Interval::at(i, i + 10)).unwrap();
+        }
+        let path = temp_path("rows");
+        let _cleanup = Cleanup(path.clone());
+        write_relation(&relation, &path).unwrap();
+        let scan = Scan::open(&path).unwrap();
+        assert!(scan.page_tuple_counts().len() > 1);
+        let scanned: Vec<Tuple> = scan.map(|t| t.unwrap()).collect();
+        assert_eq!(scanned, relation.tuples());
+        assert_eq!(scanned, read_relation(&path).unwrap().tuples());
     }
 
     #[test]

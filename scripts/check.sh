@@ -25,6 +25,9 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy --features validate -D warnings (the feature the byte-identity checks run under)"
+cargo clippy --workspace --all-targets --features validate -- -D warnings
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

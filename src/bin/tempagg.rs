@@ -8,8 +8,9 @@
 //! tempagg repl  [--in data.rel]
 //! ```
 //!
-//! `gen` writes the paper's 128-byte-record page format; `stats` prints the
-//! Section 5.2 sortedness metrics and the Section 6.3 plan for the file;
+//! `gen` writes a `.tapg` paged columnar file (`tempagg_core::pager`);
+//! `stats` prints the Section 5.2 sortedness metrics and the Section 6.3
+//! plan for the file;
 //! `query` registers the file as relation `data` and runs one statement;
 //! `repl` opens the interactive shell.
 

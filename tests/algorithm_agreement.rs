@@ -179,6 +179,18 @@ fn paged_tree_matches_oracle_for_any_region_count() {
         )
         .unwrap();
         assert_eq!(paged, expected, "regions = {regions}, case {case}");
+        // The paged tree is the partition pipeline with a deferred
+        // per-region tree: the combinator over eager trees, streamed
+        // through `finish_into`, is the same series entry for entry.
+        let mut partitioned = PartitionedAggregator::new(domain, regions, |sub| {
+            AggregationTree::with_domain(Count, sub)
+        });
+        for &(iv, ()) in &clipped {
+            partitioned.push(iv, ()).unwrap();
+        }
+        let mut streamed = Series::new();
+        partitioned.finish_into(&mut streamed);
+        assert_eq!(streamed, paged, "regions = {regions}, case {case}");
     }
 }
 
