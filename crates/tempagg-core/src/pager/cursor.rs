@@ -4,7 +4,7 @@
 //! a slice in memory" assumption: a source fills caller-owned [`Chunk`]s
 //! until exhausted, so consumers (aggregators, joins) never see more than
 //! one chunk plus one decoded page at a time. [`PageCursor`] walks a
-//! [`PagedReader`]'s pages in file order, skipping pages whose footer
+//! [`PagedReader`]'s pages in file order, skipping pages whose directory
 //! fences place them wholly outside the query window; [`UnitSource`] and
 //! [`IntColumnSource`] adapt it to the two aggregate input shapes
 //! (COUNT-style `()` and column-valued `i64`). [`SliceSource`] gives

@@ -1,26 +1,30 @@
 //! File-backed reader/writer for the paged columnar format.
 //!
-//! [`write_relation`] encodes a [`TemporalRelation`] (plus optional
-//! persisted aggregate caches) and commits it atomically via
-//! [`super::write_atomic`]. [`PagedReader`] is the out-of-core half: `open`
-//! reads only the header, schema, fences, and cache section; page payloads
-//! stay on disk until [`PagedReader::read_page`] seeks to them. Peak
-//! resident tuple memory of a paged scan is therefore one decoded page,
-//! regardless of relation size.
+//! [`write_relation`] streams a [`TemporalRelation`] (plus optional
+//! persisted aggregate series) onto a `.tmp` sibling, each section
+//! checksummed as it goes by, and renames it into place. [`PagedReader`] is
+//! the out-of-core half: `open` reads only the header, schema and directory;
+//! a page stays on disk until [`PagedReader::read_page`] seeks to it, a
+//! series block until [`PagedReader::series`] asks for it, and each is
+//! verified then. Peak resident tuple memory of a paged scan is therefore one
+//! decoded page, and `open` costs what it reads, whatever is stored.
 
 use super::format::{
-    decode_footer, decode_header, decode_page, decode_schema, encode_footer, encode_header,
-    encode_page, encode_schema, fnv1a64, plan_pages, relation_is_sorted, verify_header,
-    DecodedPage, FileHeader, PageFence, PersistedSeries, DEFAULT_PAGE_BYTES, FORMAT_VERSION,
+    decode_directory, decode_footer, decode_header, decode_page, decode_schema,
+    decode_series_block, encode_directory, encode_entries, encode_header, encode_page,
+    encode_schema, fnv1a64, plan_pages, relation_is_sorted, verify_header, Checksum, DecodedPage,
+    FileHeader, PageFence, PersistedSeries, SeriesRecord, DEFAULT_PAGE_BYTES, FORMAT_VERSION,
     HEADER_BYTES, MIN_PAGE_BYTES,
 };
 use crate::error::{Result, TempAggError};
 use crate::interval::Interval;
 use crate::relation::TemporalRelation;
 use crate::schema::Schema;
+use crate::series::SeriesEntry;
 use crate::timestamp::Timestamp;
+use crate::value::Value;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -33,7 +37,7 @@ fn storage_at(path: &Path, detail: impl std::fmt::Display) -> TempAggError {
 pub struct PagedWriteOptions {
     /// Fixed page size in bytes (default 8 KiB, the paper's I/O unit).
     pub page_size: u32,
-    /// Cached aggregate series to persist in the footer.
+    /// Cached aggregate series to persist, one block each.
     pub caches: Vec<PersistedSeries>,
 }
 
@@ -56,10 +60,15 @@ pub struct PagedWriteStats {
     pub sorted: bool,
 }
 
+/// Series entries encoded, hashed and handed to the writer at a time.
+const ENTRIES_PER_WRITE: usize = 4096;
+
 /// Encode `relation` into the paged columnar format and atomically write
 /// it to `path` (temp file + rename; a crash mid-write never leaves a
 /// half-written file at `path`). Storage order is preserved byte-exactly;
 /// the sorted header flag is set iff the tuples are `(start, end)`-sorted.
+/// One pass, holding one page or one stretch of a series at a time; the
+/// header goes last, over the place kept for it, as it locates the directory.
 pub fn write_relation(
     relation: &TemporalRelation,
     path: &Path,
@@ -75,70 +84,92 @@ pub fn write_relation(
     let schema_block = encode_schema(schema)?;
     let tuples = relation.tuples();
     let ranges = plan_pages(schema, tuples, options.page_size)?;
-
     let page_size = options.page_size as usize;
-    let mut pages = Vec::with_capacity(ranges.len() * page_size);
-    let mut fences = Vec::with_capacity(ranges.len());
-    for range in &ranges {
-        // lint: allow(indexing): plan_pages emits in-bounds, contiguous ranges over tuples
-        let run = &tuples[range.clone()];
-        let mut bytes = encode_page(schema, run)?;
-        debug_assert!(bytes.len() <= page_size);
-        bytes.resize(page_size, 0);
-        let min_start = run
-            .iter()
-            .map(|t| t.valid().start())
-            .min()
-            .unwrap_or(Timestamp::FOREVER);
-        let max_end = run
-            .iter()
-            .map(|t| t.valid().end())
-            .max()
-            .unwrap_or(Timestamp::MIN);
-        fences.push(PageFence {
-            min_start,
-            max_end,
-            tuples: run.len() as u32,
-            checksum: fnv1a64(&bytes),
-        });
-        pages.extend_from_slice(&bytes);
-    }
-
-    let header = FileHeader {
+    let footer_offset = (HEADER_BYTES + schema_block.len() + ranges.len() * page_size) as u64;
+    let mut header = FileHeader {
         version: FORMAT_VERSION,
         sorted: relation_is_sorted(relation),
         page_size: options.page_size,
         column_count: schema.len() as u32,
         tuple_count: tuples.len() as u64,
         page_count: ranges.len() as u64,
-        footer_offset: HEADER_BYTES as u64 + schema_block.len() as u64 + pages.len() as u64,
+        footer_offset,
         schema_len: schema_block.len() as u32,
+        directory_offset: footer_offset,
     };
+    let mut file_bytes = 0;
 
-    let mut file_bytes = Vec::with_capacity(HEADER_BYTES + schema_block.len() + pages.len());
-    file_bytes.extend_from_slice(&encode_header(&header, &schema_block));
-    file_bytes.extend_from_slice(&schema_block);
-    file_bytes.extend_from_slice(&pages);
-    file_bytes.extend_from_slice(&encode_footer(&fences, &options.caches)?);
+    super::replace_atomically(path, |tmp, file| {
+        let io = |e: std::io::Error| storage_at(tmp, format!("write failed: {e}"));
+        let mut out = BufWriter::with_capacity(1 << 20, file);
+        out.write_all(&[0; HEADER_BYTES]).map_err(io)?;
+        out.write_all(&schema_block).map_err(io)?;
 
-    super::write_atomic(path, &file_bytes)?;
+        let mut fences = Vec::with_capacity(ranges.len());
+        for range in &ranges {
+            // lint: allow(indexing): plan_pages emits in-bounds, contiguous ranges over tuples
+            let run = &tuples[range.clone()];
+            let mut bytes = encode_page(schema, run)?;
+            debug_assert!(bytes.len() <= page_size);
+            bytes.resize(page_size, 0);
+            let starts = run.iter().map(|t| t.valid().start());
+            let ends = run.iter().map(|t| t.valid().end());
+            fences.push(PageFence {
+                min_start: starts.min().unwrap_or(Timestamp::FOREVER),
+                max_end: ends.max().unwrap_or(Timestamp::MIN),
+                tuples: run.len() as u32,
+                checksum: Checksum::of(&bytes),
+            });
+            out.write_all(&bytes).map_err(io)?;
+        }
+
+        let mut series = Vec::with_capacity(options.caches.len());
+        let mut stretch = Vec::new();
+        for cache in &options.caches {
+            let (offset, mut sum) = (header.directory_offset, Checksum::default());
+            for entries in cache.entries.chunks(ENTRIES_PER_WRITE) {
+                stretch.clear();
+                encode_entries(&mut stretch, entries)?;
+                sum.update(&stretch);
+                out.write_all(&stretch).map_err(io)?;
+                header.directory_offset += stretch.len() as u64;
+            }
+            series.push(SeriesRecord {
+                label: cache.label.clone(),
+                column: cache.column,
+                runs: cache.entries.len() as u64,
+                offset,
+                len: header.directory_offset - offset,
+                checksum: sum.finish(),
+            });
+        }
+
+        let directory = encode_directory(&fences, &series, header.directory_offset)?;
+        out.write_all(&directory).map_err(io)?;
+        file_bytes = header.directory_offset + directory.len() as u64;
+        out.seek(SeekFrom::Start(0)).map_err(io)?;
+        out.write_all(&encode_header(&header, &schema_block))
+            .map_err(io)?;
+        out.flush().map_err(io)
+    })?;
     Ok(PagedWriteStats {
         tuples: tuples.len(),
         pages: ranges.len(),
-        file_bytes: file_bytes.len() as u64,
+        file_bytes,
         sorted: header.sorted,
     })
 }
 
 /// Out-of-core reader over a paged relation file.
 ///
-/// `open` materialises only the metadata (header, schema, fences, cache
-/// section); tuple pages are fetched on demand with [`read_page`], each
-/// verified against its footer checksum before being decoded. Reads go
-/// through `&File` positioned reads, so a `PagedReader` can be shared
-/// immutably by sequential scans.
+/// `open` materialises only the metadata (header, schema, fences, series
+/// directory); tuple pages are fetched on demand with [`read_page`] and
+/// series blocks with [`series`], each verified against its directory
+/// checksum before being decoded. Reads go through `&File` positioned
+/// reads, so a `PagedReader` can be shared immutably by sequential scans.
 ///
 /// [`read_page`]: PagedReader::read_page
+/// [`series`]: PagedReader::series
 #[derive(Debug)]
 pub struct PagedReader {
     file: fs::File,
@@ -146,13 +177,20 @@ pub struct PagedReader {
     header: FileHeader,
     schema: Arc<Schema>,
     fences: Vec<PageFence>,
-    caches: Vec<PersistedSeries>,
+    directory: Vec<SeriesRecord>,
+    /// The file version's checksum function.
+    sum: fn(&[u8]) -> u64,
+    /// A version 1 footer has no blocks to come back to: its series, decoded
+    /// at `open`, in directory order. Empty for any later version.
+    eager: Vec<Vec<SeriesEntry<Value>>>,
 }
 
 impl PagedReader {
-    /// Open `path`, validating magic, version, header checksum, footer
-    /// checksum, and size consistency. Any truncation or corruption is a
-    /// [`TempAggError::Storage`]; this never panics on hostile input.
+    /// Open `path`, validating magic, version, header and directory
+    /// checksums, and the file's length against the recorded one. Any
+    /// truncation, or corruption of what is read here, is a
+    /// [`TempAggError::Storage`]; pages and series blocks are verified when
+    /// read. Never panics on hostile input, nor allocates by an unbounded field.
     pub fn open(path: &Path) -> Result<PagedReader> {
         let mut file =
             fs::File::open(path).map_err(|e| storage_at(path, format!("open failed: {e}")))?;
@@ -165,31 +203,35 @@ impl PagedReader {
         file.read_exact(&mut first)
             .map_err(|e| storage_at(path, format!("header read failed: {e}")))?;
         let header = decode_header(&first).map_err(|e| storage_at(path, e))?;
-
+        // `decode_header` tied `footer_offset` to `schema_len`, so this holds
+        // both against the file before either sizes a buffer.
+        let tail_at = header.footer_offset.max(header.directory_offset);
+        let Some(tail_len) = file_len.checked_sub(tail_at) else {
+            let detail = format!("file truncated: {file_len} bytes, directory at {tail_at}");
+            return Err(storage_at(path, detail));
+        };
         let mut schema_block = vec![0u8; header.schema_len as usize];
         file.read_exact(&mut schema_block)
             .map_err(|e| storage_at(path, format!("schema read failed: {e}")))?;
-        verify_header(&first, &schema_block).map_err(|e| storage_at(path, e))?;
+
+        // The one place the two versions part: which checksum vouches for
+        // the file, and whether its tail is a directory or a whole footer.
+        let v1 = header.version == 1;
+        let sum: fn(&[u8]) -> u64 = if v1 { fnv1a64 } else { Checksum::of };
+        verify_header(&first, &schema_block, sum).map_err(|e| storage_at(path, e))?;
         let schema =
             decode_schema(&schema_block, header.column_count).map_err(|e| storage_at(path, e))?;
-
-        if file_len < header.footer_offset {
-            return Err(storage_at(
-                path,
-                format!(
-                    "file truncated: {file_len} bytes, pages end at {}",
-                    header.footer_offset
-                ),
-            ));
-        }
-        let footer_len = (file_len - header.footer_offset) as usize;
-        let mut footer = vec![0u8; footer_len];
-        file.seek(SeekFrom::Start(header.footer_offset))
-            .map_err(|e| storage_at(path, format!("footer seek failed: {e}")))?;
-        file.read_exact(&mut footer)
-            .map_err(|e| storage_at(path, format!("footer read failed: {e}")))?;
-        let (fences, caches) =
-            decode_footer(&footer, header.page_count).map_err(|e| storage_at(path, e))?;
+        let mut tail = vec![0u8; tail_len as usize];
+        file.seek(SeekFrom::Start(tail_at))
+            .and_then(|_| file.read_exact(&mut tail))
+            .map_err(|e| storage_at(path, format!("directory read failed: {e}")))?;
+        let (fences, directory, eager) = if v1 {
+            decode_footer(&tail, header.page_count).map_err(|e| storage_at(path, e))?
+        } else {
+            let (fences, directory) =
+                decode_directory(&tail, &header, file_len).map_err(|e| storage_at(path, e))?;
+            (fences, directory, Vec::new())
+        };
 
         let fence_tuples: u64 = fences.iter().map(|f| u64::from(f.tuples)).sum();
         if fence_tuples != header.tuple_count {
@@ -208,7 +250,9 @@ impl PagedReader {
             header,
             schema,
             fences,
-            caches,
+            directory,
+            sum,
+            eager,
         })
     }
 
@@ -247,14 +291,26 @@ impl PagedReader {
         &self.fences
     }
 
-    /// Aggregate caches persisted in the footer.
-    pub fn caches(&self) -> &[PersistedSeries] {
-        &self.caches
+    /// One record per aggregate series the file persists, in file order:
+    /// what `open` knows of them without having read one.
+    pub fn series_directory(&self) -> &[SeriesRecord] {
+        &self.directory
     }
 
-    /// Take ownership of the persisted caches (used by `TemporalStore::open`).
-    pub fn take_caches(&mut self) -> Vec<PersistedSeries> {
-        std::mem::take(&mut self.caches)
+    /// Read series `index` of the [directory](PagedReader::series_directory):
+    /// its block's bytes, held against the record's checksum, then decoded.
+    /// Nothing is kept: a second call reads the block again.
+    pub fn series(&self, index: usize) -> Result<Vec<SeriesEntry<Value>>> {
+        if let Some(entries) = self.eager.get(index) {
+            return Ok(entries.clone());
+        }
+        let record = self
+            .directory
+            .get(index)
+            .ok_or_else(|| storage_at(&self.path, format!("no series {index} in the directory")))?;
+        let what = format_args!("series block `{}`", record.label);
+        let bytes = self.read_verified(record.offset, record.len, record.checksum, what)?;
+        decode_series_block(&bytes, record).map_err(|e| storage_at(&self.path, e))
     }
 
     /// Smallest start / largest end across all fences, as an interval —
@@ -277,6 +333,30 @@ impl PagedReader {
             .collect()
     }
 
+    /// `len` bytes at `offset`, held against `checksum` before anyone sees
+    /// them. `open` bounded both by the file's length.
+    fn read_verified(
+        &self,
+        offset: u64,
+        len: u64,
+        checksum: u64,
+        what: impl std::fmt::Display,
+    ) -> Result<Vec<u8>> {
+        let mut bytes = vec![0u8; len as usize];
+        // Positioned reads through &File keep the reader shareable.
+        let mut at = &self.file;
+        at.seek(SeekFrom::Start(offset))
+            .and_then(|_| at.read_exact(&mut bytes))
+            .map_err(|e| storage_at(&self.path, format!("{what} read failed: {e}")))?;
+        if (self.sum)(&bytes) != checksum {
+            return Err(storage_at(
+                &self.path,
+                format!("{what} checksum mismatch (corrupt {what})"),
+            ));
+        }
+        Ok(bytes)
+    }
+
     /// Read and decode page `index`, verifying its checksum first.
     /// `projection = None` decodes all columns; `Some(cols)` materialises
     /// only those (intervals always decode).
@@ -287,21 +367,10 @@ impl PagedReader {
                 format!("page {index} out of range ({} pages)", self.fences.len()),
             )
         })?;
-        let page_size = self.header.page_size as usize;
-        let offset = self.header.data_offset() + index as u64 * page_size as u64;
-        let mut bytes = vec![0u8; page_size];
-        // Positioned reads through &File keep `read_page` shareable.
-        let mut at = &self.file;
-        at.seek(SeekFrom::Start(offset))
-            .map_err(|e| storage_at(&self.path, format!("page {index} seek failed: {e}")))?;
-        at.read_exact(&mut bytes)
-            .map_err(|e| storage_at(&self.path, format!("page {index} read failed: {e}")))?;
-        if fnv1a64(&bytes) != fence.checksum {
-            return Err(storage_at(
-                &self.path,
-                format!("page {index} checksum mismatch (corrupt page)"),
-            ));
-        }
+        let page_size = u64::from(self.header.page_size);
+        let offset = self.header.data_offset() + index as u64 * page_size;
+        let what = format_args!("page {index}");
+        let bytes = self.read_verified(offset, page_size, fence.checksum, what)?;
         let page = decode_page(&self.schema, &bytes, projection)
             .map_err(|e| storage_at(&self.path, format!("page {index}: {e}")))?;
         if page.len() != fence.tuples as usize {
@@ -383,8 +452,15 @@ mod tests {
         assert_eq!(reader.tuple_count(), 500);
         assert_eq!(reader.page_count(), stats.pages);
         assert!(reader.sorted());
-        assert_eq!(reader.caches().len(), 1);
-        assert_eq!(reader.caches()[0].label, "COUNT");
+        let [record] = reader.series_directory() else {
+            panic!("one series was persisted");
+        };
+        assert_eq!((record.label.as_str(), record.runs), ("COUNT", 1));
+        assert_eq!(
+            reader.series(0).unwrap(),
+            [SeriesEntry::new(Interval::at(0, 9), Value::Int(3))]
+        );
+        assert!(reader.series(1).is_err());
         let back = reader.read_relation().unwrap();
         assert_eq!(back.tuples(), rel.tuples());
         std::fs::remove_file(&path).ok();

@@ -6,15 +6,19 @@
 //! DESIGN.md §15; the short version:
 //!
 //! ```text
-//! [ header: 64 bytes ][ schema block ][ page 0 ][ page 1 ] … [ footer ]
+//! [ header: 64 bytes ][ schema ][ page 0 ] … [ series block 0 ] … [ directory ]
 //! ```
 //!
-//! All integers are little-endian and fixed-width. The header carries a
-//! FNV-1a checksum over itself and the schema block; each page carries a
-//! checksum in its footer fence entry; the footer carries a trailing
-//! checksum over itself. Corruption anywhere therefore surfaces as
-//! [`TempAggError::Storage`], never as a panic or a silently wrong scan.
+//! All integers are little-endian and fixed-width. Every section sits under
+//! a 64-bit [`Checksum`]: the header's covers itself and the schema block;
+//! the directory (fences, one [`SeriesRecord`] per persisted series, the
+//! file's length) carries its own and holds every page's and series block's.
+//! Corruption anywhere therefore surfaces as [`TempAggError::Storage`] at the
+//! first use of the section it lands in, never as a panic or a silently wrong
+//! scan. Version 1 files (one footer under FNV-1a) still decode, through
+//! [`decode_footer`]; nothing writes them.
 
+pub use super::checksum::{fnv1a64, Checksum};
 use crate::error::{Result, TempAggError};
 use crate::interval::Interval;
 use crate::relation::TemporalRelation;
@@ -27,10 +31,11 @@ use std::sync::Arc;
 
 use crate::timestamp::Timestamp;
 
-/// File magic: identifies a temporal-aggregates paged relation, v-01.
+/// File magic: identifies a temporal-aggregates paged relation.
 pub const MAGIC: [u8; 8] = *b"TAGGPG01";
-/// Current format version; readers reject anything newer.
-pub const FORMAT_VERSION: u16 = 1;
+/// Current format version — the only one written; readers reject anything
+/// newer and still read version 1.
+pub const FORMAT_VERSION: u16 = 2;
 /// Fixed byte length of the file header (excluding the schema block).
 pub const HEADER_BYTES: usize = 64;
 /// Default page size. Mirrors the 8 KiB pages of the paper's I/O model.
@@ -39,21 +44,10 @@ pub const DEFAULT_PAGE_BYTES: u32 = 8192;
 pub const MIN_PAGE_BYTES: u32 = 64;
 /// Header flag bit: tuples are sorted by `(start, end)` across the file.
 pub const FLAG_SORTED: u16 = 1;
-/// Encoded size of one footer fence entry.
+/// Encoded size of one fence entry.
 pub const FENCE_BYTES: usize = 28;
-
-/// FNV-1a 64-bit hash — the format's checksum function. Hand-rolled so the
-/// workspace stays dependency-free; collision resistance is irrelevant
-/// here, we only need to catch torn writes and bit rot.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// Smallest encoded series entry: two timestamps and a NULL's tag byte.
+const MIN_ENTRY_BYTES: u64 = 17;
 
 fn storage(detail: impl Into<String>) -> TempAggError {
     TempAggError::storage(detail)
@@ -159,10 +153,14 @@ pub struct FileHeader {
     pub column_count: u32,
     pub tuple_count: u64,
     pub page_count: u64,
-    /// Absolute file offset of the footer (fences + caches + checksum).
+    /// Absolute file offset of the end of the page area: where the series
+    /// blocks begin (version 1: where the footer does).
     pub footer_offset: u64,
     /// Byte length of the schema block that follows the header.
     pub schema_len: u32,
+    /// Absolute file offset of the directory, which runs to the end of the
+    /// file. Version 1 kept this word reserved at zero.
+    pub directory_offset: u64,
 }
 
 impl FileHeader {
@@ -175,6 +173,7 @@ impl FileHeader {
 
 /// Encode the 64-byte header. `schema_block` participates in the header
 /// checksum so a tampered schema is caught before any page is trusted.
+/// The checksum is version 2's whatever `header.version` says.
 #[must_use]
 pub fn encode_header(header: &FileHeader, schema_block: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_BYTES);
@@ -187,11 +186,12 @@ pub fn encode_header(header: &FileHeader, schema_block: &[u8]) -> Vec<u8> {
     put_u64(&mut buf, header.page_count);
     put_u64(&mut buf, header.footer_offset);
     put_u32(&mut buf, header.schema_len);
-    put_u64(&mut buf, 0); // reserved
+    put_u64(&mut buf, header.directory_offset);
     debug_assert_eq!(buf.len(), HEADER_BYTES - 8);
-    let mut hasher_input = buf.clone();
-    hasher_input.extend_from_slice(schema_block);
-    put_u64(&mut buf, fnv1a64(&hasher_input));
+    let mut sum = Checksum::default();
+    sum.update(&buf);
+    sum.update(schema_block);
+    put_u64(&mut buf, sum.finish());
     buf
 }
 
@@ -227,10 +227,7 @@ pub fn decode_header(first: &[u8]) -> Result<FileHeader> {
     let page_count = r.u64()?;
     let footer_offset = r.u64()?;
     let schema_len = r.u32()?;
-    let reserved = r.u64()?;
-    if reserved != 0 {
-        return Err(storage("reserved header field is non-zero"));
-    }
+    let directory_offset = r.u64()?;
     let header = FileHeader {
         version,
         sorted: flags & FLAG_SORTED != 0,
@@ -240,6 +237,7 @@ pub fn decode_header(first: &[u8]) -> Result<FileHeader> {
         page_count,
         footer_offset,
         schema_len,
+        directory_offset,
     };
     let expected_footer = header
         .data_offset()
@@ -255,11 +253,20 @@ pub fn decode_header(first: &[u8]) -> Result<FileHeader> {
              of {page_size} bytes (expected {expected_footer})"
         )));
     }
+    // Version 1 kept the word reserved at zero; since, the directory it
+    // locates follows the pages (and the series blocks, if any).
+    if (version == 1 && directory_offset != 0) || (version > 1 && directory_offset < footer_offset)
+    {
+        return Err(storage(format!(
+            "header word {directory_offset} is no directory offset (nor version 1's zero)"
+        )));
+    }
     Ok(header)
 }
 
-/// Verify the header checksum against the raw header + schema bytes.
-pub fn verify_header(first: &[u8], schema_block: &[u8]) -> Result<()> {
+/// Verify the header checksum against the raw header + schema bytes, under
+/// the file version's checksum function.
+pub fn verify_header(first: &[u8], schema_block: &[u8], sum: fn(&[u8]) -> u64) -> Result<()> {
     if first.len() < HEADER_BYTES {
         return Err(storage("file header truncated"));
     }
@@ -268,7 +275,7 @@ pub fn verify_header(first: &[u8], schema_block: &[u8]) -> Result<()> {
     ]);
     let mut input = first[..HEADER_BYTES - 8].to_vec();
     input.extend_from_slice(schema_block);
-    if fnv1a64(&input) != stored {
+    if sum(&input) != stored {
         return Err(storage(
             "header checksum mismatch (corrupt header or schema)",
         ));
@@ -509,11 +516,11 @@ pub fn decode_page(
 ) -> Result<DecodedPage> {
     let mut r = ByteReader::new(bytes, "page");
     let count = r.u32()? as usize;
-    // A page is at most page_size bytes, so count*16 within the slice is
-    // the real bound check; ByteReader enforces it below.
+    // Nothing is sized by `count` before these two reads have held it
+    // against the bytes the page really has.
+    let starts = r.take(count.saturating_mul(8))?;
+    let ends = r.take(count.saturating_mul(8))?;
     let mut intervals = Vec::with_capacity(count);
-    let starts = r.take(count * 8)?;
-    let ends = r.take(count * 8)?;
     for i in 0..count {
         let s = i64::from_le_bytes(
             // lint: allow(indexing): take(count * 8) sized the slice to exactly count i64s
@@ -618,10 +625,10 @@ pub fn decode_page(
 }
 
 // ---------------------------------------------------------------------------
-// Footer: fences + persisted caches
+// Directory: fences + series records; series blocks; the version 1 footer
 // ---------------------------------------------------------------------------
 
-/// Per-page footer entry: the min-start/max-end fences that power window
+/// Per-page directory entry: the min-start/max-end fences that power window
 /// pruning, the tuple count, and the page checksum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageFence {
@@ -656,6 +663,8 @@ pub fn encode_fences(fences: &[PageFence]) -> Vec<u8> {
 }
 
 pub(crate) fn decode_fences(r: &mut ByteReader<'_>, page_count: u64) -> Result<Vec<PageFence>> {
+    // `page_count` pages of at least `MIN_PAGE_BYTES` lie inside the file:
+    // `open` checked, so this is sized by the file's own length.
     let mut fences = Vec::with_capacity(page_count as usize);
     for _ in 0..page_count {
         let min_start = Timestamp::new(r.i64()?);
@@ -683,6 +692,20 @@ pub struct PersistedSeries {
     pub column: Option<u32>,
     /// The constant-interval series, value-erased to [`Value`].
     pub entries: Vec<SeriesEntry<Value>>,
+}
+
+/// The directory's record of one persisted series: whose it is (`label` and
+/// `column` as in [`PersistedSeries`]), how many `runs` it has, and the
+/// absolute `offset`, byte `len` and [`Checksum`] of the block that holds
+/// them — read, verified and decoded when the series is first asked for.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SeriesRecord {
+    pub label: String,
+    pub column: Option<u32>,
+    pub runs: u64,
+    pub offset: u64,
+    pub len: u64,
+    pub checksum: u64,
 }
 
 fn encode_value(buf: &mut Vec<u8>, value: &Value) -> Result<()> {
@@ -728,77 +751,169 @@ fn decode_value(r: &mut ByteReader<'_>) -> Result<Value> {
     }
 }
 
-/// Encode the persisted-cache section of the footer.
-pub fn encode_caches(caches: &[PersistedSeries]) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    if caches.len() > u32::MAX as usize {
+/// Append the entries of a series as a block (or a stretch of one) stores
+/// them: `start i64 | end i64 | tagged value` each.
+pub fn encode_entries(buf: &mut Vec<u8>, entries: &[SeriesEntry<Value>]) -> Result<()> {
+    for entry in entries {
+        put_i64(buf, entry.interval.start().get());
+        put_i64(buf, entry.interval.end().get());
+        encode_value(buf, &entry.value)?;
+    }
+    Ok(())
+}
+
+fn decode_entries(
+    r: &mut ByteReader<'_>,
+    count: u64,
+    label: &str,
+) -> Result<Vec<SeriesEntry<Value>>> {
+    // Sized by the bytes that are there, not by the count that claims them.
+    let fits = r.remaining() as u64 / MIN_ENTRY_BYTES;
+    let mut entries = Vec::with_capacity(count.min(fits) as usize);
+    for i in 0..count {
+        let s = r.i64()?;
+        let e = r.i64()?;
+        let interval = Interval::new(s, e)
+            .map_err(|_| storage(format!("cache `{label}` entry {i} has start {s} > end {e}")))?;
+        entries.push(SeriesEntry::new(interval, decode_value(r)?));
+    }
+    Ok(entries)
+}
+
+/// Decode one series block, already held against its checksum: exactly the
+/// `runs` entries its [`SeriesRecord`] promises and not a byte more.
+pub fn decode_series_block(bytes: &[u8], record: &SeriesRecord) -> Result<Vec<SeriesEntry<Value>>> {
+    let mut r = ByteReader::new(bytes, "series block");
+    let entries = decode_entries(&mut r, record.runs, &record.label)?;
+    if r.remaining() != 0 {
+        return Err(storage("trailing bytes after the series block's runs"));
+    }
+    Ok(entries)
+}
+
+fn encode_label(buf: &mut Vec<u8>, label: &str, column: Option<u32>) -> Result<()> {
+    if label.len() > usize::from(u16::MAX) {
+        return Err(storage("cache label exceeds u16 length"));
+    }
+    put_u16(buf, label.len() as u16);
+    buf.extend_from_slice(label.as_bytes());
+    put_i64(buf, column.map_or(-1, i64::from));
+    Ok(())
+}
+
+fn decode_label(r: &mut ByteReader<'_>) -> Result<(String, Option<u32>)> {
+    let label_len = r.u16()? as usize;
+    let label = std::str::from_utf8(r.take(label_len)?)
+        .map_err(|_| storage("cache label is not valid UTF-8"))?
+        .to_string();
+    let column_raw = r.i64()?;
+    let column = if column_raw < 0 {
+        None
+    } else {
+        Some(u32::try_from(column_raw).map_err(|_| storage("cache column out of range"))?)
+    };
+    Ok((label, column))
+}
+
+/// A section's body and the checksum stored in its last eight bytes.
+fn split_checksum<'a>(bytes: &'a [u8], what: &str) -> Result<(&'a [u8], u64)> {
+    let Some(body_len) = bytes.len().checked_sub(8) else {
+        return Err(storage(format!("{what} truncated (missing checksum)")));
+    };
+    let (body, tail) = bytes.split_at(body_len);
+    let stored = <[u8; 8]>::try_from(tail).unwrap_or_default();
+    Ok((body, u64::from_le_bytes(stored)))
+}
+
+/// Encode the directory of a file whose series blocks end at
+/// `directory_offset`: fences, `series count u32`, per series `label_len u16
+/// | label | column i64 (-1: none) | runs u64 | offset u64 | len u64 |
+/// checksum u64`, the file's total length, the [`Checksum`] of all that.
+pub fn encode_directory(
+    fences: &[PageFence],
+    series: &[SeriesRecord],
+    directory_offset: u64,
+) -> Result<Vec<u8>> {
+    if series.len() > u32::MAX as usize {
         return Err(storage("too many persisted caches"));
     }
-    put_u32(&mut buf, caches.len() as u32);
-    for cache in caches {
-        let label = cache.label.as_bytes();
-        if label.len() > usize::from(u16::MAX) {
-            return Err(storage("cache label exceeds u16 length"));
-        }
-        put_u16(&mut buf, label.len() as u16);
-        buf.extend_from_slice(label);
-        put_i64(&mut buf, cache.column.map_or(-1, i64::from));
-        put_u64(&mut buf, cache.entries.len() as u64);
-        for entry in &cache.entries {
-            put_i64(&mut buf, entry.interval.start().get());
-            put_i64(&mut buf, entry.interval.end().get());
-            encode_value(&mut buf, &entry.value)?;
-        }
+    let mut buf = encode_fences(fences);
+    put_u32(&mut buf, series.len() as u32);
+    for record in series {
+        encode_label(&mut buf, &record.label, record.column)?;
+        put_u64(&mut buf, record.runs);
+        put_u64(&mut buf, record.offset);
+        put_u64(&mut buf, record.len);
+        put_u64(&mut buf, record.checksum);
     }
+    let file_len = directory_offset + buf.len() as u64 + 16;
+    put_u64(&mut buf, file_len);
+    let checksum = Checksum::of(&buf);
+    put_u64(&mut buf, checksum);
     Ok(buf)
 }
 
-pub(crate) fn decode_caches(r: &mut ByteReader<'_>) -> Result<Vec<PersistedSeries>> {
-    let cache_count = r.u32()?;
-    let mut caches = Vec::with_capacity(cache_count as usize);
-    for _ in 0..cache_count {
-        let label_len = r.u16()? as usize;
-        let label = std::str::from_utf8(r.take(label_len)?)
-            .map_err(|_| storage("cache label is not valid UTF-8"))?
-            .to_string();
-        let column_raw = r.i64()?;
-        let column = if column_raw < 0 {
-            None
-        } else {
-            Some(u32::try_from(column_raw).map_err(|_| storage("cache column out of range"))?)
-        };
-        let entry_count = r.u64()?;
-        let mut entries = Vec::with_capacity(entry_count.min(1 << 20) as usize);
-        for i in 0..entry_count {
-            let s = r.i64()?;
-            let e = r.i64()?;
-            let interval = Interval::new(s, e).map_err(|_| {
-                storage(format!("cache `{label}` entry {i} has start {s} > end {e}"))
-            })?;
-            entries.push(SeriesEntry::new(interval, decode_value(r)?));
-        }
-        caches.push(PersistedSeries {
+/// Verify and decode the directory — the bytes from `header.directory_offset`
+/// to the end of a file `file_len` bytes long. Every record is held against
+/// the layout before anyone allocates for it: the blocks tile
+/// `[footer_offset, directory_offset)` in order.
+pub fn decode_directory(
+    bytes: &[u8],
+    header: &FileHeader,
+    file_len: u64,
+) -> Result<(Vec<PageFence>, Vec<SeriesRecord>)> {
+    let (body, stored) = split_checksum(bytes, "directory")?;
+    if Checksum::of(body) != stored {
+        return Err(storage(
+            "directory checksum mismatch (corrupt fences or series records)",
+        ));
+    }
+    let mut r = ByteReader::new(body, "directory");
+    let fences = decode_fences(&mut r, header.page_count)?;
+    let mut series = Vec::new();
+    let mut at = header.footer_offset;
+    for _ in 0..r.u32()? {
+        let (label, column) = decode_label(&mut r)?;
+        let (runs, offset, len, checksum) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+        let end = offset.checked_add(len).filter(|_| offset == at);
+        at = end.ok_or_else(|| {
+            storage(format!(
+                "series `{label}`: {len} bytes at {offset} do not continue the blocks at {at}"
+            ))
+        })?;
+        series.push(SeriesRecord {
             label,
             column,
-            entries,
+            runs,
+            offset,
+            len,
+            checksum,
         });
     }
-    Ok(caches)
+    let recorded = r.u64()?;
+    if at != header.directory_offset || recorded != file_len || r.remaining() != 0 {
+        return Err(storage(format!(
+            "directory of a {recorded}-byte file with series blocks up to {at}: this one \
+             is {file_len} bytes, its blocks end at {}",
+            header.directory_offset
+        )));
+    }
+    Ok((fences, series))
 }
 
-/// Decode the whole footer (fences + caches + trailing checksum).
+/// Decode a version 1 footer: the fence table, every persisted series in
+/// full, and one trailing FNV-1a checksum over both. There are no blocks to
+/// come back to, so the records point nowhere and the series come with them.
+#[allow(clippy::type_complexity)]
 pub fn decode_footer(
     bytes: &[u8],
     page_count: u64,
-) -> Result<(Vec<PageFence>, Vec<PersistedSeries>)> {
-    if bytes.len() < 8 {
-        return Err(storage("footer truncated (missing checksum)"));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(
-        tail.try_into()
-            .map_err(|_| storage("footer checksum truncated"))?,
-    );
+) -> Result<(
+    Vec<PageFence>,
+    Vec<SeriesRecord>,
+    Vec<Vec<SeriesEntry<Value>>>,
+)> {
+    let (body, stored) = split_checksum(bytes, "footer")?;
     if fnv1a64(body) != stored {
         return Err(storage(
             "footer checksum mismatch (corrupt fences or caches)",
@@ -806,20 +921,22 @@ pub fn decode_footer(
     }
     let mut r = ByteReader::new(body, "file footer");
     let fences = decode_fences(&mut r, page_count)?;
-    let caches = decode_caches(&mut r)?;
+    let (mut directory, mut series) = (Vec::new(), Vec::new());
+    for _ in 0..r.u32()? {
+        let (label, column) = decode_label(&mut r)?;
+        let runs = r.u64()?;
+        series.push(decode_entries(&mut r, runs, &label)?);
+        directory.push(SeriesRecord {
+            label,
+            column,
+            runs,
+            ..SeriesRecord::default()
+        });
+    }
     if r.remaining() != 0 {
         return Err(storage("trailing bytes after footer caches"));
     }
-    Ok((fences, caches))
-}
-
-/// Compose the footer bytes from fences + caches, appending the checksum.
-pub fn encode_footer(fences: &[PageFence], caches: &[PersistedSeries]) -> Result<Vec<u8>> {
-    let mut buf = encode_fences(fences);
-    buf.extend_from_slice(&encode_caches(caches)?);
-    let checksum = fnv1a64(&buf);
-    put_u64(&mut buf, checksum);
-    Ok(buf)
+    Ok((fences, directory, series))
 }
 
 /// True when the relation's tuples are sorted by `(start, end)` — the
@@ -878,18 +995,24 @@ mod tests {
                 + block.len() as u64
                 + 2 * u64::from(DEFAULT_PAGE_BYTES),
             schema_len: block.len() as u32,
+            directory_offset: HEADER_BYTES as u64
+                + block.len() as u64
+                + 2 * u64::from(DEFAULT_PAGE_BYTES)
+                + 400,
         };
         let bytes = encode_header(&header, &block);
         assert_eq!(bytes.len(), HEADER_BYTES);
         let decoded = decode_header(&bytes).unwrap();
         assert_eq!(decoded, header);
-        verify_header(&bytes, &block).unwrap();
+        verify_header(&bytes, &block, Checksum::of).unwrap();
+        // The other version's function does not vouch for it.
+        assert!(verify_header(&bytes, &block, fnv1a64).is_err());
 
         // Flip one schema byte: checksum must fail.
         let mut bad = block.clone();
         bad[0] ^= 0xff;
         assert!(matches!(
-            verify_header(&bytes, &bad),
+            verify_header(&bytes, &bad, Checksum::of),
             Err(TempAggError::Storage { .. })
         ));
     }
@@ -907,6 +1030,7 @@ mod tests {
             page_count: 0,
             footer_offset: HEADER_BYTES as u64 + block.len() as u64,
             schema_len: block.len() as u32,
+            directory_offset: HEADER_BYTES as u64 + block.len() as u64,
         };
         let mut bytes = encode_header(&header, &block);
         bytes[0] = b'X';
@@ -916,6 +1040,24 @@ mod tests {
         bytes[8] = 0xff; // version low byte
         bytes[9] = 0xff;
         assert!(decode_header(&bytes).is_err());
+
+        // A directory inside the page area, and a version 1 header whose
+        // reserved word is not zero.
+        let early = FileHeader {
+            directory_offset: header.footer_offset - 1,
+            ..header.clone()
+        };
+        assert!(decode_header(&encode_header(&early, &block)).is_err());
+        let v1 = FileHeader {
+            version: 1,
+            ..header.clone()
+        };
+        assert!(decode_header(&encode_header(&v1, &block)).is_err());
+        let v1 = FileHeader {
+            directory_offset: 0,
+            ..v1
+        };
+        assert_eq!(decode_header(&encode_header(&v1, &block)).unwrap(), v1);
     }
 
     #[test]
@@ -1048,6 +1190,22 @@ mod tests {
         }
     }
 
+    /// A page whose count word claims four billion tuples is an error, not
+    /// an allocation of 64 GB (which aborts the process).
+    #[test]
+    fn hostile_page_count_errors_before_it_sizes_anything() {
+        let schema = sample_schema();
+        let mut bytes = encode_page(&schema, &sample_tuples(8)).unwrap();
+        bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes.resize(DEFAULT_PAGE_BYTES as usize, 0);
+        for projection in [None, Some(&[0usize][..]), Some(&[][..])] {
+            assert!(matches!(
+                decode_page(&schema, &bytes, projection),
+                Err(TempAggError::Storage { .. })
+            ));
+        }
+    }
+
     #[test]
     fn fence_overlap_is_conservative() {
         let fence = PageFence {
@@ -1063,9 +1221,8 @@ mod tests {
         assert!(!fence.overlaps(&Interval::at(21, 40)));
     }
 
-    #[test]
-    fn footer_roundtrip_with_caches() {
-        let fences = vec![
+    fn sample_fences() -> Vec<PageFence> {
+        vec![
             PageFence {
                 min_start: Timestamp(0),
                 max_end: Timestamp(50),
@@ -1078,22 +1235,153 @@ mod tests {
                 tuples: 7,
                 checksum: 0xbeef,
             },
-        ];
-        let caches = vec![PersistedSeries {
+        ]
+    }
+
+    fn sample_entries() -> Vec<SeriesEntry<Value>> {
+        vec![
+            SeriesEntry::new(Interval::at(0, 4), Value::Int(12)),
+            SeriesEntry::new(Interval::at(5, 9), Value::Float(3.25)),
+            SeriesEntry::new(Interval::at(10, 20), Value::Null),
+            SeriesEntry::new(Interval::at(21, 30), Value::from("text")),
+        ]
+    }
+
+    /// A two-page header whose two series blocks take `lens` bytes.
+    fn header_with_blocks(lens: [u64; 2]) -> FileHeader {
+        let footer_offset = HEADER_BYTES as u64 + 2 * u64::from(DEFAULT_PAGE_BYTES);
+        FileHeader {
+            version: FORMAT_VERSION,
+            sorted: true,
+            page_size: DEFAULT_PAGE_BYTES,
+            column_count: 0,
+            tuple_count: 17,
+            page_count: 2,
+            footer_offset,
+            schema_len: 0,
+            directory_offset: footer_offset + lens[0] + lens[1],
+        }
+    }
+
+    fn records(header: &FileHeader, lens: [u64; 2]) -> Vec<SeriesRecord> {
+        let record = |label: &str, column, runs, offset, len| SeriesRecord {
+            label: label.to_string(),
+            column,
+            runs,
+            offset,
+            len,
+            checksum: 0x5eed,
+        };
+        vec![
+            record("COUNT(*)", None, 4, header.footer_offset, lens[0]),
+            record("SUM", Some(1), 3, header.footer_offset + lens[0], lens[1]),
+        ]
+    }
+
+    #[test]
+    fn directory_roundtrips_and_any_bit_flip_is_caught() {
+        let lens = [90, 75];
+        let header = header_with_blocks(lens);
+        let series = records(&header, lens);
+        let fences = sample_fences();
+        let bytes = encode_directory(&fences, &series, header.directory_offset).unwrap();
+        let file_len = header.directory_offset + bytes.len() as u64;
+        let (f2, s2) = decode_directory(&bytes, &header, file_len).unwrap();
+        assert_eq!(f2, fences);
+        assert_eq!(s2, series);
+
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                decode_directory(&bad, &header, file_len).is_err(),
+                "bit flip at {bit} went undetected"
+            );
+        }
+        // A file that grew or shrank since the directory was written.
+        for wrong in [file_len - 1, file_len + 1] {
+            assert!(decode_directory(&bytes, &header, wrong).is_err());
+        }
+        for cut in 0..bytes.len() {
+            assert!(decode_directory(&bytes[..cut], &header, file_len).is_err());
+        }
+    }
+
+    /// Records that pass the checksum (as one written by a buggy or hostile
+    /// writer would) are still held against the layout: blocks in order and
+    /// inside the block area. (A run count is held against the block's bytes
+    /// when the block is decoded.)
+    #[test]
+    fn directory_records_are_bounded_by_the_layout() {
+        let lens = [90, 75];
+        let header = header_with_blocks(lens);
+        let good = records(&header, lens);
+        let mutate = |change: &dyn Fn(&mut Vec<SeriesRecord>)| {
+            let mut series = good.clone();
+            change(&mut series);
+            let bytes =
+                encode_directory(&sample_fences(), &series, header.directory_offset).unwrap();
+            let file_len = header.directory_offset + bytes.len() as u64;
+            decode_directory(&bytes, &header, file_len)
+        };
+        assert!(mutate(&|_| ()).is_ok());
+        for (what, result) in [
+            ("a gap before a block", mutate(&|s| s[1].offset += 1)),
+            ("a block past the area", mutate(&|s| s[1].len += 1)),
+            ("a length that overflows", mutate(&|s| s[1].len = u64::MAX)),
+            ("blocks short of the area", mutate(&|s| s[1].len -= 1)),
+            ("a missing block", mutate(&|s| s.truncate(1))),
+        ] {
+            assert!(
+                matches!(result, Err(TempAggError::Storage { .. })),
+                "{what}: {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn series_block_decodes_exactly_its_runs() {
+        let entries = sample_entries();
+        let mut bytes = Vec::new();
+        encode_entries(&mut bytes, &entries).unwrap();
+        let record = |runs| SeriesRecord {
             label: "SUM".into(),
             column: Some(1),
-            entries: vec![
-                SeriesEntry::new(Interval::at(0, 4), Value::Int(12)),
-                SeriesEntry::new(Interval::at(5, 9), Value::Float(3.25)),
-                SeriesEntry::new(Interval::at(10, 20), Value::Null),
-            ],
-        }];
-        let bytes = encode_footer(&fences, &caches).unwrap();
-        let (f2, c2) = decode_footer(&bytes, 2).unwrap();
-        assert_eq!(f2, fences);
-        assert_eq!(c2, caches);
+            runs,
+            offset: 0,
+            len: bytes.len() as u64,
+            checksum: 0,
+        };
+        assert_eq!(decode_series_block(&bytes, &record(4)).unwrap(), entries);
+        for runs in [3, 5, u64::MAX] {
+            assert!(matches!(
+                decode_series_block(&bytes, &record(runs)),
+                Err(TempAggError::Storage { .. })
+            ));
+        }
+    }
 
-        // Any bit flip breaks the footer checksum.
+    /// What a version 1 writer put after the pages: fences, every series in
+    /// full, one FNV-1a over both.
+    #[test]
+    fn v1_footer_still_decodes() {
+        let fences = sample_fences();
+        let mut bytes = encode_fences(&fences);
+        put_u32(&mut bytes, 1);
+        encode_label(&mut bytes, "SUM", Some(1)).unwrap();
+        put_u64(&mut bytes, sample_entries().len() as u64);
+        encode_entries(&mut bytes, &sample_entries()).unwrap();
+        let checksum = fnv1a64(&bytes);
+        put_u64(&mut bytes, checksum);
+
+        let (f2, d2, s2) = decode_footer(&bytes, 2).unwrap();
+        assert_eq!(f2, fences);
+        let [record] = &d2[..] else {
+            panic!("one series was written");
+        };
+        assert_eq!((record.label.as_str(), record.column), ("SUM", Some(1)));
+        assert_eq!((record.runs, record.len), (4, 0));
+        assert_eq!(s2, [sample_entries()]);
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x01;

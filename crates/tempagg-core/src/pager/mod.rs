@@ -7,12 +7,18 @@
 //!
 //! Layers, bottom up:
 //!
+//! - [`checksum`] — the word-parallel 64-bit [`Checksum`] every section of
+//!   a file sits under, and the byte-serial FNV-1a that version 1 files
+//!   are still read with.
 //! - [`format`] — the pure byte codec for the on-disk layout (DESIGN.md
-//!   §15): a checksummed 64-byte header, a schema block, fixed-size
-//!   columnar pages, and a footer of per-page min-start/max-end fences
-//!   plus persisted aggregate caches.
-//! - [`file`] — [`write_relation`] (atomic temp-file + rename) and
-//!   [`PagedReader`] (metadata resident, pages fetched on demand).
+//!   §15, format v2): a 64-byte header, a schema block, fixed-size
+//!   columnar pages, one block per persisted aggregate series, and a
+//!   directory of per-page min-start/max-end fences plus one record per
+//!   series — and the decoder for version 1's single footer.
+//! - [`file`] — [`write_relation`] (one streaming pass onto a temp file,
+//!   then rename) and [`PagedReader`] (`open` reads header, schema and
+//!   directory; pages and series blocks are fetched, and verified, on
+//!   demand).
 //! - [`cursor`] — the [`TupleSource`] scan abstraction: fence-pruned
 //!   [`PageCursor`] walks feeding [`Chunk`](crate::Chunk) batches to any
 //!   aggregator, with [`SliceSource`] giving resident data the same
@@ -24,15 +30,17 @@
 //! JSON, calibration profiles), all speaking `Result<_, TempAggError>`
 //! instead of `std::io::Result`.
 
+pub mod checksum;
 pub mod cursor;
 pub mod file;
 pub mod format;
 
+pub use checksum::Checksum;
 pub use cursor::{IntColumnSource, PageCursor, ScanStats, SliceSource, TupleSource, UnitSource};
 pub use file::{write_relation, PagedReader, PagedWriteOptions, PagedWriteStats};
 pub use format::{
-    DecodedPage, FileHeader, PageFence, PersistedSeries, DEFAULT_PAGE_BYTES, FORMAT_VERSION, MAGIC,
-    MIN_PAGE_BYTES,
+    DecodedPage, FileHeader, PageFence, PersistedSeries, SeriesRecord, DEFAULT_PAGE_BYTES,
+    FORMAT_VERSION, MAGIC, MIN_PAGE_BYTES,
 };
 
 use crate::error::{Result, TempAggError};
@@ -44,13 +52,28 @@ fn io_err(path: &Path, what: &str, err: &std::io::Error) -> TempAggError {
 
 /// Atomically replace `path` with `contents`: write to a `.tmp` sibling,
 /// then rename over the target. Readers never observe a torn file; a crash
-/// mid-write leaves at worst a stray temp file. Used for both paged data
-/// files and tracked artifacts (benchmark JSON, calibration profiles).
+/// mid-write leaves at worst a stray temp file. Used for tracked artifacts
+/// (benchmark JSON, calibration profiles); paged data files stream through
+/// the same policy in [`write_relation`].
 pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<()> {
+    replace_atomically(path, |tmp, mut file| {
+        std::io::Write::write_all(&mut file, contents).map_err(|e| io_err(tmp, "write failed", &e))
+    })
+}
+
+/// The policy behind [`write_atomic`] for a writer that streams: create the
+/// `.tmp` sibling, let `fill` write it, then rename it over `path`. Nothing
+/// is fsynced.
+pub(crate) fn replace_atomically(
+    path: &Path,
+    fill: impl FnOnce(&Path, &std::fs::File) -> Result<()>,
+) -> Result<()> {
     let mut tmp_name = path.as_os_str().to_os_string();
     tmp_name.push(".tmp");
     let tmp = Path::new(&tmp_name);
-    std::fs::write(tmp, contents).map_err(|e| io_err(tmp, "write failed", &e))?;
+    let file = std::fs::File::create(tmp).map_err(|e| io_err(tmp, "write failed", &e))?;
+    fill(tmp, &file)?;
+    drop(file);
     std::fs::rename(tmp, path).map_err(|e| io_err(path, "rename failed", &e))
 }
 

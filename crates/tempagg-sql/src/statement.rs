@@ -444,7 +444,7 @@ mod tests {
              ('Karen', 45000) VALID [8, 20]",
         )
         .unwrap();
-        // Warm an aggregate cache so it persists through the footer too.
+        // Warm an aggregate cache so its series is persisted too.
         execute_statement(&mut c, "SELECT COUNT(name) FROM staff").unwrap();
         execute_statement(&mut c, "DELETE FROM staff WHERE salary < 45000").unwrap();
         drop(c);

@@ -32,13 +32,14 @@
 //!
 //! What the store and each ranking group hold is a [`CachedSeries`]: that
 //! cache — or, after a reopen and until the first write, the series the
-//! file's footer restored — together with the window index cut over it.
-//! Every write goes through the entry, which patches the runs and then
-//! brings its own index back in step.
+//! paged file holds for the aggregate, decoded when it is first read —
+//! together with the window index cut over it. Every write goes through the
+//! entry, which patches the runs and then brings its own index back in step.
 
 use crate::runs::{Run, RunList};
 use crate::store::StoreCacheStats;
 use std::borrow::Borrow;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tempagg_agg::{DynActive, DynAggregate, SweepAggregate};
@@ -46,6 +47,7 @@ use tempagg_algo::{
     GroupProbe, IndexMode, RunSource, SweepAggregator, TemporalAggregator, WindowAggregate,
     WindowIndex,
 };
+use tempagg_core::pager::PagedReader;
 use tempagg_core::{
     Epoch, Interval, Result, Series, SeriesEntry, TempAggError, TemporalRelation, Timestamp, Tuple,
     Value, VersionedSeries,
@@ -271,14 +273,34 @@ impl AggCache {
 }
 
 /// What a cached series is read from: the patchable runs of a live
-/// [`AggCache`], or the series a paged file's footer restored for an
-/// aggregate — immutable, equal to what a cache built over the reopened
-/// relation would publish, and served as it is until the first write
-/// swaps that cache in.
+/// [`AggCache`], or the series a paged file holds for an aggregate —
+/// immutable, equal to what a cache built over the reopened relation would
+/// publish, and served as it is until the first write swaps that cache in.
 #[derive(Clone, Debug)]
 enum Body {
     Live(AggCache),
-    Restored(DynAggregate, Arc<Series<Value>>),
+    Restored(DynAggregate, Stored),
+}
+
+/// Series block `slot` of the paged file a store was opened from, of which
+/// opening read the directory record and no more: the first call of
+/// [`series`](Stored::series) reads, verifies and decodes the block. A clone
+/// made before that decodes for itself.
+#[derive(Clone, Debug)]
+struct Stored {
+    reader: Arc<PagedReader>,
+    slot: usize,
+    series: OnceCell<Arc<Series<Value>>>,
+}
+
+impl Stored {
+    fn series(&self) -> Result<&Arc<Series<Value>>> {
+        if let Some(series) = self.series.get() {
+            return Ok(series);
+        }
+        let decoded = Series::from_entries(self.reader.series(self.slot)?);
+        Ok(self.series.get_or_init(|| Arc::new(decoded)))
+    }
 }
 
 /// The window index probes and refreshes straight off the working series:
@@ -291,7 +313,13 @@ impl RunSource for Body {
                     f(clipped, &run.value);
                 }
             }),
-            Body::Restored(_, series) => series.for_each_run_in(window, f),
+            // A lookup: `CachedSeries::load` ran at the store's door, and
+            // swapped a block that would not decode for a rebuild.
+            Body::Restored(_, stored) => {
+                if let Ok(series) = stored.series() {
+                    series.for_each_run_in(window, f);
+                }
+            }
         }
     }
 }
@@ -325,10 +353,16 @@ impl CachedSeries {
         }
     }
 
-    /// The series of `agg` as a paged file's footer stored it.
-    pub(crate) fn restored(agg: DynAggregate, entries: Vec<SeriesEntry<Value>>) -> CachedSeries {
+    /// The series of `agg` as block `slot` of `reader`'s file stores it:
+    /// nothing of the block is read yet.
+    pub(crate) fn restored(agg: DynAggregate, reader: Arc<PagedReader>, slot: usize) -> Self {
+        let stored = Stored {
+            reader,
+            slot,
+            series: OnceCell::new(),
+        };
         CachedSeries {
-            body: Body::Restored(agg, Arc::new(Series::from_entries(entries))),
+            body: Body::Restored(agg, stored),
             index: None,
         }
     }
@@ -336,10 +370,20 @@ impl CachedSeries {
     /// Swap a restored body for a live cache over `column` of `tuples` —
     /// the relation *before* the write that forces this, so that write
     /// patches real, retractable state. Both bodies hold the same series,
-    /// so an index already cut stays. A live body is left alone.
+    /// so an index already cut stays; a block nobody read stays unread.
     pub(crate) fn promote(&mut self, column: Option<usize>, tuples: &[Tuple]) {
-        if let Body::Restored(agg, _) = self.body {
-            self.body = Body::Live(AggCache::build(agg, column, tuples));
+        if let Body::Restored(agg, _) = &self.body {
+            self.body = Body::Live(AggCache::build(*agg, column, tuples));
+        }
+    }
+
+    /// Have a restored body's series in hand before it is read — every door
+    /// of the store calls this first. A persisted series is a cache: a block
+    /// that fails its checksum or decode is dropped for a live cache rebuilt
+    /// over `column` of `tuples`, so it costs a rebuild, never an answer.
+    pub(crate) fn load(&mut self, column: Option<usize>, tuples: &[Tuple]) {
+        if matches!(&self.body, Body::Restored(_, stored) if stored.series().is_err()) {
+            self.promote(column, tuples);
         }
     }
 
@@ -356,15 +400,19 @@ impl CachedSeries {
     pub(crate) fn runs_len(&self) -> usize {
         match &self.body {
             Body::Live(cache) => cache.runs.len(),
-            Body::Restored(_, series) => series.len(),
+            // The directory's count: known without the block.
+            Body::Restored(_, stored) => {
+                let record = stored.reader.series_directory().get(stored.slot);
+                record.map_or(0, |record| record.runs as usize)
+            }
         }
     }
 
     /// The series as a snapshot would publish it, without publishing one.
-    pub(crate) fn entries(&self) -> Vec<SeriesEntry<Value>> {
+    pub(crate) fn entries(&self) -> Result<Vec<SeriesEntry<Value>>> {
         match &self.body {
-            Body::Live(cache) => cache.runs.entries(),
-            Body::Restored(_, series) => series.entries().to_vec(),
+            Body::Live(cache) => Ok(cache.runs.entries()),
+            Body::Restored(_, stored) => Ok(stored.series()?.entries().to_vec()),
         }
     }
 
@@ -377,7 +425,8 @@ impl CachedSeries {
             Body::Live(cache) => cache
                 .versions
                 .snapshot_at(epoch, || Series::from_entries(cache.runs.entries())),
-            Body::Restored(_, series) => series.clone(),
+            // Decoded since `load`, as in `for_each_run_in`.
+            Body::Restored(_, stored) => stored.series().cloned().unwrap_or_default(),
         }
     }
 

@@ -171,8 +171,8 @@ impl GroupedIndexes {
             assert_eq!(group.members, members.len(), "group {value:?} member count");
             let fresh = crate::sweep_values(&self.agg, self.column, &members);
             assert_eq!(
-                group.series.entries(),
-                fresh.entries(),
+                group.series.entries().as_deref(),
+                Ok(fresh.entries()),
                 "group {value:?} series"
             );
         }

@@ -534,7 +534,7 @@ mod tests {
         assert!(!reopened.is_dirty());
         assert!(reopened.has_cache(AggKind::CountStar, None));
         assert!(reopened.has_cache(AggKind::Sum, Some(1)));
-        // Served from the restored footer series, not a live rebuild.
+        // Served from the series the file holds, not a live rebuild.
         assert_eq!(reopened.cache_stats().caches, 0);
         for (kind, column) in [(AggKind::CountStar, None), (AggKind::Sum, Some(1))] {
             let snap = reopened.snapshot(kind, column).unwrap();
@@ -876,9 +876,10 @@ mod tests {
         store.window_probe(AggKind::Min, Some(1), window).unwrap();
         store.persist_to(&path).unwrap();
 
-        // The footer carries the two series and nothing derived from them.
+        // The file carries the two series and nothing derived from them.
         let reader = tempagg_core::pager::PagedReader::open(&path).unwrap();
-        let labels: Vec<&str> = reader.caches().iter().map(|c| c.label.as_str()).collect();
+        let directory = reader.series_directory();
+        let labels: Vec<&str> = directory.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(labels.len(), 2, "{labels:?}");
         assert!(
             labels.iter().all(|l| !l.starts_with("windex:")),
@@ -919,7 +920,7 @@ mod tests {
             let store = TemporalStore::new(relation.clone());
             store.snapshot_or_build(agg(AggKind::Sum), Some(1))
         };
-        // What a build before the footer stopped carrying indexes wrote
+        // What a build before the file stopped carrying indexes wrote
         // beside the series: blocks labelled `windex:<part>:<aggregate>`.
         let block = |label: &str, entries| PersistedSeries {
             label: label.to_string(),

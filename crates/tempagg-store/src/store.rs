@@ -10,7 +10,8 @@ use std::sync::Arc;
 use tempagg_agg::{AggKind, DynAggregate, SweepAggregate, SweepClass};
 use tempagg_algo::{IndexMode, WindowAggregate};
 use tempagg_core::pager::{
-    self, PagedReader, PagedWriteOptions, PagedWriteStats, PersistedSeries, DEFAULT_PAGE_BYTES,
+    self, PagedReader, PagedWriteOptions, PagedWriteStats, PersistedSeries, SeriesRecord,
+    DEFAULT_PAGE_BYTES,
 };
 use tempagg_core::{
     Epoch, Interval, Result, Schema, Series, TempAggError, TemporalRelation, Timestamp, Tuple,
@@ -91,9 +92,9 @@ pub struct TemporalStore {
     relation: TemporalRelation,
     epoch: Epoch,
     /// One entry per cached aggregate: its series — a live cache, or what
-    /// a paged file's footer restored, served read-only until the first
-    /// mutation promotes it — and the window index the first probe cut
-    /// over it, which the entry keeps in step under every write.
+    /// the paged file holds for it, decoded at its first read and served
+    /// until the first mutation promotes it — and the window index the first
+    /// probe cut over it, which the entry keeps in step under every write.
     series: RefCell<BTreeMap<CacheKey, CachedSeries>>,
     /// The paged file this store persists to, if any.
     backing: Option<PathBuf>,
@@ -134,21 +135,22 @@ impl TemporalStore {
     /// Open a store from a paged relation file written by
     /// [`flush`](TemporalStore::flush).
     ///
-    /// The relation is materialised from the file's pages; aggregate
-    /// series persisted in the footer are restored and served read-only
-    /// from [`snapshot`](TemporalStore::snapshot) /
-    /// [`snapshot_or_build`](TemporalStore::snapshot_or_build) — the first
-    /// mutation promotes them to live, incrementally-maintained caches
-    /// rebuilt over the relation.
+    /// The relation is materialised from the file's pages; of the aggregate
+    /// series it persists only the directory is read. Each is decoded when
+    /// [`snapshot`](TemporalStore::snapshot) /
+    /// [`snapshot_or_build`](TemporalStore::snapshot_or_build) or a probe
+    /// first asks for it and served read-only from then on; the first
+    /// mutation promotes them all, decoded or not, to live caches rebuilt
+    /// over the relation, and so does a block that turns out corrupt.
     pub fn open(path: &Path) -> Result<TemporalStore> {
-        let mut reader = PagedReader::open(path)?;
+        let reader = Arc::new(PagedReader::open(path)?);
         let relation = reader.read_relation()?;
         let page_size = reader.page_size();
         let mut restored = BTreeMap::new();
-        for series in reader.take_caches() {
-            let key = key_for_persisted(&series)?;
+        for (slot, record) in reader.series_directory().iter().enumerate() {
+            let key = key_for_persisted(record)?;
             let agg = dyn_for(relation.schema(), key)?;
-            restored.insert(key, CachedSeries::restored(agg, series.entries));
+            restored.insert(key, CachedSeries::restored(agg, reader.clone(), slot));
         }
         Ok(TemporalStore {
             series: RefCell::new(restored),
@@ -198,16 +200,15 @@ impl TemporalStore {
         // Window indexes are derived from these series in O(runs) and are
         // never written; the entries are read off the runs, so a flush
         // publishes no version.
-        let caches = self
-            .series
-            .get_mut()
-            .iter()
-            .map(|(key, entry)| PersistedSeries {
+        let mut caches = Vec::new();
+        for (key, entry) in self.series.get_mut().iter_mut() {
+            entry.load(key.column, self.relation.tuples());
+            caches.push(PersistedSeries {
                 label: key.kind.name().to_string(),
                 column: key.column.and_then(|c| u32::try_from(c).ok()),
-                entries: entry.entries(),
-            })
-            .collect();
+                entries: entry.entries()?,
+            });
+        }
         let stats = pager::write_relation(
             &self.relation,
             &path,
@@ -220,7 +221,7 @@ impl TemporalStore {
         Ok(Some(stats))
     }
 
-    /// Promote footer-restored series to live caches before a mutation:
+    /// Promote file-restored series to live caches before a mutation:
     /// the live cache is rebuilt from the (pre-mutation) relation, so the
     /// mutation's patch applies to real, retractable state.
     fn promote_restored(&mut self) {
@@ -429,15 +430,19 @@ impl TemporalStore {
     }
 
     /// The entry for `agg` over `column`, built over the relation if there
-    /// is none. A series restored from a paged file counts as present.
+    /// is none. A series a paged file holds counts as present, and is
+    /// decoded here if nobody has read it yet.
     fn entry(&self, agg: DynAggregate, column: Option<usize>) -> RefMut<'_, CachedSeries> {
         let key = CacheKey {
             kind: agg.kind(),
             column,
         };
         RefMut::map(self.series.borrow_mut(), |all| {
-            all.entry(key)
-                .or_insert_with(|| CachedSeries::build(agg, column, self.relation.tuples()))
+            let entry = all
+                .entry(key)
+                .or_insert_with(|| CachedSeries::build(agg, column, self.relation.tuples()));
+            entry.load(column, self.relation.tuples());
+            entry
         })
     }
 
@@ -578,7 +583,10 @@ impl TemporalStore {
         self.series
             .borrow_mut()
             .get_mut(&CacheKey { kind, column })
-            .map(|entry| entry.snapshot(self.epoch))
+            .map(|entry| {
+                entry.load(column, self.relation.tuples());
+                entry.snapshot(self.epoch)
+            })
     }
 
     /// [`ensure_cache`](TemporalStore::ensure_cache) then
@@ -634,12 +642,12 @@ fn dyn_for(schema: &Schema, key: CacheKey) -> Result<DynAggregate> {
     DynAggregate::new(key.kind, input)
 }
 
-/// Decode a footer cache entry into the key it was stored under; the
+/// Decode a directory record into the key its series was stored under; the
 /// caller holds the key's column and aggregate against the file's own
 /// schema ([`dyn_for`]). The label was written as [`AggKind::name`], of
 /// which `AggKind::parse` is *not* the inverse (it speaks SQL keywords, not
 /// display labels like `COUNT(*)`), hence the table lookup.
-fn key_for_persisted(series: &PersistedSeries) -> Result<CacheKey> {
+fn key_for_persisted(series: &SeriesRecord) -> Result<CacheKey> {
     let kind = ALL_KINDS
         .into_iter()
         .find(|kind| kind.name() == series.label)

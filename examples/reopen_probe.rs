@@ -11,9 +11,19 @@
 //! report a first-probe *hit*, this one a *miss* that rebuilds the index
 //! from the restored series.
 //!
+//! Also printed: `PagedReader::open` of that file beside the same relation
+//! persisted with no series at all. `open` reads the header, the schema and
+//! the directory; a series block is read when its series is asked for
+//! (DESIGN.md §15), so the two cost about the same. `-- --check` measures
+//! only that and fails unless the file with both series opens within 4× of
+//! the bare one (≈ 245× when `open` decoded every series it found) and the
+//! reopened store's series equal the originals: open costs what is read,
+//! not what is stored.
+//!
 //! Run with: `cargo run --release --example reopen_probe`
 
 use std::time::Instant;
+use temporal_aggregates::core::pager::{self, PagedReader, PagedWriteOptions};
 use temporal_aggregates::prelude::*;
 use temporal_aggregates::workload::{generate, WorkloadConfig};
 use temporal_aggregates::{AggKind, DynAggregate, ValueType};
@@ -64,6 +74,43 @@ fn main() -> tempagg_core::Result<()> {
     );
     println!("store.flush              {flush:>10.3?}");
 
+    let bare_path = path.with_extension("bare.tapg");
+    pager::write_relation(store.relation(), &bare_path, &PagedWriteOptions::default())?;
+    let open_of = |path: &std::path::Path| {
+        min_of(7, || {
+            let started = Instant::now();
+            let reader = PagedReader::open(path)?;
+            let elapsed = started.elapsed();
+            drop(reader);
+            Ok(elapsed)
+        })
+    };
+    let with_series = open_of(&path)?;
+    let bare = open_of(&bare_path)?;
+    pager::remove_file(&bare_path)?;
+    let ratio = with_series.as_secs_f64() / bare.as_secs_f64();
+    println!("PagedReader::open        {with_series:>10.3?}  (no series stored: {bare:.3?}, {ratio:.1}x)");
+    if std::env::args().any(|arg| arg == "--check") {
+        let reopened = TemporalStore::open(&path)?;
+        let same = [(AggKind::CountStar, None), (AggKind::Sum, Some(salary))]
+            .into_iter()
+            .all(|(kind, column)| {
+                reopened.snapshot(kind, column).as_deref()
+                    == store.snapshot(kind, column).as_deref()
+            });
+        pager::remove_file(&path)?;
+        let ok = ratio < 4.0 && same;
+        println!(
+            "open with two series stored is {ratio:.1}x the open with none, reopened series {}: {}",
+            if same { "equal" } else { "DIFFER" },
+            if ok { "ok (< 4x)" } else { "FAILED" }
+        );
+        if !ok {
+            std::process::exit(1);
+        }
+        return Ok(());
+    }
+
     let mut first_probe_hit = false;
     // Tuples order by their first field: the best of seven by the figure
     // this example exists for.
@@ -89,6 +136,6 @@ fn main() -> tempagg_core::Result<()> {
         }
     );
     println!("second probe             {second_probe:>10.3?}");
-    tempagg_core::pager::remove_file(&path)?;
+    pager::remove_file(&path)?;
     Ok(())
 }

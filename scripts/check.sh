@@ -49,6 +49,9 @@ cargo run -q --release --example write_cost -- --check
 echo "==> serve_rows --check (a served SELECT's execute is under 40 % of serve + read + drop: rows are built under the reader, not collected first)"
 cargo run -q --release --example serve_rows -- --check
 
+echo "==> reopen_probe --check (PagedReader::open of a file holding two 262K-run series within 4x of the same relation holding none: open costs what is read, not what is stored)"
+cargo run -q --release --example reopen_probe -- --check
+
 # bench/ is its own package (own lock file, path dependencies on the engine
 # crates) and is read-only to engine PRs, so an engine change can break it
 # without touching it: compile and unit-test it, then run every workload

@@ -9,8 +9,8 @@
 //! lists of 1, 2, 3 and 5 aggregates — up to `ROW_INLINE_WIDTH` the row
 //! values stay inline, past it they spill, and the 5-wide list is also
 //! past `TYPED_WIDTH`, so its scan keeps `MultiDyn` — on live stores
-//! (patched caches) and on reopened ones (series restored from the file's
-//! footer) — and the count a served result reports before any row exists
+//! (patched caches) and on reopened ones (series decoded from the file's
+//! blocks as they are asked for) — and the count a served result reports before any row exists
 //! equal to the rows its cursor then yields. A last test holds a result
 //! across writes: it is a pinned version, not a view. `--features validate`
 //! adds the store's structural validators after every write.
@@ -267,8 +267,9 @@ fn served_rows_equal_scanned_rows_and_the_snapshot_zip_on_reopened_stores() {
             .rows;
         drop(catalog);
 
-        // The restart: series come back from the footer and serve as they
-        // are; the first write promotes them to live caches again.
+        // The restart: series come back from the file, each at its first
+        // use, and serve as they are; the first write promotes them to live
+        // caches again.
         let mut reopened = Catalog::new();
         execute_statement(&mut reopened, &create).unwrap();
         assert_eq!(reopened.store("t").unwrap().cache_stats().caches, 0);
