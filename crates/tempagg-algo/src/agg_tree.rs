@@ -202,24 +202,15 @@ impl<A: Aggregate> TemporalAggregator<A> for AggregationTree<A> {
 
     fn finish_into(self, sink: &mut impl SeriesSink<A::Output>) {
         #[cfg(feature = "validate")]
-        {
-            // Materialize so the replay oracle can inspect the whole
-            // series before anything reaches the sink.
-            let series = ops::emit_series(&self.arena, &self.agg, self.root, self.domain);
-            if self.recorded.len() <= crate::validate::ORACLE_CAP {
-                crate::validate::assert_matches_replay(
-                    &self.agg,
-                    self.domain,
-                    &self.recorded,
-                    &series,
-                    "aggregation-tree",
-                );
-            }
-            for e in series {
-                sink.accept(e.interval, e.value);
-            }
+        let sink = &mut crate::validate::CheckedSink::new(sink, self.domain, "aggregation-tree");
+        #[cfg(feature = "validate")]
+        if self.recorded.len() <= crate::validate::ORACLE_CAP {
+            sink.expect_series(crate::validate::replay(
+                &self.agg,
+                self.domain,
+                &self.recorded,
+            ));
         }
-        #[cfg(not(feature = "validate"))]
         ops::emit(
             &self.arena,
             &self.agg,
@@ -228,6 +219,8 @@ impl<A: Aggregate> TemporalAggregator<A> for AggregationTree<A> {
             self.agg.empty_state(),
             sink,
         );
+        #[cfg(feature = "validate")]
+        sink.finish();
     }
 
     fn memory(&self) -> MemoryStats {

@@ -131,21 +131,13 @@ impl<A: Aggregate> TemporalAggregator<A> for BalancedAggregationTree<A> {
         }
 
         #[cfg(feature = "validate")]
-        {
-            // Materialize so the oracle comparison can inspect the whole
-            // series before anything reaches the sink.
-            let series = ops::emit_series(&arena, &self.agg, root, self.domain);
-            if self.buffered.len() <= crate::validate::ORACLE_CAP {
-                assert!(
-                    series == crate::oracle::oracle(&self.agg, self.domain, &self.buffered),
-                    "validate[balanced-aggregation-tree]: series disagrees with the oracle"
-                );
-            }
-            for e in series {
-                sink.accept(e.interval, e.value);
-            }
+        let sink =
+            &mut crate::validate::CheckedSink::new(sink, self.domain, "balanced-aggregation-tree");
+        #[cfg(feature = "validate")]
+        if self.buffered.len() <= crate::validate::ORACLE_CAP {
+            let oracle = crate::oracle::oracle(&self.agg, self.domain, &self.buffered);
+            sink.expect_series(oracle.into_iter());
         }
-        #[cfg(not(feature = "validate"))]
         ops::emit(
             &arena,
             &self.agg,
@@ -154,6 +146,8 @@ impl<A: Aggregate> TemporalAggregator<A> for BalancedAggregationTree<A> {
             self.agg.empty_state(),
             sink,
         );
+        #[cfg(feature = "validate")]
+        sink.finish();
     }
 
     fn memory(&self) -> MemoryStats {

@@ -283,40 +283,28 @@ impl<A: Aggregate> TemporalAggregator<A> for KOrderedAggregationTree<A> {
     }
 
     fn finish_into(mut self, sink: &mut impl SeriesSink<A::Output>) {
+        // Under `validate`, what is left must tile the undrained tail.
         #[cfg(feature = "validate")]
-        {
-            // Materialize the undrained tail so it can be checked to tile
-            // the remaining domain before anything reaches the sink.
-            ops::emit(
-                &self.arena,
-                &self.agg,
-                self.root,
-                self.live_range(),
-                self.agg.empty_state(),
-                &mut self.ready,
-            );
-            let expected = Interval::new(self.drained_through, self.domain.end())
+        let sink = &mut crate::validate::CheckedSink::new(
+            sink,
+            Interval::new(self.drained_through, self.domain.end())
                 // lint: allow(no-unwrap): validate-only check; drained_through never passes the domain end
-                .expect("undrained tail is a well-formed interval");
-            crate::validate::assert_series_tiles(&self.ready, expected, "k-ordered finish");
-            for e in self.ready.drain(..) {
-                sink.accept(e.interval, e.value);
-            }
+                .expect("undrained tail is a well-formed interval"),
+            "k-ordered finish",
+        );
+        for e in self.ready.drain(..) {
+            sink.accept(e.interval, e.value);
         }
-        #[cfg(not(feature = "validate"))]
-        {
-            for e in self.ready.drain(..) {
-                sink.accept(e.interval, e.value);
-            }
-            ops::emit(
-                &self.arena,
-                &self.agg,
-                self.root,
-                self.live_range(),
-                self.agg.empty_state(),
-                sink,
-            );
-        }
+        ops::emit(
+            &self.arena,
+            &self.agg,
+            self.root,
+            self.live_range(),
+            self.agg.empty_state(),
+            sink,
+        );
+        #[cfg(feature = "validate")]
+        sink.finish();
     }
 
     fn memory(&self) -> MemoryStats {

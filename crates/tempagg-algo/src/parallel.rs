@@ -25,15 +25,26 @@
 //!
 //! This module is the only place in the workspace allowed to touch
 //! `std::thread` (enforced by `tempagg-lint`'s `no-raw-thread` rule);
-//! other code parallelises through [`scoped_map`] or the combinator.
+//! other code parallelises through [`scoped_map`] or the combinator and
+//! reads the thread count from [`machine_threads`].
 
 use crate::memory::MemoryStats;
 use crate::traits::TemporalAggregator;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tempagg_agg::Aggregate;
-#[cfg(not(feature = "validate"))]
-use tempagg_core::StitchSink;
-use tempagg_core::{Chunk, Interval, Result, Series, SeriesSink, TempAggError, Timestamp};
+use tempagg_core::{
+    Chunk, Interval, Result, Series, SeriesSink, StitchSink, TempAggError, Timestamp,
+};
+
+/// The machine's available parallelism, asked once: the call reads cgroup
+/// files (≈ 11 µs here), and the planner wants the answer on every plan.
+/// 1 when the platform cannot say.
+pub fn machine_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
 
 /// Map `f` over `items` on up to `threads` scoped OS threads, preserving
 /// input order in the output.
@@ -230,13 +241,12 @@ where
             tuples: 0,
             busy: Duration::ZERO,
         });
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         Ok(PartitionedAggregator {
             domain,
             seam_real: vec![false; seams.len()],
             seams,
             parts,
-            threads,
+            threads: machine_threads(),
             tuples: 0,
             _marker: std::marker::PhantomData,
         })
@@ -403,26 +413,19 @@ where
     /// partitions in parallel instead; both emit identical entries.
     fn finish_into(self, sink: &mut impl SeriesSink<A::Output>) {
         #[cfg(feature = "validate")]
-        {
-            // The materialized path carries the whole-domain tiling check;
-            // reuse it, then forward.
-            for e in self.finish() {
-                sink.accept(e.interval, e.value);
+        let sink = &mut crate::validate::CheckedSink::new(sink, self.domain, "partitioned");
+        let seam_real = self.seam_real;
+        let mut stitch = StitchSink::new(&mut *sink);
+        for (p, part) in self.parts.into_iter().enumerate() {
+            if p > 0 {
+                // lint: allow(indexing): guarded by p > 0 and seam_real has parts.len() - 1 entries
+                stitch.seam(!seam_real[p - 1]);
             }
+            part.inner.finish_into(&mut stitch);
         }
-        #[cfg(not(feature = "validate"))]
-        {
-            let seam_real = self.seam_real;
-            let mut stitch = StitchSink::new(&mut *sink);
-            for (p, part) in self.parts.into_iter().enumerate() {
-                if p > 0 {
-                    // lint: allow(indexing): guarded by p > 0 and seam_real has parts.len() - 1 entries
-                    stitch.seam(!seam_real[p - 1]);
-                }
-                part.inner.finish_into(&mut stitch);
-            }
-            stitch.finish();
-        }
+        stitch.finish();
+        #[cfg(feature = "validate")]
+        sink.finish();
     }
 
     fn memory(&self) -> MemoryStats {

@@ -45,8 +45,10 @@
 //! explicit boundary vector is gone too. The output is exactly the same
 //! constant intervals as every other algorithm (one entry per boundary
 //! segment, not value-coalesced), so v2 drops into
-//! [`PartitionedAggregator`] and the seam-stitching executor unchanged
-//! and byte-identically.
+//! [`PartitionedAggregator`] unchanged and byte-identically. The plan
+//! executor does not put it there: a sweep's work is this finish-time
+//! sort, so a parallel sweep plan is one kernel with
+//! [`SweepAggregator::with_parallelism`], as the cost model prices it.
 //!
 //! [`PartitionedAggregator`]: crate::parallel::PartitionedAggregator
 
@@ -54,8 +56,6 @@ use crate::memory::{MemoryStats, MODEL_POINTER_BYTES};
 use crate::parallel::scoped_map;
 use crate::traits::TemporalAggregator;
 use tempagg_agg::SweepAggregate;
-#[cfg(feature = "validate")]
-use tempagg_core::SeriesEntry;
 use tempagg_core::{
     scatter_by_time, Chunk, EndpointEvent, Interval, Result, SeriesSink, TempAggError, TimeBuckets,
     Timestamp,
@@ -457,6 +457,8 @@ where
     }
 
     fn finish_into(self, sink: &mut impl SeriesSink<A::Output>) {
+        #[cfg(feature = "validate")]
+        let sink = &mut crate::validate::CheckedSink::new(sink, self.domain, "endpoint-sweep");
         let n = self.starts.len();
         // Small inputs skip the scatter (one bucket, one direct sort);
         // past the threshold the fused scatter pays for itself.
@@ -473,11 +475,6 @@ where
             max_buckets,
         );
 
-        // Under `validate` the scan is materialized first so the tiling
-        // check can inspect it; otherwise every segment streams straight
-        // out of the event replay.
-        #[cfg(feature = "validate")]
-        let mut entries: Vec<SeriesEntry<A::Output>> = Vec::new();
         let mut active = self.agg.active_empty();
         self.agg.active_reserve(&mut active, n);
         let mut seg_start = self.domain.start();
@@ -491,9 +488,6 @@ where
                         // lint: allow(no-unwrap): events replay in time order, so seg_start < t means seg_start <= t.prev()
                         .expect("event times increase");
                     let out = self.agg.active_output(&active);
-                    #[cfg(feature = "validate")]
-                    entries.push(SeriesEntry::new(segment, out));
-                    #[cfg(not(feature = "validate"))]
                     sink.accept(segment, out);
                     seg_start = t;
                 }
@@ -549,16 +543,9 @@ where
         // lint: allow(no-unwrap): seg_start never exceeds the domain end, see above
         let last = Interval::new(seg_start, self.domain.end()).expect("domain covers the tail");
         let value = self.agg.active_output(&active);
-        #[cfg(feature = "validate")]
-        {
-            entries.push(SeriesEntry::new(last, value));
-            crate::validate::assert_series_tiles(&entries, self.domain, "endpoint-sweep");
-            for e in entries {
-                sink.accept(e.interval, e.value);
-            }
-        }
-        #[cfg(not(feature = "validate"))]
         sink.accept(last, value);
+        #[cfg(feature = "validate")]
+        sink.finish();
     }
 
     fn memory(&self) -> MemoryStats {

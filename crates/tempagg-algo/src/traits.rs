@@ -49,13 +49,12 @@ pub trait TemporalAggregator<A: Aggregate> {
         Ok(())
     }
 
-    /// Complete the computation and emit the result series.
-    ///
-    /// This is a thin wrapper over [`TemporalAggregator::finish_into`]
-    /// with a collecting [`Series`] sink. Implementors must override at
-    /// least one of `finish` / `finish_into` — the defaults delegate to
-    /// each other, so overriding neither recurses. Every algorithm in
-    /// this crate overrides `finish_into`.
+    /// Complete the computation and collect the result series: the
+    /// provided collector over [`TemporalAggregator::finish_into`], which
+    /// algorithms do not override. The one documented exception is
+    /// [`PartitionedAggregator`](crate::PartitionedAggregator), whose
+    /// `finish` finishes its partitions on workers and stitches the pieces,
+    /// where its `finish_into` streams them one after another.
     fn finish(self) -> Series<A::Output>
     where
         Self: Sized,
@@ -66,21 +65,16 @@ pub trait TemporalAggregator<A: Aggregate> {
     }
 
     /// Complete the computation, streaming the constant intervals of the
-    /// result into `sink` in time order.
+    /// result into `sink` in time order — every algorithm's one emission
+    /// path, compiled the same with and without the `validate` feature
+    /// (which only wraps `sink` in a checking adapter).
     ///
-    /// The streaming result path: a bounded sink (e.g.
-    /// [`tempagg_core::ChunkedSink`]) caps resident result memory where
-    /// [`TemporalAggregator::finish`] materializes everything. Emitted
-    /// entries are byte-identical to the materialized path. The default
-    /// delegates to `finish` — see the override note there.
+    /// A bounded sink (e.g. [`tempagg_core::ChunkedSink`]) caps resident
+    /// result memory where [`TemporalAggregator::finish`] collects
+    /// everything; the entries are the same either way.
     fn finish_into(self, sink: &mut impl SeriesSink<A::Output>)
     where
-        Self: Sized,
-    {
-        for e in self.finish() {
-            sink.accept(e.interval, e.value);
-        }
-    }
+        Self: Sized;
 
     /// Drain any result entries that are already final into `sink`,
     /// without consuming the aggregator.

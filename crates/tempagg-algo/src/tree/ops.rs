@@ -8,7 +8,7 @@
 
 use super::arena::{Arena, NodeId};
 use tempagg_agg::Aggregate;
-#[cfg(any(test, feature = "validate"))]
+#[cfg(test)]
 use tempagg_core::Series;
 use tempagg_core::{Interval, Result, SeriesSink, TempAggError, Timestamp};
 
@@ -148,7 +148,7 @@ pub fn emit<A: Aggregate>(
 }
 
 /// Emit a whole tree as a [`Series`].
-#[cfg(any(test, feature = "validate"))]
+#[cfg(test)]
 pub fn emit_series<A: Aggregate>(
     arena: &Arena<A::State>,
     agg: &A,

@@ -5,15 +5,18 @@
 //! with the feature off nothing is compiled and the algorithms run at full
 //! speed; with it on, each algorithm re-derives the invariants its
 //! correctness argument rests on and panics with a descriptive message the
-//! moment one fails. The checks are wired in three places:
+//! moment one fails. **No production emission code is compiled out under
+//! `validate`**: a check is a statement added beside the code that ships,
+//! never a second body in its place. The checks are wired in three places:
 //!
-//! 1. **Output coverage** — [`assert_series_tiles`] runs on the result of
-//!    [`crate::run`] / [`crate::run_with_stats`] for *every*
-//!    [`crate::TemporalAggregator`], via the new
-//!    [`crate::TemporalAggregator::domain`] hook: the emitted constant
-//!    intervals must exactly tile the configured domain — sorted, gap-free
-//!    and overlap-free (Section 2 defines the result as a partition of the
-//!    time-line).
+//! 1. **Output coverage** — every algorithm's `finish_into` wraps the sink
+//!    it was handed in a [`CheckedSink`]: the constant intervals must
+//!    exactly tile the configured domain — sorted, gap-free and
+//!    overlap-free (Section 2 defines the result as a partition of the
+//!    time-line) — checked entry by entry as they stream through.
+//!    [`assert_series_tiles`] is the same check over a collected series,
+//!    run on the result of [`crate::run`] / [`crate::run_with_stats`] for
+//!    *every* [`crate::TemporalAggregator`] via its `domain` hook.
 //! 2. **Tree shape** — [`assert_tree_shape`] walks the arena after every
 //!    insertion (`tree/ops.rs`): splits lie strictly inside node extents,
 //!    children tile their parent, no node is reachable twice, and the
@@ -27,15 +30,15 @@
 //!    contiguously, so no constant interval is ever emitted twice or
 //!    resurrected after garbage collection (Section 5.3).
 //!
-//! `agg_tree.rs` and `balanced.rs` go one step further and replay their
-//! input through the O(n²) [`crate::oracle::oracle`] at `finish`, comparing
-//! the full series (capped at [`ORACLE_CAP`] tuples to keep stress tests
-//! tractable).
+//! `agg_tree.rs` and `balanced.rs` go one step further and hand their
+//! [`CheckedSink`] an expected series — a [`replay`] of the recorded input,
+//! the O(n²) [`crate::oracle::oracle`] — that every emitted entry must
+//! equal (capped at [`ORACLE_CAP`] tuples to keep stress tests tractable).
 
 use crate::tree::{Arena, NodeId};
 use std::collections::HashSet;
 use tempagg_agg::Aggregate;
-use tempagg_core::{Interval, Series, SeriesEntry, Timestamp};
+use tempagg_core::{Interval, SeriesEntry, SeriesSink, Timestamp};
 
 /// Largest input size for which `finish` replays the O(n²) oracle.
 pub const ORACLE_CAP: usize = 2_048;
@@ -45,8 +48,9 @@ pub const ORACLE_CAP: usize = 2_048;
 /// quadratic; the exact-cover check (O(depth) per insert) still runs.
 pub const SHAPE_CAP: usize = 4_096;
 
-/// Panic unless `actual` equals an O(n²) linear replay of `recorded` — one
-/// singleton state per pushed tuple, merged per constant interval. This is
+/// The series an O(n²) linear replay of `recorded` produces — one singleton
+/// state per pushed tuple, merged per constant interval — for
+/// [`CheckedSink::expect_series`]. Comparing a tree's output against it is
 /// path-sum conservation for the whole computation: the tree's path-merge
 /// order must agree with a flat left-to-right merge, which the commutative
 /// monoid laws of [`Aggregate`] promise.
@@ -54,13 +58,11 @@ pub const SHAPE_CAP: usize = 4_096;
 /// Equality is exact, which is safe for the integral aggregates the test
 /// suite exercises; floating-point states built from integer-valued data
 /// also compare exactly because every partial sum is representable.
-pub(crate) fn assert_matches_replay<A: Aggregate>(
-    agg: &A,
+pub(crate) fn replay<'a, A: Aggregate>(
+    agg: &'a A,
     domain: Interval,
-    recorded: &[(Interval, A::State)],
-    actual: &Series<A::Output>,
-    algorithm: &str,
-) {
+    recorded: &'a [(Interval, A::State)],
+) -> impl Iterator<Item = SeriesEntry<A::Output>> + 'a {
     let mut boundaries: Vec<Timestamp> = Vec::with_capacity(2 * recorded.len() + 1);
     boundaries.push(domain.start());
     for (interval, _) in recorded {
@@ -73,71 +75,119 @@ pub(crate) fn assert_matches_replay<A: Aggregate>(
     }
     boundaries.sort_unstable();
     boundaries.dedup();
-    assert!(
-        actual.len() == boundaries.len(),
-        "validate[{algorithm}]: result has {} constant intervals but the replay \
-         expects {}",
-        actual.len(),
-        boundaries.len()
-    );
-    for (i, entry) in actual.entries().iter().enumerate() {
-        // lint: allow(indexing): i < boundaries.len() — the lengths are asserted equal above
+    (0..boundaries.len()).map(move |i| {
+        // lint: allow(indexing): i ranges over boundaries' own indices
         let start = boundaries[i];
         let end = boundaries.get(i + 1).map_or(domain.end(), |b| b.prev());
-        assert!(
-            entry.interval.start() == start && entry.interval.end() == end,
-            "validate[{algorithm}]: constant interval {} at position {i} does not \
-             match the replay's [{start}, {end}]",
-            entry.interval
-        );
+        // lint: allow(no-unwrap): boundaries are sorted, deduplicated and inside the domain, so start <= end
+        let segment = Interval::new(start, end).expect("boundaries are increasing");
         let mut state = agg.empty_state();
         for (interval, singleton) in recorded {
-            if interval.overlaps(&entry.interval) {
+            if interval.overlaps(&segment) {
                 agg.merge(&mut state, singleton);
             }
         }
-        let expected = agg.finish(&state);
-        assert!(
-            entry.value == expected,
-            "validate[{algorithm}]: value {:?} over {} disagrees with the replay's \
-             {expected:?}",
-            entry.value,
-            entry.interval
-        );
+        SeriesEntry::new(segment, agg.finish(&state))
+    })
+}
+
+/// One step of the tiling invariant: `next` starts the `expected` interval
+/// if it is the first entry, and otherwise meets the entry before it.
+fn assert_tiles_on(last: Option<Interval>, next: Interval, expected: Interval, algorithm: &str) {
+    match last {
+        None => assert!(
+            next.start() == expected.start(),
+            "validate[{algorithm}]: first constant interval {next} does not start at {expected}"
+        ),
+        Some(last) => assert!(
+            last.meets(&next),
+            "validate[{algorithm}]: constant intervals {last} and {next} do not meet — the \
+             result has a gap or an overlap"
+        ),
     }
 }
 
-/// Panic unless `entries` exactly tile `expected`: the first entry starts
-/// at its start, consecutive entries meet, and the last ends at its end.
-///
-/// An empty entry list is rejected — even an empty relation produces one
-/// all-empty constant interval spanning the domain.
-pub fn assert_series_tiles<T>(entries: &[SeriesEntry<T>], expected: Interval, algorithm: &str) {
-    assert!(
-        !entries.is_empty(),
-        "validate[{algorithm}]: empty result series; expected coverage of {expected}"
-    );
-    let first = entries[0].interval;
-    assert!(
-        first.start() == expected.start(),
-        "validate[{algorithm}]: first constant interval {first} does not start at {expected}"
-    );
-    for (i, w) in entries.windows(2).enumerate() {
-        let [a, b] = w else { continue };
-        assert!(
-            a.interval.meets(&b.interval),
-            "validate[{algorithm}]: constant intervals {} and {} (positions {i}, {}) \
-             do not meet — the result has a gap or an overlap",
-            a.interval,
-            b.interval,
-            i + 1
-        );
-    }
-    let last = entries[entries.len() - 1].interval;
+/// The end of the tiling invariant: there was a `last` entry — even an
+/// empty relation produces one all-empty constant interval spanning the
+/// domain — and it ends where `expected` does.
+fn assert_tiling_ends(last: Option<Interval>, expected: Interval, algorithm: &str) {
+    let Some(last) = last else {
+        // lint: allow(no-unwrap): validators report broken invariants by panicking, like debug_assert!
+        panic!("validate[{algorithm}]: empty result series; expected coverage of {expected}");
+    };
     assert!(
         last.end() == expected.end(),
         "validate[{algorithm}]: last constant interval {last} does not end at {expected}"
     );
+}
+
+/// Panic unless `entries` exactly tile `expected`: the first entry starts
+/// at its start, consecutive entries meet, the last ends at its end, and
+/// there is at least one.
+pub fn assert_series_tiles<T>(entries: &[SeriesEntry<T>], expected: Interval, algorithm: &str) {
+    let mut last = None;
+    for entry in entries {
+        assert_tiles_on(last, entry.interval, expected, algorithm);
+        last = Some(entry.interval);
+    }
+    assert_tiling_ends(last, expected, algorithm);
+}
+
+/// The streaming form of [`assert_series_tiles`]: a [`SeriesSink`] adapter
+/// that wraps the sink an algorithm's `finish_into` was handed, checks each
+/// entry as it arrives and forwards it at once — so the emission code that
+/// runs under `validate` is the code that ships, at the same resident
+/// memory. Every entry must extend the tiling of `domain` and, after
+/// [`expect_series`](Self::expect_series), equal the next entry of an
+/// independently computed series; [`finish`](Self::finish) demands that the
+/// tiling reached the domain's end. Failures panic with the algorithm's
+/// name.
+pub(crate) struct CheckedSink<'a, T, S> {
+    inner: S,
+    domain: Interval,
+    algorithm: &'static str,
+    last: Option<Interval>,
+    expected: Option<Box<dyn Iterator<Item = SeriesEntry<T>> + 'a>>,
+}
+
+impl<'a, T, S> CheckedSink<'a, T, S> {
+    pub(crate) fn new(inner: S, domain: Interval, algorithm: &'static str) -> Self {
+        CheckedSink {
+            inner,
+            domain,
+            algorithm,
+            last: None,
+            expected: None,
+        }
+    }
+
+    /// Also compare every entry, in order, against `series`.
+    pub(crate) fn expect_series(&mut self, series: impl Iterator<Item = SeriesEntry<T>> + 'a) {
+        self.expected = Some(Box::new(series));
+    }
+
+    /// The producer is done (which, every entry having matched, exhausts
+    /// an expected series that tiles the same domain).
+    pub(crate) fn finish(&mut self) {
+        assert_tiling_ends(self.last, self.domain, self.algorithm);
+    }
+}
+
+impl<T: PartialEq + std::fmt::Debug, S: SeriesSink<T>> SeriesSink<T> for CheckedSink<'_, T, S> {
+    fn accept(&mut self, interval: Interval, value: T) {
+        let algorithm = self.algorithm;
+        assert_tiles_on(self.last, interval, self.domain, algorithm);
+        self.last = Some(interval);
+        if let Some(want) = self.expected.as_mut().map(Iterator::next) {
+            assert!(
+                want.as_ref()
+                    .is_some_and(|w| w.interval == interval && w.value == value),
+                "validate[{algorithm}]: {value:?} over {interval} disagrees with the expected \
+                 entry {want:?}"
+            );
+        }
+        self.inner.accept(interval, value);
+    }
 }
 
 /// Panic unless the (unordered) `covered` extents tile `tuple` exactly:
@@ -260,6 +310,83 @@ mod tests {
     #[should_panic(expected = "empty result series")]
     fn tiling_rejects_empty() {
         assert_series_tiles(&[] as &[SeriesEntry<u64>], Interval::at(0, 20), "test");
+    }
+
+    /// Drive a [`CheckedSink`] for algorithm `probe` over `[0, 20]` with
+    /// `fed`, optionally against an expected series; returns what it
+    /// forwarded.
+    fn drive(
+        fed: &[(i64, i64, u64)],
+        expected: Option<&[(i64, i64, u64)]>,
+    ) -> Vec<SeriesEntry<u64>> {
+        let entries = |rows: &[(i64, i64, u64)]| -> Vec<SeriesEntry<u64>> {
+            rows.iter()
+                .map(|&(lo, hi, v)| SeriesEntry::new(Interval::at(lo, hi), v))
+                .collect()
+        };
+        let mut forwarded = Vec::new();
+        let mut sink = CheckedSink::new(&mut forwarded, Interval::at(0, 20), "probe");
+        if let Some(rows) = expected {
+            sink.expect_series(entries(rows).into_iter());
+        }
+        for e in entries(fed) {
+            sink.accept(e.interval, e.value);
+        }
+        sink.finish();
+        forwarded
+    }
+
+    #[test]
+    fn checked_sink_forwards_every_entry_of_a_sound_series() {
+        let rows = [(0, 4, 7), (5, 20, 9)];
+        assert_eq!(drive(&rows, None).len(), 2);
+        let forwarded = drive(&rows, Some(&rows));
+        assert_eq!(forwarded[1], SeriesEntry::new(Interval::at(5, 20), 9));
+    }
+
+    #[test]
+    fn checked_sink_forwards_as_entries_arrive() {
+        let mut forwarded: Vec<SeriesEntry<u64>> = Vec::new();
+        let mut sink = CheckedSink::new(&mut forwarded, Interval::at(0, 20), "probe");
+        sink.accept(Interval::at(0, 4), 7);
+        // Nothing is held back for the end-of-series checks.
+        assert_eq!(sink.inner.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "validate[probe]: constant intervals [0, 4] and [6, 20]")]
+    fn checked_sink_rejects_a_gap() {
+        drive(&[(0, 4, 0), (6, 20, 0)], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "validate[probe]: constant intervals [0, 5] and [5, 20]")]
+    fn checked_sink_rejects_an_overlap() {
+        drive(&[(0, 5, 0), (5, 20, 0)], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "validate[probe]: first constant interval [1, 20] does not start")]
+    fn checked_sink_rejects_a_first_entry_off_the_domain_start() {
+        drive(&[(1, 20, 0)], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "validate[probe]: last constant interval [0, 19] does not end")]
+    fn checked_sink_rejects_a_series_that_stops_short() {
+        drive(&[(0, 19, 0)], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "validate[probe]: empty result series")]
+    fn checked_sink_rejects_an_empty_series() {
+        drive(&[], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "validate[probe]: 8 over [5, 20] disagrees")]
+    fn checked_sink_rejects_a_wrong_value() {
+        drive(&[(0, 4, 7), (5, 20, 8)], Some(&[(0, 4, 7), (5, 20, 9)]));
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //!   (silent truncation/sign-loss corrupts aggregates); use `From` /
 //!   `try_from`, or justify with an allow comment.
 //! * `no-raw-thread` — `thread::spawn` / `thread::scope` /
-//!   `thread::Builder` only inside `tempagg-algo/src/parallel.rs`, the
-//!   workspace's one parallel primitive; everything else goes through
-//!   `scoped_map` / `PartitionedAggregator` so worker panics, ordering,
-//!   and thread caps are handled in a single audited place.
+//!   `thread::Builder` / `thread::available_parallelism` only inside
+//!   `tempagg-algo/src/parallel.rs`, the workspace's one parallel
+//!   primitive; everything else goes through `scoped_map` /
+//!   `PartitionedAggregator` so worker panics, ordering, and thread caps
+//!   are handled in a single audited place, and reads the thread count
+//!   (a syscall-priced query) from its `machine_threads()`, asked once.
 //! * `no-stable-sort` — no `.sort()` / `.sort_by(` / `.sort_by_key(` in
 //!   `tempagg-algo` / `tempagg-core` hot paths: a stable sort allocates a
 //!   merge buffer of half the slice; use `sort_unstable*` unless tie
@@ -529,8 +531,10 @@ fn store_mutation(
     }
 }
 
-/// `thread::` members that create OS threads.
-const THREAD_SPAWNERS: &[&str] = &["spawn", "scope", "Builder"];
+/// `thread::` members reserved to the thread hub: the ones that create OS
+/// threads, and the thread-count query (≈ 11 µs of cgroup reads per call,
+/// which the hub's `machine_threads()` pays once).
+const THREAD_HUB_ONLY: &[&str] = &["spawn", "scope", "Builder", "available_parallelism"];
 
 fn no_raw_thread(
     code: &[&Token<'_>],
@@ -542,22 +546,24 @@ fn no_raw_thread(
         if in_test[i] {
             continue;
         }
-        // `thread :: spawn` / `thread :: scope` / `thread :: Builder`
-        // (`::` lexes as two `:` puncts). Reads like
-        // `thread::available_parallelism` stay legal everywhere.
-        let is_spawn_path = code[i].is_ident("thread")
+        // `thread :: spawn` / `thread :: scope` / `thread :: Builder` /
+        // `thread :: available_parallelism` (`::` lexes as two `:`
+        // puncts). Other reads (`thread::current`, `thread::sleep`) stay
+        // legal everywhere.
+        let is_hub_path = code[i].is_ident("thread")
             && matches!(code.get(i + 1), Some(t) if t.is_punct(':'))
             && matches!(code.get(i + 2), Some(t) if t.is_punct(':'))
             && matches!(code.get(i + 3), Some(t) if t.kind == TokenKind::Ident
-                && THREAD_SPAWNERS.contains(&t.text));
-        if is_spawn_path {
+                && THREAD_HUB_ONLY.contains(&t.text));
+        if is_hub_path {
             report(
                 allows,
                 out,
                 "no-raw-thread",
                 code[i].line,
                 "raw std::thread use outside tempagg-algo/src/parallel.rs — \
-                 go through scoped_map / PartitionedAggregator instead"
+                 go through scoped_map / PartitionedAggregator, and read the \
+                 thread count from parallel::machine_threads()"
                     .to_string(),
             );
         }
@@ -766,8 +772,19 @@ mod tests {
     }
 
     #[test]
-    fn thread_hub_file_may_spawn() {
-        let tokens = lex("fn f() { std::thread::scope(|s| {}); }");
+    fn thread_count_query_flagged_outside_the_hub() {
+        let src = "fn f() { let n = std::thread::available_parallelism(); }";
+        for krate in ["tempagg-plan", "tempagg-algo"] {
+            let vs = check(krate, false, src);
+            assert_eq!(rules(&vs), vec!["no-raw-thread"], "in {krate}");
+            assert!(vs[0].message.contains("machine_threads"));
+        }
+    }
+
+    #[test]
+    fn thread_hub_file_may_spawn_and_count() {
+        let tokens =
+            lex("fn f() { std::thread::scope(|s| {}); std::thread::available_parallelism(); }");
         let vs = check_file(
             FileContext {
                 crate_name: "tempagg-algo",
@@ -784,7 +801,7 @@ mod tests {
 
     #[test]
     fn non_spawning_thread_reads_are_legal() {
-        let src = "fn f() { let n = std::thread::available_parallelism(); }";
+        let src = "fn f() { let id = std::thread::current().id(); }";
         assert!(check("tempagg-plan", false, src).is_empty());
         // Tests may spawn freely.
         let src = "#[cfg(test)]\nmod tests { fn t() { std::thread::spawn(f); } }";

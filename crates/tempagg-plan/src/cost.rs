@@ -30,6 +30,12 @@
 //! * [`choose_algorithm`] adds the endpoint-sweep kernel as a fourth
 //!   candidate, gated on the aggregate's [`SweepClass`] (floating-point
 //!   retraction is inexact, so `Approximate` aggregates never sweep).
+//!
+//! What is priced is what runs: a candidate's parallel cost (`parallelise`)
+//! is the cost of the route the executor takes for it — domain partitions
+//! on workers for the list and the trees, whose work is at push time; the
+//! in-kernel bucketed sort on workers for the sweep, whose work is at
+//! finish time (`executor.rs` module docs).
 
 use crate::planner::{AlgorithmChoice, Plan, PlannerConfig};
 use crate::stats::{OrderingKnowledge, RelationStats};
@@ -440,7 +446,10 @@ fn candidates(stats: &RelationStats) -> Vec<AlgorithmChoice> {
 /// sweeps are special-cased: their dominant sort term runs partitioned
 /// in-kernel (radix scatter + per-bucket `sort_unstable`, costed at
 /// [`CostModel::parallel_sort_per_event`]) and divides by `p`, while the
-/// merge scan stays serial. Serving a cached snapshot never partitions.
+/// merge scan stays serial — `SweepAggregator::with_parallelism(p)`, which
+/// is what `execute_chunks_into` builds for a `Sweep` plan and
+/// `statement.rs` for a `SweepJoin` one. Serving a cached snapshot never
+/// partitions.
 fn parallelise(
     est: CostEstimate,
     stats: &RelationStats,

@@ -7,13 +7,17 @@
 //! arena reservation, the sweep's column append). [`execute`] and
 //! [`execute_streaming`] are the relation-fed wrappers: they extract the
 //! relation into chunks of [`DEFAULT_CHUNK_CAPACITY`] and call the
-//! chunk-fed entry points. When the plan prescribes `parallelism > 1`,
-//! the domain is cut at seams drawn from the hull of the rows' *start*
-//! times (finite even when the domain or tuple ends are unbounded) and
-//! each sub-domain runs its own inner aggregator on a scoped worker via
-//! [`PartitionedAggregator`]; the stitched result is byte-identical to the
-//! serial run. Materialized and streaming execution share one drive loop
-//! that differs only in the [`SeriesSink`] it drains into.
+//! chunk-fed entry points. A plan's `parallelism > 1` is spent where the
+//! chosen algorithm works, which is what `cost.rs::parallelise` prices.
+//! The list and the trees work at *push* time: the domain is cut at seams
+//! drawn from the hull of the rows' *start* times (finite even when the
+//! domain or tuple ends are unbounded) and each sub-domain runs its own
+//! inner aggregator on a scoped worker via [`PartitionedAggregator`]. The
+//! sweep works at *finish* time (its push is a column append), so it stays
+//! one [`SweepAggregator`] whose bucketed endpoint sort runs on the plan's
+//! workers. Either way the result is byte-identical to the serial run.
+//! Materialized and streaming execution share one drive loop that differs
+//! only in the [`SeriesSink`] it drains into.
 
 use crate::planner::{plan, AlgorithmChoice, Plan, PlannerConfig};
 use crate::stats::RelationStats;
@@ -97,11 +101,13 @@ pub struct ExecutionReport {
     pub memory: MemoryStats,
     /// Whether the plan sorted the input first.
     pub presorted: bool,
-    /// Domain partitions that actually ran (1 = serial; the plan's ask is
-    /// capped by how many seams the data supports).
+    /// Workers the run used (1 = serial). For the list and the trees these
+    /// are the domain partitions that actually ran — the plan's ask capped
+    /// by how many seams the data supports; for the sweep, the threads its
+    /// endpoint sort was allowed.
     pub parallelism: usize,
-    /// Per-partition routing counts, worker busy time, and memory.
-    /// Empty for a serial run.
+    /// Per-partition routing counts, worker busy time, and memory. Empty
+    /// for a serial run and for the sweep, which never cuts the domain.
     pub partitions: Vec<PartitionReport>,
     /// Most result entries resident in executor-owned memory at once. A
     /// materialized run holds the whole series, so this equals
@@ -176,10 +182,11 @@ fn partitioned_name(choice: AlgorithmChoice) -> &'static str {
     match choice {
         AlgorithmChoice::LinkedList => "partitioned linked-list",
         AlgorithmChoice::AggregationTree => "partitioned aggregation-tree",
-        AlgorithmChoice::Sweep => "partitioned endpoint-sweep",
-        AlgorithmChoice::CachedSeries => "cached-series",
-        AlgorithmChoice::SweepJoin => "sweep-join",
-        AlgorithmChoice::IndexProbe => "index-probe",
+        // Never partitioned: the sweep sorts in-kernel, the rest never run here.
+        AlgorithmChoice::Sweep
+        | AlgorithmChoice::CachedSeries
+        | AlgorithmChoice::SweepJoin
+        | AlgorithmChoice::IndexProbe => choice.name(),
         AlgorithmChoice::KOrderedTree { presort: true, .. } => "partitioned sort + k-ordered-tree",
         AlgorithmChoice::KOrderedTree { presort: false, .. } => "partitioned k-ordered-tree",
     }
@@ -189,6 +196,7 @@ fn partitioned_name(choice: AlgorithmChoice) -> &'static str {
 struct Driven {
     algorithm: &'static str,
     memory: MemoryStats,
+    parallelism: usize,
     partitions: Vec<PartitionReport>,
 }
 
@@ -209,15 +217,35 @@ where
     Ok(())
 }
 
-/// Run one algorithm — `make(sub_domain)` builds it — over `chunks` into
-/// `sink`: serially over the whole domain without seams, otherwise one
-/// instance per sub-domain with seam-aware stitching done inline (no
-/// per-partition series is materialized).
+/// Run one aggregator over `chunks` and finish it into `sink`.
+fn drive_one<A, G, S>(mut aggregator: G, chunks: &[Chunk<A::Input>], sink: &mut S) -> Result<Driven>
+where
+    A: Aggregate,
+    A::Input: Clone,
+    G: TemporalAggregator<A>,
+    S: SeriesSink<A::Output>,
+{
+    feed(&mut aggregator, chunks, sink)?;
+    let driven = Driven {
+        algorithm: aggregator.algorithm(),
+        memory: aggregator.memory(),
+        parallelism: 1,
+        partitions: Vec::new(),
+    };
+    aggregator.finish_into(sink);
+    Ok(driven)
+}
+
+/// Run one push-time algorithm — `make(sub_domain)` builds it — over
+/// `chunks` into `sink`: serially over the whole domain when the data
+/// supports no seams, otherwise one instance per sub-domain, fed on
+/// workers, with seam-aware stitching done inline (no per-partition series
+/// is materialized).
 fn drive<A, G, S>(
     make: impl Fn(Interval) -> G,
     choice: AlgorithmChoice,
     domain: Interval,
-    seams: Vec<Timestamp>,
+    parallelism: usize,
     chunks: &[Chunk<A::Input>],
     sink: &mut S,
 ) -> Result<Driven>
@@ -228,23 +256,18 @@ where
     G: TemporalAggregator<A> + Send,
     S: SeriesSink<A::Output>,
 {
+    let seams = data_seams(chunks, domain, parallelism);
     if seams.is_empty() {
-        let mut aggregator = make(domain);
-        feed(&mut aggregator, chunks, sink)?;
-        let driven = Driven {
-            algorithm: aggregator.algorithm(),
-            memory: aggregator.memory(),
-            partitions: Vec::new(),
-        };
-        aggregator.finish_into(sink);
-        return Ok(driven);
+        return drive_one(make(domain), chunks, sink);
     }
     let mut aggregator = PartitionedAggregator::with_seams(domain, seams, make)?;
     feed(&mut aggregator, chunks, sink)?;
+    let partitions = aggregator.partition_reports();
     let driven = Driven {
         algorithm: partitioned_name(choice),
         memory: aggregator.memory(),
-        partitions: aggregator.partition_reports(),
+        parallelism: partitions.len(),
+        partitions,
     };
     aggregator.finish_into(sink);
     Ok(driven)
@@ -272,9 +295,10 @@ impl<T, S: SeriesSink<T>> SeriesSink<T> for Counted<'_, S> {
 /// holds no result entry itself, so the report's
 /// `peak_resident_result_entries` and `emitted_chunks` are zero.
 ///
-/// `the_plan.parallelism > 1` routes through the domain-partitioned
-/// pipeline; its output is byte-identical to the serial run of the same
-/// algorithm (seam-aware stitching, see [`PartitionedAggregator`]). On
+/// `the_plan.parallelism > 1` routes the list and the trees through the
+/// domain-partitioned pipeline (seam-aware stitching, see
+/// [`PartitionedAggregator`]) and gives the sweep that many sort threads;
+/// the output is byte-identical to the serial run of the same algorithm. On
 /// k-ordered input the k-ordered tree emits as it garbage-collects; the
 /// buffering algorithms emit at the end.
 pub fn execute_chunks_into<A, S>(
@@ -297,15 +321,13 @@ where
     };
     let started = Instant::now();
     let choice = the_plan.choice;
-    let seams = data_seams(chunks, domain, the_plan.parallelism);
-    let parallelism = seams.len() + 1;
     let mut presorted = false;
     let driven = match choice {
         AlgorithmChoice::LinkedList => drive(
             |sub| LinkedListAggregate::with_domain(agg.clone(), sub),
             choice,
             domain,
-            seams,
+            the_plan.parallelism,
             chunks,
             sink,
         )?,
@@ -313,18 +335,20 @@ where
             |sub| AggregationTree::with_domain(agg.clone(), sub),
             choice,
             domain,
-            seams,
+            the_plan.parallelism,
             chunks,
             sink,
         )?,
-        AlgorithmChoice::Sweep => drive(
-            |sub| SweepAggregator::with_domain(agg.clone(), sub),
-            choice,
-            domain,
-            seams,
-            chunks,
-            sink,
-        )?,
+        // The sweep works at finish, where its sort runs on the plan's
+        // workers in-kernel: one aggregator, no seams.
+        AlgorithmChoice::Sweep => {
+            let threads = the_plan.parallelism.max(1);
+            let sweep = SweepAggregator::with_domain(agg, domain).with_parallelism(threads);
+            Driven {
+                parallelism: threads,
+                ..drive_one(sweep, chunks, sink)?
+            }
+        }
         AlgorithmChoice::CachedSeries => return Err(cached_series_is_not_executable()),
         AlgorithmChoice::SweepJoin => return Err(sweep_join_is_not_executable()),
         AlgorithmChoice::IndexProbe => return Err(index_probe_is_not_executable()),
@@ -339,9 +363,9 @@ where
             if presort {
                 presorted = true;
                 let sorted = sorted_chunks(chunks)?;
-                drive(make, choice, domain, seams, &sorted, sink)?
+                drive(make, choice, domain, the_plan.parallelism, &sorted, sink)?
             } else {
-                drive(make, choice, domain, seams, chunks, sink)?
+                drive(make, choice, domain, the_plan.parallelism, chunks, sink)?
             }
         }
     };
@@ -352,7 +376,7 @@ where
         elapsed: started.elapsed(),
         memory: driven.memory,
         presorted,
-        parallelism,
+        parallelism: driven.parallelism,
         partitions: driven.partitions,
         peak_resident_result_entries: 0,
         emitted_chunks: 0,
@@ -482,8 +506,9 @@ where
 mod tests {
     use super::*;
     use crate::stats::OrderingKnowledge;
-    use tempagg_agg::{Count, Sum};
+    use tempagg_agg::{AggKind, Count, DynAggregate, Min, MultiDyn, Sum, TypedInput, TypedMulti};
     use tempagg_algo::oracle::oracle;
+    use tempagg_core::{Value, ValueType};
     use tempagg_workload::employed::{employed_relation, table1_expected};
     use tempagg_workload::{generate, WorkloadConfig};
 
@@ -525,42 +550,119 @@ mod tests {
         }
     }
 
+    /// `n` seeded rows over `[0, span)`, every 97th open-ended, in chunks
+    /// of 1,000 with `input(v)` as each row's aggregate input.
+    fn seeded_chunks<V>(n: usize, span: u64, input: impl Fn(i64) -> V) -> Vec<Chunk<V>> {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut step = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            i64::try_from(state % bound).unwrap()
+        };
+        let mut chunks = vec![Chunk::with_capacity(1_000)];
+        for i in 0..n {
+            let start = step(span);
+            let valid = if i % 97 == 0 {
+                Interval::from_start(start)
+            } else {
+                Interval::at(start, start + step(500))
+            };
+            if chunks.last().is_some_and(|chunk| chunk.len() == 1_000) {
+                chunks.push(Chunk::with_capacity(1_000));
+            }
+            let chunk = chunks.last_mut().unwrap();
+            chunk.push(valid, input(step(1_000) - 500)).unwrap();
+        }
+        chunks
+    }
+
+    /// Every choice at p ∈ {2, 4} returns the rows of its serial run — and
+    /// every serial run the same rows — with a report that says what ran.
+    fn assert_parallel_is_serial<A>(
+        agg: &A,
+        chunks: &[Chunk<A::Input>],
+        choices: &[AlgorithmChoice],
+    ) where
+        A: SweepAggregate + Clone + Send,
+        A::State: Send,
+        A::Input: Clone + Send + Sync,
+        A::Output: PartialEq + Send,
+    {
+        let tuples: usize = chunks.iter().map(Chunk::len).sum();
+        let run = |choice, parallelism| {
+            let p = Plan {
+                parallelism,
+                ..serial_plan(choice)
+            };
+            let mut rows = Series::new();
+            let report =
+                execute_chunks_into(&p, agg.clone(), chunks, Interval::TIMELINE, &mut rows)
+                    .unwrap();
+            (rows, report)
+        };
+        let (reference, _) = run(choices[0], 1);
+        for &choice in choices {
+            let what = format!("{} over {tuples} tuples, {choice:?}", agg.name());
+            let (serial, report) = run(choice, 1);
+            assert!(serial == reference, "{what}: serial rows differ");
+            assert_eq!(report.parallelism, 1, "{what}");
+            assert!(report.partitions.is_empty(), "{what}");
+            for parallelism in [2usize, 4] {
+                let (rows, report) = run(choice, parallelism);
+                assert!(rows == serial, "{what} × {parallelism}: rows differ");
+                assert_eq!(report.parallelism, parallelism, "{what}");
+                if choice == AlgorithmChoice::Sweep {
+                    // One kernel, sort threads from the plan: no seams.
+                    assert_eq!(report.algorithm, "endpoint-sweep", "{what}");
+                    assert!(report.partitions.is_empty(), "{what}");
+                } else {
+                    assert!(report.algorithm.starts_with("partitioned"), "{what}");
+                    assert_eq!(report.partitions.len(), parallelism, "{what}");
+                    let routed: usize = report.partitions.iter().map(|p| p.tuples).sum();
+                    assert!(routed >= tuples, "{what}: clipped copies ≥ tuples");
+                }
+            }
+        }
+    }
+
     #[test]
     fn parallel_execution_is_byte_identical_to_serial() {
-        let relation = generate(&WorkloadConfig::random(2048));
-        let choices = [
+        let every = [
+            AlgorithmChoice::Sweep,
             AlgorithmChoice::LinkedList,
             AlgorithmChoice::AggregationTree,
-            AlgorithmChoice::Sweep,
             AlgorithmChoice::KOrderedTree {
                 k: 1,
                 presort: true,
             },
         ];
-        for choice in choices {
-            let serial = execute(
-                &serial_plan(choice),
-                Count,
-                &relation,
-                |_| (),
-                Interval::TIMELINE,
-            )
-            .unwrap()
-            .0;
-            for parallelism in [2usize, 3, 8] {
-                let p = Plan {
-                    parallelism,
-                    ..serial_plan(choice)
-                };
-                let (series, report) =
-                    execute(&p, Count, &relation, |_| (), Interval::TIMELINE).unwrap();
-                assert_eq!(series, serial, "choice {choice:?} × {parallelism}");
-                assert_eq!(report.parallelism, parallelism);
-                assert_eq!(report.partitions.len(), parallelism);
-                assert!(report.algorithm.starts_with("partitioned"));
-                let routed: usize = report.partitions.iter().map(|p| p.tuples).sum();
-                assert!(routed >= relation.len(), "clipped copies ≥ tuples");
-            }
+        // Dense: 768 tuples inside 1,000 instants, so the sweep lowers by
+        // counting scatter (small, because `validate` re-walks the trees on
+        // every insert). Sparse: 12,288 tuples over 10⁶ instants — two sort
+        // buckets, so at p ≥ 2 the bucketed sort really runs on workers;
+        // only the sweep takes it (the list is quadratic there, and the
+        // trees' partitioned route does not depend on the regime).
+        for (n, span, choices) in [(768, 1_000, &every[..]), (12_288, 1_000_000, &every[..1])] {
+            assert_parallel_is_serial(&Count, &seeded_chunks(n, span, |_| ()), choices);
+            assert_parallel_is_serial(&Sum::<i64>::new(), &seeded_chunks(n, span, |v| v), choices);
+            assert_parallel_is_serial(&Min::<i64>::new(), &seeded_chunks(n, span, |v| v), choices);
+            let members: Vec<DynAggregate> = [AggKind::CountStar, AggKind::Sum, AggKind::Min]
+                .iter()
+                .map(|kind| DynAggregate::new(*kind, ValueType::Int).unwrap())
+                .collect();
+            let typed = TypedMulti::lower(&members).unwrap();
+            let typed_chunks = seeded_chunks(n, span, |v| {
+                let mut input = TypedInput::default();
+                input.set(1, v);
+                input.set(2, v);
+                input
+            });
+            assert_parallel_is_serial(&typed, &typed_chunks, choices);
+            let dyn_chunks = seeded_chunks(n, span, |v| {
+                vec![Value::Bool(true), Value::Int(v), Value::Int(v)]
+            });
+            assert_parallel_is_serial(&MultiDyn::new(members), &dyn_chunks, choices);
         }
     }
 

@@ -21,6 +21,7 @@
 use crate::stats::{OrderingKnowledge, RelationStats};
 use std::fmt;
 use tempagg_algo::memory::model_node_bytes;
+use tempagg_algo::parallel::machine_threads;
 
 /// The algorithm (and preprocessing) a plan prescribes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,9 +91,10 @@ pub struct PlannerConfig {
     /// Measured k values above `tuple_count / this` are treated as
     /// effectively unordered (a huge window would buy nothing).
     pub k_usefulness_divisor: usize,
-    /// Degree of parallelism for the partitioned pipeline: `None` asks the
-    /// machine (`std::thread::available_parallelism`), `Some(1)` forces a
-    /// serial plan, `Some(p)` forces up to `p` domain partitions.
+    /// Degree of parallelism a plan may prescribe: `None` asks the machine
+    /// ([`tempagg_algo::parallel::machine_threads`]), `Some(1)` forces a
+    /// serial plan, `Some(p)` allows up to `p` workers — domain partitions
+    /// for the push-time algorithms, sort threads for the sweep.
     pub parallelism: Option<usize>,
     /// Relations smaller than this stay serial regardless of
     /// [`parallelism`](Self::parallelism) being available: partition setup
@@ -118,9 +120,7 @@ impl Default for PlannerConfig {
 /// (`1`). This is the rule-based counterpart of
 /// [`CostModel::choose_parallelism`](crate::CostModel::choose_parallelism).
 pub fn choose_parallelism(stats: &RelationStats, config: &PlannerConfig) -> usize {
-    let available = config.parallelism.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
+    let available = config.parallelism.unwrap_or_else(machine_threads);
     if available <= 1 || stats.tuple_count < config.parallel_min_tuples {
         1
     } else {
@@ -132,7 +132,8 @@ pub fn choose_parallelism(stats: &RelationStats, config: &PlannerConfig) -> usiz
 #[derive(Clone, Debug, PartialEq)]
 pub struct Plan {
     pub choice: AlgorithmChoice,
-    /// Domain partitions to run in parallel (1 = serial execution).
+    /// Workers to run on (1 = serial execution): domain partitions for the
+    /// list and the trees, sort threads for the sweep.
     pub parallelism: usize,
     /// Estimated peak state bytes under the paper's 16-byte-node model.
     pub estimated_state_bytes: usize,

@@ -52,6 +52,9 @@ cargo run -q --release --example serve_rows -- --check
 echo "==> reopen_probe --check (PagedReader::open of a file holding two 262K-run series within 4x of the same relation holding none: open costs what is read, not what is stored)"
 cargo run -q --release --example reopen_probe -- --check
 
+echo "==> parallel_plan --check (a parallelism = 2 sweep plan within 1.25x of the serial plan, planning under the default config within 3x of planning with the thread count given: a parallel plan is not slower than the serial one it replaced)"
+cargo run -q --release --example parallel_plan -- --check
+
 # bench/ is its own package (own lock file, path dependencies on the engine
 # crates) and is read-only to engine PRs, so an engine change can break it
 # without touching it: compile and unit-test it, then run every workload

@@ -145,6 +145,47 @@ fn avg_streams_identically_across_algorithms() {
     assert_all_algorithms_agree(Avg::<i64>::new(), &tuples(1_500));
 }
 
+/// The partitioned combinator has two schedules: `finish` finishes the
+/// partitions on workers and stitches the collected pieces, `finish_into`
+/// streams them one after another through a `StitchSink`. One seam below is
+/// real (a tuple starts at it) and one artificial (only a long tuple spans
+/// it); drained one entry at a time, the streamed schedule must equal the
+/// collected one over every inner algorithm the executor partitions — and
+/// under `--features validate` this is the run that puts the checking sink
+/// adapter on the schedule SQL scans actually take.
+#[test]
+fn partitioned_finish_into_streams_what_finish_collects() {
+    fn check<G: TemporalAggregator<Sum<i64>> + Send>(make: impl Fn(Interval) -> G) {
+        let mut rows = vec![(domain(), 1)];
+        rows.extend(tuples(1_000));
+        let real = rows[500].0.start();
+        let artificial = Timestamp(3_000);
+        let fed = || {
+            let seams = vec![real, artificial];
+            let mut parts = PartitionedAggregator::with_seams(domain(), seams, &make).unwrap();
+            for &(interval, value) in &rows {
+                parts.push(interval, value).unwrap();
+            }
+            parts
+        };
+        let collected = fed().finish();
+        let mut streamed = Vec::new();
+        let mut sink = ChunkedSink::new(1, |chunk: &[SeriesEntry<Option<i64>>]| {
+            assert_eq!(chunk.len(), 1);
+            streamed.extend_from_slice(chunk);
+        });
+        fed().finish_into(&mut sink);
+        assert_eq!(sink.peak_resident(), 1);
+        assert_eq!(collected.entries(), &streamed[..]);
+        let starts_at = |t| streamed.iter().any(|e| e.interval.start() == t);
+        assert!(starts_at(real) && !starts_at(artificial));
+    }
+    let sum = Sum::<i64>::new;
+    check(|sub| SweepAggregator::with_domain(sum(), sub));
+    check(|sub| AggregationTree::with_domain(sum(), sub));
+    check(|sub| KOrderedAggregationTree::with_domain(sum(), 16, sub).unwrap());
+}
+
 // ---------------------------------------------------------------------------
 // Series::stitch / stitch_where edge cases — the seams the partitioned
 // streaming path feeds through StitchSink.
