@@ -146,7 +146,7 @@ impl<A: Aggregate> TemporalAggregator<A> for AggregationTree<A> {
             self.domain,
             interval,
             &value,
-        )?;
+        );
         self.tuples += 1;
         #[cfg(feature = "validate")]
         {
@@ -188,7 +188,7 @@ impl<A: Aggregate> TemporalAggregator<A> for AggregationTree<A> {
                 self.domain,
                 interval,
                 value,
-            )?;
+            );
             self.tuples += 1;
             #[cfg(feature = "validate")]
             {
@@ -218,6 +218,7 @@ impl<A: Aggregate> TemporalAggregator<A> for AggregationTree<A> {
             self.domain,
             self.agg.empty_state(),
             sink,
+            &mut Vec::new(),
         );
         #[cfg(feature = "validate")]
         sink.finish();

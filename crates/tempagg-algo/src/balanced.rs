@@ -125,9 +125,7 @@ impl<A: Aggregate> TemporalAggregator<A> for BalancedAggregationTree<A> {
         // Pass 2: covering insertions; every endpoint is an existing
         // boundary, so no leaf ever splits and each insert is O(depth).
         for (iv, value) in &self.buffered {
-            ops::insert(&mut arena, &self.agg, root, self.domain, *iv, value)
-                // lint: allow(no-unwrap): pass 1 registered both endpoints as boundaries, so insert cannot hit a malformed split
-                .expect("pass 1 registered every endpoint as a boundary");
+            ops::insert(&mut arena, &self.agg, root, self.domain, *iv, value);
         }
 
         #[cfg(feature = "validate")]
@@ -145,6 +143,7 @@ impl<A: Aggregate> TemporalAggregator<A> for BalancedAggregationTree<A> {
             self.domain,
             self.agg.empty_state(),
             sink,
+            &mut Vec::new(),
         );
         #[cfg(feature = "validate")]
         sink.finish();

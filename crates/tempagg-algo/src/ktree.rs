@@ -64,6 +64,10 @@ pub struct KOrderedAggregationTree<A: Aggregate> {
     window: VecDeque<Timestamp>,
     /// Finalized constant intervals not yet drained.
     ready: Vec<SeriesEntry<A::Output>>,
+    /// Scratch stacks of the garbage collector's emit and free walks, kept
+    /// across collections so a steady-state collection allocates nothing.
+    emit_stack: ops::EmitStack<A::State>,
+    free_stack: Vec<NodeId>,
     tuples: usize,
     /// Start of the first constant interval not yet handed out by
     /// `emit_ready`; every drained batch must tile exactly
@@ -98,6 +102,8 @@ impl<A: Aggregate> KOrderedAggregationTree<A> {
             k,
             window: VecDeque::with_capacity(2 * k + 2),
             ready: Vec::new(),
+            emit_stack: Vec::new(),
+            free_stack: Vec::new(),
             tuples: 0,
             #[cfg(feature = "validate")]
             drained_through: domain.start(),
@@ -156,7 +162,7 @@ impl<A: Aggregate> KOrderedAggregationTree<A> {
         // Parent of `cur` along the left spine, if any.
         let mut parent: Option<NodeId> = None;
         let mut cur = self.root;
-        // lint: hot-loop(ktree-gc) — the left-spine collection walk; per-node work must not allocate beyond the required state clones below
+        // lint: hot-loop(ktree-gc) — the left-spine collection walk; per node only the state clones below, and the emit / free walks it calls run on the tree's scratch stacks (the rule cannot see into them)
         loop {
             let node = self.arena.get(cur);
             if node.is_leaf() {
@@ -182,8 +188,9 @@ impl<A: Aggregate> KOrderedAggregationTree<A> {
                     emitted_range,
                     emit_acc,
                     &mut self.ready,
+                    &mut self.emit_stack,
                 );
-                self.arena.free_subtree(left);
+                self.arena.free_subtree(left, &mut self.free_stack);
                 // `cur` goes away: push its state down into the surviving
                 // right child so every path through that child still sums
                 // the same.
@@ -201,9 +208,7 @@ impl<A: Aggregate> KOrderedAggregationTree<A> {
             } else {
                 // Descend left, keeping the node: its state applies to the
                 // left subtree too.
-                // lint: allow(no-alloc-in-scan): descending accumulates the path sum; the borrow of the arena forces a copy
-                let state = self.arena.get(cur).state.clone();
-                self.agg.merge(&mut acc, &state);
+                self.agg.merge(&mut acc, &node.state);
                 parent = Some(cur);
                 cur = left;
             }
@@ -245,7 +250,7 @@ impl<A: Aggregate> TemporalAggregator<A> for KOrderedAggregationTree<A> {
             live_range,
             interval,
             &value,
-        )?;
+        );
         self.tuples += 1;
         // After processing a tuple, look back at the start time of the
         // tuple 2k + 1 positions earlier; constant intervals ending before
@@ -302,6 +307,7 @@ impl<A: Aggregate> TemporalAggregator<A> for KOrderedAggregationTree<A> {
             self.live_range(),
             self.agg.empty_state(),
             sink,
+            &mut self.emit_stack,
         );
         #[cfg(feature = "validate")]
         sink.finish();

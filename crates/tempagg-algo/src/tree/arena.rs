@@ -121,8 +121,12 @@ impl<S> Arena<S> {
     }
 
     /// Free an entire subtree (iteratively — worst-case trees are linear).
-    pub fn free_subtree(&mut self, root: NodeId) {
-        let mut stack = vec![root];
+    /// `stack` is the walk's scratch, empty on entry and on return; a
+    /// caller that frees repeatedly passes the same one.
+    pub fn free_subtree(&mut self, root: NodeId, stack: &mut Vec<NodeId>) {
+        debug_assert!(stack.is_empty());
+        stack.push(root);
+        // lint: hot-loop(tree-emit) — frees each collected node once; children go on the caller's stack
         while let Some(id) = stack.pop() {
             // lint: allow(indexing): NodeIds are only minted by alloc and the arena never shrinks, so index() < nodes.len()
             let node = &self.nodes[id.index()];
@@ -205,7 +209,7 @@ mod tests {
             state: 0,
         });
         assert_eq!(a.live(), 3);
-        a.free_subtree(root);
+        a.free_subtree(root, &mut Vec::new());
         assert_eq!(a.live(), 0);
         assert_eq!(a.peak_live(), 3);
     }

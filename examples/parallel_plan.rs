@@ -19,9 +19,10 @@
 //! Public APIs only, so the same file runs against any earlier commit.
 //! `-- --check` fails unless, at 10 % long-lived, the `parallelism = 2`
 //! sweep plan takes at most 1.25× the `parallelism = 1` plan with identical
-//! rows, and planning under the default config takes at most 3× planning
-//! with the thread count given: a parallel plan is not slower than the
-//! serial one it replaced.
+//! rows, the two-partition aggregation tree on 2 threads takes at most
+//! 1.25× the same tree on 1 thread, and planning under the default config
+//! takes at most 3× planning with the thread count given: a parallel plan
+//! is not slower than the serial one it replaced.
 //!
 //! Run with: `cargo run --release --example parallel_plan`
 
@@ -102,6 +103,17 @@ fn driven<G: TemporalAggregator<Sum<i64>>>(mut aggregator: G, chunks: &[Chunk<i6
     started.elapsed()
 }
 
+/// A `PartitionedAggregator` over two aggregation trees cut at the middle
+/// of the lifespan, on `threads` worker threads.
+fn partitioned_tree(threads: usize) -> PartitionedAggregator<Sum<i64>, AggregationTree<Sum<i64>>> {
+    let seams = Interval::at(0, 999_999).even_seams(2);
+    PartitionedAggregator::with_seams(Interval::TIMELINE, seams, |sub| {
+        AggregationTree::with_domain(Sum::<i64>::new(), sub)
+    })
+    .expect("one interior seam")
+    .with_threads(threads)
+}
+
 /// ns per `choose_window_algorithm` call over a warm 100,000-run cache.
 fn plan_ns(config: &PlannerConfig) -> f64 {
     let stats = RelationStats::unknown(N).with_cached_series(CachedSeriesInfo {
@@ -145,15 +157,30 @@ fn main() {
         let (serial, parallel) = (median_of(serial), median_of(parallel));
         let sweep_ratio = parallel.as_secs_f64() / serial.as_secs_f64();
         let same = executed(&long, 1).1 == executed(&long, 2).1;
-        let ok = sweep_ratio <= 1.25 && same && plan_ratio <= 3.0;
+        let (one, two): (Vec<_>, Vec<_>) = (0..REPS)
+            .map(|_| {
+                let one = driven(partitioned_tree(1), &long);
+                (one, driven(partitioned_tree(2), &long))
+            })
+            .unzip();
+        let (one, two) = (median_of(one), median_of(two));
+        let tree_ratio = two.as_secs_f64() / one.as_secs_f64();
+        let ok = sweep_ratio <= 1.25 && same && tree_ratio <= 1.25 && plan_ratio <= 3.0;
         println!(
-            "sweep plan p = 2 is {sweep_ratio:.2}x p = 1 ({:.1} vs {:.1} ms, rows {}); planning \
-             under the default config is {plan_ratio:.1}x planning with the thread count given \
-             ({default_ns:.0} vs {given_ns:.0} ns): {}",
+            "sweep plan p = 2 is {sweep_ratio:.2}x p = 1 ({:.1} vs {:.1} ms, rows {}); the \
+             P = 2 aggregation tree on 2 threads is {tree_ratio:.2}x on 1 ({:.1} vs {:.1} ms); \
+             planning under the default config is {plan_ratio:.1}x planning with the thread \
+             count given ({default_ns:.0} vs {given_ns:.0} ns): {}",
             ms(parallel),
             ms(serial),
             if same { "identical" } else { "DIFFER" },
-            if ok { "ok (<= 1.25x, <= 3x)" } else { "FAILED" }
+            ms(two),
+            ms(one),
+            if ok {
+                "ok (<= 1.25x, <= 1.25x, <= 3x)"
+            } else {
+                "FAILED"
+            }
         );
         if !ok {
             std::process::exit(1);
@@ -191,11 +218,7 @@ fn main() {
     });
     for t in [1usize, 2] {
         row(&format!("aggregation tree, P = 2 on {t} thread(s)"), &|c| {
-            let seams = Interval::at(0, 999_999).even_seams(2);
-            let parts = PartitionedAggregator::with_seams(Interval::TIMELINE, seams, |sub| {
-                AggregationTree::with_domain(Sum::<i64>::new(), sub)
-            });
-            driven(parts.expect("one interior seam").with_threads(t), c)
+            driven(partitioned_tree(t), c)
         });
     }
     println!("choose_window_algorithm, default config   {default_ns:>8.0} ns");

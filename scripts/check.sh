@@ -52,8 +52,11 @@ cargo run -q --release --example serve_rows -- --check
 echo "==> reopen_probe --check (PagedReader::open of a file holding two 262K-run series within 4x of the same relation holding none: open costs what is read, not what is stored)"
 cargo run -q --release --example reopen_probe -- --check
 
-echo "==> parallel_plan --check (a parallelism = 2 sweep plan within 1.25x of the serial plan, planning under the default config within 3x of planning with the thread count given: a parallel plan is not slower than the serial one it replaced)"
+echo "==> parallel_plan --check (a parallelism = 2 sweep plan within 1.25x of the serial plan, a two-partition aggregation tree on 2 threads within 1.25x of 1 thread, planning under the default config within 3x of planning with the thread count given: a parallel plan is not slower than the serial one it replaced)"
 cargo run -q --release --example parallel_plan -- --check
+
+echo "==> tree_kernels --check (the k = 1 ordered tree within 3x of the sweep on paged_cycle's sorted input, same rows: a tree walk costs node visits, not a heap allocation per tuple)"
+cargo run -q --release --example tree_kernels -- --check
 
 # bench/ is its own package (own lock file, path dependencies on the engine
 # crates) and is read-only to engine PRs, so an engine change can break it
