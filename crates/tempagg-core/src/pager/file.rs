@@ -26,6 +26,7 @@ use crate::value::Value;
 use std::fs;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn storage_at(path: &Path, detail: impl std::fmt::Display) -> TempAggError {
@@ -160,16 +161,41 @@ pub fn write_relation(
     })
 }
 
+/// What a [`PagedReader`] has read since it was opened, cumulative over
+/// every scan, store and thread that shares it. Reading the counters costs
+/// three relaxed loads, so a long-running process can scrape them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PagerMetrics {
+    /// Pages read and verified ([`PagedReader::read_page`]).
+    pub pages_read: u64,
+    /// Series blocks read and verified ([`PagedReader::series`]). A version
+    /// 1 footer's series, decoded at `open`, are not counted.
+    pub series_blocks_read: u64,
+    /// Bytes held against a checksum after `open`: pages and series blocks.
+    pub bytes_verified: u64,
+}
+
+/// The atomics behind [`PagerMetrics`]: the reader is shared through `Arc`
+/// and read from scoped threads.
+#[derive(Debug, Default)]
+struct Counters {
+    pages_read: AtomicU64,
+    series_blocks_read: AtomicU64,
+    bytes_verified: AtomicU64,
+}
+
 /// Out-of-core reader over a paged relation file.
 ///
 /// `open` materialises only the metadata (header, schema, fences, series
 /// directory); tuple pages are fetched on demand with [`read_page`] and
 /// series blocks with [`series`], each verified against its directory
 /// checksum before being decoded. Reads go through `&File` positioned
-/// reads, so a `PagedReader` can be shared immutably by sequential scans.
+/// reads, so a `PagedReader` can be shared immutably by sequential scans;
+/// [`metrics`] counts them.
 ///
 /// [`read_page`]: PagedReader::read_page
 /// [`series`]: PagedReader::series
+/// [`metrics`]: PagedReader::metrics
 #[derive(Debug)]
 pub struct PagedReader {
     file: fs::File,
@@ -183,6 +209,7 @@ pub struct PagedReader {
     /// A version 1 footer has no blocks to come back to: its series, decoded
     /// at `open`, in directory order. Empty for any later version.
     eager: Vec<Vec<SeriesEntry<Value>>>,
+    counters: Counters,
 }
 
 impl PagedReader {
@@ -253,7 +280,18 @@ impl PagedReader {
             directory,
             sum,
             eager,
+            counters: Counters::default(),
         })
+    }
+
+    /// What this reader has read since `open`.
+    pub fn metrics(&self) -> PagerMetrics {
+        let c = &self.counters;
+        PagerMetrics {
+            pages_read: c.pages_read.load(Ordering::Relaxed),
+            series_blocks_read: c.series_blocks_read.load(Ordering::Relaxed),
+            bytes_verified: c.bytes_verified.load(Ordering::Relaxed),
+        }
     }
 
     /// The relation's schema.
@@ -310,6 +348,9 @@ impl PagedReader {
             .ok_or_else(|| storage_at(&self.path, format!("no series {index} in the directory")))?;
         let what = format_args!("series block `{}`", record.label);
         let bytes = self.read_verified(record.offset, record.len, record.checksum, what)?;
+        self.counters
+            .series_blocks_read
+            .fetch_add(1, Ordering::Relaxed);
         decode_series_block(&bytes, record).map_err(|e| storage_at(&self.path, e))
     }
 
@@ -354,6 +395,9 @@ impl PagedReader {
                 format!("{what} checksum mismatch (corrupt {what})"),
             ));
         }
+        self.counters
+            .bytes_verified
+            .fetch_add(len, Ordering::Relaxed);
         Ok(bytes)
     }
 
@@ -371,6 +415,7 @@ impl PagedReader {
         let offset = self.header.data_offset() + index as u64 * page_size;
         let what = format_args!("page {index}");
         let bytes = self.read_verified(offset, page_size, fence.checksum, what)?;
+        self.counters.pages_read.fetch_add(1, Ordering::Relaxed);
         let page = decode_page(&self.schema, &bytes, projection)
             .map_err(|e| storage_at(&self.path, format!("page {index}: {e}")))?;
         if page.len() != fence.tuples as usize {
@@ -463,6 +508,37 @@ mod tests {
         assert!(reader.series(1).is_err());
         let back = reader.read_relation().unwrap();
         assert_eq!(back.tuples(), rel.tuples());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `metrics` counts what was read after `open` — pages, series blocks,
+    /// verified bytes — and nothing that `open` read or that could not be
+    /// read.
+    #[test]
+    fn metrics_count_what_was_read() {
+        let path = temp_path("metrics.tapg");
+        let entries = vec![SeriesEntry::new(Interval::at(0, 9), Value::Int(3))];
+        let options = PagedWriteOptions {
+            page_size: 1024,
+            caches: vec![PersistedSeries {
+                label: "COUNT".into(),
+                column: None,
+                entries,
+            }],
+        };
+        write_relation(&sample_relation(300), &path, &options).unwrap();
+        let reader = PagedReader::open(&path).unwrap();
+        assert_eq!(reader.metrics(), PagerMetrics::default());
+        reader.read_page(1, Some(&[])).unwrap();
+        reader.series(0).unwrap();
+        assert!(reader.read_page(reader.page_count(), None).is_err());
+        let block = reader.series_directory()[0].len;
+        let read = reader.metrics();
+        assert_eq!((read.pages_read, read.series_blocks_read), (1, 1));
+        assert_eq!(read.bytes_verified, 1024 + block);
+        reader.read_relation().unwrap();
+        let pages = reader.page_count() as u64;
+        assert_eq!(reader.metrics().pages_read, 1 + pages);
         std::fs::remove_file(&path).ok();
     }
 

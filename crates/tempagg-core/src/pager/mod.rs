@@ -37,7 +37,7 @@ pub mod format;
 
 pub use checksum::Checksum;
 pub use cursor::{IntColumnSource, PageCursor, ScanStats, SliceSource, TupleSource, UnitSource};
-pub use file::{write_relation, PagedReader, PagedWriteOptions, PagedWriteStats};
+pub use file::{write_relation, PagedReader, PagedWriteOptions, PagedWriteStats, PagerMetrics};
 pub use format::{
     DecodedPage, FileHeader, PageFence, PersistedSeries, SeriesRecord, DEFAULT_PAGE_BYTES,
     FORMAT_VERSION, MAGIC, MIN_PAGE_BYTES,

@@ -1,14 +1,16 @@
 //! Relation statistics the optimizer consumes (Section 6.3: "The optimizer
 //! can exploit information on the sortedness of the underlying relation").
 
+use tempagg_core::pager::PagedReader;
 use tempagg_core::{sortedness, Interval, TemporalRelation};
 
 /// What the optimizer knows about a relation's storage order.
 ///
 /// In a real system this comes from catalog metadata (a clustering index,
-/// or the DBA declaring the relation retroactively bounded); here it can
-/// also be *measured* from an in-memory relation via
-/// [`RelationStats::analyze`].
+/// or the DBA declaring the relation retroactively bounded); here it is
+/// the sorted flag of a persisted table's header
+/// ([`RelationStats::from_pages`]), or *measured* from an in-memory
+/// relation via [`RelationStats::analyze`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OrderingKnowledge {
     /// Totally ordered by time.
@@ -148,6 +150,22 @@ impl RelationStats {
         }
     }
 
+    /// What a persisted table's file says without a row read: the header's
+    /// tuple count and sorted flag, and — from the fences — the file's pages
+    /// and how many of them a fence-pruned scan over `window` reads, which
+    /// is what the plan then prices.
+    pub fn from_pages(reader: &PagedReader, window: Interval) -> RelationStats {
+        let ordering = if reader.sorted() {
+            OrderingKnowledge::Sorted
+        } else {
+            OrderingKnowledge::Unknown
+        };
+        let in_window = reader.pages_overlapping(&window).len();
+        RelationStats::unknown(reader.tuple_count() as usize)
+            .with_ordering(ordering)
+            .with_pages(reader.page_count(), Some(in_window))
+    }
+
     /// Distinct timestamps, defaulting to the all-unique worst case.
     pub fn unique_timestamps_or_default(&self) -> usize {
         self.unique_timestamps.unwrap_or(2 * self.tuple_count)
@@ -240,6 +258,29 @@ mod tests {
             s.ordering,
             OrderingKnowledge::RetroactivelyBounded { equivalent_k: 3 }
         ));
+    }
+
+    #[test]
+    fn from_pages_reads_the_header_and_fences() {
+        use tempagg_core::pager::{self, PagedWriteOptions};
+        let mut path = std::env::temp_dir();
+        path.push(format!("tempagg-plan-stats-{}.tapg", std::process::id()));
+        let intervals: Vec<(i64, i64)> = (0..400).map(|i| (i * 10, i * 10 + 5)).collect();
+        let options = PagedWriteOptions {
+            page_size: 512,
+            caches: Vec::new(),
+        };
+        pager::write_relation(&relation(&intervals), &path, &options).unwrap();
+        let reader = PagedReader::open(&path).unwrap();
+        let window = Interval::at(1_000, 1_200);
+        let s = RelationStats::from_pages(&reader, window);
+        assert_eq!(s.tuple_count, 400);
+        assert_eq!(s.ordering, OrderingKnowledge::Sorted);
+        assert_eq!(s.pages, Some(reader.page_count()));
+        let in_window = reader.pages_overlapping(&window).len();
+        assert_eq!(s.pages_in_window, Some(in_window));
+        assert!(0 < in_window && in_window < reader.page_count());
+        pager::remove_file(&path).unwrap();
     }
 
     #[test]

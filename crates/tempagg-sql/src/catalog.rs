@@ -3,7 +3,9 @@
 //! Each relation is held inside a [`TemporalStore`], so DML statements
 //! (INSERT / DELETE / UPDATE) incrementally maintain any aggregate caches
 //! and bump the store's write epoch, while queries can serve MVCC
-//! snapshots of cached series instead of re-scanning.
+//! snapshots of cached series instead of re-scanning. A table created
+//! `PERSIST TO` an existing file stays on the file's pages until a
+//! statement needs its rows in memory.
 
 use std::collections::BTreeMap;
 use tempagg_core::{Result, TempAggError, TemporalRelation};
@@ -33,9 +35,11 @@ impl Catalog {
         self.stores.insert(name.into().to_ascii_lowercase(), store);
     }
 
-    /// Look up a relation.
+    /// Look up a relation, in memory: a table opened from a paged file
+    /// reads its pages here on the first call ([`TemporalStore::resident`]),
+    /// so a name check asks [`store`](Catalog::store) instead.
     pub fn get(&self, name: &str) -> Result<&TemporalRelation> {
-        self.store(name).map(TemporalStore::relation)
+        self.store(name)?.resident()
     }
 
     /// Look up a relation's store.

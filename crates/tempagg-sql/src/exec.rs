@@ -25,19 +25,20 @@ use crate::parser::parse;
 use crate::rows::{GroupSink, ResultRow, ResultRows, RowBuffer};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use tempagg_agg::{
     AggKind, Aggregate, DynAggregate, MultiDyn, SweepAggregate, TypedInput, TypedMulti,
 };
 use tempagg_algo::{scan_window, SpanGrouper, TemporalAggregator, WindowAggregate};
 use tempagg_core::{
-    Chunk, Interval, Result, RowValues, Schema, Series, SeriesEntry, TempAggError,
-    TemporalRelation, Tuple, Value, DEFAULT_CHUNK_CAPACITY,
+    Chunk, Interval, Result, RowValues, Schema, Series, SeriesEntry, TempAggError, Value,
+    DEFAULT_CHUNK_CAPACITY,
 };
 use tempagg_plan::{
     choose_algorithm, choose_window_algorithm, execute_chunks_into, AlgorithmChoice, CacheReport,
     CachedSeriesInfo, CostModel, Plan, PlannerConfig, RelationStats,
 };
-use tempagg_store::{index_mode_for, IndexMode, TemporalStore, WindowIndexStats};
+use tempagg_store::{index_mode_for, IndexMode, Row, ScanPages, TemporalStore, WindowIndexStats};
 
 /// A query result: a (temporal) relation of aggregate values.
 #[derive(Clone, Debug, PartialEq)]
@@ -120,10 +121,10 @@ fn bind_aggs(schema: &Schema, query: &Query) -> Result<Vec<BoundAgg>> {
     Ok(bound_aggs)
 }
 
-/// A query bound to its relation: everything a scan needs that does not
+/// A query bound to its store: everything a scan needs that does not
 /// depend on which product aggregate evaluates it.
 struct BoundScan<'a> {
-    relation: &'a TemporalRelation,
+    store: &'a TemporalStore,
     conditions: Vec<(usize, CompareOp, Value)>,
     aggs: Vec<BoundAgg>,
     group_idx: Option<usize>,
@@ -132,11 +133,28 @@ struct BoundScan<'a> {
     domain: Interval,
 }
 
+impl BoundScan<'_> {
+    /// The columns the scan reads — conditions, grouping column, aggregate
+    /// inputs — ascending: all a page of a persisted table decodes.
+    fn columns(&self) -> Vec<usize> {
+        let mut columns: Vec<usize> = self
+            .conditions
+            .iter()
+            .map(|(idx, _, _)| *idx)
+            .chain(self.group_idx)
+            .chain(self.aggs.iter().filter_map(|(_, idx, _)| *idx))
+            .collect();
+        columns.sort_unstable();
+        columns.dedup();
+        columns
+    }
+}
+
 /// Bind names: resolve and type-check conditions, aggregates and the
-/// grouping column up front.
+/// grouping column up front. Nothing of the rows is read.
 fn bind_scan<'a>(catalog: &'a Catalog, query: &Query) -> Result<BoundScan<'a>> {
-    let relation = catalog.get(&query.relation)?;
-    let schema = relation.schema();
+    let store = catalog.store(&query.relation)?;
+    let schema = store.schema();
     let mut conditions = Vec::with_capacity(query.conditions.len());
     for cond in &query.conditions {
         conditions.push((
@@ -146,7 +164,7 @@ fn bind_scan<'a>(catalog: &'a Catalog, query: &Query) -> Result<BoundScan<'a>> {
         ));
     }
     Ok(BoundScan {
-        relation,
+        store,
         conditions,
         aggs: bind_aggs(schema, query)?,
         group_idx: query
@@ -204,55 +222,91 @@ impl<V> Group<V> {
     }
 }
 
-/// The aggregation set of `key`, opened (the key cloned once) at its
-/// first tuple.
-fn group_of<'m, 'a, V>(
-    sets: &'m mut BTreeMap<&'a Value, Group<V>>,
-    key: &'a Value,
-) -> &'m mut Group<V> {
-    sets.entry(key)
-        .or_insert_with(|| Group::new(Some(key.clone())))
+/// The aggregation sets of a value-grouped scan while it runs: each
+/// distinct grouping value (owned, so a page it was read from can go) and
+/// the position of its set, which opens at the value's first row.
+struct ValueSets<V> {
+    positions: BTreeMap<Value, usize>,
+    sets: Vec<Group<V>>,
+}
+
+impl<V> ValueSets<V> {
+    fn new() -> ValueSets<V> {
+        ValueSets {
+            positions: BTreeMap::new(),
+            sets: Vec::new(),
+        }
+    }
+
+    /// The set of `key`: one lookup, and the key cloned at its first row.
+    fn of(&mut self, key: &Value) -> &mut Group<V> {
+        let position = match self.positions.get(key) {
+            Some(&position) => position,
+            None => {
+                self.positions.insert(key.clone(), self.sets.len());
+                self.sets.push(Group::new(Some(key.clone())));
+                self.sets.len() - 1
+            }
+        };
+        &mut self.sets[position]
+    }
+
+    /// The sets by ascending grouping value.
+    fn into_sorted(self) -> Vec<Group<V>> {
+        let mut sets: Vec<Option<Group<V>>> = self.sets.into_iter().map(Some).collect();
+        self.positions
+            .into_values()
+            .filter_map(|position| sets[position].take())
+            .collect()
+    }
 }
 
 /// Filter on WHERE + VALID, clip, project and partition into aggregation
-/// sets in one borrowed pass over the relation. Ungrouped queries have
-/// exactly one set, which exists even when no tuple qualifies (its result
-/// is the empty aggregate over the whole window); value-grouped queries
-/// have one per distinct grouping value, ascending.
+/// sets in one borrowed pass over the rows the store hands out — its
+/// resident tuples, or the pages of a persisted table decoded to the
+/// referenced columns. Ungrouped queries have exactly one set, which exists
+/// even when no tuple qualifies (its result is the empty aggregate over the
+/// whole window); value-grouped queries have one per distinct grouping
+/// value, ascending. Also returns what the scan read of the pages.
 fn project_groups<V>(
     bound: &BoundScan<'_>,
-    project: impl Fn(&Tuple) -> V,
-) -> Result<Vec<Group<V>>> {
+    project: impl Fn(Row<'_>) -> V,
+) -> Result<(Vec<Group<V>>, Option<ScanPages>)> {
     let mut whole = Group::new(None);
-    let mut sets: BTreeMap<&Value, Group<V>> = BTreeMap::new();
-    // lint: hot-loop(scan-project) — per tuple: evaluate, clip, project, append; never a Tuple clone or a relation push
-    'tuples: for tuple in bound.relation {
-        for (idx, op, value) in &bound.conditions {
-            if !op.eval(tuple.value(*idx), value) {
-                continue 'tuples;
+    let mut sets = ValueSets::new();
+    let mut scan = bound.store.scan(bound.domain, &bound.columns());
+    while let Some(batch) = scan.next_batch()? {
+        // lint: hot-loop(scan-project) — per row: evaluate, clip, project, append; never a Tuple clone or a relation push
+        'rows: for index in 0..batch.len() {
+            let row = batch.row(index);
+            for (idx, op, value) in &bound.conditions {
+                if !op.eval(row.value(*idx), value) {
+                    continue 'rows;
+                }
             }
+            let Some(valid) = row.valid().intersect(&bound.domain) else {
+                continue;
+            };
+            let set = match bound.group_idx {
+                None => &mut whole,
+                Some(idx) => sets.of(row.value(idx)),
+            };
+            set.push(valid, project(row))?;
         }
-        let Some(valid) = tuple.valid().intersect(&bound.domain) else {
-            continue;
-        };
-        let set = match bound.group_idx {
-            None => &mut whole,
-            Some(idx) => group_of(&mut sets, tuple.value(idx)),
-        };
-        set.push(valid, project(tuple))?;
     }
-    Ok(match bound.group_idx {
+    let groups = match bound.group_idx {
         None => vec![whole],
-        Some(_) => sets.into_values().collect(),
-    })
+        Some(_) => sets.into_sorted(),
+    };
+    Ok((groups, scan.pages()))
 }
 
 /// [`MultiDyn`]'s input: one cloned [`Value`] per select-list entry.
-fn project_values(columns: &[Option<usize>], tuple: &Tuple) -> Vec<Value> {
+fn project_values(columns: &[Option<usize>], row: Row<'_>) -> Vec<Value> {
     columns
         .iter()
         .map(|column| match column {
-            Some(i) => tuple.value(*i).clone(),
+            Some(i) => row.value(*i).clone(),
             // COUNT(*): any non-null marker.
             None => Value::Bool(true),
         })
@@ -261,10 +315,10 @@ fn project_values(columns: &[Option<usize>], tuple: &Tuple) -> Vec<Value> {
 
 /// [`TypedMulti`]'s input: the referenced `INT` cells copied inline, NULLs
 /// (and `COUNT(*)`'s unused slot) left absent.
-fn project_typed(columns: &[Option<usize>], tuple: &Tuple) -> TypedInput {
+fn project_typed(columns: &[Option<usize>], row: Row<'_>) -> TypedInput {
     let mut input = TypedInput::default();
     for (slot, column) in columns.iter().enumerate() {
-        if let Some(Value::Int(v)) = column.map(|i| tuple.value(i)) {
+        if let Some(Value::Int(v)) = column.map(|i| row.value(i)) {
             input.set(slot, *v);
         }
     }
@@ -274,8 +328,9 @@ fn project_typed(columns: &[Option<usize>], tuple: &Tuple) -> TypedInput {
 /// Where a scan's plan comes from, and with it whether its rows coalesce.
 #[derive(Clone, Copy)]
 enum Planning<'a> {
-    /// Choose by cost from the largest aggregation set; coalesce the rows
-    /// (TSQL2 results).
+    /// Choose by cost from the largest aggregation set — and, when the rows
+    /// come off a persisted table's pages, the pages the scan reads of the
+    /// file's — and coalesce the rows (TSQL2 results).
     Choose(&'a PlannerConfig),
     /// Run every aggregation set under this plan and keep every constant
     /// interval: the `OVER` / `TOP k` linear fallbacks reduce the
@@ -310,11 +365,11 @@ fn run_scan(
     let columns: Vec<Option<usize>> = bound.aggs.iter().map(|(_, idx, _)| *idx).collect();
     let plan = match TypedMulti::lower(&members) {
         Some(typed) => {
-            let project = |t: &Tuple| project_typed(&columns, t);
+            let project = |row: Row<'_>| project_typed(&columns, row);
             scan(&bound, query, typed, project, planning, out)?
         }
         None => {
-            let project = |t: &Tuple| project_values(&columns, t);
+            let project = |row: Row<'_>| project_values(&columns, row);
             scan(
                 &bound,
                 query,
@@ -327,11 +382,11 @@ fn run_scan(
     };
     // An eligible scan saw the whole relation unfiltered, so its result is
     // exactly what a cache would hold: warm one per aggregate and let the
-    // next execution serve snapshots.
+    // next execution serve snapshots. (A series a persisted table's file
+    // does not hold is built over its rows, read into memory here.)
     if cache_eligible(query) {
-        let store = catalog.store(&query.relation)?;
         for (agg, idx, _) in &bound.aggs {
-            store.ensure_cache(*agg, *idx);
+            bound.store.ensure_cache(*agg, *idx)?;
         }
     }
     Ok(Outcome {
@@ -351,7 +406,7 @@ fn scan<A>(
     bound: &BoundScan<'_>,
     query: &Query,
     agg: A,
-    project: impl Fn(&Tuple) -> A::Input,
+    project: impl Fn(Row<'_>) -> A::Input,
     planning: Planning<'_>,
     out: &mut RowBuffer<'_>,
 ) -> Result<Option<Plan>>
@@ -361,7 +416,7 @@ where
     A::Input: Clone + Send + Sync,
     A::Output: Into<RowValues> + PartialEq + Send,
 {
-    let groups = project_groups(bound, project)?;
+    let (groups, pages) = project_groups(bound, project)?;
 
     // SNAPSHOT: scalar aggregates over each set's full tuple set
     // (Section 3 semantics) — no temporal grouping at all.
@@ -389,11 +444,15 @@ where
                         .iter()
                         .max_by_key(|g| g.rows)
                         .map_or_else(Vec::new, Group::intervals);
+                    let mut stats = RelationStats::analyze_intervals(&representative);
+                    if let Some(pages) = pages {
+                        stats = stats.with_pages(pages.total, Some(pages.read));
+                    }
                     // Calibrated cost-based selection: the select list's
                     // weakest retraction class gates whether the endpoint
                     // sweep competes.
                     choose_algorithm(
-                        &RelationStats::analyze_intervals(&representative),
+                        &stats,
                         agg.sweep_class(),
                         config,
                         &CostModel::default(),
@@ -529,13 +588,12 @@ fn serve(
     {
         return Ok(None);
     }
-    let mut snapshots = Vec::with_capacity(bound_aggs.len());
-    for (agg, idx, _) in &bound_aggs {
-        match store.snapshot(agg.kind(), *idx) {
-            Some(snapshot) => snapshots.push(snapshot),
-            None => return Ok(None),
-        }
-    }
+    // Every series is present, so this builds none: it decodes a persisted
+    // block, or rebuilds one that fails its checksum.
+    let snapshots = bound_aggs
+        .iter()
+        .map(|(agg, idx, _)| cached_series(store, *agg, *idx))
+        .collect::<Result<Vec<_>>>()?;
     let runs = snapshots.first().map_or(0, |series| series.len());
     // The snapshots themselves are the answer; a result row exists once
     // its reader reaches it.
@@ -638,29 +696,36 @@ fn column_series(rows: &[ResultRow], j: usize) -> Series<Value> {
 /// Plan an `OVER` / `TOP k` query. With `cached_runs` — a clean shape,
 /// so the store's cached series (warm, or buildable on first probe)
 /// answers it — the series and, when `indexable`, its window index are
-/// candidates; otherwise plan a scan over the filtered tuples.
+/// candidates; otherwise plan a scan of the tuples over `domain` from what
+/// the store knows before running it: a persisted table's header and
+/// fences while the scan reads its pages, the resident relation measured
+/// otherwise.
 fn plan_window(
     store: &TemporalStore,
     cached_runs: Option<usize>,
+    domain: Interval,
     multi: &MultiDyn,
     indexable: bool,
     config: &PlannerConfig,
-) -> Plan {
-    let stats = match cached_runs {
-        Some(runs) => RelationStats::unknown(store.len()).with_cached_series(CachedSeriesInfo {
-            runs,
-            epoch: store.epoch().get(),
-        }),
-        None => RelationStats::analyze(store.relation()),
+) -> Result<Plan> {
+    let stats = match (cached_runs, store.pages()) {
+        (Some(runs), _) => {
+            RelationStats::unknown(store.len()).with_cached_series(CachedSeriesInfo {
+                runs,
+                epoch: store.epoch().get(),
+            })
+        }
+        (None, Some(pages)) => RelationStats::from_pages(pages, domain),
+        (None, None) => RelationStats::analyze(store.resident()?),
     };
-    choose_window_algorithm(
+    Ok(choose_window_algorithm(
         &stats,
         multi.sweep_class(),
         indexable && cached_runs.is_some(),
         config,
         &CostModel::default(),
         multi.state_model_bytes().max(4),
-    )
+    ))
 }
 
 /// What the store's window indexes did for a query: how far their
@@ -704,7 +769,8 @@ fn run_window(
             .and_then(|(a, i, _)| store.cached_runs(a.kind(), *i))
             .unwrap_or_else(|| store.len().max(1))
     });
-    let the_plan = plan_window(store, cached_runs, &multi, indexable, config);
+    let domain = query.valid_window.unwrap_or(Interval::TIMELINE);
+    let the_plan = plan_window(store, cached_runs, domain, &multi, indexable, config)?;
 
     let mut cache = CacheReport::default();
     if !query.explain {
@@ -720,7 +786,7 @@ fn run_window(
             }
             AlgorithmChoice::CachedSeries => {
                 for (agg, idx, _) in &bound_aggs {
-                    let series = store.snapshot_or_build(*agg, *idx);
+                    let series = cached_series(store, *agg, *idx)?;
                     values.push(window_scalar(agg, &series, window));
                 }
                 cache.served_from_cache = true;
@@ -746,6 +812,19 @@ fn run_window(
         plan: Some(the_plan),
         cache,
     })
+}
+
+/// The store's series for `agg` over `column` — built if absent, decoded
+/// if its persisted table's file holds it — pinned as a snapshot.
+fn cached_series(
+    store: &TemporalStore,
+    agg: DynAggregate,
+    column: Option<usize>,
+) -> Result<Arc<Series<Value>>> {
+    store.ensure_cache(agg, column)?;
+    store
+        .snapshot(agg.kind(), column)
+        .ok_or_else(|| TempAggError::internal("an ensured cache has no snapshot"))
 }
 
 /// Execute `SELECT TOP k BY agg(col) OVER [a, b] FROM r GROUP BY g`:
@@ -778,10 +857,11 @@ fn run_top_k(
     let the_plan = plan_window(
         store,
         cached_runs,
+        query.valid_window.unwrap_or(Interval::TIMELINE),
         &MultiDyn::new(vec![agg]),
         indexable,
         config,
-    );
+    )?;
 
     let mut cache = CacheReport::default();
     if query.explain {
@@ -930,6 +1010,7 @@ fn span_window<V>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempagg_core::TemporalRelation;
     use tempagg_plan::AlgorithmChoice;
     use tempagg_workload::employed::{employed_relation, table1_expected};
     use tempagg_workload::{generate, WorkloadConfig};

@@ -89,7 +89,9 @@ pub fn execute_parsed_statement(
             columns,
             persist,
         } => {
-            if catalog.get(name).is_ok() {
+            // A name check: `store`, not `get`, which would read a persisted
+            // table's rows into memory just to say they exist.
+            if catalog.store(name).is_ok() {
                 return Err(TempAggError::Sql {
                     line: 1,
                     column: 1,

@@ -380,11 +380,18 @@ impl CachedSeries {
     /// Have a restored body's series in hand before it is read — every door
     /// of the store calls this first. A persisted series is a cache: a block
     /// that fails its checksum or decode is dropped for a live cache rebuilt
-    /// over `column` of `tuples`, so it costs a rebuild, never an answer.
-    pub(crate) fn load(&mut self, column: Option<usize>, tuples: &[Tuple]) {
+    /// over `column` of the relation's tuples, so it costs a rebuild, never
+    /// an answer. `tuples` is asked for them only then; its error — the
+    /// relation's pages failing too — is the one this returns.
+    pub(crate) fn load<'a>(
+        &mut self,
+        column: Option<usize>,
+        tuples: impl FnOnce() -> Result<&'a [Tuple]>,
+    ) -> Result<()> {
         if matches!(&self.body, Body::Restored(_, stored) if stored.series().is_err()) {
-            self.promote(column, tuples);
+            self.promote(column, tuples()?);
         }
+        Ok(())
     }
 
     fn live_mut(&mut self) -> Result<&mut AggCache> {

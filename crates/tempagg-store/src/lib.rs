@@ -36,16 +36,22 @@
 //! pins them. A cursor holding a snapshot stays valid across any number
 //! of concurrent writes, and the cached series is byte-identical to a
 //! from-scratch sweep over the relation at the snapshot's epoch.
+//!
+//! A store opened from a paged file keeps its rows on the file's pages
+//! (`rows.rs`): scans read them page by page, and they are read into
+//! memory only when a statement needs them there.
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
 mod cache;
 mod grouped;
+mod rows;
 mod runs;
 mod store;
 
 pub use cache::sweep_values;
+pub use rows::{Row, RowBatch, RowScan, ScanPages};
 pub use store::{index_mode_for, CacheKey, StoreCacheStats, TemporalStore, WindowIndexStats};
 pub use tempagg_algo::{IndexMode, WindowAggregate};
 
@@ -134,8 +140,8 @@ mod tests {
     #[test]
     fn insert_patches_cached_series() {
         let mut store = TemporalStore::new(employed());
-        store.ensure_cache(count_star(), None);
-        store.ensure_cache(agg(AggKind::Sum), Some(1));
+        store.ensure_cache(count_star(), None).unwrap();
+        store.ensure_cache(agg(AggKind::Sum), Some(1)).unwrap();
         store
             .insert(
                 vec![Value::from("Suchen"), Value::Int(60_000)],
@@ -153,7 +159,7 @@ mod tests {
     #[test]
     fn delete_retracts_and_merges_boundaries() {
         let mut store = TemporalStore::new(employed());
-        store.ensure_cache(count_star(), None);
+        store.ensure_cache(count_star(), None).unwrap();
         let runs_before = store.cache_stats().runs;
         let deleted = store
             .delete_where(|t| t.value(0) == &Value::from("Karen"))
@@ -170,8 +176,8 @@ mod tests {
     #[test]
     fn update_patches_only_assigned_columns() {
         let mut store = TemporalStore::new(employed());
-        store.ensure_cache(count_star(), None);
-        store.ensure_cache(agg(AggKind::Max), Some(1));
+        store.ensure_cache(count_star(), None).unwrap();
+        store.ensure_cache(agg(AggKind::Max), Some(1)).unwrap();
         let updated = store
             .update_where(
                 |t| t.value(0) == &Value::from("Nathan"),
@@ -226,7 +232,7 @@ mod tests {
     fn update_rejects_an_assignment_past_the_schema() {
         let path = temp_path("badassign.tapg");
         let mut store = TemporalStore::new(employed());
-        store.ensure_cache(agg(AggKind::Sum), Some(1));
+        store.ensure_cache(agg(AggKind::Sum), Some(1)).unwrap();
         store.persist_to(&path).unwrap();
 
         let mut reopened = TemporalStore::open(&path).unwrap();
@@ -261,7 +267,7 @@ mod tests {
         let mut store = TemporalStore::new(relation);
         let avg = DynAggregate::new(AggKind::Avg, ValueType::Float).unwrap();
         assert!(!avg.sweep_class().retractable());
-        store.ensure_cache(avg, Some(0));
+        store.ensure_cache(avg, Some(0)).unwrap();
         store
             .insert(vec![Value::Float(7.5)], Interval::at(40, 80))
             .unwrap();
@@ -288,7 +294,7 @@ mod tests {
     #[test]
     fn snapshots_pin_versions_until_dropped() {
         let mut store = TemporalStore::new(employed());
-        store.ensure_cache(count_star(), None);
+        store.ensure_cache(count_star(), None).unwrap();
         let pinned = store.snapshot(AggKind::CountStar, None).unwrap();
         let before = (*pinned).clone();
         store
@@ -329,7 +335,7 @@ mod tests {
         let store = TemporalStore::new(employed());
         assert!(store.snapshot(AggKind::CountStar, None).is_none());
         assert!(!store.has_cache(AggKind::CountStar, None));
-        store.ensure_cache(count_star(), None);
+        store.ensure_cache(count_star(), None).unwrap();
         assert!(store.has_cache(AggKind::CountStar, None));
     }
 
@@ -373,7 +379,7 @@ mod tests {
         }
         let mut store = TemporalStore::new(relation);
         let avg = DynAggregate::new(AggKind::Avg, ValueType::Float).unwrap();
-        store.ensure_cache(avg, Some(0));
+        store.ensure_cache(avg, Some(0)).unwrap();
         // 1,400 runs in six chunks; each write below dirties ≈ 1,000 of
         // them, from the first chunk into the fifth.
         assert_eq!(store.cache_stats().runs, 1400);
@@ -415,9 +421,9 @@ mod tests {
     #[test]
     fn chunks_stay_sound_over_ten_thousand_seeded_writes() {
         let mut store = TemporalStore::with_schema(schema());
-        store.ensure_cache(count_star(), None);
-        store.ensure_cache(agg(AggKind::Sum), Some(1));
-        store.ensure_cache(agg(AggKind::Min), Some(1));
+        store.ensure_cache(count_star(), None).unwrap();
+        store.ensure_cache(agg(AggKind::Sum), Some(1)).unwrap();
+        store.ensure_cache(agg(AggKind::Min), Some(1)).unwrap();
         let mut rng = Rng(0x1995_0306);
         let mut live: Vec<Interval> = Vec::new();
         let mut peak = 0;
@@ -474,8 +480,8 @@ mod tests {
     #[test]
     fn update_in_place_leaves_boundaries_alone() {
         let mut store = TemporalStore::new(employed());
-        store.ensure_cache(agg(AggKind::Sum), Some(1));
-        store.ensure_cache(agg(AggKind::Min), Some(1));
+        store.ensure_cache(agg(AggKind::Sum), Some(1)).unwrap();
+        store.ensure_cache(agg(AggKind::Min), Some(1)).unwrap();
         let before = store.cache_stats();
         // Nathan's [7, 12] covers two runs ([7, 7] and [8, 12]) in each of
         // the two caches; nobody shares his endpoints.
@@ -498,7 +504,7 @@ mod tests {
     #[test]
     fn delete_evaluates_its_predicate_once_per_tuple() {
         let mut store = TemporalStore::new(employed());
-        store.ensure_cache(count_star(), None);
+        store.ensure_cache(count_star(), None).unwrap();
         let mut calls = 0;
         let deleted = store
             .delete_where(|t| {
@@ -523,8 +529,8 @@ mod tests {
     fn persist_roundtrip_restores_relation_and_caches() {
         let path = temp_path("roundtrip.tapg");
         let mut store = TemporalStore::new(employed());
-        store.ensure_cache(count_star(), None);
-        store.ensure_cache(agg(AggKind::Sum), Some(1));
+        store.ensure_cache(count_star(), None).unwrap();
+        store.ensure_cache(agg(AggKind::Sum), Some(1)).unwrap();
         let stats = store.persist_to(&path).unwrap();
         assert_eq!(stats.tuples, 4);
         assert!(!store.is_dirty());
@@ -551,8 +557,8 @@ mod tests {
     fn mutation_after_open_promotes_restored_caches() {
         let path = temp_path("promote.tapg");
         let mut store = TemporalStore::new(employed());
-        store.ensure_cache(count_star(), None);
-        store.ensure_cache(agg(AggKind::Sum), Some(1));
+        store.ensure_cache(count_star(), None).unwrap();
+        store.ensure_cache(agg(AggKind::Sum), Some(1)).unwrap();
         store.persist_to(&path).unwrap();
 
         let mut reopened = TemporalStore::open(&path).unwrap();
@@ -956,8 +962,8 @@ mod tests {
     fn statements_that_change_nothing_leave_restored_series_alone() {
         let path = temp_path("nopromote.tapg");
         let mut store = TemporalStore::new(employed());
-        store.ensure_cache(count_star(), None);
-        store.ensure_cache(agg(AggKind::Sum), Some(1));
+        store.ensure_cache(count_star(), None).unwrap();
+        store.ensure_cache(agg(AggKind::Sum), Some(1)).unwrap();
         store.persist_to(&path).unwrap();
 
         let mut reopened = TemporalStore::open(&path).unwrap();

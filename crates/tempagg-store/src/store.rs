@@ -3,7 +3,9 @@
 
 use crate::cache::CachedSeries;
 use crate::grouped::GroupedIndexes;
-use std::cell::{RefCell, RefMut};
+use crate::rows::{RowScan, Rows};
+use std::cell::{OnceCell, RefCell, RefMut};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -87,9 +89,17 @@ pub fn index_mode_for(agg: &DynAggregate) -> Option<IndexMode> {
 ///
 /// Caches are created on demand (interior mutability), so read paths can
 /// warm the store through a shared reference.
+///
+/// A store [opened](TemporalStore::open) from a paged file keeps its rows
+/// on the file's pages — [`scan`](TemporalStore::scan) reads them page by
+/// page — until something needs them in memory; that read goes through
+/// [`resident`](TemporalStore::resident), the one fallible door, so a page
+/// that fails its checksum is an error for the statement that needed it.
 #[derive(Clone, Debug)]
 pub struct TemporalStore {
-    relation: TemporalRelation,
+    /// The rows: resident, or the pages of the file the store was opened
+    /// from.
+    rows: Rows,
     epoch: Epoch,
     /// One entry per cached aggregate: its series — a live cache, or what
     /// the paged file holds for it, decoded at its first read and served
@@ -115,8 +125,13 @@ impl TemporalStore {
     /// Wrap an existing relation. The store becomes the relation's single
     /// writer; mutate only through the store from here on.
     pub fn new(relation: TemporalRelation) -> TemporalStore {
+        TemporalStore::over(Rows::Resident(relation))
+    }
+
+    /// A store over `rows` with no caches, no backing file, and dirty.
+    fn over(rows: Rows) -> TemporalStore {
         TemporalStore {
-            relation,
+            rows,
             epoch: Epoch::ZERO,
             series: RefCell::new(BTreeMap::new()),
             backing: None,
@@ -135,29 +150,36 @@ impl TemporalStore {
     /// Open a store from a paged relation file written by
     /// [`flush`](TemporalStore::flush).
     ///
-    /// The relation is materialised from the file's pages; of the aggregate
-    /// series it persists only the directory is read. Each is decoded when
+    /// Only the header, the schema and the directory are read: the rows stay
+    /// on the file's pages, where [`len`](TemporalStore::len) and
+    /// [`schema`](TemporalStore::schema) read them from the header and
+    /// [`scan`](TemporalStore::scan) reads them page by page, until
+    /// [`resident`](TemporalStore::resident) first needs them in memory (a
+    /// write, `SELECT *`, a join, a cache the file does not hold). Each
+    /// persisted aggregate series is decoded when
     /// [`snapshot`](TemporalStore::snapshot) /
-    /// [`snapshot_or_build`](TemporalStore::snapshot_or_build) or a probe
-    /// first asks for it and served read-only from then on; the first
-    /// mutation promotes them all, decoded or not, to live caches rebuilt
-    /// over the relation, and so does a block that turns out corrupt.
+    /// [`ensure_cache`](TemporalStore::ensure_cache) or a probe first asks
+    /// for it and served read-only from then on; the first mutation
+    /// promotes them all, decoded or not, to live caches rebuilt over the
+    /// relation, and so does a block that turns out corrupt.
     pub fn open(path: &Path) -> Result<TemporalStore> {
-        let reader = Arc::new(PagedReader::open(path)?);
-        let relation = reader.read_relation()?;
-        let page_size = reader.page_size();
+        let base = Arc::new(PagedReader::open(path)?);
+        let page_size = base.page_size();
         let mut restored = BTreeMap::new();
-        for (slot, record) in reader.series_directory().iter().enumerate() {
+        for (slot, record) in base.series_directory().iter().enumerate() {
             let key = key_for_persisted(record)?;
-            let agg = dyn_for(relation.schema(), key)?;
-            restored.insert(key, CachedSeries::restored(agg, reader.clone(), slot));
+            let agg = dyn_for(base.schema(), key)?;
+            restored.insert(key, CachedSeries::restored(agg, base.clone(), slot));
         }
         Ok(TemporalStore {
             series: RefCell::new(restored),
             backing: Some(path.to_path_buf()),
             page_size,
             dirty: false,
-            ..TemporalStore::new(relation)
+            ..TemporalStore::over(Rows::Paged {
+                base,
+                resident: OnceCell::new(),
+            })
         })
     }
 
@@ -187,7 +209,8 @@ impl TemporalStore {
     /// The write is a full rewrite of the file — the dirty flag decides
     /// *whether* to write, not which bytes (honest trade-off: the format
     /// packs pages greedily, so one mid-file mutation can shift every
-    /// later page anyway).
+    /// later page anyway). A store still on its file's pages is clean, so
+    /// only [`persist_to`](TemporalStore::persist_to) a new path reads them.
     pub fn flush(&mut self) -> Result<Option<PagedWriteStats>> {
         let Some(path) = self.backing.clone() else {
             return Err(TempAggError::storage(
@@ -197,12 +220,13 @@ impl TemporalStore {
         if !self.dirty {
             return Ok(None);
         }
+        let relation = self.rows.resident()?;
         // Window indexes are derived from these series in O(runs) and are
         // never written; the entries are read off the runs, so a flush
         // publishes no version.
         let mut caches = Vec::new();
         for (key, entry) in self.series.get_mut().iter_mut() {
-            entry.load(key.column, self.relation.tuples());
+            entry.load(key.column, || Ok(relation.tuples()))?;
             caches.push(PersistedSeries {
                 label: key.kind.name().to_string(),
                 column: key.column.and_then(|c| u32::try_from(c).ok()),
@@ -210,7 +234,7 @@ impl TemporalStore {
             });
         }
         let stats = pager::write_relation(
-            &self.relation,
+            relation,
             &path,
             &PagedWriteOptions {
                 page_size: self.page_size,
@@ -221,23 +245,53 @@ impl TemporalStore {
         Ok(Some(stats))
     }
 
-    /// Promote file-restored series to live caches before a mutation:
-    /// the live cache is rebuilt from the (pre-mutation) relation, so the
-    /// mutation's patch applies to real, retractable state.
-    fn promote_restored(&mut self) {
-        for (key, entry) in self.series.get_mut().iter_mut() {
-            entry.promote(key.column, self.relation.tuples());
-        }
+    /// The rows in memory. A store [opened](TemporalStore::open) from a
+    /// file reads its pages here, once, on the first call: the door every
+    /// read that needs resident rows goes through. A page that fails its
+    /// checksum is a [`TempAggError::Storage`], and the store is left as it
+    /// was.
+    pub fn resident(&self) -> Result<&TemporalRelation> {
+        self.rows.resident()
     }
 
-    /// Read access to the stored relation.
+    /// The rows in memory, as [`resident`](TemporalStore::resident) reads
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// If the store's rows are a file's pages and one fails to read. The
+    /// signature is kept for callers that hold stores built in memory; the
+    /// engine goes through `resident`, which returns the error.
     pub fn relation(&self) -> &TemporalRelation {
-        &self.relation
+        readable(self.rows.resident())
+    }
+
+    /// The file whose pages are exactly this store's rows — the file it
+    /// was [opened](TemporalStore::open) from, until its first write — or
+    /// `None`.
+    pub fn base(&self) -> Option<&PagedReader> {
+        self.rows.base()
+    }
+
+    /// The pages a [`scan`](TemporalStore::scan) reads: the
+    /// [base](TemporalStore::base)'s, while nothing has needed the rows in
+    /// memory — otherwise `None`, and a scan reads the resident rows.
+    pub fn pages(&self) -> Option<&PagedReader> {
+        self.rows.pages()
+    }
+
+    /// Read the rows in storage order for a scan over `window` that reads
+    /// `columns` of each: the resident tuples, or — while nothing has
+    /// needed them in memory — the [base](TemporalStore::base)'s pages,
+    /// fence-pruned to `window` and decoding only `columns`. Either way the
+    /// scan may hand out rows outside `window`; the caller clips.
+    pub fn scan(&self, window: Interval, columns: &[usize]) -> RowScan<'_> {
+        self.rows.scan(window, columns)
     }
 
     /// The stored relation's schema.
     pub fn schema(&self) -> &Arc<Schema> {
-        self.relation.schema()
+        self.rows.schema()
     }
 
     /// The current write epoch (bumped once per committed mutation).
@@ -246,16 +300,17 @@ impl TemporalStore {
     }
 
     pub fn len(&self) -> usize {
-        self.relation.len()
+        self.rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.relation.is_empty()
+        self.len() == 0
     }
 
-    /// Consume the store, returning the relation.
-    pub fn into_relation(self) -> TemporalRelation {
-        self.relation
+    /// Consume the store, returning the relation — read from the pages if
+    /// the store is still on them.
+    pub fn into_relation(self) -> Result<TemporalRelation> {
+        self.rows.into_resident()
     }
 
     /// Insert one tuple, patching every cache.
@@ -264,18 +319,20 @@ impl TemporalStore {
     }
 
     /// Insert an already-built tuple, patching every cache. A tuple that
-    /// fails the schema check changes nothing — restored series stay
-    /// restored and the store stays clean.
+    /// fails the schema check — or rows that fail to read from the pages —
+    /// changes nothing: restored series stay restored and the store stays
+    /// clean.
     pub fn insert_tuple(&mut self, tuple: Tuple) -> Result<()> {
-        self.relation.schema().check(tuple.values())?;
-        self.promote_restored();
-        self.relation.push_tuple(tuple.clone())?;
+        self.schema().check(tuple.values())?;
+        let relation = self.rows.resident_mut()?;
+        promote_restored(self.series.get_mut(), relation.tuples());
+        relation.push_tuple(tuple.clone())?;
         self.dirty = true;
         for entry in self.series.get_mut().values_mut() {
-            entry.insert(&tuple, &self.relation)?;
+            entry.insert(&tuple, relation)?;
         }
         for grouped in self.grouped.get_mut().values_mut() {
-            grouped.insert(&tuple, &self.relation)?;
+            grouped.insert(&tuple, relation)?;
         }
         self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]
@@ -288,21 +345,22 @@ impl TemporalStore {
     /// once; a statement that matches nothing changes nothing — restored
     /// series stay restored and the store stays clean.
     pub fn delete_where(&mut self, pred: impl FnMut(&Tuple) -> bool) -> Result<usize> {
-        let flags: Vec<bool> = self.relation.iter().map(pred).collect();
+        let flags: Vec<bool> = self.rows.resident()?.iter().map(pred).collect();
         if !flags.contains(&true) {
             return Ok(0);
         }
-        self.promote_restored();
+        let relation = self.rows.resident_mut()?;
+        promote_restored(self.series.get_mut(), relation.tuples());
         self.dirty = true;
-        let removed = self.relation.remove_flagged(&flags);
+        let removed = relation.remove_flagged(&flags);
         for entry in self.series.get_mut().values_mut() {
             for tuple in &removed {
-                entry.delete(tuple, &self.relation)?;
+                entry.delete(tuple, relation)?;
             }
         }
         for grouped in self.grouped.get_mut().values_mut() {
             for tuple in &removed {
-                grouped.remove(tuple, &self.relation)?;
+                grouped.remove(tuple, relation)?;
             }
         }
         self.epoch = self.epoch.next();
@@ -324,7 +382,8 @@ impl TemporalStore {
         mut pred: impl FnMut(&Tuple) -> bool,
         assignments: &[(usize, Value)],
     ) -> Result<usize> {
-        let width = self.relation.schema().len();
+        let schema = self.schema().clone();
+        let width = schema.len();
         if let Some((column, _)) = assignments.iter().find(|(column, _)| *column >= width) {
             return Err(TempAggError::SchemaMismatch {
                 detail: format!(
@@ -333,7 +392,7 @@ impl TemporalStore {
             });
         }
         let mut replacements: Vec<(usize, Tuple, Tuple)> = Vec::new();
-        for (index, old) in self.relation.iter().enumerate() {
+        for (index, old) in self.rows.resident()?.iter().enumerate() {
             if !pred(old) {
                 continue;
             }
@@ -343,29 +402,30 @@ impl TemporalStore {
                     *slot = value.clone();
                 }
             }
-            self.relation.schema().check(&values)?;
+            schema.check(&values)?;
             let replacement = Tuple::new(values, old.valid());
             replacements.push((index, old.clone(), replacement));
         }
         if replacements.is_empty() {
             return Ok(0);
         }
-        self.promote_restored();
+        let relation = self.rows.resident_mut()?;
+        promote_restored(self.series.get_mut(), relation.tuples());
         self.dirty = true;
         for (index, _, replacement) in &replacements {
-            let _previous = self.relation.replace(*index, replacement.clone())?;
+            let _previous = relation.replace(*index, replacement.clone())?;
         }
         for (key, entry) in self.series.get_mut().iter_mut() {
             if !assignments.iter().any(|(c, _)| Some(*c) == key.column) {
                 continue;
             }
             for (_, old, new) in &replacements {
-                entry.update(old, new, &self.relation)?;
+                entry.update(old, new, relation)?;
             }
         }
         for grouped in self.grouped.get_mut().values_mut() {
             for (_, old, new) in &replacements {
-                grouped.update(old, new, &self.relation)?;
+                grouped.update(old, new, relation)?;
             }
         }
         self.epoch = self.epoch.next();
@@ -389,7 +449,7 @@ impl TemporalStore {
     #[cfg(feature = "validate")]
     fn validate_groups<'a>(&self, touched: impl Iterator<Item = &'a Tuple> + Clone) {
         for grouped in self.grouped.borrow().values() {
-            grouped.validate(&self.relation, touched.clone());
+            grouped.validate(self.relation(), touched.clone());
         }
     }
 
@@ -417,7 +477,7 @@ impl TemporalStore {
     /// Resolve `(kind, column)` to its aggregate and index mode,
     /// rejecting non-indexable aggregates.
     fn indexable(&self, kind: AggKind, column: Option<usize>) -> Result<(DynAggregate, IndexMode)> {
-        let agg = dyn_for(self.relation.schema(), CacheKey { kind, column })?;
+        let agg = dyn_for(self.schema(), CacheKey { kind, column })?;
         let mode = index_mode_for(&agg).ok_or_else(|| TempAggError::TypeError {
             detail: format!(
                 "{} is not window-indexable: its combine is inexact under \
@@ -429,21 +489,27 @@ impl TemporalStore {
         Ok((agg, mode))
     }
 
-    /// The entry for `agg` over `column`, built over the relation if there
-    /// is none. A series a paged file holds counts as present, and is
+    /// The entry for `agg` over `column`, built over the resident rows if
+    /// there is none. A series a paged file holds counts as present, and is
     /// decoded here if nobody has read it yet.
-    fn entry(&self, agg: DynAggregate, column: Option<usize>) -> RefMut<'_, CachedSeries> {
+    fn entry(&self, agg: DynAggregate, column: Option<usize>) -> Result<RefMut<'_, CachedSeries>> {
         let key = CacheKey {
             kind: agg.kind(),
             column,
         };
-        RefMut::map(self.series.borrow_mut(), |all| {
-            let entry = all
-                .entry(key)
-                .or_insert_with(|| CachedSeries::build(agg, column, self.relation.tuples()));
-            entry.load(column, self.relation.tuples());
-            entry
-        })
+        let mut all = self.series.borrow_mut();
+        let entry = match all.entry(key) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(slot) => slot.insert(CachedSeries::build(agg, column, self.tuples()?)),
+        };
+        entry.load(column, || self.tuples())?;
+        RefMut::filter_map(all, |all| all.get_mut(&key))
+            .map_err(|_| TempAggError::internal("a cache entry vanished under its borrow"))
+    }
+
+    /// The resident rows' tuples, through the one door.
+    fn tuples(&self) -> Result<&[Tuple]> {
+        self.rows.resident().map(TemporalRelation::tuples)
     }
 
     /// Count one read served by indexes that were already warm (`hit`) or
@@ -466,7 +532,7 @@ impl TemporalStore {
         read: impl FnOnce(&mut CachedSeries, IndexMode) -> T,
     ) -> Result<T> {
         let (agg, mode) = self.indexable(kind, column)?;
-        let mut entry = self.entry(agg, column);
+        let mut entry = self.entry(agg, column)?;
         self.count_probes(entry.has_index(), 1);
         Ok(read(&mut entry, mode))
     }
@@ -526,29 +592,36 @@ impl TemporalStore {
         k: usize,
     ) -> Result<(Vec<(Value, WindowAggregate)>, u64)> {
         let (agg, mode) = self.indexable(kind, column)?;
-        if group_column >= self.relation.schema().len() {
+        if group_column >= self.schema().len() {
             return Err(TempAggError::storage(format!(
                 "ranking group column {group_column} is out of range for a \
                  schema with {} columns",
-                self.relation.schema().len()
+                self.schema().len()
             )));
         }
         let gkey = (CacheKey { kind, column }, group_column);
         let mut grouped = self.grouped.borrow_mut();
         let hit = grouped.contains_key(&gkey);
-        let entry = grouped
-            .entry(gkey)
-            .or_insert_with(|| GroupedIndexes::build(agg, column, group_column, &self.relation));
+        let entry = match grouped.entry(gkey) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(slot) => {
+                let relation = self.rows.resident()?;
+                slot.insert(GroupedIndexes::build(agg, column, group_column, relation))
+            }
+        };
         let (ranked, probes) = entry.top_k(mode, window, k);
         self.count_probes(hit, probes);
         Ok((ranked, probes))
     }
 
-    /// Build (if absent) the cache for `agg` over `column`. A series
-    /// restored from a paged file counts as present — it is served
-    /// read-only until the first mutation promotes it.
-    pub fn ensure_cache(&self, agg: DynAggregate, column: Option<usize>) {
-        drop(self.entry(agg, column));
+    /// Build (if absent) the cache for `agg` over `column`, and have it in
+    /// hand. A series restored from a paged file counts as present — it is
+    /// decoded here and served read-only until the first mutation promotes
+    /// it. Building one, or replacing a block that fails its checksum, reads
+    /// the rows through [`resident`](TemporalStore::resident), whose error
+    /// this returns.
+    pub fn ensure_cache(&self, agg: DynAggregate, column: Option<usize>) -> Result<()> {
+        self.entry(agg, column).map(drop)
     }
 
     /// Whether a cache (live or restored from a paged file) exists for
@@ -579,24 +652,32 @@ impl TemporalStore {
     /// are served as-is (they were snapshotted at flush time and the
     /// relation has not changed since — any mutation promotes them to
     /// live caches first).
+    ///
+    /// # Panics
+    ///
+    /// Like [`relation`](TemporalStore::relation), if a restored block
+    /// fails its checksum and the rows to rebuild it from fail to read; the
+    /// engine calls [`ensure_cache`](TemporalStore::ensure_cache) first,
+    /// which returns that error and leaves nothing here to fail.
     pub fn snapshot(&self, kind: AggKind, column: Option<usize>) -> Option<Arc<Series<Value>>> {
-        self.series
-            .borrow_mut()
-            .get_mut(&CacheKey { kind, column })
-            .map(|entry| {
-                entry.load(column, self.relation.tuples());
-                entry.snapshot(self.epoch)
-            })
+        let mut all = self.series.borrow_mut();
+        let entry = all.get_mut(&CacheKey { kind, column })?;
+        readable(entry.load(column, || self.tuples()));
+        Some(entry.snapshot(self.epoch))
     }
 
     /// [`ensure_cache`](TemporalStore::ensure_cache) then
     /// [`snapshot`](TemporalStore::snapshot), in one borrow.
+    ///
+    /// # Panics
+    ///
+    /// Where `ensure_cache` would return an error.
     pub fn snapshot_or_build(
         &self,
         agg: DynAggregate,
         column: Option<usize>,
     ) -> Arc<Series<Value>> {
-        self.entry(agg, column).snapshot(self.epoch)
+        readable(self.entry(agg, column)).snapshot(self.epoch)
     }
 
     /// Aggregated maintenance counters across all live caches.
@@ -606,6 +687,28 @@ impl TemporalStore {
             entry.tally(&mut stats);
         }
         stats
+    }
+}
+
+/// Promote file-restored series to live caches before a mutation: the live
+/// cache is rebuilt from the (pre-mutation) `tuples`, so the mutation's
+/// patch applies to real, retractable state.
+fn promote_restored(series: &mut BTreeMap<CacheKey, CachedSeries>, tuples: &[Tuple]) {
+    for (key, entry) in series.iter_mut() {
+        entry.promote(key.column, tuples);
+    }
+}
+
+/// The answer to a read made by one of the accessors that keep an
+/// infallible signature — [`TemporalStore::relation`],
+/// [`TemporalStore::snapshot`], [`TemporalStore::snapshot_or_build`]. Only
+/// a store whose rows are a file's pages can fail one, and only by a page
+/// that does not verify; those accessors have no error to return it in.
+fn readable<T>(read: Result<T>) -> T {
+    match read {
+        Ok(value) => value,
+        // lint: allow(no-unwrap): the documented `# Panics` of the accessors above; the engine reads through `resident` / `ensure_cache`, which return the error
+        Err(e) => panic!("the store's rows could not be read: {e}"),
     }
 }
 

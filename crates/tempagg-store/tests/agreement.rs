@@ -88,7 +88,7 @@ fn assert_caches_match_recompute(store: &TemporalStore, context: &str) {
 fn random_ops_keep_caches_byte_identical_to_sweep() {
     let mut store = TemporalStore::with_schema(schema());
     for (kind, column) in KINDS {
-        store.ensure_cache(dyn_agg(kind), column);
+        store.ensure_cache(dyn_agg(kind), column).unwrap();
     }
     let mut rng = Rng(0x5EED_1995_D5EA_D007);
     let mut serial = 0i64;
@@ -150,7 +150,7 @@ fn interleaved_ops_on_paper_relation_agree() {
     // mutations deterministically.
     let mut store = TemporalStore::with_schema(schema());
     for (kind, column) in KINDS {
-        store.ensure_cache(dyn_agg(kind), column);
+        store.ensure_cache(dyn_agg(kind), column).unwrap();
     }
     for (name, salary, iv) in [
         ("Richard", 40_000, Interval::from_start(18)),

@@ -92,7 +92,9 @@ fn warm(store: &TemporalStore) {
         store
             .top_k_by_window(kind, column, GROUP, Interval::at(0, 500), 3)
             .unwrap();
-        store.ensure_cache(DynAggregate::new(kind, ValueType::Int).unwrap(), column);
+        store
+            .ensure_cache(DynAggregate::new(kind, ValueType::Int).unwrap(), column)
+            .unwrap();
         probe(store, kind, column, Interval::at(0, 500));
         assert!(store.has_window_index(kind, column));
     }

@@ -31,7 +31,7 @@ fn recompute_count(relation: &TemporalRelation) -> Series<Value> {
 #[test]
 fn pinned_snapshots_survive_concurrent_writes() {
     let mut store = TemporalStore::with_schema(schema());
-    store.ensure_cache(count_star(), None);
+    store.ensure_cache(count_star(), None).unwrap();
     for i in 0..64i64 {
         store
             .insert(

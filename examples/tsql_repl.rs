@@ -60,8 +60,10 @@ fn main() {
             "\\q" | "quit" | "exit" => break,
             "\\d" => {
                 for name in catalog.names() {
-                    let r = catalog.get(name).expect("listed name exists");
-                    println!("  {name}: {} tuples, schema {}", r.len(), r.schema());
+                    // `store`, not `get`: a persisted table answers both
+                    // from its file's header, without reading a page.
+                    let s = catalog.store(name).expect("listed name exists");
+                    println!("  {name}: {} tuples, schema {}", s.len(), s.schema());
                 }
                 continue;
             }

@@ -122,7 +122,7 @@ fn warm_store(
 ) -> tempagg_core::Result<TemporalStore> {
     let store = TemporalStore::new(relation.clone());
     for (kind, column) in CACHES.into_iter().take(warm.caches) {
-        store.ensure_cache(DynAggregate::new(kind, ValueType::Int)?, column);
+        store.ensure_cache(DynAggregate::new(kind, ValueType::Int)?, column)?;
     }
     let window = Interval::at(0, lifespan / 100);
     if warm.indexes {

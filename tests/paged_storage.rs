@@ -259,6 +259,8 @@ fn corrupt_files_error_instead_of_panicking() {
     let _mutant_cleanup = Cleanup(mutant_path.clone());
 
     // Exercise the full read surface; any Err is acceptable, panics are not.
+    // A store that opens runs one scan — off the pages, then reading the
+    // rows into memory to warm the caches it computed — and one `INSERT`.
     let exercise = |path: &std::path::Path| {
         let reader = match PagedReader::open(path) {
             Ok(reader) => reader,
@@ -268,7 +270,12 @@ fn corrupt_files_error_instead_of_panicking() {
             let _ = reader.read_page(index, None);
         }
         let _ = reader.read_relation();
-        let _ = TemporalStore::open(path);
+        if let Ok(store) = TemporalStore::open(path) {
+            let mut catalog = Catalog::new();
+            catalog.register_store("t", store);
+            let _ = execute_str(&catalog, SERIES_SQL);
+            let _ = execute_statement(&mut catalog, LATE_INSERT);
+        }
     };
 
     // Truncations: empty, mid-header, header-only, mid-page, one byte short.
@@ -299,6 +306,7 @@ fn corrupt_files_error_instead_of_panicking() {
 }
 
 const SERIES_SQL: &str = "SELECT COUNT(*), SUM(salary) FROM t";
+const LATE_INSERT: &str = "INSERT INTO t VALUES ('late', 5000) VALID [250000, 350000]";
 
 /// The `COUNT(*)` and `SUM(salary)` series of `relation`, as a flush hands
 /// them to the writer.
@@ -322,6 +330,13 @@ fn series_rows(store: TemporalStore) -> Vec<ResultRow> {
     let mut catalog = Catalog::new();
     catalog.register_store("t", store);
     execute_str(&catalog, SERIES_SQL).unwrap().rows.to_vec()
+}
+
+/// `relation` as table `t`, in memory.
+fn live_catalog(relation: &TemporalRelation) -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog.register("t", relation.clone());
+    catalog
 }
 
 fn is_storage<T: std::fmt::Debug>(result: &Result<T, TempAggError>) -> bool {
@@ -408,6 +423,10 @@ fn corruption_is_caught_where_it_lands_and_a_bad_series_costs_a_rebuild() {
     }
 
     // A page: `open` succeeds, that page's read fails, every other reads.
+    // A store opens too — its rows stay on the pages — and a served
+    // `COUNT(*)` still answers off its intact block; the first statement
+    // that needs the rows fails with the page's error and changes nothing.
+    let want_count = execute_str(&live_catalog(&relation), "SELECT COUNT(*) FROM t").unwrap();
     for (i, offset) in (data..footer).step_by(409).enumerate() {
         flipped(offset, (i % 8) as u8);
         let reader = PagedReader::open(&mutant_path).unwrap();
@@ -422,7 +441,22 @@ fn corruption_is_caught_where_it_lands_and_a_bad_series_costs_a_rebuild() {
         }
         assert!(is_storage(&reader.read_page(hit, None)));
         assert!(is_storage(&reader.read_relation()));
-        assert!(is_storage(&TemporalStore::open(&mutant_path)));
+
+        let mut catalog = Catalog::new();
+        catalog.register_store("t", TemporalStore::open(&mutant_path).unwrap());
+        let counted = execute_str(&catalog, "SELECT COUNT(*) FROM t").unwrap();
+        assert!(counted.cache.served_from_cache, "flip at {offset}");
+        assert_eq!(counted.rows, want_count.rows, "flip at {offset}");
+        for sql in [
+            "SELECT COUNT(*) FROM t WHERE salary > 0",
+            "SELECT * FROM t",
+            LATE_INSERT,
+        ] {
+            let failed = execute_statement(&mut catalog, sql);
+            assert!(is_storage(&failed), "flip at {offset}: {sql}: {failed:?}");
+        }
+        let store = catalog.store("t").unwrap();
+        assert!(!store.is_dirty() && store.base().is_some() && store.epoch().get() == 0);
     }
 
     // A series block: `open` succeeds — it never read the block — that
@@ -651,7 +685,7 @@ fn lazy_restore_is_invisible_to_sql() {
     for kind in [AggKind::CountStar, AggKind::Sum, AggKind::Min] {
         let column = (kind != AggKind::CountStar).then_some(1);
         let agg = DynAggregate::new(kind, ValueType::Int).unwrap();
-        original.ensure_cache(agg, column);
+        original.ensure_cache(agg, column).unwrap();
     }
     original.persist_to(&path).unwrap();
 
@@ -731,6 +765,65 @@ fn lazy_restore_is_invisible_to_sql() {
         after.rows, held.rows,
         "the write shows to a later statement"
     );
+}
+
+/// A reopened table reads what a statement needs and no more, as its
+/// file's `PagedReader::metrics` count it: the reopen and a served
+/// `COUNT(*)` read one series block and no page, and re-declaring the table
+/// is refused without reading one; `EXPLAIN` of a `VALID`-window scan names
+/// the pages fence pruning leaves, and the scan reads exactly those — again
+/// on a second run, since a scan makes nothing resident.
+#[test]
+fn a_reopened_table_reads_only_the_pages_a_statement_needs() {
+    let path = temp_path("reads.tapg");
+    let _cleanup = Cleanup(path.clone());
+    let relation = generate(&WorkloadConfig::sorted(3_000).with_seed(31));
+    let mut live = live_catalog(&relation);
+    execute_str(&live, SERIES_SQL).unwrap();
+    live.store_mut("t").unwrap().persist_to(&path).unwrap();
+    let create = format!(
+        "CREATE TABLE t (name STRING, salary INT) PERSIST TO '{}'",
+        path.display()
+    );
+
+    let mut catalog = Catalog::new();
+    execute_statement(&mut catalog, &create).unwrap();
+    let reads = |catalog: &Catalog| catalog.store("t").unwrap().base().unwrap().metrics();
+    let counted = execute_str(&catalog, "SELECT COUNT(*) FROM t").unwrap();
+    assert!(counted.cache.served_from_cache);
+    let after_count = reads(&catalog);
+    assert_eq!(
+        (after_count.pages_read, after_count.series_blocks_read),
+        (0, 1)
+    );
+    let again = execute_statement(&mut catalog, &create).unwrap_err();
+    assert!(again.to_string().contains("already exists"), "{again}");
+    assert_eq!(reads(&catalog), after_count);
+
+    let lifespan = relation.lifespan().unwrap();
+    let start = lifespan.start().get() + lifespan.duration() / 3;
+    let window = Interval::new(start, start + lifespan.duration() / 10).unwrap();
+    let sql = format!(
+        "SELECT SUM(salary) FROM t WHERE VALID OVERLAPS [{}, {}]",
+        window.start(),
+        window.end()
+    );
+    let base = catalog.store("t").unwrap().base().unwrap();
+    let (in_window, total) = (base.pages_overlapping(&window).len(), base.page_count());
+    assert!(0 < in_window && in_window < total, "{in_window} of {total}");
+    let explained = execute_str(&catalog, &format!("EXPLAIN {sql}")).unwrap();
+    let pruned = format!("reads {in_window} of {total} pages (fence-pruned)");
+    assert!(explained.to_string().contains(&pruned), "{explained}");
+    let resident = execute_str(&live, &format!("EXPLAIN {sql}")).unwrap();
+    assert!(!resident.to_string().contains("pages"), "{resident}");
+    for run in 0..2 {
+        let before = reads(&catalog).pages_read;
+        let scanned = execute_str(&catalog, &sql).unwrap();
+        let read = reads(&catalog).pages_read - before;
+        assert_eq!(read, in_window as u64, "run {run}");
+        assert_eq!(scanned.plan, explained.plan, "run {run}");
+        assert_eq!(scanned.rows, execute_str(&live, &sql).unwrap().rows);
+    }
 }
 
 /// The README's "Persistence" walkthrough, statement for statement — if

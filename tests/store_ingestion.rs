@@ -49,7 +49,7 @@ fn readme_ingestion_example_works() {
 fn pinned_snapshot_survives_concurrent_dml() {
     let mut store = TemporalStore::new(employed_relation());
     let count = DynAggregate::new(AggKind::CountStar, ValueType::Int).unwrap();
-    store.ensure_cache(count, None);
+    store.ensure_cache(count, None).unwrap();
 
     let pinned = store.snapshot(AggKind::CountStar, None).unwrap();
     let before: Vec<_> = pinned.entries().to_vec();
