@@ -31,7 +31,6 @@
 use crate::memory::MemoryStats;
 use crate::traits::TemporalAggregator;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 use tempagg_agg::Aggregate;
 use tempagg_core::{
     Chunk, Interval, Result, Series, SeriesSink, StitchSink, TempAggError, Timestamp,
@@ -104,8 +103,6 @@ pub struct PartitionReport {
     /// Clipped tuples routed into the partition (a tuple spanning `k`
     /// partitions counts `k` times).
     pub tuples: usize,
-    /// Wall-clock time this partition's worker spent inserting.
-    pub busy: Duration,
     /// The inner aggregator's state memory.
     pub memory: MemoryStats,
 }
@@ -114,7 +111,6 @@ struct Partition<G> {
     sub: Interval,
     inner: G,
     tuples: usize,
-    busy: Duration,
 }
 
 /// Domain-partitioned execution of any inner [`TemporalAggregator`].
@@ -230,7 +226,6 @@ where
                 sub,
                 inner: factory(sub),
                 tuples: 0,
-                busy: Duration::ZERO,
             });
             start = *seam;
         }
@@ -239,7 +234,6 @@ where
             sub,
             inner: factory(sub),
             tuples: 0,
-            busy: Duration::ZERO,
         });
         Ok(PartitionedAggregator {
             domain,
@@ -281,14 +275,13 @@ where
         self.tuples == 0
     }
 
-    /// Per-partition routing counts, worker busy time, and memory.
+    /// Per-partition routing counts and memory.
     pub fn partition_reports(&self) -> Vec<PartitionReport> {
         self.parts
             .iter()
             .map(|p| PartitionReport {
                 domain: p.sub,
                 tuples: p.tuples,
-                busy: p.busy,
                 memory: p.inner.memory(),
             })
             .collect()
@@ -377,14 +370,12 @@ where
         let threads = self.threads;
         let workers: Vec<&mut Partition<G>> = self.parts.iter_mut().collect();
         let results = scoped_map(workers, threads, |part| -> Result<()> {
-            let t0 = Instant::now();
             for (interval, value) in chunk {
                 if let Some(clipped) = interval.intersect(&part.sub) {
                     part.inner.push(clipped, value.clone())?;
                     part.tuples += 1;
                 }
             }
-            part.busy += t0.elapsed();
             Ok(())
         });
         for r in results {

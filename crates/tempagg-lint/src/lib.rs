@@ -5,7 +5,7 @@
 //! 1. [`lexer`] — a hand-rolled lexer producing identifiers, punctuation,
 //!    literals, lifetimes, and comments with line numbers.
 //! 2. [`rules`] — the v1 *token* rules (`no-unwrap`, `no-raw-i64-arith`,
-//!    `no-as-cast`, `no-stable-sort`, `no-raw-thread`,
+//!    `no-as-cast`, `no-stable-sort`, `no-raw-thread`, `no-adhoc-timing`,
 //!    `no-materialize-in-exec`, `store-mutation`, `no-io-outside-pager`,
 //!    `forbid-unsafe`) evaluated directly over the token stream.
 //! 3. [`parser`] + [`analysis`] — the v2 *tree* rules: a dependency-free

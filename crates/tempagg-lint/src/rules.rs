@@ -21,6 +21,12 @@
 //!   `PartitionedAggregator` so worker panics, ordering, and thread caps
 //!   are handled in a single audited place, and reads the thread count
 //!   (a syscall-priced query) from its `machine_threads()`, asked once.
+//! * `no-adhoc-timing` — no `Instant::now` in the non-test code of the
+//!   engine crates (core, agg, algo, plan, sql, store, workload): a
+//!   stopwatch inside the engine is a second clock beside the one the
+//!   benchmark and the examples keep, and one per worker per chunk is a
+//!   cost on the hot path. `tempagg-bench`, `examples/` and `bench/` time
+//!   what they drive.
 //! * `no-stable-sort` — no `.sort()` / `.sort_by(` / `.sort_by_key(` in
 //!   `tempagg-algo` / `tempagg-core` hot paths: a stable sort allocates a
 //!   merge buffer of half the slice; use `sort_unstable*` unless tie
@@ -105,6 +111,17 @@ const STORE_CRATE: &str = "tempagg-sql";
 /// `str` methods all over the crate.
 const STORE_BYPASS_MUTATORS: &[&str] = &["push_tuple", "sort_by_time", "permute"];
 
+/// The engine crates, which read no clock (covered by `no-adhoc-timing`).
+const NO_TIMING_CRATES: &[&str] = &[
+    "tempagg-core",
+    "tempagg-agg",
+    "tempagg-algo",
+    "tempagg-plan",
+    "tempagg-sql",
+    "tempagg-store",
+    "tempagg-workload",
+];
+
 /// Crates whose disk access must flow through the pager (covered by
 /// `no-io-outside-pager`). The workload/bench/lint harness crates and the
 /// root facade stay free to do their own file plumbing — they drive the
@@ -140,6 +157,9 @@ pub fn check_file(ctx: FileContext<'_>, tokens: &[Token<'_>]) -> Vec<Violation> 
     }
     if !ctx.is_thread_hub {
         no_raw_thread(&code, &in_test, &allows, &mut out);
+    }
+    if NO_TIMING_CRATES.contains(&ctx.crate_name) {
+        no_adhoc_timing(&code, &in_test, &allows, &mut out);
     }
     if ctx.is_exec_path {
         no_materialize_in_exec(&code, &in_test, &allows, &mut out);
@@ -570,6 +590,37 @@ fn no_raw_thread(
     }
 }
 
+fn no_adhoc_timing(
+    code: &[&Token<'_>],
+    in_test: &[bool],
+    allows: &AllowComments,
+    out: &mut Vec<Violation>,
+) {
+    for i in 0..code.len() {
+        if in_test[i] {
+            continue;
+        }
+        // `Instant :: now` (`::` lexes as two `:` puncts). A variant named
+        // `Instant` (`TemporalGrouping::Instant`, `TimeUnit::Instant`) is
+        // not followed by `:: now`.
+        let is_stopwatch = code[i].is_ident("Instant")
+            && matches!(code.get(i + 1), Some(t) if t.is_punct(':'))
+            && matches!(code.get(i + 2), Some(t) if t.is_punct(':'))
+            && matches!(code.get(i + 3), Some(t) if t.is_ident("now"));
+        if is_stopwatch {
+            report(
+                allows,
+                out,
+                "no-adhoc-timing",
+                code[i].line,
+                "Instant::now in an engine crate — the engine reads no clock; \
+                 time the call from the caller (tempagg-bench, examples/, bench/)"
+                    .to_string(),
+            );
+        }
+    }
+}
+
 /// `std` modules that reach the filesystem / raw byte streams.
 const IO_MODULES: &[&str] = &["fs", "io"];
 
@@ -812,6 +863,26 @@ mod tests {
     fn raw_thread_allow_comment_suppresses() {
         let src = "fn f() {\n    // lint: allow(no-raw-thread): one-shot timer, no result plumbing needed\n    std::thread::spawn(f);\n}";
         assert!(check("tempagg-sql", false, src).is_empty());
+    }
+
+    #[test]
+    fn stopwatch_flagged_in_an_engine_crate() {
+        let src = "fn f() { let started = std::time::Instant::now(); }";
+        let vs = check("tempagg-plan", false, src);
+        assert_eq!(rules(&vs), vec!["no-adhoc-timing"]);
+        assert!(vs[0].message.contains("Instant::now"));
+        // The drivers time what they run.
+        assert!(check("tempagg-bench", false, src).is_empty());
+    }
+
+    #[test]
+    fn instant_variants_and_tests_are_not_stopwatches() {
+        let src = "fn f(g: TemporalGrouping) -> bool { matches!(g, TemporalGrouping::Instant) }";
+        assert!(check("tempagg-sql", false, src).is_empty());
+        let src = "fn f() -> TimeUnit { TimeUnit::Instant }";
+        assert!(check("tempagg-core", false, src).is_empty());
+        let src = "#[cfg(test)]\nmod tests { fn t() { let t0 = Instant::now(); } }";
+        assert!(check("tempagg-plan", false, src).is_empty());
     }
 
     #[test]

@@ -1,89 +1,46 @@
 //! Plan execution: drive the chosen algorithm over pre-extracted chunks.
 //!
-//! The executor consumes `(interval, input)` rows already projected into
-//! [`Chunk`]s ([`execute_chunks`], [`execute_chunks_streaming`]) and feeds
-//! them through [`TemporalAggregator::push_batch`], so every algorithm gets
-//! its batch fast path (the linked list's binary-search insert, the tree's
-//! arena reservation, the sweep's column append). [`execute`] and
-//! [`execute_streaming`] are the relation-fed wrappers: they extract the
-//! relation into chunks of [`DEFAULT_CHUNK_CAPACITY`] and call the
-//! chunk-fed entry points. A plan's `parallelism > 1` is spent where the
-//! chosen algorithm works, which is what `cost.rs::parallelise` prices.
-//! The list and the trees work at *push* time: the domain is cut at seams
-//! drawn from the hull of the rows' *start* times (finite even when the
-//! domain or tuple ends are unbounded) and each sub-domain runs its own
-//! inner aggregator on a scoped worker via [`PartitionedAggregator`]. The
-//! sweep works at *finish* time (its push is a column append), so it stays
-//! one [`SweepAggregator`] whose bucketed endpoint sort runs on the plan's
-//! workers. Either way the result is byte-identical to the serial run.
-//! Materialized and streaming execution share one drive loop that differs
-//! only in the [`SeriesSink`] it drains into.
+//! [`execute_chunks_into`] is the one drive. It consumes `(interval, input)`
+//! rows already projected into [`Chunk`]s and feeds them through
+//! [`TemporalAggregator::push_batch`], so every algorithm gets its batch
+//! fast path (the linked list's binary-search insert, the tree's arena
+//! reservation, the sweep's column append), and pushes the result into the
+//! caller's [`SeriesSink`]: a [`Series`] collects it, a
+//! [`ChunkedSink`](tempagg_core::ChunkedSink) streams it in bounded chunks,
+//! SQL's row buffer turns it into rows. [`execute`] (a relation extracted
+//! into chunks of [`DEFAULT_CHUNK_CAPACITY`], collected) and
+//! [`evaluate_auto`] (§6.3's measure-plan-execute) are one-line wrappers.
+//! A plan's `parallelism > 1` is spent where the chosen algorithm works,
+//! which is what `cost.rs::parallelise` prices. The list and the trees work
+//! at *push* time: the domain is cut at seams drawn from the hull of the
+//! rows' *start* times (finite even when the domain or tuple ends are
+//! unbounded) and each sub-domain runs its own inner aggregator on a scoped
+//! worker via [`PartitionedAggregator`]. The sweep works at *finish* time
+//! (its push is a column append), so it stays one [`SweepAggregator`] whose
+//! bucketed endpoint sort runs on the plan's workers. Either way the result
+//! is byte-identical to the serial run.
 
 use crate::planner::{plan, AlgorithmChoice, Plan, PlannerConfig};
 use crate::stats::RelationStats;
-use std::time::{Duration, Instant};
 use tempagg_agg::{Aggregate, SweepAggregate};
 use tempagg_algo::{
     AggregationTree, KOrderedAggregationTree, LinkedListAggregate, MemoryStats, PartitionReport,
     PartitionedAggregator, SweepAggregator, TemporalAggregator,
 };
 use tempagg_core::{
-    Chunk, ChunkedSink, Interval, Result, Series, SeriesEntry, SeriesSink, TempAggError,
-    TemporalRelation, Timestamp, Tuple, DEFAULT_CHUNK_CAPACITY,
+    Chunk, Interval, Result, Series, SeriesSink, TempAggError, TemporalRelation, Timestamp, Tuple,
+    DEFAULT_CHUNK_CAPACITY,
 };
 
-/// The error every executor entry point returns for a
-/// [`AlgorithmChoice::CachedSeries`] plan: the executor scans relations,
-/// it does not hold store snapshots.
-fn cached_series_is_not_executable() -> TempAggError {
-    TempAggError::internal(
-        "cached-series plans are served from a store snapshot, not executed over the relation",
-    )
-}
-
-/// The error for a [`AlgorithmChoice::SweepJoin`] plan reaching the
-/// single-relation executor: joins take two relations and run through
-/// [`tempagg_algo::SweepJoinOperator`] in the SQL layer.
-fn sweep_join_is_not_executable() -> TempAggError {
-    TempAggError::internal(
-        "sweep-join plans take two relations and run through the join operator, not the \
-         single-relation executor",
-    )
-}
-
-/// The error for a [`AlgorithmChoice::IndexProbe`] plan reaching the
-/// executor: window probes run against the store's segment-tree index,
-/// not over the relation.
-fn index_probe_is_not_executable() -> TempAggError {
-    TempAggError::internal(
-        "index-probe plans are answered by the store's window index, not executed over the \
-         relation",
-    )
-}
-
-/// How the store's aggregate caches participated in answering a query.
-/// All zeros/false when the query ran an algorithm over the relation
-/// without store involvement.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheReport {
-    /// The result was served from an MVCC snapshot of a cached series —
-    /// no relation scan ran at all.
-    pub served_from_cache: bool,
-    /// Constant-interval runs patched in place by incremental maintenance
-    /// since the store last reported.
-    pub patched_runs: u64,
-    /// Dirty-window sweep recomputes (the Approximate-class fallback).
-    pub recomputed_windows: u64,
-    /// Cached series discarded wholesale (schema changes, explicit
-    /// invalidation) rather than patched.
-    pub invalidations: u64,
-    /// Window probes answered by an already-warm segment-tree index.
-    pub index_hits: u64,
-    /// Window queries that had to build (or rebuild) an index first.
-    pub index_misses: u64,
-    /// Individual `O(log n)` index probes performed (a top-k query issues
-    /// one per unpruned group; pruned groups never probe).
-    pub index_probes: u64,
+/// The error every entry point returns for a plan that does not scan one
+/// relation: a cached series is served from a store snapshot, a sweep join
+/// takes two relations and runs through the SQL layer's join operator, and
+/// an index probe is answered by the store's window index.
+fn not_executable(choice: AlgorithmChoice) -> TempAggError {
+    TempAggError::internal(format!(
+        "{} plans are not executed over a single relation",
+        choice.name()
+    ))
 }
 
 /// What happened during execution, for reporting and regression checks.
@@ -95,8 +52,6 @@ pub struct ExecutionReport {
     pub tuples: usize,
     /// Constant intervals produced.
     pub result_rows: usize,
-    /// Wall-clock time of the scan + finish (excludes planning).
-    pub elapsed: Duration,
     /// Peak state memory (summed across partitions when parallel).
     pub memory: MemoryStats,
     /// Whether the plan sorted the input first.
@@ -106,20 +61,29 @@ pub struct ExecutionReport {
     /// by how many seams the data supports; for the sweep, the threads its
     /// endpoint sort was allowed.
     pub parallelism: usize,
-    /// Per-partition routing counts, worker busy time, and memory. Empty
-    /// for a serial run and for the sweep, which never cuts the domain.
+    /// Per-partition routing counts and memory. Empty for a serial run and
+    /// for the sweep, which never cuts the domain.
     pub partitions: Vec<PartitionReport>,
-    /// Most result entries resident in executor-owned memory at once. A
-    /// materialized run holds the whole series, so this equals
-    /// `result_rows`; a streaming run holds at most one result chunk.
-    pub peak_resident_result_entries: usize,
-    /// Result chunks handed to the streaming consumer (0 when
-    /// materialized).
-    pub emitted_chunks: usize,
-    /// Store cache participation (all-default when no store was involved;
-    /// the store's query layer fills this in when it serves or maintains
-    /// caches around an execution).
-    pub cache: CacheReport,
+}
+
+impl ExecutionReport {
+    /// What a drive knows once it has fed every chunk; the input and result
+    /// counts are filled in by [`execute_chunks_into`].
+    fn driven(
+        algorithm: &'static str,
+        memory: MemoryStats,
+        partitions: Vec<PartitionReport>,
+    ) -> Self {
+        ExecutionReport {
+            algorithm,
+            tuples: 0,
+            result_rows: 0,
+            memory,
+            presorted: false,
+            parallelism: partitions.len().max(1),
+            partitions,
+        }
+    }
 }
 
 /// Project a relation into executor-ready chunks, in storage order.
@@ -192,14 +156,6 @@ fn partitioned_name(choice: AlgorithmChoice) -> &'static str {
     }
 }
 
-/// What a drive reports besides the entries it pushed into the sink.
-struct Driven {
-    algorithm: &'static str,
-    memory: MemoryStats,
-    parallelism: usize,
-    partitions: Vec<PartitionReport>,
-}
-
 /// Push every chunk, draining whatever each one settled (the k-ordered
 /// tree's GC; a no-op for the buffering algorithms) so results leave
 /// executor memory as soon as they are final.
@@ -218,7 +174,11 @@ where
 }
 
 /// Run one aggregator over `chunks` and finish it into `sink`.
-fn drive_one<A, G, S>(mut aggregator: G, chunks: &[Chunk<A::Input>], sink: &mut S) -> Result<Driven>
+fn drive_one<A, G, S>(
+    mut aggregator: G,
+    chunks: &[Chunk<A::Input>],
+    sink: &mut S,
+) -> Result<ExecutionReport>
 where
     A: Aggregate,
     A::Input: Clone,
@@ -226,14 +186,9 @@ where
     S: SeriesSink<A::Output>,
 {
     feed(&mut aggregator, chunks, sink)?;
-    let driven = Driven {
-        algorithm: aggregator.algorithm(),
-        memory: aggregator.memory(),
-        parallelism: 1,
-        partitions: Vec::new(),
-    };
+    let report = ExecutionReport::driven(aggregator.algorithm(), aggregator.memory(), Vec::new());
     aggregator.finish_into(sink);
-    Ok(driven)
+    Ok(report)
 }
 
 /// Run one push-time algorithm — `make(sub_domain)` builds it — over
@@ -248,7 +203,7 @@ fn drive<A, G, S>(
     parallelism: usize,
     chunks: &[Chunk<A::Input>],
     sink: &mut S,
-) -> Result<Driven>
+) -> Result<ExecutionReport>
 where
     A: Aggregate,
     A::Input: Clone + Send + Sync,
@@ -262,15 +217,13 @@ where
     }
     let mut aggregator = PartitionedAggregator::with_seams(domain, seams, make)?;
     feed(&mut aggregator, chunks, sink)?;
-    let partitions = aggregator.partition_reports();
-    let driven = Driven {
-        algorithm: partitioned_name(choice),
-        memory: aggregator.memory(),
-        parallelism: partitions.len(),
-        partitions,
-    };
+    let report = ExecutionReport::driven(
+        partitioned_name(choice),
+        aggregator.memory(),
+        aggregator.partition_reports(),
+    );
     aggregator.finish_into(sink);
-    Ok(driven)
+    Ok(report)
 }
 
 /// A pass-through sink that counts what the algorithm emitted.
@@ -288,12 +241,10 @@ impl<T, S: SeriesSink<T>> SeriesSink<T> for Counted<'_, S> {
 
 /// Execute a plan over pre-extracted `chunks`, computing `agg` of each
 /// row's input per constant interval of `domain` and pushing the
-/// intervals, in time order, into the caller's `sink` — the entry point
-/// [`execute_chunks`] (a collecting [`Series`]) and
-/// [`execute_chunks_streaming`] (a bounded [`ChunkedSink`]) wrap, for
-/// callers that turn entries into something else on the fly. The executor
-/// holds no result entry itself, so the report's
-/// `peak_resident_result_entries` and `emitted_chunks` are zero.
+/// intervals, in time order, into the caller's `sink`. The executor holds
+/// no result entry itself: what the sink keeps — all of it for a
+/// [`Series`], one chunk for a bounded `ChunkedSink` — is what is
+/// resident.
 ///
 /// `the_plan.parallelism > 1` routes the list and the trees through the
 /// domain-partitioned pipeline (seam-aware stitching, see
@@ -315,19 +266,19 @@ where
     A::Output: PartialEq + Send,
     S: SeriesSink<A::Output>,
 {
-    let sink = &mut Counted {
+    let mut counted = Counted {
         inner: sink,
         accepted: 0,
     };
-    let started = Instant::now();
+    let sink = &mut counted;
     let choice = the_plan.choice;
-    let mut presorted = false;
-    let driven = match choice {
+    let parallelism = the_plan.parallelism;
+    let mut report = match choice {
         AlgorithmChoice::LinkedList => drive(
             |sub| LinkedListAggregate::with_domain(agg.clone(), sub),
             choice,
             domain,
-            the_plan.parallelism,
+            parallelism,
             chunks,
             sink,
         )?,
@@ -335,23 +286,23 @@ where
             |sub| AggregationTree::with_domain(agg.clone(), sub),
             choice,
             domain,
-            the_plan.parallelism,
+            parallelism,
             chunks,
             sink,
         )?,
         // The sweep works at finish, where its sort runs on the plan's
         // workers in-kernel: one aggregator, no seams.
         AlgorithmChoice::Sweep => {
-            let threads = the_plan.parallelism.max(1);
+            let threads = parallelism.max(1);
             let sweep = SweepAggregator::with_domain(agg, domain).with_parallelism(threads);
-            Driven {
+            ExecutionReport {
                 parallelism: threads,
                 ..drive_one(sweep, chunks, sink)?
             }
         }
-        AlgorithmChoice::CachedSeries => return Err(cached_series_is_not_executable()),
-        AlgorithmChoice::SweepJoin => return Err(sweep_join_is_not_executable()),
-        AlgorithmChoice::IndexProbe => return Err(index_probe_is_not_executable()),
+        AlgorithmChoice::CachedSeries
+        | AlgorithmChoice::SweepJoin
+        | AlgorithmChoice::IndexProbe => return Err(not_executable(choice)),
         AlgorithmChoice::KOrderedTree { k, presort } => {
             // Probe once so an invalid k errors before any instance builds.
             KOrderedAggregationTree::with_domain(agg.clone(), k, domain)?;
@@ -361,85 +312,23 @@ where
                     .expect("k validated above")
             };
             if presort {
-                presorted = true;
                 let sorted = sorted_chunks(chunks)?;
-                drive(make, choice, domain, the_plan.parallelism, &sorted, sink)?
+                ExecutionReport {
+                    presorted: true,
+                    ..drive(make, choice, domain, parallelism, &sorted, sink)?
+                }
             } else {
-                drive(make, choice, domain, the_plan.parallelism, chunks, sink)?
+                drive(make, choice, domain, parallelism, chunks, sink)?
             }
         }
     };
-    Ok(ExecutionReport {
-        algorithm: driven.algorithm,
-        tuples: chunks.iter().map(Chunk::len).sum(),
-        result_rows: sink.accepted,
-        elapsed: started.elapsed(),
-        memory: driven.memory,
-        presorted,
-        parallelism: driven.parallelism,
-        partitions: driven.partitions,
-        peak_resident_result_entries: 0,
-        emitted_chunks: 0,
-        cache: CacheReport::default(),
-    })
-}
-
-/// [`execute_chunks_into`] a collected [`Series`].
-pub fn execute_chunks<A>(
-    the_plan: &Plan,
-    agg: A,
-    chunks: &[Chunk<A::Input>],
-    domain: Interval,
-) -> Result<(Series<A::Output>, ExecutionReport)>
-where
-    A: SweepAggregate + Clone + Send,
-    A::State: Send,
-    A::Input: Clone + Send + Sync,
-    A::Output: PartialEq + Send,
-{
-    let mut series = Series::new();
-    let mut report = execute_chunks_into(the_plan, agg, chunks, domain, &mut series)?;
-    // Materialized execution holds the full series before returning.
-    report.peak_resident_result_entries = series.len();
-    Ok((series, report))
-}
-
-/// [`execute_chunks_into`] in streaming mode: result entries are pushed
-/// to `consumer` in fixed-size chunks of at most `chunk_capacity` entries
-/// instead of being collected into a [`Series`], so executor-resident
-/// result memory is bounded by one chunk regardless of how many constant
-/// intervals the query produces.
-///
-/// The entries streamed to `consumer`, concatenated, are byte-identical
-/// to the series [`execute_chunks`] returns for the same plan. On
-/// k-ordered input the whole run is O(k + chunk) resident; the buffering
-/// algorithms still hold their internal state but never a second
-/// materialized copy of the result.
-pub fn execute_chunks_streaming<A, C>(
-    the_plan: &Plan,
-    agg: A,
-    chunks: &[Chunk<A::Input>],
-    domain: Interval,
-    chunk_capacity: usize,
-    consumer: C,
-) -> Result<ExecutionReport>
-where
-    A: SweepAggregate + Clone + Send,
-    A::State: Send,
-    A::Input: Clone + Send + Sync,
-    A::Output: PartialEq + Send,
-    C: FnMut(&[SeriesEntry<A::Output>]),
-{
-    let mut sink = ChunkedSink::new(chunk_capacity, consumer);
-    let mut report = execute_chunks_into(the_plan, agg, chunks, domain, &mut sink)?;
-    sink.flush();
-    report.peak_resident_result_entries = sink.peak_resident();
-    report.emitted_chunks = sink.chunks_emitted();
+    report.tuples = chunks.iter().map(Chunk::len).sum();
+    report.result_rows = counted.accepted;
     Ok(report)
 }
 
-/// [`execute_chunks`] over `relation`, each tuple's input projected by
-/// `extract`.
+/// [`execute_chunks_into`] a collected [`Series`] over `relation`, each
+/// tuple's input projected by `extract`.
 pub fn execute<A, F>(
     the_plan: &Plan,
     agg: A,
@@ -454,30 +343,10 @@ where
     A::Output: PartialEq + Send,
     F: Fn(&Tuple) -> A::Input,
 {
-    execute_chunks(the_plan, agg, &chunks_of(relation, &extract)?, domain)
-}
-
-/// [`execute_chunks_streaming`] over `relation`, each tuple's input
-/// projected by `extract`.
-pub fn execute_streaming<A, F, C>(
-    the_plan: &Plan,
-    agg: A,
-    relation: &TemporalRelation,
-    extract: F,
-    domain: Interval,
-    chunk_capacity: usize,
-    consumer: C,
-) -> Result<ExecutionReport>
-where
-    A: SweepAggregate + Clone + Send,
-    A::State: Send,
-    A::Input: Clone + Send + Sync,
-    A::Output: PartialEq + Send,
-    F: Fn(&Tuple) -> A::Input,
-    C: FnMut(&[SeriesEntry<A::Output>]),
-{
+    let mut series = Series::new();
     let chunks = chunks_of(relation, &extract)?;
-    execute_chunks_streaming(the_plan, agg, &chunks, domain, chunk_capacity, consumer)
+    let report = execute_chunks_into(the_plan, agg, &chunks, domain, &mut series)?;
+    Ok((series, report))
 }
 
 /// One-call evaluation: measure statistics, plan per Section 6.3, execute.
@@ -496,8 +365,11 @@ where
     A::Output: PartialEq + Send,
     F: Fn(&Tuple) -> A::Input,
 {
-    let stats = RelationStats::analyze(relation);
-    let the_plan = plan(&stats, config, agg.state_model_bytes());
+    let the_plan = plan(
+        &RelationStats::analyze(relation),
+        config,
+        agg.state_model_bytes(),
+    );
     let (series, report) = execute(&the_plan, agg, relation, extract, domain)?;
     Ok((series, the_plan, report))
 }
@@ -508,7 +380,7 @@ mod tests {
     use crate::stats::OrderingKnowledge;
     use tempagg_agg::{AggKind, Count, DynAggregate, Min, MultiDyn, Sum, TypedInput, TypedMulti};
     use tempagg_algo::oracle::oracle;
-    use tempagg_core::{Value, ValueType};
+    use tempagg_core::{ChunkedSink, SeriesEntry, Value, ValueType};
     use tempagg_workload::employed::{employed_relation, table1_expected};
     use tempagg_workload::{generate, WorkloadConfig};
 
@@ -793,6 +665,7 @@ mod tests {
                 presort: true,
             },
         ];
+        let chunks = chunks_of(&relation, &|_: &Tuple| ()).unwrap();
         for choice in choices {
             for parallelism in [1usize, 4] {
                 let p = Plan {
@@ -802,16 +675,14 @@ mod tests {
                 let (series, materialized) =
                     execute(&p, Count, &relation, |_| (), Interval::TIMELINE).unwrap();
                 let mut streamed = Vec::new();
-                let report = execute_streaming(
-                    &p,
-                    Count,
-                    &relation,
-                    |_| (),
-                    Interval::TIMELINE,
-                    64,
-                    |chunk| streamed.extend_from_slice(chunk),
-                )
-                .unwrap();
+                let mut sink = ChunkedSink::new(64, |chunk: &[SeriesEntry<u64>]| {
+                    streamed.extend_from_slice(chunk);
+                });
+                let report =
+                    execute_chunks_into(&p, Count, &chunks, Interval::TIMELINE, &mut sink).unwrap();
+                sink.flush();
+                let (peak, emitted) = (sink.peak_resident(), sink.chunks_emitted());
+                drop(sink);
                 assert_eq!(
                     streamed,
                     series.entries(),
@@ -819,14 +690,10 @@ mod tests {
                 );
                 assert_eq!(report.result_rows, materialized.result_rows);
                 assert_eq!(report.algorithm, materialized.algorithm);
-                assert!(report.peak_resident_result_entries <= 64);
-                assert!(report.emitted_chunks >= series.len() / 64);
-                // The materialized report holds the whole series.
-                assert_eq!(
-                    materialized.peak_resident_result_entries,
-                    materialized.result_rows
-                );
-                assert_eq!(materialized.emitted_chunks, 0);
+                assert!(peak <= 64);
+                assert!(emitted >= series.len() / 64);
+                // The materialized run holds the whole series.
+                assert_eq!(series.len(), materialized.result_rows);
             }
         }
     }
@@ -842,26 +709,22 @@ mod tests {
         ] {
             let p = serial_plan(AlgorithmChoice::KOrderedTree { k, presort: false });
             let (series, _) = execute(&p, Count, &relation, |_| (), Interval::TIMELINE).unwrap();
+            let chunks = chunks_of(&relation, &|_: &Tuple| ()).unwrap();
             let mut rows = 0usize;
-            let report = execute_streaming(
-                &p,
-                Count,
-                &relation,
-                |_| (),
-                Interval::TIMELINE,
-                256,
-                |chunk| rows += chunk.len(),
-            )
-            .unwrap();
+            let mut sink = ChunkedSink::new(256, |chunk: &[SeriesEntry<u64>]| rows += chunk.len());
+            let report =
+                execute_chunks_into(&p, Count, &chunks, Interval::TIMELINE, &mut sink).unwrap();
+            sink.flush();
+            let peak = sink.peak_resident();
+            drop(sink);
             assert_eq!(report.result_rows, rows);
             assert_eq!(rows, series.len(), "k = {k}");
             assert!(rows > 4_000);
             // Results drain as the tree finalises them, so residency stays
             // an order of magnitude below the materialized result size.
             assert!(
-                10 * report.peak_resident_result_entries <= rows,
-                "k = {k}: peak {} of {rows} rows should be chunk-bounded",
-                report.peak_resident_result_entries
+                10 * peak <= rows,
+                "k = {k}: peak {peak} of {rows} rows should be chunk-bounded",
             );
         }
     }
@@ -890,23 +753,34 @@ mod tests {
                 };
                 let agg = Sum::<i64>::new();
                 let (want, _) = execute(&p, agg, &relation, extract, Interval::TIMELINE).unwrap();
-                let (got, report) = execute_chunks(&p, agg, &chunks, Interval::TIMELINE).unwrap();
+                let mut got = Series::new();
+                let report =
+                    execute_chunks_into(&p, agg, &chunks, Interval::TIMELINE, &mut got).unwrap();
                 assert_eq!(got, want, "choice {choice:?} × {parallelism}");
                 assert_eq!(report.tuples, 3000);
                 assert_eq!(report.parallelism, parallelism);
                 let mut streamed = Vec::new();
-                execute_chunks_streaming(&p, agg, &chunks, Interval::TIMELINE, 100, |c| {
+                let mut sink = ChunkedSink::new(100, |c: &[SeriesEntry<Option<i64>>]| {
                     streamed.extend_from_slice(c);
-                })
-                .unwrap();
+                });
+                execute_chunks_into(&p, agg, &chunks, Interval::TIMELINE, &mut sink).unwrap();
+                sink.flush();
+                drop(sink);
                 assert_eq!(streamed, want.entries());
             }
         }
         // No chunks at all is the empty relation: one run over the domain.
         let none: [Chunk<i64>; 0] = [];
         let p = serial_plan(AlgorithmChoice::Sweep);
-        let (series, report) =
-            execute_chunks(&p, Sum::<i64>::new(), &none, Interval::TIMELINE).unwrap();
+        let mut series = Series::new();
+        let report = execute_chunks_into(
+            &p,
+            Sum::<i64>::new(),
+            &none,
+            Interval::TIMELINE,
+            &mut series,
+        )
+        .unwrap();
         assert_eq!(series.len(), 1);
         assert_eq!(report.tuples, 0);
     }
@@ -923,36 +797,41 @@ mod tests {
         assert_eq!(rows, relation.sorted_by_time().tuples());
     }
 
-    #[test]
-    fn cached_series_plans_are_not_executable() {
+    /// Neither entry point runs `choice`, at any parallelism, and the
+    /// error names the plan that reached it.
+    fn assert_not_executable(choice: AlgorithmChoice) {
         let relation = employed_relation();
+        let chunks = chunks_of(&relation, &|_: &Tuple| ()).unwrap();
         for parallelism in [1usize, 4] {
             let p = Plan {
                 parallelism,
-                ..serial_plan(AlgorithmChoice::CachedSeries)
+                ..serial_plan(choice)
             };
-            let err = execute(&p, Count, &relation, |_| (), Interval::TIMELINE);
-            assert!(err.is_err(), "parallelism {parallelism}");
-            let err =
-                execute_streaming(&p, Count, &relation, |_| (), Interval::TIMELINE, 64, |_| {});
+            let err = execute(&p, Count, &relation, |_| (), Interval::TIMELINE).unwrap_err();
+            assert!(
+                err.to_string().contains(choice.name()),
+                "parallelism {parallelism}: {err}"
+            );
+            let mut sink = ChunkedSink::new(64, |_: &[SeriesEntry<u64>]| {});
+            let err = execute_chunks_into(&p, Count, &chunks, Interval::TIMELINE, &mut sink);
             assert!(err.is_err(), "streaming, parallelism {parallelism}");
+            assert_eq!(sink.accepted(), 0, "streaming, parallelism {parallelism}");
         }
     }
 
     #[test]
+    fn cached_series_plans_are_not_executable() {
+        assert_not_executable(AlgorithmChoice::CachedSeries);
+    }
+
+    #[test]
     fn sweep_join_plans_are_not_executable() {
-        let relation = employed_relation();
-        for parallelism in [1usize, 4] {
-            let p = Plan {
-                parallelism,
-                ..serial_plan(AlgorithmChoice::SweepJoin)
-            };
-            let err = execute(&p, Count, &relation, |_| (), Interval::TIMELINE);
-            assert!(err.is_err(), "parallelism {parallelism}");
-            let err =
-                execute_streaming(&p, Count, &relation, |_| (), Interval::TIMELINE, 64, |_| {});
-            assert!(err.is_err(), "streaming, parallelism {parallelism}");
-        }
+        assert_not_executable(AlgorithmChoice::SweepJoin);
+    }
+
+    #[test]
+    fn index_probe_plans_are_not_executable() {
+        assert_not_executable(AlgorithmChoice::IndexProbe);
     }
 
     #[test]

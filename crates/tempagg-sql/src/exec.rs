@@ -35,10 +35,39 @@ use tempagg_core::{
     DEFAULT_CHUNK_CAPACITY,
 };
 use tempagg_plan::{
-    choose_algorithm, choose_window_algorithm, execute_chunks_into, AlgorithmChoice, CacheReport,
+    choose_algorithm, choose_window_algorithm, execute_chunks_into, AlgorithmChoice,
     CachedSeriesInfo, CostModel, Plan, PlannerConfig, RelationStats,
 };
 use tempagg_store::{index_mode_for, IndexMode, Row, ScanPages, TemporalStore, WindowIndexStats};
+
+/// How the store's aggregate caches and window indexes participated in
+/// answering a query. All zeros/false when the query ran an algorithm over
+/// the relation without store involvement.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheReport {
+    /// The result was served from an MVCC snapshot of a cached series —
+    /// no relation scan ran at all.
+    pub served_from_cache: bool,
+    /// Constant-interval runs patched in place by incremental maintenance,
+    /// cumulative over the store's lifetime ([`StoreCacheStats`]'s total
+    /// when the query was served): two served queries with no write
+    /// between them report the same count.
+    ///
+    /// [`StoreCacheStats`]: tempagg_store::StoreCacheStats
+    pub patched_runs: u64,
+    /// Dirty-window sweep recomputes (the Approximate-class fallback),
+    /// cumulative in the same way as `patched_runs`.
+    pub recomputed_windows: u64,
+    /// Window probes this query answered from an already-warm
+    /// segment-tree index.
+    pub index_hits: u64,
+    /// Window queries of this query that had to build (or rebuild) an
+    /// index first.
+    pub index_misses: u64,
+    /// Individual `O(log n)` index probes this query performed (a top-k
+    /// query issues one per unpruned group; pruned groups never probe).
+    pub index_probes: u64,
+}
 
 /// A query result: a (temporal) relation of aggregate values.
 #[derive(Clone, Debug, PartialEq)]
@@ -1599,6 +1628,33 @@ mod tests {
         let scanned = execute_str(&fresh, sql).unwrap();
         assert!(!scanned.cache.served_from_cache);
         assert_eq!(served.rows, scanned.rows);
+    }
+
+    /// `CacheReport`'s maintenance counters are the store's cumulative
+    /// totals, not a count since the last report: a read patches nothing,
+    /// so a second served read reports what the first did.
+    #[test]
+    fn served_maintenance_counts_are_cumulative() {
+        use crate::statement::execute_statement;
+        let mut c = Catalog::new();
+        execute_statement(&mut c, "CREATE TABLE t (x INT)").unwrap();
+        execute_statement(
+            &mut c,
+            "INSERT INTO t VALUES (1) VALID [0, 9], (2) VALID [5, 14]",
+        )
+        .unwrap();
+        let sql = "SELECT COUNT(x), SUM(x) FROM t";
+        execute_str(&c, sql).unwrap(); // warm
+        execute_statement(&mut c, "INSERT INTO t VALUES (3) VALID [10, 19]").unwrap();
+        let first = execute_str(&c, sql).unwrap();
+        let second = execute_str(&c, sql).unwrap();
+        assert!(first.cache.served_from_cache && second.cache.served_from_cache);
+        assert!(first.cache.patched_runs > 0);
+        assert_eq!(first.cache.patched_runs, second.cache.patched_runs);
+        assert_eq!(
+            first.cache.patched_runs,
+            c.store("t").unwrap().cache_stats().patched_runs
+        );
     }
 
     #[test]

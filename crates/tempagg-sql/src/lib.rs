@@ -40,7 +40,7 @@ mod token;
 
 pub use catalog::Catalog;
 pub use exec::{
-    execute_query, execute_str, execute_streaming, execute_streaming_str, QueryResult,
+    execute_query, execute_str, execute_streaming, execute_streaming_str, CacheReport, QueryResult,
     StreamSummary,
 };
 pub use lexer::lex;
@@ -48,6 +48,5 @@ pub use parser::{parse, parse_statement, parse_statement_with_calendar, parse_wi
 pub use rows::{ResultRow, ResultRows, RowCursor};
 pub use statement::{execute_parsed_statement, execute_statement, StatementOutput, TupleTable};
 pub use tempagg_algo::JoinPredicate;
-pub use tempagg_plan::CacheReport;
 pub use tempagg_store::TemporalStore;
 pub use token::{Keyword, Spanned, Token};

@@ -5,13 +5,13 @@
 use crate::ast::{JoinSelect, PlainSelect, Statement};
 use crate::catalog::Catalog;
 use crate::display::write_table;
-use crate::exec::{execute_query, QueryResult};
+use crate::exec::{execute_query, CacheReport, QueryResult};
 use crate::parser::parse_statement;
 use crate::rows::ResultRows;
 use std::fmt;
 use tempagg_algo::{JoinPair, SweepJoinOperator};
 use tempagg_core::{Interval, Result, Schema, SeriesSink, TempAggError, Tuple, Value};
-use tempagg_plan::{plan_join, CacheReport, CostModel, PlannerConfig, RelationStats};
+use tempagg_plan::{plan_join, CostModel, PlannerConfig, RelationStats};
 
 /// A plain-SELECT result: projected attribute values plus valid time.
 #[derive(Clone, Debug, PartialEq)]

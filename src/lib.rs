@@ -123,13 +123,13 @@ pub use tempagg_core::{
     DEFAULT_CHUNK_CAPACITY,
 };
 pub use tempagg_plan::{
-    choose_algorithm, choose_parallelism, evaluate_auto, execute, execute_streaming, plan,
-    plan_by_cost, AlgorithmChoice, CacheReport, Calibration, CostModel, ExecutionReport,
-    OrderingKnowledge, Plan, PlannerConfig, RelationStats,
+    choose_algorithm, choose_parallelism, evaluate_auto, execute, plan, plan_by_cost,
+    AlgorithmChoice, Calibration, CostModel, ExecutionReport, OrderingKnowledge, Plan,
+    PlannerConfig, RelationStats,
 };
 pub use tempagg_sql::{
-    execute_statement, execute_str, execute_streaming_str, Catalog, QueryResult, ResultRow,
-    ResultRows, StatementOutput, StreamSummary,
+    execute_statement, execute_str, execute_streaming_str, CacheReport, Catalog, QueryResult,
+    ResultRow, ResultRows, StatementOutput, StreamSummary,
 };
 pub use tempagg_store::{StoreCacheStats, TemporalStore};
 

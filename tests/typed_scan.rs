@@ -7,13 +7,13 @@
 use temporal_aggregates::agg::{MultiDyn, TypedInput, TypedMulti, TYPED_WIDTH};
 use temporal_aggregates::algo::oracle::oracle;
 use temporal_aggregates::algo::scan_window;
-use temporal_aggregates::planner::{execute_chunks, execute_chunks_streaming};
+use temporal_aggregates::planner::execute_chunks_into;
 use temporal_aggregates::sql::{execute_query, execute_streaming, parse, ResultRow};
 use temporal_aggregates::store::{index_mode_for, IndexMode};
 use temporal_aggregates::{
-    execute, execute_str, AggKind, Aggregate, AlgorithmChoice, Catalog, Chunk, DynAggregate,
-    Interval, Plan, PlannerConfig, RowValues, Schema, Series, SeriesEntry, TempAggError,
-    TemporalRelation, Timestamp, Tuple, Value, ValueType,
+    execute, execute_str, AggKind, Aggregate, AlgorithmChoice, Catalog, Chunk, ChunkedSink,
+    DynAggregate, ExecutionReport, Interval, Plan, PlannerConfig, RowValues, Schema, Series,
+    SeriesEntry, TempAggError, TemporalRelation, Timestamp, Tuple, Value, ValueType,
 };
 
 const KINDS: [AggKind; 9] = [
@@ -133,6 +133,18 @@ const CHOICES: [AlgorithmChoice; 4] = [
     AlgorithmChoice::Sweep,
 ];
 
+/// `plan` run over `chunks` by the typed product, collected.
+fn execute_typed(
+    plan: &Plan,
+    typed: &TypedMulti,
+    chunks: &[Chunk<TypedInput>],
+) -> (Series<RowValues>, ExecutionReport) {
+    let mut series = Series::new();
+    let report =
+        execute_chunks_into(plan, typed.clone(), chunks, Interval::TIMELINE, &mut series).unwrap();
+    (series, report)
+}
+
 fn extract(columns: &[Option<usize>]) -> impl Fn(&Tuple) -> Vec<Value> + '_ {
     move |t| {
         columns
@@ -217,22 +229,25 @@ fn typed_product_matches_multidyn_and_oracle_for_every_algorithm() {
                         Interval::TIMELINE,
                     )
                     .unwrap();
-                    let (lowered, report) =
-                        execute_chunks(&plan, typed.clone(), &chunks, Interval::TIMELINE).unwrap();
+                    let (lowered, report) = execute_typed(&plan, &typed, &chunks);
                     let dynamic = dynamic.map(RowValues::from);
                     assert_eq!(lowered, dynamic, "typed vs MultiDyn: {what}");
                     assert_eq!(lowered, want, "typed vs oracle: {what}");
                     assert_eq!(report.tuples, r.len());
                     let mut streamed = Vec::new();
-                    execute_chunks_streaming(
+                    let mut sink = ChunkedSink::new(16, |c: &[SeriesEntry<RowValues>]| {
+                        streamed.extend_from_slice(c);
+                    });
+                    execute_chunks_into(
                         &plan,
                         typed.clone(),
                         &chunks,
                         Interval::TIMELINE,
-                        16,
-                        |c: &[SeriesEntry<RowValues>]| streamed.extend_from_slice(c),
+                        &mut sink,
                     )
                     .unwrap();
+                    sink.flush();
+                    drop(sink);
                     assert_eq!(streamed, lowered.entries(), "streamed: {what}");
                 }
             }
@@ -285,8 +300,7 @@ fn saturating_sums_agree_between_the_products() {
                 Interval::TIMELINE,
             )
             .unwrap();
-            let (lowered, _) =
-                execute_chunks(&plan, typed.clone(), &chunks, Interval::TIMELINE).unwrap();
+            let (lowered, _) = execute_typed(&plan, &typed, &chunks);
             assert_eq!(
                 lowered,
                 dynamic.map(RowValues::from),
