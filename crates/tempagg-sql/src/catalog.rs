@@ -36,8 +36,9 @@ impl Catalog {
     }
 
     /// Look up a relation, in memory: a table opened from a paged file
-    /// reads its pages here on the first call ([`TemporalStore::resident`]),
-    /// so a name check asks [`store`](Catalog::store) instead.
+    /// reads its pages here on the first call ([`TemporalStore::resident`]).
+    /// Only an executed join needs that; every other statement, and a name
+    /// check, asks [`store`](Catalog::store) instead.
     pub fn get(&self, name: &str) -> Result<&TemporalRelation> {
         self.store(name)?.resident()
     }

@@ -5,8 +5,8 @@
 //! separately, but the product of monoids is a monoid and every aggregate
 //! sees the same tuples, so their constant intervals coincide and a single
 //! tree construction or sweep serves every select-list entry). The scan
-//! path is one borrowed pass: conditions are evaluated on `&Tuple` in
-//! place, the interval is clipped to the `VALID` window, only the
+//! path is one borrowed pass: the bound [`Filter`] admits each row the
+//! store's scan hands out and clips it to the `VALID` window, only the
 //! referenced columns are projected, and the projected rows are appended
 //! to per-group [`Chunk`]s that the chunk-fed executor consumes — no tuple
 //! is cloned and no scratch relation is built. Select lists over `INT`
@@ -18,7 +18,7 @@
 //! span-grouping bucket algorithm; `GROUP BY col` partitions first and
 //! evaluates per group (Section 4.1's "aggregation sets").
 
-use crate::ast::{CompareOp, Query, TemporalGrouping};
+use crate::ast::{CompareOp, Condition, Query, TemporalGrouping};
 use crate::catalog::Catalog;
 use crate::display::write_table;
 use crate::parser::parse;
@@ -38,7 +38,9 @@ use tempagg_plan::{
     choose_algorithm, choose_window_algorithm, execute_chunks_into, AlgorithmChoice,
     CachedSeriesInfo, CostModel, Plan, PlannerConfig, RelationStats,
 };
-use tempagg_store::{index_mode_for, IndexMode, Row, ScanPages, TemporalStore, WindowIndexStats};
+use tempagg_store::{
+    index_mode_for, IndexMode, Row, RowBatch, RowScan, ScanPages, TemporalStore, WindowIndexStats,
+};
 
 /// How the store's aggregate caches and window indexes participated in
 /// answering a query. All zeros/false when the query ran an algorithm over
@@ -150,33 +152,101 @@ fn bind_aggs(schema: &Schema, query: &Query) -> Result<Vec<BoundAgg>> {
     Ok(bound_aggs)
 }
 
+/// The rows a `WHERE … [AND VALID OVERLAPS w]` admits, bound once: the
+/// conditions resolved against the schema, and the window an admitted
+/// row's valid time is clipped to. Aggregate scans, plain `SELECT`,
+/// `DELETE` and `UPDATE` all ask [`admit`](Filter::admit), so they cannot
+/// disagree on which tuples qualify.
+pub(crate) struct Filter {
+    conditions: Vec<(usize, CompareOp, Value)>,
+    /// The `VALID` window; [`Interval::ALL`] without one.
+    window: Interval,
+}
+
+impl Filter {
+    /// Resolve `conditions` against `schema`. Without a `window`, every
+    /// valid time is admitted unclipped.
+    pub(crate) fn bind(
+        schema: &Schema,
+        conditions: &[Condition],
+        window: Option<Interval>,
+    ) -> Result<Filter> {
+        let conditions = conditions
+            .iter()
+            .map(|c| {
+                Ok((
+                    schema.index_of_ignore_case(&c.column)?,
+                    c.op,
+                    c.value.clone(),
+                ))
+            })
+            .collect::<Result<_>>()?;
+        Ok(Filter {
+            conditions,
+            window: window.unwrap_or(Interval::ALL),
+        })
+    }
+
+    /// The window admitted valid times are clipped to.
+    pub(crate) fn window(&self) -> Interval {
+        self.window
+    }
+
+    /// The row's valid time clipped to the window, or `None` when a
+    /// condition fails or the row lies outside the window.
+    #[inline]
+    pub(crate) fn admit(&self, row: Row<'_>) -> Option<Interval> {
+        if self
+            .conditions
+            .iter()
+            .all(|(idx, op, value)| op.eval(row.value(*idx), value))
+        {
+            row.valid().intersect(&self.window)
+        } else {
+            None
+        }
+    }
+
+    /// The scan of `store` this filter reads: a persisted table's pages
+    /// fence-pruned to the window and decoded to `columns` and the
+    /// conditions' columns only. Pass each batch to [`admitted`].
+    ///
+    /// [`admitted`]: Filter::admitted
+    pub(crate) fn scan<'a>(
+        &self,
+        store: &'a TemporalStore,
+        columns: impl IntoIterator<Item = usize>,
+    ) -> RowScan<'a> {
+        let mut read: Vec<usize> = columns
+            .into_iter()
+            .chain(self.conditions.iter().map(|(idx, _, _)| *idx))
+            .collect();
+        read.sort_unstable();
+        read.dedup();
+        store.scan(self.window, &read)
+    }
+
+    /// The rows of `batch` the filter admits, in storage order, each with
+    /// its clipped valid time.
+    #[inline]
+    pub(crate) fn admitted<'b>(
+        &'b self,
+        batch: &'b RowBatch<'_>,
+    ) -> impl Iterator<Item = (Row<'b>, Interval)> + 'b {
+        (0..batch.len()).filter_map(move |index| {
+            let row = batch.row(index);
+            self.admit(row).map(|valid| (row, valid))
+        })
+    }
+}
+
 /// A query bound to its store: everything a scan needs that does not
 /// depend on which product aggregate evaluates it.
 struct BoundScan<'a> {
     store: &'a TemporalStore,
-    conditions: Vec<(usize, CompareOp, Value)>,
+    filter: Filter,
     aggs: Vec<BoundAgg>,
     group_idx: Option<usize>,
-    /// The `VALID` window: tuples are clipped to it and the result
-    /// time-line is the window.
-    domain: Interval,
-}
-
-impl BoundScan<'_> {
-    /// The columns the scan reads — conditions, grouping column, aggregate
-    /// inputs — ascending: all a page of a persisted table decodes.
-    fn columns(&self) -> Vec<usize> {
-        let mut columns: Vec<usize> = self
-            .conditions
-            .iter()
-            .map(|(idx, _, _)| *idx)
-            .chain(self.group_idx)
-            .chain(self.aggs.iter().filter_map(|(_, idx, _)| *idx))
-            .collect();
-        columns.sort_unstable();
-        columns.dedup();
-        columns
-    }
 }
 
 /// Bind names: resolve and type-check conditions, aggregates and the
@@ -184,24 +254,17 @@ impl BoundScan<'_> {
 fn bind_scan<'a>(catalog: &'a Catalog, query: &Query) -> Result<BoundScan<'a>> {
     let store = catalog.store(&query.relation)?;
     let schema = store.schema();
-    let mut conditions = Vec::with_capacity(query.conditions.len());
-    for cond in &query.conditions {
-        conditions.push((
-            schema.index_of_ignore_case(&cond.column)?,
-            cond.op,
-            cond.value.clone(),
-        ));
-    }
+    // Tuples are clipped to the `VALID` window; results tile it.
+    let domain = query.valid_window.unwrap_or(Interval::TIMELINE);
     Ok(BoundScan {
         store,
-        conditions,
+        filter: Filter::bind(schema, &query.conditions, Some(domain))?,
         aggs: bind_aggs(schema, query)?,
         group_idx: query
             .group_column
             .as_deref()
             .map(|c| schema.index_of_ignore_case(c))
             .transpose()?,
-        domain: query.valid_window.unwrap_or(Interval::TIMELINE),
     })
 }
 
@@ -303,19 +366,12 @@ fn project_groups<V>(
 ) -> Result<(Vec<Group<V>>, Option<ScanPages>)> {
     let mut whole = Group::new(None);
     let mut sets = ValueSets::new();
-    let mut scan = bound.store.scan(bound.domain, &bound.columns());
+    let inputs = bound.aggs.iter().filter_map(|(_, idx, _)| *idx);
+    let columns = bound.group_idx.into_iter().chain(inputs);
+    let mut scan = bound.filter.scan(bound.store, columns);
     while let Some(batch) = scan.next_batch()? {
-        // lint: hot-loop(scan-project) — per row: evaluate, clip, project, append; never a Tuple clone or a relation push
-        'rows: for index in 0..batch.len() {
-            let row = batch.row(index);
-            for (idx, op, value) in &bound.conditions {
-                if !op.eval(row.value(*idx), value) {
-                    continue 'rows;
-                }
-            }
-            let Some(valid) = row.valid().intersect(&bound.domain) else {
-                continue;
-            };
+        // lint: hot-loop(scan-project) — per admitted row: find its set, project, append; never a Tuple clone or a relation push
+        for (row, valid) in bound.filter.admitted(&batch) {
             let set = match bound.group_idx {
                 None => &mut whole,
                 Some(idx) => sets.of(row.value(idx)),
@@ -362,8 +418,8 @@ enum Planning<'a> {
     /// file's — and coalesce the rows (TSQL2 results).
     Choose(&'a PlannerConfig),
     /// Run every aggregation set under this plan and keep every constant
-    /// interval: the `OVER` / `TOP k` linear fallbacks reduce the
-    /// uncoalesced series.
+    /// interval: the window path's linear fallback reduces the uncoalesced
+    /// series.
     Given(&'a Plan),
 }
 
@@ -457,7 +513,7 @@ where
             }
             out.push(ResultRow {
                 group: group.key.clone(),
-                valid: bound.domain,
+                valid: bound.filter.window(),
                 values: agg.finish(&state).into(),
             });
         }
@@ -500,7 +556,7 @@ where
                         &the_plan,
                         agg.clone(),
                         &group.chunks,
-                        bound.domain,
+                        bound.filter.window(),
                         &mut sink,
                     )?;
                 }
@@ -531,20 +587,18 @@ where
 }
 
 /// The one dispatcher. Every query, collected or streamed, takes the
-/// first arm that applies — `TOP k` ranking, `OVER` window, cache serve,
-/// scan — and pushes its rows to `out` in (group, time) order.
+/// first arm that applies — `OVER` window (ranked under `TOP k`), cache
+/// serve, scan — and pushes its rows to `out` in (group, time) order.
 fn run(
     catalog: &Catalog,
     query: &Query,
     config: &PlannerConfig,
     out: &mut RowBuffer<'_>,
 ) -> Result<Outcome> {
-    // `TOP k BY … OVER` and plain `OVER` windows collapse history into
-    // scalar rows; they have their own index-served paths.
-    let outcome = if query.top_k.is_some() {
-        run_top_k(catalog, query, config, out)?
-    } else if let Some(window) = query.window {
-        run_window(catalog, query, window, config, out)?
+    // `OVER` windows and `TOP k BY … OVER` rankings collapse history into
+    // scalar rows; they have their own index-served path.
+    let outcome = if query.window.is_some() || query.top_k.is_some() {
+        run_window(catalog, query, config, out)?
     } else {
         // Serve from the store's aggregate caches when the query shape
         // allows it and every selected aggregate is cached: an MVCC
@@ -662,34 +716,31 @@ fn serve(
 /// The scalar a window query reports for an index-served aggregate:
 /// Delta kinds report the time integral `Σ value·duration` (e.g.
 /// person-instants for `COUNT`), the ordered extremes report the
-/// window's `MIN`/`MAX`.
-fn window_value(agg: &DynAggregate, wa: &WindowAggregate) -> Value {
+/// window's `MIN`/`MAX`. A ranking (`rank`) reports the key `TOP k BY`
+/// ranks groups with instead — identical to the bound the grouped index
+/// prunes on: the window maximum for both extremes (so `TOP k BY MIN`
+/// ranks groups by their best instantaneous minimum).
+fn window_value(agg: &DynAggregate, wa: &WindowAggregate, rank: bool) -> Value {
     match index_mode_for(agg) {
-        Some(IndexMode::Extremes) if agg.kind() == AggKind::Min => wa.min.clone(),
+        Some(IndexMode::Extremes) if agg.kind() == AggKind::Min && !rank => wa.min.clone(),
         Some(IndexMode::Extremes) => wa.max.clone(),
         _ => wa.integral_value(),
     }
 }
 
-/// The key `TOP k BY` ranks groups with — identical to the bound the
-/// grouped index prunes on: the integral for Delta kinds, the window
-/// maximum for the extremes (so `TOP k BY MIN` ranks groups by their
-/// best instantaneous minimum).
-fn rank_value(agg: &DynAggregate, wa: &WindowAggregate) -> Value {
-    match index_mode_for(agg) {
-        Some(IndexMode::Extremes) => wa.max.clone(),
-        _ => wa.integral_value(),
-    }
-}
-
-/// Reduce one aggregate's series over a window linearly. Exact kinds go
-/// through the index's scan oracle so the linear and indexed paths agree
-/// byte-for-byte; inexact float kinds compute the duration-weighted
-/// combine in `f64` (`Σ value·duration` for `SUM`, the weighted mean for
-/// the `AVG` family).
-fn window_scalar(agg: &DynAggregate, series: &Series<Value>, window: Interval) -> Value {
+/// Reduce one aggregate's series over a window linearly to what
+/// [`window_value`] reports. Exact kinds go through the index's scan
+/// oracle so the linear and indexed paths agree byte-for-byte; inexact
+/// float kinds compute the duration-weighted combine in `f64`
+/// (`Σ value·duration` for `SUM`, the weighted mean for the `AVG` family).
+fn window_scalar(
+    agg: &DynAggregate,
+    series: &Series<Value>,
+    window: Interval,
+    rank: bool,
+) -> Value {
     if index_mode_for(agg).is_some() {
-        return window_value(agg, &scan_window(series, window));
+        return window_value(agg, &scan_window(series, window), rank);
     }
     let mut weighted = 0.0f64;
     let mut covered = 0.0f64;
@@ -770,76 +821,147 @@ fn index_report(store: &TemporalStore, before: WindowIndexStats) -> CacheReport 
     }
 }
 
-/// Execute `SELECT aggs OVER [a, b] FROM r`: collapse each aggregate's
-/// history over the window into one scalar row. Clean shapes go through
-/// the store's `O(log n)` segment-tree window index (built and cached on
-/// first probe); WHERE / VALID shapes and inexact float aggregates
-/// compute the series and reduce the window linearly.
+/// Execute `SELECT aggs OVER [a, b] FROM r` — collapse each aggregate's
+/// history over the window into one scalar row — and `SELECT TOP k BY agg
+/// OVER [a, b] FROM r GROUP BY g`: the same reduction per group, ranked and
+/// cut to the k best (top-k by window aggregate, as Jestes et al. define
+/// it). Clean shapes go through the store's `O(log n)` segment-tree window
+/// indexes, built and cached on first probe: one per aggregate, or one per
+/// group behind a shared bound heap that prunes most groups by their
+/// `O(1)` root bound. WHERE / VALID shapes and inexact float aggregates
+/// compute every group's series and reduce the window linearly.
 fn run_window(
     catalog: &Catalog,
     query: &Query,
-    window: Interval,
     config: &PlannerConfig,
     out: &mut RowBuffer<'_>,
 ) -> Result<Outcome> {
+    // The parser builds none of these shapes; a `Query` built by hand can.
+    let malformed = || TempAggError::Sql {
+        line: 1,
+        column: 1,
+        detail: "OVER groups only under TOP k, which ranks the groups by one aggregate".to_owned(),
+    };
+    let window = query.window.ok_or_else(malformed)?;
+    if query.top_k.is_some() != query.group_column.is_some() {
+        return Err(malformed());
+    }
     let store = catalog.store(&query.relation)?;
-    let bound_aggs = bind_aggs(store.schema(), query)?;
-    let agg_labels: Vec<String> = bound_aggs.iter().map(|(_, _, l)| l.clone()).collect();
+    let mut bound_aggs = bind_aggs(store.schema(), query)?;
+    // `TOP k BY agg … GROUP BY g`: the groups of `g`, ranked by `agg`.
+    let ranking = match (query.top_k, query.group_column.as_deref()) {
+        (Some(k), Some(group)) => {
+            let Some(&(agg, column, _)) = bound_aggs.first() else {
+                return Err(malformed());
+            };
+            bound_aggs.truncate(1);
+            Some((k, store.schema().index_of_ignore_case(group)?, agg, column))
+        }
+        _ => None,
+    };
     let multi = MultiDyn::new(bound_aggs.iter().map(|(a, _, _)| *a).collect());
     let clean_shape = query.conditions.is_empty() && query.valid_window.is_none();
     let indexable = bound_aggs
         .iter()
         .all(|(agg, _, _)| index_mode_for(agg).is_some());
     // Planning needs the series' size, not the series: no snapshot, so a
-    // probe after a write publishes nothing.
-    let cached_runs = clean_shape.then(|| {
+    // probe after a write publishes nothing. A ranking's series are its
+    // groups', which only the grouped index serves.
+    let cached_runs = (clean_shape && (ranking.is_none() || indexable)).then(|| {
         bound_aggs
             .first()
+            .filter(|_| ranking.is_none())
             .and_then(|(a, i, _)| store.cached_runs(a.kind(), *i))
             .unwrap_or_else(|| store.len().max(1))
     });
     let domain = query.valid_window.unwrap_or(Interval::TIMELINE);
     let the_plan = plan_window(store, cached_runs, domain, &multi, indexable, config)?;
 
-    let mut cache = CacheReport::default();
-    if !query.explain {
-        let mut values = RowValues::new();
-        match the_plan.choice {
-            AlgorithmChoice::IndexProbe => {
-                let before = store.windex_stats();
-                for (agg, idx, _) in &bound_aggs {
-                    let probed = store.window_probe(agg.kind(), *idx, window)?;
-                    values.push(window_value(agg, &probed));
-                }
-                cache = index_report(store, before);
-            }
-            AlgorithmChoice::CachedSeries => {
-                for (agg, idx, _) in &bound_aggs {
-                    let series = cached_series(store, *agg, *idx)?;
-                    values.push(window_scalar(agg, &series, window));
-                }
-                cache.served_from_cache = true;
-            }
-            _ => {
-                // OVER queries never value-group, so the scan has exactly
-                // one aggregation set and its rows are one series.
-                let mut series = RowBuffer::collecting();
-                run_scan(catalog, query, Planning::Given(&the_plan), &mut series)?;
-                for (j, (agg, _, _)) in bound_aggs.iter().enumerate() {
-                    values.push(window_scalar(agg, &column_series(&series.rows, j), window));
-                }
-            }
+    let served = matches!(
+        the_plan.choice,
+        AlgorithmChoice::IndexProbe | AlgorithmChoice::CachedSeries
+    );
+    let before = store.windex_stats();
+    // One scalar row per group: the ungrouped `OVER` query has one.
+    let rows: Vec<(Option<Value>, RowValues)> = match ranking {
+        _ if query.explain => Vec::new(),
+        Some((k, group_idx, agg, column)) if served => {
+            let (ranked, _probes) =
+                store.top_k_by_window(agg.kind(), column, group_idx, window, k)?;
+            ranked
+                .into_iter()
+                .map(|(group, wa)| {
+                    let value = window_value(&agg, &wa, true);
+                    (Some(group), std::iter::once(value).collect())
+                })
+                .collect()
         }
+        None if served => {
+            let values = bound_aggs
+                .iter()
+                .map(|(agg, idx, _)| match the_plan.choice {
+                    AlgorithmChoice::IndexProbe => {
+                        let probed = store.window_probe(agg.kind(), *idx, window)?;
+                        Ok(window_value(agg, &probed, false))
+                    }
+                    _ => {
+                        let series = cached_series(store, *agg, *idx)?;
+                        Ok(window_scalar(agg, &series, window, false))
+                    }
+                })
+                .collect::<Result<RowValues>>()?;
+            vec![(None, values)]
+        }
+        _ => {
+            // The linear fallback: each group's series, reduced over the
+            // window to what the index answers with.
+            let mut series = RowBuffer::collecting();
+            run_scan(catalog, query, Planning::Given(&the_plan), &mut series)?;
+            let mut scored = Vec::new();
+            let mut rest: &[ResultRow] = &series.rows;
+            while let Some(first) = rest.first() {
+                // Rows arrive in (group, time) order: one run per group, and
+                // one in all without GROUP BY (its constant intervals tile
+                // the domain, so there is one even over no tuple).
+                let len = rest.iter().take_while(|r| r.group == first.group).count();
+                let (group_rows, tail) = rest.split_at(len);
+                let values: RowValues = bound_aggs
+                    .iter()
+                    .enumerate()
+                    .map(|(j, (agg, _, _))| {
+                        let series = column_series(group_rows, j);
+                        window_scalar(agg, &series, window, ranking.is_some())
+                    })
+                    .collect();
+                scored.push((first.group.clone(), values));
+                rest = tail;
+            }
+            if let Some((k, ..)) = ranking {
+                // Stable sort: ties keep the ascending group order, matching
+                // the grouped index's lowest-group-first tie-break.
+                scored.sort_by(|a, b| b.1.cmp(&a.1));
+                scored.truncate(k);
+            }
+            scored
+        }
+    };
+    for (group, values) in rows {
         out.push(ResultRow {
-            group: None,
+            group,
             valid: window,
             values,
         });
     }
     Ok(Outcome {
-        agg_labels,
+        agg_labels: bound_aggs.into_iter().map(|(_, _, l)| l).collect(),
         plan: Some(the_plan),
-        cache,
+        // A served window query reports what the indexes did (nothing, for
+        // a linear pass over a cached series).
+        cache: if served && !query.explain {
+            index_report(store, before)
+        } else {
+            CacheReport::default()
+        },
     })
 }
 
@@ -854,95 +976,6 @@ fn cached_series(
     store
         .snapshot(agg.kind(), column)
         .ok_or_else(|| TempAggError::internal("an ensured cache has no snapshot"))
-}
-
-/// Execute `SELECT TOP k BY agg(col) OVER [a, b] FROM r GROUP BY g`:
-/// rank the distinct grouping values by their windowed aggregate and
-/// keep the k best. Clean shapes go through the store's one window index
-/// per group with a shared bound heap (most groups are pruned by their
-/// `O(1)` root bound); WHERE / VALID shapes and inexact float aggregates
-/// sweep every group and rank linearly.
-fn run_top_k(
-    catalog: &Catalog,
-    query: &Query,
-    config: &PlannerConfig,
-    out: &mut RowBuffer<'_>,
-) -> Result<Outcome> {
-    let (Some(k), Some(window), Some(group_col)) =
-        (query.top_k, query.window, query.group_column.as_deref())
-    else {
-        return Err(TempAggError::internal(
-            "TOP-k queries carry OVER and GROUP BY by construction",
-        ));
-    };
-    let store = catalog.store(&query.relation)?;
-    let bound_aggs = bind_aggs(store.schema(), query)?;
-    let (agg, column, label) = bound_aggs[0].clone();
-    let group_idx = store.schema().index_of_ignore_case(group_col)?;
-    let clean_shape = query.conditions.is_empty() && query.valid_window.is_none();
-    let indexable = index_mode_for(&agg).is_some();
-    let use_index = clean_shape && indexable;
-    let cached_runs = use_index.then(|| store.len().max(1));
-    let the_plan = plan_window(
-        store,
-        cached_runs,
-        query.valid_window.unwrap_or(Interval::TIMELINE),
-        &MultiDyn::new(vec![agg]),
-        indexable,
-        config,
-    )?;
-
-    let mut cache = CacheReport::default();
-    if query.explain {
-        // The plan is the answer.
-    } else if use_index {
-        let before = store.windex_stats();
-        let (ranked, _probes) = store.top_k_by_window(agg.kind(), column, group_idx, window, k)?;
-        cache = index_report(store, before);
-        for (group, wa) in ranked {
-            out.push(ResultRow {
-                group: Some(group),
-                valid: window,
-                values: std::iter::once(rank_value(&agg, &wa)).collect(),
-            });
-        }
-    } else {
-        // Linear fallback: sweep every group, reduce each window, rank by
-        // the same key the grouped index prunes on.
-        let mut series = RowBuffer::collecting();
-        run_scan(catalog, query, Planning::Given(&the_plan), &mut series)?;
-        let mut scored: Vec<(Value, Value)> = Vec::new();
-        let mut rest: &[ResultRow] = &series.rows;
-        while let Some(first) = rest.first() {
-            // Rows arrive in (group, time) order: one run per group.
-            let len = rest.iter().take_while(|r| r.group == first.group).count();
-            let (group_rows, tail) = rest.split_at(len);
-            let projected = column_series(group_rows, 0);
-            let scalar = if indexable {
-                rank_value(&agg, &scan_window(&projected, window))
-            } else {
-                window_scalar(&agg, &projected, window)
-            };
-            scored.push((first.group.clone().unwrap_or(Value::Null), scalar));
-            rest = tail;
-        }
-        // Stable sort: ties keep the ascending group order, matching the
-        // grouped index's lowest-group-first tie-break.
-        scored.sort_by(|a, b| b.1.cmp(&a.1));
-        scored.truncate(k);
-        for (group, value) in scored {
-            out.push(ResultRow {
-                group: Some(group),
-                valid: window,
-                values: std::iter::once(value).collect(),
-            });
-        }
-    }
-    Ok(Outcome {
-        agg_labels: vec![label],
-        plan: Some(the_plan),
-        cache,
-    })
 }
 
 /// What a streaming execution reports back: everything [`QueryResult`]
@@ -1786,6 +1819,34 @@ mod tests {
         assert_eq!(rows[0].group, Some(Value::Int(3)));
         assert_eq!(rows[0].values, vec![Value::Int(1005)]);
         assert_eq!(rows[1].group, Some(Value::Int(2)));
+    }
+
+    /// `Query`'s fields are public, so a ranking without an aggregate can
+    /// be built by hand: a typed error, not a panic.
+    #[test]
+    fn top_k_without_an_aggregate_is_an_error() {
+        let mut query =
+            parse("SELECT TOP 2 BY SUM(salary) OVER [5, 25) FROM Employed GROUP BY name").unwrap();
+        query.aggregates.clear();
+        let err = execute_query(&catalog(), &query, &PlannerConfig::default()).unwrap_err();
+        assert!(matches!(err, TempAggError::Sql { .. }), "{err:?}");
+        // The mirror shapes: a grouped `OVER` without `TOP k` (on the index
+        // path and, with a `WHERE`, on the linear one) and a `TOP k` without
+        // `GROUP BY`.
+        for sql in [
+            "SELECT SUM(salary) OVER [5, 25) FROM Employed",
+            "SELECT SUM(salary) OVER [5, 25) FROM Employed WHERE salary > 0",
+        ] {
+            let mut query = parse(sql).unwrap();
+            query.group_column = Some("name".to_owned());
+            let err = execute_query(&catalog(), &query, &PlannerConfig::default()).unwrap_err();
+            assert!(matches!(err, TempAggError::Sql { .. }), "{sql}: {err:?}");
+        }
+        let mut query =
+            parse("SELECT TOP 2 BY SUM(salary) OVER [5, 25) FROM Employed GROUP BY name").unwrap();
+        query.group_column = None;
+        let err = execute_query(&catalog(), &query, &PlannerConfig::default()).unwrap_err();
+        assert!(matches!(err, TempAggError::Sql { .. }), "{err:?}");
     }
 
     #[test]

@@ -1,17 +1,19 @@
-//! Execution of non-aggregate statements: CREATE TABLE, INSERT, plain
-//! SELECT, and interval joins. Aggregate queries delegate to
-//! [`crate::execute_query`].
+//! Execution of non-aggregate statements: CREATE TABLE, INSERT, DELETE,
+//! UPDATE, plain SELECT, and interval joins. Aggregate queries delegate to
+//! [`crate::execute_query`]. `DELETE`, `UPDATE` and plain `SELECT` admit
+//! tuples through the same bound [`Filter`] an aggregate scan does.
 
 use crate::ast::{JoinSelect, PlainSelect, Statement};
 use crate::catalog::Catalog;
 use crate::display::write_table;
-use crate::exec::{execute_query, CacheReport, QueryResult};
+use crate::exec::{execute_query, CacheReport, Filter, QueryResult};
 use crate::parser::parse_statement;
 use crate::rows::ResultRows;
 use std::fmt;
 use tempagg_algo::{JoinPair, SweepJoinOperator};
 use tempagg_core::{Interval, Result, Schema, SeriesSink, TempAggError, Tuple, Value};
 use tempagg_plan::{plan_join, CostModel, PlannerConfig, RelationStats};
+use tempagg_store::Row;
 
 /// A plain-SELECT result: projected attribute values plus valid time.
 #[derive(Clone, Debug, PartialEq)]
@@ -156,9 +158,8 @@ pub fn execute_parsed_statement(
             valid_window,
         } => {
             let store = catalog.store_mut(relation)?;
-            let bound = bind_conditions(store.schema(), conditions)?;
-            let window = *valid_window;
-            let count = store.delete_where(|tuple| tuple_matches(tuple, &bound, window))?;
+            let filter = Filter::bind(store.schema(), conditions, *valid_window)?;
+            let count = store.delete_where(|tuple| filter.admit(Row::Tuple(tuple)).is_some())?;
             write_through(store)?;
             Ok(StatementOutput::Deleted {
                 relation: relation.clone(),
@@ -172,15 +173,14 @@ pub fn execute_parsed_statement(
             valid_window,
         } => {
             let store = catalog.store_mut(relation)?;
-            let schema = store.schema().clone();
+            let schema = store.schema();
             let bound_assignments: Vec<(usize, Value)> = assignments
                 .iter()
                 .map(|(col, value)| Ok((schema.index_of_ignore_case(col)?, value.clone())))
                 .collect::<Result<_>>()?;
-            let bound = bind_conditions(&schema, conditions)?;
-            let window = *valid_window;
+            let filter = Filter::bind(schema, conditions, *valid_window)?;
             let count = store.update_where(
-                |tuple| tuple_matches(tuple, &bound, window),
+                |tuple| filter.admit(Row::Tuple(tuple)).is_some(),
                 &bound_assignments,
             )?;
             write_through(store)?;
@@ -201,36 +201,6 @@ fn write_through(store: &mut tempagg_store::TemporalStore) -> Result<()> {
     Ok(())
 }
 
-/// Resolve condition column names to indexes against `schema`.
-fn bind_conditions(
-    schema: &Schema,
-    conditions: &[crate::ast::Condition],
-) -> Result<Vec<(usize, crate::ast::CompareOp, Value)>> {
-    conditions
-        .iter()
-        .map(|c| {
-            Ok((
-                schema.index_of_ignore_case(&c.column)?,
-                c.op,
-                c.value.clone(),
-            ))
-        })
-        .collect()
-}
-
-/// Whether a tuple satisfies every bound condition and overlaps the
-/// optional valid window.
-fn tuple_matches(
-    tuple: &tempagg_core::Tuple,
-    bound: &[(usize, crate::ast::CompareOp, Value)],
-    window: Option<Interval>,
-) -> bool {
-    bound
-        .iter()
-        .all(|(idx, op, value)| op.eval(tuple.value(*idx), value))
-        && window.map_or(true, |w| tuple.valid().overlaps(&w))
-}
-
 /// Execute (or EXPLAIN) an interval join on the sweep-based
 /// [`SweepJoinOperator`]: co-sort both relations' endpoint events —
 /// `p`-way partitioned when [`plan_join`] prescribes it — and enumerate
@@ -242,11 +212,11 @@ fn interval_join(
     join: &JoinSelect,
     config: &PlannerConfig,
 ) -> Result<StatementOutput> {
-    let left = catalog.get(&join.left)?;
-    let right = catalog.get(&join.right)?;
+    // The sweep join is priced from the two sides' sizes alone, so the
+    // plan (and `EXPLAIN`) reads no row of either.
     let plan = plan_join(
-        &RelationStats::analyze(left),
-        &RelationStats::analyze(right),
+        &RelationStats::unknown(catalog.store(&join.left)?.len()),
+        &RelationStats::unknown(catalog.store(&join.right)?.len()),
         config,
         &CostModel::default(),
     );
@@ -262,6 +232,7 @@ fn interval_join(
         }));
     }
 
+    let (left, right) = (catalog.get(&join.left)?, catalog.get(&join.right)?);
     let mut columns = Vec::with_capacity(left.schema().len() + right.schema().len());
     for (qualifier, schema) in [
         (join.left_qualifier(), left.schema()),
@@ -317,9 +288,13 @@ impl SeriesSink<JoinPair> for JoinRows<'_> {
     }
 }
 
+/// The tuples a plain `SELECT`'s [`Filter`] admits, projected, read through
+/// the store's scan as an aggregate's are: a reopened table's off its
+/// pages, fence-pruned to the `VALID` window and decoded to the projected
+/// and condition columns only.
 fn plain_select(catalog: &Catalog, select: &PlainSelect) -> Result<TupleTable> {
-    let relation = catalog.get(&select.relation)?;
-    let schema = relation.schema();
+    let store = catalog.store(&select.relation)?;
+    let schema = store.schema();
 
     let projection: Vec<(String, usize)> = match &select.columns {
         None => schema
@@ -333,39 +308,14 @@ fn plain_select(catalog: &Catalog, select: &PlainSelect) -> Result<TupleTable> {
             .map(|c| Ok((c.clone(), schema.index_of_ignore_case(c)?)))
             .collect::<Result<_>>()?,
     };
-    let bound_conditions: Vec<(usize, crate::ast::CompareOp, Value)> = select
-        .conditions
-        .iter()
-        .map(|c| {
-            Ok((
-                schema.index_of_ignore_case(&c.column)?,
-                c.op,
-                c.value.clone(),
-            ))
-        })
-        .collect::<Result<_>>()?;
-
+    let filter = Filter::bind(schema, &select.conditions, select.valid_window)?;
     let mut rows = Vec::new();
-    'tuples: for tuple in relation {
-        for (idx, op, value) in &bound_conditions {
-            if !op.eval(tuple.value(*idx), value) {
-                continue 'tuples;
-            }
+    let mut scan = filter.scan(store, projection.iter().map(|(_, i)| *i));
+    while let Some(batch) = scan.next_batch()? {
+        for (row, valid) in filter.admitted(&batch) {
+            let values = projection.iter().map(|(_, i)| row.value(*i).clone());
+            rows.push((values.collect(), valid));
         }
-        let valid = match select.valid_window {
-            Some(window) => match tuple.valid().intersect(&window) {
-                Some(clipped) => clipped,
-                None => continue,
-            },
-            None => tuple.valid(),
-        };
-        rows.push((
-            projection
-                .iter()
-                .map(|(_, i)| tuple.value(*i).clone())
-                .collect(),
-            valid,
-        ));
     }
     Ok(TupleTable {
         columns: projection.into_iter().map(|(n, _)| n).collect(),

@@ -2,7 +2,7 @@
 //!
 //! A store built in memory holds its rows as a [`TemporalRelation`]. A store
 //! opened from a `.tapg` file holds them as that file's pages — its *base* —
-//! until something needs them in memory: the first write, `SELECT *`, a
+//! until something needs them in memory: the first write, an executed
 //! join, a cache the file does not hold. [`Rows::resident`] is the one door
 //! from the pages to memory, and it is fallible: a page that fails its
 //! checksum is a [`TempAggError::Storage`] for the statement that first

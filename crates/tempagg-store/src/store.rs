@@ -155,7 +155,7 @@ impl TemporalStore {
     /// [`schema`](TemporalStore::schema) read them from the header and
     /// [`scan`](TemporalStore::scan) reads them page by page, until
     /// [`resident`](TemporalStore::resident) first needs them in memory (a
-    /// write, `SELECT *`, a join, a cache the file does not hold). Each
+    /// write, an executed join, a cache the file does not hold). Each
     /// persisted aggregate series is decoded when
     /// [`snapshot`](TemporalStore::snapshot) /
     /// [`ensure_cache`](TemporalStore::ensure_cache) or a probe first asks
@@ -247,7 +247,9 @@ impl TemporalStore {
 
     /// The rows in memory. A store [opened](TemporalStore::open) from a
     /// file reads its pages here, once, on the first call: the door every
-    /// read that needs resident rows goes through. A page that fails its
+    /// read that needs resident rows goes through (a write, an executed
+    /// join, a cache the file does not hold; a plain `SELECT` reads through
+    /// [`scan`](TemporalStore::scan)). A page that fails its
     /// checksum is a [`TempAggError::Storage`], and the store is left as it
     /// was.
     pub fn resident(&self) -> Result<&TemporalRelation> {

@@ -4,10 +4,11 @@
 //! `AlgorithmChoice` — before and after one `INSERT`.
 //!
 //! The reopened side keeps its rows on the file's pages, so its scans read
-//! pages fence-pruned and projected, its served shapes read series blocks,
-//! and the shapes that need resident rows (`SELECT *`, a join, a ranking's
-//! groups, a cache the file does not hold) read the pages into memory
-//! first. The resident side is the store that wrote the file. Each shape
+//! pages fence-pruned and projected (a plain `SELECT` included), its
+//! served shapes read series blocks, and the shapes that need resident rows
+//! (an executed join, a ranking's groups, a cache the file does not hold)
+//! read the pages into memory first. The resident side is the store that
+//! wrote the file. Each shape
 //! runs on fresh copies of both, collected and then streamed at chunk
 //! capacity 1; after the `INSERT` — written through to the reopened side's
 //! file — it runs on both again and on that file reopened once more.
@@ -196,5 +197,28 @@ fn reopened_tables_answer_every_sql_shape_as_resident_ones() {
             let got = collected(&mut reopened_catalog(&copy), sql);
             assert_eq!(got, collected(&mut live, sql), "{case} (reopened after it)");
         }
+    }
+}
+
+/// A plain `SELECT` reads a reopened table through the store's scan, and
+/// `EXPLAIN` of a join plans from the two stores' sizes: each answers as
+/// the resident table does and leaves the store on its pages.
+#[test]
+fn plain_selects_and_join_plans_leave_a_reopened_table_on_its_pages() {
+    let file = temp_path("plain.tapg");
+    let _cleanup = Cleanup(file.clone());
+    let resident = TemporalStore::new(table(&WorkloadConfig::random(2_500).with_seed(47)));
+    let mut writer = resident.clone();
+    writer.persist_to(&file).unwrap();
+    for sql in [
+        "SELECT name FROM t WHERE dept = 3 AND salary > 50000",
+        "SELECT * FROM t WHERE VALID OVERLAPS [300000, 450000]",
+        "EXPLAIN SELECT * FROM t JOIN d ON OVERLAPS",
+    ] {
+        let want = collected(&mut resident_catalog(&resident), sql);
+        let mut paged = reopened_catalog(&file);
+        assert_eq!(collected(&mut paged, sql), want, "{sql}");
+        let store = paged.store("t").unwrap();
+        assert!(store.pages().is_some(), "{sql} read the table into memory");
     }
 }

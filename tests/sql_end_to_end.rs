@@ -191,6 +191,103 @@ fn sql_multi_aggregate_columns_are_consistent() {
     }
 }
 
+/// One filter everywhere: for each `WHERE … [AND VALID OVERLAPS [a, b]]`,
+/// `SELECT *`, `SELECT SNAPSHOT COUNT(*)`, `DELETE` and `UPDATE` admit the
+/// same tuples — windows that touch a tuple at one instant, `FOREVER`
+/// ends, `NULL` cells under `<` and `<>`, and literals of another type.
+#[test]
+fn select_snapshot_delete_and_update_admit_the_same_tuples() {
+    use temporal_aggregates::core::Column;
+    use temporal_aggregates::{Schema, StatementOutput, ValueType};
+    let schema = Schema::new(vec![
+        Column::new("name", ValueType::Str),
+        Column::new("x", ValueType::Int).nullable(),
+    ])
+    .unwrap();
+    let mut relation = TemporalRelation::new(schema);
+    for (name, x, valid) in [
+        ("a", Value::Int(5), Interval::at(0, 9)),
+        ("b", Value::Null, Interval::at(10, 19)),
+        ("c", Value::Int(20), Interval::from_start(20)),
+        ("d", Value::Int(7), Interval::at(5, 5)),
+        ("e", Value::Null, Interval::at(30, 40)),
+        ("f", Value::Int(-3), Interval::at(12, 15)),
+    ] {
+        relation.push(vec![Value::from(name), x], valid).unwrap();
+    }
+    let all = catalog_with("f", relation);
+    // Each WHERE clause and the names of the tuples it admits.
+    let cases = [
+        // NULL orders below every INT under the total order.
+        ("x < 10", "abdef"),
+        ("x <> 5", "bcdef"),
+        ("x >= 7", "cd"),
+        ("x = 7.0", "d"),
+        // Every INT, and NULL, orders below a STRING and differs from it.
+        ("x < 'five'", "abcdef"),
+        ("x <> 'five'", "abcdef"),
+        ("name = 5", ""),
+        // Ends at c's start; starts at b's end; excludes f by one instant.
+        ("VALID OVERLAPS [15, 20]", "bcf"),
+        ("VALID OVERLAPS [19, 29]", "bc"),
+        ("VALID OVERLAPS [16, 19]", "b"),
+        ("VALID OVERLAPS [40, FOREVER]", "ce"),
+        ("VALID OVERLAPS [41, FOREVER]", "c"),
+        ("x <> 20 AND VALID OVERLAPS [9, 12]", "abf"),
+        ("x < 10 AND VALID OVERLAPS [5, 5]", "ad"),
+    ];
+    let names = |c: &mut Catalog, sql: &str| match execute_statement(c, sql).unwrap() {
+        StatementOutput::Tuples(table) => table
+            .rows
+            .iter()
+            .map(|(values, _)| values[0].to_string())
+            .collect::<String>(),
+        other => panic!("{sql}: {other:?}"),
+    };
+    for (clause, want) in cases {
+        let mut c = all.clone();
+        let selected = names(&mut c, &format!("SELECT * FROM f WHERE {clause}"));
+        assert_eq!(selected, want, "SELECT * WHERE {clause}");
+        let sql = format!("SELECT SNAPSHOT COUNT(*) FROM f WHERE {clause}");
+        let counted = execute_str(&c, &sql).unwrap().rows.to_vec();
+        assert_eq!(
+            counted[0].values,
+            vec![Value::Int(want.len() as i64)],
+            "{sql}"
+        );
+
+        let deleted = execute_statement(&mut c, &format!("DELETE FROM f WHERE {clause}")).unwrap();
+        let count = want.len();
+        assert_eq!(
+            deleted,
+            StatementOutput::Deleted {
+                relation: "f".into(),
+                count
+            },
+            "DELETE WHERE {clause}"
+        );
+        let kept: String = "abcdef".chars().filter(|n| !want.contains(*n)).collect();
+        assert_eq!(
+            names(&mut c, "SELECT * FROM f"),
+            kept,
+            "after DELETE WHERE {clause}"
+        );
+
+        let mut c = all.clone();
+        let sql = format!("UPDATE f SET x = 99 WHERE {clause}");
+        let updated = execute_statement(&mut c, &sql).unwrap();
+        assert_eq!(
+            updated,
+            StatementOutput::Updated {
+                relation: "f".into(),
+                count
+            },
+            "{sql}"
+        );
+        assert_eq!(names(&mut c, "SELECT * FROM f WHERE x = 99"), want, "{sql}");
+    }
+}
+
 #[test]
 fn sql_span_total_equals_instant_weighted_check() {
     // Sanity link between span and instant grouping: a span bucket's count
