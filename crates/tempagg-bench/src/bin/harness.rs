@@ -12,7 +12,6 @@
 //! harness fig9 --long-lived 80   # §6.2: memory with long-lived tuples
 //! harness ablation               # §7 future-work ablations
 //! harness aggkinds               # the five aggregates through one tree
-//! harness calibrate              # measure per-unit costs for the planner
 //!
 //! options: --max <tuples>  (default 65536; the paper's 64K)
 //!          --seeds <n>     (default 3; paper used several seeds)
@@ -21,12 +20,9 @@
 //! ```
 //!
 //! Every report line is printed and also saved to
-//! `target/harness_output.txt`. One command refreshes a *tracked* file:
-//! `calibrate` rewrites the repo root's `calibration.json` profile
-//! ([`tempagg_plan::Calibration`]) for the current host; `--test` runs it
-//! on tiny inputs and leaves the tracked file untouched. What is measured
-//! beyond the paper — store, window index, pager, SQL — is measured by
-//! `bench/` (see `BENCHMARK.json`).
+//! `target/harness_output.txt`; no command writes a tracked file. What is
+//! measured beyond the paper — store, window index, pager, SQL — is
+//! measured by `bench/` (see `BENCHMARK.json`).
 //!
 //! Absolute numbers will differ from the paper's 1995 SPARCstation, but the
 //! *shape* — who wins, by what factor, where crossovers sit — is the
@@ -34,9 +30,7 @@
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use tempagg_bench::{
-    count_tuples, median_over_seeds, run_count, secs, size_sweep, AlgoConfig, RunMeasurement,
-};
+use tempagg_bench::{count_tuples, median_over_seeds, run_count, secs, size_sweep, AlgoConfig};
 use tempagg_core::sortedness;
 use tempagg_core::Interval;
 use tempagg_workload::employed::{employed_relation, employed_tuples};
@@ -48,8 +42,6 @@ struct Options {
     seeds: u64,
     k_pct: f64,
     long_lived_override: Option<u8>,
-    /// `--test`: tiny inputs, no tracked artifact overwritten.
-    smoke: bool,
 }
 
 impl Default for Options {
@@ -59,7 +51,6 @@ impl Default for Options {
             seeds: 3,
             k_pct: 0.08,
             long_lived_override: None,
-            smoke: false,
         }
     }
 }
@@ -147,11 +138,6 @@ fn main() {
                 options.max_tuples = 8_192;
                 options.seeds = 1;
             }
-            "--test" => {
-                options.smoke = true;
-                options.max_tuples = 4_096;
-                options.seeds = 1;
-            }
             cmd if command.is_none() && !cmd.starts_with('-') => {
                 command = Some(cmd.to_owned());
             }
@@ -170,7 +156,6 @@ fn main() {
         "fig9" => fig9(&options, &mut sink),
         "ablation" => ablation(&options, &mut sink),
         "aggkinds" => aggregate_kinds(&options, &mut sink),
-        "calibrate" => calibrate(&options, &mut sink),
         "all" => {
             table1(&mut sink);
             table2(&mut sink);
@@ -183,7 +168,6 @@ fn main() {
             fig9(&with_long, &mut sink);
             ablation(&options, &mut sink);
             aggregate_kinds(&options, &mut sink);
-            calibrate(&options, &mut sink);
         }
         other => usage(&format!("unknown command `{other}`")),
     }
@@ -197,8 +181,8 @@ fn main() {
 fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!(
-        "usage: harness [table1|table2|fig6|fig7|fig8|fig9|ablation|aggkinds|calibrate|all] \
-         [--max N] [--seeds N] [--kpct F] [--long-lived P] [--quick] [--test]"
+        "usage: harness [table1|table2|fig6|fig7|fig8|fig9|ablation|aggkinds|all] \
+         [--max N] [--seeds N] [--kpct F] [--long-lived P] [--quick]"
     );
     std::process::exit(2)
 }
@@ -664,199 +648,4 @@ fn ablation(options: &Options, sink: &mut Sink) {
         ],
         &rows,
     );
-}
-
-// ──────────────────────────── Calibration ───────────────────────────
-
-/// Measure the cost model's per-unit nanosecond constants on this host and
-/// rewrite the repo root's `calibration.json` profile. Each algorithm runs
-/// a workload whose unit count the model predicts in closed form; the
-/// measured wall-clock divided by that count is the per-unit cost.
-fn calibrate(options: &Options, sink: &mut Sink) {
-    use tempagg_plan::Calibration;
-
-    emit!(
-        sink,
-        "\n== Calibrate: measured per-unit costs (ns) for the planner's cost model =="
-    );
-    let seeds = options.seeds;
-    let nanos = |m: &RunMeasurement| m.elapsed.as_nanos() as f64;
-
-    // Linked list: Θ(n·cells/2) cell visits — kept small because that
-    // product grows quadratically on random input.
-    let n_list = 4_096usize;
-    let m = median_over_seeds(
-        AlgoConfig::LinkedList,
-        |seed| WorkloadConfig::random(n_list).with_seed(seed),
-        seeds,
-    );
-    let list_cell_ns = nanos(&m) / (n_list as f64 * m.result_rows.max(1) as f64 / 2.0);
-
-    // Aggregation tree: Θ(n·log₂(2·cells+1)) node visits on random input.
-    let n = options.max_tuples.min(65_536);
-    let m = median_over_seeds(
-        AlgoConfig::AggregationTree,
-        |seed| WorkloadConfig::random(n).with_seed(seed),
-        seeds,
-    );
-    let tree_node_ns = nanos(&m) / (n as f64 * (2.0 * m.result_rows.max(1) as f64 + 1.0).log2());
-
-    // k-ordered tree: Θ(n·(log₂ w + 2)) visits in a w = 4(2k+1)+1 window.
-    let k = 16usize;
-    let m = median_over_seeds(
-        AlgoConfig::KTree { k },
-        |seed| tempagg_bench::workload_for(AlgoConfig::KTree { k }, n, 0, options.k_pct, seed),
-        seeds,
-    );
-    let window = (4 * (2 * k + 1) + 1) as f64;
-    let ktree_node_ns = nanos(&m) / (n as f64 * (window.log2() + 2.0));
-
-    // Sweep: T(e) = e·log₂(e)·sort + e·event has two unknowns — measure
-    // two sizes and solve the 2×2 system, clamping away timer noise.
-    let (n1, n2) = (16_384usize, 131_072usize);
-    let t1 = nanos(&median_over_seeds(
-        AlgoConfig::Sweep,
-        |seed| WorkloadConfig::random(n1).with_seed(seed),
-        seeds,
-    ));
-    let t2 = nanos(&median_over_seeds(
-        AlgoConfig::Sweep,
-        |seed| WorkloadConfig::random(n2).with_seed(seed),
-        seeds,
-    ));
-    let (e1, e2) = ((2 * n1) as f64, (2 * n2) as f64);
-    let (a1, a2) = (e1 * e1.log2(), e2 * e2.log2());
-    let sweep_sort_ns = clamp_positive((t1 * e2 - t2 * e1) / (a1 * e2 - a2 * e1));
-    let sweep_event_ns = clamp_positive((t2 - a2 * sweep_sort_ns) / e2);
-
-    // Parallel sort: the model prices the cache-partitioned path as
-    // e·log₂(e)·parallel_sort/p, so measure the sweep on two workers and
-    // back the per-unit constant out after removing the scan term. On a
-    // single-core host this lands near 2× `sweep_sort_ns` — the honest
-    // answer: splitting the sort buys nothing here.
-    let p = 2.0f64;
-    let tp = nanos(&median_over_seeds(
-        AlgoConfig::SweepParallel { threads: 2 },
-        |seed| WorkloadConfig::random(n2).with_seed(seed),
-        seeds,
-    ));
-    let parallel_sort_ns = clamp_positive((tp - e2 * sweep_event_ns) * p / a2);
-
-    // Page read: per-page fetch + decode cost of the paged columnar
-    // format, measured by sequentially scanning a freshly written file.
-    let page_read_ns = match measure_page_read(seeds) {
-        Ok(ns) => ns,
-        Err(e) => {
-            emit!(
-                sink,
-                "[page-read measurement failed ({e}); keeping the default]"
-            );
-            Calibration::default().page_read_ns
-        }
-    };
-
-    // Window-index probe: ns per node folded during a descent, backed
-    // out of many random-window probes of a warm index over a large
-    // cached series (each probe folds ≈ 2·log₂(leaves) nodes).
-    let index_probe_ns = measure_index_probe();
-
-    let cal = Calibration {
-        list_cell_ns: clamp_positive(list_cell_ns),
-        tree_node_ns: clamp_positive(tree_node_ns),
-        ktree_node_ns: clamp_positive(ktree_node_ns),
-        sweep_sort_ns,
-        sweep_event_ns,
-        parallel_sort_ns,
-        page_read_ns: clamp_positive(page_read_ns),
-        index_probe_ns: clamp_positive(index_probe_ns),
-    };
-    emit!(sink, "\n{}", cal.emit().trim_end());
-
-    if options.smoke {
-        emit!(sink, "\n[--test: tracked calibration.json left untouched]");
-        return;
-    }
-    // The tracked profile sits at the workspace root, two levels above this
-    // crate; written through the pager's temp-file + rename helper so an
-    // interrupted run never leaves half a JSON document.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
-    let path = root.unwrap_or(Path::new(".")).join("calibration.json");
-    match tempagg_core::pager::write_atomic(&path, cal.emit().as_bytes()) {
-        Ok(()) => emit!(sink, "\n[calibration.json written to {}]", path.display()),
-        Err(e) => emit!(sink, "\n[could not write {}: {e}]", path.display()),
-    }
-}
-
-/// Measure the window index's per-node fold cost: build a `COUNT(*)`
-/// index over a large cached series, probe random 1%-width windows, and
-/// divide the per-probe time by the ≈ 2·log₂(leaves) nodes a descent
-/// folds.
-fn measure_index_probe() -> f64 {
-    use std::hint::black_box;
-    use tempagg_agg::{AggKind, DynAggregate};
-    use tempagg_algo::{IndexMode, WindowIndex};
-    use tempagg_core::ValueType;
-    use tempagg_store::TemporalStore;
-
-    let config = WorkloadConfig::random(32_768).with_seed(3);
-    let lifespan = config.lifespan;
-    let store = TemporalStore::new(generate(&config));
-    // lint: allow(no-unwrap): COUNT(*) over Int is a statically valid pairing
-    let agg = DynAggregate::new(AggKind::CountStar, ValueType::Int).expect("COUNT(*) over Int");
-    let series = store.snapshot_or_build(agg, None);
-    let index = WindowIndex::build(IndexMode::Integral, &series);
-    let folds_per_probe = 2.0 * (index.leaf_count().max(2) as f64).log2();
-
-    let width = lifespan / 100;
-    let probes = 20_000u64;
-    let mut rng = tempagg_workload::rng::StdRng::seed_from_u64(0x00DD_BA11);
-    let mut acc = 0i128;
-    let started = Instant::now();
-    for _ in 0..probes {
-        let start = rng.random_range(0..lifespan - width);
-        acc += index
-            .probe(Interval::at(start, start + width), &*series)
-            .integral;
-    }
-    let per_probe = started.elapsed().as_nanos() as f64 / probes as f64;
-    black_box(acc);
-    per_probe / folds_per_probe
-}
-
-/// Measure the pager's per-page read + decode cost: write a relation to
-/// the temp directory, sequentially decode every page `seeds` times, and
-/// take the best (least-interrupted) pass in ns per page.
-fn measure_page_read(seeds: u64) -> tempagg_core::Result<f64> {
-    use tempagg_core::pager::{self, PagedReader, PagedWriteOptions};
-    let relation = generate(&WorkloadConfig::sorted(32_768).with_seed(1));
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "tempagg-calibrate-pages-{}.tapg",
-        std::process::id()
-    ));
-    pager::write_relation(&relation, &path, &PagedWriteOptions::default())?;
-    let reader = PagedReader::open(&path)?;
-    let pages = reader.page_count().max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..seeds.max(1) {
-        let started = Instant::now();
-        let mut decoded = 0usize;
-        for index in 0..reader.page_count() {
-            decoded += reader.read_page(index, None)?.len();
-        }
-        assert_eq!(decoded, relation.len(), "every tuple decodes exactly once");
-        best = best.min(started.elapsed().as_nanos() as f64 / pages as f64);
-    }
-    pager::remove_file(&path)?;
-    Ok(best)
-}
-
-/// Timer noise (or a degenerate 2×2 solve) can push a measured per-unit
-/// cost to zero or below; the planner requires strictly positive constants.
-fn clamp_positive(x: f64) -> f64 {
-    if x.is_finite() && x > 0.05 {
-        x
-    } else {
-        0.05
-    }
 }

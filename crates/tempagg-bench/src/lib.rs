@@ -35,9 +35,6 @@ pub enum AlgoConfig {
     Balanced,
     /// Columnar endpoint sweep (beyond the paper).
     Sweep,
-    /// The sweep with its cache-partitioned endpoint sort on `threads`
-    /// workers.
-    SweepParallel { threads: usize },
 }
 
 impl AlgoConfig {
@@ -50,7 +47,6 @@ impl AlgoConfig {
             AlgoConfig::TwoScan => "Two-scan (Tuma)".into(),
             AlgoConfig::Balanced => "Balanced Tree".into(),
             AlgoConfig::Sweep => "Endpoint Sweep".into(),
-            AlgoConfig::SweepParallel { threads } => format!("Endpoint Sweep P={threads}"),
         }
     }
 }
@@ -111,9 +107,6 @@ where
         AlgoConfig::TwoScan => drive(TwoScanAggregate::new(agg), tuples),
         AlgoConfig::Balanced => drive(BalancedAggregationTree::new(agg), tuples),
         AlgoConfig::Sweep => drive(SweepAggregator::new(agg), tuples),
-        AlgoConfig::SweepParallel { threads } => {
-            drive(SweepAggregator::new(agg).with_parallelism(threads), tuples)
-        }
     }
 }
 
@@ -207,7 +200,6 @@ mod tests {
             AlgoConfig::TwoScan,
             AlgoConfig::Balanced,
             AlgoConfig::Sweep,
-            AlgoConfig::SweepParallel { threads: 4 },
         ] {
             let m = run_count(config, &tuples);
             assert!(m.result_rows > 100, "{config:?} rows {}", m.result_rows);
@@ -231,7 +223,6 @@ mod tests {
             AlgoConfig::TwoScan,
             AlgoConfig::Balanced,
             AlgoConfig::Sweep,
-            AlgoConfig::SweepParallel { threads: 8 },
         ]
         .iter()
         .map(|&c| run_count(c, &tuples).result_rows)
@@ -254,10 +245,6 @@ mod tests {
         assert_eq!(AlgoConfig::KTree { k: 40 }.label(), "Ktree K=40");
         assert_eq!(AlgoConfig::KTreeSorted.label(), "Ktree sorted K=1");
         assert_eq!(AlgoConfig::Sweep.label(), "Endpoint Sweep");
-        assert_eq!(
-            AlgoConfig::SweepParallel { threads: 8 }.label(),
-            "Endpoint Sweep P=8"
-        );
     }
 
     #[test]

@@ -24,11 +24,9 @@
 //!   aggregator, with [`SliceSource`] giving resident data the same
 //!   interface.
 //!
-//! The free functions below ([`write_atomic`], [`read_to_string`],
-//! [`exists`], [`remove_file`]) are the shared filesystem helpers the rest
-//! of the workspace uses for data files *and* tracked artifacts (BENCH
-//! JSON, calibration profiles), all speaking `Result<_, TempAggError>`
-//! instead of `std::io::Result`.
+//! The free functions below ([`exists`], [`remove_file`]) are the shared
+//! filesystem helpers the rest of the workspace uses for data files, both
+//! speaking `Result<_, TempAggError>` instead of `std::io::Result`.
 
 pub mod checksum;
 pub mod cursor;
@@ -50,20 +48,10 @@ fn io_err(path: &Path, what: &str, err: &std::io::Error) -> TempAggError {
     TempAggError::storage(format!("{}: {what}: {err}", path.display()))
 }
 
-/// Atomically replace `path` with `contents`: write to a `.tmp` sibling,
-/// then rename over the target. Readers never observe a torn file; a crash
-/// mid-write leaves at worst a stray temp file. Used for tracked artifacts
-/// (benchmark JSON, calibration profiles); paged data files stream through
-/// the same policy in [`write_relation`].
-pub fn write_atomic(path: &Path, contents: &[u8]) -> Result<()> {
-    replace_atomically(path, |tmp, mut file| {
-        std::io::Write::write_all(&mut file, contents).map_err(|e| io_err(tmp, "write failed", &e))
-    })
-}
-
-/// The policy behind [`write_atomic`] for a writer that streams: create the
-/// `.tmp` sibling, let `fill` write it, then rename it over `path`. Nothing
-/// is fsynced.
+/// Atomically replace `path`: create a `.tmp` sibling, let `fill` write
+/// it, then rename it over `path`. Readers never observe a torn file; a
+/// crash mid-write leaves at worst a stray temp file. Nothing is fsynced.
+/// [`write_relation`] streams every paged data file through it.
 pub(crate) fn replace_atomically(
     path: &Path,
     fill: impl FnOnce(&Path, &std::fs::File) -> Result<()>,
@@ -75,11 +63,6 @@ pub(crate) fn replace_atomically(
     fill(tmp, &file)?;
     drop(file);
     std::fs::rename(tmp, path).map_err(|e| io_err(path, "rename failed", &e))
-}
-
-/// Read a whole UTF-8 file (calibration profiles, committed artifacts).
-pub fn read_to_string(path: &Path) -> Result<String> {
-    std::fs::read_to_string(path).map_err(|e| io_err(path, "read failed", &e))
 }
 
 /// Whether `path` exists (permission errors read as absent).
@@ -108,13 +91,21 @@ mod tests {
         p
     }
 
+    fn write_atomic(path: &Path, contents: &[u8]) {
+        replace_atomically(path, |_, mut file| {
+            std::io::Write::write_all(&mut file, contents).unwrap();
+            Ok(())
+        })
+        .unwrap();
+    }
+
     #[test]
     fn write_atomic_replaces_and_leaves_no_temp() {
         let path = temp_path("atomic.txt");
-        write_atomic(&path, b"first").unwrap();
-        assert_eq!(read_to_string(&path).unwrap(), "first");
-        write_atomic(&path, b"second").unwrap();
-        assert_eq!(read_to_string(&path).unwrap(), "second");
+        write_atomic(&path, b"first");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "first");
+        write_atomic(&path, b"second");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
         let mut tmp_name = path.as_os_str().to_os_string();
         tmp_name.push(".tmp");
         assert!(!exists(Path::new(&tmp_name)));
@@ -126,7 +117,7 @@ mod tests {
 
     #[test]
     fn read_missing_file_is_storage_error() {
-        let err = read_to_string(Path::new("/nonexistent/tempagg-nope")).unwrap_err();
+        let err = PagedReader::open(Path::new("/nonexistent/tempagg-nope")).unwrap_err();
         assert!(matches!(err, TempAggError::Storage { .. }));
     }
 }

@@ -6,8 +6,8 @@ fn persist(relation: &TemporalRelation, path: &Path) -> Result<()> {
     pager::write_relation(relation, path, &PagedWriteOptions::default())
 }
 
-fn track(path: &Path, doc: &str) -> Result<()> {
-    pager::write_atomic(path, doc.as_bytes())
+fn discard(path: &Path) -> Result<()> {
+    pager::remove_file(path)
 }
 
 fn spill_budget(path: &Path) -> u64 {

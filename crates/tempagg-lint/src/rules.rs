@@ -649,8 +649,8 @@ fn no_io_outside_pager(
                 "no-io-outside-pager",
                 code[i].line,
                 "raw std::fs/std::io outside tempagg-core/src/pager — route disk \
-                 access through the pager (write_atomic / write_relation / \
-                 PagedReader) so every byte crosses the checksummed format in one \
+                 access through the pager (write_relation / PagedReader / \
+                 remove_file) so every byte crosses the checksummed format in one \
                  audited place, or justify with \
                  `// lint: allow(no-io-outside-pager): <why>`"
                     .to_string(),
@@ -1018,7 +1018,7 @@ mod tests {
         let src = "fn f() {\n    // lint: allow(no-io-outside-pager): size probe only, no bytes decoded\n    let m = std::fs::metadata(p);\n}";
         assert!(check("tempagg-store", false, src).is_empty());
         // Pager re-exports are the sanctioned path and carry no std:: prefix.
-        let src = "fn f() { pager::write_atomic(path, bytes) }";
+        let src = "fn f() { pager::remove_file(path) }";
         assert!(check("tempagg-store", false, src).is_empty());
     }
 

@@ -1,12 +1,12 @@
-//! An explicit cost model for the algorithms, and cost-*based* planners
-//! that rank candidates numerically.
+//! An explicit cost model for the algorithms, and the cost-*based* planner
+//! that ranks candidates numerically.
 //!
 //! Section 6.3 phrases algorithm choice as trade-offs ("depending on the
 //! tradeoff between the cost of increased memory requirements and the cost
 //! of disk access"); the rule-based [`crate::plan`] encodes its
 //! conclusions directly, while this module derives them from first
-//! principles — per-unit work counts calibrated to the asymptotics the
-//! paper measures:
+//! principles — per-unit work counts following the asymptotics the paper
+//! measures:
 //!
 //! * linked list: each tuple scans ~half the current cell list — `Θ(n·c)`;
 //! * aggregation tree: `Θ(n log c)` node visits on random input, but
@@ -16,20 +16,18 @@
 //!   plus a branch-light linear merge scan;
 //! * a pre-sort adds `Θ(n log n)` CPU plus one extra relation scan of I/O.
 //!
-//! The constant in front of each asymptotic term is *calibrated*: the
-//! `tempagg-bench` harness' `calibrate` command measures per-unit
-//! nanosecond costs on the host and emits a [`Calibration`] profile
-//! (`calibration.json` at the repo root holds committed defaults);
-//! [`CostModel::calibrated`] normalises those into tree-node-visit units.
+//! The constant in front of each asymptotic term is a field of one
+//! [`CostModel`], in units of one aggregation-tree node visit;
+//! [`CostModel::default`] states them all.
 //!
-//! Two planner entry points share the ranking machinery:
-//!
-//! * [`plan_by_cost`] scores only the paper's three algorithms, so that
-//!   its agreement with the rule-based [`crate::plan`] across the paper's
-//!   scenarios remains a reproduction check;
-//! * [`choose_algorithm`] adds the endpoint-sweep kernel as a fourth
-//!   candidate, gated on the aggregate's [`SweepClass`] (floating-point
-//!   retraction is inexact, so `Approximate` aggregates never sweep).
+//! Every planner entry point ranks through one function (`rank`).
+//! [`choose_algorithm`] scores the paper's three algorithms and adds the
+//! endpoint-sweep kernel as a fourth candidate, gated on the aggregate's
+//! [`SweepClass`]: floating-point retraction is inexact, so under
+//! `Approximate` it ranks exactly the paper's candidates, and its agreement
+//! with the rule-based [`crate::plan`] across the paper's scenarios is a
+//! reproduction check. [`choose_window_algorithm`] and [`plan_join`] rank
+//! their own pools the same way.
 //!
 //! What is priced is what runs: a candidate's parallel cost (`parallelise`)
 //! is the cost of the route the executor takes for it — domain partitions
@@ -43,10 +41,9 @@ use tempagg_agg::SweepClass;
 use tempagg_algo::memory::{model_node_bytes, MODEL_POINTER_BYTES};
 
 /// Relative cost weights. One aggregation-tree node visit is the unit;
-/// the per-algorithm constants are the calibrated ratios of each
-/// algorithm's per-unit work to that unit (see [`CostModel::calibrated`]).
-/// I/O is charged per tuple per scan, heavily weighted as disk I/O is
-/// orders of magnitude above any in-memory unit.
+/// the per-algorithm constants are the ratios of each algorithm's
+/// per-unit work to that unit. I/O is charged per tuple per scan, heavily
+/// weighted as disk I/O is orders of magnitude above any in-memory unit.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Cost of touching one linked-list cell (sequential scan: cheaper
@@ -63,7 +60,7 @@ pub struct CostModel {
     /// Sort cost per endpoint event per `log₂ e` when the sweep takes its
     /// cache-partitioned path (radix scatter into time-bucketed runs,
     /// per-run `sort_unstable` across workers). The whole term divides by
-    /// the degree of parallelism; see [`Calibration::parallel_sort_ns`].
+    /// the degree of parallelism.
     pub parallel_sort_per_event: f64,
     /// Cost of applying one endpoint event in the sweep's merge scan
     /// (delta add/subtract for `SweepClass::Delta` aggregates).
@@ -89,180 +86,31 @@ pub struct CostModel {
     pub per_state_byte: f64,
     /// Fixed cost (in node-visit units) of each domain partition in the
     /// parallel pipeline: worker setup, tuple clipping, and seam
-    /// stitching. Gates [`CostModel::choose_parallelism`].
+    /// stitching. Gates how many ways a plan splits.
     pub partition_overhead: f64,
     /// Cost of touching one window-index node during a probe's
     /// partial-overlap descent (a window probe folds ≤ `2 log₂ runs` of
-    /// them). Calibrated from [`Calibration::index_probe_ns`].
+    /// them).
     pub index_probe_visit: f64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
-        CostModel::calibrated(&Calibration::default())
-    }
-}
-
-/// Measured per-unit costs in nanoseconds, as produced by the harness'
-/// `calibrate` command. The committed defaults (`calibration.json`, also
-/// `Calibration::default()`) were measured on the development host; rerun
-/// `harness calibrate` to adapt the planner to new hardware.
-///
-/// The profile is stored as flat JSON — one number per key — and parsed
-/// without any external dependency:
-///
-/// ```text
-/// {
-///   "list_cell_ns": 10.0,
-///   "tree_node_ns": 20.0,
-///   "ktree_node_ns": 7.0,
-///   "sweep_sort_ns": 4.0,
-///   "sweep_event_ns": 2.0,
-///   "parallel_sort_ns": 2.0
-/// }
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Calibration {
-    /// ns per linked-list cell visit.
-    pub list_cell_ns: f64,
-    /// ns per aggregation-tree node visit.
-    pub tree_node_ns: f64,
-    /// ns per k-ordered-tree node visit.
-    pub ktree_node_ns: f64,
-    /// ns per endpoint event per log₂ e, in the sweep's sort.
-    pub sweep_sort_ns: f64,
-    /// ns per endpoint event in the sweep's merge scan.
-    pub sweep_event_ns: f64,
-    /// ns per endpoint event per log₂ e on the sweep's cache-partitioned
-    /// sort path (before dividing by the worker count).
-    pub parallel_sort_ns: f64,
-    /// ns to read and decode one page of a paged relation file
-    /// (positioned read + checksum + columnar decode).
-    pub page_read_ns: f64,
-    /// ns per window-index node folded during a probe descent.
-    pub index_probe_ns: f64,
-}
-
-impl Default for Calibration {
-    fn default() -> Self {
-        Calibration {
-            list_cell_ns: 10.0,
-            tree_node_ns: 20.0,
-            ktree_node_ns: 7.0,
-            sweep_sort_ns: 4.0,
-            sweep_event_ns: 2.0,
-            parallel_sort_ns: 2.0,
-            page_read_ns: 4000.0,
-            index_probe_ns: 25.0,
-        }
-    }
-}
-
-impl Calibration {
-    /// Parse a flat-JSON calibration profile. Unknown keys are rejected
-    /// (they signal a stale or foreign profile); missing keys keep their
-    /// defaults so older profiles stay loadable.
-    pub fn parse(text: &str) -> std::result::Result<Calibration, String> {
-        let body = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|t| t.trim_end().strip_suffix('}'))
-            .ok_or_else(|| "calibration profile must be a JSON object".to_owned())?;
-        let mut cal = Calibration::default();
-        for entry in body.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) = entry
-                .split_once(':')
-                .ok_or_else(|| format!("malformed calibration entry: {entry:?}"))?;
-            let key = key.trim().trim_matches('"');
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("calibration value for {key:?} is not a number"))?;
-            if !value.is_finite() || value <= 0.0 {
-                return Err(format!("calibration value for {key:?} must be positive"));
-            }
-            match key {
-                "list_cell_ns" => cal.list_cell_ns = value,
-                "tree_node_ns" => cal.tree_node_ns = value,
-                "ktree_node_ns" => cal.ktree_node_ns = value,
-                "sweep_sort_ns" => cal.sweep_sort_ns = value,
-                "sweep_event_ns" => cal.sweep_event_ns = value,
-                "parallel_sort_ns" => cal.parallel_sort_ns = value,
-                "page_read_ns" => cal.page_read_ns = value,
-                "index_probe_ns" => cal.index_probe_ns = value,
-                other => return Err(format!("unknown calibration key {other:?}")),
-            }
-        }
-        Ok(cal)
-    }
-
-    /// Serialise back to the flat-JSON profile format.
-    pub fn emit(&self) -> String {
-        format!(
-            "{{\n  \"list_cell_ns\": {:.3},\n  \"tree_node_ns\": {:.3},\n  \
-             \"ktree_node_ns\": {:.3},\n  \"sweep_sort_ns\": {:.3},\n  \
-             \"sweep_event_ns\": {:.3},\n  \"parallel_sort_ns\": {:.3},\n  \
-             \"page_read_ns\": {:.3},\n  \"index_probe_ns\": {:.3}\n}}\n",
-            self.list_cell_ns,
-            self.tree_node_ns,
-            self.ktree_node_ns,
-            self.sweep_sort_ns,
-            self.sweep_event_ns,
-            self.parallel_sort_ns,
-            self.page_read_ns,
-            self.index_probe_ns
-        )
-    }
-
-    /// Load a profile from disk (e.g. the committed `calibration.json`).
-    pub fn load(path: &std::path::Path) -> std::result::Result<Calibration, String> {
-        let text = tempagg_core::pager::read_to_string(path).map_err(|e| e.to_string())?;
-        Calibration::parse(&text)
-    }
-}
-
-impl CostModel {
-    /// Build a cost model from measured per-unit nanosecond costs: the
-    /// aggregation-tree node visit becomes the unit (1.0) and every other
-    /// constant the measured ratio to it. The I/O, presort, memory, and
-    /// partition weights are policy rather than measurement and keep
-    /// their defaults.
-    pub fn calibrated(cal: &Calibration) -> CostModel {
-        let unit = cal.tree_node_ns.max(f64::MIN_POSITIVE);
         CostModel {
-            list_cell_visit: cal.list_cell_ns / unit,
+            list_cell_visit: 0.5,
             tree_node_visit: 1.0,
-            ktree_node_visit: cal.ktree_node_ns / unit,
-            sweep_sort_per_event: cal.sweep_sort_ns / unit,
-            parallel_sort_per_event: cal.parallel_sort_ns / unit,
-            sweep_event_visit: cal.sweep_event_ns / unit,
+            ktree_node_visit: 0.35,
+            sweep_sort_per_event: 0.2,
+            parallel_sort_per_event: 0.1,
+            sweep_event_visit: 0.1,
             ordered_active_multiplier: 8.0,
             io_per_tuple: 50.0,
-            page_read: cal.page_read_ns / unit,
+            page_read: 200.0,
             sort_per_tuple: 2.0,
             per_state_byte: 0.0,
             partition_overhead: 5_000.0,
-            index_probe_visit: cal.index_probe_ns / unit,
+            index_probe_visit: 1.25,
         }
-    }
-
-    /// The degree of parallelism that minimises `serial_cpu / p +
-    /// p · partition_overhead` over `1 ≤ p ≤ max_partitions` — i.e. an
-    /// even domain split is only worth its per-partition overhead when the
-    /// CPU saved exceeds it. Returns 1 when no split pays off.
-    pub fn choose_parallelism(&self, serial_cpu: f64, max_partitions: usize) -> usize {
-        let mut best = (1usize, serial_cpu);
-        for p in 2..=max_partitions.max(1) {
-            let cost = serial_cpu / p as f64 + p as f64 * self.partition_overhead;
-            if cost < best.1 {
-                best = (p, cost);
-            }
-        }
-        best.0
     }
 }
 
@@ -276,9 +124,14 @@ pub struct CostEstimate {
 }
 
 impl CostEstimate {
-    /// Total weighted cost.
+    /// Total weighted cost. Zero state bytes cost zero memory at any
+    /// `per_state_byte`, an infinite one included.
     pub fn total(&self, model: &CostModel) -> f64 {
-        self.cpu + self.io + self.state_bytes as f64 * model.per_state_byte
+        let memory = match self.state_bytes {
+            0 => 0.0,
+            bytes => bytes as f64 * model.per_state_byte,
+        };
+        self.cpu + self.io + memory
     }
 }
 
@@ -441,51 +294,42 @@ fn candidates(stats: &RelationStats) -> Vec<AlgorithmChoice> {
 
 /// Re-cost a serial estimate at the cheapest achievable degree of
 /// parallelism `≤ max_p`, returning the adjusted estimate and the chosen
-/// worker count. Non-sweep candidates parallelise through the partitioned
-/// pipeline (`cpu/p + p·overhead`, [`CostModel::choose_parallelism`]). The
-/// sweeps are special-cased: their dominant sort term runs partitioned
-/// in-kernel (radix scatter + per-bucket `sort_unstable`, costed at
-/// [`CostModel::parallel_sort_per_event`]) and divides by `p`, while the
-/// merge scan stays serial — `SweepAggregator::with_parallelism(p)`, which
-/// is what `execute_chunks_into` builds for a `Sweep` plan and
-/// `statement.rs` for a `SweepJoin` one. Serving a cached snapshot never
-/// partitions.
+/// worker count: the `p` minimising `serial + divisible / p +
+/// p · partition_overhead`, where a split is only taken when it is strictly
+/// cheaper than running serially. Non-sweep candidates parallelise through
+/// the partitioned pipeline, so all their CPU divides. The sweeps' dominant
+/// sort term runs partitioned in-kernel (radix scatter + per-bucket
+/// `sort_unstable`, costed at [`CostModel::parallel_sort_per_event`]) and
+/// divides by `p`, while the merge scan stays serial —
+/// `SweepAggregator::with_parallelism(p)`, which is what
+/// `execute_chunks_into` builds for a `Sweep` plan and `statement.rs` for a
+/// `SweepJoin` one. Serving a cached snapshot never partitions.
 fn parallelise(
     est: CostEstimate,
     stats: &RelationStats,
     model: &CostModel,
     max_p: usize,
 ) -> (CostEstimate, usize) {
-    if max_p <= 1 {
-        return (est, 1);
-    }
-    match est.choice {
-        AlgorithmChoice::CachedSeries | AlgorithmChoice::IndexProbe => (est, 1),
+    let (serial, divisible) = match est.choice {
+        AlgorithmChoice::CachedSeries | AlgorithmChoice::IndexProbe => return (est, 1),
         AlgorithmChoice::Sweep | AlgorithmChoice::SweepJoin => {
-            let n = stats.tuple_count.max(1) as f64;
-            let events = 2.0 * n;
-            let serial_sort = events * log2(events) * model.sweep_sort_per_event;
-            let scan = est.cpu - serial_sort;
-            let mut best = (est.cpu, 1usize);
-            for p in 2..=max_p {
-                let sort = events * log2(events) * model.parallel_sort_per_event / p as f64;
-                let cost = scan + sort + p as f64 * model.partition_overhead;
-                if cost < best.0 {
-                    best = (cost, p);
-                }
-            }
-            let (cpu, parallelism) = best;
-            (CostEstimate { cpu, ..est }, parallelism)
+            let events = 2.0 * stats.tuple_count.max(1) as f64;
+            let sorted = events * log2(events);
+            (
+                est.cpu - sorted * model.sweep_sort_per_event,
+                sorted * model.parallel_sort_per_event,
+            )
         }
-        _ => {
-            let p = model.choose_parallelism(est.cpu, max_p);
-            if p <= 1 {
-                return (est, 1);
-            }
-            let cpu = est.cpu / p as f64 + p as f64 * model.partition_overhead;
-            (CostEstimate { cpu, ..est }, p)
+        _ => (0.0, est.cpu),
+    };
+    let mut best = (est.cpu, 1);
+    for p in 2..=max_p {
+        let cost = serial + divisible / p as f64 + p as f64 * model.partition_overhead;
+        if cost < best.0 {
+            best = (cost, p);
         }
     }
+    (CostEstimate { cpu: best.0, ..est }, best.1)
 }
 
 /// Rank `pool` under the cost model, honouring the memory budget, and
@@ -529,12 +373,7 @@ fn rank(
         scored.sort_by_key(|(e, _)| e.state_bytes);
         scored.truncate(1);
     }
-    scored.sort_by(|(a, _), (b, _)| {
-        a.total(model)
-            .partial_cmp(&b.total(model))
-            // lint: allow(no-unwrap): cost formulas are sums and products of finite non-negative terms, never NaN
-            .expect("costs are finite")
-    });
+    scored.sort_by(|(a, _), (b, _)| a.total(model).total_cmp(&b.total(model)));
     let (best, parallelism) = scored[0].clone();
     let mut rationale: Vec<String> = scored
         .iter()
@@ -576,33 +415,13 @@ fn rank(
     }
 }
 
-/// Pick the cheapest of the *paper's* candidates under the cost model,
-/// honouring the memory budget. Returns a [`Plan`] whose rationale records
-/// the scores. The two planners agreeing across the paper's scenarios is a
-/// reproduction check; production selection (which also knows the
-/// endpoint-sweep kernel) is [`choose_algorithm`].
-pub fn plan_by_cost(
-    stats: &RelationStats,
-    config: &PlannerConfig,
-    model: &CostModel,
-    state_model_bytes: usize,
-) -> Plan {
-    rank(
-        candidates(stats),
-        stats,
-        config,
-        model,
-        state_model_bytes,
-        SweepClass::Delta,
-    )
-}
-
 /// Full cost-based algorithm selection: the paper's three algorithms plus
 /// the columnar endpoint-sweep kernel, chosen from the relation's size and
 /// sortedness and the aggregate's [`SweepClass`] (its retraction
 /// behaviour). `Approximate` aggregates — floating-point sums and
 /// averages, variance — never sweep, because retracting their active state
-/// drifts; everything else competes on calibrated cost. When
+/// drifts, so they rank exactly the paper's candidates; everything else
+/// competes with the sweep on modelled cost. When
 /// [`RelationStats::cached_series`] reports a store-maintained cache of
 /// the queried aggregate, [`AlgorithmChoice::CachedSeries`] joins the
 /// pool — serving an MVCC snapshot costs one pass over the cached runs
@@ -710,9 +529,9 @@ pub fn choose_window_algorithm(
 
 /// Price a sweep-based interval join of two relations. The sweep join is
 /// currently the only join operator, so this prescribes rather than
-/// chooses: it costs co-sorting `2·(nₗ + nᵣ)` endpoint events at the
-/// achievable parallelism plus the serial live-set enumeration scan, and
-/// its rationale feeds the SQL layer's `EXPLAIN`.
+/// chooses: it ranks that one candidate — co-sorting `2·(nₗ + nᵣ)` endpoint
+/// events at the achievable parallelism plus the serial live-set
+/// enumeration scan — and its rationale feeds the SQL layer's `EXPLAIN`.
 pub fn plan_join(
     left: &RelationStats,
     right: &RelationStats,
@@ -720,40 +539,22 @@ pub fn plan_join(
     model: &CostModel,
 ) -> Plan {
     let combined = RelationStats::unknown(left.tuple_count + right.tuple_count);
-    let max_p = crate::planner::choose_parallelism(&combined, config);
-    let serial = estimate(
-        AlgorithmChoice::SweepJoin,
+    let mut plan = rank(
+        vec![AlgorithmChoice::SweepJoin],
         &combined,
+        config,
         model,
         MODEL_POINTER_BYTES,
         SweepClass::Delta,
     );
-    let (est, parallelism) = parallelise(serial, &combined, model, max_p);
-    let mut rationale = vec![
+    plan.rationale.insert(
+        0,
         format!(
             "co-sorts {} endpoint events from both sides into one sweep",
             2 * combined.tuple_count
         ),
-        format!(
-            "{}: cpu {:.0}, io {:.0}, state {} B, total {:.0}",
-            est.choice.name(),
-            est.cpu,
-            est.io,
-            est.state_bytes,
-            est.total(model)
-        ),
-    ];
-    if parallelism > 1 {
-        rationale.push(format!(
-            "endpoint sort runs {parallelism}-way partitioned; the join scan stays serial"
-        ));
-    }
-    Plan {
-        choice: AlgorithmChoice::SweepJoin,
-        parallelism,
-        estimated_state_bytes: est.state_bytes,
-        rationale,
-    }
+    );
+    plan
 }
 
 #[cfg(test)]
@@ -766,8 +567,13 @@ mod tests {
         RelationStats::unknown(n).with_ordering(ordering)
     }
 
+    /// The paper's candidates only: an approximate aggregate never sweeps.
+    fn paper_plan(stats: &RelationStats, config: &PlannerConfig, model: &CostModel) -> Plan {
+        choose_algorithm(stats, SweepClass::Approximate, config, model, 4)
+    }
+
     fn cost_choice(stats: &RelationStats) -> AlgorithmChoice {
-        plan_by_cost(stats, &PlannerConfig::default(), &CostModel::default(), 4).choice
+        paper_plan(stats, &PlannerConfig::default(), &CostModel::default()).choice
     }
 
     fn full_choice(stats: &RelationStats, class: SweepClass) -> AlgorithmChoice {
@@ -841,7 +647,7 @@ mod tests {
             memory_budget_bytes: Some(10_000),
             ..Default::default()
         };
-        let p = plan_by_cost(&s, &config, &CostModel::default(), 4);
+        let p = paper_plan(&s, &config, &CostModel::default());
         assert_eq!(
             p.choice,
             AlgorithmChoice::KOrderedTree {
@@ -861,7 +667,7 @@ mod tests {
             per_state_byte: 10.0,
             ..Default::default()
         };
-        let p = plan_by_cost(&s, &PlannerConfig::default(), &expensive, 4);
+        let p = paper_plan(&s, &PlannerConfig::default(), &expensive);
         assert_eq!(
             p.choice,
             AlgorithmChoice::KOrderedTree {
@@ -901,24 +707,44 @@ mod tests {
     #[test]
     fn parallelism_pays_only_on_big_inputs() {
         let model = CostModel::default();
+        let s = stats(100_000, OrderingKnowledge::Unordered);
+        let ways = |cpu: f64, max_p: usize| {
+            let serial = CostEstimate {
+                choice: AlgorithmChoice::AggregationTree,
+                cpu,
+                io: 0.0,
+                state_bytes: 0,
+            };
+            parallelise(serial, &s, &model, max_p)
+        };
         // 1 000 node visits: any split costs more in overhead than it saves.
-        assert_eq!(model.choose_parallelism(1_000.0, 8), 1);
-        // 10 M node visits: splitting is clearly worth it.
-        assert!(model.choose_parallelism(10_000_000.0, 8) > 1);
+        assert_eq!(ways(1_000.0, 8).1, 1);
+        // A split that only breaks even (cpu / 2 + 2 · overhead = cpu) is
+        // not taken.
+        let even = 4.0 * model.partition_overhead;
+        assert_eq!(ways(even, 8), (ways(even, 1).0, 1));
+        // 10 M node visits: splitting is clearly worth it, and the estimate
+        // is re-costed at the chosen split.
+        let (split, p) = ways(10_000_000.0, 8);
+        assert!(p > 1);
+        assert_eq!(
+            split.cpu,
+            10_000_000.0 / p as f64 + p as f64 * model.partition_overhead
+        );
         // Never exceeds the cap.
-        assert!(model.choose_parallelism(10_000_000.0, 3) <= 3);
-        assert_eq!(model.choose_parallelism(10_000_000.0, 1), 1);
+        assert!(ways(10_000_000.0, 3).1 <= 3);
+        assert_eq!(ways(10_000_000.0, 1).1, 1);
     }
 
     #[test]
-    fn plan_by_cost_prescribes_parallelism_when_forced() {
+    fn cost_planner_prescribes_parallelism_when_forced() {
         let s = stats(100_000, OrderingKnowledge::Unordered);
         let config = PlannerConfig {
             parallelism: Some(4),
             parallel_min_tuples: 0,
             ..Default::default()
         };
-        let p = plan_by_cost(&s, &config, &CostModel::default(), 4);
+        let p = paper_plan(&s, &config, &CostModel::default());
         assert_eq!(p.parallelism, 4);
         assert!(p.rationale.iter().any(|r| r.contains("partition overhead")));
         // Forcing serial always wins.
@@ -927,7 +753,7 @@ mod tests {
             ..config
         };
         assert_eq!(
-            plan_by_cost(&s, &serial, &CostModel::default(), 4).parallelism,
+            paper_plan(&s, &serial, &CostModel::default()).parallelism,
             1
         );
     }
@@ -935,7 +761,7 @@ mod tests {
     #[test]
     fn rationale_lists_all_scored_candidates() {
         let s = stats(10_000, OrderingKnowledge::Sorted);
-        let p = plan_by_cost(&s, &PlannerConfig::default(), &CostModel::default(), 4);
+        let p = paper_plan(&s, &PlannerConfig::default(), &CostModel::default());
         assert!(p.rationale.len() >= 3);
         assert!(p.rationale[0].contains("total"));
     }
@@ -943,7 +769,13 @@ mod tests {
     #[test]
     fn sweep_wins_large_unsorted_delta_aggregates() {
         // The acceptance scenario: COUNT/SUM over a large unordered
-        // relation routes to the sweep under the calibrated defaults.
+        // relation routes to the sweep under the default constants — on
+        // one worker too, where no partitioned sort can rescue it.
+        let serial = PlannerConfig {
+            parallelism: Some(1),
+            ..Default::default()
+        };
+        let model = CostModel::default();
         for n in [10_000usize, 100_000, 1_000_000] {
             let s = stats(n, OrderingKnowledge::Unordered);
             assert_eq!(
@@ -951,6 +783,8 @@ mod tests {
                 AlgorithmChoice::Sweep,
                 "n = {n}"
             );
+            let p = choose_algorithm(&s, SweepClass::Delta, &serial, &model, 4);
+            assert_eq!(p.choice, AlgorithmChoice::Sweep, "serial, n = {n}");
         }
     }
 
@@ -1079,12 +913,10 @@ mod tests {
         // *before* ranking. A host whose monolithic sort is slow but whose
         // partitioned sort is fast keeps the tree serially and flips to
         // the sweep once workers are configured.
-        let cal = Calibration {
-            sweep_sort_ns: 2_000.0,
-            parallel_sort_ns: 2.0,
+        let model = CostModel {
+            sweep_sort_per_event: 100.0,
             ..Default::default()
         };
-        let model = CostModel::calibrated(&cal);
         let s = stats(100_000, OrderingKnowledge::Unordered);
         let serial = PlannerConfig {
             parallelism: Some(1),
@@ -1149,22 +981,8 @@ mod tests {
         };
         let pp = plan_join(&left, &right, &wide, &CostModel::default());
         assert!(pp.parallelism > 1);
-        assert!(pp.rationale.iter().any(|r| r.contains("partitioned")));
-    }
-
-    #[test]
-    fn calibration_roundtrips_through_json() {
-        let cal = Calibration {
-            list_cell_ns: 12.5,
-            tree_node_ns: 21.0,
-            ktree_node_ns: 6.25,
-            sweep_sort_ns: 3.5,
-            sweep_event_ns: 1.75,
-            parallel_sort_ns: 1.5,
-            page_read_ns: 3_200.0,
-            index_probe_ns: 31.0,
-        };
-        assert_eq!(Calibration::parse(&cal.emit()), Ok(cal));
+        assert!(pp.rationale[0].starts_with("co-sorts"));
+        assert!(pp.rationale.iter().any(|r| r.contains("ways")));
     }
 
     #[test]
@@ -1249,27 +1067,6 @@ mod tests {
                 .any(|r| r.contains("reads all 256 pages")),
             "plan was:\n{p}"
         );
-    }
-
-    #[test]
-    fn calibration_parse_rejects_malformed_profiles() {
-        assert!(Calibration::parse("not json").is_err());
-        assert!(Calibration::parse("{\"tree_node_ns\": \"fast\"}").is_err());
-        assert!(Calibration::parse("{\"tree_node_ns\": -3.0}").is_err());
-        assert!(Calibration::parse("{\"warp_factor\": 9.0}").is_err());
-        // Missing keys keep defaults.
-        let partial = Calibration::parse("{\"tree_node_ns\": 40.0}").unwrap();
-        assert_eq!(partial.tree_node_ns, 40.0);
-        assert_eq!(partial.list_cell_ns, Calibration::default().list_cell_ns);
-    }
-
-    #[test]
-    fn default_model_is_the_default_calibration() {
-        assert_eq!(
-            CostModel::default(),
-            CostModel::calibrated(&Calibration::default())
-        );
-        assert_eq!(CostModel::default().tree_node_visit, 1.0);
     }
 
     #[test]
@@ -1397,16 +1194,35 @@ mod tests {
     #[test]
     fn calibration_shifts_selection() {
         // A host where sorting is pathologically slow stops choosing the
-        // sweep — the whole point of calibrating.
-        let slow_sort = Calibration {
-            sweep_sort_ns: 2_000.0,
-            sweep_event_ns: 500.0,
-            parallel_sort_ns: 2_000.0,
+        // sweep — the constants, not the candidate list, decide.
+        let model = CostModel {
+            sweep_sort_per_event: 100.0,
+            sweep_event_visit: 25.0,
+            parallel_sort_per_event: 100.0,
             ..Default::default()
         };
-        let model = CostModel::calibrated(&slow_sort);
         let s = stats(100_000, OrderingKnowledge::Unordered);
         let p = choose_algorithm(&s, SweepClass::Delta, &PlannerConfig::default(), &model, 4);
         assert_eq!(p.choice, AlgorithmChoice::AggregationTree);
+    }
+
+    #[test]
+    fn an_infinite_memory_price_still_ranks_stateless_candidates() {
+        use crate::stats::CachedSeriesInfo;
+        // Zero state bytes cost zero memory: a stateless candidate's total
+        // stays finite (not 0 × ∞ = NaN) and wins over every stateful one.
+        let model = CostModel {
+            per_state_byte: f64::INFINITY,
+            ..Default::default()
+        };
+        let s = stats(100_000, OrderingKnowledge::Unordered).with_cached_series(CachedSeriesInfo {
+            runs: 100_000,
+            epoch: 1,
+        });
+        let config = PlannerConfig::default();
+        let window = choose_window_algorithm(&s, SweepClass::Delta, true, &config, &model, 4);
+        assert_eq!(window.choice, AlgorithmChoice::IndexProbe);
+        let full = choose_algorithm(&s, SweepClass::Delta, &config, &model, 4);
+        assert_eq!(full.choice, AlgorithmChoice::CachedSeries);
     }
 }

@@ -9,11 +9,9 @@
 //! execute the chosen plan.
 //!
 //! Beyond the paper, [`choose_algorithm`] adds the columnar endpoint-sweep
-//! kernel as a fourth candidate, selected by a [`CostModel`] whose
-//! per-algorithm constants are *calibrated* from measured per-unit costs
-//! (a [`Calibration`] profile produced by the bench harness' `calibrate`
-//! command) and gated on the aggregate's retraction class
-//! ([`SweepClass`]).
+//! kernel as a fourth candidate, selected by a [`CostModel`] — one set of
+//! per-algorithm constants in units of an aggregation-tree node visit —
+//! and gated on the aggregate's retraction class ([`SweepClass`]).
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
@@ -24,8 +22,7 @@ mod planner;
 mod stats;
 
 pub use cost::{
-    choose_algorithm, choose_window_algorithm, estimate, plan_by_cost, plan_join, Calibration,
-    CostEstimate, CostModel,
+    choose_algorithm, choose_window_algorithm, estimate, plan_join, CostEstimate, CostModel,
 };
 pub use executor::{evaluate_auto, execute, execute_chunks_into, ExecutionReport};
 pub use planner::{

@@ -15,8 +15,8 @@
 //!   k-ordered tree with k = 1** (the paper's "simplest strategy").
 //!
 //! This rule set reproduces the paper's optimizer verbatim, so it never
-//! prescribes the (post-paper) endpoint-sweep kernel; the calibrated
-//! cost-based [`crate::choose_algorithm`] adds that fourth candidate.
+//! prescribes the (post-paper) endpoint-sweep kernel; the cost-based
+//! [`crate::choose_algorithm`] adds that fourth candidate.
 
 use crate::stats::{OrderingKnowledge, RelationStats};
 use std::fmt;
@@ -117,8 +117,8 @@ impl Default for PlannerConfig {
 
 /// The degree of parallelism a plan should prescribe: the configured (or
 /// machine-reported) worker count, except that small relations stay serial
-/// (`1`). This is the rule-based counterpart of
-/// [`CostModel::choose_parallelism`](crate::CostModel::choose_parallelism).
+/// (`1`). The cost-based planner treats it as an upper bound and splits
+/// each candidate only as far as its partition overhead pays.
 pub fn choose_parallelism(stats: &RelationStats, config: &PlannerConfig) -> usize {
     let available = config.parallelism.unwrap_or_else(machine_threads);
     if available <= 1 || stats.tuple_count < config.parallel_min_tuples {

@@ -68,7 +68,7 @@ pub struct RelationStats {
     pub cached_series: Option<CachedSeriesInfo>,
     /// Total pages in the relation's paged backing file, when the
     /// relation lives out of core. Switches I/O costing from per-tuple to
-    /// per-page ([`Calibration::page_read_ns`](crate::Calibration)).
+    /// per-page ([`CostModel::page_read`](crate::CostModel::page_read)).
     pub pages: Option<usize>,
     /// Pages whose fences overlap the query window — what a fence-pruned
     /// scan actually reads. `None` means no pruning knowledge (cost the

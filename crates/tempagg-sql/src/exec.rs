@@ -11,10 +11,10 @@
 //! to per-group [`Chunk`]s that the chunk-fed executor consumes — no tuple
 //! is cloned and no scratch relation is built. Select lists over `INT`
 //! columns lower to the heap-free [`TypedMulti`]; everything else keeps
-//! [`MultiDyn`]. Instant-grouped queries go through calibrated cost-based
-//! selection ([`choose_algorithm`]), which extends the Section 6.3
-//! optimizer with the columnar endpoint-sweep kernel, gated on the select
-//! list's weakest retraction class; `GROUP BY SPAN n` uses the
+//! [`MultiDyn`]. Instant-grouped queries go through cost-based selection
+//! ([`choose_algorithm`]) under [`CostModel::default`], which extends the
+//! Section 6.3 optimizer with the columnar endpoint-sweep kernel, gated on
+//! the select list's weakest retraction class; `GROUP BY SPAN n` uses the
 //! span-grouping bucket algorithm; `GROUP BY col` partitions first and
 //! evaluates per group (Section 4.1's "aggregation sets").
 
@@ -533,7 +533,7 @@ where
                     if let Some(pages) = pages {
                         stats = stats.with_pages(pages.total, Some(pages.read));
                     }
-                    // Calibrated cost-based selection: the select list's
+                    // Cost-based selection: the select list's
                     // weakest retraction class gates whether the endpoint
                     // sweep competes.
                     choose_algorithm(

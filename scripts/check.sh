@@ -9,13 +9,16 @@ cd "$(dirname "$0")/.."
 
 # The beyond-the-paper harness commands and their BENCH_*.json are retired
 # (bench/ measures the same things like for like), so nothing that ships
-# may quote them: a number nobody can re-run is not a number. History
-# (CHANGES.md, ROADMAP.md, EXPERIMENTS.md's retired table) is exempt, and
-# bench/ is read-only to engine PRs.
-echo "==> no citation of a retired harness command or BENCH_*.json"
-if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq)\b' -- \
+# may quote them: a number nobody can re-run is not a number. The same goes
+# for the retired calibration profile, its command and its loader, and the
+# planner entry point that only tests called: CostModel::default() holds the
+# one set of planner constants, and choose_algorithm is the one ranking.
+# History (CHANGES.md, ROADMAP.md, EXPERIMENTS.md's retired table) is
+# exempt, and bench/ is read-only to engine PRs.
+echo "==> no citation of a retired harness command, BENCH_*.json or planner entry point"
+if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost' -- \
     README.md DESIGN.md .claude scripts crates src examples tests ':!scripts/check.sh'; then
-    echo "retired benchmark cited above: name a bench/ metric and workload instead" >&2
+    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default() or choose_algorithm instead" >&2
     exit 1
 fi
 

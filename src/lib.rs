@@ -21,8 +21,7 @@
 //!   future-work list (§7);
 //! * [`SweepAggregator`] — a columnar endpoint-sweep kernel (beyond the
 //!   paper): buffer, one unstable sort, one branch-light scan — chosen by
-//!   the calibrated cost model ([`choose_algorithm`]) for large unordered
-//!   inputs;
+//!   the cost model ([`choose_algorithm`]) for large unordered inputs;
 //! * [`SpanGrouper`] / [`GroupedAggregate`] — span grouping and
 //!   `GROUP BY` value grouping (§2);
 //! * a cost-based algorithm selector implementing §6.3 ([`plan`],
@@ -123,9 +122,8 @@ pub use tempagg_core::{
     DEFAULT_CHUNK_CAPACITY,
 };
 pub use tempagg_plan::{
-    choose_algorithm, choose_parallelism, evaluate_auto, execute, plan, plan_by_cost,
-    AlgorithmChoice, Calibration, CostModel, ExecutionReport, OrderingKnowledge, Plan,
-    PlannerConfig, RelationStats,
+    choose_algorithm, choose_parallelism, evaluate_auto, execute, plan, AlgorithmChoice, CostModel,
+    ExecutionReport, OrderingKnowledge, Plan, PlannerConfig, RelationStats,
 };
 pub use tempagg_sql::{
     execute_statement, execute_str, execute_streaming_str, CacheReport, Catalog, QueryResult,

@@ -5,11 +5,11 @@
 use temporal_aggregates::algo::moving::{moving_aggregate, WindowAlignment};
 use temporal_aggregates::algo::oracle::oracle;
 use temporal_aggregates::core::{algebra, BitemporalRelation, EventRelation};
-use temporal_aggregates::planner::{plan_by_cost, CostModel};
+use temporal_aggregates::planner::{choose_algorithm, CostModel};
 use temporal_aggregates::prelude::*;
 use temporal_aggregates::workload::employed::employed_relation;
 use temporal_aggregates::workload::{generate, storage, WorkloadConfig};
-use temporal_aggregates::{Schema, ValueType};
+use temporal_aggregates::{Schema, SweepClass, ValueType};
 
 #[test]
 fn algebra_pipeline_feeds_aggregation() {
@@ -161,7 +161,15 @@ fn cost_planner_and_rule_planner_agree_on_generated_workloads() {
         let relation = generate(&config);
         let stats = RelationStats::analyze(&relation);
         let rule = plan(&stats, &PlannerConfig::default(), 4).choice;
-        let cost = plan_by_cost(&stats, &PlannerConfig::default(), &CostModel::default(), 4).choice;
+        // An approximate aggregate never sweeps: the paper's candidates only.
+        let cost = choose_algorithm(
+            &stats,
+            SweepClass::Approximate,
+            &PlannerConfig::default(),
+            &CostModel::default(),
+            4,
+        )
+        .choice;
         assert_eq!(rule, cost, "workload {label}");
     }
 }

@@ -162,7 +162,7 @@ fn sql_planner_reacts_to_input_order() {
         }
     );
     // Unordered COUNT (delta retraction class) routes to the columnar
-    // endpoint sweep under the calibrated cost model.
+    // endpoint sweep under the default cost model.
     assert_eq!(p2.choice, AlgorithmChoice::Sweep);
 }
 
@@ -325,4 +325,190 @@ fn sql_span_total_equals_instant_weighted_check() {
             span_row.valid
         );
     }
+}
+
+/// Duplicates are a multiset (Dignös et al., "Snapshot Semantics for
+/// Temporal Multiset Relations"): an exact duplicate tuple, and two tuples
+/// equal in valid time and salary that differ only in their key column,
+/// count once per copy in every aggregate on every path a query takes —
+/// cold scan, served second execution, streaming, `SNAPSHOT`, `OVER` and
+/// `TOP k` — and `DELETE` removes copies, not values. All of it holds
+/// again for the table persisted and reopened on its pages.
+#[test]
+fn duplicate_tuples_count_once_per_copy_on_every_path() {
+    use std::path::PathBuf;
+    use temporal_aggregates::sql::{execute_streaming, parse};
+    use temporal_aggregates::{ResultRow, StatementOutput};
+
+    const CREATE: &str = "CREATE TABLE t (name STRING, dept INT, salary INT)";
+    // Two copies of `a`; `b` and `c` equal but for their name.
+    const INSERT: &str = "INSERT INTO t VALUES ('a', 1, 100) VALID [0, 9], \
+        ('a', 1, 100) VALID [0, 9], ('b', 2, 40) VALID [5, 14], ('c', 2, 40) VALID [5, 14], \
+        ('d', 2, 70) VALID [0, 20]";
+    const ALL: &str = "SELECT COUNT(*), SUM(salary), MIN(salary), MAX(salary), AVG(salary) FROM t";
+    const EXTREMES: &str = "SELECT MIN(salary), MAX(salary) FROM t";
+    // (instant, COUNT(*), SUM, MIN, MAX, AVG) with every copy counted.
+    const HISTORY: [(i64, i64, i64, i64, i64, f64); 4] = [
+        (2, 3, 270, 70, 100, 90.0),
+        (7, 5, 350, 40, 100, 70.0),
+        (12, 3, 150, 40, 70, 50.0),
+        (17, 1, 70, 70, 70, 70.0),
+    ];
+
+    let at = |rows: &[ResultRow], t: i64| -> Vec<Value> {
+        let row = rows.iter().find(|r| r.valid.contains(Timestamp(t)));
+        row.map_or_else(Vec::new, |r| r.values.to_vec())
+    };
+    let check_history = |rows: &[ResultRow], what: &str| {
+        for (t, count, sum, min, max, avg) in HISTORY {
+            let want = vec![
+                Value::Int(count),
+                Value::Int(sum),
+                Value::Int(min),
+                Value::Int(max),
+                Value::Float(avg),
+            ];
+            assert_eq!(at(rows, t), want, "{what} at {t}");
+        }
+    };
+    let select = |c: &mut Catalog, sql: &str| match execute_statement(c, sql).unwrap() {
+        StatementOutput::Rows(result) => {
+            let choice = result.plan.as_ref().map(|p| p.choice);
+            (result.rows.to_vec(), choice)
+        }
+        other => panic!("{sql}: {other:?}"),
+    };
+    let deleted = |c: &mut Catalog, sql: &str| match execute_statement(c, sql).unwrap() {
+        StatementOutput::Deleted { count, .. } => count,
+        other => panic!("{sql}: {other:?}"),
+    };
+
+    // `fresh` hands out an unshared copy of the table each time.
+    let check = |fresh: &dyn Fn() -> Catalog, side: &str| {
+        let mut c = fresh();
+        let (cold, choice) = select(&mut c, ALL);
+        assert_ne!(choice, Some(AlgorithmChoice::CachedSeries), "{side}");
+        check_history(&cold, &format!("{side}: cold scan"));
+        let (served, choice) = select(&mut c, ALL);
+        assert_eq!(choice, Some(AlgorithmChoice::CachedSeries), "{side}");
+        check_history(&served, &format!("{side}: served"));
+
+        let mut streamed = Vec::new();
+        let config = PlannerConfig::default();
+        execute_streaming(&fresh(), &parse(ALL).unwrap(), &config, 1, |row| {
+            streamed.push(row);
+        })
+        .unwrap();
+        check_history(&streamed, &format!("{side}: streamed"));
+
+        let snapshot = "SELECT SNAPSHOT COUNT(*), SUM(salary), MIN(salary), MAX(salary), \
+                        AVG(salary) FROM t";
+        let (rows, _) = select(&mut fresh(), snapshot);
+        let want = [
+            Value::Int(5),
+            Value::Int(350),
+            Value::Int(40),
+            Value::Int(100),
+            Value::Float(70.0),
+        ];
+        assert_eq!(rows[0].values[..], want, "{side}: SNAPSHOT");
+
+        // Duration-weighted over the 21 instants: 10 + 10 + 10 + 10 + 21
+        // tuple-instants, 100·20 + 40·20 + 70·21 salary-instants.
+        let over = "SELECT COUNT(*), SUM(salary), MIN(salary), MAX(salary) OVER [0, 20] FROM t";
+        let mut c = fresh();
+        for run in ["cold", "warm"] {
+            let (rows, _) = select(&mut c, over);
+            let want = [
+                Value::Int(61),
+                Value::Int(4270),
+                Value::Int(40),
+                Value::Int(100),
+            ];
+            assert_eq!(rows[0].values[..], want, "{side}: OVER ({run})");
+        }
+
+        // With both copies `a` outranks `d` (2,000 against 1,470); counted
+        // once it would not.
+        let top = "SELECT TOP 2 BY SUM(salary) OVER [0, 20] FROM t GROUP BY name";
+        let (rows, _) = select(&mut fresh(), top);
+        let ranked: Vec<_> = rows
+            .iter()
+            .map(|r| (r.group.clone(), r.values.to_vec()))
+            .collect();
+        let want = vec![
+            (Some(Value::from("a")), vec![Value::Int(2_000)]),
+            (Some(Value::from("d")), vec![Value::Int(1_470)]),
+        ];
+        assert_eq!(ranked, want, "{side}: TOP k");
+
+        let mut c = fresh();
+        assert_eq!(
+            deleted(&mut c, "DELETE FROM t WHERE name = 'a'"),
+            2,
+            "{side}"
+        );
+
+        // One twin gone: the other still holds 40 over [5, 14], on the
+        // scan path and on a warm cache patched by the delete.
+        let extremes = |rows: &[ResultRow]| [7, 12].map(|t| at(rows, t));
+        let want = [
+            vec![Value::Int(40), Value::Int(100)],
+            vec![Value::Int(40), Value::Int(70)],
+        ];
+        let mut scan = fresh();
+        assert_eq!(deleted(&mut scan, "DELETE FROM t WHERE name = 'b'"), 1);
+        let (rows, choice) = select(&mut scan, EXTREMES);
+        assert_ne!(choice, Some(AlgorithmChoice::CachedSeries), "{side}");
+        assert_eq!(extremes(&rows), want, "{side}: scan after deleting a twin");
+        let mut warm = fresh();
+        select(&mut warm, EXTREMES);
+        assert_eq!(deleted(&mut warm, "DELETE FROM t WHERE name = 'b'"), 1);
+        let (rows, choice) = select(&mut warm, EXTREMES);
+        assert_eq!(choice, Some(AlgorithmChoice::CachedSeries), "{side}");
+        assert_eq!(
+            extremes(&rows),
+            want,
+            "{side}: served after deleting a twin"
+        );
+    };
+
+    let mut resident = Catalog::new();
+    execute_statement(&mut resident, CREATE).unwrap();
+    execute_statement(&mut resident, INSERT).unwrap();
+    check(&|| resident.clone(), "resident");
+
+    let dir = std::env::temp_dir();
+    let path = |name: &str| -> PathBuf {
+        dir.join(format!(
+            "tempagg-multiset-{}-{name}.tapg",
+            std::process::id()
+        ))
+    };
+    let file = path("t");
+    let open = |at: &PathBuf| {
+        let mut c = Catalog::new();
+        let sql = format!("{CREATE} PERSIST TO '{}'", at.display());
+        execute_statement(&mut c, &sql).unwrap();
+        c
+    };
+    let _ = std::fs::remove_file(&file);
+    execute_statement(&mut open(&file), INSERT).unwrap();
+    let copies = std::cell::Cell::new(0);
+    let reopened = || {
+        copies.set(copies.get() + 1);
+        let copy = path(&copies.get().to_string());
+        std::fs::copy(&file, &copy).unwrap();
+        let c = open(&copy);
+        assert!(
+            c.store("t").unwrap().base().is_some(),
+            "reopened on its pages"
+        );
+        c
+    };
+    check(&reopened, "reopened");
+    for n in 1..=copies.get() {
+        let _ = std::fs::remove_file(path(&n.to_string()));
+    }
+    let _ = std::fs::remove_file(&file);
 }

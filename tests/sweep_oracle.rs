@@ -14,7 +14,7 @@
 use temporal_aggregates::algo::oracle::oracle;
 use temporal_aggregates::prelude::*;
 use temporal_aggregates::workload::rng::StdRng;
-use temporal_aggregates::{Calibration, JoinPredicate, SweepAggregate, SweepJoinOperator};
+use temporal_aggregates::{JoinPredicate, SweepAggregate, SweepJoinOperator};
 
 const DOMAIN: Interval = Interval::TIMELINE;
 
@@ -313,14 +313,4 @@ fn readme_join_snippet_compiles_and_matches() {
     }
     lines.sort();
     assert_eq!(lines, vec!["L0 × R0 over [5, 10]", "L1 × R0 over [20, 25]"]);
-}
-
-#[test]
-fn committed_calibration_profile_is_the_default() {
-    // The repo-root calibration.json is the cost model's documented
-    // "sane committed defaults"; keep file and code in lockstep so a
-    // loaded profile and `CostModel::default()` cannot silently diverge.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("calibration.json");
-    let loaded = Calibration::load(&path).expect("calibration.json parses");
-    assert_eq!(loaded, Calibration::default());
 }
