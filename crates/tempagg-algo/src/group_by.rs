@@ -82,19 +82,6 @@ where
             .collect()
     }
 
-    /// Finish groups on up to `threads` OS threads (groups are
-    /// independent, so the final depth-first searches parallelise
-    /// trivially). Output order and contents equal [`Self::finish`].
-    pub fn finish_parallel(self, threads: usize) -> Vec<(K, Series<A::Output>)>
-    where
-        K: Send,
-        G: Send,
-        A::Output: Send,
-    {
-        let groups: Vec<(K, G)> = self.groups.into_iter().collect();
-        crate::parallel::scoped_map(groups, threads, |(k, g)| (k, g.finish()))
-    }
-
     /// Combined memory across groups.
     pub fn memory(&self) -> MemoryStats {
         self.groups
@@ -169,34 +156,6 @@ mod tests {
         // Each group: [0, 10] only splits the time-line at 11 → 3 nodes.
         assert_eq!(m.peak_nodes, 2 * 3);
         assert_eq!(m.node_model_bytes, 16);
-    }
-
-    #[test]
-    fn parallel_finish_equals_sequential() {
-        let build = || {
-            let mut g = GroupedAggregate::new(|| AggregationTree::new(Count));
-            for i in 0..500i64 {
-                let key = i % 13;
-                let start = (i * 37) % 3_000;
-                g.push(key, Interval::at(start, start + 50), ()).unwrap();
-            }
-            g
-        };
-        let sequential = build().finish();
-        for threads in [1usize, 2, 4, 32] {
-            let parallel = build().finish_parallel(threads);
-            assert_eq!(parallel, sequential, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_finish_handles_tiny_inputs() {
-        let g: GroupedAggregate<i64, Count, _, _> =
-            GroupedAggregate::new(|| AggregationTree::new(Count));
-        assert!(g.finish_parallel(8).is_empty());
-        let mut g = GroupedAggregate::new(|| AggregationTree::new(Count));
-        g.push(1, Interval::at(0, 5), ()).unwrap();
-        assert_eq!(g.finish_parallel(8).len(), 1);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use linked_list::LinkedListAggregate;
 pub use memory::MemoryStats;
 pub use paged::PagedAggregationTree;
 pub use parallel::{scoped_map, PartitionReport, PartitionedAggregator};
-pub use scan::{feed, feed_streaming, page_seams, run_paged_partitioned};
+pub use scan::{feed, feed_streaming, page_seams};
 pub use span_group::SpanGrouper;
 pub use sweep::SweepAggregator;
 pub use traits::{run, run_with_stats, TemporalAggregator};

@@ -89,7 +89,6 @@ impl<A> PagedAggregationTree<A>
 where
     A: Aggregate + Clone + Send,
     A::Input: Clone + Send + Sync,
-    A::Output: Send,
 {
     /// Split `domain` into `regions` near-equal parts.
     ///
@@ -109,7 +108,8 @@ where
             run: Vec::new(),
             peak_tree_nodes: Arc::clone(&peak_tree_nodes),
         })
-        // One region's tree at a time, whichever `finish` runs.
+        // Routing a batch only appends to each region's run, which costs
+        // less than spawning workers for it.
         .with_threads(1);
         Ok(PagedAggregationTree {
             regions,
@@ -156,7 +156,6 @@ impl<A> TemporalAggregator<A> for PagedAggregationTree<A>
 where
     A: Aggregate + Clone + Send,
     A::Input: Clone + Send + Sync,
-    A::Output: Send,
 {
     fn algorithm(&self) -> &'static str {
         "paged-aggregation-tree"

@@ -8,8 +8,8 @@
 //! [`PartitionedAggregator`] combinator implements that: it clips each
 //! incoming tuple to the partitions it overlaps, feeds one inner
 //! [`TemporalAggregator`] per partition (on scoped OS threads for batched
-//! input), and stitches the finished pieces with
-//! [`Series::stitch_where`].
+//! input), and finishes the partitions one after another in domain order
+//! through a [`StitchSink`] — the one way a partitioned run finishes.
 //!
 //! # Seams and byte-identical output
 //!
@@ -32,9 +32,7 @@ use crate::memory::MemoryStats;
 use crate::traits::TemporalAggregator;
 use std::sync::OnceLock;
 use tempagg_agg::Aggregate;
-use tempagg_core::{
-    Chunk, Interval, Result, Series, SeriesSink, StitchSink, TempAggError, Timestamp,
-};
+use tempagg_core::{Chunk, Interval, Result, SeriesSink, StitchSink, TempAggError, Timestamp};
 
 /// The machine's available parallelism, asked once: the call reads cgroup
 /// files (≈ 11 µs here), and the planner wants the answer on every plan.
@@ -120,13 +118,11 @@ struct Partition<G> {
 /// single tuple serially; [`push_batch`](TemporalAggregator::push_batch)
 /// fans a shared [`Chunk`] out to one scoped worker per partition, each
 /// clipping the batch to its sub-domain.
-/// [`finish`](TemporalAggregator::finish) finishes the partitions in
-/// parallel and stitches the pieces seam-aware, producing output
-/// byte-identical to a serial run of the inner algorithm over the whole
-/// domain (see the module docs);
 /// [`finish_into`](TemporalAggregator::finish_into) streams the
-/// partitions sequentially through a [`StitchSink`] instead, emitting the
-/// same entries at bounded resident memory.
+/// partitions in domain order through a [`StitchSink`], stitching seam-aware
+/// at bounded resident memory: output byte-identical to a serial run of the
+/// inner algorithm over the whole domain (see the module docs).
+/// [`finish`](TemporalAggregator::finish) is the trait's collector over it.
 ///
 /// # Example
 ///
@@ -321,7 +317,7 @@ impl<A, G> TemporalAggregator<A> for PartitionedAggregator<A, G>
 where
     A: Aggregate,
     A::Input: Clone + Sync,
-    A::Output: PartialEq + Send,
+    A::Output: PartialEq,
     G: TemporalAggregator<A> + Send,
 {
     fn algorithm(&self) -> &'static str {
@@ -385,23 +381,9 @@ where
         Ok(())
     }
 
-    fn finish(self) -> Series<A::Output> {
-        let threads = self.threads;
-        let seam_real = self.seam_real;
-        #[cfg(feature = "validate")]
-        let domain = self.domain;
-        let pieces = scoped_map(self.parts, threads, |p| p.inner.finish());
-        let stitched = Series::stitch_where(pieces, |seam| !seam_real[seam]);
-        #[cfg(feature = "validate")]
-        crate::validate::assert_series_tiles(stitched.entries(), domain, "partitioned");
-        stitched
-    }
-
     /// Stream the partitions sequentially in domain order through a
     /// [`StitchSink`], so seam-aware stitching happens inline at O(1)
     /// extra resident memory — no per-partition `Series` is materialized.
-    /// The [`finish`](TemporalAggregator::finish) override above finishes
-    /// partitions in parallel instead; both emit identical entries.
     fn finish_into(self, sink: &mut impl SeriesSink<A::Output>) {
         #[cfg(feature = "validate")]
         let sink = &mut crate::validate::CheckedSink::new(sink, self.domain, "partitioned");

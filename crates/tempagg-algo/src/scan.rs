@@ -8,21 +8,20 @@
 //! chunk-sized batches pulled from a [`TupleSource`], so its input can be
 //! a fence-pruned paged scan just as well as a resident slice.
 //!
-//! [`page_seams`] + [`run_paged_partitioned`] connect the pager to the
-//! [`PartitionedAggregator`]: seams are drawn from page-boundary fence
-//! starts, so each partition's tuples arrive from a contiguous page range
-//! of a sorted file while the file itself is read once, sequentially.
-//! Correctness never depends on the seam placement — the combinator clips
-//! every tuple to every partition it overlaps — so fence-aligned seams are
-//! purely a locality optimisation, and the stitched output stays
-//! byte-identical to a serial run.
+//! [`page_seams`] connects the pager to the
+//! [`PartitionedAggregator`](crate::PartitionedAggregator):
+//! seams drawn from page-boundary fence starts put each partition's tuples
+//! on a contiguous page range of a sorted file, while [`feed`] reads the
+//! file once, sequentially. Correctness never depends on the seam placement
+//! — the combinator clips every tuple to every partition it overlaps — so
+//! fence-aligned seams are purely a locality optimisation, and the stitched
+//! output stays byte-identical to a serial run.
 
-use crate::parallel::PartitionedAggregator;
 use crate::traits::TemporalAggregator;
 use tempagg_agg::Aggregate;
-use tempagg_core::pager::{PageCursor, PageFence, PagedReader};
+use tempagg_core::pager::PageFence;
 use tempagg_core::{
-    Chunk, Interval, Result, Series, SeriesSink, Timestamp, TupleSource, DEFAULT_CHUNK_CAPACITY,
+    Chunk, Interval, Result, SeriesSink, Timestamp, TupleSource, DEFAULT_CHUNK_CAPACITY,
 };
 
 /// Pump `source` dry into `aggregator` through one reused bounded
@@ -68,7 +67,8 @@ where
 /// Draw up to `partitions − 1` seams for `domain` from page-boundary
 /// fences: seam `p` is the min-start of the page `p/P` of the way through
 /// the fence table. On a sorted file this maps each partition onto a
-/// contiguous page range. Seams violating [`PartitionedAggregator`]'s
+/// contiguous page range. Seams violating
+/// [`PartitionedAggregator`](crate::PartitionedAggregator)'s
 /// preconditions (interior, strictly increasing) are simply dropped —
 /// fewer partitions, never an error.
 pub fn page_seams(fences: &[PageFence], domain: Interval, partitions: usize) -> Vec<Timestamp> {
@@ -90,48 +90,18 @@ pub fn page_seams(fences: &[PageFence], domain: Interval, partitions: usize) -> 
     seams
 }
 
-/// Run a page-partitioned aggregate over a paged file in one sequential,
-/// fence-pruned pass.
-///
-/// The window's domain is cut at [`page_seams`] and one inner aggregator
-/// built per sub-domain via `factory`; `make_source` adapts the
-/// fence-pruned [`PageCursor`] into the aggregate's input shape (pass
-/// [`PageCursor::units`] for COUNT-style aggregates, or a closure calling
-/// [`PageCursor::int_column`] for column aggregates). Output is
-/// byte-identical to a serial run of the inner algorithm over the same
-/// window-clipped tuples.
-pub fn run_paged_partitioned<'r, A, G, S, M, F>(
-    reader: &'r PagedReader,
-    window: Interval,
-    partitions: usize,
-    make_source: M,
-    factory: F,
-) -> Result<Series<A::Output>>
-where
-    A: Aggregate,
-    A::Input: Clone + Sync,
-    A::Output: PartialEq + Send,
-    G: TemporalAggregator<A> + Send,
-    S: TupleSource<A::Input>,
-    M: FnOnce(PageCursor<'r>) -> S,
-    F: FnMut(Interval) -> G,
-{
-    let seams = page_seams(reader.fences(), window, partitions);
-    let mut aggregator = PartitionedAggregator::with_seams(window, seams, factory)?;
-    let mut source = make_source(PageCursor::new(reader, window));
-    feed(&mut aggregator, &mut source)?;
-    Ok(aggregator.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ktree::KOrderedAggregationTree;
     use crate::linked_list::LinkedListAggregate;
+    use crate::parallel::PartitionedAggregator;
     use crate::sweep::SweepAggregator;
     use tempagg_agg::{Count, Sum};
-    use tempagg_core::pager::{write_relation, PagedWriteOptions, SliceSource};
-    use tempagg_core::{Schema, TemporalRelation, Value, ValueType};
+    use tempagg_core::pager::{
+        write_relation, PageCursor, PagedReader, PagedWriteOptions, SliceSource,
+    };
+    use tempagg_core::{Schema, Series, TemporalRelation, Value, ValueType};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -180,14 +150,17 @@ mod tests {
         let reader = PagedReader::open(&path).unwrap();
         let window = Interval::at(0, 306);
         for partitions in [1usize, 2, 8] {
-            let paged = run_paged_partitioned(
-                &reader,
-                window,
-                partitions,
-                |cursor| cursor.int_column(0),
-                |sub| LinkedListAggregate::with_domain(Sum::<i64>::new(), sub),
+            let seams = page_seams(reader.fences(), window, partitions);
+            let mut parts = PartitionedAggregator::with_seams(window, seams, |sub| {
+                LinkedListAggregate::with_domain(Sum::<i64>::new(), sub)
+            })
+            .unwrap();
+            feed(
+                &mut parts,
+                &mut PageCursor::new(&reader, window).int_column(0),
             )
             .unwrap();
+            let paged = parts.finish();
             let mut sweep = SweepAggregator::with_domain(Sum::<i64>::new(), window);
             for i in 0..300 {
                 sweep.push(Interval::at(i, i + 7), i % 13).unwrap();

@@ -51,10 +51,7 @@ pub trait TemporalAggregator<A: Aggregate> {
 
     /// Complete the computation and collect the result series: the
     /// provided collector over [`TemporalAggregator::finish_into`], which
-    /// algorithms do not override. The one documented exception is
-    /// [`PartitionedAggregator`](crate::PartitionedAggregator), whose
-    /// `finish` finishes its partitions on workers and stitches the pieces,
-    /// where its `finish_into` streams them one after another.
+    /// no algorithm overrides — there is one way to finish.
     fn finish(self) -> Series<A::Output>
     where
         Self: Sized,

@@ -238,79 +238,6 @@ impl<T> Series<T> {
 }
 
 impl<T: PartialEq> Series<T> {
-    /// Concatenate per-partition series in time order, coalescing
-    /// equal-value entries that meet across every partition seam.
-    ///
-    /// This is the final step of domain-partitioned execution: each
-    /// partition tiles one sub-domain, so the pieces concatenate into a
-    /// tiling of the whole domain, with possibly-artificial boundaries
-    /// where the domain was cut. See [`Series::stitch_where`] for the
-    /// seam-aware variant that distinguishes artificial cuts from real
-    /// tuple boundaries.
-    pub fn stitch(parts: Vec<Series<T>>) -> Series<T> {
-        Self::stitch_where(parts, |_| true)
-    }
-
-    /// Concatenate per-partition series, merging across seam `i` (the
-    /// boundary between `parts[i]` and `parts[i + 1]`) only when
-    /// `merge_seam(i)` allows it *and* the adjoining entries meet with
-    /// equal values.
-    ///
-    /// Serial algorithm output is split at tuple start/end times but not
-    /// otherwise coalesced: two adjacent constant intervals can carry
-    /// equal values when a real tuple boundary separates them (one tuple
-    /// ends exactly where another starts). A partitioned run must
-    /// therefore merge a seam pair only when the cut was *artificial* —
-    /// no tuple started or ended there — which is exactly what the
-    /// partitioned aggregator's `merge_seam` callback reports. Merging
-    /// every equal-value seam instead yields [`Series::stitch`], which
-    /// matches serial output followed by TSQL2 coalescing at the seams.
-    ///
-    /// Empty parts are skipped; an entry appended after one or more empty
-    /// parts merges only if every seam crossed since the previous entry
-    /// allows it.
-    pub fn stitch_where(
-        parts: Vec<Series<T>>,
-        mut merge_seam: impl FnMut(usize) -> bool,
-    ) -> Series<T> {
-        let total: usize = parts.iter().map(Series::len).sum();
-        let mut out: Vec<SeriesEntry<T>> = Vec::with_capacity(total);
-        // Seams crossed since the last appended entry: `pending` is the
-        // range of seam indices separating it from the next part.
-        let mut pending: Option<(usize, usize)> = None;
-        for (p, part) in parts.into_iter().enumerate() {
-            let mut first_in_part = true;
-            for e in part {
-                let mergeable =
-                    first_in_part && pending.is_some_and(|(lo, hi)| (lo..=hi).all(&mut merge_seam));
-                first_in_part = false;
-                match out.last_mut() {
-                    Some(last)
-                        if mergeable
-                            && last.interval.meets(&e.interval)
-                            && last.value == e.value =>
-                    {
-                        last.interval = last.interval.hull(&e.interval);
-                    }
-                    _ => {
-                        debug_assert!(
-                            out.last()
-                                .map_or(true, |last| last.interval.end() < e.interval.start()),
-                            "stitched parts must be time-ordered and non-overlapping"
-                        );
-                        out.push(e);
-                    }
-                }
-            }
-            // The seam after part `p` joins whatever was already crossed.
-            pending = match pending {
-                Some((lo, _)) if first_in_part => Some((lo, p)),
-                _ => Some((p, p)),
-            };
-        }
-        Series { entries: out }
-    }
-
     /// Coalesce by valid time: merge *adjacent* (meeting) intervals whose
     /// values are equal, as TSQL2 requires of temporal query results.
     ///
@@ -407,76 +334,6 @@ mod tests {
         assert_eq!(c.entries()[0].interval, Interval::at(0, 9));
         assert_eq!(c.entries()[1].interval, Interval::at(10, 12));
         assert_eq!(c.entries()[2].interval, Interval::at(14, 20));
-    }
-
-    #[test]
-    fn stitch_concatenates_and_merges_equal_seams() {
-        let parts = vec![
-            series(&[(0, 4, 1), (5, 9, 2)]),
-            series(&[(10, 14, 2), (15, 19, 3)]),
-            series(&[(20, 29, 4)]),
-        ];
-        let s = Series::stitch(parts);
-        // [5,9]=2 and [10,14]=2 meet across seam 0 with equal value.
-        let rows: Vec<(Interval, u64)> = s.iter().map(|e| (e.interval, e.value)).collect();
-        assert_eq!(
-            rows,
-            vec![
-                (Interval::at(0, 4), 1),
-                (Interval::at(5, 14), 2),
-                (Interval::at(15, 19), 3),
-                (Interval::at(20, 29), 4),
-            ]
-        );
-    }
-
-    #[test]
-    fn stitch_where_respects_real_boundaries() {
-        let parts = vec![series(&[(0, 9, 1)]), series(&[(10, 19, 1)])];
-        // A real tuple boundary at the seam: keep the entries apart even
-        // though the values match.
-        let s = Series::stitch_where(parts.clone(), |_| false);
-        assert_eq!(s.len(), 2);
-        // An artificial cut: merge back into one entry.
-        let s = Series::stitch_where(parts, |_| true);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.entries()[0].interval, Interval::at(0, 19));
-    }
-
-    #[test]
-    fn stitch_skips_empty_parts_and_tracks_crossed_seams() {
-        let parts = vec![series(&[(0, 9, 7)]), Series::new(), series(&[(10, 19, 7)])];
-        // Crossing seams 0 and 1; both must allow the merge.
-        let merged = Series::stitch_where(parts.clone(), |_| true);
-        assert_eq!(merged.len(), 1);
-        let kept = Series::stitch_where(parts, |seam| seam != 1);
-        assert_eq!(kept.len(), 2);
-    }
-
-    #[test]
-    fn stitch_never_merges_distinct_values_or_gaps() {
-        // Distinct values across the seam.
-        let s = Series::stitch(vec![series(&[(0, 9, 1)]), series(&[(10, 19, 2)])]);
-        assert_eq!(s.len(), 2);
-        // A gap at the seam (instant 10 uncovered).
-        let s = Series::stitch(vec![series(&[(0, 9, 1)]), series(&[(11, 19, 1)])]);
-        assert_eq!(s.len(), 2);
-        // Interior entries are never touched.
-        let s = Series::stitch(vec![
-            series(&[(0, 4, 1), (5, 9, 1)]),
-            series(&[(10, 19, 1)]),
-        ]);
-        assert_eq!(s.entries()[0].interval, Interval::at(0, 4));
-    }
-
-    #[test]
-    fn stitch_of_empty_and_singleton() {
-        let empty: Series<u64> = Series::stitch(vec![]);
-        assert!(empty.is_empty());
-        let one = Series::stitch(vec![series(&[(3, 5, 9)])]);
-        assert_eq!(one.len(), 1);
-        let all_empty: Series<u64> = Series::stitch(vec![Series::new(), Series::new()]);
-        assert!(all_empty.is_empty());
     }
 
     #[test]

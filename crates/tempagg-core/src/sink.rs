@@ -14,8 +14,8 @@
 //!   chunks to a consumer callback;
 //! * [`CountingSink`] — counts entries and tracks the covered extent
 //!   without storing values;
-//! * [`StitchSink`] — the streaming form of [`Series::stitch_where`]:
-//!   coalesces equal-value entries that meet across partition seams while
+//! * [`StitchSink`] — the one stitcher of partitioned results: coalesces
+//!   equal-value entries that meet across artificial partition seams while
 //!   forwarding everything else untouched.
 
 use crate::interval::Interval;
@@ -175,9 +175,16 @@ impl<T> SeriesSink<T> for CountingSink {
     }
 }
 
-/// The streaming form of [`Series::stitch_where`]: an adapter that
-/// coalesces equal-value entries meeting across *allowed* partition seams
-/// and forwards everything else to the inner sink untouched.
+/// The stitcher of partitioned results: an adapter that coalesces
+/// equal-value entries meeting across *allowed* partition seams and
+/// forwards everything else to the inner sink untouched.
+///
+/// Serial algorithm output is split at tuple start/end times but not
+/// otherwise coalesced: two adjacent constant intervals can carry equal
+/// values when a real tuple boundary separates them. A partitioned run must
+/// therefore merge across a seam only when the cut was *artificial* — no
+/// tuple started or ended there — which is what the partitioned
+/// aggregator's seam marks report.
 ///
 /// Protocol: feed each partition's entries in time order via
 /// [`SeriesSink::accept`], calling [`StitchSink::seam`] once between
@@ -185,8 +192,7 @@ impl<T> SeriesSink<T> for CountingSink {
 /// reported by the partitioned aggregator's seam map), then
 /// [`StitchSink::finish`] to flush the last held-back entry. An entry
 /// arriving after several seams (empty partitions in between) merges only
-/// if *every* crossed seam allowed it — the same rule `stitch_where`
-/// applies to its pending seam range.
+/// if *every* crossed seam allowed it.
 ///
 /// At most one entry is held back at a time, so the adapter adds O(1)
 /// resident memory on top of the inner sink.
@@ -351,37 +357,37 @@ mod tests {
     }
 
     #[test]
-    fn stitch_sink_matches_stitch_where_on_seam_merges() {
+    fn stitch_sink_merges_equal_values_across_allowed_seams() {
         let parts = vec![
             series(&[(0, 4, 1), (5, 9, 2)]),
             series(&[(10, 14, 2), (15, 19, 3)]),
             series(&[(20, 29, 4)]),
         ];
         let streamed = stream_stitch(&parts, |_| true);
-        assert_eq!(streamed, Series::stitch(parts));
-        assert_eq!(streamed.len(), 4);
-        assert_eq!(streamed.entries()[1].interval, Interval::at(5, 14));
+        assert_eq!(
+            streamed,
+            series(&[(0, 4, 1), (5, 14, 2), (15, 19, 3), (20, 29, 4)])
+        );
     }
 
     #[test]
     fn stitch_sink_respects_real_boundaries() {
         let parts = vec![series(&[(0, 9, 1)]), series(&[(10, 19, 1)])];
         let kept = stream_stitch(&parts, |_| false);
-        assert_eq!(kept, Series::stitch_where(parts.clone(), |_| false));
-        assert_eq!(kept.len(), 2);
+        assert_eq!(kept, series(&[(0, 9, 1), (10, 19, 1)]));
         let merged = stream_stitch(&parts, |_| true);
-        assert_eq!(merged.len(), 1);
+        assert_eq!(merged, series(&[(0, 19, 1)]));
     }
 
     #[test]
     fn stitch_sink_ands_seams_across_empty_parts() {
         let parts = vec![series(&[(0, 9, 7)]), Series::new(), series(&[(10, 19, 7)])];
         let merged = stream_stitch(&parts, |_| true);
-        assert_eq!(merged, Series::stitch_where(parts.clone(), |_| true));
-        assert_eq!(merged.len(), 1);
+        assert_eq!(merged, series(&[(0, 19, 7)]));
         let kept = stream_stitch(&parts, |seam| seam != 1);
-        assert_eq!(kept, Series::stitch_where(parts.clone(), |seam| seam != 1));
-        assert_eq!(kept.len(), 2);
+        assert_eq!(kept, series(&[(0, 9, 7), (10, 19, 7)]));
+        let kept = stream_stitch(&parts, |seam| seam != 0);
+        assert_eq!(kept, series(&[(0, 9, 7), (10, 19, 7)]));
     }
 
     #[test]
@@ -395,8 +401,7 @@ mod tests {
         // Interior equal-value entries of one part are never coalesced.
         let parts = vec![series(&[(0, 4, 1), (5, 9, 1)]), series(&[(10, 19, 1)])];
         let s = stream_stitch(&parts, |_| true);
-        assert_eq!(s, Series::stitch(parts));
-        assert_eq!(s.entries()[0].interval, Interval::at(0, 4));
+        assert_eq!(s, series(&[(0, 4, 1), (5, 19, 1)]));
     }
 
     #[test]

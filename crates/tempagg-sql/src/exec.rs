@@ -57,9 +57,6 @@ pub struct CacheReport {
     ///
     /// [`StoreCacheStats`]: tempagg_store::StoreCacheStats
     pub patched_runs: u64,
-    /// Dirty-window sweep recomputes (the Approximate-class fallback),
-    /// cumulative in the same way as `patched_runs`.
-    pub recomputed_windows: u64,
     /// Window probes this query answered from an already-warm
     /// segment-tree index.
     pub index_hits: u64,
@@ -469,7 +466,7 @@ fn run_scan(
     // exactly what a cache would hold: warm one per aggregate and let the
     // next execution serve snapshots. (A series a persisted table's file
     // does not hold is built over its rows, read into memory here.)
-    if cache_eligible(query) {
+    if cache_eligible(query) && cacheable(&bound.aggs) {
         for (agg, idx, _) in &bound.aggs {
             bound.store.ensure_cache(*agg, *idx)?;
         }
@@ -653,10 +650,19 @@ fn cache_eligible(query: &Query) -> bool {
         && matches!(query.temporal_grouping, TemporalGrouping::Instant)
 }
 
+/// Whether the store may cache every aggregate of a select list. A write
+/// patches a cache by retracting from its states, which is exact only for
+/// retractable classes ([`TemporalStore::ensure_cache`] refuses the rest),
+/// so a list with an Approximate-class member is scanned every time.
+fn cacheable(aggs: &[BoundAgg]) -> bool {
+    aggs.iter()
+        .all(|(agg, _, _)| agg.sweep_class().retractable())
+}
+
 /// Answer an eligible query from MVCC snapshots of the store's aggregate
 /// caches, or `None` — with nothing pushed — when any selected aggregate
-/// is not cached yet (or, which no store produces, the cached series
-/// disagree on their constant intervals).
+/// is not cacheable or not cached yet (or, which no store produces, the
+/// cached series disagree on their constant intervals).
 fn serve(
     store: &TemporalStore,
     query: &Query,
@@ -665,9 +671,10 @@ fn serve(
 ) -> Result<Option<Outcome>> {
     let bound_aggs = bind_aggs(store.schema(), query)?;
     // Checked first: taking a snapshot publishes a version.
-    if !bound_aggs
-        .iter()
-        .all(|(agg, idx, _)| store.has_cache(agg.kind(), *idx))
+    if !cacheable(&bound_aggs)
+        || !bound_aggs
+            .iter()
+            .all(|(agg, idx, _)| store.has_cache(agg.kind(), *idx))
     {
         return Ok(None);
     }
@@ -707,7 +714,6 @@ fn serve(
         cache: CacheReport {
             served_from_cache: true,
             patched_runs: cache_stats.patched_runs,
-            recomputed_windows: cache_stats.recomputed_windows,
             ..CacheReport::default()
         },
     }))
@@ -828,8 +834,9 @@ fn index_report(store: &TemporalStore, before: WindowIndexStats) -> CacheReport 
 /// it). Clean shapes go through the store's `O(log n)` segment-tree window
 /// indexes, built and cached on first probe: one per aggregate, or one per
 /// group behind a shared bound heap that prunes most groups by their
-/// `O(1)` root bound. WHERE / VALID shapes and inexact float aggregates
-/// compute every group's series and reduce the window linearly.
+/// `O(1)` root bound. WHERE / VALID shapes, and lists with an aggregate no
+/// store caches, compute every group's series and reduce the window
+/// linearly.
 fn run_window(
     catalog: &Catalog,
     query: &Query,
@@ -860,7 +867,9 @@ fn run_window(
         _ => None,
     };
     let multi = MultiDyn::new(bound_aggs.iter().map(|(a, _, _)| *a).collect());
-    let clean_shape = query.conditions.is_empty() && query.valid_window.is_none();
+    // The store's series answer a clean shape over aggregates it may cache.
+    let clean_shape =
+        query.conditions.is_empty() && query.valid_window.is_none() && cacheable(&bound_aggs);
     let indexable = bound_aggs
         .iter()
         .all(|(agg, _, _)| index_mode_for(agg).is_some());

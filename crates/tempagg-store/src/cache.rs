@@ -16,15 +16,13 @@
 //!   containing it; the last contributor leaving merges the runs it
 //!   separated. This reproduces the sweep's sorted-and-deduplicated
 //!   boundary set under any interleaving of inserts and deletes.
-//! * **Retractable classes patch states.** For [`SweepClass::Delta`] and
-//!   [`SweepClass::Ordered`] aggregates (exact retraction per Colley's
-//!   delta summation, or an ordered multiset for `MIN`/`MAX`), the write
-//!   folds its value into — or retracts it from — the active state of
-//!   exactly the runs overlapping the changed interval.
-//! * **Approximate classes recompute the dirty window.** Float retraction
-//!   drifts, so those caches re-run the existing sweep kernel over just
-//!   the hull of the runs touching the changed interval (tuples clipped
-//!   to the window), never the full timeline.
+//! * **States are patched.** The write folds its value into — or retracts
+//!   it from — the active state of exactly the runs overlapping the
+//!   changed interval. That is exact only for retractable classes:
+//!   [`SweepClass::Delta`] (Colley's delta summation) and
+//!   [`SweepClass::Ordered`] (an ordered multiset for `MIN`/`MAX`). An
+//!   [`SweepClass::Approximate`] aggregate would drift under float
+//!   retraction, so the store caches none: it is scanned every time.
 //!
 //! Readers never see the working series: [`CachedSeries::snapshot`]
 //! publishes an immutable epoch-stamped version through the core
@@ -43,14 +41,11 @@ use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tempagg_agg::{DynActive, DynAggregate, SweepAggregate};
-use tempagg_algo::{
-    GroupProbe, IndexMode, RunSource, SweepAggregator, TemporalAggregator, WindowAggregate,
-    WindowIndex,
-};
+use tempagg_algo::{GroupProbe, IndexMode, RunSource, WindowAggregate, WindowIndex};
 use tempagg_core::pager::PagedReader;
 use tempagg_core::{
-    Epoch, Interval, Result, Series, SeriesEntry, TempAggError, TemporalRelation, Timestamp, Tuple,
-    Value, VersionedSeries,
+    Epoch, Interval, Result, Series, SeriesEntry, TempAggError, Timestamp, Tuple, Value,
+    VersionedSeries,
 };
 
 /// The input value a cache feeds its aggregate for one tuple: the cached
@@ -78,8 +73,8 @@ fn boundary_candidates(iv: Interval) -> impl Iterator<Item = Timestamp> {
 /// interval with the active state over it. Returns the boundary refcounts
 /// (how many tuples contribute each interior cut).
 ///
-/// Deliberately not `SweepAggregator`: float kinds admit in a different
-/// order there, and a cache must stay byte-identical to its own rebuild.
+/// Deliberately not `SweepAggregator`, which emits values only: a cache
+/// keeps each run's active state, the state later writes patch.
 fn sweep_runs<T: Borrow<Tuple>>(
     agg: &DynAggregate,
     column: Option<usize>,
@@ -160,8 +155,6 @@ struct AggCache {
     versions: VersionedSeries<Value>,
     /// Runs patched in place by writes (state insert/retract).
     patched_runs: u64,
-    /// Dirty-window sweeps run for the Approximate-class fallback.
-    recomputed_windows: u64,
 }
 
 impl AggCache {
@@ -185,14 +178,7 @@ impl AggCache {
             boundaries,
             versions: VersionedSeries::new(),
             patched_runs: 0,
-            recomputed_windows: 0,
         }
-    }
-
-    /// Whether writes patch active states (exact retraction) or fall back
-    /// to dirty-window recomputes.
-    fn patches_states(&self) -> bool {
-        self.agg.sweep_class().retractable()
     }
 
     /// Reference a boundary; its first contributor splits the run
@@ -234,41 +220,6 @@ impl AggCache {
             op(&agg, &mut run.state, value);
             run.value = agg.active_output(&run.state);
         });
-    }
-
-    /// The Approximate-class fallback: re-run the sweep kernel over just
-    /// the hull of the runs overlapping `dirty`, with tuples clipped to
-    /// that window, and splice the result over the stale runs. The
-    /// window's edges are existing run edges, so the recomputed segments
-    /// align with the refcounted boundary structure exactly.
-    fn recompute_window(&mut self, dirty: Interval, relation: &TemporalRelation) -> Result<()> {
-        let window = match (
-            self.runs.run_at(dirty.start()),
-            self.runs.run_at(dirty.end()),
-        ) {
-            (Some(first), Some(last)) => first.interval.hull(&last.interval),
-            _ => return Ok(()),
-        };
-        let mut sweep = SweepAggregator::with_domain(self.agg, window);
-        for tuple in relation {
-            if let Some(clipped) = tuple.valid().intersect(&window) {
-                sweep.push(clipped, extract(tuple, self.column))?;
-            }
-        }
-        let empty = self.agg.active_empty();
-        let replacement: Vec<Run> = sweep
-            .finish()
-            .into_entries()
-            .into_iter()
-            .map(|e| Run {
-                interval: e.interval,
-                state: empty.clone(),
-                value: e.value,
-            })
-            .collect();
-        self.runs.splice(window, replacement);
-        self.recomputed_windows += 1;
-        Ok(())
     }
 }
 
@@ -443,7 +394,6 @@ impl CachedSeries {
             stats.caches += 1;
             stats.runs += cache.runs.len();
             stats.patched_runs += cache.patched_runs;
-            stats.recomputed_windows += cache.recomputed_windows;
             stats.live_versions += cache.versions.live_versions();
             stats.pinned_versions += cache.versions.pinned_versions();
         }
@@ -478,37 +428,27 @@ impl CachedSeries {
         out
     }
 
-    /// Absorb one inserted tuple. The relation already contains it.
-    pub(crate) fn insert(&mut self, tuple: &Tuple, relation: &TemporalRelation) -> Result<()> {
+    /// Absorb one inserted tuple.
+    pub(crate) fn insert(&mut self, tuple: &Tuple) -> Result<()> {
         let (cache, valid) = (self.live_mut()?, tuple.valid());
         for b in boundary_candidates(valid) {
             cache.add_boundary(b);
         }
-        if cache.patches_states() {
-            let value = extract(tuple, cache.column);
-            cache.patch(valid, &value, DynAggregate::active_insert);
-        } else {
-            cache.recompute_window(valid, relation)?;
-        }
+        let value = extract(tuple, cache.column);
+        cache.patch(valid, &value, DynAggregate::active_insert);
         self.refresh(valid);
         Ok(())
     }
 
-    /// Retract one deleted tuple. The relation no longer contains it.
-    pub(crate) fn delete(&mut self, tuple: &Tuple, relation: &TemporalRelation) -> Result<()> {
+    /// Retract one deleted tuple.
+    pub(crate) fn delete(&mut self, tuple: &Tuple) -> Result<()> {
         let (cache, valid) = (self.live_mut()?, tuple.valid());
-        let retracts = cache.patches_states();
-        if retracts {
-            // Retract first: after retraction the states on both sides of
-            // a released boundary are equal, making the merge sound.
-            let value = extract(tuple, cache.column);
-            cache.patch(valid, &value, DynAggregate::active_remove);
-        }
+        // Retract first: after retraction the states on both sides of a
+        // released boundary are equal, making the merge sound.
+        let value = extract(tuple, cache.column);
+        cache.patch(valid, &value, DynAggregate::active_remove);
         for b in boundary_candidates(valid) {
             cache.drop_boundary(b);
-        }
-        if !retracts {
-            cache.recompute_window(valid, relation)?;
         }
         self.refresh(valid);
         Ok(())
@@ -517,28 +457,19 @@ impl CachedSeries {
     /// Absorb one tuple rewritten in place from `old` to `new`, valid time
     /// kept: retract and fold in one pass over the runs it covers. Its
     /// boundaries and their refcounts end where they began, so they are
-    /// not touched. The relation already holds `new`. A series without an
-    /// input column reads nothing an `UPDATE` can assign.
-    pub(crate) fn update(
-        &mut self,
-        old: &Tuple,
-        new: &Tuple,
-        relation: &TemporalRelation,
-    ) -> Result<()> {
+    /// not touched. A series without an input column reads nothing an
+    /// `UPDATE` can assign.
+    pub(crate) fn update(&mut self, old: &Tuple, new: &Tuple) -> Result<()> {
         let (cache, valid) = (self.live_mut()?, new.valid());
         let Some(column) = cache.column else {
             return Ok(());
         };
-        if cache.patches_states() {
-            let agg = cache.agg;
-            cache.patched_runs += cache.runs.for_each_in_mut(valid, |run| {
-                agg.active_remove(&mut run.state, old.value(column));
-                agg.active_insert(&mut run.state, new.value(column));
-                run.value = agg.active_output(&run.state);
-            });
-        } else {
-            cache.recompute_window(valid, relation)?;
-        }
+        let agg = cache.agg;
+        cache.patched_runs += cache.runs.for_each_in_mut(valid, |run| {
+            agg.active_remove(&mut run.state, old.value(column));
+            agg.active_insert(&mut run.state, new.value(column));
+            run.value = agg.active_output(&run.state);
+        });
         self.refresh(valid);
         Ok(())
     }
@@ -617,7 +548,7 @@ impl CachedSeries {
 mod tests {
     use super::*;
     use tempagg_agg::AggKind;
-    use tempagg_core::{Schema, ValueType};
+    use tempagg_core::{Schema, TemporalRelation, ValueType};
 
     /// The cache's runs, read through the window index's own door, clip
     /// to any window exactly as the published series does — also where the
@@ -680,7 +611,7 @@ mod tests {
                 Interval::at(13 * i % 500 + 1, 13 * i % 500 + 40),
             );
             relation.push_tuple(tuple.clone()).unwrap();
-            cached.insert(&tuple, &relation).unwrap();
+            cached.insert(&tuple).unwrap();
             for window in [Interval::TIMELINE, Interval::at(20, 300), tuple.valid()] {
                 assert_eq!(
                     cached.probe(IndexMode::Integral, window),

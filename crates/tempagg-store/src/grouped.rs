@@ -71,10 +71,10 @@ impl GroupedIndexes {
 
     /// Absorb one inserted tuple: into its group, or as the first member
     /// of a new one.
-    pub(crate) fn insert(&mut self, tuple: &Tuple, relation: &TemporalRelation) -> Result<()> {
+    pub(crate) fn insert(&mut self, tuple: &Tuple) -> Result<()> {
         let value = tuple.value(self.group_column);
         if let Some(group) = self.groups.get_mut(value) {
-            group.series.insert(tuple, relation)?;
+            group.series.insert(tuple)?;
             group.members += 1;
         } else {
             let group = Group::over(self.agg, self.column, &[tuple]);
@@ -85,7 +85,7 @@ impl GroupedIndexes {
 
     /// Retract one deleted tuple from its group; the last member leaving
     /// drops the group.
-    pub(crate) fn remove(&mut self, tuple: &Tuple, relation: &TemporalRelation) -> Result<()> {
+    pub(crate) fn remove(&mut self, tuple: &Tuple) -> Result<()> {
         let value = tuple.value(self.group_column);
         let Some(group) = self.groups.get_mut(value) else {
             return Ok(());
@@ -94,7 +94,7 @@ impl GroupedIndexes {
             self.groups.remove(value);
             return Ok(());
         }
-        group.series.delete(tuple, relation)?;
+        group.series.delete(tuple)?;
         group.members -= 1;
         Ok(())
     }
@@ -102,21 +102,16 @@ impl GroupedIndexes {
     /// Absorb one tuple rewritten in place (valid time unchanged): a new
     /// grouping value is a retract from one group and an insert into
     /// another, a new aggregated value an in-place update of its group.
-    pub(crate) fn update(
-        &mut self,
-        old: &Tuple,
-        new: &Tuple,
-        relation: &TemporalRelation,
-    ) -> Result<()> {
+    pub(crate) fn update(&mut self, old: &Tuple, new: &Tuple) -> Result<()> {
         if old.value(self.group_column) != new.value(self.group_column) {
-            self.remove(old, relation)?;
-            return self.insert(new, relation);
+            self.remove(old)?;
+            return self.insert(new);
         }
         if self.column.map_or(true, |c| old.value(c) == new.value(c)) {
             return Ok(());
         }
         match self.groups.get_mut(new.value(self.group_column)) {
-            Some(group) => group.series.update(old, new, relation),
+            Some(group) => group.series.update(old, new),
             None => Ok(()),
         }
     }
@@ -201,7 +196,7 @@ mod tests {
                 Interval::at(13 * i % 500 + 1, 13 * i % 500 + 40),
             );
             relation.push_tuple(tuple.clone()).unwrap();
-            grouped.insert(&tuple, &relation).unwrap();
+            grouped.insert(&tuple).unwrap();
             assert_eq!(
                 grouped.groups[&Value::Int(7)].members,
                 usize::try_from(i).unwrap() + 1
@@ -216,7 +211,7 @@ mod tests {
         }
         for tuple in &relation.clone() {
             relation.remove_flagged(&[true]);
-            grouped.remove(tuple, &relation).unwrap();
+            grouped.remove(tuple).unwrap();
         }
         assert!(grouped.groups.is_empty());
     }

@@ -18,10 +18,11 @@
 //! * **Ordered-class** aggregates (`MIN`/`MAX`, `COUNT(DISTINCT)`) do the
 //!   same through the ordered multiset already inside
 //!   [`DynActive`](tempagg_agg::DynActive).
-//! * **Approximate-class** aggregates (float `SUM`/`AVG`, variance) drift
-//!   under float retraction, so their caches re-run the endpoint-sweep
-//!   kernel over just the dirty window — the hull of the runs overlapping
-//!   the change — never the full timeline.
+//!
+//! A cache holds only what a write patches exactly. **Approximate-class**
+//! aggregates (float `SUM`/`AVG`, `VARIANCE`, `STDDEV`) would drift under
+//! float retraction, so the store refuses to cache them and they are
+//! scanned every time.
 //!
 //! A write costs what it changes: each working series is a list of
 //! fixed-capacity run chunks (`runs.rs`), so a new run edge moves one
@@ -253,42 +254,33 @@ mod tests {
     }
 
     #[test]
-    fn approximate_class_recomputes_dirty_window() {
-        let schema = Schema::of(&[("x", ValueType::Float)]);
+    fn approximate_aggregates_are_refused_a_cache() {
+        let schema = Schema::of(&[("x", ValueType::Float), ("n", ValueType::Int)]);
         let mut relation = TemporalRelation::new(schema);
-        for i in 0..32i64 {
-            relation
-                .push(
-                    vec![Value::Float(f64::from(i32::try_from(i).unwrap()) / 3.0)],
-                    Interval::at(i * 5, i * 5 + 12),
-                )
-                .unwrap();
-        }
-        let mut store = TemporalStore::new(relation);
-        let avg = DynAggregate::new(AggKind::Avg, ValueType::Float).unwrap();
-        assert!(!avg.sweep_class().retractable());
-        store.ensure_cache(avg, Some(0)).unwrap();
-        store
-            .insert(vec![Value::Float(7.5)], Interval::at(40, 80))
+        relation
+            .push(vec![Value::Float(0.1), Value::Int(3)], Interval::at(0, 9))
             .unwrap();
-        store
-            .delete_where(|t| t.valid().start() == Timestamp::new(0))
-            .unwrap();
-        let stats = store.cache_stats();
-        assert!(stats.recomputed_windows >= 2);
-        assert_eq!(stats.patched_runs, 0);
-        let snap = store.snapshot(AggKind::Avg, Some(0)).unwrap();
-        let oracle = recompute(store.relation(), avg, Some(0));
-        assert_eq!(snap.len(), oracle.len());
-        for (got, want) in snap.iter().zip(oracle.iter()) {
-            assert_eq!(got.interval, want.interval);
-            match (&got.value, &want.value) {
-                (Value::Float(a), Value::Float(b)) => {
-                    assert!((a - b).abs() < 1e-9, "AVG drifted: {a} vs {b}");
-                }
-                (a, b) => assert_eq!(a, b),
-            }
+        let store = TemporalStore::new(relation);
+        for (kind, input, column) in [
+            (AggKind::Sum, ValueType::Float, 0),
+            (AggKind::Avg, ValueType::Float, 0),
+            (AggKind::Variance, ValueType::Int, 1),
+            (AggKind::StdDev, ValueType::Float, 0),
+        ] {
+            let agg = DynAggregate::new(kind, input).unwrap();
+            assert!(!agg.sweep_class().retractable());
+            let err = store.ensure_cache(agg, Some(column)).unwrap_err();
+            assert!(
+                matches!(err, tempagg_core::TempAggError::TypeError { .. }),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("not cacheable"), "{err}");
+            assert!(!store.has_cache(kind, Some(column)));
         }
+        // The same kinds over an exact input cache as ever.
+        let avg = DynAggregate::new(AggKind::Avg, ValueType::Int).unwrap();
+        store.ensure_cache(avg, Some(1)).unwrap();
+        assert!(store.has_cache(AggKind::Avg, Some(1)));
     }
 
     #[test]
@@ -348,74 +340,6 @@ mod tests {
             self.0 ^= self.0 << 17;
             i64::try_from(self.0 % u64::try_from(n.max(1)).unwrap()).unwrap()
         }
-    }
-
-    fn assert_close(got: &Series<Value>, want: &Series<Value>) {
-        assert_eq!(got.len(), want.len());
-        for (got, want) in got.iter().zip(want.iter()) {
-            assert_eq!(got.interval, want.interval);
-            match (&got.value, &want.value) {
-                (Value::Float(a), Value::Float(b)) => {
-                    assert!((a - b).abs() < 1e-9, "drifted: {a} vs {b}");
-                }
-                (a, b) => assert_eq!(a, b),
-            }
-        }
-    }
-
-    #[test]
-    fn dirty_window_splice_spans_several_chunks() {
-        let schema = Schema::of(&[("x", ValueType::Float)]);
-        let mut relation = TemporalRelation::new(schema);
-        for i in 0..700i64 {
-            relation
-                .push(
-                    vec![Value::Float(
-                        f64::from(i32::try_from(i % 97).unwrap()) / 7.0,
-                    )],
-                    Interval::at(i * 10, i * 10 + 4),
-                )
-                .unwrap();
-        }
-        let mut store = TemporalStore::new(relation);
-        let avg = DynAggregate::new(AggKind::Avg, ValueType::Float).unwrap();
-        store.ensure_cache(avg, Some(0)).unwrap();
-        // 1,400 runs in six chunks; each write below dirties ≈ 1,000 of
-        // them, from the first chunk into the fifth.
-        assert_eq!(store.cache_stats().runs, 1400);
-        store
-            .insert(vec![Value::Float(2.5)], Interval::at(1002, 6003))
-            .unwrap();
-        store.validate_structure();
-        assert_eq!(store.cache_stats().runs, 1402);
-        assert_close(
-            &store.snapshot(AggKind::Avg, Some(0)).unwrap(),
-            &recompute(store.relation(), avg, Some(0)),
-        );
-        // An update keeps valid time: one recompute, not a delete's and an
-        // insert's.
-        let before = store.cache_stats().recomputed_windows;
-        store
-            .update_where(
-                |t| t.valid() == Interval::at(1002, 6003),
-                &[(0, Value::Float(-4.0))],
-            )
-            .unwrap();
-        assert_eq!(store.cache_stats().recomputed_windows, before + 1);
-        store.validate_structure();
-        assert_close(
-            &store.snapshot(AggKind::Avg, Some(0)).unwrap(),
-            &recompute(store.relation(), avg, Some(0)),
-        );
-        store
-            .delete_where(|t| t.valid() == Interval::at(1002, 6003))
-            .unwrap();
-        store.validate_structure();
-        assert_eq!(store.cache_stats().runs, 1400);
-        assert_close(
-            &store.snapshot(AggKind::Avg, Some(0)).unwrap(),
-            &recompute(store.relation(), avg, Some(0)),
-        );
     }
 
     #[test]
@@ -618,6 +542,25 @@ mod tests {
             .unwrap();
         assert!(reopened.flush().unwrap().is_some());
         assert!(!reopened.is_dirty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_persist_to_keeps_the_backing_file() {
+        let path = temp_path("kept.tapg");
+        let mut store = TemporalStore::new(employed());
+        store.persist_to(&path).unwrap();
+        let missing = temp_path("no-such-dir").join("t.tapg");
+        assert!(store.persist_to(&missing).is_err());
+        assert_eq!(store.backing(), Some(path.as_path()));
+        assert!(!store.is_dirty());
+        // The file the store had is the one later writes flush to.
+        store
+            .insert(vec![Value::from("Eve"), Value::Int(1)], Interval::at(0, 5))
+            .unwrap();
+        assert!(store.flush().unwrap().is_some());
+        let reopened = TemporalStore::open(&path).unwrap();
+        assert_eq!(reopened.relation(), store.relation());
         std::fs::remove_file(&path).ok();
     }
 

@@ -5,9 +5,8 @@
 //! A write adds or drops at most two run edges. In one `Vec<Run>` each of
 //! those is a memmove of half the series (≈ 0.3 ms per cache at 131,072
 //! runs); here it moves at most one chunk's runs plus one directory slot.
-//! Everything that walks runs in time order — a window scan, a patch, a
-//! dirty-window splice, the snapshot copy — still reads contiguous memory
-//! a chunk at a time.
+//! Everything that walks runs in time order — a window scan, a patch, the
+//! snapshot copy — still reads contiguous memory a chunk at a time.
 
 use tempagg_agg::DynActive;
 use tempagg_core::{Interval, SeriesEntry, Timestamp, Value};
@@ -22,8 +21,6 @@ const CHUNK_RUNS: usize = 256;
 pub(crate) struct Run {
     pub(crate) interval: Interval,
     /// The retractable active state over the tuples covering this run.
-    /// Meaningful only for retractable classes; recompute-mode caches
-    /// keep an empty placeholder.
     pub(crate) state: DynActive,
     pub(crate) value: Value,
 }
@@ -116,12 +113,6 @@ impl RunList {
         self.chunks.get_mut(c).map(|chunk| &mut chunk.runs)
     }
 
-    /// The run containing instant `t`.
-    pub(crate) fn run_at(&self, t: Timestamp) -> Option<&Run> {
-        let (c, i) = self.locate(t);
-        self.chunks.get(c)?.runs.get(i)
-    }
-
     /// Visit every run overlapping `iv`, in time order.
     pub(crate) fn for_each_in(&self, iv: Interval, mut f: impl FnMut(&Run)) {
         let (c, mut i) = self.locate(iv.start());
@@ -160,8 +151,8 @@ impl RunList {
     /// capacity.
     pub(crate) fn split_at(&mut self, b: Timestamp) {
         let (mut c, mut i) = self.locate(b);
-        let Some((left, right)) = self.run_at(b).and_then(|run| run.interval.split_before(b))
-        else {
+        let run = self.chunks.get(c).and_then(|chunk| chunk.runs.get(i));
+        let Some((left, right)) = run.and_then(|run| run.interval.split_before(b)) else {
             return;
         };
         if self.chunks.get(c).map(|chunk| chunk.runs.len()) == Some(CHUNK_RUNS) {
@@ -249,42 +240,6 @@ impl RunList {
         }
     }
 
-    /// Replace the runs overlapping `iv` by `replacement`, which must tile
-    /// exactly their hull. The chunks the stale runs sat in are re-cut
-    /// evenly; chunks outside are not touched.
-    pub(crate) fn splice(&mut self, iv: Interval, replacement: Vec<Run>) {
-        if replacement.is_empty() {
-            return;
-        }
-        let (c0, i0) = self.locate(iv.start());
-        let (c1, i1) = self.locate(iv.end());
-        let Some(last) = self.runs_mut(c1) else {
-            return;
-        };
-        let tail = last.split_off((i1 + 1).min(last.len()));
-        let covered: usize = self
-            .chunks
-            .iter()
-            .take(c1 + 1)
-            .skip(c0)
-            .map(|chunk| chunk.runs.len())
-            .sum();
-        let mut runs = self.runs_mut(c0).map(std::mem::take).unwrap_or_default();
-        runs.truncate(i0);
-        self.len = self.len + i0 + replacement.len() - covered;
-        runs.extend(replacement);
-        runs.extend(tail);
-
-        let pieces = runs.len().div_ceil(CHUNK_RUNS);
-        let per_piece = runs.len().div_ceil(pieces);
-        let mut recut = Vec::with_capacity(pieces);
-        let mut runs = runs.into_iter();
-        while let Some(chunk) = Chunk::of(runs.by_ref().take(per_piece).collect()) {
-            recut.push(chunk);
-        }
-        drop(self.chunks.splice(c0..=c1, recut));
-    }
-
     /// Structural invariants: every chunk holds `1..=CHUNK_RUNS` runs,
     /// each fence is its chunk's first start, and the runs tile `[0, ∞]`.
     #[cfg(any(test, feature = "validate"))]
@@ -351,6 +306,12 @@ mod tests {
             .collect()
     }
 
+    /// The run containing instant `t`, as `(interval, value)`.
+    fn run_at(list: &RunList, t: i64) -> Option<(Interval, Value)> {
+        let t = Timestamp::new(t);
+        flat(list).into_iter().find(|(iv, _)| iv.contains(t))
+    }
+
     fn chunk_lens(list: &RunList) -> Vec<usize> {
         list.chunks().map(<[Run]>::len).collect()
     }
@@ -365,8 +326,8 @@ mod tests {
         );
         assert_eq!(list.len(), 600);
         assert_eq!(
-            list.run_at(Timestamp::new(2565)).map(|r| &r.value),
-            Some(&Value::Int(256))
+            run_at(&list, 2565).map(|(_, value)| value),
+            Some(Value::Int(256))
         );
     }
 
@@ -428,8 +389,7 @@ mod tests {
         list.validate_structure();
         assert_eq!(chunk_lens(&list), [CHUNK_RUNS, CHUNK_RUNS - 1, CHUNK_RUNS]);
         assert_eq!(
-            list.run_at(Timestamp::new(edge + 3))
-                .map(|r| (r.interval, r.value.clone())),
+            run_at(&list, edge + 3),
             Some((Interval::at(edge - 10, edge + 9), Value::Int(255)))
         );
         // No run starts here any more, and none starts mid-run.
@@ -462,7 +422,7 @@ mod tests {
         }
         assert_eq!(chunk_lens(&list), [CHUNK_RUNS, CHUNK_RUNS]);
         assert_eq!(
-            list.run_at(Timestamp::new(edge)).map(|r| r.interval),
+            run_at(&list, edge).map(|(interval, _)| interval),
             Some(Interval::at(edge - 10, 2 * edge - 1))
         );
         // Down to a single run, in a single chunk.
@@ -472,36 +432,6 @@ mod tests {
         }
         assert_eq!(chunk_lens(&list), [1]);
         assert_eq!(flat(&list), [(Interval::TIMELINE, Value::Int(0))]);
-    }
-
-    #[test]
-    fn splice_spanning_several_chunks_recuts_them() {
-        let n = 5 * i64::try_from(CHUNK_RUNS).unwrap();
-        let before = flat(&decades(n));
-        // Stale: runs 100 ..= 1100 (chunks 0 to 4). Replacement: the same
-        // hull in runs of 25 instants, then in runs of 5.
-        for width in [25, 5] {
-            let mut list = decades(n);
-            let (lo, hi) = (1000, 11_009);
-            let replacement: Vec<Run> = (lo..=hi)
-                .step_by(width)
-                .map(|s| Run {
-                    interval: Interval::at(s, (s + i64::try_from(width).unwrap() - 1).min(hi)),
-                    state: DynActive::Count(0),
-                    value: Value::Int(-s),
-                })
-                .collect();
-            let expected: Vec<(Interval, Value)> = before[..100]
-                .iter()
-                .cloned()
-                .chain(replacement.iter().map(|r| (r.interval, r.value.clone())))
-                .chain(before[1101..].iter().cloned())
-                .collect();
-            // Any interval with the same overlap names the same stale runs.
-            list.splice(Interval::at(lo + 3, hi - 3), replacement);
-            list.validate_structure();
-            assert_eq!(flat(&list), expected, "width {width}");
-        }
     }
 
     #[test]

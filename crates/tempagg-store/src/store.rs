@@ -38,8 +38,6 @@ pub struct StoreCacheStats {
     pub runs: usize,
     /// Runs patched in place by incremental maintenance.
     pub patched_runs: u64,
-    /// Dirty-window sweep recomputes (Approximate-class fallback).
-    pub recomputed_windows: u64,
     /// Published snapshot versions currently retained.
     pub live_versions: usize,
     /// Retained versions still pinned by a reader.
@@ -161,7 +159,10 @@ impl TemporalStore {
     /// [`ensure_cache`](TemporalStore::ensure_cache) or a probe first asks
     /// for it and served read-only from then on; the first mutation
     /// promotes them all, decoded or not, to live caches rebuilt over the
-    /// relation, and so does a block that turns out corrupt.
+    /// relation, and so does a block that turns out corrupt. A series no
+    /// store may cache (see [`ensure_cache`](TemporalStore::ensure_cache)),
+    /// which a file written before that rule can hold, is not restored: the
+    /// aggregate is scanned, and the next flush writes the file without it.
     pub fn open(path: &Path) -> Result<TemporalStore> {
         let base = Arc::new(PagedReader::open(path)?);
         let page_size = base.page_size();
@@ -169,7 +170,9 @@ impl TemporalStore {
         for (slot, record) in base.series_directory().iter().enumerate() {
             let key = key_for_persisted(record)?;
             let agg = dyn_for(base.schema(), key)?;
-            restored.insert(key, CachedSeries::restored(agg, base.clone(), slot));
+            if cacheable(&agg).is_ok() {
+                restored.insert(key, CachedSeries::restored(agg, base.clone(), slot));
+            }
         }
         Ok(TemporalStore {
             series: RefCell::new(restored),
@@ -193,13 +196,15 @@ impl TemporalStore {
         self.dirty
     }
 
-    /// Attach `path` as the backing file and flush immediately.
+    /// Write the store to `path` and attach it as the backing file. A write
+    /// that fails attaches nothing: the store keeps the backing file (and
+    /// the dirty flag) it had.
     pub fn persist_to(&mut self, path: impl Into<PathBuf>) -> Result<PagedWriteStats> {
-        self.backing = Some(path.into());
-        self.dirty = true;
-        self.flush()
-            // lint: allow(no-unwrap): dirty was just set, so flush always writes
-            .map(|stats| stats.expect("forced flush writes"))
+        let path = path.into();
+        let stats = self.write_to(&path)?;
+        self.backing = Some(path);
+        self.dirty = false;
+        Ok(stats)
     }
 
     /// Write the relation and every cached aggregate series to the
@@ -220,6 +225,13 @@ impl TemporalStore {
         if !self.dirty {
             return Ok(None);
         }
+        let stats = self.write_to(&path)?;
+        self.dirty = false;
+        Ok(Some(stats))
+    }
+
+    /// Write the relation and every cached aggregate series to `path`.
+    fn write_to(&mut self, path: &Path) -> Result<PagedWriteStats> {
         let relation = self.rows.resident()?;
         // Window indexes are derived from these series in O(runs) and are
         // never written; the entries are read off the runs, so a flush
@@ -233,16 +245,14 @@ impl TemporalStore {
                 entries: entry.entries()?,
             });
         }
-        let stats = pager::write_relation(
+        pager::write_relation(
             relation,
-            &path,
+            path,
             &PagedWriteOptions {
                 page_size: self.page_size,
                 caches,
             },
-        )?;
-        self.dirty = false;
-        Ok(Some(stats))
+        )
     }
 
     /// The rows in memory. A store [opened](TemporalStore::open) from a
@@ -331,10 +341,10 @@ impl TemporalStore {
         relation.push_tuple(tuple.clone())?;
         self.dirty = true;
         for entry in self.series.get_mut().values_mut() {
-            entry.insert(&tuple, relation)?;
+            entry.insert(&tuple)?;
         }
         for grouped in self.grouped.get_mut().values_mut() {
-            grouped.insert(&tuple, relation)?;
+            grouped.insert(&tuple)?;
         }
         self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]
@@ -357,12 +367,12 @@ impl TemporalStore {
         let removed = relation.remove_flagged(&flags);
         for entry in self.series.get_mut().values_mut() {
             for tuple in &removed {
-                entry.delete(tuple, relation)?;
+                entry.delete(tuple)?;
             }
         }
         for grouped in self.grouped.get_mut().values_mut() {
             for tuple in &removed {
-                grouped.remove(tuple, relation)?;
+                grouped.remove(tuple)?;
             }
         }
         self.epoch = self.epoch.next();
@@ -422,12 +432,12 @@ impl TemporalStore {
                 continue;
             }
             for (_, old, new) in &replacements {
-                entry.update(old, new, relation)?;
+                entry.update(old, new)?;
             }
         }
         for grouped in self.grouped.get_mut().values_mut() {
             for (_, old, new) in &replacements {
-                grouped.update(old, new, relation)?;
+                grouped.update(old, new)?;
             }
         }
         self.epoch = self.epoch.next();
@@ -495,6 +505,7 @@ impl TemporalStore {
     /// there is none. A series a paged file holds counts as present, and is
     /// decoded here if nobody has read it yet.
     fn entry(&self, agg: DynAggregate, column: Option<usize>) -> Result<RefMut<'_, CachedSeries>> {
+        cacheable(&agg)?;
         let key = CacheKey {
             kind: agg.kind(),
             column,
@@ -622,6 +633,11 @@ impl TemporalStore {
     /// it. Building one, or replacing a block that fails its checksum, reads
     /// the rows through [`resident`](TemporalStore::resident), whose error
     /// this returns.
+    ///
+    /// An Approximate-class aggregate (float `SUM`/`AVG`, `VARIANCE`,
+    /// `STDDEV`) is refused with a [`TempAggError::TypeError`]: a write
+    /// patches a cache by retracting from its states, which drifts in
+    /// floating point, so its cache would answer unlike a scan.
     pub fn ensure_cache(&self, agg: DynAggregate, column: Option<usize>) -> Result<()> {
         self.entry(agg, column).map(drop)
     }
@@ -692,6 +708,24 @@ impl TemporalStore {
     }
 }
 
+/// Refuse an aggregate whose cache a write could not patch exactly: an
+/// Approximate-class state drifts under float retraction, so after a write
+/// its cache would answer unlike a scan of the same rows.
+fn cacheable(agg: &DynAggregate) -> Result<()> {
+    if agg.sweep_class().retractable() {
+        return Ok(());
+    }
+    Err(TempAggError::TypeError {
+        detail: format!(
+            "{} over {} is not cacheable: its retraction is inexact under \
+             floating point, so a patched cache would break byte-identity \
+             with a scan",
+            agg.kind().name(),
+            agg.input_type()
+        ),
+    })
+}
+
 /// Promote file-restored series to live caches before a mutation: the live
 /// cache is rebuilt from the (pre-mutation) `tuples`, so the mutation's
 /// patch applies to real, retractable state.
@@ -704,13 +738,14 @@ fn promote_restored(series: &mut BTreeMap<CacheKey, CachedSeries>, tuples: &[Tup
 /// The answer to a read made by one of the accessors that keep an
 /// infallible signature — [`TemporalStore::relation`],
 /// [`TemporalStore::snapshot`], [`TemporalStore::snapshot_or_build`]. Only
-/// a store whose rows are a file's pages can fail one, and only by a page
-/// that does not verify; those accessors have no error to return it in.
+/// a store whose rows are a file's pages can fail one by a page that does
+/// not verify, and `snapshot_or_build` by an aggregate no cache may hold;
+/// those accessors have no error to return it in.
 fn readable<T>(read: Result<T>) -> T {
     match read {
         Ok(value) => value,
         // lint: allow(no-unwrap): the documented `# Panics` of the accessors above; the engine reads through `resident` / `ensure_cache`, which return the error
-        Err(e) => panic!("the store's rows could not be read: {e}"),
+        Err(e) => panic!("the store could not answer the read: {e}"),
     }
 }
 

@@ -141,7 +141,6 @@ fn random_ops_keep_caches_byte_identical_to_sweep() {
         assert_caches_match_recompute(&store, &format!("after op {op}"));
     }
     assert!(store.cache_stats().patched_runs > 0);
-    assert_eq!(store.cache_stats().recomputed_windows, 0);
 }
 
 #[test]

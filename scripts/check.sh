@@ -12,13 +12,16 @@ cd "$(dirname "$0")/.."
 # may quote them: a number nobody can re-run is not a number. The same goes
 # for the retired calibration profile, its command and its loader, and the
 # planner entry point that only tests called: CostModel::default() holds the
-# one set of planner constants, and choose_algorithm is the one ranking.
+# one set of planner constants, and choose_algorithm is the one ranking. So
+# too for the second paths deleted beside a first one: a cache holds only
+# what a write patches exactly (no dirty-window recompute), StitchSink is
+# the one stitcher, and a partitioned run finishes one way.
 # History (CHANGES.md, ROADMAP.md, EXPERIMENTS.md's retired table) is
 # exempt, and bench/ is read-only to engine PRs.
-echo "==> no citation of a retired harness command, BENCH_*.json or planner entry point"
-if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost' -- \
+echo "==> no citation of a retired harness command, BENCH_*.json, planner entry point or deleted second path"
+if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel' -- \
     README.md DESIGN.md .claude scripts crates src examples tests ':!scripts/check.sh'; then
-    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default() or choose_algorithm instead" >&2
+    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default(), choose_algorithm, StitchSink or PartitionedAggregator::finish_into instead" >&2
     exit 1
 fi
 

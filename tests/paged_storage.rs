@@ -22,7 +22,9 @@
 
 use std::path::{Path, PathBuf};
 use tempagg_agg::SweepAggregate;
-use temporal_aggregates::algo::{run_paged_partitioned, SweepAggregator, TemporalAggregator};
+use temporal_aggregates::algo::{
+    feed, page_seams, PartitionedAggregator, SweepAggregator, TemporalAggregator,
+};
 use temporal_aggregates::core::pager::format::{
     encode_entries, encode_fences, encode_page, encode_schema, fnv1a64, plan_pages,
 };
@@ -104,6 +106,30 @@ where
     sweep.finish()
 }
 
+/// Cut `window` at `reader`'s page seams, feed the fence-pruned pages
+/// through `source` into one sweep per partition, and finish.
+fn paged_sweep<'r, A, S>(
+    reader: &'r PagedReader,
+    window: Interval,
+    partitions: usize,
+    agg: A,
+    source: impl FnOnce(PageCursor<'r>) -> S,
+) -> Series<A::Output>
+where
+    A: SweepAggregate + Clone + Send,
+    A::Input: Clone + Send + Sync,
+    A::Output: PartialEq + Send,
+    S: TupleSource<A::Input>,
+{
+    let seams = page_seams(reader.fences(), window, partitions);
+    let mut parts = PartitionedAggregator::with_seams(window, seams, |sub| {
+        SweepAggregator::with_domain(agg.clone(), sub)
+    })
+    .unwrap();
+    feed(&mut parts, &mut source(PageCursor::new(reader, window))).unwrap();
+    parts.finish()
+}
+
 /// One cell of the matrix for a column-valued aggregate over `salary`
 /// (column 1 of the workload schema).
 fn assert_int_identity<A>(
@@ -117,14 +143,9 @@ fn assert_int_identity<A>(
     A: SweepAggregate<Input = i64> + Clone + Send,
     A::Output: PartialEq + std::fmt::Debug + Send,
 {
-    let paged = run_paged_partitioned(
-        reader,
-        window,
-        partitions,
-        |cursor| cursor.int_column(1),
-        |sub| SweepAggregator::with_domain(agg.clone(), sub),
-    )
-    .unwrap();
+    let paged = paged_sweep(reader, window, partitions, agg.clone(), |cursor| {
+        cursor.int_column(1)
+    });
     let oracle = ram_sweep(
         agg,
         window,
@@ -152,11 +173,7 @@ fn paged_matches_ram_for_all_aggregates_shapes_and_partitions() {
             for partitions in [1usize, 2, 8] {
                 let label = format!("{shape} over {window}");
                 // COUNT(*) — unit input through `PageCursor::units`.
-                let paged =
-                    run_paged_partitioned(&reader, window, partitions, PageCursor::units, |sub| {
-                        SweepAggregator::with_domain(Count, sub)
-                    })
-                    .unwrap();
+                let paged = paged_sweep(&reader, window, partitions, Count, PageCursor::units);
                 let oracle = ram_sweep(Count, window, relation.intervals().map(|iv| (iv, ())));
                 assert_eq!(paged, oracle, "COUNT {label} (P = {partitions})");
 

@@ -1,8 +1,8 @@
 //! Integration tests for the streaming result path: `finish_into` /
 //! `emit_ready` must emit exactly the entries `finish` materializes, for
-//! every algorithm and every aggregate, and `Series::stitch` /
-//! `Series::stitch_where` must handle the degenerate part lists the
-//! partitioned streaming path can produce.
+//! every algorithm and every aggregate, a partitioned run must stream what
+//! the serial run of its inner algorithm collects, and `StitchSink` must
+//! handle the degenerate part lists the partitioned path can produce.
 
 use temporal_aggregates::prelude::*;
 use temporal_aggregates::{Aggregate, SeriesEntry, SweepAggregate};
@@ -145,14 +145,13 @@ fn avg_streams_identically_across_algorithms() {
     assert_all_algorithms_agree(Avg::<i64>::new(), &tuples(1_500));
 }
 
-/// The partitioned combinator has two schedules: `finish` finishes the
-/// partitions on workers and stitches the collected pieces, `finish_into`
-/// streams them one after another through a `StitchSink`. One seam below is
-/// real (a tuple starts at it) and one artificial (only a long tuple spans
-/// it); drained one entry at a time, the streamed schedule must equal the
-/// collected one over every inner algorithm the executor partitions — and
-/// under `--features validate` this is the run that puts the checking sink
-/// adapter on the schedule SQL scans actually take.
+/// A partitioned run has one schedule: `finish_into` streams the partitions
+/// one after another through a `StitchSink`. One seam below is real (a
+/// tuple starts at it) and one artificial (only a long tuple spans it);
+/// drained one entry at a time, the stream must equal the serial run of the
+/// inner algorithm over the whole domain, for every inner algorithm the
+/// executor partitions — and under `--features validate` this is the run
+/// that puts the checking sink adapter on the schedule SQL scans take.
 #[test]
 fn partitioned_finish_into_streams_what_finish_collects() {
     fn check<G: TemporalAggregator<Sum<i64>> + Send>(make: impl Fn(Interval) -> G) {
@@ -160,21 +159,20 @@ fn partitioned_finish_into_streams_what_finish_collects() {
         rows.extend(tuples(1_000));
         let real = rows[500].0.start();
         let artificial = Timestamp(3_000);
-        let fed = || {
-            let seams = vec![real, artificial];
-            let mut parts = PartitionedAggregator::with_seams(domain(), seams, &make).unwrap();
-            for &(interval, value) in &rows {
-                parts.push(interval, value).unwrap();
-            }
-            parts
-        };
-        let collected = fed().finish();
+        let mut serial = make(domain());
+        let seams = vec![real, artificial];
+        let mut parts = PartitionedAggregator::with_seams(domain(), seams, &make).unwrap();
+        for &(interval, value) in &rows {
+            serial.push(interval, value).unwrap();
+            parts.push(interval, value).unwrap();
+        }
+        let collected = serial.finish();
         let mut streamed = Vec::new();
         let mut sink = ChunkedSink::new(1, |chunk: &[SeriesEntry<Option<i64>>]| {
             assert_eq!(chunk.len(), 1);
             streamed.extend_from_slice(chunk);
         });
-        fed().finish_into(&mut sink);
+        parts.finish_into(&mut sink);
         assert_eq!(sink.peak_resident(), 1);
         assert_eq!(collected.entries(), &streamed[..]);
         let starts_at = |t| streamed.iter().any(|e| e.interval.start() == t);
@@ -187,13 +185,27 @@ fn partitioned_finish_into_streams_what_finish_collects() {
 }
 
 // ---------------------------------------------------------------------------
-// Series::stitch / stitch_where edge cases — the seams the partitioned
-// streaming path feeds through StitchSink.
+// StitchSink edge cases — the seams the partitioned path streams through it.
 // ---------------------------------------------------------------------------
+
+/// Stream `parts` through a `StitchSink` as a partitioned run does: one
+/// `seam(allow)` call between consecutive parts.
+fn stitch(parts: Vec<Series<i64>>, allow: bool) -> Series<i64> {
+    let mut sink = StitchSink::new(Series::new());
+    for (p, part) in parts.into_iter().enumerate() {
+        if p > 0 {
+            sink.seam(allow);
+        }
+        for entry in part {
+            sink.accept(entry.interval, entry.value);
+        }
+    }
+    sink.finish()
+}
 
 #[test]
 fn stitch_of_no_parts_is_empty() {
-    let out: Series<i64> = Series::stitch(Vec::new());
+    let out: Series<i64> = stitch(Vec::new(), true);
     assert!(out.is_empty());
     assert_eq!(out.len(), 0);
 }
@@ -204,13 +216,13 @@ fn stitch_of_single_part_is_identity() {
     part.push(Interval::at(0, 4), 1);
     part.push(Interval::at(5, 9), 2);
     let expected = part.clone();
-    assert_eq!(Series::stitch(vec![part]), expected);
+    assert_eq!(stitch(vec![part], true), expected);
 }
 
 #[test]
 fn stitch_of_all_empty_parts_is_empty() {
     let parts: Vec<Series<i64>> = vec![Series::new(), Series::new(), Series::new()];
-    let out = Series::stitch(parts);
+    let out = stitch(parts, true);
     assert!(out.is_empty());
 }
 
@@ -220,7 +232,7 @@ fn stitch_merges_equal_values_across_a_seam() {
     left.push(Interval::at(0, 9), 7);
     let mut right = Series::new();
     right.push(Interval::at(10, 20), 7);
-    let out = Series::stitch(vec![left, right]);
+    let out = stitch(vec![left, right], true);
     assert_eq!(out.entries(), &[SeriesEntry::new(Interval::at(0, 20), 7)]);
 }
 
@@ -230,7 +242,7 @@ fn stitch_keeps_unequal_values_across_a_seam() {
     left.push(Interval::at(0, 9), 7);
     let mut right = Series::new();
     right.push(Interval::at(10, 20), 8);
-    let out = Series::stitch(vec![left, right]);
+    let out = stitch(vec![left, right], true);
     assert_eq!(
         out.entries(),
         &[
@@ -241,14 +253,14 @@ fn stitch_keeps_unequal_values_across_a_seam() {
 }
 
 #[test]
-fn stitch_where_keeps_equal_values_when_the_seam_is_a_real_boundary() {
+fn stitch_sink_keeps_equal_values_when_the_seam_is_a_real_boundary() {
     let mut left = Series::new();
     left.push(Interval::at(0, 9), 7);
     let mut right = Series::new();
     right.push(Interval::at(10, 20), 7);
-    // Forbid merging across seam 0: the cut is a real constant-interval
+    // Forbid merging across the seam: the cut is a real constant-interval
     // boundary and must survive even though the values match.
-    let out = Series::stitch_where(vec![left, right], |_seam| false);
+    let out = stitch(vec![left, right], false);
     assert_eq!(
         out.entries(),
         &[
@@ -267,16 +279,10 @@ fn stitch_sink_agrees_with_stitch_on_streamed_parts() {
     right.push(Interval::at(16, 30), 2);
     right.push(Interval::at(31, 40), 3);
 
-    let expected = Series::stitch(vec![left.clone(), right.clone()]);
-
-    let mut sink = StitchSink::new(Series::new());
-    for (p, part) in [left, right].into_iter().enumerate() {
-        if p > 0 {
-            sink.seam(true);
-        }
-        for entry in part {
-            sink.accept(entry.interval, entry.value);
-        }
-    }
-    assert_eq!(sink.finish(), expected);
+    // Only the entries meeting at the seam merge; interior ones stay apart.
+    let mut expected = Series::new();
+    expected.push(Interval::at(0, 9), 1);
+    expected.push(Interval::at(10, 30), 2);
+    expected.push(Interval::at(31, 40), 3);
+    assert_eq!(stitch(vec![left, right], true), expected);
 }
