@@ -13,7 +13,7 @@
 //!
 //! * **Delta** — invertible group aggregates (`COUNT`, integer `SUM`/`AVG`,
 //!   booleans): O(1) per event, retraction reproduces insert-only results
-//!   exactly.
+//!   exactly (`AVG` over integers keeps an exact `i128` total).
 //! * **Ordered** — selection aggregates (`MIN`/`MAX`) and `DISTINCT`: an
 //!   ordered multiset, O(log a) per event for `a` concurrently-live tuples.
 //! * **Approximate** — floating-point retraction (`f64` sums, `VARIANCE`
@@ -48,12 +48,12 @@ pub enum SweepClass {
 }
 
 impl SweepClass {
-    /// Whether an incremental cache may maintain this class by *patching*
-    /// per-run active states through [`SweepAggregate::active_insert`] /
-    /// [`SweepAggregate::active_remove`]: exact for [`Delta`] (O(1)
-    /// deltas) and [`Ordered`] (ordered-multiset membership), but not for
-    /// [`Approximate`], whose float retraction drifts — those caches must
-    /// recompute the dirty window from the base tuples instead.
+    /// Whether an incremental cache can follow a write exactly: [`Delta`]
+    /// by patching each run's state through
+    /// [`SweepAggregate::active_insert`] / [`SweepAggregate::active_remove`]
+    /// (O(1) deltas), [`Ordered`] by folding an inserted value into a run's
+    /// value and re-deriving a run a write takes its value from. Not
+    /// [`Approximate`], whose float retraction drifts: no store caches one.
     ///
     /// [`Delta`]: SweepClass::Delta
     /// [`Ordered`]: SweepClass::Ordered
@@ -183,31 +183,29 @@ impl<T: Numeric> SweepAggregate for Sum<T> {
 }
 
 impl<T: Numeric> SweepAggregate for Avg<T> {
-    type Active = AvgState;
+    type Active = AvgState<T::Total>;
 
-    fn active_empty(&self) -> AvgState {
-        AvgState { sum: 0.0, count: 0 }
+    fn active_empty(&self) -> AvgState<T::Total> {
+        AvgState::default()
     }
 
     #[inline]
-    fn active_insert(&self, active: &mut AvgState, value: &T) {
-        active.sum += value.to_f64();
-        active.count += 1;
+    fn active_insert(&self, active: &mut AvgState<T::Total>, value: &T) {
+        self.insert(active, value);
     }
 
     #[inline]
-    fn active_remove(&self, active: &mut AvgState, value: &T) {
-        active.sum -= value.to_f64();
+    fn active_remove(&self, active: &mut AvgState<T::Total>, value: &T) {
+        active.sum -= value.widen();
         active.count = active.count.saturating_sub(1);
         if active.count == 0 {
-            active.sum = 0.0;
+            *active = AvgState::default();
         }
     }
 
     #[inline]
-    fn active_output(&self, active: &AvgState) -> Option<f64> {
-        // lint: allow(no-as-cast): tuple counts are far below 2^53, so the u64 → f64 divisor is exact
-        (active.count > 0).then(|| active.sum / active.count as f64)
+    fn active_output(&self, active: &AvgState<T::Total>) -> Option<f64> {
+        self.finish(active)
     }
 
     fn sweep_class(&self) -> SweepClass {
@@ -640,7 +638,8 @@ pub enum DynActive {
     SumFloat { sum: f64, count: u64 },
     Min(BTreeMap<Value, u64>),
     Max(BTreeMap<Value, u64>),
-    Avg(AvgState),
+    AvgInt(AvgState<i128>),
+    AvgFloat(AvgState),
     Var(VarianceState),
 }
 
@@ -675,7 +674,10 @@ impl SweepAggregate for DynAggregate {
             },
             AggKind::Min => DynActive::Min(BTreeMap::new()),
             AggKind::Max => DynActive::Max(BTreeMap::new()),
-            AggKind::Avg => DynActive::Avg(AvgState { sum: 0.0, count: 0 }),
+            AggKind::Avg => match self.input_type() {
+                tempagg_core::ValueType::Int => DynActive::AvgInt(AvgState::default()),
+                _ => DynActive::AvgFloat(AvgState::default()),
+            },
             AggKind::Variance | AggKind::StdDev => DynActive::Var(VarianceState {
                 count: 0,
                 mean: 0.0,
@@ -705,10 +707,14 @@ impl SweepAggregate for DynAggregate {
                     *count += 1;
                 }
             }
-            DynActive::Avg(a) => {
+            DynActive::AvgInt(a) => {
+                if let Some(v) = value.as_i64() {
+                    Avg::<i64>::new().active_insert(a, &v);
+                }
+            }
+            DynActive::AvgFloat(a) => {
                 if let Some(v) = value.as_f64() {
-                    a.sum += v;
-                    a.count += 1;
+                    Avg::<f64>::new().active_insert(a, &v);
                 }
             }
             DynActive::Var(s) => {
@@ -747,13 +753,14 @@ impl SweepAggregate for DynAggregate {
                     }
                 }
             }
-            DynActive::Avg(a) => {
+            DynActive::AvgInt(a) => {
+                if let Some(v) = value.as_i64() {
+                    Avg::<i64>::new().active_remove(a, &v);
+                }
+            }
+            DynActive::AvgFloat(a) => {
                 if let Some(v) = value.as_f64() {
-                    a.sum -= v;
-                    a.count = a.count.saturating_sub(1);
-                    if a.count == 0 {
-                        a.sum = 0.0;
-                    }
+                    Avg::<f64>::new().active_remove(a, &v);
                 }
             }
             DynActive::Var(s) => {
@@ -784,14 +791,12 @@ impl SweepAggregate for DynAggregate {
             }
             DynActive::Min(set) => set.keys().next().cloned().unwrap_or(Value::Null),
             DynActive::Max(set) => set.keys().next_back().cloned().unwrap_or(Value::Null),
-            DynActive::Avg(a) => {
-                if a.count == 0 {
-                    Value::Null
-                } else {
-                    // lint: allow(no-as-cast): tuple counts are far below 2^53, so the u64 → f64 divisor is exact
-                    Value::Float(a.sum / a.count as f64)
-                }
-            }
+            DynActive::AvgInt(a) => Avg::<i64>::new()
+                .finish(a)
+                .map_or(Value::Null, Value::Float),
+            DynActive::AvgFloat(a) => Avg::<f64>::new()
+                .finish(a)
+                .map_or(Value::Null, Value::Float),
             DynActive::Var(s) => {
                 let var: Variance<f64> = Variance::sample();
                 match var.finish(s) {

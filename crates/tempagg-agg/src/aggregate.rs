@@ -63,6 +63,19 @@ pub trait Numeric: Copy + std::fmt::Debug + PartialEq + 'static {
     /// the saturation rails — true for integers, false for floats, where
     /// rounding makes retraction approximate. Drives sweep-class selection.
     const EXACT_RETRACT: bool;
+    /// The running total `AVG` keeps: `i128` for integers — no sum of
+    /// `i64`s overflows it, so subtracting a value exactly undoes adding
+    /// it — and `f64` for floats.
+    type Total: Copy
+        + Default
+        + PartialEq
+        + std::fmt::Debug
+        + std::ops::AddAssign
+        + std::ops::SubAssign;
+    /// This value as a term of a [`Total`](Numeric::Total).
+    fn widen(self) -> Self::Total;
+    /// A total as the dividend of a mean.
+    fn total_to_f64(total: Self::Total) -> f64;
     fn saturating_add(self, other: Self) -> Self;
     fn saturating_sub(self, other: Self) -> Self;
     fn to_f64(self) -> f64;
@@ -71,6 +84,16 @@ pub trait Numeric: Copy + std::fmt::Debug + PartialEq + 'static {
 impl Numeric for i64 {
     const ZERO: Self = 0;
     const EXACT_RETRACT: bool = true;
+    type Total = i128;
+    #[inline]
+    fn widen(self) -> i128 {
+        i128::from(self)
+    }
+    #[inline]
+    fn total_to_f64(total: i128) -> f64 {
+        // lint: allow(no-as-cast): rounds once, at the end, like every other path that divides this total
+        total as f64
+    }
     #[inline]
     fn saturating_add(self, other: Self) -> Self {
         i64::saturating_add(self, other)
@@ -89,6 +112,15 @@ impl Numeric for i64 {
 impl Numeric for f64 {
     const ZERO: Self = 0.0;
     const EXACT_RETRACT: bool = false;
+    type Total = f64;
+    #[inline]
+    fn widen(self) -> f64 {
+        self
+    }
+    #[inline]
+    fn total_to_f64(total: f64) -> f64 {
+        total
+    }
     #[inline]
     fn saturating_add(self, other: Self) -> Self {
         self + other

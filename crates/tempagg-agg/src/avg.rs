@@ -5,9 +5,11 @@ use std::marker::PhantomData;
 
 /// Partial state of an average: running sum and tuple count
 /// ("Average uses 8 bytes, 4 for the sum and 4 for the count", Section 6).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AvgState {
-    pub sum: f64,
+/// The sum is an input's [`Numeric::Total`]: `i128` over integers, so that
+/// it is exact and retracts exactly, and `f64` over floats.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct AvgState<S = f64> {
+    pub sum: S,
     pub count: u64,
 }
 
@@ -24,39 +26,36 @@ impl<T> Avg<T> {
 
 impl<T: Numeric> Aggregate for Avg<T> {
     type Input = T;
-    type State = AvgState;
+    type State = AvgState<T::Total>;
     type Output = Option<f64>;
 
     fn name(&self) -> &'static str {
         "AVG"
     }
 
-    fn empty_state(&self) -> AvgState {
-        AvgState { sum: 0.0, count: 0 }
+    fn empty_state(&self) -> AvgState<T::Total> {
+        AvgState::default()
     }
 
     #[inline]
-    fn insert(&self, state: &mut AvgState, value: &T) {
-        state.sum += value.to_f64();
+    fn insert(&self, state: &mut AvgState<T::Total>, value: &T) {
+        state.sum += value.widen();
         state.count += 1;
     }
 
     #[inline]
-    fn merge(&self, into: &mut AvgState, from: &AvgState) {
+    fn merge(&self, into: &mut AvgState<T::Total>, from: &AvgState<T::Total>) {
         into.sum += from.sum;
         into.count += from.count;
     }
 
-    fn finish(&self, state: &AvgState) -> Option<f64> {
-        if state.count == 0 {
-            None
-        } else {
-            // lint: allow(no-as-cast): tuple counts are far below 2^53, so the u64 → f64 divisor is exact
-            Some(state.sum / state.count as f64)
-        }
+    /// The one division every `AVG` path shares, so they round alike.
+    fn finish(&self, state: &AvgState<T::Total>) -> Option<f64> {
+        // lint: allow(no-as-cast): tuple counts are far below 2^53, so the u64 → f64 divisor is exact
+        (state.count > 0).then(|| T::total_to_f64(state.sum) / state.count as f64)
     }
 
-    fn is_empty_state(&self, state: &AvgState) -> bool {
+    fn is_empty_state(&self, state: &AvgState<T::Total>) -> bool {
         state.count == 0
     }
 
@@ -108,9 +107,26 @@ mod tests {
     #[test]
     fn merge_identity() {
         let agg: Avg<i64> = Avg::new();
-        let mut a = AvgState { sum: 9.0, count: 3 };
+        let mut a = AvgState { sum: 9, count: 3 };
         agg.merge(&mut a, &agg.empty_state());
-        assert_eq!(a, AvgState { sum: 9.0, count: 3 });
+        assert_eq!(a, AvgState { sum: 9, count: 3 });
+    }
+
+    /// An integer sum past 2^53 is kept exactly: `f64` would absorb the 1
+    /// into 2^53 and report the mean of the rest wrongly.
+    #[test]
+    fn integer_sums_stay_exact_past_two_to_the_fifty_third() {
+        let agg: Avg<i64> = Avg::new();
+        let mut s = agg.empty_state();
+        for v in [9_007_199_254_740_993, 1, 2] {
+            agg.insert(&mut s, &v);
+        }
+        assert_eq!(s.sum, 9_007_199_254_740_996);
+        let mut rest = agg.empty_state();
+        for v in [1, 2] {
+            agg.insert(&mut rest, &v);
+        }
+        assert_eq!(agg.finish(&rest), Some(1.5));
     }
 
     #[test]

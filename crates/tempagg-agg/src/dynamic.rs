@@ -6,7 +6,7 @@
 //! `CountStar` counts every qualifying tuple.
 
 use crate::aggregate::Aggregate;
-use crate::avg::AvgState;
+use crate::avg::{Avg, AvgState};
 use crate::variance::{Variance, VarianceState};
 use tempagg_core::{Result, TempAggError, Value, ValueType};
 
@@ -77,7 +77,8 @@ pub enum DynState {
     SumFloat(Option<f64>),
     Min(Option<Value>),
     Max(Option<Value>),
-    Avg(AvgState),
+    AvgInt(AvgState<i128>),
+    AvgFloat(AvgState),
     Var(VarianceState),
 }
 
@@ -136,7 +137,10 @@ impl Aggregate for DynAggregate {
             },
             AggKind::Min => DynState::Min(None),
             AggKind::Max => DynState::Max(None),
-            AggKind::Avg => DynState::Avg(AvgState { sum: 0.0, count: 0 }),
+            AggKind::Avg => match self.input {
+                ValueType::Int => DynState::AvgInt(AvgState::default()),
+                _ => DynState::AvgFloat(AvgState::default()),
+            },
             AggKind::Variance | AggKind::StdDev => DynState::Var(VarianceState {
                 count: 0,
                 mean: 0.0,
@@ -172,10 +176,14 @@ impl Aggregate for DynAggregate {
                 Some(cur) if *cur >= *value => {}
                 _ => *m = Some(value.clone()),
             },
-            DynState::Avg(a) => {
+            DynState::AvgInt(a) => {
+                if let Some(v) = value.as_i64() {
+                    Avg::<i64>::new().insert(a, &v);
+                }
+            }
+            DynState::AvgFloat(a) => {
                 if let Some(v) = Self::numeric(value) {
-                    a.sum += v;
-                    a.count += 1;
+                    Avg::<f64>::new().insert(a, &v);
                 }
             }
             DynState::Var(v) => {
@@ -219,10 +227,8 @@ impl Aggregate for DynAggregate {
                     }
                 }
             }
-            (DynState::Avg(a), DynState::Avg(b)) => {
-                a.sum += b.sum;
-                a.count += b.count;
-            }
+            (DynState::AvgInt(a), DynState::AvgInt(b)) => Avg::<i64>::new().merge(a, b),
+            (DynState::AvgFloat(a), DynState::AvgFloat(b)) => Avg::<f64>::new().merge(a, b),
             (DynState::Var(a), DynState::Var(b)) => {
                 let var: Variance<f64> = Variance::sample();
                 var.merge(a, b);
@@ -244,14 +250,12 @@ impl Aggregate for DynAggregate {
             DynState::SumInt(s) => s.map_or(Value::Null, Value::Int),
             DynState::SumFloat(s) => s.map_or(Value::Null, Value::Float),
             DynState::Min(m) | DynState::Max(m) => m.clone().unwrap_or(Value::Null),
-            DynState::Avg(a) => {
-                if a.count == 0 {
-                    Value::Null
-                } else {
-                    // lint: allow(no-as-cast): tuple counts are far below 2^53, so the u64 → f64 divisor is exact
-                    Value::Float(a.sum / a.count as f64)
-                }
-            }
+            DynState::AvgInt(a) => Avg::<i64>::new()
+                .finish(a)
+                .map_or(Value::Null, Value::Float),
+            DynState::AvgFloat(a) => Avg::<f64>::new()
+                .finish(a)
+                .map_or(Value::Null, Value::Float),
             DynState::Var(v) => {
                 let var: Variance<f64> = Variance::sample();
                 match var.finish(v) {
@@ -270,7 +274,8 @@ impl Aggregate for DynAggregate {
             DynState::SumInt(s) => s.is_none(),
             DynState::SumFloat(s) => s.is_none(),
             DynState::Min(m) | DynState::Max(m) => m.is_none(),
-            DynState::Avg(a) => a.count == 0,
+            DynState::AvgInt(a) => a.count == 0,
+            DynState::AvgFloat(a) => a.count == 0,
             DynState::Var(v) => v.count == 0,
         }
     }

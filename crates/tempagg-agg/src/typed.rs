@@ -17,12 +17,13 @@
 //! algorithm: NULL inputs are skipped by every member except
 //! `COUNT(*)`, `SUM` saturates (and retracts with `saturating_sub`), an
 //! aggregate over no non-NULL value reports `Value::Null`, and `AVG`
-//! accumulates `f64` in the same order. [`TypedMulti::lower`] decides from
-//! the members' kinds and column types alone whether a select list
-//! qualifies; anything else keeps `MultiDyn`.
+//! keeps the same exact total and divides it the same way.
+//! [`TypedMulti::lower`] decides from the members' kinds and column types
+//! alone whether a select list qualifies; anything else keeps `MultiDyn`.
 
 use crate::active::{SweepAggregate, SweepClass};
-use crate::aggregate::{Aggregate, Numeric};
+use crate::aggregate::Aggregate;
+use crate::avg::{Avg, AvgState};
 use crate::dynamic::{AggKind, DynAggregate};
 use crate::slot_extremes::SlotExtremes;
 use tempagg_core::{RowValues, Value, ValueType};
@@ -111,7 +112,7 @@ impl TypedKind {
         match self {
             TypedKind::CountStar | TypedKind::Count => {}
             TypedKind::Sum => acc.int = acc.int.saturating_add(value),
-            TypedKind::Avg => acc.float += value.to_f64(),
+            TypedKind::Avg => acc.add_to_total(value),
             TypedKind::Min | TypedKind::Max => {
                 if self.improves(acc, value) {
                     acc.int = value;
@@ -127,7 +128,10 @@ impl TypedKind {
             TypedKind::CountStar | TypedKind::Count => {}
             // An empty `from` holds the additive identities.
             TypedKind::Sum => into.int = into.int.saturating_add(from.int),
-            TypedKind::Avg => into.float += from.float,
+            TypedKind::Avg => {
+                into.add_to_total(from.int);
+                into.carry += from.carry;
+            }
             TypedKind::Min | TypedKind::Max => {
                 if from.count > 0 && self.improves(into, from.int) {
                     into.int = from.int;
@@ -143,7 +147,7 @@ impl TypedKind {
     fn remove(self, acc: &mut TypedAcc, value: i64) {
         match self {
             TypedKind::Sum => acc.int = acc.int.saturating_sub(value),
-            TypedKind::Avg => acc.float -= value.to_f64(),
+            TypedKind::Avg => acc.take_from_total(value),
             _ => {}
         }
         acc.count = acc.count.saturating_sub(1);
@@ -158,8 +162,12 @@ impl TypedKind {
                 Value::Int(i64::try_from(acc.count).unwrap_or(i64::MAX))
             }
             _ if acc.count == 0 => Value::Null,
-            // lint: allow(no-as-cast): tuple counts are far below 2^53, so the u64 → f64 divisor is exact
-            TypedKind::Avg => Value::Float(acc.float / acc.count as f64),
+            TypedKind::Avg => Avg::<i64>::new()
+                .finish(&AvgState {
+                    sum: acc.total(),
+                    count: acc.count,
+                })
+                .map_or(Value::Null, Value::Float),
             TypedKind::Sum | TypedKind::Min | TypedKind::Max => Value::Int(acc.int),
         }
     }
@@ -171,12 +179,40 @@ impl TypedKind {
 
 /// One member's accumulator, as a tree-node state and as the running
 /// (retractable) state of the non-extreme members: `count` values folded
-/// so far, with `int` the `SUM`/`MIN`/`MAX` and `float` the `AVG` sum.
+/// so far, with `int` the `SUM`/`MIN`/`MAX`. `AVG`'s exact total is
+/// `carry · 2^64 + int`: `int` wraps and `carry` counts the wraps, which
+/// costs the running sum one overflow test and keeps the state 8-byte
+/// aligned (an `i128` field would pad four members by 32 B).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TypedAcc {
     int: i64,
-    float: f64,
+    carry: i64,
     count: u64,
+}
+
+impl TypedAcc {
+    /// `AVG`'s running total.
+    fn total(&self) -> i128 {
+        (i128::from(self.carry) << 64) + i128::from(self.int)
+    }
+
+    #[inline]
+    fn add_to_total(&mut self, value: i64) {
+        let (sum, wrapped) = self.int.overflowing_add(value);
+        self.int = sum;
+        if wrapped {
+            self.carry += value.signum();
+        }
+    }
+
+    #[inline]
+    fn take_from_total(&mut self, value: i64) {
+        let (difference, wrapped) = self.int.overflowing_sub(value);
+        self.int = difference;
+        if wrapped {
+            self.carry -= value.signum();
+        }
+    }
 }
 
 /// One member's retractable state under the sweep line.
@@ -358,6 +394,28 @@ impl SweepAggregate for TypedMulti {
 mod tests {
     use super::*;
     use crate::MultiDyn;
+
+    /// `AVG`'s wrapped word and its carry track an `i128` total through
+    /// adds, retractions and merges that wrap both ways.
+    #[test]
+    fn avg_total_wraps_into_its_carry_exactly() {
+        let (mut acc, mut negated) = (TypedAcc::default(), TypedAcc::default());
+        let (mut want, mut want_negated) = (0i128, 0i128);
+        for value in [i64::MAX, i64::MAX, 3, i64::MIN, -7, i64::MAX] {
+            acc.add_to_total(value);
+            negated.take_from_total(value);
+            want += i128::from(value);
+            want_negated -= i128::from(value);
+            assert_eq!((acc.total(), negated.total()), (want, want_negated));
+        }
+        for value in [i64::MIN, i64::MIN, i64::MIN, 12] {
+            acc.take_from_total(value);
+            want -= i128::from(value);
+            assert_eq!(acc.total(), want);
+        }
+        TypedKind::Avg.merge(&mut acc, &negated);
+        assert_eq!(acc.total(), want + want_negated);
+    }
 
     const KINDS: [AggKind; 9] = [
         AggKind::CountStar,

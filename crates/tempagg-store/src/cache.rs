@@ -2,27 +2,36 @@
 //!
 //! An [`AggCache`] holds the *working* series for one aggregate over the
 //! store's relation: a run per constant interval, tiling the full
-//! timeline `[0, ∞]`, each carrying the retractable active state
-//! ([`DynActive`]) that produced its value. The runs are exactly the
-//! segments the endpoint-sweep kernel would emit — same boundary set,
-//! same admit/retract order — so a cached series is byte-identical to a
-//! from-scratch sweep over the current relation.
+//! timeline `[0, ∞]`, each carrying its value and — for a Delta-class
+//! aggregate — the retractable state ([`RunState`]) that produced it. The
+//! runs are exactly the segments the endpoint-sweep kernel would emit —
+//! same boundary set, same admit/retract order — so a cached series is
+//! byte-identical to a from-scratch sweep over the current relation.
 //!
-//! Writes patch instead of rebuilding:
+//! Writes patch instead of rebuilding. A statement's changes to one series
+//! are its [`Edit`]s, applied together:
 //!
 //! * **Boundaries are reference-counted.** A tuple `[s, e]` contributes
 //!   the interior boundaries `s` (if `s > 0`) and `e + 1` (if `e` is not
 //!   forever). The first contributor of a boundary splits the run
 //!   containing it; the last contributor leaving merges the runs it
 //!   separated. This reproduces the sweep's sorted-and-deduplicated
-//!   boundary set under any interleaving of inserts and deletes.
-//! * **States are patched.** The write folds its value into — or retracts
-//!   it from — the active state of exactly the runs overlapping the
-//!   changed interval. That is exact only for retractable classes:
-//!   [`SweepClass::Delta`] (Colley's delta summation) and
-//!   [`SweepClass::Ordered`] (an ordered multiset for `MIN`/`MAX`). An
-//!   [`SweepClass::Approximate`] aggregate would drift under float
-//!   retraction, so the store caches none: it is scanned every time.
+//!   boundary set under any interleaving of inserts and deletes. A
+//!   statement adds its boundaries before it touches a value and releases
+//!   them after, so every run it touches is constant over the relation
+//!   before, during and after it, and a merge joins two runs that already
+//!   agree.
+//! * **Values follow exactly.** A [`SweepClass::Delta`] run keeps its
+//!   active state, and a write folds its value into — or retracts it from —
+//!   the state of exactly the runs overlapping the changed interval
+//!   (Colley's delta summation). An [`SweepClass::Ordered`] run keeps its
+//!   value only: a `MIN`/`MAX` insert folds the new value in, and a run
+//!   whose value a write takes away — or any run a `COUNT(DISTINCT)` write
+//!   covers — is re-derived from the tuples of the relation after the write
+//!   that overlap the statement's intervals ([`Written`]), swept once per
+//!   series and statement. An [`SweepClass::Approximate`] aggregate would
+//!   drift under float retraction, so the store caches none: it is scanned
+//!   every time.
 //!
 //! Readers never see the working series: [`CachedSeries::snapshot`]
 //! publishes an immutable epoch-stamped version through the core
@@ -34,13 +43,13 @@
 //! together with the window index cut over it. Every write goes through the
 //! entry, which patches the runs and then brings its own index back in step.
 
-use crate::runs::{Run, RunList};
+use crate::runs::{Run, RunList, RunState};
 use crate::store::StoreCacheStats;
 use std::borrow::Borrow;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tempagg_agg::{DynActive, DynAggregate, SweepAggregate};
+use tempagg_agg::{AggKind, DynActive, DynAggregate, SweepAggregate};
 use tempagg_algo::{GroupProbe, IndexMode, RunSource, WindowAggregate, WindowIndex};
 use tempagg_core::pager::PagedReader;
 use tempagg_core::{
@@ -70,11 +79,11 @@ fn boundary_candidates(iv: Interval) -> impl Iterator<Item = Timestamp> {
 /// The dyn-level admit/retract endpoint scan behind every cached series:
 /// cut the timeline at the tuples' boundaries, walk the cuts in time order
 /// admitting by start and retracting by end, and hand `emit` each constant
-/// interval with the active state over it. Returns the boundary refcounts
-/// (how many tuples contribute each interior cut).
+/// interval with the one transient active state over it. Returns the
+/// boundary refcounts (how many tuples contribute each interior cut).
 ///
 /// Deliberately not `SweepAggregator`, which emits values only: a cache
-/// keeps each run's active state, the state later writes patch.
+/// keeps a Delta-class run's state, the state later writes patch.
 fn sweep_runs<T: Borrow<Tuple>>(
     agg: &DynAggregate,
     column: Option<usize>,
@@ -140,6 +149,175 @@ pub fn sweep_values(agg: &DynAggregate, column: Option<usize>, tuples: &[&Tuple]
     Series::from_entries(entries)
 }
 
+/// One tuple a statement changed, as one cached series sees it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Edit<'a> {
+    /// A tuple joined the series' members: inserted, or moved into a group.
+    Add(&'a Tuple),
+    /// A tuple left them: deleted, or moved out of a group.
+    Take(&'a Tuple),
+    /// A member rewritten in place from the first tuple to the second,
+    /// valid time kept.
+    Rewrite(&'a Tuple, &'a Tuple),
+}
+
+impl<'a> Edit<'a> {
+    /// The interval whose runs the edit may change.
+    pub(crate) fn valid(&self) -> Interval {
+        match self {
+            Edit::Add(tuple) | Edit::Take(tuple) | Edit::Rewrite(_, tuple) => tuple.valid(),
+        }
+    }
+
+    /// The tuple the edit takes away, if any.
+    pub(crate) fn taken(&self) -> Option<&'a Tuple> {
+        match *self {
+            Edit::Take(tuple) | Edit::Rewrite(tuple, _) => Some(tuple),
+            Edit::Add(_) => None,
+        }
+    }
+
+    /// The tuple the edit gives, if any.
+    pub(crate) fn given(&self) -> Option<&'a Tuple> {
+        match *self {
+            Edit::Add(tuple) | Edit::Rewrite(_, tuple) => Some(tuple),
+            Edit::Take(_) => None,
+        }
+    }
+}
+
+/// A statement's rows as a re-derived run reads them: the resident
+/// relation after the write, and the statement's edits. The tuples
+/// overlapping the edits' intervals are gathered by the first series that
+/// needs them, once for every series the statement patches; a statement
+/// no series re-derives for reads nothing.
+#[derive(Debug)]
+pub(crate) struct Written<'a> {
+    relation: &'a [Tuple],
+    edits: &'a [Edit<'a>],
+    overlapping: OnceCell<Vec<&'a Tuple>>,
+}
+
+impl<'a> Written<'a> {
+    pub(crate) fn new(relation: &'a [Tuple], edits: &'a [Edit<'a>]) -> Written<'a> {
+        Written {
+            relation,
+            edits,
+            overlapping: OnceCell::new(),
+        }
+    }
+
+    /// The relation's tuples that overlap an edit's interval.
+    fn overlapping(&self) -> &[&'a Tuple] {
+        self.overlapping.get_or_init(|| {
+            let mut written: Vec<Interval> = self.edits.iter().map(Edit::valid).collect();
+            written.sort_unstable_by_key(Interval::start);
+            let mut disjoint: Vec<Interval> = Vec::with_capacity(written.len());
+            for iv in written {
+                match disjoint.last_mut() {
+                    Some(last) if last.overlaps(&iv) => *last = last.hull(&iv),
+                    _ => disjoint.push(iv),
+                }
+            }
+            let touches = |iv: Interval| {
+                let i = disjoint.partition_point(|w| w.end() < iv.start());
+                disjoint.get(i).is_some_and(|w| w.start() <= iv.end())
+            };
+            self.relation
+                .iter()
+                .filter(|tuple| touches(tuple.valid()))
+                .collect()
+        })
+    }
+}
+
+/// The members of one series after a statement, as its re-derived runs
+/// read them: the written tuples of the whole relation, or of one ranking
+/// group's.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Members<'w, 'a> {
+    written: &'w Written<'a>,
+    /// The grouping column and this group's value in it.
+    group: Option<(usize, &'w Value)>,
+}
+
+impl<'w, 'a> Members<'w, 'a> {
+    pub(crate) fn all(written: &'w Written<'a>) -> Self {
+        Members {
+            written,
+            group: None,
+        }
+    }
+
+    pub(crate) fn of_group(written: &'w Written<'a>, column: usize, value: &'w Value) -> Self {
+        Members {
+            written,
+            group: Some((column, value)),
+        }
+    }
+
+    fn tuples(&self) -> Vec<&'a Tuple> {
+        let overlapping = self.written.overlapping().iter().copied();
+        match self.group {
+            None => overlapping.collect(),
+            Some((column, value)) => overlapping.filter(|t| t.value(column) == value).collect(),
+        }
+    }
+}
+
+/// The values a statement's re-derived runs take: the series of the
+/// members it wrote over, swept when the first run asks.
+struct Rederived<'w, 'a> {
+    agg: DynAggregate,
+    column: Option<usize>,
+    members: Members<'w, 'a>,
+    series: Option<Series<Value>>,
+}
+
+impl Rederived<'_, '_> {
+    /// The members' value at `t`, an instant the statement wrote. Every
+    /// member live at `t` overlaps a written interval, so the gathered ones
+    /// hold them all: this is the value over all of the series' members.
+    fn at(&mut self, t: Timestamp) -> Value {
+        let series = self
+            .series
+            .get_or_insert_with(|| sweep_values(&self.agg, self.column, &self.members.tuples()));
+        series.value_at(t).cloned().unwrap_or(Value::Null)
+    }
+}
+
+/// How a run of an aggregate's series takes an edit.
+#[derive(Clone, Copy, Debug)]
+enum Upkeep {
+    /// Delta class: retract the taken value from the run's state and fold
+    /// the given one in.
+    Patch,
+    /// `MIN` (`max: false`) / `MAX`: fold the given value into the run's
+    /// value; a run whose value is the taken one is re-derived.
+    Extreme { max: bool },
+    /// `COUNT(DISTINCT)`: every run the edit covers is re-derived.
+    Rederive,
+}
+
+impl Upkeep {
+    fn of(agg: &DynAggregate) -> Upkeep {
+        match agg.kind() {
+            AggKind::Min => Upkeep::Extreme { max: false },
+            AggKind::Max => Upkeep::Extreme { max: true },
+            AggKind::CountDistinct => Upkeep::Rederive,
+            _ => Upkeep::Patch,
+        }
+    }
+}
+
+/// Fold `value` into the extreme `best` (a NULL is no value).
+fn fold_extreme(best: &mut Value, value: &Value, max: bool) {
+    let better = if max { *value > *best } else { *value < *best };
+    if !value.is_null() && (best.is_null() || better) {
+        *best = value.clone();
+    }
+}
+
 /// A versioned, incrementally maintained cache of one aggregate's
 /// constant-interval series.
 #[derive(Clone, Debug)]
@@ -153,21 +331,21 @@ struct AggCache {
     boundaries: BTreeMap<Timestamp, u32>,
     /// Published immutable snapshots (MVCC chain).
     versions: VersionedSeries<Value>,
-    /// Runs patched in place by writes (state insert/retract).
+    /// Runs patched in place by writes (state insert/retract, fold or
+    /// re-derivation).
     patched_runs: u64,
 }
 
 impl AggCache {
     /// Build the cache from scratch over `tuples` (a relation's, or one
     /// group's members): the sweep kernel's admit/retract endpoint scan,
-    /// but retaining the active state per run so later writes can patch
-    /// it.
+    /// keeping a Delta-class run's state so later writes can patch it.
     fn build<T: Borrow<Tuple>>(agg: DynAggregate, column: Option<usize>, tuples: &[T]) -> AggCache {
         let mut runs = RunList::new();
         let boundaries = sweep_runs(&agg, column, tuples, |interval, active| {
             runs.push(Run {
                 interval,
-                state: active.clone(),
+                state: RunState::of(active),
                 value: agg.active_output(active),
             });
         });
@@ -183,7 +361,7 @@ impl AggCache {
 
     /// Reference a boundary; its first contributor splits the run
     /// containing it, both halves inheriting the state and value (the
-    /// active set is unchanged until the new tuple is folded in).
+    /// members are unchanged until the new tuple is folded in).
     fn add_boundary(&mut self, b: Timestamp) {
         let count = self.boundaries.entry(b).or_insert(0);
         *count += 1;
@@ -193,7 +371,7 @@ impl AggCache {
     }
 
     /// Release a boundary; its last contributor leaving merges the runs
-    /// it separated. With no tuple edge left at `b`, the active set is
+    /// it separated. With no tuple edge left at `b`, the members are
     /// identical on both sides, so the predecessor's state and value
     /// stand for the merged run.
     fn drop_boundary(&mut self, b: Timestamp) {
@@ -207,19 +385,58 @@ impl AggCache {
         }
     }
 
-    /// Fold `value` into (or retract it from) the state of every run
-    /// overlapping `iv`, refreshing the cached outputs.
-    fn patch(
-        &mut self,
-        iv: Interval,
-        value: &Value,
-        op: fn(&DynAggregate, &mut DynActive, &Value),
-    ) {
-        let agg = self.agg;
-        self.patched_runs += self.runs.for_each_in_mut(iv, |run| {
-            op(&agg, &mut run.state, value);
-            run.value = agg.active_output(&run.state);
-        });
+    /// Apply one statement's edits: add the boundaries of the tuples they
+    /// give, bring every run they cover to its value over the members after
+    /// the statement, then release the boundaries of the tuples they take.
+    /// `members` is asked for tuples only when a run must be re-derived.
+    fn apply(&mut self, edits: &[Edit<'_>], members: Members<'_, '_>) {
+        for edit in edits {
+            if let Edit::Add(tuple) = edit {
+                boundary_candidates(tuple.valid()).for_each(|b| self.add_boundary(b));
+            }
+        }
+        let (agg, column, upkeep) = (self.agg, self.column, Upkeep::of(&self.agg));
+        let mut rederived = Rederived {
+            agg,
+            column,
+            members,
+            series: None,
+        };
+        for edit in edits {
+            let taken = edit.taken().map(|tuple| extract(tuple, column));
+            let given = edit.given().map(|tuple| extract(tuple, column));
+            self.patched_runs += self.runs.for_each_in_mut(edit.valid(), |run| match upkeep {
+                Upkeep::Patch => {
+                    let Some(mut active) = run.state.active() else {
+                        return;
+                    };
+                    if let Some(value) = &taken {
+                        agg.active_remove(&mut active, value);
+                    }
+                    if let Some(value) = &given {
+                        agg.active_insert(&mut active, value);
+                    }
+                    run.state = RunState::of(&active);
+                    run.value = agg.active_output(&active);
+                }
+                Upkeep::Extreme { max } => {
+                    if taken
+                        .as_ref()
+                        .is_some_and(|v| !v.is_null() && *v == run.value)
+                    {
+                        run.value = rederived.at(run.interval.start());
+                    } else if let Some(value) = &given {
+                        fold_extreme(&mut run.value, value, max);
+                    }
+                }
+                Upkeep::Rederive => run.value = rederived.at(run.interval.start()),
+            });
+        }
+        for edit in edits {
+            if let Edit::Take(tuple) = edit {
+                boundary_candidates(tuple.valid()).for_each(|b| self.drop_boundary(b));
+            }
+        }
     }
 }
 
@@ -279,10 +496,9 @@ impl RunSource for Body {
 /// store keeps per `(aggregate, column)` and a ranking keeps per group.
 ///
 /// The index is cut by the first probe and never persisted. From then on
-/// the entry keeps it in step: [`insert`](CachedSeries::insert),
-/// [`delete`](CachedSeries::delete) and [`update`](CachedSeries::update)
-/// patch the runs and then refresh the index over the intervals they
-/// dirtied, so nobody outside can leave the two apart. A restored body
+/// the entry keeps it in step: [`apply`](CachedSeries::apply) patches the
+/// runs with a statement's edits and then refreshes the index over the
+/// intervals they dirtied, so nobody outside can leave the two apart. A restored body
 /// takes no writes; [`promote`](CachedSeries::promote) comes first.
 #[derive(Clone, Debug)]
 pub(crate) struct CachedSeries {
@@ -428,59 +644,24 @@ impl CachedSeries {
         out
     }
 
-    /// Absorb one inserted tuple.
-    pub(crate) fn insert(&mut self, tuple: &Tuple) -> Result<()> {
-        let (cache, valid) = (self.live_mut()?, tuple.valid());
-        for b in boundary_candidates(valid) {
-            cache.add_boundary(b);
-        }
-        let value = extract(tuple, cache.column);
-        cache.patch(valid, &value, DynAggregate::active_insert);
-        self.refresh(valid);
+    /// Apply one statement's edits to the runs — `members` are the tuples
+    /// a re-derived run reads — and refresh the index over every interval
+    /// they wrote.
+    pub(crate) fn apply(&mut self, edits: &[Edit<'_>], members: Members<'_, '_>) -> Result<()> {
+        self.live_mut()?.apply(edits, members);
+        self.refresh(edits);
         Ok(())
     }
 
-    /// Retract one deleted tuple.
-    pub(crate) fn delete(&mut self, tuple: &Tuple) -> Result<()> {
-        let (cache, valid) = (self.live_mut()?, tuple.valid());
-        // Retract first: after retraction the states on both sides of a
-        // released boundary are equal, making the merge sound.
-        let value = extract(tuple, cache.column);
-        cache.patch(valid, &value, DynAggregate::active_remove);
-        for b in boundary_candidates(valid) {
-            cache.drop_boundary(b);
-        }
-        self.refresh(valid);
-        Ok(())
-    }
-
-    /// Absorb one tuple rewritten in place from `old` to `new`, valid time
-    /// kept: retract and fold in one pass over the runs it covers. Its
-    /// boundaries and their refcounts end where they began, so they are
-    /// not touched. A series without an input column reads nothing an
-    /// `UPDATE` can assign.
-    pub(crate) fn update(&mut self, old: &Tuple, new: &Tuple) -> Result<()> {
-        let (cache, valid) = (self.live_mut()?, new.valid());
-        let Some(column) = cache.column else {
-            return Ok(());
-        };
-        let agg = cache.agg;
-        cache.patched_runs += cache.runs.for_each_in_mut(valid, |run| {
-            agg.active_remove(&mut run.state, old.value(column));
-            agg.active_insert(&mut run.state, new.value(column));
-            run.value = agg.active_output(&run.state);
-        });
-        self.refresh(valid);
-        Ok(())
-    }
-
-    /// Bring the index back in step with the runs after a write over
-    /// `dirty`: recompute the leaves it overlaps and refold their root
-    /// paths — O(runs-in-dirty + log n). An index keeps the leaf cuts it
-    /// was built with, so once the series holds twice the runs it was cut
-    /// for (a group born from one tuple, a table created empty) it is
-    /// rebuilt instead — amortized O(1) per write.
-    fn refresh(&mut self, dirty: Interval) {
+    /// Bring the index back in step with the runs after a statement's
+    /// `edits`: recompute the leaves each edit's interval overlaps and
+    /// refold their root paths — O(runs-in-interval + log n) each. A merge
+    /// at a released boundary joins runs of equal value, so no value
+    /// changed outside those intervals. An index keeps the leaf cuts it was
+    /// built with, so once the series holds twice the runs it was cut for (a
+    /// group born from one tuple, a table created empty) it is rebuilt
+    /// instead — amortized O(1) per write.
+    fn refresh(&mut self, edits: &[Edit<'_>]) {
         #[cfg(feature = "validate")]
         self.validate_structure();
         let runs = self.runs_len();
@@ -490,10 +671,14 @@ impl CachedSeries {
         if runs >= 2 * index.leaf_count() {
             *index = WindowIndex::over(index.mode(), &self.body);
         } else {
-            index.refresh(dirty, &self.body);
+            for edit in edits {
+                index.refresh(edit.valid(), &self.body);
+            }
         }
         #[cfg(feature = "validate")]
-        self.validate_index(dirty);
+        for edit in edits {
+            self.validate_index(edit.valid());
+        }
     }
 
     /// Structural invariants of a live body: the chunked runs tile
@@ -611,7 +796,9 @@ mod tests {
                 Interval::at(13 * i % 500 + 1, 13 * i % 500 + 40),
             );
             relation.push_tuple(tuple.clone()).unwrap();
-            cached.insert(&tuple).unwrap();
+            let edits = [Edit::Add(&tuple)];
+            let written = Written::new(relation.tuples(), &edits);
+            cached.apply(&edits, Members::all(&written)).unwrap();
             for window in [Interval::TIMELINE, Interval::at(20, 300), tuple.valid()] {
                 assert_eq!(
                     cached.probe(IndexMode::Integral, window),

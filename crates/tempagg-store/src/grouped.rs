@@ -7,7 +7,7 @@
 //! refreshes its own index — instead of throwing every group away for the
 //! next ranking to re-sort and re-sweep the relation.
 
-use crate::cache::CachedSeries;
+use crate::cache::{CachedSeries, Edit, Members, Written};
 use std::collections::BTreeMap;
 use tempagg_agg::DynAggregate;
 use tempagg_algo::{GroupProbe, IndexMode, WindowAggregate};
@@ -42,8 +42,9 @@ impl GroupedIndexes {
     /// Partition `relation` by `group_column` and build one cached series
     /// per distinct grouping value; the first ranking cuts their indexes.
     /// `agg` must be indexable (see [`crate::index_mode_for`]), hence
-    /// retractable: a group's series is patched from the written tuple
-    /// alone and never re-reads a relation.
+    /// exactly maintainable: a write patches a group's series from the
+    /// written tuples, and re-derives an Ordered-class run from the
+    /// group's members that overlap them.
     pub(crate) fn build(
         agg: DynAggregate,
         column: Option<usize>,
@@ -69,51 +70,52 @@ impl GroupedIndexes {
         }
     }
 
-    /// Absorb one inserted tuple: into its group, or as the first member
-    /// of a new one.
-    pub(crate) fn insert(&mut self, tuple: &Tuple) -> Result<()> {
-        let value = tuple.value(self.group_column);
-        if let Some(group) = self.groups.get_mut(value) {
-            group.series.insert(tuple)?;
-            group.members += 1;
-        } else {
-            let group = Group::over(self.agg, self.column, &[tuple]);
-            self.groups.insert(value.clone(), group);
-        }
-        Ok(())
-    }
-
-    /// Retract one deleted tuple from its group; the last member leaving
-    /// drops the group.
-    pub(crate) fn remove(&mut self, tuple: &Tuple) -> Result<()> {
-        let value = tuple.value(self.group_column);
-        let Some(group) = self.groups.get_mut(value) else {
-            return Ok(());
+    /// Apply one statement's edits: each group its tuples join, leave or
+    /// change in gets its share of them — a new grouping value is a take
+    /// from one group and an add to another, a new aggregated value an
+    /// in-place rewrite — over the statement's rows narrowed to the group.
+    /// A group is founded by the tuples that join it and dropped when its
+    /// last member leaves.
+    pub(crate) fn apply<'e>(&mut self, edits: &[Edit<'e>], written: &Written<'_>) -> Result<()> {
+        let g = self.group_column;
+        let mut by_group: BTreeMap<&Value, Vec<Edit<'e>>> = BTreeMap::new();
+        let mut push = |tuple: &'e Tuple, edit: Edit<'e>| {
+            by_group.entry(tuple.value(g)).or_default().push(edit);
         };
-        if group.members <= 1 {
-            self.groups.remove(value);
-            return Ok(());
+        for edit in edits {
+            match *edit {
+                Edit::Add(tuple) | Edit::Take(tuple) => push(tuple, *edit),
+                Edit::Rewrite(old, new) if old.value(g) != new.value(g) => {
+                    push(old, Edit::Take(old));
+                    push(new, Edit::Add(new));
+                }
+                Edit::Rewrite(old, new) => {
+                    if self.column.is_some_and(|c| old.value(c) != new.value(c)) {
+                        push(new, *edit);
+                    }
+                }
+            }
         }
-        group.series.delete(tuple)?;
-        group.members -= 1;
+        for (value, edits) in by_group {
+            let added = edits.iter().filter(|e| matches!(e, Edit::Add(_))).count();
+            let taken = edits.iter().filter(|e| matches!(e, Edit::Take(_))).count();
+            let Some(group) = self.groups.get_mut(value) else {
+                let members: Vec<&Tuple> = edits.iter().filter_map(Edit::given).collect();
+                if !members.is_empty() {
+                    let group = Group::over(self.agg, self.column, &members);
+                    self.groups.insert(value.clone(), group);
+                }
+                continue;
+            };
+            group.members = (group.members + added).saturating_sub(taken);
+            if group.members == 0 {
+                self.groups.remove(value);
+                continue;
+            }
+            let members = Members::of_group(written, g, value);
+            group.series.apply(&edits, members)?;
+        }
         Ok(())
-    }
-
-    /// Absorb one tuple rewritten in place (valid time unchanged): a new
-    /// grouping value is a retract from one group and an insert into
-    /// another, a new aggregated value an in-place update of its group.
-    pub(crate) fn update(&mut self, old: &Tuple, new: &Tuple) -> Result<()> {
-        if old.value(self.group_column) != new.value(self.group_column) {
-            self.remove(old)?;
-            return self.insert(new);
-        }
-        if self.column.map_or(true, |c| old.value(c) == new.value(c)) {
-            return Ok(());
-        }
-        match self.groups.get_mut(new.value(self.group_column)) {
-            Some(group) => group.series.update(old, new),
-            None => Ok(()),
-        }
     }
 
     /// The `k` best groups over `window` with their exact window
@@ -196,7 +198,9 @@ mod tests {
                 Interval::at(13 * i % 500 + 1, 13 * i % 500 + 40),
             );
             relation.push_tuple(tuple.clone()).unwrap();
-            grouped.insert(&tuple).unwrap();
+            let edits = [Edit::Add(&tuple)];
+            let written = Written::new(relation.tuples(), &edits);
+            grouped.apply(&edits, &written).unwrap();
             assert_eq!(
                 grouped.groups[&Value::Int(7)].members,
                 usize::try_from(i).unwrap() + 1
@@ -211,7 +215,10 @@ mod tests {
         }
         for tuple in &relation.clone() {
             relation.remove_flagged(&[true]);
-            grouped.remove(tuple).unwrap();
+            let edits = [Edit::Take(tuple)];
+            grouped
+                .apply(&edits, &Written::new(relation.tuples(), &edits))
+                .unwrap();
         }
         assert!(grouped.groups.is_empty());
     }

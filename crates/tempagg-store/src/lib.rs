@@ -15,9 +15,12 @@
 //!   merges only the runs whose boundaries it contributes, then folds its
 //!   value into — or out of — the active state of the runs overlapping
 //!   the changed interval.
-//! * **Ordered-class** aggregates (`MIN`/`MAX`, `COUNT(DISTINCT)`) do the
-//!   same through the ordered multiset already inside
-//!   [`DynActive`](tempagg_agg::DynActive).
+//! * **Ordered-class** aggregates (`MIN`/`MAX`, `COUNT(DISTINCT)`) have
+//!   no inverse, and a run keeps its value only — no run owns heap
+//!   memory. A `MIN`/`MAX` insert folds its value into the runs it covers;
+//!   a run whose value a write takes away, and every run a
+//!   `COUNT(DISTINCT)` write covers, is re-derived from the tuples of the
+//!   relation after the write that overlap the statement's intervals.
 //!
 //! A cache holds only what a write patches exactly. **Approximate-class**
 //! aggregates (float `SUM`/`AVG`, `VARIANCE`, `STDDEV`) would drift under
@@ -344,13 +347,21 @@ mod tests {
 
     #[test]
     fn chunks_stay_sound_over_ten_thousand_seeded_writes() {
+        const CACHED: [(AggKind, Option<usize>); 5] = [
+            (AggKind::CountStar, None),
+            (AggKind::Sum, Some(1)),
+            (AggKind::Min, Some(1)),
+            (AggKind::Max, Some(1)),
+            (AggKind::CountDistinct, Some(1)),
+        ];
         let mut store = TemporalStore::with_schema(schema());
-        store.ensure_cache(count_star(), None).unwrap();
-        store.ensure_cache(agg(AggKind::Sum), Some(1)).unwrap();
-        store.ensure_cache(agg(AggKind::Min), Some(1)).unwrap();
+        for (kind, column) in CACHED {
+            store.ensure_cache(agg(kind), column).unwrap();
+        }
         let mut rng = Rng(0x1995_0306);
+        let mut pairing = Rng(0x0002_0306);
         let mut live: Vec<Interval> = Vec::new();
-        let mut peak = 0;
+        let (mut peak, mut pairs) = (0, 0);
         for step in 0..10_000 {
             // Grow to ≈ 2,000 tuples (≈ 3,900 runs in fifteen chunks and
             // more per cache), shrink to almost nothing, then hover.
@@ -372,12 +383,23 @@ mod tests {
                 live.push(valid);
             } else {
                 let at = usize::try_from(rng.below(i64::try_from(live.len()).unwrap())).unwrap();
-                let valid = live.swap_remove(at);
-                let mut first = true;
+                let first = live.swap_remove(at);
+                // Past the growth phase, every fourth delete also takes a
+                // second tuple overlapping the first, in the same statement,
+                // when there is one.
+                let second = (step >= 4_000 && pairing.below(4) == 0)
+                    .then(|| live.iter().position(|iv| iv.overlaps(&first)))
+                    .flatten()
+                    .map(|at| live.swap_remove(at));
+                let mut open = [true, second.is_some()];
                 let deleted = store
-                    .delete_where(|t| t.valid() == valid && std::mem::take(&mut first))
+                    .delete_where(|t| {
+                        (t.valid() == first && std::mem::take(&mut open[0]))
+                            || (Some(t.valid()) == second && std::mem::take(&mut open[1]))
+                    })
                     .unwrap();
-                assert_eq!(deleted, 1);
+                assert_eq!(deleted, 1 + usize::from(second.is_some()));
+                pairs += usize::from(second.is_some());
             }
             // A broken tiling or fence stays broken until its chunk is
             // rewritten, so every eighth write is often enough.
@@ -386,11 +408,7 @@ mod tests {
             }
             peak = peak.max(store.cache_stats().runs);
             if step % 500 == 499 {
-                for (kind, column) in [
-                    (AggKind::CountStar, None),
-                    (AggKind::Sum, Some(1)),
-                    (AggKind::Min, Some(1)),
-                ] {
+                for (kind, column) in CACHED {
                     let snap = store.snapshot(kind, column).unwrap();
                     assert_eq!(*snap, recompute(store.relation(), agg(kind), column));
                 }
@@ -398,7 +416,8 @@ mod tests {
         }
         store.validate_structure();
         assert_eq!(store.len(), live.len());
-        assert!(peak > 3 * 3_500, "three caches of fourteen chunks: {peak}");
+        assert!(peak > 5 * 3_500, "five caches of fourteen chunks: {peak}");
+        assert!(pairs > 300, "{pairs} two-tuple deletes");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Everything that walks runs in time order — a window scan, a patch, the
 //! snapshot copy — still reads contiguous memory a chunk at a time.
 
-use tempagg_agg::DynActive;
+use tempagg_agg::{AvgState, DynActive};
 use tempagg_core::{Interval, SeriesEntry, Timestamp, Value};
 
 /// The most runs one chunk holds. Small enough that an edge insert or
@@ -16,13 +16,65 @@ use tempagg_core::{Interval, SeriesEntry, Timestamp, Value};
 /// directory of a 131,072-run series (512 slots) stays in L1.
 const CHUNK_RUNS: usize = 256;
 
-/// One constant-interval run of the working series.
+/// One constant-interval run of the working series. It owns no heap
+/// memory beyond what its value may share.
 #[derive(Clone, Debug)]
 pub(crate) struct Run {
     pub(crate) interval: Interval,
-    /// The retractable active state over the tuples covering this run.
-    pub(crate) state: DynActive,
+    pub(crate) state: RunState,
     pub(crate) value: Value,
+}
+
+/// What a run keeps beside its value: the retractable state of a
+/// Delta-class aggregate over the tuples covering it, which a write
+/// patches, or nothing — an Ordered-class run (`MIN`, `MAX`,
+/// `COUNT(DISTINCT)`) is folded into or re-derived from the relation
+/// instead (`cache.rs`). Fixed-size.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum RunState {
+    /// An Ordered-class run: its value is all it keeps.
+    Valued,
+    Count(u64),
+    SumInt {
+        sum: i64,
+        count: u64,
+    },
+    /// Integer `AVG`'s exact total as its high and low words: an `i128`
+    /// field would align every run, and pad it, to 16 B.
+    AvgInt {
+        high: i64,
+        low: u64,
+        count: u64,
+    },
+}
+
+impl RunState {
+    /// The part of an active state a run keeps.
+    pub(crate) fn of(active: &DynActive) -> RunState {
+        match *active {
+            DynActive::Count(count) => RunState::Count(count),
+            DynActive::SumInt { sum, count } => RunState::SumInt { sum, count },
+            DynActive::AvgInt(AvgState { sum, count }) => RunState::AvgInt {
+                high: i64::try_from(sum >> 64).unwrap_or(0),
+                low: u64::try_from(sum & i128::from(u64::MAX)).unwrap_or(0),
+                count,
+            },
+            _ => RunState::Valued,
+        }
+    }
+
+    /// The active state to patch, `None` for an Ordered-class run.
+    pub(crate) fn active(self) -> Option<DynActive> {
+        Some(match self {
+            RunState::Valued => return None,
+            RunState::Count(count) => DynActive::Count(count),
+            RunState::SumInt { sum, count } => DynActive::SumInt { sum, count },
+            RunState::AvgInt { high, low, count } => DynActive::AvgInt(AvgState {
+                sum: (i128::from(high) << 64) | i128::from(low),
+                count,
+            }),
+        })
+    }
 }
 
 /// `1..=CHUNK_RUNS` consecutive runs, and where they start.
@@ -170,7 +222,7 @@ impl RunList {
         run.interval = left;
         let twin = Run {
             interval: right,
-            state: run.state.clone(),
+            state: run.state,
             value: run.value.clone(),
         };
         runs.insert(i + 1, twin);
@@ -291,7 +343,7 @@ mod tests {
             } else {
                 Interval::at(10 * i, 10 * i + 9)
             },
-            state: DynActive::Count(0),
+            state: RunState::Valued,
             value: Value::Int(i),
         };
         let mut list = RunList::new();
@@ -432,6 +484,21 @@ mod tests {
         }
         assert_eq!(chunk_lens(&list), [1]);
         assert_eq!(flat(&list), [(Interval::TIMELINE, Value::Int(0))]);
+    }
+
+    /// No run grows past the 72 B it took while it held an active state:
+    /// the state is fixed-size, and an integer `AVG`'s `i128` total goes in
+    /// and out of it intact.
+    #[test]
+    fn a_run_is_fixed_size_and_keeps_delta_states_exactly() {
+        assert!(std::mem::size_of::<Run>() <= 72);
+        for sum in [0, -1, 1 << 70, -(1 << 70) + 3, i128::from(i64::MIN) - 1] {
+            let active = DynActive::AvgInt(AvgState { sum, count: 7 });
+            assert_eq!(RunState::of(&active).active(), Some(active));
+        }
+        let distinct = DynActive::Distinct(std::collections::BTreeMap::new());
+        assert_eq!(RunState::of(&distinct), RunState::Valued);
+        assert_eq!(RunState::Valued.active(), None);
     }
 
     #[test]

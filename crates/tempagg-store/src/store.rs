@@ -1,7 +1,7 @@
 //! The mutable temporal store: an updatable interval relation plus the
 //! versioned aggregate caches maintained under every write.
 
-use crate::cache::CachedSeries;
+use crate::cache::{CachedSeries, Edit, Members, Written};
 use crate::grouped::GroupedIndexes;
 use crate::rows::{RowScan, Rows};
 use std::cell::{OnceCell, RefCell, RefMut};
@@ -340,11 +340,13 @@ impl TemporalStore {
         promote_restored(self.series.get_mut(), relation.tuples());
         relation.push_tuple(tuple.clone())?;
         self.dirty = true;
+        let edits = [Edit::Add(&tuple)];
+        let written = Written::new(relation.tuples(), &edits);
         for entry in self.series.get_mut().values_mut() {
-            entry.insert(&tuple)?;
+            entry.apply(&edits, Members::all(&written))?;
         }
         for grouped in self.grouped.get_mut().values_mut() {
-            grouped.insert(&tuple)?;
+            grouped.apply(&edits, &written)?;
         }
         self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]
@@ -365,15 +367,13 @@ impl TemporalStore {
         promote_restored(self.series.get_mut(), relation.tuples());
         self.dirty = true;
         let removed = relation.remove_flagged(&flags);
+        let edits: Vec<Edit<'_>> = removed.iter().map(Edit::Take).collect();
+        let written = Written::new(relation.tuples(), &edits);
         for entry in self.series.get_mut().values_mut() {
-            for tuple in &removed {
-                entry.delete(tuple)?;
-            }
+            entry.apply(&edits, Members::all(&written))?;
         }
         for grouped in self.grouped.get_mut().values_mut() {
-            for tuple in &removed {
-                grouped.remove(tuple)?;
-            }
+            grouped.apply(&edits, &written)?;
         }
         self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]
@@ -427,18 +427,18 @@ impl TemporalStore {
         for (index, _, replacement) in &replacements {
             let _previous = relation.replace(*index, replacement.clone())?;
         }
+        let edits: Vec<Edit<'_>> = replacements
+            .iter()
+            .map(|(_, old, new)| Edit::Rewrite(old, new))
+            .collect();
+        let written = Written::new(relation.tuples(), &edits);
         for (key, entry) in self.series.get_mut().iter_mut() {
-            if !assignments.iter().any(|(c, _)| Some(*c) == key.column) {
-                continue;
-            }
-            for (_, old, new) in &replacements {
-                entry.update(old, new)?;
+            if assignments.iter().any(|(c, _)| Some(*c) == key.column) {
+                entry.apply(&edits, Members::all(&written))?;
             }
         }
         for grouped in self.grouped.get_mut().values_mut() {
-            for (_, old, new) in &replacements {
-                grouped.update(old, new)?;
-            }
+            grouped.apply(&edits, &written)?;
         }
         self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]

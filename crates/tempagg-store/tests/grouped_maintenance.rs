@@ -1,11 +1,12 @@
 //! Seeded property test of the live `TOP k` groups.
 //!
-//! Random programs of INSERT / UPDATE of the aggregated column / UPDATE of
-//! the grouping column / DELETE — including emptying a group, re-creating
-//! it, and a first tuple for a grouping value never seen — run over a live
-//! store and over one reopened from a paged file (its series *restored*
-//! until the first write promotes them). After every statement, ranking by
-//! `SUM`, `COUNT(*)`, `MIN` and `MAX` returns what the same call returns
+//! Random programs of INSERT / UPDATE of the aggregated column (to a value
+//! or to NULL) / UPDATE of the grouping column / DELETE — including
+//! emptying a group, re-creating it, and a first tuple for a grouping value
+//! never seen — run over a live store and over one reopened from a paged
+//! file (its series *restored* until the first write promotes them). After
+//! every statement, ranking by `SUM`, `COUNT(*)`, `MIN`, `MAX` and
+//! `COUNT(DISTINCT)` returns what the same call returns
 //! on a store built from scratch over the same relation, every cached
 //! series equals a rebuild, and a window probe of each — through the index
 //! the store cut before the program began, for the reopened store over the
@@ -13,17 +14,19 @@
 //! `--features validate` each write additionally asserts every touched
 //! group against a sweep of its members.
 
+use std::sync::Arc;
 use tempagg_agg::{AggKind, DynAggregate};
-use tempagg_core::{Interval, Schema, TemporalRelation, Value, ValueType};
+use tempagg_core::{Column, Interval, Schema, TemporalRelation, Value, ValueType};
 use tempagg_store::TemporalStore;
 
 const GROUP: usize = 0;
 const AMOUNT: usize = 1;
-const RANKED: [(AggKind, Option<usize>); 4] = [
+const RANKED: [(AggKind, Option<usize>); 5] = [
     (AggKind::Sum, Some(AMOUNT)),
     (AggKind::CountStar, None),
     (AggKind::Min, Some(AMOUNT)),
     (AggKind::Max, Some(AMOUNT)),
+    (AggKind::CountDistinct, Some(AMOUNT)),
 ];
 
 /// A tiny deterministic xorshift so the test needs no RNG dependency.
@@ -52,9 +55,17 @@ impl Rng {
     }
 }
 
+/// `(g INT, amount INT)`, `amount` nullable.
+fn schema() -> Arc<Schema> {
+    Schema::new(vec![
+        Column::new("g", ValueType::Int),
+        Column::new("amount", ValueType::Int).nullable(),
+    ])
+    .unwrap()
+}
+
 fn seed_relation(rng: &mut Rng) -> TemporalRelation {
-    let schema = Schema::of(&[("g", ValueType::Int), ("amount", ValueType::Int)]);
-    let mut relation = TemporalRelation::new(schema);
+    let mut relation = TemporalRelation::new(schema());
     for _ in 0..40 {
         relation
             .push(
@@ -132,7 +143,7 @@ fn assert_matches_a_rebuild(store: &TemporalStore, rng: &mut Rng, context: &str)
 /// new groups; deletes by grouping value empty them.
 fn step(store: &mut TemporalStore, rng: &mut Rng) -> String {
     let g = Value::Int(rng.below(8));
-    match rng.below(10) {
+    match rng.below(11) {
         0..=3 => {
             let valid = rng.interval();
             let amount = rng.below(1000) - 200;
@@ -169,6 +180,16 @@ fn step(store: &mut TemporalStore, rng: &mut Rng) -> String {
                 .delete_where(|t| t.value(GROUP) == &g && t.valid().overlaps(&reach))
                 .unwrap();
             format!("delete {n} of g={g} in {reach}")
+        }
+        9 => {
+            let reach = rng.window();
+            let n = store
+                .update_where(
+                    |t| t.value(GROUP) == &g && t.valid().overlaps(&reach),
+                    &[(AMOUNT, Value::Null)],
+                )
+                .unwrap();
+            format!("update {n} of g={g} in {reach} to NULL")
         }
         _ => {
             let n = store.delete_where(|t| t.value(GROUP) == &g).unwrap();
@@ -258,8 +279,7 @@ fn reopened_store_groups_follow_random_programs() {
 
 #[test]
 fn a_store_created_empty_grows_its_groups_from_nothing() {
-    let schema = Schema::of(&[("g", ValueType::Int), ("amount", ValueType::Int)]);
-    let store = TemporalStore::with_schema(schema);
+    let store = TemporalStore::with_schema(schema());
     warm(&store);
     assert!(store
         .top_k_by_window(AggKind::Sum, Some(AMOUNT), GROUP, Interval::at(0, 500), 3)

@@ -21,16 +21,24 @@
 //!
 //! Run with: `cargo run --release --example write_cost`
 //!
+//! Last, what building one cache costs over the paper's random relation
+//! with 20 % long-lived tuples (n = 65,536, seed 1995): `SUM(salary)`,
+//! `MIN(salary)` and `MAX(salary)`, the median of five builds each.
+//!
 //! `-- --check` runs the fully warm configuration at n = 4,096 and at
 //! n = 65,536 *at the same tuple density* (the lifespan scales with n, so
 //! a short tuple covers the same ≈ 65 runs per cache at both sizes and the
 //! only thing that differs is how much is stored), and fails unless the
 //! median insert grew less than 4× while the runs grew 16×: a write costs
 //! what it changes, not what is stored. With one `Vec<Run>` per cache the
-//! same check reads ≈ 0.06 → 1.0 ms.
+//! same check reads ≈ 0.06 → 1.0 ms. It then fails unless the `MIN` and
+//! the `MAX` cache each build within 3× of the `SUM` cache: an
+//! Ordered-class run keeps its value, not the tuples live over it. While
+//! every run kept that multiset, the `MIN` build did not fit in memory.
 
 use std::time::{Duration, Instant};
 use temporal_aggregates::prelude::*;
+use temporal_aggregates::workload::{generate, WorkloadConfig};
 use temporal_aggregates::{AggKind, DynAggregate, Schema, Tuple, ValueType};
 
 const LIFESPAN: i64 = 1_000_000;
@@ -275,7 +283,40 @@ fn report(n: usize, seed: u64) -> tempagg_core::Result<()> {
         "publish of SUM after a write   {:>10.4} ms  ({published_runs} runs)",
         ms(median(publish))
     );
+    print_builds(&build_costs(seed)?);
     Ok(())
+}
+
+/// The median build of a `SUM`, a `MIN` and a `MAX` cache over `salary`
+/// of a random n = 65,536 relation with 20 % long-lived tuples, in that
+/// order, the kinds alternated so that all three see the same host.
+fn build_costs(seed: u64) -> tempagg_core::Result<[Duration; 3]> {
+    const KINDS: [AggKind; 3] = [AggKind::Sum, AggKind::Min, AggKind::Max];
+    let config = WorkloadConfig::random(65_536)
+        .with_long_lived_pct(20)
+        .with_seed(seed);
+    let relation = generate(&config);
+    let salary = Some(relation.schema().index_of("salary")?);
+    let mut samples: [Vec<Duration>; 3] = Default::default();
+    for _ in 0..5 {
+        for (kind, samples) in KINDS.into_iter().zip(&mut samples) {
+            let store = TemporalStore::new(relation.clone());
+            let agg = DynAggregate::new(kind, ValueType::Int)?;
+            let started = Instant::now();
+            store.ensure_cache(agg, salary)?;
+            samples.push(started.elapsed());
+        }
+    }
+    Ok(samples.map(median))
+}
+
+fn print_builds(builds: &[Duration; 3]) {
+    let [sum, min, max] = builds.map(ms);
+    println!(
+        "cache build, n = 65,536 with 20 % long-lived: SUM {sum:.1} ms, MIN {min:.1} ms ({:.2}x), MAX {max:.1} ms ({:.2}x)",
+        min / sum,
+        max / sum
+    );
 }
 
 /// Insert cost must follow what a write changes (the ≈ 65 runs per cache
@@ -300,12 +341,28 @@ fn check(seed: u64) -> tempagg_core::Result<bool> {
     }
     let ratio = measured[1].insert.as_secs_f64() / measured[0].insert.as_secs_f64();
     let grew = measured[1].runs as f64 / measured[0].runs as f64;
-    let ok = ratio < 4.0;
+    let writes_ok = ratio < 4.0;
     println!(
         "insert grew {ratio:.2}x while the runs grew {grew:.1}x: {}",
-        if ok { "ok (< 4x)" } else { "FAILED (>= 4x)" }
+        if writes_ok {
+            "ok (< 4x)"
+        } else {
+            "FAILED (>= 4x)"
+        }
     );
-    Ok(ok)
+    let builds = build_costs(seed)?;
+    print_builds(&builds);
+    let [sum, min, max] = builds;
+    let builds_ok = min < sum * 3 && max < sum * 3;
+    println!(
+        "MIN and MAX builds {}",
+        if builds_ok {
+            "ok (< 3x SUM)"
+        } else {
+            "FAILED (>= 3x SUM)"
+        }
+    );
+    Ok(writes_ok && builds_ok)
 }
 
 fn main() -> tempagg_core::Result<()> {

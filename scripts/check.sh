@@ -49,7 +49,7 @@ cargo run -q -p tempagg-lint
 echo "==> bench smoke (one-sample sweep matrix)"
 cargo bench -q -p tempagg-bench --bench algorithms -- --test
 
-echo "==> write_cost --check (median insert at n = 65,536 within 4x of n = 4,096 at the same tuple density: a write costs what it changes, not what is stored)"
+echo "==> write_cost --check (median insert at n = 65,536 within 4x of n = 4,096 at the same tuple density: a write costs what it changes, not what is stored; a MIN and a MAX cache over n = 65,536 with 20 % long-lived tuples each build within 3x of a SUM cache: an Ordered-class run keeps its value, not the tuples live over it)"
 cargo run -q --release --example write_cost -- --check
 
 echo "==> serve_rows --check (a served SELECT's execute is under 40 % of serve + read + drop: rows are built under the reader, not collected first)"

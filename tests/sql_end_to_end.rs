@@ -694,3 +694,65 @@ fn served_rows_equal_scanned_rows_for_every_aggregate() {
     drop(old);
     temporal_aggregates::core::pager::remove_file(&path).unwrap();
 }
+
+/// Integer `AVG` keeps an exact integer total: a value past 2^53 neither
+/// absorbs its neighbours when they are added nor leaves a residue when it
+/// retracts, so the scan, the cache and a fresh catalog answer alike, also
+/// after a `DELETE`.
+#[test]
+fn integer_avg_is_exact_past_two_to_the_fifty_third() {
+    let rows = [(9_007_199_254_740_993_i64, 0, 10), (1, 5, 20), (2, 8, 30)];
+    let catalog_of = |rows: &[(i64, i64, i64)]| {
+        let mut catalog = Catalog::new();
+        execute_statement(&mut catalog, "CREATE TABLE t (x INT)").unwrap();
+        let values: Vec<String> = rows
+            .iter()
+            .map(|(x, start, end)| format!("({x}) VALID [{start}, {end}]"))
+            .collect();
+        let insert = format!("INSERT INTO t VALUES {}", values.join(", "));
+        execute_statement(&mut catalog, &insert).unwrap();
+        catalog
+    };
+    let oracle_rows = |rows: &[(i64, i64, i64)]| -> Vec<(Interval, Value)> {
+        let tuples: Vec<(Interval, i64)> = rows
+            .iter()
+            .map(|&(x, start, end)| (Interval::at(start, end), x))
+            .collect();
+        oracle(&Avg::<i64>::new(), Interval::TIMELINE, &tuples)
+            .map(|v| v.map_or(Value::Null, Value::Float))
+            .coalesce()
+            .iter()
+            .map(|e| (e.interval, e.value.clone()))
+            .collect()
+    };
+    let sql = "SELECT AVG(x) FROM t";
+    let mut catalog = catalog_of(&rows);
+
+    let cold = execute_str(&catalog, sql).unwrap();
+    assert!(!cold.cache.served_from_cache);
+    assert_eq!(sql_rows(&cold), oracle_rows(&rows));
+    for row in [
+        (Interval::at(5, 7), Value::Float(4_503_599_627_370_497.0)),
+        (Interval::at(11, 20), Value::Float(1.5)),
+        (Interval::at(21, 30), Value::Float(2.0)),
+    ] {
+        assert!(sql_rows(&cold).contains(&row), "{row:?}");
+    }
+    let warm = execute_str(&catalog, sql).unwrap();
+    assert!(warm.cache.served_from_cache);
+    assert_eq!(sql_rows(&warm), sql_rows(&cold), "cold vs warm");
+
+    execute_statement(&mut catalog, "DELETE FROM t WHERE x = 1").unwrap();
+    let left = [rows[0], rows[2]];
+    let (served, was_served) = answered(&catalog, sql);
+    assert!(was_served);
+    assert_eq!(
+        served,
+        answered(&catalog_of(&left), sql).0,
+        "after DELETE vs fresh"
+    );
+    assert_eq!(
+        sql_rows(&execute_str(&catalog, sql).unwrap()),
+        oracle_rows(&left)
+    );
+}
