@@ -40,7 +40,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use tempagg_core::{Interval, Series, Timestamp, Value};
+use tempagg_core::{Interval, Series, SeriesView, Timestamp, Value};
 
 /// What the index nodes combine, decided by the aggregate's retraction
 /// class and value type (see [`WindowIndex::build`]).
@@ -76,6 +76,12 @@ impl RunSource for Series<Value> {
                 f(clipped, &entry.value);
             }
         }
+    }
+}
+
+impl RunSource for SeriesView<Value> {
+    fn for_each_run_in(&self, window: Interval, f: &mut dyn FnMut(Interval, &Value)) {
+        self.for_each_in(window, f);
     }
 }
 

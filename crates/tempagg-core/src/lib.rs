@@ -15,8 +15,9 @@
 //!   [`ROW_INLINE_WIDTH`];
 //! * [`SeriesSink`] — streaming emission of those results at bounded
 //!   memory ([`ChunkedSink`], [`CountingSink`], [`StitchSink`]);
-//! * [`Epoch`], [`VersionedSeries`] — write-generation stamps and an MVCC
-//!   chain of immutable series snapshots for readers-during-writes;
+//! * [`Epoch`], [`SeriesView`] — write-generation stamps and the immutable
+//!   chunk directory a mutable store publishes a cached series as: readers
+//!   share the chunks a write did not touch;
 //! * [`sortedness`] — the paper's *k-order* and *k-ordered-percentage*
 //!   metrics (Section 5.2, Table 2);
 //! * [`pager`] — the persistent paged columnar file format and the
@@ -67,4 +68,4 @@ pub use slots::GaplessSlots;
 pub use timestamp::Timestamp;
 pub use tuple::Tuple;
 pub use value::{Value, ValueType};
-pub use version::{SeriesVersion, VersionedSeries};
+pub use version::{SeriesView, ViewCursor};

@@ -25,14 +25,13 @@ use crate::parser::parse;
 use crate::rows::{GroupSink, ResultRow, ResultRows, RowBuffer};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 use tempagg_agg::{
     AggKind, Aggregate, DynAggregate, MultiDyn, SweepAggregate, TypedInput, TypedMulti,
 };
-use tempagg_algo::{scan_window, SpanGrouper, TemporalAggregator, WindowAggregate};
+use tempagg_algo::{scan_window, RunSource, SpanGrouper, TemporalAggregator, WindowAggregate};
 use tempagg_core::{
-    Chunk, Interval, Result, RowValues, Schema, Series, SeriesEntry, TempAggError, Value,
-    DEFAULT_CHUNK_CAPACITY,
+    Chunk, Interval, Result, RowValues, Schema, Series, SeriesEntry, SeriesView, TempAggError,
+    Value, DEFAULT_CHUNK_CAPACITY,
 };
 use tempagg_plan::{
     choose_algorithm, choose_window_algorithm, execute_chunks_into, AlgorithmChoice,
@@ -659,7 +658,7 @@ fn cacheable(aggs: &[BoundAgg]) -> bool {
         .all(|(agg, _, _)| agg.sweep_class().retractable())
 }
 
-/// Answer an eligible query from MVCC snapshots of the store's aggregate
+/// Answer an eligible query from pinned views of the store's aggregate
 /// caches, or `None` — with nothing pushed — when any selected aggregate
 /// is not cacheable or not cached yet (or, which no store produces, the
 /// cached series disagree on their constant intervals).
@@ -670,7 +669,7 @@ fn serve(
     out: &mut RowBuffer<'_>,
 ) -> Result<Option<Outcome>> {
     let bound_aggs = bind_aggs(store.schema(), query)?;
-    // Checked first: taking a snapshot publishes a version.
+    // Checked first: taking a view publishes a version.
     if !cacheable(&bound_aggs)
         || !bound_aggs
             .iter()
@@ -680,14 +679,14 @@ fn serve(
     }
     // Every series is present, so this builds none: it decodes a persisted
     // block, or rebuilds one that fails its checksum.
-    let snapshots = bound_aggs
+    let views = bound_aggs
         .iter()
-        .map(|(agg, idx, _)| cached_series(store, *agg, *idx))
+        .map(|(agg, idx, _)| store.view(*agg, *idx))
         .collect::<Result<Vec<_>>>()?;
-    let runs = snapshots.first().map_or(0, |series| series.len());
-    // The snapshots themselves are the answer; a result row exists once
-    // its reader reaches it.
-    if !out.serve(snapshots) {
+    let runs = views.first().map_or(0, SeriesView::len);
+    // The views themselves are the answer; a result row exists once its
+    // reader reaches it.
+    if !out.serve(views) {
         return Ok(None);
     }
 
@@ -734,14 +733,15 @@ fn window_value(agg: &DynAggregate, wa: &WindowAggregate, rank: bool) -> Value {
     }
 }
 
-/// Reduce one aggregate's series over a window linearly to what
-/// [`window_value`] reports. Exact kinds go through the index's scan
-/// oracle so the linear and indexed paths agree byte-for-byte; inexact
-/// float kinds compute the duration-weighted combine in `f64`
-/// (`Σ value·duration` for `SUM`, the weighted mean for the `AVG` family).
+/// Reduce one aggregate's series — a cached series' view, or one a scan
+/// computed — over a window linearly to what [`window_value`] reports.
+/// Exact kinds go through the index's scan oracle so the linear and
+/// indexed paths agree byte-for-byte; inexact float kinds compute the
+/// duration-weighted combine in `f64` (`Σ value·duration` for `SUM`, the
+/// weighted mean for the `AVG` family).
 fn window_scalar(
     agg: &DynAggregate,
-    series: &Series<Value>,
+    series: &dyn RunSource,
     window: Interval,
     rank: bool,
 ) -> Value {
@@ -750,17 +750,13 @@ fn window_scalar(
     }
     let mut weighted = 0.0f64;
     let mut covered = 0.0f64;
-    for entry in series.entries() {
-        let Some(clip) = entry.interval.intersect(&window) else {
-            continue;
-        };
-        let Some(v) = entry.value.as_f64() else {
-            continue;
-        };
-        let d = clip.duration() as f64;
-        weighted += v * d;
-        covered += d;
-    }
+    series.for_each_run_in(window, &mut |clip, value| {
+        if let Some(v) = value.as_f64() {
+            let d = clip.duration() as f64;
+            weighted += v * d;
+            covered += d;
+        }
+    });
     match agg.kind() {
         AggKind::Sum => Value::Float(weighted),
         _ if covered == 0.0 => Value::Null,
@@ -914,8 +910,8 @@ fn run_window(
                         Ok(window_value(agg, &probed, false))
                     }
                     _ => {
-                        let series = cached_series(store, *agg, *idx)?;
-                        Ok(window_scalar(agg, &series, window, false))
+                        let view = store.view(*agg, *idx)?;
+                        Ok(window_scalar(agg, &view, window, false))
                     }
                 })
                 .collect::<Result<RowValues>>()?;
@@ -972,19 +968,6 @@ fn run_window(
             CacheReport::default()
         },
     })
-}
-
-/// The store's series for `agg` over `column` — built if absent, decoded
-/// if its persisted table's file holds it — pinned as a snapshot.
-fn cached_series(
-    store: &TemporalStore,
-    agg: DynAggregate,
-    column: Option<usize>,
-) -> Result<Arc<Series<Value>>> {
-    store.ensure_cache(agg, column)?;
-    store
-        .snapshot(agg.kind(), column)
-        .ok_or_else(|| TempAggError::internal("an ensured cache has no snapshot"))
 }
 
 /// What a streaming execution reports back: everything [`QueryResult`]

@@ -1,5 +1,5 @@
 //! Result rows: the row type, the rows of a result ([`ResultRows`] — a
-//! collected buffer, or the pinned snapshots a served `SELECT` reads in
+//! collected buffer, or the pinned views a served `SELECT` reads in
 //! place), the buffer a query's rows go to, and the sink an aggregation
 //! set's series drains into it.
 //!
@@ -13,8 +13,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
-use tempagg_core::{Interval, RowValues, Series, SeriesEntry, SeriesSink, Value};
+use tempagg_core::{Interval, RowValues, SeriesEntry, SeriesSink, SeriesView, Value, ViewCursor};
 
 /// One row of a query result: optional group key, a valid-time interval,
 /// and one value per aggregate in the select list — inline in the row up
@@ -30,9 +29,9 @@ pub struct ResultRow {
 /// The rows of a query result, in (group, time) order, coalesced by valid
 /// time. Rows a query computed (a scan, `OVER`, `TOP k`, `SNAPSHOT`) are a
 /// collected buffer and are read by reference; rows served from the
-/// store's aggregate caches are the pinned MVCC snapshots themselves, and
-/// each [`ResultRow`] is built when the reader reaches it — which is why
-/// iteration yields `Cow<ResultRow>`.
+/// store's aggregate caches are the pinned views of the cached series
+/// themselves, and each [`ResultRow`] is built when the reader reaches it
+/// — which is why iteration yields `Cow<ResultRow>`.
 ///
 /// ```
 /// # use tempagg_sql::{execute_str, Catalog};
@@ -47,12 +46,12 @@ pub struct ResultRow {
 /// assert_eq!(owned.len(), result.rows.len());
 /// ```
 ///
-/// A served result holds its snapshots for as long as it lives: writes to
-/// the relation publish new versions and never touch these, so a result
-/// read half-way, written under, and read on is still the answer as of its
-/// statement. [`len`](Self::len) is O(1) either way, `Clone` of a served
-/// result clones `Arc`s, and `==` compares row sequences, whichever way
-/// each side is held.
+/// A served result holds its views for as long as it lives: a write to
+/// the relation copies a chunk of runs a view holds before it patches it,
+/// and never touches the view, so a result read half-way, written under,
+/// and read on is still the answer as of its statement. [`len`](Self::len)
+/// is O(1) either way, `Clone` of a served result clones `Arc`s, and `==`
+/// compares row sequences, whichever way each side is held.
 #[derive(Clone, Default)]
 pub struct ResultRows(Repr);
 
@@ -70,7 +69,7 @@ impl Default for Repr {
 
 impl ResultRows {
     /// Number of rows. O(1): a served result counted its coalesced rows
-    /// in the pass that checked its snapshots.
+    /// in the pass that checked its views.
     pub fn len(&self) -> usize {
         match &self.0 {
             Repr::Collected(rows) => rows.len(),
@@ -88,7 +87,6 @@ impl ResultRows {
             Repr::Collected(rows) => Cursor::Collected(rows.iter()),
             Repr::Served(served) => Cursor::Served(ServedCursor {
                 walk: served.walk(),
-                at: 0,
                 ahead: Vec::new().into_iter(),
                 unbuilt: served.rows,
             }),
@@ -142,14 +140,15 @@ impl PartialEq<ResultRows> for Vec<ResultRow> {
     }
 }
 
-/// Pinned snapshots, one per select-list entry, that were found to share
-/// one interval structure: run `i` of every series spans the same
-/// interval. Only [`Served::check`] constructs one.
+/// Pinned views, one per select-list entry, that were found to share one
+/// interval structure: run `i` of every series spans the same interval,
+/// wherever each series' chunks are cut. Only [`Served::check`] constructs
+/// one.
 #[derive(Clone)]
 struct Served {
-    lead: Arc<Series<Value>>,
-    rest: Vec<Arc<Series<Value>>>,
-    /// Coalesced rows the snapshots stand for.
+    lead: SeriesView<Value>,
+    rest: Vec<SeriesView<Value>>,
+    /// Coalesced rows the views stand for.
     rows: usize,
 }
 
@@ -159,29 +158,30 @@ impl Served {
     /// never values, so they do unless two caches disagree about the
     /// relation — and count the coalesced rows, in one pass. `None` on any
     /// disagreement, decided here, before a row exists.
-    fn check(snapshots: Vec<Arc<Series<Value>>>) -> Option<Served> {
-        let mut snapshots = snapshots.into_iter();
+    fn check(views: Vec<SeriesView<Value>>) -> Option<Served> {
+        let mut views = views.into_iter();
         let mut served = Served {
-            lead: snapshots.next()?,
-            rest: snapshots.collect(),
+            lead: views.next()?,
+            rest: views.collect(),
             rows: 0,
         };
-        let walk = served.walk();
-        if walk
+        if served
             .rest
             .iter()
-            .any(|series| series.len() != walk.lead.len())
+            .any(|view| view.len() != served.lead.len())
         {
             return None;
         }
+        let mut walk = served.walk();
         let mut rows = 0;
-        for (run, first) in walk.lead.iter().enumerate() {
-            for series in walk.rest {
-                if series.entries().get(run)?.interval != first.interval {
+        while let Some(first) = walk.lead.runs.current() {
+            rows += usize::from(!walk.extends_previous());
+            walk.lead.step();
+            for lane in &mut walk.rest {
+                if lane.step()?.interval != first.interval {
                     return None;
                 }
             }
-            rows += usize::from(!walk.extends_previous(run));
         }
         served.rows = rows;
         Some(served)
@@ -189,37 +189,67 @@ impl Served {
 
     fn walk(&self) -> Lockstep<'_> {
         Lockstep {
-            lead: self.lead.entries(),
-            rest: &self.rest,
+            lead: Lane::over(&self.lead),
+            rest: self.rest.iter().map(Lane::over).collect(),
         }
     }
 }
 
-/// The snapshots of a served result as both walks over them — the check
-/// and the cursor — read them: the first series' runs, and the others.
-#[derive(Clone, Copy)]
+/// One series' runs as a served walk passes them: a cursor over its
+/// chunks, and the run it passed last.
+#[derive(Clone)]
+struct Lane<'a> {
+    runs: ViewCursor<'a, Value>,
+    passed: Option<&'a SeriesEntry<Value>>,
+}
+
+impl<'a> Lane<'a> {
+    fn over(view: &'a SeriesView<Value>) -> Lane<'a> {
+        Lane {
+            runs: view.runs(),
+            passed: None,
+        }
+    }
+
+    /// Pass the next run, and return it.
+    #[inline]
+    fn step(&mut self) -> Option<&'a SeriesEntry<Value>> {
+        self.passed = self.runs.next();
+        self.passed
+    }
+
+    /// Whether the next run meets the one passed last and carries its
+    /// value.
+    #[inline]
+    fn extends_passed(&self) -> bool {
+        match (self.passed, self.runs.current()) {
+            (Some(a), Some(b)) => a.value == b.value && a.interval.meets(&b.interval),
+            _ => false,
+        }
+    }
+}
+
+/// The views of a served result as both walks over them — the check and
+/// the cursor — read them: one lane per series, the first series' apart,
+/// stepped together. Each lane crosses its own chunk edges: the series'
+/// chunks may be cut in different places (a cache built later has fuller
+/// chunks).
+#[derive(Clone)]
 struct Lockstep<'a> {
-    lead: &'a [SeriesEntry<Value>],
-    rest: &'a [Arc<Series<Value>>],
+    lead: Lane<'a>,
+    rest: Vec<Lane<'a>>,
 }
 
 impl Lockstep<'_> {
-    /// Whether run `run` coalesces into the row of the run before it: the
-    /// two meet and carry equal values in every series. The one definition
-    /// of a row boundary — [`Served::check`] counts by it and the cursor
-    /// cuts by it, so `len()` is what iteration yields. The first series
-    /// decides nearly every time (a `COUNT` moves at almost every
-    /// boundary), so it is asked first and on its own.
+    /// Whether the next run coalesces into the row of the runs passed: it
+    /// meets them and carries equal values in every series. The one
+    /// definition of a row boundary — [`Served::check`] counts by it and
+    /// the cursor cuts by it, so `len()` is what iteration yields. The
+    /// first series decides nearly every time (a `COUNT` moves at almost
+    /// every boundary), so it is asked first and on its own.
     #[inline]
-    fn extends_previous(&self, run: usize) -> bool {
-        let same = |entries: &[SeriesEntry<Value>]| match (
-            entries.get(run.wrapping_sub(1)),
-            entries.get(run),
-        ) {
-            (Some(a), Some(b)) => a.value == b.value && a.interval.meets(&b.interval),
-            _ => false,
-        };
-        same(self.lead) && self.rest.iter().all(|series| same(series.entries()))
+    fn extends_previous(&self) -> bool {
+        self.lead.extends_passed() && self.rest.iter().all(Lane::extends_passed)
     }
 }
 
@@ -240,7 +270,7 @@ const EMPTY_ROW: ResultRow = ResultRow {
 
 /// A cursor over a result's rows: `&ResultRows`'s iterator. Collected rows
 /// are lent; served rows are built as the cursor reaches them, a small
-/// batch ahead of the reader, walking the pinned snapshots in lockstep and
+/// batch ahead of the reader, walking the pinned views in lockstep and
 /// coalescing on a one-run lookahead.
 #[derive(Clone, Debug)]
 pub struct RowCursor<'a>(Cursor<'a>);
@@ -254,8 +284,6 @@ enum Cursor<'a> {
 #[derive(Clone)]
 struct ServedCursor<'a> {
     walk: Lockstep<'a>,
-    /// The next run to read.
-    at: usize,
     /// Rows built and not yet yielded.
     ahead: std::vec::IntoIter<ResultRow>,
     /// Rows not yet built.
@@ -267,30 +295,31 @@ impl ServedCursor<'_> {
     /// are left are known ([`Served::check`] counted them), so the batch
     /// is opened at its final length and filled in place.
     fn refill(&mut self) {
-        let walk = self.walk;
+        let walk = &mut self.walk;
         let mut rows: Vec<ResultRow> = std::iter::repeat_with(|| EMPTY_ROW)
             .take(READ_AHEAD.min(self.unbuilt))
             .collect();
         // lint: hot-loop(serve-rows) — per row: values copied inline into the buffer's slot, then the runs that extend it; no heap while the list fits a row
         for row in &mut rows {
-            let Some(first) = walk.lead.get(self.at) else {
+            let Some(first) = walk.lead.step() else {
                 break;
             };
             row.valid = first.interval;
             // lint: allow(no-alloc-in-scan): a `Value` clone copies a scalar or bumps an `Arc<str>`
             row.values.push(first.value.clone());
-            for series in walk.rest {
-                if let Some(entry) = series.entries().get(self.at) {
+            for lane in &mut walk.rest {
+                if let Some(run) = lane.step() {
                     // lint: allow(no-alloc-in-scan): as above
-                    row.values.push(entry.value.clone());
+                    row.values.push(run.value.clone());
                 }
             }
-            self.at += 1;
-            while walk.extends_previous(self.at) {
-                if let Some(run) = walk.lead.get(self.at) {
+            while walk.extends_previous() {
+                if let Some(run) = walk.lead.step() {
                     row.valid = row.valid.hull(&run.interval);
                 }
-                self.at += 1;
+                for lane in &mut walk.rest {
+                    lane.step();
+                }
             }
         }
         self.unbuilt -= rows.len();
@@ -304,8 +333,7 @@ impl fmt::Debug for Cursor<'_> {
             Cursor::Collected(rows) => write!(f, "Collected({} rows left)", rows.len()),
             Cursor::Served(cursor) => write!(
                 f,
-                "Served(at run {}, {} rows left)",
-                cursor.at,
+                "Served({} rows left)",
                 cursor.ahead.len() + cursor.unbuilt
             ),
         }
@@ -392,14 +420,14 @@ impl<'a> RowBuffer<'a> {
         }
     }
 
-    /// The cache-serve arm: answer with the rows `snapshots` (one pinned
+    /// The cache-serve arm: answer with the rows `views` (one pinned
     /// series per select-list entry) stand for. Collecting, they become
     /// the result as they are; streaming, the same cursor a collected
     /// result's reader would walk is drained to the consumer. `false` —
     /// and no row produced, kept or delivered — when the series do not
     /// share one interval structure: the caller scans instead.
-    pub(crate) fn serve(&mut self, snapshots: Vec<Arc<Series<Value>>>) -> bool {
-        let Some(served) = Served::check(snapshots) else {
+    pub(crate) fn serve(&mut self, views: Vec<SeriesView<Value>>) -> bool {
+        let Some(served) = Served::check(views) else {
             return false;
         };
         if self.drain_to.is_some() {
@@ -466,8 +494,9 @@ impl<V: Into<RowValues>> SeriesSink<V> for GroupSink<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
-    fn series(cuts: &[i64], scale: i64) -> Arc<Series<Value>> {
+    fn series(cuts: &[i64], scale: i64) -> SeriesView<Value> {
         let mut entries = Vec::new();
         let mut start = 0;
         for (i, &cut) in cuts.iter().enumerate() {
@@ -478,7 +507,7 @@ mod tests {
             start = cut;
         }
         entries.push(SeriesEntry::new(Interval::from_start(start), Value::Null));
-        Arc::new(Series::from_entries(entries))
+        SeriesView::from_chunks([Arc::new(entries)])
     }
 
     /// `serve`'s signature is the proof that no `Err` is reachable from a
@@ -489,8 +518,8 @@ mod tests {
         let lead = series(&[5, 9, 20, 30], 1);
         // The third run is where `shifted` first differs: a walk that
         // checked as it went would have delivered two rows by then.
-        let shifted = vec![Arc::clone(&lead), series(&[5, 9, 21, 30], 7)];
-        let shorter = vec![Arc::clone(&lead), series(&[5, 9, 30], 7)];
+        let shifted = vec![lead.clone(), series(&[5, 9, 21, 30], 7)];
+        let shorter = vec![lead.clone(), series(&[5, 9, 30], 7)];
         for mismatched in [shifted, shorter] {
             let mut out = RowBuffer::collecting();
             assert!(!out.serve(mismatched.clone()));
@@ -512,17 +541,26 @@ mod tests {
     #[test]
     fn agreeing_snapshots_are_read_in_place_and_coalesced() {
         // Runs 1 and 2 carry equal values in both series and coalesce;
-        // runs 3 and 4 are equal in the first series only and do not.
-        let of = |values: [i64; 5]| {
-            let entries = [0, 5, 9, 20, 30]
+        // runs 3 and 4 are equal in the first series only and do not. The
+        // two series' chunks are cut in different places, one of them
+        // between the two runs that coalesce.
+        let of = |values: [i64; 5], cuts: &[usize]| {
+            let mut entries: Vec<_> = [0, 5, 9, 20, 30]
                 .into_iter()
                 .zip([4, 8, 19, 29, i64::MAX])
                 .zip(values)
                 .map(|((a, b), v)| SeriesEntry::new(Interval::at(a, b), Value::Int(v)))
                 .collect();
-            Arc::new(Series::from_entries(entries))
+            let mut chunks = Vec::new();
+            for &cut in cuts.iter().rev() {
+                chunks.push(Arc::new(entries.split_off(cut)));
+            }
+            chunks.push(Arc::new(entries));
+            SeriesView::from_chunks(chunks.into_iter().rev())
         };
-        let snapshots = vec![of([0, 1, 1, 3, 3]), of([0, 7, 7, 21, 28])];
+        let snapshots = vec![of([0, 1, 1, 3, 3], &[2]), of([0, 7, 7, 21, 28], &[1, 4])];
+        assert_eq!(snapshots[0].chunks().len(), 2);
+        assert_eq!(snapshots[1].chunks().len(), 3);
         let row = |a, b, x, y| ResultRow {
             group: None,
             valid: Interval::at(a, b),
@@ -554,7 +592,7 @@ mod tests {
         assert_eq!(format!("{served:?}"), format!("{want:?}"));
         // A clone shares the pinned series.
         let clone = served.clone();
-        assert_eq!(Arc::strong_count(&snapshots[0]), 3);
+        assert_eq!(snapshots[0].holders(), 3);
         assert_eq!(clone, served);
         // A cursor stopped half-way reports what is left.
         let mut cursor = served.iter();

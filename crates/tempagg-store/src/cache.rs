@@ -33,9 +33,13 @@
 //!   drift under float retraction, so the store caches none: it is scanned
 //!   every time.
 //!
-//! Readers never see the working series: [`CachedSeries::snapshot`]
-//! publishes an immutable epoch-stamped version through the core
-//! [`VersionedSeries`] chain, materialized at most once per epoch.
+//! Readers never see the working series: [`CachedSeries::view`] hands out
+//! its current version, a [`SeriesView`] that shares the working series'
+//! chunks, published at most once between two writes that patch the series
+//! (a write that does not — an `UPDATE` of a column it does not read —
+//! leaves its version current). Publishing clones one `Arc` per chunk. A
+//! write first drops every version no reader holds, the newest included,
+//! and then copies only the chunks a held version shares (`runs.rs`).
 //!
 //! What the store and each ranking group hold is a [`CachedSeries`]: that
 //! cache — or, after a reopen and until the first write, the series the
@@ -43,7 +47,7 @@
 //! together with the window index cut over it. Every write goes through the
 //! entry, which patches the runs and then brings its own index back in step.
 
-use crate::runs::{Run, RunList, RunState};
+use crate::runs::{RunList, RunState};
 use crate::store::StoreCacheStats;
 use std::borrow::Borrow;
 use std::cell::OnceCell;
@@ -53,8 +57,7 @@ use tempagg_agg::{AggKind, DynActive, DynAggregate, SweepAggregate};
 use tempagg_algo::{GroupProbe, IndexMode, RunSource, WindowAggregate, WindowIndex};
 use tempagg_core::pager::PagedReader;
 use tempagg_core::{
-    Epoch, Interval, Result, Series, SeriesEntry, TempAggError, Timestamp, Tuple, Value,
-    VersionedSeries,
+    Interval, Result, Series, SeriesEntry, SeriesView, TempAggError, Timestamp, Tuple, Value,
 };
 
 /// The input value a cache feeds its aggregate for one tuple: the cached
@@ -76,11 +79,23 @@ fn boundary_candidates(iv: Interval) -> impl Iterator<Item = Timestamp> {
     start.into_iter().chain(end)
 }
 
+/// The boundary refcounts of `tuples`: how many tuples contribute each
+/// interior cut. The series over them has one run more than there are
+/// cuts.
+fn boundaries_of<T: Borrow<Tuple>>(tuples: &[T]) -> BTreeMap<Timestamp, u32> {
+    let mut boundaries: BTreeMap<Timestamp, u32> = BTreeMap::new();
+    for tuple in tuples {
+        for b in boundary_candidates(tuple.borrow().valid()) {
+            *boundaries.entry(b).or_insert(0) += 1;
+        }
+    }
+    boundaries
+}
+
 /// The dyn-level admit/retract endpoint scan behind every cached series:
-/// cut the timeline at the tuples' boundaries, walk the cuts in time order
-/// admitting by start and retracting by end, and hand `emit` each constant
-/// interval with the one transient active state over it. Returns the
-/// boundary refcounts (how many tuples contribute each interior cut).
+/// cut the timeline at the tuples' `boundaries`, walk the cuts in time
+/// order admitting by start and retracting by end, and hand `emit` each
+/// constant interval with the one transient active state over it.
 ///
 /// Deliberately not `SweepAggregator`, which emits values only: a cache
 /// keeps a Delta-class run's state, the state later writes patch.
@@ -88,15 +103,9 @@ fn sweep_runs<T: Borrow<Tuple>>(
     agg: &DynAggregate,
     column: Option<usize>,
     tuples: &[T],
+    boundaries: &BTreeMap<Timestamp, u32>,
     mut emit: impl FnMut(Interval, &DynActive),
-) -> BTreeMap<Timestamp, u32> {
-    let mut boundaries: BTreeMap<Timestamp, u32> = BTreeMap::new();
-    for tuple in tuples {
-        for b in boundary_candidates(tuple.borrow().valid()) {
-            *boundaries.entry(b).or_insert(0) += 1;
-        }
-    }
-
+) {
     let n = tuples.len();
     let mut by_start: Vec<usize> = (0..n).collect();
     // lint: allow(indexing): by_start/by_end are permutations of 0..n
@@ -131,7 +140,6 @@ fn sweep_runs<T: Borrow<Tuple>>(
         let interval = Interval::new(start, end).expect("cuts are increasing");
         emit(interval, &active);
     }
-    boundaries
 }
 
 /// Sweep an arbitrary tuple subset (e.g. one group of a `TOP k BY`
@@ -139,8 +147,9 @@ fn sweep_runs<T: Borrow<Tuple>>(
 /// scan as [`AggCache::build`], so the result is byte-identical to what a
 /// full cache over just those tuples would publish.
 pub fn sweep_values(agg: &DynAggregate, column: Option<usize>, tuples: &[&Tuple]) -> Series<Value> {
-    let mut entries = Vec::new();
-    sweep_runs(agg, column, tuples, |interval, active| {
+    let boundaries = boundaries_of(tuples);
+    let mut entries = Vec::with_capacity(boundaries.len() + 1);
+    sweep_runs(agg, column, tuples, &boundaries, |interval, active| {
         entries.push(SeriesEntry {
             interval,
             value: agg.active_output(active),
@@ -318,8 +327,72 @@ fn fold_extreme(best: &mut Value, value: &Value, max: bool) {
     }
 }
 
-/// A versioned, incrementally maintained cache of one aggregate's
-/// constant-interval series.
+/// One version of a cache handed to readers: the runs as they stood, as a
+/// view sharing their chunks, and — once
+/// [`TemporalStore::snapshot`](crate::TemporalStore::snapshot) asks — that
+/// view copied into one series.
+#[derive(Debug)]
+struct Version {
+    view: SeriesView<Value>,
+    series: OnceCell<Arc<Series<Value>>>,
+}
+
+impl Version {
+    /// Whether a reader holds the view or the series copied from it.
+    fn pinned(&self) -> bool {
+        self.view.holders() > 1 || self.series.get().is_some_and(|s| Arc::strong_count(s) > 1)
+    }
+
+    /// The view copied into one series, at most once.
+    fn series(&self) -> Arc<Series<Value>> {
+        Arc::clone(self.series.get_or_init(|| Arc::new(self.view.to_series())))
+    }
+}
+
+/// The versions of one cache that are still alive: the current one, if
+/// no write has patched the runs since it was published, and older ones a
+/// reader still pins.
+#[derive(Debug, Default)]
+struct Versions {
+    current: Option<Version>,
+    older: Vec<Version>,
+}
+
+/// A cloned store publishes its own versions at its first read: sharing
+/// these would have each store's versions pin the other's chunks.
+impl Clone for Versions {
+    fn clone(&self) -> Versions {
+        Versions::default()
+    }
+}
+
+impl Versions {
+    /// The current version, published from `runs` if there is none.
+    fn current(&mut self, runs: &RunList) -> &Version {
+        if self.current.is_none() {
+            self.older.retain(Version::pinned);
+        }
+        self.current.get_or_insert_with(|| Version {
+            view: runs.view(),
+            series: OnceCell::new(),
+        })
+    }
+
+    /// Before a write patches the runs: the current version is superseded,
+    /// and every version no reader pins is dropped — the current one too,
+    /// so that the write copies only the chunks a reader holds.
+    fn supersede(&mut self) {
+        self.older.extend(self.current.take());
+        self.older.retain(Version::pinned);
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Version> {
+        self.current.iter().chain(&self.older)
+    }
+}
+
+/// An incrementally maintained cache of one aggregate's constant-interval
+/// series, and the versions of it readers hold.
 #[derive(Clone, Debug)]
 struct AggCache {
     agg: DynAggregate,
@@ -329,8 +402,7 @@ struct AggCache {
     /// Interior boundary refcounts: how many live tuples contribute each
     /// run edge strictly after the origin.
     boundaries: BTreeMap<Timestamp, u32>,
-    /// Published immutable snapshots (MVCC chain).
-    versions: VersionedSeries<Value>,
+    versions: Versions,
     /// Runs patched in place by writes (state insert/retract, fold or
     /// re-derivation).
     patched_runs: u64,
@@ -341,20 +413,19 @@ impl AggCache {
     /// group's members): the sweep kernel's admit/retract endpoint scan,
     /// keeping a Delta-class run's state so later writes can patch it.
     fn build<T: Borrow<Tuple>>(agg: DynAggregate, column: Option<usize>, tuples: &[T]) -> AggCache {
-        let mut runs = RunList::new();
-        let boundaries = sweep_runs(&agg, column, tuples, |interval, active| {
-            runs.push(Run {
-                interval,
-                state: RunState::of(active),
-                value: agg.active_output(active),
-            });
+        let boundaries = boundaries_of(tuples);
+        let states = matches!(Upkeep::of(&agg), Upkeep::Patch);
+        let mut runs = RunList::with_capacity(boundaries.len() + 1, states);
+        sweep_runs(&agg, column, tuples, &boundaries, |interval, active| {
+            let run = SeriesEntry::new(interval, agg.active_output(active));
+            runs.push(run, RunState::of(active));
         });
         AggCache {
             agg,
             column,
             runs,
             boundaries,
-            versions: VersionedSeries::new(),
+            versions: Versions::default(),
             patched_runs: 0,
         }
     }
@@ -390,6 +461,7 @@ impl AggCache {
     /// the statement, then release the boundaries of the tuples they take.
     /// `members` is asked for tuples only when a run must be re-derived.
     fn apply(&mut self, edits: &[Edit<'_>], members: Members<'_, '_>) {
+        self.versions.supersede();
         for edit in edits {
             if let Edit::Add(tuple) = edit {
                 boundary_candidates(tuple.valid()).for_each(|b| self.add_boundary(b));
@@ -405,32 +477,37 @@ impl AggCache {
         for edit in edits {
             let taken = edit.taken().map(|tuple| extract(tuple, column));
             let given = edit.given().map(|tuple| extract(tuple, column));
-            self.patched_runs += self.runs.for_each_in_mut(edit.valid(), |run| match upkeep {
-                Upkeep::Patch => {
-                    let Some(mut active) = run.state.active() else {
-                        return;
-                    };
-                    if let Some(value) = &taken {
-                        agg.active_remove(&mut active, value);
-                    }
-                    if let Some(value) = &given {
-                        agg.active_insert(&mut active, value);
-                    }
-                    run.state = RunState::of(&active);
-                    run.value = agg.active_output(&active);
-                }
-                Upkeep::Extreme { max } => {
-                    if taken
-                        .as_ref()
-                        .is_some_and(|v| !v.is_null() && *v == run.value)
-                    {
-                        run.value = rederived.at(run.interval.start());
-                    } else if let Some(value) = &given {
-                        fold_extreme(&mut run.value, value, max);
-                    }
-                }
-                Upkeep::Rederive => run.value = rederived.at(run.interval.start()),
-            });
+            self.patched_runs +=
+                self.runs
+                    .for_each_in_mut(edit.valid(), |run, state| match upkeep {
+                        Upkeep::Patch => {
+                            let Some(state) = state else {
+                                return;
+                            };
+                            let mut active = state.active();
+                            if let Some(value) = &taken {
+                                agg.active_remove(&mut active, value);
+                            }
+                            if let Some(value) = &given {
+                                agg.active_insert(&mut active, value);
+                            }
+                            if let Some(kept) = RunState::of(&active) {
+                                *state = kept;
+                            }
+                            run.value = agg.active_output(&active);
+                        }
+                        Upkeep::Extreme { max } => {
+                            if taken
+                                .as_ref()
+                                .is_some_and(|v| !v.is_null() && *v == run.value)
+                            {
+                                run.value = rederived.at(run.interval.start());
+                            } else if let Some(value) = &given {
+                                fold_extreme(&mut run.value, value, max);
+                            }
+                        }
+                        Upkeep::Rederive => run.value = rederived.at(run.interval.start()),
+                    });
         }
         for edit in edits {
             if let Edit::Take(tuple) = edit {
@@ -452,22 +529,30 @@ enum Body {
 
 /// Series block `slot` of the paged file a store was opened from, of which
 /// opening read the directory record and no more: the first call of
-/// [`series`](Stored::series) reads, verifies and decodes the block. A clone
-/// made before that decodes for itself.
+/// [`view`](Stored::view) reads, verifies and decodes the block, into one
+/// chunk. A clone made before that decodes for itself.
 #[derive(Clone, Debug)]
 struct Stored {
     reader: Arc<PagedReader>,
     slot: usize,
+    view: OnceCell<SeriesView<Value>>,
+    /// The view copied into one series, once
+    /// [`TemporalStore::snapshot`](crate::TemporalStore::snapshot) asks.
     series: OnceCell<Arc<Series<Value>>>,
 }
 
 impl Stored {
-    fn series(&self) -> Result<&Arc<Series<Value>>> {
-        if let Some(series) = self.series.get() {
-            return Ok(series);
+    fn view(&self) -> Result<&SeriesView<Value>> {
+        if let Some(view) = self.view.get() {
+            return Ok(view);
         }
-        let decoded = Series::from_entries(self.reader.series(self.slot)?);
-        Ok(self.series.get_or_init(|| Arc::new(decoded)))
+        let decoded = SeriesView::from_chunks([Arc::new(self.reader.series(self.slot)?)]);
+        Ok(self.view.get_or_init(|| decoded))
+    }
+
+    fn series(&self) -> Result<&Arc<Series<Value>>> {
+        let view = self.view()?;
+        Ok(self.series.get_or_init(|| Arc::new(view.to_series())))
     }
 }
 
@@ -484,8 +569,8 @@ impl RunSource for Body {
             // A lookup: `CachedSeries::load` ran at the store's door, and
             // swapped a block that would not decode for a rebuild.
             Body::Restored(_, stored) => {
-                if let Ok(series) = stored.series() {
-                    series.for_each_run_in(window, f);
+                if let Ok(view) = stored.view() {
+                    view.for_each_in(window, f);
                 }
             }
         }
@@ -526,6 +611,7 @@ impl CachedSeries {
         let stored = Stored {
             reader,
             slot,
+            view: OnceCell::new(),
             series: OnceCell::new(),
         };
         CachedSeries {
@@ -555,7 +641,7 @@ impl CachedSeries {
         column: Option<usize>,
         tuples: impl FnOnce() -> Result<&'a [Tuple]>,
     ) -> Result<()> {
-        if matches!(&self.body, Body::Restored(_, stored) if stored.series().is_err()) {
+        if matches!(&self.body, Body::Restored(_, stored) if stored.view().is_err()) {
             self.promote(column, tuples()?);
         }
         Ok(())
@@ -582,24 +668,32 @@ impl CachedSeries {
         }
     }
 
-    /// The series as a snapshot would publish it, without publishing one.
+    /// The series' runs, copied, without publishing a version.
     pub(crate) fn entries(&self) -> Result<Vec<SeriesEntry<Value>>> {
-        match &self.body {
-            Body::Live(cache) => Ok(cache.runs.entries()),
-            Body::Restored(_, stored) => Ok(stored.series()?.entries().to_vec()),
+        let series = match &self.body {
+            Body::Live(cache) => cache.runs.view().to_series(),
+            Body::Restored(_, stored) => stored.view()?.to_series(),
+        };
+        Ok(series.into_entries())
+    }
+
+    /// The series' current version, shared with every reader since the last
+    /// write that patched it: published now, in O(chunks), if that write
+    /// came after the last reader. A restored series is its own version:
+    /// the relation has not changed since the flush that wrote it.
+    pub(crate) fn view(&mut self) -> SeriesView<Value> {
+        match &mut self.body {
+            Body::Live(cache) => cache.versions.current(&cache.runs).view.clone(),
+            // Decoded since `load`, as in `for_each_run_in`.
+            Body::Restored(_, stored) => stored.view().cloned().unwrap_or_default(),
         }
     }
 
-    /// An immutable snapshot of the series at `epoch`, shared with every
-    /// reader of that epoch; superseded unpinned versions are collected on
-    /// publish. A restored series is its own snapshot: the relation has
-    /// not changed since the flush that wrote it.
-    pub(crate) fn snapshot(&mut self, epoch: Epoch) -> Arc<Series<Value>> {
+    /// The current version copied into one series, at most once per
+    /// version: O(runs) the first time.
+    pub(crate) fn snapshot(&mut self) -> Arc<Series<Value>> {
         match &mut self.body {
-            Body::Live(cache) => cache
-                .versions
-                .snapshot_at(epoch, || Series::from_entries(cache.runs.entries())),
-            // Decoded since `load`, as in `for_each_run_in`.
+            Body::Live(cache) => cache.versions.current(&cache.runs).series(),
             Body::Restored(_, stored) => stored.series().cloned().unwrap_or_default(),
         }
     }
@@ -610,8 +704,9 @@ impl CachedSeries {
             stats.caches += 1;
             stats.runs += cache.runs.len();
             stats.patched_runs += cache.patched_runs;
-            stats.live_versions += cache.versions.live_versions();
-            stats.pinned_versions += cache.versions.pinned_versions();
+            stats.copied_chunks += cache.runs.copied_chunks();
+            stats.live_versions += cache.versions.live().count();
+            stats.pinned_versions += cache.versions.live().filter(|v| v.pinned()).count();
         }
     }
 
@@ -759,7 +854,7 @@ mod tests {
             .filter_map(|chunk| chunk.first().map(|run| run.interval.start()))
             .collect();
         assert_eq!(edges.len(), 2, "601 runs sit in three chunks");
-        let series = cached.snapshot(Epoch::ZERO);
+        let series = cached.view();
         let collect = |source: &dyn RunSource, window: Interval| {
             let mut out = Vec::new();
             source.for_each_run_in(window, &mut |iv, v| out.push((iv, v.clone())));
@@ -773,7 +868,7 @@ mod tests {
                 )
                 .unwrap();
                 let got = collect(&cached.body, window);
-                assert_eq!(got, collect(&*series, window), "{window}");
+                assert_eq!(got, collect(&series, window), "{window}");
                 assert_eq!(got.first().map(|(iv, _)| iv.start()), Some(window.start()));
                 assert_eq!(got.last().map(|(iv, _)| iv.end()), Some(window.end()));
             }

@@ -34,12 +34,15 @@
 //! behind `TOP k BY ... GROUP BY` (`grouped.rs`) are patched for the one
 //! or two groups the written tuple belongs to.
 //!
-//! Readers get MVCC snapshots: epoch-stamped immutable series versions
-//! published through [`VersionedSeries`](tempagg_core::VersionedSeries),
-//! shared as `Arc`s, with superseded versions collected once no reader
-//! pins them. A cursor holding a snapshot stays valid across any number
-//! of concurrent writes, and the cached series is byte-identical to a
-//! from-scratch sweep over the relation at the snapshot's epoch.
+//! Readers get MVCC versions: a [`SeriesView`](tempagg_core::SeriesView)
+//! is the chunk directory of a cached series as it stood when it was
+//! published, sharing the chunks with the working series, so publishing
+//! clones one `Arc` per chunk of 256 runs and copies no run. A write
+//! copies a chunk only while a version a reader holds still shares it,
+//! and superseded versions are collected once no reader pins them. A
+//! cursor holding a view stays valid across any number of concurrent
+//! writes, and the cached series is byte-identical to a from-scratch sweep
+//! over the relation as of the view's publication.
 //!
 //! A store opened from a paged file keeps its rows on the file's pages
 //! (`rows.rs`): scans read them page by page, and they are read into
@@ -65,7 +68,9 @@ mod tests {
     use std::sync::Arc;
     use tempagg_agg::{AggKind, DynAggregate, SweepAggregate};
     use tempagg_algo::{SweepAggregator, TemporalAggregator};
-    use tempagg_core::{Interval, Schema, Series, TemporalRelation, Timestamp, Value, ValueType};
+    use tempagg_core::{
+        Interval, Schema, Series, SeriesView, TemporalRelation, Timestamp, Value, ValueType,
+    };
 
     fn schema() -> Arc<Schema> {
         Schema::of(&[("name", ValueType::Str), ("salary", ValueType::Int)])
@@ -223,6 +228,100 @@ mod tests {
         );
     }
 
+    /// A version is invalidated by the writes that patch its series, not
+    /// by the store's epoch: after an `UPDATE` of `salary`, `COUNT(*)` hands
+    /// out the very version it had.
+    #[test]
+    fn an_update_keeps_the_version_of_a_series_it_did_not_patch() {
+        let mut store = TemporalStore::new(employed());
+        store.ensure_cache(count_star(), None).unwrap();
+        store.ensure_cache(agg(AggKind::Sum), Some(1)).unwrap();
+        let before = store.snapshot(AggKind::CountStar, None).unwrap();
+        let live = store.cache_stats().live_versions;
+        store.update_where(|_| true, &[(1, Value::Int(1))]).unwrap();
+        assert_eq!(store.epoch().get(), 1);
+        let after = store.snapshot(AggKind::CountStar, None).unwrap();
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(store.cache_stats().live_versions, live);
+        // The series the update patched is published anew.
+        let sum = store.snapshot(AggKind::Sum, Some(1)).unwrap();
+        assert_eq!(
+            *sum,
+            recompute(store.relation(), agg(AggKind::Sum), Some(1))
+        );
+    }
+
+    /// A write patches a chunk in place unless a version a reader holds
+    /// shares it: then it copies that chunk, and only that one. A short
+    /// tuple's runs lie in one chunk of each cache or across the edge of
+    /// two.
+    #[test]
+    fn a_write_copies_only_the_chunks_a_held_version_shares() {
+        const CACHED: [(AggKind, Option<usize>); 3] = [
+            (AggKind::CountStar, None),
+            (AggKind::Sum, Some(1)),
+            (AggKind::Min, Some(1)),
+        ];
+        let mut relation = TemporalRelation::new(schema());
+        for i in 0..2_000i64 {
+            let valid = Interval::at(20 * i, 20 * i + 9 + i % 7);
+            relation
+                .push(vec![Value::from("t"), Value::Int(i % 13)], valid)
+                .unwrap();
+        }
+        let mut store = TemporalStore::new(relation);
+        let views = |store: &TemporalStore| {
+            CACHED.map(|(kind, column)| store.view(agg(kind), column).unwrap())
+        };
+        // Warm, read, and let go: the versions stay current but unpinned.
+        drop(views(&store));
+        let copied = |store: &TemporalStore| store.cache_stats().copied_chunks;
+        store
+            .insert(
+                vec![Value::from("u"), Value::Int(5)],
+                Interval::at(5_005, 5_030),
+            )
+            .unwrap();
+        assert_eq!(copied(&store), 0, "nobody held a version");
+        assert_eq!(store.cache_stats().live_versions, 0);
+
+        let held = views(&store);
+        let expected = CACHED.map(|(kind, column)| recompute(store.relation(), agg(kind), column));
+        assert!(held.iter().all(|view| view.chunks().len() > 10));
+        store
+            .insert(
+                vec![Value::from("v"), Value::Int(2)],
+                Interval::at(20_000, 20_070),
+            )
+            .unwrap();
+        let grown = copied(&store);
+        assert!(
+            (1..=2 * CACHED.len() as u64).contains(&grown),
+            "{grown} chunks copied for {} caches",
+            CACHED.len()
+        );
+        // Patched again: the copies are the store's own now.
+        store
+            .insert(
+                vec![Value::from("w"), Value::Int(3)],
+                Interval::at(20_001, 20_069),
+            )
+            .unwrap();
+        assert_eq!(copied(&store), grown);
+        for (view, want) in held.iter().zip(&expected) {
+            assert_eq!(view.to_series(), *want, "a held version never changes");
+        }
+        for (view, (kind, column)) in views(&store).iter().zip(CACHED) {
+            assert_eq!(
+                view.to_series(),
+                recompute(store.relation(), agg(kind), column)
+            );
+        }
+        let stats = store.cache_stats();
+        assert_eq!((stats.live_versions, stats.pinned_versions), (6, 3));
+        store.validate_structure();
+    }
+
     #[test]
     fn update_is_atomic_on_type_errors() {
         let mut store = TemporalStore::new(employed());
@@ -362,7 +461,33 @@ mod tests {
         let mut pairing = Rng(0x0002_0306);
         let mut live: Vec<Interval> = Vec::new();
         let (mut peak, mut pairs) = (0, 0);
+        let expect_all = |store: &TemporalStore| {
+            CACHED.map(|(kind, column)| recompute(store.relation(), agg(kind), column))
+        };
+        // Versions a reader holds across the writes, as a served result
+        // holds them, each beside the series it must still read as.
+        let release = |pinned: Vec<(SeriesView<Value>, Series<Value>)>| {
+            for (view, want) in pinned {
+                assert_eq!(view.to_series(), want, "a released version changed");
+            }
+        };
+        let mut held = Vec::new();
+        let mut frozen = None;
         for step in 0..10_000 {
+            if step % 250 == 125 {
+                let pinned: Vec<_> = CACHED
+                    .into_iter()
+                    .map(|(kind, column)| store.view(agg(kind), column).unwrap())
+                    .zip(expect_all(&store))
+                    .collect();
+                held.push(pinned);
+                if held.len() > 4 {
+                    release(held.remove(0));
+                }
+            }
+            if step == 5_000 {
+                frozen = Some((store.clone(), expect_all(&store)));
+            }
             // Grow to ≈ 2,000 tuples (≈ 3,900 runs in fifteen chunks and
             // more per cache), shrink to almost nothing, then hover.
             let grow = match step {
@@ -418,6 +543,18 @@ mod tests {
         assert_eq!(store.len(), live.len());
         assert!(peak > 5 * 3_500, "five caches of fourteen chunks: {peak}");
         assert!(pairs > 300, "{pairs} two-tuple deletes");
+        held.into_iter().for_each(release);
+        assert!(
+            store.cache_stats().copied_chunks > 0,
+            "held versions were written under"
+        );
+        // The clone shares the chunks it was taken with, and five thousand
+        // writes to the other side left its series as they were.
+        let (frozen, want) = frozen.unwrap();
+        frozen.validate_structure();
+        for ((kind, column), want) in CACHED.into_iter().zip(&want) {
+            assert_eq!(*frozen.snapshot(kind, column).unwrap(), *want);
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@ use tempagg_core::pager::{
     DEFAULT_PAGE_BYTES,
 };
 use tempagg_core::{
-    Epoch, Interval, Result, Schema, Series, TempAggError, TemporalRelation, Timestamp, Tuple,
-    Value, ValueType,
+    Epoch, Interval, Result, Schema, Series, SeriesView, TempAggError, TemporalRelation, Timestamp,
+    Tuple, Value, ValueType,
 };
 
 /// Identifies one cached aggregate series: the aggregate kind plus the
@@ -38,7 +38,10 @@ pub struct StoreCacheStats {
     pub runs: usize,
     /// Runs patched in place by incremental maintenance.
     pub patched_runs: u64,
-    /// Published snapshot versions currently retained.
+    /// Chunks of runs a write copied because a version a reader held
+    /// shared them; every other chunk a write patches is patched in place.
+    pub copied_chunks: u64,
+    /// Published versions currently retained.
     pub live_versions: usize,
     /// Retained versions still pinned by a reader.
     pub pinned_versions: usize,
@@ -81,9 +84,11 @@ pub fn index_mode_for(agg: &DynAggregate) -> Option<IndexMode> {
 /// [`delete_where`](TemporalStore::delete_where) /
 /// [`update_where`](TemporalStore::update_where), which patch each cached
 /// series in the same commit and bump the write [`Epoch`]. Readers call
-/// [`snapshot`](TemporalStore::snapshot) and receive an immutable
-/// `Arc<Series<Value>>` pinned against concurrent writes — later writes
-/// publish new versions but never touch a pinned one.
+/// [`view`](TemporalStore::view) and receive an immutable [`SeriesView`]
+/// that shares the cached series' chunks, pinned against concurrent writes
+/// — a later write copies a chunk it patches while a view holds it and
+/// never touches a pinned one. [`snapshot`](TemporalStore::snapshot) copies
+/// the same version into one `Arc<Series<Value>>`.
 ///
 /// Caches are created on demand (interior mutability), so read paths can
 /// warm the store through a shared reference.
@@ -654,8 +659,8 @@ impl TemporalStore {
     /// `(kind, column)` has — a live cache's working runs, or a restored
     /// series' entries — or `None` if that aggregate has no cache yet.
     /// What a planner needs of a series it will not read: unlike
-    /// [`snapshot`](TemporalStore::snapshot) this publishes no version, so
-    /// it costs the same before and after a write.
+    /// [`view`](TemporalStore::view) this publishes no version, so it
+    /// costs the same before and after a write.
     pub fn cached_runs(&self, kind: AggKind, column: Option<usize>) -> Option<usize> {
         self.series
             .borrow()
@@ -663,13 +668,25 @@ impl TemporalStore {
             .map(CachedSeries::runs_len)
     }
 
-    /// Snapshot the cached series for `(kind, column)` at the current
-    /// epoch, or `None` if that aggregate has no cache yet. The returned
-    /// `Arc` pins the version: concurrent writes publish new versions but
-    /// never mutate or free this one. Series restored from a paged file
-    /// are served as-is (they were snapshotted at flush time and the
-    /// relation has not changed since — any mutation promotes them to
-    /// live caches first).
+    /// The cached series for `agg` over `column` as a reader sees it,
+    /// built first if absent (as [`ensure_cache`](TemporalStore::ensure_cache)
+    /// builds it, with its errors): the current version, shared with every
+    /// reader since the last write that patched the series, or published
+    /// now by cloning one `Arc` per chunk of runs. The view pins the
+    /// version: a write that patches a chunk it holds copies the chunk
+    /// first. A series restored from a paged file is served as it is
+    /// (the relation has not changed since the flush that wrote it — any
+    /// mutation promotes it to a live cache first).
+    pub fn view(&self, agg: DynAggregate, column: Option<usize>) -> Result<SeriesView<Value>> {
+        self.entry(agg, column).map(|mut entry| entry.view())
+    }
+
+    /// The current version of the cached series for `(kind, column)` —
+    /// the one [`view`](TemporalStore::view) hands out — copied into one
+    /// series, or `None` if that aggregate has no cache yet. The copy is
+    /// made at most once per version, in O(runs), and pins the version as
+    /// a view does: writes publish new versions but never mutate or free
+    /// this one.
     ///
     /// # Panics
     ///
@@ -681,7 +698,7 @@ impl TemporalStore {
         let mut all = self.series.borrow_mut();
         let entry = all.get_mut(&CacheKey { kind, column })?;
         readable(entry.load(column, || self.tuples()));
-        Some(entry.snapshot(self.epoch))
+        Some(entry.snapshot())
     }
 
     /// [`ensure_cache`](TemporalStore::ensure_cache) then
@@ -695,7 +712,7 @@ impl TemporalStore {
         agg: DynAggregate,
         column: Option<usize>,
     ) -> Arc<Series<Value>> {
-        readable(self.entry(agg, column)).snapshot(self.epoch)
+        readable(self.entry(agg, column)).snapshot()
     }
 
     /// Aggregated maintenance counters across all live caches.

@@ -1,6 +1,6 @@
 //! Snapshot isolation under concurrent readers.
 //!
-//! Reader threads pin epoch-stamped snapshots while the owning thread
+//! Reader threads pin snapshots while the owning thread
 //! keeps writing. Each reader must observe a series byte-identical to a
 //! quiesced from-scratch sweep over the relation *as it stood at the
 //! reader's epoch* — writes after the pin must never show through, and

@@ -11,10 +11,12 @@
 //! so every statement changes data; a delete is followed by an untimed
 //! re-insert so the table keeps its size. Printed: the median of each
 //! write in ms beside the runs the warm caches hold, then what the first
-//! ranking after a write costs against a repeated one, and the publish of
-//! one series after a write.
+//! ranking after a write costs against a repeated one, the publish of one
+//! series after a write (`TemporalStore::view`: one `Arc` per chunk of
+//! runs) and the copy of that version into one series
+//! (`TemporalStore::snapshot`: every run).
 //!
-//! Public APIs only, so the same file runs against an earlier commit.
+//! Public APIs only.
 //! The benchmark runs under `MALLOC_MMAP_THRESHOLD_=33554432
 //! MALLOC_TRIM_THRESHOLD_=4294967296 MALLOC_TOP_PAD_=67108864` (see
 //! `bench/run.sh`); export the same to reproduce its `stmt.insert`.
@@ -252,7 +254,9 @@ fn report(n: usize, seed: u64) -> tempagg_core::Result<()> {
 
     // Ranking and publishing after a write, everything warm.
     let mut store = warm_store(&relation, LIFESPAN, Warm::ALL)?;
-    let (mut after_write, mut repeated, mut publish) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut after_write, mut repeated) = (Vec::new(), Vec::new());
+    let (mut publish, mut copy) = (Vec::new(), Vec::new());
+    let sum = DynAggregate::new(AggKind::Sum, ValueType::Int)?;
     let mut published_runs = 0;
     for _ in 0..21 {
         let (values, valid) = rng.short_tuple(LIFESPAN);
@@ -267,9 +271,14 @@ fn report(n: usize, seed: u64) -> tempagg_core::Result<()> {
         repeated.push(started.elapsed());
         assert_eq!(first.0, again.0);
         let started = Instant::now();
-        let series = store.snapshot(AggKind::Sum, Some(SALARY));
+        let view = store.view(sum, Some(SALARY))?;
         publish.push(started.elapsed());
-        published_runs = series.map_or(0, |s| s.len());
+        published_runs = view.len();
+        drop(view);
+        let started = Instant::now();
+        let series = store.snapshot(AggKind::Sum, Some(SALARY));
+        copy.push(started.elapsed());
+        assert_eq!(series.map(|s| s.len()), Some(published_runs));
     }
     println!(
         "ranking after a write          {:>10.4} ms",
@@ -282,6 +291,10 @@ fn report(n: usize, seed: u64) -> tempagg_core::Result<()> {
     println!(
         "publish of SUM after a write   {:>10.4} ms  ({published_runs} runs)",
         ms(median(publish))
+    );
+    println!(
+        "copy of that version           {:>10.4} ms",
+        ms(median(copy))
     );
     print_builds(&build_costs(seed)?);
     Ok(())

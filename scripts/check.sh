@@ -52,7 +52,7 @@ cargo bench -q -p tempagg-bench --bench algorithms -- --test
 echo "==> write_cost --check (median insert at n = 65,536 within 4x of n = 4,096 at the same tuple density: a write costs what it changes, not what is stored; a MIN and a MAX cache over n = 65,536 with 20 % long-lived tuples each build within 3x of a SUM cache: an Ordered-class run keeps its value, not the tuples live over it)"
 cargo run -q --release --example write_cost -- --check
 
-echo "==> serve_rows --check (a served SELECT's execute is under 40 % of serve + read + drop: rows are built under the reader, not collected first)"
+echo "==> serve_rows --check (a served SELECT's execute is under 40 % of serve + read + drop: rows are built under the reader, not collected first; and right after a one-row INSERT it is within 1.5x of the warm one: a publish shares the chunks, it does not copy the runs)"
 cargo run -q --release --example serve_rows -- --check
 
 echo "==> reopen_probe --check (PagedReader::open of a file holding two 262K-run series within 4x of the same relation holding none, TemporalStore::open within 4x of PagedReader::open of its 131,072-tuple file, a SQL scan of the reopened store off its pages equal to the resident scan: open costs what is read, not what is stored)"
