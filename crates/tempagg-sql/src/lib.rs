@@ -46,7 +46,10 @@ pub use exec::{
 pub use lexer::lex;
 pub use parser::{parse, parse_statement, parse_statement_with_calendar, parse_with_calendar};
 pub use rows::{ResultRow, ResultRows, RowCursor};
-pub use statement::{execute_parsed_statement, execute_statement, StatementOutput, TupleTable};
+pub use statement::{
+    execute_parsed_statement, execute_statement, StatementOutput, TupleRowIter, TupleRows,
+    TupleTable,
+};
 pub use tempagg_algo::JoinPredicate;
 pub use tempagg_store::TemporalStore;
 pub use token::{Keyword, Spanned, Token};

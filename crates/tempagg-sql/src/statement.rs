@@ -11,15 +11,16 @@ use crate::parser::parse_statement;
 use crate::rows::ResultRows;
 use std::fmt;
 use tempagg_algo::{JoinPair, SweepJoinOperator};
-use tempagg_core::{Interval, Result, Schema, SeriesSink, TempAggError, Tuple, Value};
+use tempagg_core::{Interval, Result, Schema, SeriesSink, TempAggError, Value};
 use tempagg_plan::{plan_join, CostModel, PlannerConfig, RelationStats};
 use tempagg_store::Row;
 
-/// A plain-SELECT result: projected attribute values plus valid time.
+/// A plain-SELECT or join result: projected attribute values plus valid
+/// time.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TupleTable {
     pub columns: Vec<String>,
-    pub rows: Vec<(Vec<Value>, Interval)>,
+    pub rows: TupleRows,
 }
 
 impl fmt::Display for TupleTable {
@@ -35,12 +36,164 @@ impl fmt::Display for TupleTable {
     }
 }
 
+/// The bytes of one block of a [`TupleRows`]' values: under glibc's
+/// largest `mmap` threshold (32 MiB), so a dropped result's blocks go back
+/// to the heap and the next result reuses them, where one buffer of
+/// `rows × width` cells would be mapped, page-faulted in and unmapped again
+/// by every large result.
+const BLOCK_BYTES: usize = 4 << 20;
+
+/// The rows of a [`TupleTable`], columnar: the values row after row in
+/// blocks of a fixed number of rows (the last block may hold fewer), and
+/// the valid times in one buffer. A row is read as a `(&[Value],
+/// &Interval)` borrowed from them.
+///
+/// ```
+/// # use tempagg_sql::{execute_statement, Catalog, StatementOutput};
+/// # use tempagg_workload::employed::employed_relation;
+/// # let mut catalog = Catalog::new();
+/// # catalog.register("Employed", employed_relation());
+/// let StatementOutput::Tuples(table) = execute_statement(&mut catalog, "SELECT * FROM Employed")?
+/// else { unreachable!() };
+/// for (values, valid) in &table.rows {
+///     println!("{valid} {values:?}");
+/// }
+/// let (first, _) = table.rows.get(0).expect("Employed has tuples");
+/// assert_eq!(first.len(), table.columns.len());
+/// # Ok::<(), tempagg_core::TempAggError>(())
+/// ```
+#[derive(Clone, PartialEq)]
+pub struct TupleRows {
+    width: usize,
+    /// Rows per block of `values`.
+    block_rows: usize,
+    /// `block_rows × width` cells per block, the last block fewer.
+    values: Vec<Vec<Value>>,
+    valid: Vec<Interval>,
+}
+
+impl TupleRows {
+    fn new(width: usize) -> TupleRows {
+        TupleRows {
+            width,
+            block_rows: (BLOCK_BYTES / (width.max(1) * std::mem::size_of::<Value>())).max(1),
+            values: Vec::new(),
+            valid: Vec::new(),
+        }
+    }
+
+    /// These (empty) rows filled with one row per entry of `valid`, the
+    /// `width` cells of each appended to its block by `fill(rows, block)` —
+    /// called once per block, in row order, the block allocated for exactly
+    /// `rows`.
+    fn gather(
+        mut self,
+        valid: Vec<Interval>,
+        mut fill: impl FnMut(std::ops::Range<usize>, &mut Vec<Value>),
+    ) -> TupleRows {
+        debug_assert!(self.is_empty());
+        self.values = Vec::with_capacity(valid.len().div_ceil(self.block_rows));
+        for start in (0..valid.len()).step_by(self.block_rows) {
+            let end = valid.len().min(start + self.block_rows);
+            let mut block = Vec::with_capacity((end - start) * self.width);
+            fill(start..end, &mut block);
+            debug_assert_eq!(block.len(), (end - start) * self.width);
+            self.values.push(block);
+        }
+        self.valid = valid;
+        self
+    }
+
+    /// Append one row: `cells` are its `width` values.
+    fn push(&mut self, cells: impl IntoIterator<Item = Value>, valid: Interval) {
+        if self.valid.len() % self.block_rows == 0 {
+            self.values.push(Vec::new());
+        }
+        if let Some(block) = self.values.last_mut() {
+            block.extend(cells);
+        }
+        self.valid.push(valid);
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.valid.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.valid.is_empty()
+    }
+
+    /// Row `i`: its values and its valid time.
+    pub fn get(&self, i: usize) -> Option<(&[Value], &Interval)> {
+        let valid = self.valid.get(i)?;
+        let start = (i % self.block_rows) * self.width;
+        let block = self.values.get(i / self.block_rows)?;
+        Some((block.get(start..start + self.width)?, valid))
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> TupleRowIter<'_> {
+        TupleRowIter {
+            width: self.width,
+            blocks: self.values.iter(),
+            block: &[],
+            valid: self.valid.iter(),
+        }
+    }
+}
+
+impl fmt::Debug for TupleRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a TupleRows {
+    type Item = (&'a [Value], &'a Interval);
+    type IntoIter = TupleRowIter<'a>;
+
+    fn into_iter(self) -> TupleRowIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the rows of a [`TupleRows`].
+#[derive(Clone, Debug)]
+pub struct TupleRowIter<'a> {
+    width: usize,
+    blocks: std::slice::Iter<'a, Vec<Value>>,
+    /// What is left of the current block.
+    block: &'a [Value],
+    valid: std::slice::Iter<'a, Interval>,
+}
+
+impl<'a> Iterator for TupleRowIter<'a> {
+    type Item = (&'a [Value], &'a Interval);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let valid = self.valid.next()?;
+        if self.block.len() < self.width {
+            self.block = self.blocks.next().map_or(&[], Vec::as_slice);
+        }
+        let (row, rest) = self.block.split_at(self.width);
+        self.block = rest;
+        Some((row, valid))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.valid.size_hint()
+    }
+}
+
+impl ExactSizeIterator for TupleRowIter<'_> {}
+
 /// The result of executing one statement.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StatementOutput {
     /// Aggregate-query result (or EXPLAIN).
     Rows(QueryResult),
-    /// Plain-SELECT result.
+    /// Plain-SELECT or join result.
     Tuples(TupleTable),
     /// `CREATE TABLE` succeeded.
     Created { name: String },
@@ -205,13 +358,29 @@ fn write_through(store: &mut tempagg_store::TemporalStore) -> Result<()> {
 /// [`SweepJoinOperator`]: co-sort both relations' endpoint events —
 /// `p`-way partitioned when [`plan_join`] prescribes it — and enumerate
 /// co-live pairs. Result columns are both sides' attributes qualified by
-/// alias (or relation name); each row's valid time is the intersection of
-/// the joined tuples' intervals.
+/// alias (or relation name), which must differ; each row's valid time is
+/// the intersection of the joined tuples' intervals.
+///
+/// Rows come in the storage order of the side with more tuples (the left
+/// side on a tie): all of its first tuple's pairs, then its second's, and
+/// within one tuple in the sweep's order, by nondecreasing start. The
+/// order does not depend on the thread count.
 fn interval_join(
     catalog: &Catalog,
     join: &JoinSelect,
     config: &PlannerConfig,
 ) -> Result<StatementOutput> {
+    let (left_qualifier, right_qualifier) = (join.left_qualifier(), join.right_qualifier());
+    if left_qualifier.eq_ignore_ascii_case(right_qualifier) {
+        return Err(TempAggError::Sql {
+            line: 1,
+            column: 1,
+            detail: format!(
+                "both sides of the join are qualified `{left_qualifier}`, so their columns \
+                 could not be told apart; give one side its own alias"
+            ),
+        });
+    }
     // The sweep join is priced from the two sides' sizes alone, so the
     // plan (and `EXPLAIN`) reads no row of either.
     let plan = plan_join(
@@ -235,8 +404,8 @@ fn interval_join(
     let (left, right) = (catalog.get(&join.left)?, catalog.get(&join.right)?);
     let mut columns = Vec::with_capacity(left.schema().len() + right.schema().len());
     for (qualifier, schema) in [
-        (join.left_qualifier(), left.schema()),
-        (join.right_qualifier(), right.schema()),
+        (left_qualifier, left.schema()),
+        (right_qualifier, right.schema()),
     ] {
         columns.extend(
             schema
@@ -244,6 +413,13 @@ fn interval_join(
                 .iter()
                 .map(|c| format!("{qualifier}.{}", c.name)),
         );
+    }
+    if u32::try_from(left.len().max(right.len())).is_err() {
+        return Err(TempAggError::Sql {
+            line: 1,
+            column: 1,
+            detail: "a join side holds more than 2^32 tuples".to_owned(),
+        });
     }
 
     let mut operator =
@@ -254,37 +430,68 @@ fn interval_join(
     for tuple in right {
         operator.push_right(tuple.valid())?;
     }
-    // Pairs leave the operator straight into result rows; the pair list
-    // itself is never materialized.
-    let mut sink = JoinRows {
-        left: left.tuples(),
-        right: right.tuples(),
-        rows: Vec::new(),
-    };
-    operator.finish_into(&mut sink);
-    let rows = sink.rows;
+    let mut pairs = PairColumns::default();
+    operator.finish_into(&mut pairs);
+    let (order, valid) = pairs.sort_by_key_side(left.len(), right.len());
+    let (left, right) = (left.tuples(), right.tuples());
+    let rows = TupleRows::new(columns.len()).gather(valid, |rows, block| {
+        // lint: hot-loop(join-gather) — per pair: both tuples' cells appended to the block (a scalar copy or an `Arc<str>` bump each); never a `Vec` per row
+        for &(l, r) in &order[rows] {
+            block.extend_from_slice(left[l as usize].values());
+            block.extend_from_slice(right[r as usize].values());
+        }
+    });
     Ok(StatementOutput::Tuples(TupleTable { columns, rows }))
 }
 
-/// The join's result sink: each emitted pair becomes the two tuples'
-/// attributes side by side, valid over the pair's intersection.
-struct JoinRows<'a> {
-    left: &'a [Tuple],
-    right: &'a [Tuple],
-    rows: Vec<(Vec<Value>, Interval)>,
+/// The join's pairs as the operator emits them, in sweep order: the two
+/// tuple indices of each pair and its intersection, as columns.
+#[derive(Default)]
+struct PairColumns {
+    pairs: Vec<(u32, u32)>,
+    valid: Vec<Interval>,
 }
 
-impl SeriesSink<JoinPair> for JoinRows<'_> {
+impl SeriesSink<JoinPair> for PairColumns {
     fn accept(&mut self, interval: Interval, pair: JoinPair) {
-        // lint: allow(indexing): pair indices are the operator's push order, i.e. positions in these slices
-        let (l, r) = (
-            self.left[pair.left].values(),
-            self.right[pair.right].values(),
-        );
-        let mut values = Vec::with_capacity(l.len() + r.len());
-        values.extend_from_slice(l);
-        values.extend_from_slice(r);
-        self.rows.push((values, interval));
+        // lint: allow(no-unwrap): `interval_join` refuses a side longer than `u32::MAX` before the sweep
+        let index = |i: usize| u32::try_from(i).expect("join sides fit u32 indices");
+        self.pairs.push((index(pair.left), index(pair.right)));
+        self.valid.push(interval);
+    }
+}
+
+impl PairColumns {
+    /// The pairs and their intersections ordered by the tuple index on the
+    /// side with more tuples (the left on a tie), in one stable counting
+    /// sort, so a tuple's pairs keep the sweep's order. Both come back
+    /// sized exactly; the sweep-order columns are freed.
+    fn sort_by_key_side(
+        self,
+        left_len: usize,
+        right_len: usize,
+    ) -> (Vec<(u32, u32)>, Vec<Interval>) {
+        let key_left = left_len >= right_len;
+        let key = |&(l, r): &(u32, u32)| if key_left { l } else { r };
+        let keys = left_len.max(right_len);
+        // `next[k]`: the count of key `k - 1`'s pairs; summed, where key
+        // `k`'s pairs start; during the scatter, where its next one goes.
+        let mut next = vec![0usize; keys + 1];
+        for pair in &self.pairs {
+            next[key(pair) as usize + 1] += 1;
+        }
+        for k in 1..next.len() {
+            next[k] += next[k - 1];
+        }
+        let mut order = vec![(0, 0); self.pairs.len()];
+        let mut valid = vec![Interval::TIMELINE; self.valid.len()];
+        for (pair, interval) in self.pairs.iter().zip(&self.valid) {
+            let slot = &mut next[key(pair) as usize];
+            order[*slot] = *pair;
+            valid[*slot] = *interval;
+            *slot += 1;
+        }
+        (order, valid)
     }
 }
 
@@ -309,12 +516,13 @@ fn plain_select(catalog: &Catalog, select: &PlainSelect) -> Result<TupleTable> {
             .collect::<Result<_>>()?,
     };
     let filter = Filter::bind(schema, &select.conditions, select.valid_window)?;
-    let mut rows = Vec::new();
+    let mut rows = TupleRows::new(projection.len());
     let mut scan = filter.scan(store, projection.iter().map(|(_, i)| *i));
     while let Some(batch) = scan.next_batch()? {
+        // lint: hot-loop(select-project) — per admitted row: its projected cells appended to the last block (a scalar copy or an `Arc<str>` bump each); never a `Vec` per row
         for (row, valid) in filter.admitted(&batch) {
-            let values = projection.iter().map(|(_, i)| row.value(*i).clone());
-            rows.push((values.collect(), valid));
+            let cells = projection.iter().map(|(_, i)| row.value(*i));
+            rows.push(cells.cloned(), valid);
         }
     }
     Ok(TupleTable {
@@ -365,8 +573,9 @@ mod tests {
             StatementOutput::Tuples(table) => {
                 assert_eq!(table.columns, vec!["name", "salary"]);
                 assert_eq!(table.rows.len(), 1);
-                assert_eq!(table.rows[0].0[0], Value::from("Karen"));
-                assert_eq!(table.rows[0].1, Interval::at(8, 20));
+                let (values, valid) = table.rows.get(0).unwrap();
+                assert_eq!(values[0], Value::from("Karen"));
+                assert_eq!(*valid, Interval::at(8, 20));
             }
             other => panic!("expected tuples, got {other:?}"),
         }
@@ -407,7 +616,7 @@ mod tests {
         match execute_statement(&mut fresh, "SELECT * FROM staff").unwrap() {
             StatementOutput::Tuples(table) => {
                 assert_eq!(table.rows.len(), 1);
-                assert_eq!(table.rows[0].0[0], Value::from("Karen"));
+                assert_eq!(table.rows.get(0).unwrap().0[0], Value::from("Karen"));
             }
             other => panic!("expected tuples, got {other:?}"),
         }
@@ -646,6 +855,136 @@ mod tests {
         }
         let text = out.to_string();
         assert!(text.contains("sweep-join"), "{text}");
+    }
+
+    #[test]
+    fn a_self_join_needs_two_qualifiers() {
+        let mut c = Catalog::new();
+        execute_statement(&mut c, "CREATE TABLE a (name STRING, x INT)").unwrap();
+        execute_statement(
+            &mut c,
+            "INSERT INTO a VALUES ('p', 1) VALID [0, 10], ('q', 2) VALID [5, 20]",
+        )
+        .unwrap();
+        for sql in [
+            "SELECT * FROM a JOIN a ON OVERLAPS",
+            "SELECT * FROM a A JOIN a A ON OVERLAPS",
+            "SELECT * FROM a x JOIN a X ON MEETS",
+            "EXPLAIN SELECT * FROM a JOIN a ON OVERLAPS",
+        ] {
+            match execute_statement(&mut c, sql) {
+                Err(TempAggError::Sql { detail, .. }) => {
+                    assert!(detail.contains("qualified `"), "{sql}: {detail}");
+                }
+                other => panic!("{sql}: expected a SQL error, got {other:?}"),
+            }
+        }
+        match execute_statement(&mut c, "SELECT * FROM a JOIN a B ON OVERLAPS").unwrap() {
+            StatementOutput::Tuples(table) => {
+                assert_eq!(table.columns, vec!["a.name", "a.x", "B.name", "B.x"]);
+                let mut rows: Vec<String> = table
+                    .rows
+                    .iter()
+                    .map(|(values, valid)| format!("{values:?} @ {valid}"))
+                    .collect();
+                rows.sort();
+                let (p, q) = (r#"Str("p"), Int(1)"#, r#"Str("q"), Int(2)"#);
+                assert_eq!(
+                    rows,
+                    vec![
+                        format!("[{p}, {p}] @ [0, 10]"),
+                        format!("[{p}, {q}] @ [5, 10]"),
+                        format!("[{q}, {p}] @ [5, 10]"),
+                        format!("[{q}, {q}] @ [5, 20]"),
+                    ]
+                );
+            }
+            other => panic!("expected tuples, got {other:?}"),
+        }
+    }
+
+    /// A join's values are allocated once per block, each block exactly its
+    /// rows × width cells, and its valid times once, exactly `P` entries —
+    /// no doubling `Vec`, no `Vec` per row.
+    #[test]
+    fn a_join_result_is_allocated_exactly() {
+        let int = |name: &str| Schema::of(&[(name, tempagg_core::ValueType::Int)]);
+        let (mut a, mut b) = (
+            tempagg_core::TemporalRelation::new(int("x")),
+            tempagg_core::TemporalRelation::new(int("y")),
+        );
+        for i in 0..400 {
+            a.push(vec![Value::Int(i)], Interval::at(0, 10)).unwrap();
+        }
+        for i in 0..250 {
+            b.push(vec![Value::Int(i)], Interval::at(i % 11, 20))
+                .unwrap();
+        }
+        let mut c = Catalog::new();
+        c.register("a", a);
+        c.register("b", b);
+        let pairs = 400 * 250;
+        let rows = match execute_statement(&mut c, "SELECT * FROM a JOIN b ON OVERLAPS").unwrap() {
+            StatementOutput::Tuples(table) => table.rows,
+            other => panic!("expected tuples, got {other:?}"),
+        };
+        assert_eq!(rows.len(), pairs);
+        assert_eq!(rows.valid.capacity(), pairs);
+        assert!(rows.values.len() > 1, "{} blocks", rows.values.len());
+        let cells = rows.block_rows * rows.width;
+        assert!(cells * std::mem::size_of::<Value>() <= BLOCK_BYTES);
+        for (i, block) in rows.values.iter().enumerate() {
+            assert_eq!(block.capacity(), block.len(), "block {i}");
+            if i + 1 < rows.values.len() {
+                assert_eq!(block.len(), cells, "block {i}");
+            }
+        }
+        let total: usize = rows.values.iter().map(Vec::capacity).sum();
+        assert_eq!(total, pairs * rows.width);
+    }
+
+    #[test]
+    fn rows_read_the_same_across_block_boundaries() {
+        let valid = |i: i64| Interval::at(i, i + 3);
+        let row = |i: i64| [Value::Int(i), Value::from(format!("v{i}").as_str())];
+        let mut pushed = TupleRows::new(2);
+        pushed.block_rows = 3;
+        for i in 0..10 {
+            pushed.push(row(i), valid(i));
+        }
+        let mut gathered = TupleRows::new(2);
+        gathered.block_rows = 3;
+        let gathered = gathered.gather((0..10).map(valid).collect(), |rows, block| {
+            for i in rows {
+                block.extend(row(i as i64));
+            }
+        });
+        assert_eq!(gathered, pushed);
+        assert_eq!(pushed.values.len(), 4);
+        assert_eq!(pushed.len(), 10);
+        for (i, (values, interval)) in pushed.iter().enumerate() {
+            let i = i as i64;
+            assert_eq!(values, row(i).as_slice());
+            assert_eq!(*interval, valid(i));
+            assert_eq!(pushed.get(i as usize), Some((values, interval)));
+        }
+        assert_eq!(pushed.get(10), None);
+        assert_eq!(pushed.iter().len(), 10);
+        assert_eq!(
+            format!("{pushed:?}"),
+            format!("{:?}", pushed.iter().collect::<Vec<_>>())
+        );
+
+        let mut narrow = TupleRows::new(0);
+        assert!(narrow.is_empty());
+        assert_eq!(narrow.iter().next(), None);
+        for i in 0..3 {
+            narrow.push([], valid(i));
+        }
+        let no_cells: &[Value] = &[];
+        assert_eq!(narrow.iter().len(), 3);
+        assert!(narrow.iter().all(|(values, _)| values == no_cells));
+        assert_eq!(narrow.get(2), Some((no_cells, &valid(2))));
     }
 
     #[test]
