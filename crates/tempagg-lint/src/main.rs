@@ -176,13 +176,7 @@ fn file_context<'a>(root: &Path, root_pkg: &'a str, file: &'a Path) -> FileConte
         crate_name,
         is_crate_root: is_crate_root(file),
         is_thread_hub,
-        // tempagg-sql's execution layer is the dispatcher plus the row
-        // buffer and sinks it drains into.
-        is_exec_path: is_executor
-            || (crate_name == "tempagg-sql"
-                && ["exec.rs", "rows.rs"]
-                    .iter()
-                    .any(|name| file.ends_with(Path::new("src").join(name)))),
+        is_exec_path: is_executor || is_sql_execution(crate_name, file),
         is_seam_hub: is_thread_hub || is_executor,
         is_pager,
     }
@@ -267,6 +261,23 @@ fn walk_src(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
+/// The `tempagg-sql` modules outside its execution layer: the front end
+/// (tokens, lexer, parser, the AST and its printer) and the catalog.
+const SQL_FRONT_END: &[&str] = &["lexer", "parser", "token", "ast", "display", "catalog"];
+
+/// Whether `file` is `tempagg-sql` execution code: every module of the
+/// crate but the front end's, whatever it is called and however its paths
+/// are split into files, so a new module cannot drop the rule.
+fn is_sql_execution(crate_name: &str, file: &Path) -> bool {
+    let mut under_src = file
+        .components()
+        .filter_map(|c| c.as_os_str().to_str())
+        .skip_while(|c| *c != "src")
+        .skip(1);
+    let module = under_src.next().map(|m| m.trim_end_matches(".rs"));
+    crate_name == "tempagg-sql" && module.is_some_and(|m| !SQL_FRONT_END.contains(&m))
+}
+
 /// Crate name from the path: `crates/<name>/src/...` → `<name>`; anything
 /// else (the root package's `src/`, or a single-crate root) belongs to
 /// `root_pkg`.
@@ -290,4 +301,44 @@ fn is_crate_root(file: &Path) -> bool {
         .and_then(|n| n.to_str())
         == Some("src");
     parent_is_src && matches!(name, Some("lib.rs" | "main.rs"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_sql_module_but_the_front_end_is_execution() {
+        let src = Path::new("crates/tempagg-sql/src");
+        for module in [
+            "exec.rs",
+            "rows.rs",
+            "statement.rs",
+            "route.rs",
+            "lib.rs",
+            "window.rs",
+            "paths/scan.rs",
+        ] {
+            assert!(
+                is_sql_execution("tempagg-sql", &src.join(module)),
+                "{module}"
+            );
+        }
+        for module in [
+            "lexer.rs",
+            "parser.rs",
+            "token.rs",
+            "ast.rs",
+            "display.rs",
+            "catalog.rs",
+            "parser/expr.rs",
+        ] {
+            assert!(
+                !is_sql_execution("tempagg-sql", &src.join(module)),
+                "{module}"
+            );
+        }
+        let store = Path::new("crates/tempagg-store/src/rows.rs");
+        assert!(!is_sql_execution("tempagg-store", store));
+    }
 }

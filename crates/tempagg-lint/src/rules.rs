@@ -72,9 +72,10 @@ pub struct FileContext<'a> {
     /// `true` only for `tempagg-algo/src/parallel.rs`, the one file
     /// allowed to touch `std::thread` directly (drives `no-raw-thread`).
     pub is_thread_hub: bool,
-    /// `true` for the execution layers (`tempagg-plan/src/executor.rs`,
-    /// `tempagg-sql/src/exec.rs`), where results must stream through a
-    /// `SeriesSink` (drives `no-materialize-in-exec`).
+    /// `true` for the execution layers (`tempagg-plan/src/executor.rs`, and
+    /// every `tempagg-sql` module but the front end's and the catalog),
+    /// where results must stream through a `SeriesSink` (drives
+    /// `no-materialize-in-exec`).
     pub is_exec_path: bool,
     /// `true` for the partition-stitching paths
     /// (`tempagg-algo/src/parallel.rs`, `tempagg-plan/src/executor.rs`) —

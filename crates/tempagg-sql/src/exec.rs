@@ -1,4 +1,6 @@
-//! Binding and execution of parsed queries.
+//! Binding and execution of an aggregate query's paths — the scan, the
+//! served path and the `OVER` / `TOP k` window paths; [`crate::route`]
+//! decides which one a query takes.
 //!
 //! All aggregates of a select list run in ONE pass per aggregation set via
 //! a product aggregate (Section 3 computes each scalar aggregate
@@ -18,28 +20,27 @@
 //! span-grouping bucket algorithm; `GROUP BY col` partitions first and
 //! evaluates per group (Section 4.1's "aggregation sets").
 
-use crate::ast::{CompareOp, Condition, Query, TemporalGrouping};
+use crate::ast::{AggExpr, CompareOp, Condition, Query, TemporalGrouping};
 use crate::catalog::Catalog;
 use crate::display::write_table;
 use crate::parser::parse;
+use crate::route::{answer, route_query, Path};
 use crate::rows::{GroupSink, ResultRow, ResultRows, RowBuffer};
 use std::collections::BTreeMap;
 use std::fmt;
 use tempagg_agg::{
-    AggKind, Aggregate, DynAggregate, MultiDyn, SweepAggregate, TypedInput, TypedMulti,
+    AggKind, Aggregate, DynAggregate, MultiDyn, SweepAggregate, SweepClass, TypedInput, TypedMulti,
 };
 use tempagg_algo::{scan_window, RunSource, SpanGrouper, TemporalAggregator, WindowAggregate};
 use tempagg_core::{
-    Chunk, Interval, Result, RowValues, Schema, Series, SeriesEntry, SeriesView, TempAggError,
-    Value, DEFAULT_CHUNK_CAPACITY,
+    Chunk, Interval, Result, RowValues, Schema, Series, SeriesEntry, TempAggError, Value,
+    ValueType, DEFAULT_CHUNK_CAPACITY,
 };
 use tempagg_plan::{
     choose_algorithm, choose_window_algorithm, execute_chunks_into, AlgorithmChoice,
     CachedSeriesInfo, CostModel, Plan, PlannerConfig, RelationStats,
 };
-use tempagg_store::{
-    index_mode_for, IndexMode, Row, RowBatch, RowScan, ScanPages, TemporalStore, WindowIndexStats,
-};
+use tempagg_store::{index_mode_for, IndexMode, Row, RowBatch, RowScan, ScanPages, TemporalStore};
 
 /// How the store's aggregate caches and window indexes participated in
 /// answering a query. All zeros/false when the query ran an algorithm over
@@ -77,11 +78,13 @@ pub struct QueryResult {
     /// Rows in (group, time) order, coalesced by valid time: read them
     /// with `for row in &result.rows`, or take `result.rows.to_vec()`.
     pub rows: ResultRows,
-    /// The plan chosen for instant-grouped evaluation (`None` for span
-    /// grouping, which is bucket-based).
+    /// The plan the path ran under — under `EXPLAIN`, would run under
+    /// (`None` for span grouping and `SNAPSHOT`, which do not plan).
     pub plan: Option<Plan>,
-    /// `true` for `EXPLAIN` queries: `rows` is empty and `plan` describes
-    /// what would run.
+    /// The path the statement took, decided before it ran.
+    pub path: Path,
+    /// `true` for `EXPLAIN` queries: `rows` is empty, and `path` and `plan`
+    /// describe what would run.
     pub explain_only: bool,
     /// `true` for `SELECT SNAPSHOT` queries: one scalar row (per group),
     /// no meaningful valid-time column.
@@ -94,10 +97,11 @@ pub struct QueryResult {
 impl fmt::Display for QueryResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.explain_only {
-            return match &self.plan {
-                Some(plan) => write!(f, "{plan}"),
-                None => writeln!(f, "algorithm: span-grouping (bucket array)"),
-            };
+            writeln!(f, "path: {}", self.path.name())?;
+            return self
+                .plan
+                .as_ref()
+                .map_or(Ok(()), |plan| write!(f, "{plan}"));
         }
         let mut header: Vec<String> = Vec::new();
         if let Some(g) = &self.group_column {
@@ -128,24 +132,31 @@ pub fn execute_str(catalog: &Catalog, sql: &str) -> Result<QueryResult> {
     execute_query(catalog, &parse(sql)?, &PlannerConfig::default())
 }
 
-/// One select-list entry bound to the schema: the aggregate, its input
-/// column (`None` for `COUNT(*)`), and its display label.
-type BoundAgg = (DynAggregate, Option<usize>, String);
+/// Execute a parsed query: its route driven into a collecting buffer.
+pub fn execute_query(
+    catalog: &Catalog,
+    query: &Query,
+    config: &PlannerConfig,
+) -> Result<QueryResult> {
+    answer(
+        route_query(catalog, query, config)?,
+        &mut RowBuffer::collecting(),
+    )
+}
 
-/// Resolve and type-check the select list against a schema.
-fn bind_aggs(schema: &Schema, query: &Query) -> Result<Vec<BoundAgg>> {
-    let mut bound_aggs: Vec<BoundAgg> = Vec::with_capacity(query.aggregates.len());
-    for agg in &query.aggregates {
-        let (idx, ty) = match &agg.column {
-            Some(col) => {
-                let i = schema.index_of_ignore_case(col)?;
-                (Some(i), schema.columns()[i].ty)
-            }
-            None => (None, tempagg_core::ValueType::Int),
-        };
-        bound_aggs.push((DynAggregate::new(agg.kind, ty)?, idx, agg.label()));
-    }
-    Ok(bound_aggs)
+/// One select-list entry bound to the schema: the aggregate and its input
+/// column (`None` for `COUNT(*)`).
+type BoundAgg = (DynAggregate, Option<usize>);
+
+/// The select list a query reports: a `TOP k` ranks by its first aggregate
+/// and reports that one alone.
+pub(crate) fn select_list(query: &Query) -> &[AggExpr] {
+    let width = if query.top_k.is_some() {
+        1
+    } else {
+        query.aggregates.len()
+    };
+    query.aggregates.get(..width).unwrap_or(&query.aggregates)
 }
 
 /// The rows a `WHERE … [AND VALID OVERLAPS w]` admits, bound once: the
@@ -236,32 +247,204 @@ impl Filter {
     }
 }
 
-/// A query bound to its store: everything a scan needs that does not
-/// depend on which product aggregate evaluates it.
-struct BoundScan<'a> {
+/// An aggregate query bound to its store: its filter, select list and
+/// grouping column, and the product aggregate the list lowers to —
+/// everything each of its paths reads, resolved once.
+pub(crate) struct BoundScan<'a> {
     store: &'a TemporalStore,
     filter: Filter,
     aggs: Vec<BoundAgg>,
     group_idx: Option<usize>,
+    product: Product,
+}
+
+/// The product aggregate a select list runs on: [`TypedMulti`] when the
+/// list lowers to it — decided once, by [`bind_scan`] — [`MultiDyn`]
+/// otherwise. Both report the same class and state model, so they plan
+/// alike.
+enum Product {
+    Typed(TypedMulti),
+    Dyn(MultiDyn),
+}
+
+impl Product {
+    /// The retraction class and the state model size the planner weighs.
+    fn model(&self) -> (SweepClass, usize) {
+        match self {
+            Product::Typed(agg) => (agg.sweep_class(), agg.state_model_bytes().max(4)),
+            Product::Dyn(agg) => (agg.sweep_class(), agg.state_model_bytes().max(4)),
+        }
+    }
 }
 
 /// Bind names: resolve and type-check conditions, aggregates and the
 /// grouping column up front. Nothing of the rows is read.
-fn bind_scan<'a>(catalog: &'a Catalog, query: &Query) -> Result<BoundScan<'a>> {
+pub(crate) fn bind_scan<'a>(catalog: &'a Catalog, query: &Query) -> Result<BoundScan<'a>> {
     let store = catalog.store(&query.relation)?;
     let schema = store.schema();
     // Tuples are clipped to the `VALID` window; results tile it.
     let domain = query.valid_window.unwrap_or(Interval::TIMELINE);
+    let filter = Filter::bind(schema, &query.conditions, Some(domain))?;
+    let mut aggs: Vec<BoundAgg> = Vec::with_capacity(query.aggregates.len());
+    for agg in select_list(query) {
+        let (idx, ty) = match &agg.column {
+            Some(col) => {
+                let i = schema.index_of_ignore_case(col)?;
+                (Some(i), schema.columns()[i].ty)
+            }
+            None => (None, ValueType::Int),
+        };
+        aggs.push((DynAggregate::new(agg.kind, ty)?, idx));
+    }
+    let members: Vec<DynAggregate> = aggs.iter().map(|(agg, _)| *agg).collect();
     Ok(BoundScan {
         store,
-        filter: Filter::bind(schema, &query.conditions, Some(domain))?,
-        aggs: bind_aggs(schema, query)?,
+        filter,
         group_idx: query
             .group_column
             .as_deref()
             .map(|c| schema.index_of_ignore_case(c))
             .transpose()?,
+        product: match TypedMulti::lower(&members) {
+            Some(typed) => Product::Typed(typed),
+            None => Product::Dyn(MultiDyn::new(members)),
+        },
+        aggs,
     })
+}
+
+/// Statistics of a cached series of `runs` runs — all the planner weighs a
+/// cached candidate by, known without taking a view, so planning publishes
+/// no version.
+fn cached_stats(store: &TemporalStore, runs: usize) -> RelationStats {
+    RelationStats::unknown(store.len()).with_cached_series(CachedSeriesInfo {
+        runs,
+        epoch: store.epoch().get(),
+    })
+}
+
+/// How a scan groups each aggregation set's rows in time.
+#[derive(Clone, Copy)]
+pub(crate) enum Grouping<'a> {
+    /// Per instant, under the plan [`Planning`] names.
+    Instant(Planning<'a>),
+    /// `GROUP BY SPAN n`: the bucket array, which plans nothing.
+    Span(i64),
+    /// `SELECT SNAPSHOT`: one scalar fold per set, which plans nothing.
+    Snapshot,
+}
+
+/// Where an instant-grouped scan's plan comes from, and with it whether its
+/// rows coalesce.
+#[derive(Clone, Copy)]
+pub(crate) enum Planning<'a> {
+    /// Choose by cost from the largest aggregation set — and, when the rows
+    /// come off a persisted table's pages, the pages the scan reads of the
+    /// file's — and coalesce the rows (TSQL2 results).
+    Choose(PlannerConfig),
+    /// Run every aggregation set under this plan and keep every constant
+    /// interval: the window path's linear fallback reduces the uncoalesced
+    /// series.
+    Given(&'a Plan),
+}
+
+impl BoundScan<'_> {
+    /// Whether the store may cache every aggregate of the list. A write
+    /// patches a cache by retracting from its states, which is exact only
+    /// for retractable classes ([`TemporalStore::ensure_cache`] refuses the
+    /// rest), so a list with an Approximate-class member is scanned every
+    /// time.
+    pub(crate) fn cacheable(&self) -> bool {
+        self.aggs
+            .iter()
+            .all(|(agg, _)| agg.sweep_class().retractable())
+    }
+
+    /// Whether the store caches every aggregate of the list (live, or
+    /// restored from a paged file) — asked without taking a view, which
+    /// would publish a version.
+    pub(crate) fn cached(&self) -> bool {
+        self.aggs
+            .iter()
+            .all(|(agg, idx)| self.store.has_cache(agg.kind(), *idx))
+    }
+
+    /// The served path's plan, made through the ordinary cost-based chooser
+    /// from the cached series' size: the cached-series candidate wins, and
+    /// its rationale explains why no scan runs.
+    pub(crate) fn plan_served(&self, config: &PlannerConfig) -> Plan {
+        let runs = self
+            .aggs
+            .first()
+            .and_then(|(agg, idx)| self.store.cached_runs(agg.kind(), *idx));
+        let (class, bytes) = self.product.model();
+        let stats = cached_stats(self.store, runs.unwrap_or(0));
+        choose_algorithm(&stats, class, config, &CostModel::default(), bytes)
+    }
+
+    /// The served path: answer from pinned views of the store's aggregate
+    /// caches, every one present, so taking them builds none — it decodes a
+    /// persisted block, or rebuilds one that fails its checksum.
+    pub(crate) fn serve(&self, out: &mut RowBuffer<'_>) -> Result<CacheReport> {
+        let views = self
+            .aggs
+            .iter()
+            .map(|(agg, idx)| self.store.view(*agg, *idx))
+            .collect::<Result<Vec<_>>>()?;
+        // The views themselves are the answer; a result row exists once
+        // its reader reaches it.
+        out.serve(views)?;
+        Ok(CacheReport {
+            served_from_cache: true,
+            patched_runs: self.store.cache_stats().patched_runs,
+            ..CacheReport::default()
+        })
+    }
+
+    /// Warm one cache per aggregate after a cache-eligible scan: it saw the
+    /// whole relation unfiltered, so its result is exactly what a cache
+    /// would hold, and the next execution is served. (A series a persisted
+    /// table's file does not hold is built over its rows, read into memory
+    /// here.)
+    pub(crate) fn warm(&self) -> Result<()> {
+        for (agg, idx) in &self.aggs {
+            self.store.ensure_cache(*agg, *idx)?;
+        }
+        Ok(())
+    }
+
+    /// The path a scan under `grouping` takes: its product and grouping.
+    pub(crate) fn path(&self, grouping: Grouping<'_>) -> Path {
+        let typed = matches!(self.product, Product::Typed(_));
+        match (grouping, typed) {
+            (Grouping::Instant(_), true) => Path::TypedInstant,
+            (Grouping::Span(_), true) => Path::TypedSpan,
+            (Grouping::Snapshot, true) => Path::TypedSnapshot,
+            (Grouping::Instant(_), false) => Path::DynInstant,
+            (Grouping::Span(_), false) => Path::DynSpan,
+            (Grouping::Snapshot, false) => Path::DynSnapshot,
+        }
+    }
+
+    /// Run [`scan`] under `grouping` into `out` on the product aggregate —
+    /// or, without `out`, only plan it — and return the plan.
+    pub(crate) fn scan(
+        &self,
+        grouping: Grouping<'_>,
+        out: Option<&mut RowBuffer<'_>>,
+    ) -> Result<Option<Plan>> {
+        let columns: Vec<Option<usize>> = self.aggs.iter().map(|(_, idx)| *idx).collect();
+        match &self.product {
+            Product::Typed(typed) => {
+                let project = |row: Row<'_>| project_typed(&columns, row);
+                scan(self, typed.clone(), project, grouping, out)
+            }
+            Product::Dyn(multi) => {
+                let project = |row: Row<'_>| project_values(&columns, row);
+                scan(self, multi.clone(), project, grouping, out)
+            }
+        }
+    }
 }
 
 /// One aggregation set: its grouping value and its qualifying tuples,
@@ -362,7 +545,7 @@ fn project_groups<V>(
 ) -> Result<(Vec<Group<V>>, Option<ScanPages>)> {
     let mut whole = Group::new(None);
     let mut sets = ValueSets::new();
-    let inputs = bound.aggs.iter().filter_map(|(_, idx, _)| *idx);
+    let inputs = bound.aggs.iter().filter_map(|(_, idx)| *idx);
     let columns = bound.group_idx.into_iter().chain(inputs);
     let mut scan = bound.filter.scan(bound.store, columns);
     while let Some(batch) = scan.next_batch()? {
@@ -406,90 +589,20 @@ fn project_typed(columns: &[Option<usize>], row: Row<'_>) -> TypedInput {
     input
 }
 
-/// Where a scan's plan comes from, and with it whether its rows coalesce.
-#[derive(Clone, Copy)]
-enum Planning<'a> {
-    /// Choose by cost from the largest aggregation set — and, when the rows
-    /// come off a persisted table's pages, the pages the scan reads of the
-    /// file's — and coalesce the rows (TSQL2 results).
-    Choose(&'a PlannerConfig),
-    /// Run every aggregation set under this plan and keep every constant
-    /// interval: the window path's linear fallback reduces the uncoalesced
-    /// series.
-    Given(&'a Plan),
-}
-
-/// What executing a query reports besides the rows it pushed: everything
-/// [`QueryResult`] and [`StreamSummary`] carry that the query text does
-/// not already say.
-struct Outcome {
-    agg_labels: Vec<String>,
-    /// The plan that ran — under `EXPLAIN`, would run (`None` for span
-    /// grouping and `SNAPSHOT`, which do not plan).
-    plan: Option<Plan>,
-    /// Whether (and how) the store's caches and indexes answered.
-    cache: CacheReport,
-}
-
-/// Execute the scan arm of a query: bind, then run [`scan`] on the typed
-/// product aggregate when the select list lowers to one and on
-/// [`MultiDyn`] otherwise — the only place that choice is made — pushing
-/// result rows to `out` in (group, time) order.
-fn run_scan(
-    catalog: &Catalog,
-    query: &Query,
-    planning: Planning<'_>,
-    out: &mut RowBuffer<'_>,
-) -> Result<Outcome> {
-    let bound = bind_scan(catalog, query)?;
-    let members: Vec<DynAggregate> = bound.aggs.iter().map(|(a, _, _)| *a).collect();
-    let columns: Vec<Option<usize>> = bound.aggs.iter().map(|(_, idx, _)| *idx).collect();
-    let plan = match TypedMulti::lower(&members) {
-        Some(typed) => {
-            let project = |row: Row<'_>| project_typed(&columns, row);
-            scan(&bound, query, typed, project, planning, out)?
-        }
-        None => {
-            let project = |row: Row<'_>| project_values(&columns, row);
-            scan(
-                &bound,
-                query,
-                MultiDyn::new(members),
-                project,
-                planning,
-                out,
-            )?
-        }
-    };
-    // An eligible scan saw the whole relation unfiltered, so its result is
-    // exactly what a cache would hold: warm one per aggregate and let the
-    // next execution serve snapshots. (A series a persisted table's file
-    // does not hold is built over its rows, read into memory here.)
-    if cache_eligible(query) && cacheable(&bound.aggs) {
-        for (agg, idx, _) in &bound.aggs {
-            bound.store.ensure_cache(*agg, *idx)?;
-        }
-    }
-    Ok(Outcome {
-        agg_labels: bound.aggs.into_iter().map(|(_, _, l)| l).collect(),
-        plan,
-        cache: CacheReport::default(),
-    })
-}
-
 /// One scan, generic over the product aggregate: project the relation
 /// into aggregation sets, then evaluate each — `SNAPSHOT` as a scalar
 /// fold, instant grouping through the chunk-fed executor under one plan
 /// made from the largest set (the sets share the input's ordering
-/// characteristics), span grouping through the bucket array. Returns the
-/// plan the sets ran under (`None` for span grouping and `SNAPSHOT`).
+/// characteristics), span grouping through the bucket array — pushing
+/// result rows to `out` in (group, time) order. Without `out` it runs
+/// nothing and reads rows only to plan from them. Returns the plan the sets
+/// ran under (`None` for span grouping and `SNAPSHOT`).
 fn scan<A>(
     bound: &BoundScan<'_>,
-    query: &Query,
     agg: A,
     project: impl Fn(Row<'_>) -> A::Input,
-    planning: Planning<'_>,
-    out: &mut RowBuffer<'_>,
+    grouping: Grouping<'_>,
+    out: Option<&mut RowBuffer<'_>>,
 ) -> Result<Option<Plan>>
 where
     A: SweepAggregate + Clone + Send,
@@ -497,27 +610,46 @@ where
     A::Input: Clone + Send + Sync,
     A::Output: Into<RowValues> + PartialEq + Send,
 {
-    let (groups, pages) = project_groups(bound, project)?;
-
-    // SNAPSHOT: scalar aggregates over each set's full tuple set
-    // (Section 3 semantics) — no temporal grouping at all.
-    if query.snapshot {
-        for group in &groups {
-            let mut state = agg.empty_state();
-            for input in group.chunks.iter().flat_map(Chunk::values) {
-                agg.insert(&mut state, input);
+    match (grouping, out) {
+        (Grouping::Span(_) | Grouping::Snapshot, None) => Ok(None),
+        // SNAPSHOT: scalar aggregates over each set's full tuple set
+        // (Section 3 semantics) — no temporal grouping at all.
+        (Grouping::Snapshot, Some(out)) => {
+            for group in &project_groups(bound, project)?.0 {
+                let mut state = agg.empty_state();
+                for input in group.chunks.iter().flat_map(Chunk::values) {
+                    agg.insert(&mut state, input);
+                }
+                out.push(ResultRow {
+                    group: group.key.clone(),
+                    valid: bound.filter.window(),
+                    values: agg.finish(&state).into(),
+                });
             }
-            out.push(ResultRow {
-                group: group.key.clone(),
-                valid: bound.filter.window(),
-                values: agg.finish(&state).into(),
-            });
+            Ok(None)
         }
-        return Ok(None);
-    }
-
-    match query.temporal_grouping {
-        TemporalGrouping::Instant => {
+        (Grouping::Span(len), Some(out)) => {
+            let (groups, _) = project_groups(bound, project)?;
+            // Spans need a bounded window: the VALID clause, or the
+            // relation's lifespan.
+            let window = span_window(bound.filter.window(), &groups, len)?;
+            for group in &groups {
+                let mut grouper = SpanGrouper::new(agg.clone(), window, len)?;
+                for chunk in &group.chunks {
+                    grouper.push_batch(chunk)?;
+                }
+                // One row per span: fixed calendar partitions are not
+                // coalesced even when adjacent values repeat.
+                grouper.finish_into(&mut GroupSink {
+                    out: &mut *out,
+                    key: &group.key,
+                    coalesce: false,
+                });
+            }
+            Ok(None)
+        }
+        (Grouping::Instant(planning), out) => {
+            let (groups, pages) = project_groups(bound, project)?;
             let the_plan = match planning {
                 Planning::Given(plan) => plan.clone(),
                 Planning::Choose(config) => {
@@ -529,19 +661,19 @@ where
                     if let Some(pages) = pages {
                         stats = stats.with_pages(pages.total, Some(pages.read));
                     }
-                    // Cost-based selection: the select list's
-                    // weakest retraction class gates whether the endpoint
-                    // sweep competes.
+                    // Cost-based selection: the select list's weakest
+                    // retraction class gates whether the endpoint sweep
+                    // competes.
                     choose_algorithm(
                         &stats,
                         agg.sweep_class(),
-                        config,
+                        &config,
                         &CostModel::default(),
                         agg.state_model_bytes().max(4),
                     )
                 }
             };
-            if !query.explain {
+            if let Some(out) = out {
                 for group in &groups {
                     let mut sink = GroupSink {
                         out: &mut *out,
@@ -559,163 +691,7 @@ where
             }
             Ok(Some(the_plan))
         }
-        TemporalGrouping::Span(_) if query.explain => Ok(None),
-        TemporalGrouping::Span(len) => {
-            // Spans need a bounded window: the VALID clause, or the
-            // relation's lifespan.
-            let window = span_window(query.valid_window, &groups, len)?;
-            for group in &groups {
-                let mut grouper = SpanGrouper::new(agg.clone(), window, len)?;
-                for chunk in &group.chunks {
-                    grouper.push_batch(chunk)?;
-                }
-                // One row per span: fixed calendar partitions are not
-                // coalesced even when adjacent values repeat.
-                grouper.finish_into(&mut GroupSink {
-                    out: &mut *out,
-                    key: &group.key,
-                    coalesce: false,
-                });
-            }
-            Ok(None)
-        }
     }
-}
-
-/// The one dispatcher. Every query, collected or streamed, takes the
-/// first arm that applies — `OVER` window (ranked under `TOP k`), cache
-/// serve, scan — and pushes its rows to `out` in (group, time) order.
-fn run(
-    catalog: &Catalog,
-    query: &Query,
-    config: &PlannerConfig,
-    out: &mut RowBuffer<'_>,
-) -> Result<Outcome> {
-    // `OVER` windows and `TOP k BY … OVER` rankings collapse history into
-    // scalar rows; they have their own index-served path.
-    let outcome = if query.window.is_some() || query.top_k.is_some() {
-        run_window(catalog, query, config, out)?
-    } else {
-        // Serve from the store's aggregate caches when the query shape
-        // allows it and every selected aggregate is cached: an MVCC
-        // snapshot answers without scanning the relation. The first
-        // eligible execution takes the scan arm and warms the caches.
-        let served = if cache_eligible(query) {
-            serve(catalog.store(&query.relation)?, query, config, out)?
-        } else {
-            None
-        };
-        match served {
-            Some(outcome) => outcome,
-            None => run_scan(catalog, query, Planning::Choose(config), out)?,
-        }
-    };
-    out.flush();
-    Ok(outcome)
-}
-
-/// Execute a parsed query: [`run`] into a collecting buffer.
-pub fn execute_query(
-    catalog: &Catalog,
-    query: &Query,
-    config: &PlannerConfig,
-) -> Result<QueryResult> {
-    let mut out = RowBuffer::collecting();
-    let outcome = run(catalog, query, config, &mut out)?;
-    Ok(QueryResult {
-        group_column: query.group_column.clone(),
-        agg_labels: outcome.agg_labels,
-        rows: out.into_rows(),
-        plan: outcome.plan,
-        // SNAPSHOT has no plan to explain and answers regardless.
-        explain_only: query.explain && !query.snapshot,
-        snapshot: query.snapshot,
-        cache: outcome.cache,
-    })
-}
-
-/// Whether a query can be answered from store-maintained aggregate
-/// caches: instant grouping over the whole relation — no conditions,
-/// valid window, or value grouping to change what the caches cover —
-/// and an actual execution (EXPLAIN never builds or consults caches).
-fn cache_eligible(query: &Query) -> bool {
-    !query.explain
-        && !query.snapshot
-        && query.conditions.is_empty()
-        && query.valid_window.is_none()
-        && query.group_column.is_none()
-        && query.window.is_none()
-        && query.top_k.is_none()
-        && matches!(query.temporal_grouping, TemporalGrouping::Instant)
-}
-
-/// Whether the store may cache every aggregate of a select list. A write
-/// patches a cache by retracting from its states, which is exact only for
-/// retractable classes ([`TemporalStore::ensure_cache`] refuses the rest),
-/// so a list with an Approximate-class member is scanned every time.
-fn cacheable(aggs: &[BoundAgg]) -> bool {
-    aggs.iter()
-        .all(|(agg, _, _)| agg.sweep_class().retractable())
-}
-
-/// Answer an eligible query from pinned views of the store's aggregate
-/// caches, or `None` — with nothing pushed — when any selected aggregate
-/// is not cacheable or not cached yet (or, which no store produces, the
-/// cached series disagree on their constant intervals).
-fn serve(
-    store: &TemporalStore,
-    query: &Query,
-    config: &PlannerConfig,
-    out: &mut RowBuffer<'_>,
-) -> Result<Option<Outcome>> {
-    let bound_aggs = bind_aggs(store.schema(), query)?;
-    // Checked first: taking a view publishes a version.
-    if !cacheable(&bound_aggs)
-        || !bound_aggs
-            .iter()
-            .all(|(agg, idx, _)| store.has_cache(agg.kind(), *idx))
-    {
-        return Ok(None);
-    }
-    // Every series is present, so this builds none: it decodes a persisted
-    // block, or rebuilds one that fails its checksum.
-    let views = bound_aggs
-        .iter()
-        .map(|(agg, idx, _)| store.view(*agg, *idx))
-        .collect::<Result<Vec<_>>>()?;
-    let runs = views.first().map_or(0, SeriesView::len);
-    // The views themselves are the answer; a result row exists once its
-    // reader reaches it.
-    if !out.serve(views) {
-        return Ok(None);
-    }
-
-    // Record the served plan through the ordinary cost-based chooser:
-    // with `cached_series` present the cached-series candidate wins, and
-    // the rationale explains why no scan ran.
-    let multi = MultiDyn::new(bound_aggs.iter().map(|(a, _, _)| *a).collect());
-    let stats = RelationStats::unknown(store.len()).with_cached_series(CachedSeriesInfo {
-        runs,
-        epoch: store.epoch().get(),
-    });
-    let the_plan = choose_algorithm(
-        &stats,
-        multi.sweep_class(),
-        config,
-        &CostModel::default(),
-        multi.state_model_bytes().max(4),
-    );
-
-    let cache_stats = store.cache_stats();
-    Ok(Some(Outcome {
-        agg_labels: bound_aggs.into_iter().map(|(_, _, l)| l).collect(),
-        plan: Some(the_plan),
-        cache: CacheReport {
-            served_from_cache: true,
-            patched_runs: cache_stats.patched_runs,
-            ..CacheReport::default()
-        },
-    }))
 }
 
 /// The scalar a window query reports for an index-served aggregate:
@@ -775,199 +751,193 @@ fn column_series(rows: &[ResultRow], j: usize) -> Series<Value> {
     )
 }
 
-/// Plan an `OVER` / `TOP k` query. With `cached_runs` — a clean shape,
-/// so the store's cached series (warm, or buildable on first probe)
-/// answers it — the series and, when `indexable`, its window index are
-/// candidates; otherwise plan a scan of the tuples over `domain` from what
-/// the store knows before running it: a persisted table's header and
-/// fences while the scan reads its pages, the resident relation measured
-/// otherwise.
-fn plan_window(
-    store: &TemporalStore,
-    cached_runs: Option<usize>,
-    domain: Interval,
-    multi: &MultiDyn,
-    indexable: bool,
-    config: &PlannerConfig,
-) -> Result<Plan> {
-    let stats = match (cached_runs, store.pages()) {
-        (Some(runs), _) => {
-            RelationStats::unknown(store.len()).with_cached_series(CachedSeriesInfo {
-                runs,
-                epoch: store.epoch().get(),
-            })
-        }
-        (None, Some(pages)) => RelationStats::from_pages(pages, domain),
-        (None, None) => RelationStats::analyze(store.resident()?),
-    };
-    Ok(choose_window_algorithm(
-        &stats,
-        multi.sweep_class(),
-        indexable && cached_runs.is_some(),
-        config,
-        &CostModel::default(),
-        multi.state_model_bytes().max(4),
-    ))
+/// `SELECT aggs OVER [a, b] FROM r` — collapse each aggregate's history
+/// over the window into one scalar row — and `SELECT TOP k BY agg OVER
+/// [a, b] FROM r GROUP BY g`: the same reduction per group, ranked and cut
+/// to the k best (top-k by window aggregate, as Jestes et al. define it),
+/// bound and planned, with the path the plan picks. Clean shapes go through
+/// the store's `O(log n)` segment-tree window indexes, built and cached on
+/// first probe: one per aggregate, or one per group behind a shared bound
+/// heap that prunes most groups by their `O(1)` root bound. WHERE / VALID
+/// shapes, and lists with an aggregate no store caches, compute every
+/// group's series and reduce the window linearly.
+pub(crate) struct BoundWindow<'a> {
+    scan: BoundScan<'a>,
+    window: Interval,
+    /// `TOP k`: k, the grouping column, and the ranking aggregate over its
+    /// column.
+    ranking: Option<(usize, usize, DynAggregate, Option<usize>)>,
+    pub(crate) plan: Plan,
+    pub(crate) path: Path,
 }
 
-/// What the store's window indexes did for a query: how far their
-/// counters moved since `before`, taken as the query started probing.
-fn index_report(store: &TemporalStore, before: WindowIndexStats) -> CacheReport {
-    let after = store.windex_stats();
-    CacheReport {
-        served_from_cache: true,
-        index_hits: after.hits - before.hits,
-        index_misses: after.misses - before.misses,
-        index_probes: after.probes - before.probes,
-        ..CacheReport::default()
-    }
-}
-
-/// Execute `SELECT aggs OVER [a, b] FROM r` — collapse each aggregate's
-/// history over the window into one scalar row — and `SELECT TOP k BY agg
-/// OVER [a, b] FROM r GROUP BY g`: the same reduction per group, ranked and
-/// cut to the k best (top-k by window aggregate, as Jestes et al. define
-/// it). Clean shapes go through the store's `O(log n)` segment-tree window
-/// indexes, built and cached on first probe: one per aggregate, or one per
-/// group behind a shared bound heap that prunes most groups by their
-/// `O(1)` root bound. WHERE / VALID shapes, and lists with an aggregate no
-/// store caches, compute every group's series and reduce the window
-/// linearly.
-fn run_window(
-    catalog: &Catalog,
-    query: &Query,
-    config: &PlannerConfig,
-    out: &mut RowBuffer<'_>,
-) -> Result<Outcome> {
-    // The parser builds none of these shapes; a `Query` built by hand can.
-    let malformed = || TempAggError::Sql {
-        line: 1,
-        column: 1,
-        detail: "OVER groups only under TOP k, which ranks the groups by one aggregate".to_owned(),
-    };
-    let window = query.window.ok_or_else(malformed)?;
-    if query.top_k.is_some() != query.group_column.is_some() {
-        return Err(malformed());
-    }
-    let store = catalog.store(&query.relation)?;
-    let mut bound_aggs = bind_aggs(store.schema(), query)?;
-    // `TOP k BY agg … GROUP BY g`: the groups of `g`, ranked by `agg`.
-    let ranking = match (query.top_k, query.group_column.as_deref()) {
-        (Some(k), Some(group)) => {
-            let Some(&(agg, column, _)) = bound_aggs.first() else {
-                return Err(malformed());
-            };
-            bound_aggs.truncate(1);
-            Some((k, store.schema().index_of_ignore_case(group)?, agg, column))
-        }
-        _ => None,
-    };
-    let multi = MultiDyn::new(bound_aggs.iter().map(|(a, _, _)| *a).collect());
-    // The store's series answer a clean shape over aggregates it may cache.
-    let clean_shape =
-        query.conditions.is_empty() && query.valid_window.is_none() && cacheable(&bound_aggs);
-    let indexable = bound_aggs
-        .iter()
-        .all(|(agg, _, _)| index_mode_for(agg).is_some());
-    // Planning needs the series' size, not the series: no snapshot, so a
-    // probe after a write publishes nothing. A ranking's series are its
-    // groups', which only the grouped index serves.
-    let cached_runs = (clean_shape && (ranking.is_none() || indexable)).then(|| {
-        bound_aggs
-            .first()
-            .filter(|_| ranking.is_none())
-            .and_then(|(a, i, _)| store.cached_runs(a.kind(), *i))
-            .unwrap_or_else(|| store.len().max(1))
-    });
-    let domain = query.valid_window.unwrap_or(Interval::TIMELINE);
-    let the_plan = plan_window(store, cached_runs, domain, &multi, indexable, config)?;
-
-    let served = matches!(
-        the_plan.choice,
-        AlgorithmChoice::IndexProbe | AlgorithmChoice::CachedSeries
-    );
-    let before = store.windex_stats();
-    // One scalar row per group: the ungrouped `OVER` query has one.
-    let rows: Vec<(Option<Value>, RowValues)> = match ranking {
-        _ if query.explain => Vec::new(),
-        Some((k, group_idx, agg, column)) if served => {
-            let (ranked, _probes) =
-                store.top_k_by_window(agg.kind(), column, group_idx, window, k)?;
-            ranked
-                .into_iter()
-                .map(|(group, wa)| {
-                    let value = window_value(&agg, &wa, true);
-                    (Some(group), std::iter::once(value).collect())
-                })
-                .collect()
-        }
-        None if served => {
-            let values = bound_aggs
-                .iter()
-                .map(|(agg, idx, _)| match the_plan.choice {
-                    AlgorithmChoice::IndexProbe => {
-                        let probed = store.window_probe(agg.kind(), *idx, window)?;
-                        Ok(window_value(agg, &probed, false))
-                    }
-                    _ => {
-                        let view = store.view(*agg, *idx)?;
-                        Ok(window_scalar(agg, &view, window, false))
-                    }
-                })
-                .collect::<Result<RowValues>>()?;
-            vec![(None, values)]
-        }
-        _ => {
-            // The linear fallback: each group's series, reduced over the
-            // window to what the index answers with.
-            let mut series = RowBuffer::collecting();
-            run_scan(catalog, query, Planning::Given(&the_plan), &mut series)?;
-            let mut scored = Vec::new();
-            let mut rest: &[ResultRow] = &series.rows;
-            while let Some(first) = rest.first() {
-                // Rows arrive in (group, time) order: one run per group, and
-                // one in all without GROUP BY (its constant intervals tile
-                // the domain, so there is one even over no tuple).
-                let len = rest.iter().take_while(|r| r.group == first.group).count();
-                let (group_rows, tail) = rest.split_at(len);
-                let values: RowValues = bound_aggs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, (agg, _, _))| {
-                        let series = column_series(group_rows, j);
-                        window_scalar(agg, &series, window, ranking.is_some())
-                    })
-                    .collect();
-                scored.push((first.group.clone(), values));
-                rest = tail;
-            }
-            if let Some((k, ..)) = ranking {
-                // Stable sort: ties keep the ascending group order, matching
-                // the grouped index's lowest-group-first tie-break.
-                scored.sort_by(|a, b| b.1.cmp(&a.1));
-                scored.truncate(k);
-            }
-            scored
-        }
-    };
-    for (group, values) in rows {
-        out.push(ResultRow {
-            group,
-            valid: window,
-            values,
+impl<'a> BoundWindow<'a> {
+    /// Bind the query, then plan it. With a clean shape the store's cached
+    /// series (warm, or buildable on first probe) answers it, and the
+    /// series and, when every aggregate is indexable, its window index are
+    /// the candidates; otherwise a scan of the tuples over the domain is
+    /// planned from what the store knows before running it: a persisted
+    /// table's header and fences while the scan reads its pages, the
+    /// resident relation measured otherwise.
+    pub(crate) fn bind(
+        catalog: &'a Catalog,
+        query: &Query,
+        config: &PlannerConfig,
+    ) -> Result<BoundWindow<'a>> {
+        // The parser builds none of these shapes; a `Query` built by hand can.
+        let malformed = || TempAggError::Sql {
+            line: 1,
+            column: 1,
+            detail: "OVER groups only under TOP k, which ranks the groups by one aggregate"
+                .to_owned(),
+        };
+        let window = query.window.ok_or_else(malformed)?;
+        let scan = bind_scan(catalog, query)?;
+        let ranking = match (query.top_k, scan.group_idx, scan.aggs.first()) {
+            (Some(k), Some(group), Some(&(agg, column))) => Some((k, group, agg, column)),
+            (None, None, _) => None,
+            _ => return Err(malformed()),
+        };
+        let store = scan.store;
+        // The store's series answer a clean shape over aggregates it may cache.
+        let clean_shape =
+            query.conditions.is_empty() && query.valid_window.is_none() && scan.cacheable();
+        let indexable = scan
+            .aggs
+            .iter()
+            .all(|(agg, _)| index_mode_for(agg).is_some());
+        // Planning needs the series' size, not the series: no snapshot, so a
+        // probe after a write publishes nothing. A ranking's series are its
+        // groups', which only the grouped index serves.
+        let cached_runs = (clean_shape && (ranking.is_none() || indexable)).then(|| {
+            scan.aggs
+                .first()
+                .filter(|_| ranking.is_none())
+                .and_then(|(a, i)| store.cached_runs(a.kind(), *i))
+                .unwrap_or_else(|| store.len().max(1))
         });
+        let domain = query.valid_window.unwrap_or(Interval::TIMELINE);
+        let stats = match (cached_runs, store.pages()) {
+            (Some(runs), _) => cached_stats(store, runs),
+            (None, Some(pages)) => RelationStats::from_pages(pages, domain),
+            (None, None) => RelationStats::analyze(store.resident()?),
+        };
+        let (class, bytes) = scan.product.model();
+        let index = indexable && cached_runs.is_some();
+        let model = CostModel::default();
+        let plan = choose_window_algorithm(&stats, class, index, config, &model, bytes);
+        let path = match (ranking.is_some(), plan.choice) {
+            (true, AlgorithmChoice::IndexProbe | AlgorithmChoice::CachedSeries) => {
+                Path::TopKGroupedIndex
+            }
+            (true, _) => Path::TopKScan,
+            (false, AlgorithmChoice::IndexProbe) => Path::OverIndexProbe,
+            (false, AlgorithmChoice::CachedSeries) => Path::OverCachedSeries,
+            (false, _) => Path::OverScan,
+        };
+        Ok(BoundWindow {
+            scan,
+            window,
+            ranking,
+            plan,
+            path,
+        })
     }
-    Ok(Outcome {
-        agg_labels: bound_aggs.into_iter().map(|(_, _, l)| l).collect(),
-        plan: Some(the_plan),
-        // A served window query reports what the indexes did (nothing, for
-        // a linear pass over a cached series).
-        cache: if served && !query.explain {
-            index_report(store, before)
-        } else {
-            CacheReport::default()
-        },
-    })
+
+    /// Run the path into `out`: one scalar row per group (the ungrouped
+    /// `OVER` query has one). A path the store serves reports what its
+    /// indexes did (nothing, for a linear pass over a cached series).
+    pub(crate) fn run(&self, out: &mut RowBuffer<'_>) -> Result<CacheReport> {
+        let (store, window) = (self.scan.store, self.window);
+        let before = store.windex_stats();
+        let rows: Vec<(Option<Value>, RowValues)> = match (self.path, self.ranking) {
+            (Path::TopKGroupedIndex, Some((k, group, agg, column))) => {
+                let (ranked, _probes) =
+                    store.top_k_by_window(agg.kind(), column, group, window, k)?;
+                ranked
+                    .into_iter()
+                    .map(|(group, wa)| {
+                        let value = window_value(&agg, &wa, true);
+                        (Some(group), std::iter::once(value).collect())
+                    })
+                    .collect()
+            }
+            (Path::OverIndexProbe | Path::OverCachedSeries, None) => {
+                let values = self
+                    .scan
+                    .aggs
+                    .iter()
+                    .map(|(agg, idx)| match self.path {
+                        Path::OverIndexProbe => {
+                            let probed = store.window_probe(agg.kind(), *idx, window)?;
+                            Ok(window_value(agg, &probed, false))
+                        }
+                        _ => {
+                            let view = store.view(*agg, *idx)?;
+                            Ok(window_scalar(agg, &view, window, false))
+                        }
+                    })
+                    .collect::<Result<RowValues>>()?;
+                vec![(None, values)]
+            }
+            _ => self.reduce()?,
+        };
+        for (group, values) in rows {
+            out.push(ResultRow {
+                group,
+                valid: window,
+                values,
+            });
+        }
+        let after = store.windex_stats();
+        Ok(match self.path {
+            Path::OverScan | Path::TopKScan => CacheReport::default(),
+            _ => CacheReport {
+                served_from_cache: true,
+                index_hits: after.hits - before.hits,
+                index_misses: after.misses - before.misses,
+                index_probes: after.probes - before.probes,
+                ..CacheReport::default()
+            },
+        })
+    }
+
+    /// The scan paths: each group's series, scanned under the window plan
+    /// and reduced over the window to what the index answers with; a
+    /// ranking then sorts and cuts them.
+    fn reduce(&self) -> Result<Vec<(Option<Value>, RowValues)>> {
+        let mut series = RowBuffer::collecting();
+        let given = Grouping::Instant(Planning::Given(&self.plan));
+        self.scan.scan(given, Some(&mut series))?;
+        let mut scored = Vec::new();
+        let mut rest: &[ResultRow] = &series.rows;
+        while let Some(first) = rest.first() {
+            // Rows arrive in (group, time) order: one run per group, and one
+            // in all without GROUP BY (its constant intervals tile the
+            // domain, so there is one even over no tuple).
+            let len = rest.iter().take_while(|r| r.group == first.group).count();
+            let (group_rows, tail) = rest.split_at(len);
+            let values: RowValues = self
+                .scan
+                .aggs
+                .iter()
+                .enumerate()
+                .map(|(j, (agg, _))| {
+                    let series = column_series(group_rows, j);
+                    window_scalar(agg, &series, self.window, self.ranking.is_some())
+                })
+                .collect();
+            scored.push((first.group.clone(), values));
+            rest = tail;
+        }
+        if let Some((k, ..)) = self.ranking {
+            // Stable sort: ties keep the ascending group order, matching the
+            // grouped index's lowest-group-first tie-break.
+            scored.sort_by(|a, b| b.1.cmp(&a.1));
+            scored.truncate(k);
+        }
+        Ok(scored)
+    }
 }
 
 /// What a streaming execution reports back: everything [`QueryResult`]
@@ -983,6 +953,8 @@ pub struct StreamSummary {
     pub rows: usize,
     /// The plan chosen for instant-grouped evaluation.
     pub plan: Option<Plan>,
+    /// The path the query took, decided before it ran.
+    pub path: Path,
     /// Most finished result rows resident in the engine's row buffer at
     /// once: at most the chunk capacity plus the lookahead row, for every
     /// query shape.
@@ -1010,7 +982,8 @@ pub fn execute_streaming_str(
 /// Cursor-style execution: result rows are pushed to `on_row` as the
 /// engine produces them, in (group, time) order — the same rows, in the
 /// same order, as [`execute_query`] collects into [`QueryResult::rows`],
-/// because both are [`run`] and differ only in the buffer they hand it.
+/// because both drive the same route and differ only in the buffer they
+/// hand it.
 ///
 /// The engine never materializes the result series: instant-grouped
 /// queries drain the executor's streaming mode chunk by chunk (at most
@@ -1027,38 +1000,43 @@ pub fn execute_streaming(
     mut on_row: impl FnMut(ResultRow),
 ) -> Result<StreamSummary> {
     let mut out = RowBuffer::streaming(chunk_capacity, &mut on_row);
-    let outcome = run(catalog, query, config, &mut out)?;
+    let result = answer(route_query(catalog, query, config)?, &mut out)?;
     Ok(StreamSummary {
-        group_column: query.group_column.clone(),
-        agg_labels: outcome.agg_labels,
+        group_column: result.group_column,
+        agg_labels: result.agg_labels,
         rows: out.produced,
-        plan: outcome.plan,
+        plan: result.plan,
+        path: result.path,
         peak_resident_result_entries: out.peak,
         emitted_chunks: out.drains,
     })
 }
 
-/// The bounded window span grouping buckets: the VALID clause when
-/// bounded, otherwise the hull of the groups' lifespans.
-fn span_window<V>(
-    valid_window: Option<Interval>,
-    groups: &[Group<V>],
-    len: i64,
-) -> Result<Interval> {
-    match valid_window {
-        Some(w) if !w.end().is_forever() => Ok(w),
-        Some(_) | None => {
-            let hull = groups
-                .iter()
-                .filter_map(Group::lifespan)
-                .reduce(|a, b| a.hull(&b))
-                .ok_or(TempAggError::InvalidSpan { length: len })?;
-            if hull.end().is_forever() {
-                return Err(TempAggError::InvalidSpan { length: len });
-            }
-            Ok(hull)
-        }
+/// Whether a query's shape lets the store's aggregate caches answer it:
+/// instant grouping over the whole relation — no conditions, valid window,
+/// value grouping, `OVER` or `TOP k` to change what the caches cover.
+pub(crate) fn cache_eligible(query: &Query) -> bool {
+    !query.snapshot
+        && query.conditions.is_empty()
+        && query.valid_window.is_none()
+        && query.group_column.is_none()
+        && query.window.is_none()
+        && query.top_k.is_none()
+        && matches!(query.temporal_grouping, TemporalGrouping::Instant)
+}
+
+/// The bounded window span grouping buckets: the filter's `VALID` window
+/// when bounded, otherwise the hull of the groups' lifespans.
+fn span_window<V>(window: Interval, groups: &[Group<V>], len: i64) -> Result<Interval> {
+    if !window.end().is_forever() {
+        return Ok(window);
     }
+    let hull = groups
+        .iter()
+        .filter_map(Group::lifespan)
+        .reduce(|a, b| a.hull(&b))
+        .filter(|hull| !hull.end().is_forever());
+    hull.ok_or(TempAggError::InvalidSpan { length: len })
 }
 
 #[cfg(test)]

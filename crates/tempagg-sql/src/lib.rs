@@ -34,6 +34,7 @@ mod display;
 mod exec;
 mod lexer;
 mod parser;
+mod route;
 mod rows;
 mod statement;
 mod token;
@@ -45,6 +46,7 @@ pub use exec::{
 };
 pub use lexer::lex;
 pub use parser::{parse, parse_statement, parse_statement_with_calendar, parse_with_calendar};
+pub use route::Path;
 pub use rows::{ResultRow, ResultRows, RowCursor};
 pub use statement::{
     execute_parsed_statement, execute_statement, StatementOutput, TupleRowIter, TupleRows,

@@ -13,7 +13,10 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use tempagg_core::{Interval, RowValues, SeriesEntry, SeriesSink, SeriesView, Value, ViewCursor};
+use tempagg_core::{
+    Interval, Result, RowValues, SeriesEntry, SeriesSink, SeriesView, TempAggError, Value,
+    ViewCursor,
+};
 
 /// One row of a query result: optional group key, a valid-time interval,
 /// and one value per aggregate in the select list — inline in the row up
@@ -374,8 +377,8 @@ impl ExactSizeIterator for RowCursor<'_> {}
 /// on the way.
 pub(crate) struct RowBuffer<'a> {
     pub(crate) rows: Vec<ResultRow>,
-    /// Collecting: the result of the cache-serve arm, which computes no
-    /// rows and so leaves `rows` empty.
+    /// Collecting: the result of the served path, which computes no rows
+    /// and so leaves `rows` empty.
     served: Option<Served>,
     /// Streaming: the bound on finished rows held, and their consumer.
     drain_to: Option<(usize, &'a mut dyn FnMut(ResultRow))>,
@@ -420,16 +423,16 @@ impl<'a> RowBuffer<'a> {
         }
     }
 
-    /// The cache-serve arm: answer with the rows `views` (one pinned
-    /// series per select-list entry) stand for. Collecting, they become
-    /// the result as they are; streaming, the same cursor a collected
-    /// result's reader would walk is drained to the consumer. `false` —
-    /// and no row produced, kept or delivered — when the series do not
-    /// share one interval structure: the caller scans instead.
-    pub(crate) fn serve(&mut self, views: Vec<SeriesView<Value>>) -> bool {
-        let Some(served) = Served::check(views) else {
-            return false;
-        };
+    /// The served path: answer with the rows `views` (one pinned series
+    /// per select-list entry) stand for. Collecting, they become the result
+    /// as they are; streaming, the same cursor a collected result's reader
+    /// would walk is drained to the consumer. An internal error — and no
+    /// row produced, kept or delivered — when the series do not share one
+    /// interval structure, which no store produces.
+    pub(crate) fn serve(&mut self, views: Vec<SeriesView<Value>>) -> Result<()> {
+        let served = Served::check(views).ok_or_else(|| {
+            TempAggError::internal("cached series disagree on their constant intervals")
+        })?;
         if self.drain_to.is_some() {
             for row in &ResultRows(Repr::Served(served)) {
                 self.push(row.into_owned());
@@ -438,7 +441,7 @@ impl<'a> RowBuffer<'a> {
             self.produced = served.rows;
             self.served = Some(served);
         }
-        true
+        Ok(())
     }
 
     /// End of the query: hand the remaining rows to the consumer.
@@ -451,11 +454,11 @@ impl<'a> RowBuffer<'a> {
         }
     }
 
-    /// The collected result.
-    pub(crate) fn into_rows(self) -> ResultRows {
-        ResultRows(match self.served {
+    /// The collected result: empty once a stream has drained it.
+    pub(crate) fn take_rows(&mut self) -> ResultRows {
+        ResultRows(match self.served.take() {
             Some(served) => Repr::Served(served),
-            None => Repr::Collected(self.rows),
+            None => Repr::Collected(std::mem::take(&mut self.rows)),
         })
     }
 }
@@ -510,9 +513,8 @@ mod tests {
         SeriesView::from_chunks([Arc::new(entries)])
     }
 
-    /// `serve`'s signature is the proof that no `Err` is reachable from a
-    /// disagreement; what is left to assert is that it is found before any
-    /// row exists, collecting or streaming.
+    /// A disagreement is an internal error, found before any row exists,
+    /// collecting or streaming.
     #[test]
     fn snapshots_that_disagree_on_structure_are_not_merged() {
         let lead = series(&[5, 9, 20, 30], 1);
@@ -522,20 +524,20 @@ mod tests {
         let shorter = vec![lead.clone(), series(&[5, 9, 30], 7)];
         for mismatched in [shifted, shorter] {
             let mut out = RowBuffer::collecting();
-            assert!(!out.serve(mismatched.clone()));
+            assert!(out.serve(mismatched.clone()).is_err());
             assert_eq!(out.produced, 0);
-            assert!(out.into_rows().is_empty());
+            assert!(out.take_rows().is_empty());
 
             let mut delivered = 0;
             let mut on_row = |_| delivered += 1;
             let mut out = RowBuffer::streaming(1, &mut on_row);
-            assert!(!out.serve(mismatched));
+            assert!(out.serve(mismatched).is_err());
             out.flush();
             assert_eq!((out.produced, out.peak, out.drains), (0, 0, 0));
             assert_eq!(delivered, 0);
         }
         // No snapshots at all is a disagreement too, not an empty result.
-        assert!(!RowBuffer::collecting().serve(Vec::new()));
+        assert!(RowBuffer::collecting().serve(Vec::new()).is_err());
     }
 
     #[test]
@@ -574,9 +576,9 @@ mod tests {
         ];
 
         let mut out = RowBuffer::collecting();
-        assert!(out.serve(snapshots.clone()));
+        out.serve(snapshots.clone()).unwrap();
         assert!(out.rows.is_empty(), "nothing is written");
-        let served = out.into_rows();
+        let served = out.take_rows();
         assert_eq!(served.len(), 4);
         assert_eq!(served.iter().len(), 4);
         assert_eq!(served.to_vec(), want);
@@ -606,7 +608,7 @@ mod tests {
         let mut streamed = Vec::new();
         let mut on_row = |row| streamed.push(row);
         let mut out = RowBuffer::streaming(1, &mut on_row);
-        assert!(out.serve(snapshots));
+        out.serve(snapshots).unwrap();
         out.flush();
         assert_eq!((out.produced, out.peak), (4, 2));
         assert_eq!(streamed, want);

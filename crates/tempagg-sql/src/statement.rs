@@ -1,19 +1,21 @@
-//! Execution of non-aggregate statements: CREATE TABLE, INSERT, DELETE,
-//! UPDATE, plain SELECT, and interval joins. Aggregate queries delegate to
-//! [`crate::execute_query`]. `DELETE`, `UPDATE` and plain `SELECT` admit
+//! The paths of non-aggregate statements: CREATE TABLE, INSERT, DELETE,
+//! UPDATE, plain SELECT, and interval joins, and the statement-level entry
+//! points over the router. `DELETE`, `UPDATE` and plain `SELECT` admit
 //! tuples through the same bound [`Filter`] an aggregate scan does.
 
 use crate::ast::{JoinSelect, PlainSelect, Statement};
 use crate::catalog::Catalog;
 use crate::display::write_table;
-use crate::exec::{execute_query, CacheReport, Filter, QueryResult};
+use crate::exec::{Filter, QueryResult};
 use crate::parser::parse_statement;
-use crate::rows::ResultRows;
+use crate::route::{drive, route, Route};
+use crate::rows::RowBuffer;
 use std::fmt;
+use std::sync::Arc;
 use tempagg_algo::{JoinPair, SweepJoinOperator};
-use tempagg_core::{Interval, Result, Schema, SeriesSink, TempAggError, Value};
-use tempagg_plan::{plan_join, CostModel, PlannerConfig, RelationStats};
-use tempagg_store::Row;
+use tempagg_core::{Interval, Result, Schema, SeriesSink, TempAggError, TemporalRelation, Value};
+use tempagg_plan::{plan_join, CostModel, Plan, PlannerConfig, RelationStats};
+use tempagg_store::{Row, TemporalStore};
 
 /// A plain-SELECT or join result: projected attribute values plus valid
 /// time.
@@ -145,6 +147,7 @@ impl TupleRows {
 
 impl fmt::Debug for TupleRows {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // lint: allow(no-materialize-in-exec): `DebugList::finish`, not an algorithm's
         f.debug_list().entries(self.iter()).finish()
     }
 }
@@ -229,41 +232,55 @@ pub fn execute_statement(catalog: &mut Catalog, sql: &str) -> Result<StatementOu
     execute_parsed_statement(catalog, &parse_statement(sql)?, &PlannerConfig::default())
 }
 
-/// Execute a parsed statement.
+/// Execute a parsed statement: its route driven into a collecting buffer,
+/// or — a statement that changes the catalog — run against it.
 pub fn execute_parsed_statement(
     catalog: &mut Catalog,
     statement: &Statement,
     config: &PlannerConfig,
 ) -> Result<StatementOutput> {
-    match statement {
-        Statement::Query(query) => execute_query(catalog, query, config).map(StatementOutput::Rows),
-        Statement::Select(select) => plain_select(catalog, select).map(StatementOutput::Tuples),
-        Statement::Join(join) => interval_join(catalog, join, config),
-        Statement::CreateTable {
-            name,
-            columns,
-            persist,
-        } => {
-            // A name check: `store`, not `get`, which would read a persisted
-            // table's rows into memory just to say they exist.
-            if catalog.store(name).is_ok() {
-                return Err(TempAggError::Sql {
-                    line: 1,
-                    column: 1,
-                    detail: format!("relation `{name}` already exists"),
-                });
-            }
-            let schema = Schema::new(
-                columns
-                    .iter()
-                    .map(|(n, t)| tempagg_core::Column::new(n.clone(), *t))
-                    .collect(),
-            )?;
-            match persist {
-                Some(path) => {
-                    let path = std::path::Path::new(path);
-                    let store = if tempagg_core::pager::exists(path) {
-                        let store = tempagg_store::TemporalStore::open(path)?;
+    match route(catalog, statement, config)? {
+        Route::Write(write) => write.run(catalog),
+        Route::Read(read) => drive(read, &mut RowBuffer::collecting()),
+    }
+}
+
+/// A statement that changes the catalog, bound against it by the router.
+pub(crate) enum Write<'q> {
+    /// `CREATE TABLE`: the name is free and the schema valid.
+    Create {
+        name: &'q str,
+        schema: Arc<Schema>,
+        persist: Option<&'q str>,
+    },
+    /// `INSERT`: every row fits the schema.
+    Insert {
+        relation: &'q str,
+        rows: &'q [(Vec<Value>, Interval)],
+    },
+    /// `DELETE`: the filter of the tuples it removes.
+    Delete { relation: &'q str, filter: Filter },
+    /// `UPDATE`: the columns it sets and the filter of the tuples it sets.
+    Update {
+        relation: &'q str,
+        assignments: Vec<(usize, Value)>,
+        filter: Filter,
+    },
+}
+
+impl Write<'_> {
+    pub(crate) fn run(self, catalog: &mut Catalog) -> Result<StatementOutput> {
+        let (store, output) = match self {
+            Write::Create {
+                name,
+                schema,
+                persist,
+            } => {
+                // Backed by the paged file at `persist` — opened when it
+                // exists, created otherwise — or memory-only.
+                match persist.map(std::path::Path::new) {
+                    Some(path) if tempagg_core::pager::exists(path) => {
+                        let store = TemporalStore::open(path)?;
                         if store.schema().as_ref() != schema.as_ref() {
                             return Err(TempAggError::Sql {
                                 line: 1,
@@ -275,86 +292,55 @@ pub fn execute_parsed_statement(
                                 ),
                             });
                         }
-                        store
-                    } else {
-                        let mut store = tempagg_store::TemporalStore::with_schema(schema);
+                        catalog.register_store(name, store);
+                    }
+                    Some(path) => {
+                        let mut store = TemporalStore::with_schema(schema);
                         store.persist_to(path.to_path_buf())?;
-                        store
-                    };
-                    catalog.register_store(name.clone(), store);
+                        catalog.register_store(name, store);
+                    }
+                    None => catalog.register(name, TemporalRelation::new(schema)),
                 }
-                None => {
-                    catalog.register(name.clone(), tempagg_core::TemporalRelation::new(schema));
+                let name = name.to_owned();
+                return Ok(StatementOutput::Created { name });
+            }
+            Write::Insert { relation, rows } => {
+                let store = catalog.store_mut(relation)?;
+                for (values, valid) in rows {
+                    store.insert(values.clone(), *valid)?;
                 }
+                let (relation, count) = (relation.to_owned(), rows.len());
+                (store, StatementOutput::Inserted { relation, count })
             }
-            Ok(StatementOutput::Created { name: name.clone() })
-        }
-        Statement::Insert { relation, rows } => {
-            let store = catalog.store_mut(relation)?;
-            // Validate every row before mutating, so a failed INSERT is
-            // atomic.
-            for (values, _) in rows {
-                store.schema().check(values)?;
+            Write::Delete { relation, filter } => {
+                let store = catalog.store_mut(relation)?;
+                let count =
+                    store.delete_where(|tuple| filter.admit(Row::Tuple(tuple)).is_some())?;
+                let relation = relation.to_owned();
+                (store, StatementOutput::Deleted { relation, count })
             }
-            for (values, valid) in rows {
-                store.insert(values.clone(), *valid)?;
+            Write::Update {
+                relation,
+                assignments,
+                filter,
+            } => {
+                let store = catalog.store_mut(relation)?;
+                let admit = |tuple: &_| filter.admit(Row::Tuple(tuple)).is_some();
+                let count = store.update_where(admit, &assignments)?;
+                let relation = relation.to_owned();
+                (store, StatementOutput::Updated { relation, count })
             }
-            write_through(store)?;
-            Ok(StatementOutput::Inserted {
-                relation: relation.clone(),
-                count: rows.len(),
-            })
+        };
+        // A store created with `PERSIST TO` is written through; a
+        // memory-only store is left alone.
+        if store.backing().is_some() {
+            store.flush()?;
         }
-        Statement::Delete {
-            relation,
-            conditions,
-            valid_window,
-        } => {
-            let store = catalog.store_mut(relation)?;
-            let filter = Filter::bind(store.schema(), conditions, *valid_window)?;
-            let count = store.delete_where(|tuple| filter.admit(Row::Tuple(tuple)).is_some())?;
-            write_through(store)?;
-            Ok(StatementOutput::Deleted {
-                relation: relation.clone(),
-                count,
-            })
-        }
-        Statement::Update {
-            relation,
-            assignments,
-            conditions,
-            valid_window,
-        } => {
-            let store = catalog.store_mut(relation)?;
-            let schema = store.schema();
-            let bound_assignments: Vec<(usize, Value)> = assignments
-                .iter()
-                .map(|(col, value)| Ok((schema.index_of_ignore_case(col)?, value.clone())))
-                .collect::<Result<_>>()?;
-            let filter = Filter::bind(schema, conditions, *valid_window)?;
-            let count = store.update_where(
-                |tuple| filter.admit(Row::Tuple(tuple)).is_some(),
-                &bound_assignments,
-            )?;
-            write_through(store)?;
-            Ok(StatementOutput::Updated {
-                relation: relation.clone(),
-                count,
-            })
-        }
+        Ok(output)
     }
 }
 
-/// Flush a store created with `PERSIST TO` after a DML statement; a
-/// memory-only store is left alone.
-fn write_through(store: &mut tempagg_store::TemporalStore) -> Result<()> {
-    if store.backing().is_some() {
-        store.flush()?;
-    }
-    Ok(())
-}
-
-/// Execute (or EXPLAIN) an interval join on the sweep-based
+/// An interval join bound to its catalog and planned on the sweep-based
 /// [`SweepJoinOperator`]: co-sort both relations' endpoint events —
 /// `p`-way partitioned when [`plan_join`] prescribes it — and enumerate
 /// co-live pairs. Result columns are both sides' attributes qualified by
@@ -365,83 +351,91 @@ fn write_through(store: &mut tempagg_store::TemporalStore) -> Result<()> {
 /// side on a tie): all of its first tuple's pairs, then its second's, and
 /// within one tuple in the sweep's order, by nondecreasing start. The
 /// order does not depend on the thread count.
-fn interval_join(
-    catalog: &Catalog,
-    join: &JoinSelect,
-    config: &PlannerConfig,
-) -> Result<StatementOutput> {
-    let (left_qualifier, right_qualifier) = (join.left_qualifier(), join.right_qualifier());
-    if left_qualifier.eq_ignore_ascii_case(right_qualifier) {
-        return Err(TempAggError::Sql {
-            line: 1,
-            column: 1,
-            detail: format!(
-                "both sides of the join are qualified `{left_qualifier}`, so their columns \
-                 could not be told apart; give one side its own alias"
-            ),
-        });
-    }
-    // The sweep join is priced from the two sides' sizes alone, so the
-    // plan (and `EXPLAIN`) reads no row of either.
-    let plan = plan_join(
-        &RelationStats::unknown(catalog.store(&join.left)?.len()),
-        &RelationStats::unknown(catalog.store(&join.right)?.len()),
-        config,
-        &CostModel::default(),
-    );
-    if join.explain {
-        return Ok(StatementOutput::Rows(QueryResult {
-            group_column: None,
-            agg_labels: Vec::new(),
-            rows: ResultRows::default(),
-            plan: Some(plan),
-            explain_only: true,
-            snapshot: false,
-            cache: CacheReport::default(),
-        }));
-    }
+pub(crate) struct BoundJoin<'c, 'q> {
+    catalog: &'c Catalog,
+    join: &'q JoinSelect,
+    pub(crate) plan: Plan,
+}
 
-    let (left, right) = (catalog.get(&join.left)?, catalog.get(&join.right)?);
-    let mut columns = Vec::with_capacity(left.schema().len() + right.schema().len());
-    for (qualifier, schema) in [
-        (left_qualifier, left.schema()),
-        (right_qualifier, right.schema()),
-    ] {
-        columns.extend(
-            schema
-                .columns()
-                .iter()
-                .map(|c| format!("{qualifier}.{}", c.name)),
-        );
-    }
-    if u32::try_from(left.len().max(right.len())).is_err() {
-        return Err(TempAggError::Sql {
-            line: 1,
-            column: 1,
-            detail: "a join side holds more than 2^32 tuples".to_owned(),
-        });
-    }
-
-    let mut operator =
-        SweepJoinOperator::new(join.predicate).with_parallelism(plan.parallelism.max(1));
-    for tuple in left {
-        operator.push_left(tuple.valid())?;
-    }
-    for tuple in right {
-        operator.push_right(tuple.valid())?;
-    }
-    let mut pairs = PairColumns::default();
-    operator.finish_into(&mut pairs);
-    let (order, valid) = pairs.sort_by_key_side(left.len(), right.len());
-    let (left, right) = (left.tuples(), right.tuples());
-    let rows = TupleRows::new(columns.len()).gather(valid, |rows, block| {
-        // lint: hot-loop(join-gather) — per pair: both tuples' cells appended to the block (a scalar copy or an `Arc<str>` bump each); never a `Vec` per row
-        for &(l, r) in &order[rows] {
-            block.extend_from_slice(left[l as usize].values());
-            block.extend_from_slice(right[r as usize].values());
+impl<'c, 'q> BoundJoin<'c, 'q> {
+    pub(crate) fn bind(
+        catalog: &'c Catalog,
+        join: &'q JoinSelect,
+        config: &PlannerConfig,
+    ) -> Result<BoundJoin<'c, 'q>> {
+        let (left, right) = (join.left_qualifier(), join.right_qualifier());
+        if left.eq_ignore_ascii_case(right) {
+            return Err(TempAggError::Sql {
+                line: 1,
+                column: 1,
+                detail: format!(
+                    "both sides of the join are qualified `{left}`, so their columns could not \
+                     be told apart; give one side its own alias"
+                ),
+            });
         }
-    });
-    Ok(StatementOutput::Tuples(TupleTable { columns, rows }))
+        // The sweep join is priced from the two sides' sizes alone, so the
+        // plan (and `EXPLAIN`) reads no row of either.
+        let plan = plan_join(
+            &RelationStats::unknown(catalog.store(&join.left)?.len()),
+            &RelationStats::unknown(catalog.store(&join.right)?.len()),
+            config,
+            &CostModel::default(),
+        );
+        Ok(BoundJoin {
+            catalog,
+            join,
+            plan,
+        })
+    }
+
+    pub(crate) fn run(self) -> Result<TupleTable> {
+        let join = self.join;
+        let (left, right) = (
+            self.catalog.get(&join.left)?,
+            self.catalog.get(&join.right)?,
+        );
+        let mut columns = Vec::with_capacity(left.schema().len() + right.schema().len());
+        for (qualifier, schema) in [
+            (join.left_qualifier(), left.schema()),
+            (join.right_qualifier(), right.schema()),
+        ] {
+            columns.extend(
+                schema
+                    .columns()
+                    .iter()
+                    .map(|c| format!("{qualifier}.{}", c.name)),
+            );
+        }
+        if u32::try_from(left.len().max(right.len())).is_err() {
+            return Err(TempAggError::Sql {
+                line: 1,
+                column: 1,
+                detail: "a join side holds more than 2^32 tuples".to_owned(),
+            });
+        }
+
+        let mut operator =
+            SweepJoinOperator::new(join.predicate).with_parallelism(self.plan.parallelism.max(1));
+        for tuple in left {
+            operator.push_left(tuple.valid())?;
+        }
+        for tuple in right {
+            operator.push_right(tuple.valid())?;
+        }
+        let mut pairs = PairColumns::default();
+        operator.finish_into(&mut pairs);
+        let (order, valid) = pairs.sort_by_key_side(left.len(), right.len());
+        let (left, right) = (left.tuples(), right.tuples());
+        let rows = TupleRows::new(columns.len()).gather(valid, |rows, block| {
+            // lint: hot-loop(join-gather) — per pair: both tuples' cells appended to the block (a scalar copy or an `Arc<str>` bump each); never a `Vec` per row
+            for &(l, r) in &order[rows] {
+                block.extend_from_slice(left[l as usize].values());
+                block.extend_from_slice(right[r as usize].values());
+            }
+        });
+        Ok(TupleTable { columns, rows })
+    }
 }
 
 /// The join's pairs as the operator emits them, in sweep order: the two
@@ -454,7 +448,7 @@ struct PairColumns {
 
 impl SeriesSink<JoinPair> for PairColumns {
     fn accept(&mut self, interval: Interval, pair: JoinPair) {
-        // lint: allow(no-unwrap): `interval_join` refuses a side longer than `u32::MAX` before the sweep
+        // lint: allow(no-unwrap): a join refuses a side longer than `u32::MAX` before the sweep
         let index = |i: usize| u32::try_from(i).expect("join sides fit u32 indices");
         self.pairs.push((index(pair.left), index(pair.right)));
         self.valid.push(interval);
@@ -495,40 +489,56 @@ impl PairColumns {
     }
 }
 
-/// The tuples a plain `SELECT`'s [`Filter`] admits, projected, read through
-/// the store's scan as an aggregate's are: a reopened table's off its
-/// pages, fence-pruned to the `VALID` window and decoded to the projected
-/// and condition columns only.
-fn plain_select(catalog: &Catalog, select: &PlainSelect) -> Result<TupleTable> {
-    let store = catalog.store(&select.relation)?;
-    let schema = store.schema();
+/// A plain `SELECT` bound to its store: the projection and the [`Filter`]
+/// admitting its tuples, which are read through the store's scan as an
+/// aggregate's are: a reopened table's off its pages, fence-pruned to the
+/// `VALID` window and decoded to the projected and condition columns only.
+pub(crate) struct BoundSelect<'c> {
+    store: &'c TemporalStore,
+    projection: Vec<(String, usize)>,
+    filter: Filter,
+}
 
-    let projection: Vec<(String, usize)> = match &select.columns {
-        None => schema
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), i))
-            .collect(),
-        Some(cols) => cols
-            .iter()
-            .map(|c| Ok((c.clone(), schema.index_of_ignore_case(c)?)))
-            .collect::<Result<_>>()?,
-    };
-    let filter = Filter::bind(schema, &select.conditions, select.valid_window)?;
-    let mut rows = TupleRows::new(projection.len());
-    let mut scan = filter.scan(store, projection.iter().map(|(_, i)| *i));
-    while let Some(batch) = scan.next_batch()? {
-        // lint: hot-loop(select-project) — per admitted row: its projected cells appended to the last block (a scalar copy or an `Arc<str>` bump each); never a `Vec` per row
-        for (row, valid) in filter.admitted(&batch) {
-            let cells = projection.iter().map(|(_, i)| row.value(*i));
-            rows.push(cells.cloned(), valid);
-        }
+impl<'c> BoundSelect<'c> {
+    pub(crate) fn bind(catalog: &'c Catalog, select: &PlainSelect) -> Result<BoundSelect<'c>> {
+        let store = catalog.store(&select.relation)?;
+        let schema = store.schema();
+        let projection = match &select.columns {
+            None => schema
+                .columns()
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (c.name.clone(), i))
+                .collect(),
+            Some(cols) => cols
+                .iter()
+                .map(|c| Ok((c.clone(), schema.index_of_ignore_case(c)?)))
+                .collect::<Result<_>>()?,
+        };
+        let filter = Filter::bind(schema, &select.conditions, select.valid_window)?;
+        Ok(BoundSelect {
+            store,
+            projection,
+            filter,
+        })
     }
-    Ok(TupleTable {
-        columns: projection.into_iter().map(|(n, _)| n).collect(),
-        rows,
-    })
+
+    pub(crate) fn run(self) -> Result<TupleTable> {
+        let (projection, filter) = (self.projection, self.filter);
+        let mut rows = TupleRows::new(projection.len());
+        let mut scan = filter.scan(self.store, projection.iter().map(|(_, i)| *i));
+        while let Some(batch) = scan.next_batch()? {
+            // lint: hot-loop(select-project) — per admitted row: its projected cells appended to the last block (a scalar copy or an `Arc<str>` bump each); never a `Vec` per row
+            for (row, valid) in filter.admitted(&batch) {
+                let cells = projection.iter().map(|(_, i)| row.value(*i));
+                rows.push(cells.cloned(), valid);
+            }
+        }
+        Ok(TupleTable {
+            columns: projection.into_iter().map(|(n, _)| n).collect(),
+            rows,
+        })
+    }
 }
 
 #[cfg(test)]

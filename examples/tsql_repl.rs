@@ -73,9 +73,12 @@ fn main() {
             Ok(output) => {
                 print!("{output}");
                 if let StatementOutput::Rows(result) = &output {
-                    if let Some(plan) = &result.plan {
-                        if !result.explain_only {
-                            println!("[{}]", plan.choice.name());
+                    if !result.explain_only {
+                        match &result.plan {
+                            Some(plan) => {
+                                println!("[{} · {}]", result.path.name(), plan.choice.name());
+                            }
+                            None => println!("[{}]", result.path.name()),
                         }
                     }
                 }

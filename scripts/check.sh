@@ -15,11 +15,14 @@ cd "$(dirname "$0")/.."
 # one set of planner constants, and choose_algorithm is the one ranking. So
 # too for the second paths deleted beside a first one: a cache holds only
 # what a write patches exactly (no dirty-window recompute), StitchSink is
-# the one stitcher, and a partitioned run finishes one way.
+# the one stitcher, and a partitioned run finishes one way. So too for the
+# SQL layer's late-decided paths: one router (route.rs) decides each
+# statement's path before it runs, so the dispatcher, its window and scan
+# runners and the window planner they called are gone.
 # History (CHANGES.md, ROADMAP.md, EXPERIMENTS.md's retired table) is
 # exempt, and bench/ is read-only to engine PRs.
 echo "==> no citation of a retired harness command, BENCH_*.json, planner entry point or deleted second path"
-if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel' -- \
+if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel|run_window|run_scan|plan_window|index_report|exec\.rs::run\b|RowBuffer::into_rows' -- \
     README.md DESIGN.md .claude scripts crates src examples tests ':!scripts/check.sh'; then
     echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default(), choose_algorithm, StitchSink or PartitionedAggregator::finish_into instead" >&2
     exit 1

@@ -254,9 +254,12 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
                 Ok(output) => {
                     print!("{output}");
                     if let StatementOutput::Rows(result) = &output {
-                        if let Some(plan) = &result.plan {
-                            if !result.explain_only {
-                                println!("[{}]", plan.choice.name());
+                        if !result.explain_only {
+                            match &result.plan {
+                                Some(plan) => {
+                                    println!("[{} · {}]", result.path.name(), plan.choice.name());
+                                }
+                                None => println!("[{}]", result.path.name()),
                             }
                         }
                     }

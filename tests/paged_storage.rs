@@ -33,7 +33,7 @@ use temporal_aggregates::core::pager::{
     TupleSource,
 };
 use temporal_aggregates::prelude::*;
-use temporal_aggregates::sql::execute_statement;
+use temporal_aggregates::sql::{execute_statement, Path as SqlPath};
 use temporal_aggregates::workload::rng::StdRng;
 use temporal_aggregates::workload::{generate, WorkloadConfig};
 use temporal_aggregates::{
@@ -841,6 +841,46 @@ fn a_reopened_table_reads_only_the_pages_a_statement_needs() {
         assert_eq!(scanned.plan, explained.plan, "run {run}");
         assert_eq!(scanned.rows, execute_str(&live, &sql).unwrap().rows);
     }
+}
+
+/// `EXPLAIN` of a path that plans from no row reads none: span grouping and
+/// `SNAPSHOT` leave a reopened table's page count where it was and name
+/// their path, while an instant-grouped scan plans from the rows it reads.
+#[test]
+fn explaining_span_grouping_and_snapshot_reads_no_page() {
+    let path = temp_path("explain.tapg");
+    let _cleanup = Cleanup(path.clone());
+    let relation = generate(&WorkloadConfig::sorted(5_000).with_seed(36));
+    let mut live = live_catalog(&relation);
+    live.store_mut("t").unwrap().persist_to(&path).unwrap();
+    let mut catalog = Catalog::new();
+    let create = format!(
+        "CREATE TABLE t (name STRING, salary INT) PERSIST TO '{}'",
+        path.display()
+    );
+    execute_statement(&mut catalog, &create).unwrap();
+    let pages_read = |catalog: &Catalog| {
+        let store = catalog.store("t").unwrap();
+        store.pages().unwrap().metrics().pages_read
+    };
+    for (sql, route) in [
+        (
+            "EXPLAIN SELECT SUM(salary) FROM t GROUP BY SPAN 100",
+            SqlPath::TypedSpan,
+        ),
+        (
+            "EXPLAIN SELECT SNAPSHOT SUM(salary) FROM t",
+            SqlPath::TypedSnapshot,
+        ),
+    ] {
+        let explained = execute_str(&catalog, sql).unwrap();
+        assert_eq!(pages_read(&catalog), 0, "{sql}");
+        assert!(explained.explain_only && explained.rows.is_empty(), "{sql}");
+        assert_eq!(explained.path, route, "{sql}");
+    }
+    let explained = execute_str(&catalog, "EXPLAIN SELECT SUM(salary) FROM t").unwrap();
+    assert_eq!(explained.path, SqlPath::TypedInstant);
+    assert!(pages_read(&catalog) > 0);
 }
 
 /// The README's "Persistence" walkthrough, statement for statement — if
