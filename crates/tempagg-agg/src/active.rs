@@ -24,7 +24,6 @@ use crate::avg::{Avg, AvgState};
 use crate::count::Count;
 use crate::distinct::CountDistinct;
 use crate::dynamic::{AggKind, DynAggregate};
-use crate::logic::{BoolAnd, BoolOr};
 use crate::min_max::{Max, Min};
 use crate::multi::MultiDyn;
 use crate::slot_extremes::SlotExtremes;
@@ -352,93 +351,6 @@ where
 
     fn sweep_class(&self) -> SweepClass {
         SweepClass::Ordered
-    }
-}
-
-/// Counters of live `true`/`false` tuples — the retractable form of the
-/// boolean aggregates.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BoolCounts {
-    pub trues: u64,
-    pub falses: u64,
-}
-
-impl BoolCounts {
-    #[inline]
-    fn insert(&mut self, value: bool) {
-        if value {
-            self.trues += 1;
-        } else {
-            self.falses += 1;
-        }
-    }
-
-    #[inline]
-    fn remove(&mut self, value: bool) {
-        if value {
-            self.trues = self.trues.saturating_sub(1);
-        } else {
-            self.falses = self.falses.saturating_sub(1);
-        }
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.trues == 0 && self.falses == 0
-    }
-}
-
-impl SweepAggregate for BoolAnd {
-    type Active = BoolCounts;
-
-    fn active_empty(&self) -> BoolCounts {
-        BoolCounts::default()
-    }
-
-    #[inline]
-    fn active_insert(&self, active: &mut BoolCounts, value: &bool) {
-        active.insert(*value);
-    }
-
-    #[inline]
-    fn active_remove(&self, active: &mut BoolCounts, value: &bool) {
-        active.remove(*value);
-    }
-
-    #[inline]
-    fn active_output(&self, active: &BoolCounts) -> Option<bool> {
-        (!active.is_empty()).then_some(active.falses == 0)
-    }
-
-    fn sweep_class(&self) -> SweepClass {
-        SweepClass::Delta
-    }
-}
-
-impl SweepAggregate for BoolOr {
-    type Active = BoolCounts;
-
-    fn active_empty(&self) -> BoolCounts {
-        BoolCounts::default()
-    }
-
-    #[inline]
-    fn active_insert(&self, active: &mut BoolCounts, value: &bool) {
-        active.insert(*value);
-    }
-
-    #[inline]
-    fn active_remove(&self, active: &mut BoolCounts, value: &bool) {
-        active.remove(*value);
-    }
-
-    #[inline]
-    fn active_output(&self, active: &BoolCounts) -> Option<bool> {
-        (!active.is_empty()).then_some(active.trues > 0)
-    }
-
-    fn sweep_class(&self) -> SweepClass {
-        SweepClass::Delta
     }
 }
 
@@ -930,13 +842,6 @@ mod tests {
         let agg: CountDistinct<i64> = CountDistinct::new();
         check_against_recompute(&agg, &[1, 1, 2, 3], &[0]);
         check_against_recompute(&agg, &[1, 1, 2, 3], &[0, 1]);
-    }
-
-    #[test]
-    fn bools_track_counters() {
-        check_against_recompute(&BoolAnd, &[true, false, true], &[1]);
-        check_against_recompute(&BoolOr, &[false, true], &[1]);
-        check_against_recompute(&BoolAnd, &[true], &[0]);
     }
 
     #[test]

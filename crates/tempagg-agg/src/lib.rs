@@ -19,7 +19,6 @@ mod avg;
 mod count;
 mod distinct;
 mod dynamic;
-mod logic;
 mod min_max;
 mod multi;
 mod slot_extremes;
@@ -27,13 +26,12 @@ mod sum;
 mod typed;
 mod variance;
 
-pub use active::{BoolCounts, DynActive, SweepAggregate, SweepClass};
+pub use active::{DynActive, SweepAggregate, SweepClass};
 pub use aggregate::{Aggregate, Numeric};
 pub use avg::{Avg, AvgState};
 pub use count::Count;
 pub use distinct::CountDistinct;
 pub use dynamic::{AggKind, DynAggregate, DynState};
-pub use logic::{BoolAnd, BoolOr};
 pub use min_max::{Max, Min};
 pub use multi::MultiDyn;
 pub use slot_extremes::SlotExtremes;

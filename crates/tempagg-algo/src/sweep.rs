@@ -110,7 +110,7 @@ const DENSE_SPAN_FACTOR: i128 = 2;
 /// The lowered, time-ordered event stream of a sweep.
 ///
 /// Both shapes carry a clone of each tuple's value next to its events,
-/// so the replay in `finish_into` never random-accesses a values column.
+/// so the replay in `finish_states` never random-accesses a values column.
 enum LoweredEvents<V> {
     /// Dense regime: the event time is positional. `pairs` holds bare
     /// `(payload, value)` words grouped by instant;
@@ -413,52 +413,15 @@ impl<A: SweepAggregate> SweepAggregator<A> {
     }
 }
 
-impl<A: SweepAggregate> TemporalAggregator<A> for SweepAggregator<A>
+impl<A: SweepAggregate> SweepAggregator<A>
 where
     A::Input: Clone + Send,
 {
-    fn algorithm(&self) -> &'static str {
-        "endpoint-sweep"
-    }
-
-    fn domain(&self) -> Interval {
-        self.domain
-    }
-
-    fn push(&mut self, interval: Interval, value: A::Input) -> Result<()> {
-        if !self.domain.covers(&interval) {
-            return Err(TempAggError::OutOfDomain {
-                tuple: (interval.start(), interval.end()),
-                domain: (self.domain.start(), self.domain.end()),
-            });
-        }
-        self.starts.push(interval.start());
-        self.ends.push(interval.end());
-        self.values.push(value);
-        Ok(())
-    }
-
-    /// Batched insert: a straight column append — three `memcpy`-style
-    /// `extend_from_slice` calls via
-    /// [`Chunk::append_columns_to`](tempagg_core::Chunk::append_columns_to).
-    /// The whole batch is domain-checked before any column is touched.
-    fn push_batch(&mut self, chunk: &Chunk<A::Input>) -> Result<()>
-    where
-        A::Input: Clone,
-    {
-        if let Some(outside) = chunk.first_outside(self.domain) {
-            return Err(TempAggError::OutOfDomain {
-                tuple: (outside.start(), outside.end()),
-                domain: (self.domain.start(), self.domain.end()),
-            });
-        }
-        chunk.append_columns_to(&mut self.starts, &mut self.ends, &mut self.values);
-        Ok(())
-    }
-
-    fn finish_into(self, sink: &mut impl SeriesSink<A::Output>) {
-        #[cfg(feature = "validate")]
-        let sink = &mut crate::validate::CheckedSink::new(sink, self.domain, "endpoint-sweep");
+    /// Finish the sweep, handing `f` each constant interval in time order
+    /// with the aggregate and the active state over it: the state
+    /// [`finish_into`](TemporalAggregator::finish_into) reads each output
+    /// from, for a caller that keeps more of a segment than its value.
+    pub fn finish_states(self, mut f: impl FnMut(&A, Interval, &A::Active)) {
         let n = self.starts.len();
         // Small inputs skip the scatter (one bucket, one direct sort);
         // past the threshold the fused scatter pays for itself.
@@ -487,8 +450,7 @@ where
                     let segment = Interval::new(seg_start, t.prev())
                         // lint: allow(no-unwrap): events replay in time order, so seg_start < t means seg_start <= t.prev()
                         .expect("event times increase");
-                    let out = self.agg.active_output(&active);
-                    sink.accept(segment, out);
+                    f(&self.agg, segment, &active);
                     seg_start = t;
                 }
             }};
@@ -542,8 +504,57 @@ where
         // exist below the domain end), so seg_start <= domain.end().
         // lint: allow(no-unwrap): seg_start never exceeds the domain end, see above
         let last = Interval::new(seg_start, self.domain.end()).expect("domain covers the tail");
-        let value = self.agg.active_output(&active);
-        sink.accept(last, value);
+        f(&self.agg, last, &active);
+    }
+}
+
+impl<A: SweepAggregate> TemporalAggregator<A> for SweepAggregator<A>
+where
+    A::Input: Clone + Send,
+{
+    fn algorithm(&self) -> &'static str {
+        "endpoint-sweep"
+    }
+
+    fn domain(&self) -> Interval {
+        self.domain
+    }
+
+    fn push(&mut self, interval: Interval, value: A::Input) -> Result<()> {
+        if !self.domain.covers(&interval) {
+            return Err(TempAggError::OutOfDomain {
+                tuple: (interval.start(), interval.end()),
+                domain: (self.domain.start(), self.domain.end()),
+            });
+        }
+        self.starts.push(interval.start());
+        self.ends.push(interval.end());
+        self.values.push(value);
+        Ok(())
+    }
+
+    /// Batched insert: a straight column append — three `memcpy`-style
+    /// `extend_from_slice` calls via
+    /// [`Chunk::append_columns_to`](tempagg_core::Chunk::append_columns_to).
+    /// The whole batch is domain-checked before any column is touched.
+    fn push_batch(&mut self, chunk: &Chunk<A::Input>) -> Result<()>
+    where
+        A::Input: Clone,
+    {
+        if let Some(outside) = chunk.first_outside(self.domain) {
+            return Err(TempAggError::OutOfDomain {
+                tuple: (outside.start(), outside.end()),
+                domain: (self.domain.start(), self.domain.end()),
+            });
+        }
+        chunk.append_columns_to(&mut self.starts, &mut self.ends, &mut self.values);
+        Ok(())
+    }
+
+    fn finish_into(self, sink: &mut impl SeriesSink<A::Output>) {
+        #[cfg(feature = "validate")]
+        let sink = &mut crate::validate::CheckedSink::new(sink, self.domain, "endpoint-sweep");
+        self.finish_states(|agg, segment, active| sink.accept(segment, agg.active_output(active)));
         #[cfg(feature = "validate")]
         sink.finish();
     }

@@ -3,10 +3,12 @@
 //! An [`AggCache`] holds the *working* series for one aggregate over the
 //! store's relation: a run per constant interval, tiling the full
 //! timeline `[0, ∞]`, each carrying its value and — for a Delta-class
-//! aggregate — the retractable state ([`RunState`]) that produced it. The
-//! runs are exactly the segments the endpoint-sweep kernel would emit —
-//! same boundary set, same admit/retract order — so a cached series is
-//! byte-identical to a from-scratch sweep over the current relation.
+//! aggregate — the retractable state ([`RunState`]) that produced it. A
+//! build is the endpoint-sweep kernel itself: the runs are the segments
+//! [`SweepAggregator::finish_states`] closes, each with the active state
+//! over it, so a fresh cache is byte-identical to a from-scratch sweep over
+//! the relation. The store has no admit/retract loop of its own: builds,
+//! promotions, groups and re-derived runs all come out of that kernel.
 //!
 //! Writes patch instead of rebuilding. A statement's changes to one series
 //! are its [`Edit`]s, applied together:
@@ -53,8 +55,11 @@ use std::borrow::Borrow;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tempagg_agg::{AggKind, DynActive, DynAggregate, SweepAggregate};
-use tempagg_algo::{GroupProbe, IndexMode, RunSource, WindowAggregate, WindowIndex};
+use tempagg_agg::{AggKind, DynAggregate, SweepAggregate};
+use tempagg_algo::{
+    GroupProbe, IndexMode, RunSource, SweepAggregator, TemporalAggregator, WindowAggregate,
+    WindowIndex,
+};
 use tempagg_core::pager::PagedReader;
 use tempagg_core::{
     Interval, Result, Series, SeriesEntry, SeriesView, TempAggError, Timestamp, Tuple, Value,
@@ -79,83 +84,32 @@ fn boundary_candidates(iv: Interval) -> impl Iterator<Item = Timestamp> {
     start.into_iter().chain(end)
 }
 
-/// The boundary refcounts of `tuples`: how many tuples contribute each
-/// interior cut. The series over them has one run more than there are
-/// cuts.
-fn boundaries_of<T: Borrow<Tuple>>(tuples: &[T]) -> BTreeMap<Timestamp, u32> {
-    let mut boundaries: BTreeMap<Timestamp, u32> = BTreeMap::new();
-    for tuple in tuples {
-        for b in boundary_candidates(tuple.borrow().valid()) {
-            *boundaries.entry(b).or_insert(0) += 1;
-        }
-    }
-    boundaries
-}
-
-/// The dyn-level admit/retract endpoint scan behind every cached series:
-/// cut the timeline at the tuples' `boundaries`, walk the cuts in time
-/// order admitting by start and retracting by end, and hand `emit` each
-/// constant interval with the one transient active state over it.
-///
-/// Deliberately not `SweepAggregator`, which emits values only: a cache
-/// keeps a Delta-class run's state, the state later writes patch.
-fn sweep_runs<T: Borrow<Tuple>>(
-    agg: &DynAggregate,
+/// The endpoint sweep of `agg` over `column` of `tuples`, ready to finish:
+/// every series the store computes from tuples comes out of this one
+/// admit/retract loop. `each` sees every tuple's valid time on the way, so
+/// a build makes one pass over the tuples.
+fn sweep_of<T: Borrow<Tuple>>(
+    agg: DynAggregate,
     column: Option<usize>,
     tuples: &[T],
-    boundaries: &BTreeMap<Timestamp, u32>,
-    mut emit: impl FnMut(Interval, &DynActive),
-) {
-    let n = tuples.len();
-    let mut by_start: Vec<usize> = (0..n).collect();
-    // lint: allow(indexing): by_start/by_end are permutations of 0..n
-    by_start.sort_unstable_by_key(|&i| tuples[i].borrow().valid().start());
-    let mut by_end: Vec<usize> = (0..n).collect();
-    // lint: allow(indexing): by_start/by_end are permutations of 0..n
-    by_end.sort_unstable_by_key(|&i| tuples[i].borrow().valid().end());
-
-    let mut cuts: Vec<Timestamp> = Vec::with_capacity(boundaries.len() + 1);
-    cuts.push(Interval::TIMELINE.start());
-    cuts.extend(boundaries.keys().copied());
-
-    let mut active = agg.active_empty();
-    let (mut si, mut ei) = (0usize, 0usize);
-    for (i, &start) in cuts.iter().enumerate() {
-        // lint: allow(indexing): permutation of 0..n, si < n is the loop guard
-        while si < n && tuples[by_start[si]].borrow().valid().start() <= start {
-            // lint: allow(indexing): same permutation bound as the loop guard above
-            agg.active_insert(&mut active, &extract(tuples[by_start[si]].borrow(), column));
-            si += 1;
-        }
-        // lint: allow(indexing): permutation of 0..n, ei < n is the loop guard
-        while ei < n && tuples[by_end[ei]].borrow().valid().end() < start {
-            // lint: allow(indexing): same permutation bound as the loop guard above
-            agg.active_remove(&mut active, &extract(tuples[by_end[ei]].borrow(), column));
-            ei += 1;
-        }
-        let end = cuts
-            .get(i + 1)
-            .map_or(Interval::TIMELINE.end(), |next| next.prev());
-        // lint: allow(no-unwrap): cuts are sorted and deduplicated, so start <= end by construction
-        let interval = Interval::new(start, end).expect("cuts are increasing");
-        emit(interval, &active);
+    mut each: impl FnMut(Interval),
+) -> SweepAggregator<DynAggregate> {
+    let mut sweep = SweepAggregator::new(agg);
+    for tuple in tuples {
+        let tuple = tuple.borrow();
+        each(tuple.valid());
+        let pushed = sweep.push(tuple.valid(), extract(tuple, column));
+        debug_assert!(pushed.is_ok(), "a valid time lies on the sweep's timeline");
     }
+    sweep
 }
 
 /// Sweep an arbitrary tuple subset (e.g. one group of a `TOP k BY`
 /// ranking query) into its constant-interval aggregate series — the same
-/// scan as [`AggCache::build`], so the result is byte-identical to what a
+/// sweep as [`AggCache::build`], so the result is byte-identical to what a
 /// full cache over just those tuples would publish.
 pub fn sweep_values(agg: &DynAggregate, column: Option<usize>, tuples: &[&Tuple]) -> Series<Value> {
-    let boundaries = boundaries_of(tuples);
-    let mut entries = Vec::with_capacity(boundaries.len() + 1);
-    sweep_runs(agg, column, tuples, &boundaries, |interval, active| {
-        entries.push(SeriesEntry {
-            interval,
-            value: agg.active_output(active),
-        });
-    });
-    Series::from_entries(entries)
+    sweep_of(*agg, column, tuples, |_| {}).finish()
 }
 
 /// One tuple a statement changed, as one cached series sees it.
@@ -410,13 +364,18 @@ struct AggCache {
 
 impl AggCache {
     /// Build the cache from scratch over `tuples` (a relation's, or one
-    /// group's members): the sweep kernel's admit/retract endpoint scan,
-    /// keeping a Delta-class run's state so later writes can patch it.
+    /// group's members): the sweep kernel's segments, each keeping a
+    /// Delta-class run's state so later writes can patch it.
     fn build<T: Borrow<Tuple>>(agg: DynAggregate, column: Option<usize>, tuples: &[T]) -> AggCache {
-        let boundaries = boundaries_of(tuples);
+        let mut boundaries: BTreeMap<Timestamp, u32> = BTreeMap::new();
+        let sweep = sweep_of(agg, column, tuples, |iv| {
+            for b in boundary_candidates(iv) {
+                *boundaries.entry(b).or_insert(0) += 1;
+            }
+        });
         let states = matches!(Upkeep::of(&agg), Upkeep::Patch);
         let mut runs = RunList::with_capacity(boundaries.len() + 1, states);
-        sweep_runs(&agg, column, tuples, &boundaries, |interval, active| {
+        sweep.finish_states(|agg, interval, active| {
             let run = SeriesEntry::new(interval, agg.active_output(active));
             runs.push(run, RunState::of(active));
         });
@@ -829,6 +788,99 @@ mod tests {
     use super::*;
     use tempagg_agg::AggKind;
     use tempagg_core::{Schema, TemporalRelation, ValueType};
+
+    /// `n` tuples starting in `[0, lifespan)` with up to `width` instants
+    /// each: NULL values, starts and ends on a grid of 3 so that tuples share
+    /// endpoints, some tuples from the origin and some to `FOREVER`.
+    fn mixed(n: u64, lifespan: u64, width: u64) -> Vec<Tuple> {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            i64::try_from(state % bound).unwrap()
+        };
+        (0..n)
+            .map(|i| {
+                let start = if i % 13 == 0 {
+                    0
+                } else {
+                    below(lifespan) / 3 * 3
+                };
+                let valid = if i % 11 == 0 {
+                    Interval::from_start(start)
+                } else {
+                    Interval::at(start, start + below(width) / 3 * 3 + 2)
+                };
+                let value = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(below(17) - 8)
+                };
+                Tuple::new(vec![value], valid)
+            })
+            .collect()
+    }
+
+    /// A freshly built cache equals the O(n²) oracle run for run, in both of
+    /// the sweep's regimes: a dense relation (event span < 2 × events, the
+    /// counting scatter) and a sparse one past the bucketed scatter's
+    /// threshold. A Delta-class run's state gives its value back, and each
+    /// boundary is counted once per tuple contributing it.
+    #[test]
+    fn a_built_cache_equals_the_oracle_in_both_sweep_regimes() {
+        let dense = mixed(400, 500, 100);
+        let sparse = mixed(4_500, 1_000_000, 50_000);
+        for (tuples, dense_regime) in [(&dense, true), (&sparse, false)] {
+            let (mut lo, mut hi, mut events) = (i64::MAX, i64::MIN, 0i64);
+            for iv in tuples.iter().map(Tuple::valid) {
+                let retract = (!iv.end().is_forever()).then(|| iv.end().next());
+                for t in [iv.start()].into_iter().chain(retract) {
+                    (lo, hi, events) = (lo.min(t.get()), hi.max(t.get()), events + 1);
+                }
+            }
+            assert_eq!(hi - lo < 2 * events, dense_regime, "span {lo}..{hi}");
+            assert!(dense_regime || events > 8 * 1024, "{events} events");
+
+            let mut want_boundaries: BTreeMap<Timestamp, u32> = BTreeMap::new();
+            for b in tuples.iter().flat_map(|t| boundary_candidates(t.valid())) {
+                *want_boundaries.entry(b).or_insert(0) += 1;
+            }
+            for (kind, column) in [
+                (AggKind::CountStar, None),
+                (AggKind::Sum, Some(0)),
+                (AggKind::Avg, Some(0)),
+                (AggKind::Min, Some(0)),
+                (AggKind::Max, Some(0)),
+                (AggKind::CountDistinct, Some(0)),
+            ] {
+                let agg = DynAggregate::new(kind, ValueType::Int).unwrap();
+                let pairs: Vec<(Interval, Value)> = tuples
+                    .iter()
+                    .map(|t| (t.valid(), extract(t, column)))
+                    .collect();
+                let want = tempagg_algo::oracle::oracle(&agg, Interval::TIMELINE, &pairs);
+                let mut cached = CachedSeries::build(agg, column, tuples);
+                cached.validate_structure();
+                assert_eq!(cached.entries().unwrap(), want.entries(), "{kind:?}");
+                let Body::Live(cache) = &mut cached.body else {
+                    panic!("a built series is live");
+                };
+                assert_eq!(cache.boundaries, want_boundaries, "{kind:?}");
+                let mut states = 0;
+                cache
+                    .runs
+                    .for_each_in_mut(Interval::TIMELINE, |run, state| {
+                        if let Some(state) = state {
+                            assert_eq!(agg.active_output(&state.active()), run.value, "{kind:?}");
+                            states += 1;
+                        }
+                    });
+                let delta = matches!(kind, AggKind::CountStar | AggKind::Sum | AggKind::Avg);
+                assert_eq!(states, if delta { want.len() } else { 0 }, "{kind:?}");
+            }
+        }
+    }
 
     /// The cache's runs, read through the window index's own door, clip
     /// to any window exactly as the published series does — also where the

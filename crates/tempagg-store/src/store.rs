@@ -341,22 +341,8 @@ impl TemporalStore {
     /// clean.
     pub fn insert_tuple(&mut self, tuple: Tuple) -> Result<()> {
         self.schema().check(tuple.values())?;
-        let relation = self.rows.resident_mut()?;
-        promote_restored(self.series.get_mut(), relation.tuples());
-        relation.push_tuple(tuple.clone())?;
-        self.dirty = true;
-        let edits = [Edit::Add(&tuple)];
-        let written = Written::new(relation.tuples(), &edits);
-        for entry in self.series.get_mut().values_mut() {
-            entry.apply(&edits, Members::all(&written))?;
-        }
-        for grouped in self.grouped.get_mut().values_mut() {
-            grouped.apply(&edits, &written)?;
-        }
-        self.epoch = self.epoch.next();
-        #[cfg(feature = "validate")]
-        self.validate_groups(std::iter::once(&tuple));
-        Ok(())
+        let push = |relation: &mut TemporalRelation| relation.push_tuple(tuple.clone());
+        self.commit(&[Edit::Add(&tuple)], push, |_| true)
     }
 
     /// Delete every tuple satisfying `pred`, retracting each from every
@@ -364,25 +350,23 @@ impl TemporalStore {
     /// once; a statement that matches nothing changes nothing — restored
     /// series stay restored and the store stays clean.
     pub fn delete_where(&mut self, pred: impl FnMut(&Tuple) -> bool) -> Result<usize> {
-        let flags: Vec<bool> = self.rows.resident()?.iter().map(pred).collect();
-        if !flags.contains(&true) {
+        let relation = self.rows.resident()?;
+        let flags: Vec<bool> = relation.iter().map(pred).collect();
+        let removed: Vec<Tuple> = relation
+            .iter()
+            .zip(&flags)
+            .filter(|&(_, &flag)| flag)
+            .map(|(tuple, _)| tuple.clone())
+            .collect();
+        if removed.is_empty() {
             return Ok(0);
         }
-        let relation = self.rows.resident_mut()?;
-        promote_restored(self.series.get_mut(), relation.tuples());
-        self.dirty = true;
-        let removed = relation.remove_flagged(&flags);
         let edits: Vec<Edit<'_>> = removed.iter().map(Edit::Take).collect();
-        let written = Written::new(relation.tuples(), &edits);
-        for entry in self.series.get_mut().values_mut() {
-            entry.apply(&edits, Members::all(&written))?;
-        }
-        for grouped in self.grouped.get_mut().values_mut() {
-            grouped.apply(&edits, &written)?;
-        }
-        self.epoch = self.epoch.next();
-        #[cfg(feature = "validate")]
-        self.validate_groups(removed.iter());
+        let remove = |relation: &mut TemporalRelation| {
+            relation.remove_flagged(&flags);
+            Ok(())
+        };
+        self.commit(&edits, remove, |_| true)?;
         Ok(removed.len())
     }
 
@@ -426,29 +410,48 @@ impl TemporalStore {
         if replacements.is_empty() {
             return Ok(0);
         }
-        let relation = self.rows.resident_mut()?;
-        promote_restored(self.series.get_mut(), relation.tuples());
-        self.dirty = true;
-        for (index, _, replacement) in &replacements {
-            let _previous = relation.replace(*index, replacement.clone())?;
-        }
         let edits: Vec<Edit<'_>> = replacements
             .iter()
             .map(|(_, old, new)| Edit::Rewrite(old, new))
             .collect();
-        let written = Written::new(relation.tuples(), &edits);
+        let replace = |relation: &mut TemporalRelation| {
+            for (index, _, replacement) in &replacements {
+                relation.replace(*index, replacement.clone())?;
+            }
+            Ok(())
+        };
+        let assigned = |key: &CacheKey| assignments.iter().any(|(c, _)| Some(*c) == key.column);
+        self.commit(&edits, replace, assigned)?;
+        Ok(replacements.len())
+    }
+
+    /// Commit one statement: promote the restored series over the relation
+    /// before it, `write` the relation, patch every series `patches` picks
+    /// and every ranking's groups with the statement's `edits`, and bump the
+    /// epoch. The store is dirty once `write` succeeds.
+    fn commit(
+        &mut self,
+        edits: &[Edit<'_>],
+        write: impl FnOnce(&mut TemporalRelation) -> Result<()>,
+        patches: impl Fn(&CacheKey) -> bool,
+    ) -> Result<()> {
+        let relation = self.rows.resident_mut()?;
+        promote_restored(self.series.get_mut(), relation.tuples());
+        write(relation)?;
+        self.dirty = true;
+        let written = Written::new(relation.tuples(), edits);
         for (key, entry) in self.series.get_mut().iter_mut() {
-            if assignments.iter().any(|(c, _)| Some(*c) == key.column) {
-                entry.apply(&edits, Members::all(&written))?;
+            if patches(key) {
+                entry.apply(edits, Members::all(&written))?;
             }
         }
         for grouped in self.grouped.get_mut().values_mut() {
-            grouped.apply(&edits, &written)?;
+            grouped.apply(edits, &written)?;
         }
         self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]
-        self.validate_groups(replacements.iter().flat_map(|(_, old, new)| [old, new]));
-        Ok(replacements.len())
+        self.validate_groups(edits);
+        Ok(())
     }
 
     /// Every live cache's chunked runs tile the timeline on exactly the
@@ -464,7 +467,10 @@ impl TemporalStore {
     /// (or left) match a rebuild from their members, in every ranking
     /// shape.
     #[cfg(feature = "validate")]
-    fn validate_groups<'a>(&self, touched: impl Iterator<Item = &'a Tuple> + Clone) {
+    fn validate_groups(&self, edits: &[Edit<'_>]) {
+        let touched = edits
+            .iter()
+            .flat_map(|e| e.taken().into_iter().chain(e.given()));
         for grouped in self.grouped.borrow().values() {
             grouped.validate(self.relation(), touched.clone());
         }

@@ -18,13 +18,15 @@ cd "$(dirname "$0")/.."
 # the one stitcher, and a partitioned run finishes one way. So too for the
 # SQL layer's late-decided paths: one router (route.rs) decides each
 # statement's path before it runs, so the dispatcher, its window and scan
-# runners and the window planner they called are gone.
+# runners and the window planner they called are gone. So too for the
+# store's own admit/retract loop: every series it computes from tuples comes
+# out of SweepAggregator.
 # History (CHANGES.md, ROADMAP.md, EXPERIMENTS.md's retired table) is
 # exempt, and bench/ is read-only to engine PRs.
 echo "==> no citation of a retired harness command, BENCH_*.json, planner entry point or deleted second path"
-if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel|run_window|run_scan|plan_window|index_report|exec\.rs::run\b|RowBuffer::into_rows' -- \
+if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel|run_window|run_scan|plan_window|index_report|exec\.rs::run\b|RowBuffer::into_rows|sweep_runs' -- \
     README.md DESIGN.md .claude scripts crates src examples tests ':!scripts/check.sh'; then
-    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default(), choose_algorithm, StitchSink or PartitionedAggregator::finish_into instead" >&2
+    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default(), choose_algorithm, StitchSink, PartitionedAggregator::finish_into or SweepAggregator::finish_states instead" >&2
     exit 1
 fi
 

@@ -233,7 +233,7 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
         temporal_aggregates::workload::employed::employed_relation(),
     );
     println!(
-        "tempagg repl — relations: {:?} (\\q to quit)",
+        "tempagg repl — relations: {:?} (\\d to describe them, \\q to quit)",
         catalog.names()
     );
     let stdin = io::stdin();
@@ -250,6 +250,19 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
         match line {
             "" => continue,
             "\\q" | "quit" | "exit" => break,
+            "\\d" => {
+                // `store`, not `get`: a persisted table answers both from
+                // its file's header, without reading a page.
+                for name in catalog.names() {
+                    if let Ok(store) = catalog.store(name) {
+                        println!(
+                            "  {name}: {} tuples, schema {}",
+                            store.len(),
+                            store.schema()
+                        );
+                    }
+                }
+            }
             _ => match execute_statement(&mut catalog, line) {
                 Ok(output) => {
                     print!("{output}");

@@ -106,8 +106,8 @@ pub mod sortedness {
 
 // Curated top-level re-exports.
 pub use tempagg_agg::{
-    AggKind, Aggregate, Avg, BoolAnd, BoolOr, Count, CountDistinct, DynAggregate, Max, Min, StdDev,
-    Sum, SweepAggregate, SweepClass, Variance,
+    AggKind, Aggregate, Avg, Count, CountDistinct, DynAggregate, Max, Min, StdDev, Sum,
+    SweepAggregate, SweepClass, Variance,
 };
 pub use tempagg_algo::{
     run, run_with_stats, scoped_map, AggregationTree, BalancedAggregationTree, GroupedAggregate,
