@@ -8,8 +8,8 @@
 //! `INT` column — need none of that: [`TypedMulti`] is the same product
 //! with an inline `Copy` input ([`TypedInput`]), inline `Copy` node
 //! states, and the gapless O(1) [`SlotExtremes`] behind the extremes
-//! (values ride with the sorted events and the live set is a dense array,
-//! Piatov et al., arXiv:2008.12665).
+//! (the sweep reads an event's value from its column by tag, and the live
+//! set is a dense array, Piatov et al., arXiv:2008.12665).
 //!
 //! The output is an inline [`RowValues`] — a constant interval leaves the
 //! kernel without touching the allocator when the list fits its width —

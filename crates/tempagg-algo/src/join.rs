@@ -8,16 +8,18 @@
 //! on every admit enumerate the **other** side's live set. Two tuples are
 //! co-live exactly when their intervals intersect, so each qualifying
 //! pair is found exactly once: at the admit of whichever tuple starts
-//! later (ties broken by the deterministic event order). The cost is
-//! `O((n + m) log (n + m))` for the sort — shared with the aggregation
-//! kernel, including its cache-partitioned parallel path
+//! later (ties broken by the deterministic event order). The cost is a
+//! linear-time radix sort of the `2 (n + m)` events on time — shared with
+//! the aggregation kernel, including its bucket-parallel path
 //! ([`sort_endpoint_events`](crate::sweep::sort_endpoint_events)) — plus
 //! `O(result)` for the dense, branch-light enumeration.
 //!
 //! The retract-before-admit tie order baked into
-//! [`EndpointEvent`](tempagg_core::EndpointEvent) is what makes closed
-//! intervals exact here: a tuple ending at `t − 1` leaves its live set
-//! before a tuple starting at `t` looks for partners.
+//! [`EndpointEvent`](tempagg_core::EndpointEvent) keeps the enumeration to
+//! intersecting pairs: a tuple ending at `t − 1` leaves its live set
+//! before a tuple starting at `t` looks for partners. (The predicate check
+//! would reject that pair too, so the order saves work; it changes no
+//! output.)
 //!
 //! # Emission order
 //!
@@ -185,20 +187,28 @@ impl SweepJoinOperator {
         Ok(())
     }
 
-    /// Lower both relations to one event array: tag `idx × 2 + side`
-    /// (side 0 = left, 1 = right). A tuple reaching the domain end never
-    /// retracts — no partner can be admitted after the domain ends.
+    /// Lower both relations to one event array in payload order: tag
+    /// `idx × 2 + side` (side 0 = left, 1 = right), every retract before
+    /// every admit, each kind in tag order. A tuple reaching the domain
+    /// end never retracts — no partner can be admitted after the domain
+    /// ends.
     fn build_events(&self) -> Vec<EndpointEvent> {
+        let rows = self.left.len().max(self.right.len());
+        let tagged = || {
+            (0..rows)
+                .flat_map(|idx| {
+                    let tag = u64::try_from(idx).unwrap_or(u64::MAX) * 2;
+                    [(tag, self.left.get(idx)), (tag + 1, self.right.get(idx))]
+                })
+                .filter_map(|(tag, iv)| Some((tag, *iv?)))
+        };
         let mut events = Vec::with_capacity(2 * (self.left.len() + self.right.len()));
-        for (side, tuples) in [(0u64, &self.left), (1u64, &self.right)] {
-            for (idx, iv) in tuples.iter().enumerate() {
-                let tag = u64::try_from(idx).unwrap_or(u64::MAX) * 2 + side;
-                events.push(EndpointEvent::admit(iv.start(), tag));
-                if iv.end() < self.domain.end() {
-                    events.push(EndpointEvent::retract(iv.end().next(), tag));
-                }
-            }
-        }
+        events.extend(
+            tagged()
+                .filter(|(_, iv)| iv.end() < self.domain.end())
+                .map(|(tag, iv)| EndpointEvent::retract(iv.end().next(), tag)),
+        );
+        events.extend(tagged().map(|(tag, iv)| EndpointEvent::admit(iv.start(), tag)));
         events
     }
 
@@ -455,6 +465,26 @@ mod tests {
                 want,
                 "threads = {threads}"
             );
+        }
+    }
+
+    #[test]
+    fn built_events_sort_to_the_total_order() {
+        // Left tuples end where right tuples start and the other way
+        // round, in more events than a comparison-sorted run holds: the
+        // radix sort keeps the builder's order at each instant, so this
+        // holds only if that order is payload order.
+        let mut join = SweepJoinOperator::with_domain(JoinPredicate::Overlaps, Interval::at(0, 99));
+        for i in 0..300i64 {
+            join.push_left(Interval::at(i % 40, i % 40 + 9)).unwrap();
+            join.push_right(Interval::at(i % 40 + 10, i % 40 + 19))
+                .unwrap();
+        }
+        let events = join.build_events();
+        let mut want = events.clone();
+        want.sort_unstable();
+        for threads in [1, 2] {
+            assert!(sort_endpoint_events(events.clone(), threads) == want);
         }
     }
 }

@@ -1,5 +1,5 @@
-//! The columnar endpoint-sweep algorithm, v2 — cache-partitioned sort,
-//! gapless live set, O(n log n) worst case.
+//! The columnar endpoint-sweep algorithm — a linear-time radix sort of
+//! the endpoints on time, and a gapless live set.
 //!
 //! Not in the 1995 paper: this is the modern cache-conscious evaluation
 //! strategy of Piatov et al. (arXiv:2008.12665) and Colley et al.'s delta
@@ -9,30 +9,20 @@
 //! [`TemporalAggregator::push_batch`] is a straight column memcpy from a
 //! [`Chunk`](tempagg_core::Chunk).
 //!
-//! At [`finish`](TemporalAggregator::finish) the runs are lowered
-//! straight into time-bucketed `(event, value)` pairs — an admit at each
-//! start, a retract at the instant after each end, the tuple index baked
-//! into the 16-byte [`EndpointEvent`] payload and a copy of the tuple's
-//! value riding alongside — and each bucket is sorted once, directly. The
-//! first version of this kernel (deleted) paid three sorts (a boundary
-//! sort-and-dedup plus two indirect permutation sorts whose comparisons
-//! chase random-access keys) and a double-indirect scan; this one pays
-//! one sort of flat self-contained records. The fused
-//! build-and-scatter ([`scatter_event_pairs`]) radix-partitions the
-//! pairs into disjoint ascending [`TimeBuckets`] sized to L2 as it
-//! builds them — no intermediate event array — so each `sort_unstable`
-//! run stays cache-resident; buckets sort in parallel via [`scoped_map`]
-//! and concatenate without a merge pass. When the event times are dense
-//! — span smaller than a small multiple of the event count, the common
-//! shape for long-lived relations over a bounded lifespan — the scatter
-//! sharpens into a per-instant counting sort that emits the total
-//! `(time, payload)` order directly and skips the comparison sorts
-//! entirely. Carrying the value inside the
-//! pair means the replay below never random-accesses a values column:
-//! every pass (scatter, per-bucket sort, scan) is sequential or
-//! bucket-local. Because the event order is total (tags are unique), the
-//! sorted sequence — and therefore the emitted series — is byte-identical
-//! for every thread and bucket count.
+//! At [`finish`](TemporalAggregator::finish) the start and end columns are
+//! lowered to bare 16-byte [`EndpointEvent`]s — an admit at each start, a
+//! retract at the instant after each end, the tuple index baked into the
+//! payload — written in payload order (every retract, then every admit,
+//! each in tag order). [`sort_endpoint_events`] orders them by time with
+//! tempagg-core's radix sort: a top-digit scatter into disjoint ascending
+//! cache-sized time buckets, which sort on the [`scoped_map`] pool, then
+//! stable counting passes within each bucket. No comparison runs outside
+//! buckets of a few hundred events, and stability keeps the payload order
+//! at each instant, so the sorted sequence is the total `(time, payload)`
+//! order and the emitted series is byte-identical for every thread and
+//! bucket count. The values stay in their column: the replay reads
+//! `values[tag]`, so the sort moves 16 bytes per event, not the event and
+//! a copy of the value, and a `MultiDyn` sweep clones no `Vec<Value>`.
 //!
 //! The scan is a single forward replay: each admit/retract applies
 //! through the slot-handle hooks of [`SweepAggregate`]
@@ -44,7 +34,7 @@
 //! the replay (a segment closes whenever the event time advances), so the
 //! explicit boundary vector is gone too. The output is exactly the same
 //! constant intervals as every other algorithm (one entry per boundary
-//! segment, not value-coalesced), so v2 drops into
+//! segment, not value-coalesced), so the sweep drops into
 //! [`PartitionedAggregator`] unchanged and byte-identically. The plan
 //! executor does not put it there: a sweep's work is this finish-time
 //! sort, so a parallel sweep plan is one kernel with
@@ -57,300 +47,31 @@ use crate::parallel::scoped_map;
 use crate::traits::TemporalAggregator;
 use tempagg_agg::SweepAggregate;
 use tempagg_core::{
-    scatter_by_time, Chunk, EndpointEvent, Interval, Result, SeriesSink, TempAggError, TimeBuckets,
+    sort_by_time_with, Chunk, EndpointEvent, Interval, Result, SeriesSink, TempAggError, TimeRun,
     Timestamp,
 };
 
-/// Below this many events a partitioned sort cannot recoup the scatter
-/// pass; sort directly.
-const PARALLEL_SORT_MIN: usize = 8 * 1024;
-
-/// Upper bound passed to [`scatter_by_time`]; the scatter itself clamps
-/// to one bucket per ~16 Ki events, so this only caps degenerate cases.
-const MAX_SORT_BUCKETS: usize = 4096;
-
-/// Sort endpoint events into one globally ordered array.
+/// Sort endpoint events into one globally ordered array: the one sort
+/// the sweep and the join share.
 ///
-/// With `threads <= 1` or a small input this is a single direct
-/// `sort_unstable`. Otherwise the events are radix-scattered into
-/// disjoint ascending time buckets sized to stay L2-resident and each
-/// bucket is sorted independently on the [`scoped_map`] worker pool;
-/// concatenation (in place — the buckets are contiguous) is already the
-/// global order, no merge needed. The result is identical in every mode:
-/// the `(time, payload)` key is a total order.
+/// [`sort_by_time_with`] radix-sorts on time: a top-digit scatter into
+/// disjoint ascending time buckets sized to stay L2-resident, then each
+/// bucket's counting passes on the [`scoped_map`] worker pool;
+/// concatenation is already the global order, no merge needed. Callers
+/// build `events` in payload order (every retract, then every admit,
+/// each in tag order), which the stable passes keep at every instant, so
+/// the result is the total `(time, payload)` order in every mode.
 pub(crate) fn sort_endpoint_events(
-    mut events: Vec<EndpointEvent>,
+    events: Vec<EndpointEvent>,
     threads: usize,
 ) -> Vec<EndpointEvent> {
-    if events.len() < PARALLEL_SORT_MIN {
-        events.sort_unstable();
-        return events;
-    }
-    let (mut scattered, offsets) = scatter_by_time(&events, MAX_SORT_BUCKETS);
-    let mut runs: Vec<&mut [EndpointEvent]> = Vec::with_capacity(offsets.len());
-    let mut rest: &mut [EndpointEvent] = &mut scattered;
-    let mut prev = 0usize;
-    for &off in offsets.iter().skip(1) {
-        let (run, tail) = rest.split_at_mut(off - prev);
-        runs.push(run);
-        rest = tail;
-        prev = off;
-    }
-    scoped_map(runs, threads, |run: &mut [EndpointEvent]| {
-        run.sort_unstable();
-    });
-    scattered
+    sort_by_time_with(events, |runs| {
+        scoped_map(runs, threads, TimeRun::sort);
+    })
 }
 
-/// Past this ratio of time-span to event count a per-instant counting
-/// scatter would touch more memory than the comparison sort it replaces;
-/// the sparse regime keeps the bucketed comparison sort instead.
-const DENSE_SPAN_FACTOR: i128 = 2;
-
-/// The lowered, time-ordered event stream of a sweep.
-///
-/// Both shapes carry a clone of each tuple's value next to its events,
-/// so the replay in `finish_states` never random-accesses a values column.
-enum LoweredEvents<V> {
-    /// Dense regime: the event time is positional. `pairs` holds bare
-    /// `(payload, value)` words grouped by instant;
-    /// `group_ends[i]` is the end offset of the group for instant
-    /// `lo + i` (its start is the previous group's end). Groups are
-    /// already in the total `(time, payload)` order — retracts were
-    /// scattered before admits, tuples in tag order — so no sort runs.
-    Dense {
-        pairs: Vec<(u64, V)>,
-        group_ends: Vec<u32>,
-        lo: i64,
-    },
-    /// Sparse regime: whole 16-byte [`EndpointEvent`]s, radix-scattered
-    /// into ascending cache-sized bucket runs
-    /// (`pairs[offsets[b]..offsets[b + 1]]`), each still needing its own
-    /// sort.
-    Sparse {
-        pairs: Vec<(EndpointEvent, V)>,
-        offsets: Vec<usize>,
-    },
-}
-
-/// Lower columnar `(start, end, value)` runs straight into time-ordered
-/// `(event, value)` pairs — the fused build-and-scatter step of the v2
-/// sort. Ends at `domain_end` (or `FOREVER`) need no retract — nothing
-/// is ever emitted past them.
-///
-/// The regime is chosen by the density of the event times: a span
-/// smaller than [`DENSE_SPAN_FACTOR`] × the event count takes the
-/// per-instant counting scatter ([`LoweredEvents::Dense`], sort-free);
-/// anything wider takes the [`TimeBuckets`] radix scatter into at most
-/// `max_buckets` runs ([`LoweredEvents::Sparse`]). With
-/// `max_buckets == 1` the sparse scatter degenerates to a plain build,
-/// which is what small inputs use. Both regimes replay to the same
-/// series — the event order is total.
-fn lower_events<V: Clone>(
-    starts: &[Timestamp],
-    ends: &[Timestamp],
-    values: &[V],
-    domain_end: Timestamp,
-    max_buckets: usize,
-) -> LoweredEvents<V> {
-    // Pass 1: the event-time range and the event count.
-    let mut lo = i64::MAX;
-    let mut hi = i64::MIN;
-    let mut n_events = 0usize;
-    for (&start, &end) in starts.iter().zip(ends.iter()) {
-        lo = lo.min(start.get());
-        hi = hi.max(start.get());
-        n_events += 1;
-        if end < domain_end {
-            hi = hi.max(end.next().get());
-            n_events += 1;
-        }
-    }
-    if n_events == 0 {
-        return LoweredEvents::Sparse {
-            pairs: Vec::new(),
-            offsets: vec![0],
-        };
-    }
-    let span = i128::from(hi) - i128::from(lo);
-    // The u32 bound keeps the counting scatter's cursor array half the
-    // size of a usize one (it is hammered with random accesses); inputs
-    // past 4 Gi events take the sparse path instead.
-    let n_events_wide = i128::try_from(n_events).unwrap_or(i128::MAX);
-    if span < DENSE_SPAN_FACTOR * n_events_wide && u32::try_from(n_events).is_ok() {
-        let span_len = usize::try_from(span).unwrap_or(usize::MAX);
-        let (pairs, group_ends) =
-            counting_scatter(starts, ends, values, domain_end, lo, span_len, n_events);
-        return LoweredEvents::Dense {
-            pairs,
-            group_ends,
-            lo,
-        };
-    }
-    let layout = TimeBuckets::layout(Timestamp(lo), Timestamp(hi), n_events, max_buckets);
-
-    // Pass 2: per-bucket counts, then exclusive prefix sums as both the
-    // returned offsets and (cloned below) the write cursors.
-    let mut counts = vec![0usize; layout.count()];
-    for (&start, &end) in starts.iter().zip(ends.iter()) {
-        // lint: allow(indexing): bucket_of is < count() for in-range times by construction
-        counts[layout.bucket_of(start)] += 1;
-        if end < domain_end {
-            // lint: allow(indexing): same bucket bound as above
-            counts[layout.bucket_of(end.next())] += 1;
-        }
-    }
-    let mut offsets = Vec::with_capacity(layout.count() + 1);
-    let mut total = 0usize;
-    for &c in &counts {
-        offsets.push(total);
-        total += c;
-    }
-    offsets.push(total);
-
-    // Pass 3: scatter. The placeholder fill is one sequential pass and
-    // every slot is overwritten exactly once.
-    let mut cursors = offsets.clone();
-    cursors.pop();
-    // lint: allow(indexing): n_events > 0 implies at least one tuple, so values is non-empty
-    let placeholder = (
-        EndpointEvent::retract(Timestamp::ORIGIN, 0),
-        values[0].clone(),
-    );
-    let mut out: Vec<(EndpointEvent, V)> = vec![placeholder; n_events];
-    for (idx, ((&start, &end), value)) in starts
-        .iter()
-        .zip(ends.iter())
-        .zip(values.iter())
-        .enumerate()
-    {
-        let tag = u64::try_from(idx).unwrap_or(u64::MAX);
-        let b = layout.bucket_of(start);
-        // lint: allow(indexing): b < buckets and cursors[b] < offsets[b + 1] ≤ len by the counting pass
-        out[cursors[b]] = (EndpointEvent::admit(start, tag), value.clone());
-        // lint: allow(indexing): same bucket bound as above
-        cursors[b] += 1;
-        if end < domain_end {
-            let at = end.next();
-            let b = layout.bucket_of(at);
-            // lint: allow(indexing): same counting-pass bound as the admit arm
-            out[cursors[b]] = (EndpointEvent::retract(at, tag), value.clone());
-            // lint: allow(indexing): same bucket bound as above
-            cursors[b] += 1;
-        }
-    }
-    LoweredEvents::Sparse {
-        pairs: out,
-        offsets,
-    }
-}
-
-/// The dense-regime scatter: one group per instant in `[lo, lo + span]`,
-/// retracts written before admits, tuples visited in tag order — the
-/// output is already in the total `(time, payload)` order. This is a
-/// counting sort, O(events + span) with no comparisons, which is why the
-/// caller only takes it when the span is small relative to the event
-/// count. The event time is not stored at all: it is recovered
-/// positionally from the returned per-instant group ends (after the
-/// scatter, cursor `i` has advanced to the end of instant `i`'s group),
-/// shrinking each stored pair to a bare `(payload, value)`.
-/// The per-instant cursor slot of time `t`: its offset from the dense
-/// range's first instant. The caller's range pass proves every admit and
-/// retract time lies in `[lo, lo + span]`, so the subtraction cannot
-/// underflow and the result indexes the cursor array.
-#[inline]
-fn dense_slot(t: Timestamp, lo: i64) -> usize {
-    // lint: allow(no-raw-i64-arith): the dense regime is positional by design — the slot IS the raw offset from lo
-    usize::try_from(t.get() - lo).unwrap_or(0)
-}
-
-#[allow(clippy::type_complexity)]
-fn counting_scatter<V: Clone>(
-    starts: &[Timestamp],
-    ends: &[Timestamp],
-    values: &[V],
-    domain_end: Timestamp,
-    lo: i64,
-    span: usize,
-    n_events: usize,
-) -> (Vec<(u64, V)>, Vec<u32>) {
-    // Per-instant counts -> exclusive prefix sums as write cursors. u32
-    // cursors (the caller guarantees the event count fits) keep this
-    // randomly-accessed array as small — as cache-resident — as it gets.
-    let mut cursors = vec![0u32; span + 1];
-    for (&start, &end) in starts.iter().zip(ends.iter()) {
-        // lint: allow(indexing): start - lo <= hi - lo == span by the range pass
-        cursors[dense_slot(start, lo)] += 1;
-        if end < domain_end {
-            // lint: allow(indexing): retract times were folded into hi by the range pass
-            cursors[dense_slot(end.next(), lo)] += 1;
-        }
-    }
-    let mut total = 0u32;
-    for c in &mut cursors {
-        let here = *c;
-        *c = total;
-        total += here;
-    }
-
-    // lint: allow(indexing): n_events > 0 implies at least one tuple, so values is non-empty
-    let placeholder = (EndpointEvent::retract_payload(0), values[0].clone());
-    let mut out: Vec<(u64, V)> = vec![placeholder; n_events];
-    // Retracts first: at equal times every retract payload (kind bit
-    // clear) sorts below every admit payload, and within each kind the
-    // tag order is the tuple order we visit in.
-    for (idx, (&end, value)) in ends.iter().zip(values.iter()).enumerate() {
-        if end < domain_end {
-            let slot = dense_slot(end.next(), lo);
-            let tag = u64::try_from(idx).unwrap_or(u64::MAX);
-            // lint: allow(indexing): cursor slots were counted above; each is bumped once per counted event
-            let at = usize::try_from(cursors[slot]).unwrap_or(0);
-            // lint: allow(indexing): the cursor stays below the next slot's prefix sum ≤ n_events
-            out[at] = (EndpointEvent::retract_payload(tag), value.clone());
-            // lint: allow(indexing): same per-instant bound as above
-            cursors[slot] += 1;
-        }
-    }
-    for (idx, (&start, value)) in starts.iter().zip(values.iter()).enumerate() {
-        let slot = dense_slot(start, lo);
-        let tag = u64::try_from(idx).unwrap_or(u64::MAX);
-        // lint: allow(indexing): same counting bound as the retract pass
-        let at = usize::try_from(cursors[slot]).unwrap_or(0);
-        // lint: allow(indexing): the cursor stays below the next slot's prefix sum ≤ n_events
-        out[at] = (EndpointEvent::admit_payload(tag), value.clone());
-        // lint: allow(indexing): same per-instant bound as above
-        cursors[slot] += 1;
-    }
-    // Each cursor has marched from its group's start to its end, so the
-    // cursor array *is* the group-ends array.
-    (out, cursors)
-}
-
-/// Sort each bucket run of `pairs` independently on up to `threads`
-/// workers. The buckets hold disjoint ascending time ranges, so the
-/// concatenation is already the global order — and the key (the
-/// [`EndpointEvent`], compared whole) is total, so the result is
-/// identical for every thread and bucket count.
-fn sort_bucket_runs<V: Send>(pairs: &mut [(EndpointEvent, V)], offsets: &[usize], threads: usize) {
-    let mut runs: Vec<&mut [(EndpointEvent, V)]> =
-        Vec::with_capacity(offsets.len().saturating_sub(1));
-    let mut rest = pairs;
-    let mut prev = 0usize;
-    for &off in offsets.iter().skip(1) {
-        let (run, tail) = rest.split_at_mut(off - prev);
-        if run.len() > 1 {
-            runs.push(run);
-        }
-        rest = tail;
-        prev = off;
-    }
-    scoped_map(runs, threads, |run: &mut [(EndpointEvent, V)]| {
-        run.sort_unstable_by_key(|pair| pair.0);
-    });
-}
-
-/// The columnar endpoint-sweep algorithm (v2: partitioned event sort +
-/// gapless live set).
+/// The columnar endpoint-sweep algorithm (radix-sorted events + gapless
+/// live set).
 ///
 /// # Example
 ///
@@ -413,90 +134,51 @@ impl<A: SweepAggregate> SweepAggregator<A> {
     }
 }
 
-impl<A: SweepAggregate> SweepAggregator<A>
-where
-    A::Input: Clone + Send,
-{
+impl<A: SweepAggregate> SweepAggregator<A> {
+    /// The buffered tuples' endpoint events in payload order: every
+    /// retract, then every admit, each in tag order. Ends at the domain end
+    /// need no retract — nothing is ever emitted past them.
+    fn endpoint_events(&self) -> Vec<EndpointEvent> {
+        let mut events = Vec::with_capacity(2 * self.starts.len());
+        for (tag, &end) in (0u64..).zip(&self.ends) {
+            if end < self.domain.end() {
+                events.push(EndpointEvent::retract(end.next(), tag));
+            }
+        }
+        for (tag, &start) in (0u64..).zip(&self.starts) {
+            events.push(EndpointEvent::admit(start, tag));
+        }
+        events
+    }
+
     /// Finish the sweep, handing `f` each constant interval in time order
     /// with the aggregate and the active state over it: the state
     /// [`finish_into`](TemporalAggregator::finish_into) reads each output
     /// from, for a caller that keeps more of a segment than its value.
     pub fn finish_states(self, mut f: impl FnMut(&A, Interval, &A::Active)) {
         let n = self.starts.len();
-        // Small inputs skip the scatter (one bucket, one direct sort);
-        // past the threshold the fused scatter pays for itself.
-        let max_buckets = if 2 * n < PARALLEL_SORT_MIN {
-            1
-        } else {
-            MAX_SORT_BUCKETS
-        };
-        let lowered = lower_events(
-            &self.starts,
-            &self.ends,
-            &self.values,
-            self.domain.end(),
-            max_buckets,
-        );
-
+        let events = sort_endpoint_events(self.endpoint_events(), self.threads);
         let mut active = self.agg.active_empty();
         self.agg.active_reserve(&mut active, n);
         let mut seg_start = self.domain.start();
-        // The event time advanced to `t`: the segment that started at
-        // `seg_start` is constant up to the instant before `t`.
-        macro_rules! close_segment_before {
-            ($t:expr) => {{
-                let t = $t;
-                if t > seg_start {
-                    let segment = Interval::new(seg_start, t.prev())
-                        // lint: allow(no-unwrap): events replay in time order, so seg_start < t means seg_start <= t.prev()
-                        .expect("event times increase");
-                    f(&self.agg, segment, &active);
-                    seg_start = t;
-                }
-            }};
-        }
-        match lowered {
-            LoweredEvents::Sparse { mut pairs, offsets } => {
-                sort_bucket_runs(&mut pairs, &offsets, self.threads);
-                // lint: hot-loop(endpoint-scan) — the event replay (admit/retract + segment emission) must stay allocation-free
-                for (ev, value) in &pairs {
-                    close_segment_before!(ev.time);
-                    let slot = usize::try_from(ev.tag()).unwrap_or(usize::MAX);
-                    if ev.is_admit() {
-                        self.agg.active_insert_slot(&mut active, slot, value);
-                    } else {
-                        self.agg.active_remove_slot(&mut active, slot, value);
-                    }
-                }
+        // lint: hot-loop(endpoint-scan) — the event replay (admit/retract + segment emission) must stay allocation-free
+        for ev in &events {
+            // The event time advanced to `t`: the segment that started at
+            // `seg_start` is constant up to the instant before `t`.
+            if ev.time > seg_start {
+                let segment = Interval::new(seg_start, ev.time.prev())
+                    // lint: allow(no-unwrap): events replay in time order, so seg_start < t means seg_start <= t.prev()
+                    .expect("event times increase");
+                f(&self.agg, segment, &active);
+                seg_start = ev.time;
             }
-            LoweredEvents::Dense {
-                pairs,
-                group_ends,
-                lo,
-            } => {
-                // Counting scatter: already ordered, time positional.
-                // Instants with no events close no segment.
-                let mut prev = 0usize;
-                // lint: hot-loop(endpoint-scan) — the event replay (admit/retract + segment emission) must stay allocation-free
-                for (i, &group_end) in group_ends.iter().enumerate() {
-                    let end = usize::try_from(group_end).unwrap_or(usize::MAX);
-                    if end == prev {
-                        continue;
-                    }
-                    let offset = i64::try_from(i).unwrap_or(i64::MAX);
-                    close_segment_before!(Timestamp(lo + offset));
-                    // lint: allow(indexing): group ends are the counting scatter's prefix sums, bounded by pairs.len()
-                    for (payload, value) in &pairs[prev..end] {
-                        let slot = usize::try_from(EndpointEvent::payload_tag(*payload))
-                            .unwrap_or(usize::MAX);
-                        if EndpointEvent::payload_is_admit(*payload) {
-                            self.agg.active_insert_slot(&mut active, slot, value);
-                        } else {
-                            self.agg.active_remove_slot(&mut active, slot, value);
-                        }
-                    }
-                    prev = end;
-                }
+            let slot = usize::try_from(ev.tag()).unwrap_or(usize::MAX);
+            // lint: allow(indexing): endpoint_events tags each event with its tuple index in 0..n
+            let value = &self.values[slot];
+            if ev.is_admit() {
+                self.agg.active_insert_slot(&mut active, slot, value);
+            } else {
+                self.agg.active_remove_slot(&mut active, slot, value);
             }
         }
         // The final segment runs to the domain end. Every event time lies
@@ -508,10 +190,7 @@ where
     }
 }
 
-impl<A: SweepAggregate> TemporalAggregator<A> for SweepAggregator<A>
-where
-    A::Input: Clone + Send,
-{
+impl<A: SweepAggregate> TemporalAggregator<A> for SweepAggregator<A> {
     fn algorithm(&self) -> &'static str {
         "endpoint-sweep"
     }
@@ -767,8 +446,9 @@ mod tests {
 
     #[test]
     fn parallel_sort_exercises_the_scatter_path() {
-        // Enough events to clear PARALLEL_SORT_MIN so the bucketed sort
-        // actually runs, including duplicate endpoints across buckets.
+        // 12,000 events with duplicate endpoints: one bucket of radix
+        // passes at four threads (several buckets are
+        // `the_radix_sort_equals_a_comparison_sort`'s sizes past 16 Ki).
         let domain = Interval::at(0, 1_000_000);
         let mut sweep = SweepAggregator::with_domain(Count, domain).with_parallelism(4);
         let mut tree = AggregationTree::with_domain(Count, domain);
@@ -778,5 +458,126 @@ mod tests {
             tree.push(iv, ()).unwrap();
         }
         assert_eq!(sweep.finish().entries(), tree.finish().entries());
+    }
+
+    /// A tuple's admit time and, when it retracts, its retract time.
+    type Endpoints = (Timestamp, Option<Timestamp>);
+
+    /// Events as the sweep lowers them: every retract (for tuples with
+    /// one), then every admit, each in tag order.
+    fn lowered(tuples: &[Endpoints]) -> Vec<EndpointEvent> {
+        let retracts = (0u64..)
+            .zip(tuples)
+            .filter_map(|(tag, &(_, end))| end.map(|t| EndpointEvent::retract(t, tag)));
+        let admits = (0u64..)
+            .zip(tuples)
+            .map(|(tag, &(start, _))| EndpointEvent::admit(start, tag));
+        retracts.chain(admits).collect()
+    }
+
+    #[test]
+    fn the_radix_sort_equals_a_comparison_sort() {
+        let mut state = 0x452821e638d01377u64;
+        let mut step = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut shapes: Vec<(&str, Vec<Endpoints>)> = Vec::new();
+        // Sizes at and around the comparison-sort cutoff (256 records)
+        // and the top digit's bucket boundaries (16 Ki records a bucket;
+        // about 1.8 events a tuple).
+        for n in [
+            0usize, 1, 2, 127, 128, 129, 255, 256, 300, 9_000, 9_102, 9_200, 20_000,
+        ] {
+            let mut random = |span: u64| -> Vec<Endpoints> {
+                (0..n)
+                    .map(|_| {
+                        let start = i64::try_from(step() % span).unwrap();
+                        let width = i64::try_from(step() % 64).unwrap();
+                        let end = (step() % 5 != 0).then(|| Timestamp(start + width + 1));
+                        (Timestamp(start), end)
+                    })
+                    .collect()
+            };
+            shapes.push(("sparse", random(1 << 40)));
+            shapes.push(("dense", random(u64::try_from(n).unwrap() / 2 + 1)));
+            shapes.push(("all equal", vec![(Timestamp(9), Some(Timestamp(9))); n]));
+            let mut outlier = random(1_000);
+            if let Some(first) = outlier.first_mut() {
+                *first = (Timestamp(3), Some(Timestamp(1 << 50)));
+            }
+            shapes.push(("one far outlier", outlier));
+            let mut extreme = random(1 << 62);
+            for (i, t) in extreme.iter_mut().enumerate().take(4) {
+                let lo = if i % 2 == 0 {
+                    Timestamp::MIN
+                } else {
+                    Timestamp::ORIGIN
+                };
+                *t = (lo, Some(Timestamp::FOREVER));
+            }
+            shapes.push(("to FOREVER", extreme));
+        }
+        for (shape, tuples) in &shapes {
+            let events = lowered(tuples);
+            let mut want = events.clone();
+            want.sort_unstable();
+            for threads in [1, 2, 8] {
+                let got = sort_endpoint_events(events.clone(), threads);
+                assert!(
+                    got == want,
+                    "{shape}, {} events, {threads} threads",
+                    events.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn at_one_instant_retracts_come_first_and_tags_ascend() {
+        // Many tuples touching at t = 1,000: each ends at 999 (retracts at
+        // 1,000) or starts there, more than a comparison-sorted run holds.
+        let tuples: Vec<Endpoints> = (0..3_000i64)
+            .map(|i| {
+                if i % 3 == 0 {
+                    (Timestamp(1_000), None)
+                } else {
+                    (Timestamp(i % 7), Some(Timestamp(1_000)))
+                }
+            })
+            .collect();
+        for threads in [1, 2] {
+            let sorted = sort_endpoint_events(lowered(&tuples), threads);
+            let at: Vec<&EndpointEvent> = sorted
+                .iter()
+                .filter(|e| e.time == Timestamp(1_000))
+                .collect();
+            assert_eq!(at.len(), 3_000);
+            assert!(at
+                .windows(2)
+                .all(|w| (w[0].is_admit(), w[0].tag()) < (w[1].is_admit(), w[1].tag())));
+            assert!(!at[1_999].is_admit() && at[2_000].is_admit());
+        }
+    }
+
+    #[test]
+    fn lowered_events_sort_to_the_total_order() {
+        // Touching tuples: most instants hold retracts and admits both, in
+        // more events than a comparison-sorted run holds. The radix sort
+        // keeps the builder's order at each instant, so this holds only if
+        // that order is payload order.
+        let mut sweep = SweepAggregator::with_domain(Count, Interval::at(0, 150));
+        for i in 0..2_000i64 {
+            let start = (i * 37) % 97;
+            sweep.push(Interval::at(start, start + i % 5), ()).unwrap();
+        }
+        let events = sweep.endpoint_events();
+        let mut want = events.clone();
+        want.sort_unstable();
+        for threads in [1, 2] {
+            assert!(sort_endpoint_events(events.clone(), threads) == want);
+        }
     }
 }

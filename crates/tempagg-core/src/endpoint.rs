@@ -1,14 +1,19 @@
 //! Endpoint events for sweep kernels: a 16-byte totally-ordered record
-//! plus a cache-conscious radix scatter.
+//! and the linear-time sort that orders events by time.
 //!
 //! The sweep algorithms (aggregation and interval join, in
 //! `tempagg-algo`) reduce every tuple to two *endpoint events*: an
 //! **admit** at the tuple's start instant and a **retract** at the
 //! instant after its end. Sorting the events once and replaying them in
 //! order reconstructs the active-tuple set at every boundary. Piatov et
-//! al. (arXiv:2008.12665) show the sort is the dominant cost at scale
-//! and that partitioning the events into cache-sized runs before sorting
-//! removes most of it; [`scatter_by_time`] is that partitioning step.
+//! al. (arXiv:2008.12665) show the sort is the dominant cost at scale.
+//! Here its key is an integer time with a known range, so
+//! [`sort_by_time`] is a radix sort on `time − lo`, not a comparison
+//! sort: a top-digit scatter into [`TimeBuckets`] (disjoint, ascending,
+//! cache-sized runs, the unit a caller may sort in parallel), then
+//! counting passes within each run over only the bits its time range
+//! needs. Every pass is stable, so records at one instant keep their
+//! input order.
 //!
 //! [`EndpointEvent`] packs the event kind and a caller-chosen *tag*
 //! (tuple index, or `index × 2 + side` for a two-relation join) into one
@@ -17,8 +22,10 @@
 //! makes a closed-interval join exact: a tuple ending at `t−1` retracts
 //! at `t` and must leave the live set before a tuple admitted at `t`
 //! looks for partners. The derived `Ord` on `(time, payload)` is total —
-//! tags are unique per event — so any partition of the event array sorts
-//! to the same global sequence regardless of thread or bucket count.
+//! tags are unique per event. A caller that builds its events in payload
+//! order (every retract, then every admit, each kind in tag order) gets
+//! exactly that total order from [`sort_by_time`], for every thread and
+//! bucket count.
 
 use crate::timestamp::Timestamp;
 
@@ -55,32 +62,6 @@ impl EndpointEvent {
         EndpointEvent { time, payload: tag }
     }
 
-    /// Just the payload word of an admit (kind bit + tag) — for dense
-    /// scatters that encode the event time positionally and store bare
-    /// payload words instead of whole events.
-    #[inline]
-    pub const fn admit_payload(tag: u64) -> u64 {
-        tag | ADMIT_BIT
-    }
-
-    /// Just the payload word of a retract.
-    #[inline]
-    pub const fn retract_payload(tag: u64) -> u64 {
-        tag
-    }
-
-    /// The kind bit of a bare payload word.
-    #[inline]
-    pub const fn payload_is_admit(payload: u64) -> bool {
-        payload & ADMIT_BIT != 0
-    }
-
-    /// The tag of a bare payload word.
-    #[inline]
-    pub const fn payload_tag(payload: u64) -> u64 {
-        payload & !ADMIT_BIT
-    }
-
     /// The caller's tag, with the kind bit stripped.
     #[inline]
     pub const fn tag(self) -> u64 {
@@ -94,41 +75,47 @@ impl EndpointEvent {
     }
 }
 
-/// Number of events targeted per bucket by [`scatter_by_time`]:
-/// 16 Ki events × 16 bytes = 256 KiB, sized to sort within L2.
+/// Number of records targeted per bucket of the top-digit scatter:
+/// 16 Ki events × 16 bytes = 256 KiB, so a run and its spare stay in L2.
 const TARGET_RUN: usize = 16 * 1024;
 
 /// Hard ceiling on bucket count (bounds the histogram and offset table).
 const MAX_BUCKETS: usize = 4096;
 
-/// The bucket layout of a cache-partitioned event sort: disjoint,
-/// ascending time ranges of width `2^shift` starting at `lo`.
+/// Below this many records a run is comparison-sorted: clearing and
+/// summing a digit histogram costs more than the sort.
+const COMPARISON_SORT_MAX: usize = 256;
+
+/// Widest digit of one counting pass: a 2,048-entry histogram.
+const RADIX_BITS: u32 = 11;
+
+/// Most counting passes a run needs: 64 key bits in digits of
+/// [`RADIX_BITS`].
+const MAX_PASSES: usize = 6;
+
+/// The bucket layout of the top-digit scatter: disjoint, ascending time
+/// ranges of width `2^shift` starting at `lo`.
 ///
-/// [`TimeBuckets::layout`] picks the widths so at most
-/// `min(max_buckets, MAX_BUCKETS)` buckets exist and each holds roughly
-/// [`TARGET_RUN`] events under a uniform time distribution. Because the
-/// ranges are disjoint and ascending, sorting each bucket independently
-/// and concatenating yields a globally sorted array — no merge pass.
-/// [`scatter_by_time`] uses this layout for plain event arrays; the
-/// sweep kernel reuses it to scatter value-carrying event pairs without
-/// materializing an intermediate event array at all.
+/// [`TimeBuckets::layout`] picks the widths so at most [`MAX_BUCKETS`]
+/// buckets exist and each holds roughly [`TARGET_RUN`] records under a
+/// uniform time distribution. Because the ranges are disjoint and
+/// ascending, sorting each bucket independently and concatenating yields
+/// a globally sorted array — no merge pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimeBuckets {
+struct TimeBuckets {
     lo: i64,
     shift: u32,
     buckets: usize,
 }
 
 impl TimeBuckets {
-    /// Lay out buckets for `len` events whose times span `[lo, hi]`
+    /// Lay out buckets for `len` records whose times span `[lo, hi]`
     /// (both inclusive, `lo <= hi`).
-    pub fn layout(lo: Timestamp, hi: Timestamp, len: usize, max_buckets: usize) -> Self {
+    fn layout(lo: Timestamp, hi: Timestamp, len: usize) -> Self {
         // The span can overflow i64 (ORIGIN..FOREVER is the whole
         // line), so the shift search runs in i128.
         let span = i128::from(hi.get()) - i128::from(lo.get());
-        let want = max_buckets
-            .clamp(1, MAX_BUCKETS)
-            .min(len.div_ceil(TARGET_RUN).max(1));
+        let want = len.div_ceil(TARGET_RUN).clamp(1, MAX_BUCKETS);
         let mut shift = 0u32;
         while (span >> shift) + 1 > want as i128 {
             shift += 1;
@@ -142,79 +129,210 @@ impl TimeBuckets {
     }
 
     /// Number of buckets laid out (always at least one).
-    pub fn count(&self) -> usize {
+    fn count(&self) -> usize {
         self.buckets
     }
 
     /// The bucket holding time `t`. `t` must lie within the `[lo, hi]`
-    /// range the layout was built from.
+    /// range the layout was built from; its offset from `lo` is then exact
+    /// in u64 (two's-complement subtraction).
     #[inline]
-    pub fn bucket_of(&self, t: Timestamp) -> usize {
-        ((i128::from(t.get()) - i128::from(self.lo)) >> self.shift) as usize
+    fn bucket_of(&self, t: Timestamp) -> usize {
+        let offset = (t.get() as u64).wrapping_sub(self.lo as u64);
+        offset.checked_shr(self.shift).unwrap_or(0) as usize
+    }
+
+    /// The first instant of bucket `b`.
+    fn base(&self, b: usize) -> Timestamp {
+        let base = i128::from(self.lo) + ((b as i128) << self.shift);
+        Timestamp(i64::try_from(base).unwrap_or(i64::MAX))
     }
 }
 
-/// Partition `events` into buckets of disjoint, ascending time ranges —
-/// the radix step of a cache-partitioned sort.
-///
-/// The bucket of an event is `(time − min_time) >> shift` with `shift`
-/// chosen so at most `min(max_buckets, MAX_BUCKETS)` buckets exist and
-/// each holds roughly [`TARGET_RUN`] events under a uniform time
-/// distribution. Because bucket ranges are disjoint and ascending,
-/// sorting each bucket independently and concatenating yields a globally
-/// sorted array — no merge pass. The scatter itself is one counting pass
-/// plus one sequential write pass (stable within buckets, though
-/// stability is irrelevant: the event order is total).
-///
-/// Returns the scattered copy and the bucket offsets
-/// (`offsets.len() == buckets + 1`; bucket `b` is
-/// `scattered[offsets[b]..offsets[b + 1]]`). Empty input returns an
-/// empty array and the single offset `[0]`.
-pub fn scatter_by_time(
-    events: &[EndpointEvent],
-    max_buckets: usize,
-) -> (Vec<EndpointEvent>, Vec<usize>) {
-    if events.is_empty() {
-        return (Vec::new(), vec![0]);
-    }
-    let mut lo = i64::MAX;
-    let mut hi = i64::MIN;
-    for e in events {
-        lo = lo.min(e.time.get());
-        hi = hi.max(e.time.get());
-    }
-    let layout = TimeBuckets::layout(Timestamp(lo), Timestamp(hi), events.len(), max_buckets);
-    let buckets = layout.count();
+/// One bucket of a [`sort_by_time`]: the records of one time range, and
+/// a spare slice of the same length the counting passes ping-pong
+/// through. Runs are independent, so a caller may sort them on several
+/// threads.
+#[derive(Debug)]
+pub struct TimeRun<'a> {
+    run: &'a mut [EndpointEvent],
+    spare: &'a mut [EndpointEvent],
+    /// The bucket's first instant: keys are offsets from it.
+    lo: Timestamp,
+    /// Every key of the bucket is below `2^bits`.
+    bits: u32,
+}
 
-    // Counting pass.
-    let mut counts = vec![0usize; buckets];
-    for e in events {
-        let b = layout.bucket_of(e.time);
-        // lint: allow(indexing): b < buckets by construction of the layout shift
-        counts[b] += 1;
+impl TimeRun<'_> {
+    /// Sort the run by time, stably: LSD counting passes over the `bits`
+    /// of `time − lo`, in digits of at most [`RADIX_BITS`]. One read
+    /// counts every digit; a digit all records share is not scattered.
+    /// Runs shorter than [`COMPARISON_SORT_MAX`] (or too long for `u32`
+    /// counts) are comparison-sorted by `Ord` instead.
+    pub fn sort(self) {
+        let TimeRun {
+            run,
+            spare,
+            lo,
+            bits,
+        } = self;
+        let len = run.len();
+        let Ok(len32) = u32::try_from(len) else {
+            run.sort_unstable();
+            return;
+        };
+        if len < COMPARISON_SORT_MAX {
+            run.sort_unstable();
+            return;
+        }
+        if bits == 0 {
+            return; // one instant: the input order stands
+        }
+        // Balanced digits: 17 bits take two passes of 9, not 11 + 6.
+        let passes = bits.div_ceil(RADIX_BITS);
+        let width = bits.div_ceil(passes);
+        let (passes, radix, mask) = (passes as usize, 1usize << width, (1u64 << width) - 1);
+        let key = |x: &EndpointEvent| (x.time.get() as u64).wrapping_sub(lo.get() as u64);
+        let mut table = [0u32; MAX_PASSES << RADIX_BITS];
+        // lint: allow(indexing): passes ≤ MAX_PASSES and radix ≤ 2^RADIX_BITS
+        let counts = &mut table[..passes * radix];
+        // One read counts every digit (two, the common case, unrolled).
+        if let (2, (low, high)) = (passes, counts.split_at_mut(radix)) {
+            // lint: hot-loop(time-sort) — the two-digit histogram
+            for x in run.iter() {
+                let k = key(x);
+                // lint: allow(indexing): a digit is masked to `width` bits, and each half has 2^width entries
+                low[(k & mask) as usize] += 1;
+                // lint: allow(indexing): same digit bound as above
+                high[((k >> width) & mask) as usize] += 1;
+            }
+        } else {
+            // lint: hot-loop(time-sort) — every digit of every record
+            for x in run.iter() {
+                let k = key(x);
+                let mut shift = 0;
+                for digits in counts.chunks_exact_mut(radix) {
+                    // lint: allow(indexing): a digit is masked to `width` bits, and a chunk has 2^width entries
+                    digits[((k >> shift) & mask) as usize] += 1;
+                    shift += width;
+                }
+            }
+        }
+        let (mut src, mut dst) = (run, spare);
+        let mut in_spare = false;
+        let mut shift = 0;
+        for digits in counts.chunks_exact_mut(radix) {
+            let pass_shift = shift;
+            shift += width;
+            if digits.contains(&len32) {
+                continue;
+            }
+            let mut total = 0u32;
+            // lint: hot-loop(time-sort) — exclusive prefix sums become the write cursors
+            for c in digits.iter_mut() {
+                (*c, total) = (total, total + *c);
+            }
+            // lint: hot-loop(time-sort) — one sequential read, one cursor write per record
+            for x in src.iter() {
+                let d = ((key(x) >> pass_shift) & mask) as usize;
+                // lint: allow(indexing): d < 2^width, and each cursor stays below its digit's end ≤ len
+                dst[digits[d] as usize] = *x;
+                // lint: allow(indexing): same digit bound as above
+                digits[d] += 1;
+            }
+            std::mem::swap(&mut src, &mut dst);
+            in_spare = !in_spare;
+        }
+        if in_spare {
+            dst.copy_from_slice(src);
+        }
     }
-    // Exclusive prefix sums become both the write cursors and (rebuilt
-    // below) the returned offsets.
-    let mut offsets = Vec::with_capacity(buckets + 1);
+}
+
+/// Sort `records` by time on the calling thread; see
+/// [`sort_by_time_with`].
+pub fn sort_by_time(records: Vec<EndpointEvent>) -> Vec<EndpointEvent> {
+    sort_by_time_with(records, |runs| runs.into_iter().for_each(TimeRun::sort))
+}
+
+/// Sort `records` by time in linear time, handing the independent
+/// [`TimeRun`]s to `sort_runs`, which must [`TimeRun::sort`] each of them
+/// (serially, or on a worker pool).
+///
+/// The top digit is a counting scatter into [`TimeBuckets`] — disjoint,
+/// ascending time ranges of about [`TARGET_RUN`] records, so
+/// concatenation is the global order and no merge pass runs; a run then
+/// sorts within cache. Every pass is stable, and a run below
+/// [`COMPARISON_SORT_MAX`] is sorted by `(time, payload)`, so the result
+/// equals `sort_unstable`'s whenever the events of each instant arrive in
+/// payload order. Scratch space is one array of `records.len()` events.
+pub fn sort_by_time_with(
+    mut records: Vec<EndpointEvent>,
+    sort_runs: impl FnOnce(Vec<TimeRun<'_>>),
+) -> Vec<EndpointEvent> {
+    let Some(&first) = records.first() else {
+        return records;
+    };
+    if records.len() < COMPARISON_SORT_MAX {
+        records.sort_unstable();
+        return records;
+    }
+    let (mut lo, mut hi) = (Timestamp::FOREVER, Timestamp::MIN);
+    // lint: hot-loop(time-sort) — the range pass
+    for x in &records {
+        (lo, hi) = (lo.min(x.time), hi.max(x.time));
+    }
+    let layout = TimeBuckets::layout(lo, hi, records.len());
+    let mut spare = vec![first; records.len()];
+    if layout.count() == 1 {
+        sort_runs(vec![TimeRun {
+            run: &mut records,
+            spare: &mut spare,
+            lo,
+            bits: layout.shift,
+        }]);
+        return records;
+    }
+    let mut cursors = vec![0usize; layout.count()];
+    // lint: hot-loop(time-sort) — the top digit's counting pass
+    for x in &records {
+        // lint: allow(indexing): bucket_of is < count() for times within the range pass's [lo, hi]
+        cursors[layout.bucket_of(x.time)] += 1;
+    }
+    let mut ends = Vec::with_capacity(layout.count());
     let mut total = 0usize;
-    for &c in &counts {
-        offsets.push(total);
-        total += c;
+    // lint: hot-loop(time-sort) — exclusive prefix sums; `ends` was sized above
+    for c in &mut cursors {
+        (*c, total) = (total, total + *c);
+        ends.push(total);
     }
-    offsets.push(total);
-
-    // Scatter pass: one sequential read, bucket-local sequential writes.
-    let mut cursors = offsets.clone();
-    cursors.pop();
-    let mut out = vec![EndpointEvent::retract(Timestamp::ORIGIN, 0); events.len()];
-    for e in events {
-        let b = layout.bucket_of(e.time);
-        // lint: allow(indexing): b < buckets and cursors[b] < offsets[b + 1] ≤ len by the counting pass
-        out[cursors[b]] = *e;
+    // lint: hot-loop(time-sort) — the top digit's stable scatter
+    for x in &records {
+        let b = layout.bucket_of(x.time);
+        // lint: allow(indexing): b < count(), and each cursor stays below its bucket's end ≤ len
+        spare[cursors[b]] = *x;
         // lint: allow(indexing): same bucket bound as above
         cursors[b] += 1;
     }
-    (out, offsets)
+    // The scattered records are in `spare`; `records` is the runs' spare.
+    let mut runs = Vec::with_capacity(layout.count());
+    let (mut run_rest, mut spare_rest) = (&mut spare[..], &mut records[..]);
+    let mut prev = 0usize;
+    for (b, end) in ends.into_iter().enumerate() {
+        let (run, tail) = run_rest.split_at_mut(end - prev);
+        let (other, other_tail) = spare_rest.split_at_mut(end - prev);
+        (run_rest, spare_rest, prev) = (tail, other_tail, end);
+        if run.len() > 1 {
+            runs.push(TimeRun {
+                run,
+                spare: other,
+                lo: layout.base(b),
+                bits: layout.shift,
+            });
+        }
+    }
+    sort_runs(runs);
+    spare
 }
 
 #[cfg(test)]
@@ -246,63 +364,38 @@ mod tests {
     }
 
     #[test]
-    fn scatter_preserves_multiset_and_orders_buckets() {
-        let mut events = Vec::new();
+    fn sort_by_time_handles_empty_and_uniform_inputs() {
+        assert!(sort_by_time(Vec::<EndpointEvent>::new()).is_empty());
+        // Every record at one instant: no pass runs and the input order,
+        // here payload order, stands.
+        for n in [100u64, 5_000] {
+            let same: Vec<_> = (0..n)
+                .map(|i| EndpointEvent::admit(Timestamp(7), i))
+                .collect();
+            assert_eq!(sort_by_time(same.clone()), same);
+        }
+    }
+
+    #[test]
+    fn sort_by_time_survives_extreme_spans() {
+        // ORIGIN..FOREVER and MIN..FOREVER span more than i64: the keys
+        // are offsets from the least time, taken in u64.
         let mut state = 0x9e3779b97f4a7c15u64;
-        for i in 0..10_000u64 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let t = Timestamp((state % 1_000_000) as i64);
-            events.push(if i % 2 == 0 {
-                EndpointEvent::admit(t, i)
-            } else {
-                EndpointEvent::retract(t, i)
-            });
-        }
-        let (mut scattered, offsets) = scatter_by_time(&events, 64);
-        assert_eq!(scattered.len(), events.len());
-        assert_eq!(*offsets.last().unwrap(), events.len());
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        // Bucket ranges are disjoint and ascending: sorting each bucket
-        // independently must equal one global sort.
-        for w in offsets.windows(2) {
-            scattered[w[0]..w[1]].sort_unstable();
-        }
-        let mut global = events.clone();
-        global.sort_unstable();
-        assert_eq!(scattered, global);
-    }
-
-    #[test]
-    fn scatter_survives_extreme_spans() {
-        // ORIGIN..FOREVER spans more than i64 — the i128 path.
-        let events = vec![
-            EndpointEvent::admit(Timestamp::MIN, 0),
-            EndpointEvent::admit(Timestamp::ORIGIN, 1),
-            EndpointEvent::retract(Timestamp::FOREVER, 2),
-        ];
-        let (scattered, offsets) = scatter_by_time(&events, 8);
-        assert_eq!(scattered.len(), 3);
-        assert_eq!(*offsets.last().unwrap(), 3);
-        let mut sorted: Vec<_> = scattered;
-        sorted.sort_unstable();
-        assert_eq!(sorted[0].time, Timestamp::MIN);
-        assert_eq!(sorted[2].time, Timestamp::FOREVER);
-    }
-
-    #[test]
-    fn scatter_handles_empty_and_uniform_inputs() {
-        let (out, offsets) = scatter_by_time(&[], 16);
-        assert!(out.is_empty());
-        assert_eq!(offsets, vec![0]);
-
-        // All events at one instant collapse to a single bucket.
-        let same: Vec<_> = (0..100)
-            .map(|i| EndpointEvent::admit(Timestamp(7), i))
+        let mut times: Vec<Timestamp> = (0..40_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                Timestamp(state as i64)
+            })
             .collect();
-        let (out, offsets) = scatter_by_time(&same, 16);
-        assert_eq!(out, same);
-        assert_eq!(offsets, vec![0, 100]);
+        times.extend([Timestamp::MIN, Timestamp::ORIGIN, Timestamp::FOREVER]);
+        let events: Vec<EndpointEvent> = (0u64..)
+            .zip(times)
+            .map(|(tag, t)| EndpointEvent::admit(t, tag))
+            .collect();
+        let mut want = events.clone();
+        want.sort_unstable();
+        assert_eq!(sort_by_time(events), want);
     }
 }

@@ -24,7 +24,9 @@
 //! assert_eq!(k_ordered_percentage(&intervals, 1), 0.5); // 2 of 4 displaced by 1
 //! ```
 
+use crate::endpoint::{sort_by_time, EndpointEvent};
 use crate::interval::Interval;
+use crate::timestamp::Timestamp;
 
 /// For each storage position `i`, the position the tuple would occupy in
 /// the totally ordered (start, then end) version of the relation.
@@ -33,15 +35,51 @@ use crate::interval::Interval;
 /// relative storage order — which yields the minimal displacement
 /// assignment among equal keys.
 pub fn sorted_positions(intervals: &[Interval]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..intervals.len()).collect();
-    // lint: allow(no-stable-sort): stability gives equal intervals zero displacement (minimal assignment)
-    idx.sort_by_key(|&i| (intervals[i].start(), intervals[i].end()));
+    if is_time_ordered(intervals) {
+        return (0..intervals.len()).collect();
+    }
     let mut pos = vec![0usize; intervals.len()];
-    for (sorted_pos, &storage_pos) in idx.iter().enumerate() {
-        // lint: allow(indexing): idx is a permutation of 0..len, so storage_pos < pos.len()
-        pos[storage_pos] = sorted_pos;
+    for (sorted_pos, e) in time_order(intervals, &by_end(intervals)).iter().enumerate() {
+        // lint: allow(indexing): tags are storage positions 0..len
+        pos[tag(e)] = sorted_pos;
     }
     pos
+}
+
+/// An event's tag as an index (tags here are positions below `len`).
+fn tag(e: &EndpointEvent) -> usize {
+    usize::try_from(e.tag()).unwrap_or(usize::MAX)
+}
+
+/// The tuples' end instants ascending, ties in storage order; each
+/// event's tag is its tuple's storage position. One linear-time radix
+/// sort ([`sort_by_time`]).
+fn by_end(intervals: &[Interval]) -> Vec<EndpointEvent> {
+    let events = (0u64..)
+        .zip(intervals)
+        .map(|(i, iv)| EndpointEvent::retract(iv.end(), i))
+        .collect();
+    sort_by_time(events)
+}
+
+/// The tuples in `(start, end, storage position)` order — the stable
+/// sort by interval — from a second radix sort on start over the tuples
+/// in `by_end`'s order: its stable passes keep that order among equal
+/// starts. Each event's time is the start, its tag the storage position.
+fn time_order(intervals: &[Interval], by_end: &[EndpointEvent]) -> Vec<EndpointEvent> {
+    // The tag is the rank in `by_end`, so the comparison sort of a short
+    // input (which orders by tag at equal times) agrees with the passes.
+    let events = (0u64..)
+        .zip(by_end)
+        // lint: allow(indexing): by_end's tags are storage positions 0..len
+        .map(|(rank, e)| EndpointEvent::retract(intervals[tag(e)].start(), rank))
+        .collect();
+    let mut order = sort_by_time(events);
+    for e in &mut order {
+        // lint: allow(indexing): ranks are positions 0..len of by_end
+        *e = EndpointEvent::retract(e.time, by_end[tag(e)].tag());
+    }
+    order
 }
 
 /// Per-tuple displacement `|i − sorted_position(i)|`.
@@ -116,15 +154,28 @@ pub struct SortednessReport {
     pub percentage_at_k_order: f64,
     /// Fraction of tuples displaced at all.
     pub fraction_displaced: f64,
+    /// Distinct instants among the tuples' starts and ends.
+    pub distinct_timestamps: usize,
 }
 
-/// Compute a [`SortednessReport`] in one pass over the displacement vector.
+/// Compute a [`SortednessReport`] from radix sorts on the tuples' ends
+/// and starts: the displacements come from the time order, and the
+/// distinct instants from merging the two sorted columns. A relation
+/// already in time order skips the sort on starts.
 pub fn analyze(intervals: &[Interval]) -> SortednessReport {
-    let disps = displacements(intervals);
-    let n = disps.len();
-    let k = disps.iter().copied().max().unwrap_or(0);
-    let sum: usize = disps.iter().sum();
-    let displaced = disps.iter().filter(|&&d| d > 0).count();
+    let n = intervals.len();
+    let ends = by_end(intervals);
+    let (mut k, mut sum, mut displaced) = (0usize, 0usize, 0usize);
+    let distinct = if is_time_ordered(intervals) {
+        distinct_in_merge(intervals.iter().map(Interval::start), &ends)
+    } else {
+        let order = time_order(intervals, &ends);
+        for (sorted_pos, e) in order.iter().enumerate() {
+            let d = sorted_pos.abs_diff(tag(e));
+            (k, sum, displaced) = (k.max(d), sum + d, displaced + usize::from(d > 0));
+        }
+        distinct_in_merge(order.iter().map(|e| e.time), &ends)
+    };
     SortednessReport {
         n,
         k_order: k,
@@ -134,6 +185,25 @@ pub fn analyze(intervals: &[Interval]) -> SortednessReport {
         } else {
             displaced as f64 / n as f64
         },
+        distinct_timestamps: distinct,
+    }
+}
+
+/// Distinct instants among two ascending sequences.
+fn distinct_in_merge(starts: impl Iterator<Item = Timestamp>, ends: &[EndpointEvent]) -> usize {
+    let mut starts = starts.peekable();
+    let mut ends = ends.iter().map(|e| e.time).peekable();
+    let (mut distinct, mut last) = (0usize, None);
+    loop {
+        let t = match (starts.peek(), ends.peek()) {
+            (Some(s), Some(e)) if s <= e => starts.next(),
+            (_, Some(_)) => ends.next(),
+            (Some(_), None) => starts.next(),
+            (None, None) => return distinct,
+        };
+        if t != last {
+            (distinct, last) = (distinct + 1, t);
+        }
     }
 }
 

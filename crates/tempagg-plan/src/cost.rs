@@ -55,11 +55,12 @@ pub struct CostModel {
     /// cache-resident, so visits are cheaper than cold tree descents).
     pub ktree_node_visit: f64,
     /// Sort cost per endpoint event per `log₂ e` (the sweep's dominant
-    /// term: one `sort_unstable` over `e = 2n` events).
+    /// term: the sort of `e = 2n` events, priced as a comparison sort; the
+    /// kernel's is a radix sort on time).
     pub sweep_sort_per_event: f64,
     /// Sort cost per endpoint event per `log₂ e` when the sweep takes its
-    /// cache-partitioned path (radix scatter into time-bucketed runs,
-    /// per-run `sort_unstable` across workers). The whole term divides by
+    /// bucket-parallel path (radix scatter into time-bucketed runs, each
+    /// run's counting passes across workers). The whole term divides by
     /// the degree of parallelism.
     pub parallel_sort_per_event: f64,
     /// Cost of applying one endpoint event in the sweep's merge scan
@@ -299,7 +300,7 @@ fn candidates(stats: &RelationStats) -> Vec<AlgorithmChoice> {
 /// cheaper than running serially. Non-sweep candidates parallelise through
 /// the partitioned pipeline, so all their CPU divides. The sweeps' dominant
 /// sort term runs partitioned in-kernel (radix scatter + per-bucket
-/// `sort_unstable`, costed at [`CostModel::parallel_sort_per_event`]) and
+/// counting passes, costed at [`CostModel::parallel_sort_per_event`]) and
 /// divides by `p`, while the merge scan stays serial —
 /// `SweepAggregator::with_parallelism(p)`, which is what
 /// `execute_chunks_into` builds for a `Sweep` plan and `statement.rs` for a

@@ -509,10 +509,9 @@ mod tests {
                 presort: true,
             },
         ];
-        // Dense: 768 tuples inside 1,000 instants, so the sweep lowers by
-        // counting scatter (small, because `validate` re-walks the trees on
-        // every insert). Sparse: 12,288 tuples over 10⁶ instants — two sort
-        // buckets, so at p ≥ 2 the bucketed sort really runs on workers;
+        // Dense: 768 tuples inside 1,000 instants, many events an instant
+        // (small, because `validate` re-walks the trees on every insert).
+        // Sparse: 12,288 tuples over 10⁶ instants — two sort buckets, so at p ≥ 2 the bucketed sort really runs on workers;
         // only the sweep takes it (the list is quadratic there, and the
         // trees' partitioned route does not depend on the regime).
         for (n, span, choices) in [(768, 1_000, &every[..]), (12_288, 1_000_000, &every[..1])] {

@@ -101,9 +101,10 @@ impl RelationStats {
     /// Measure stats from valid-time intervals in storage order:
     /// sortedness via the Section 5.2 metrics, long-lived fraction
     /// relative to the intervals' hull (the relation's lifespan), and
-    /// exact distinct-timestamp counts. Callers that already hold the
-    /// projected intervals of a filtered tuple set (the SQL scan) plan
-    /// from them without building a relation.
+    /// exact distinct-timestamp counts; the k-order and the distinct count
+    /// come from the same radix sorts on time ([`sortedness::analyze`]).
+    /// Callers that already hold the projected intervals of a filtered
+    /// tuple set (the SQL scan) plan from them without building a relation.
     pub fn analyze_intervals(intervals: &[Interval]) -> RelationStats {
         let n = intervals.len();
         let report = sortedness::analyze(intervals);
@@ -130,19 +131,11 @@ impl RelationStats {
             0.0
         };
 
-        let mut ts: Vec<i64> = Vec::with_capacity(2 * n);
-        for iv in intervals {
-            ts.push(iv.start().get());
-            ts.push(iv.end().get());
-        }
-        ts.sort_unstable();
-        ts.dedup();
-
         RelationStats {
             tuple_count: n,
             ordering,
             long_lived_fraction: long_lived,
-            unique_timestamps: Some(ts.len()),
+            unique_timestamps: Some(report.distinct_timestamps),
             expected_result_intervals: None,
             cached_series: None,
             pages: None,
@@ -203,7 +196,7 @@ impl RelationStats {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tempagg_core::{Schema, Value, ValueType};
+    use tempagg_core::{Schema, Timestamp, Value, ValueType};
 
     fn relation(intervals: &[(i64, i64)]) -> TemporalRelation {
         let schema: Arc<Schema> = Schema::of(&[("x", ValueType::Int)]);
@@ -289,5 +282,122 @@ mod tests {
         let s = RelationStats::analyze(&r);
         assert_eq!(s.tuple_count, 0);
         assert_eq!(s.ordering, OrderingKnowledge::Sorted);
+    }
+
+    /// The statistics computed with comparison sorts: a stable index sort
+    /// for the displacements, sort + dedup for the distinct timestamps.
+    fn reference(intervals: &[Interval]) -> (Vec<usize>, RelationStats) {
+        let n = intervals.len();
+        let mut idx: Vec<usize> = (0..n).collect();
+        idx.sort_by_key(|&i| (intervals[i].start(), intervals[i].end()));
+        let mut pos = vec![0usize; n];
+        for (sorted_pos, &storage_pos) in idx.iter().enumerate() {
+            pos[storage_pos] = sorted_pos;
+        }
+        let disps: Vec<usize> = pos
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| i.abs_diff(p))
+            .collect();
+        let k = disps.iter().copied().max().unwrap_or(0);
+        let ordering = if n <= 1 || k == 0 {
+            OrderingKnowledge::Sorted
+        } else if k <= n / 8 {
+            OrderingKnowledge::KOrdered { k }
+        } else {
+            OrderingKnowledge::Unordered
+        };
+        let lifespan = intervals
+            .iter()
+            .copied()
+            .reduce(|a, b| a.hull(&b))
+            .map_or(0, |iv| iv.duration());
+        let long_lived = if lifespan > 0 {
+            intervals
+                .iter()
+                .filter(|iv| iv.duration() as f64 >= 0.2 * lifespan as f64)
+                .count() as f64
+                / n.max(1) as f64
+        } else {
+            0.0
+        };
+        let mut ts: Vec<i64> = intervals
+            .iter()
+            .flat_map(|iv| [iv.start().get(), iv.end().get()])
+            .collect();
+        ts.sort_unstable();
+        ts.dedup();
+        let mut stats = RelationStats::unknown(n).with_ordering(ordering);
+        stats.long_lived_fraction = long_lived;
+        stats.unique_timestamps = Some(ts.len());
+        (pos, stats)
+    }
+
+    #[test]
+    fn radix_statistics_equal_the_comparison_sorts() {
+        let state = std::cell::Cell::new(0x3c6ef372fe94f82bu64);
+        let step = || {
+            let mut x = state.get();
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            state.set(x);
+            x
+        };
+        let random = |n: usize, span: u64, width: u64| -> Vec<Interval> {
+            (0..n)
+                .map(|_| {
+                    let s = i64::try_from(step() % span).unwrap();
+                    Interval::at(s, s + i64::try_from(step() % width).unwrap())
+                })
+                .collect()
+        };
+        let mut sets: Vec<(&str, Vec<Interval>)> = Vec::new();
+        for n in [0usize, 1, 2, 200, 300, 5_000, 40_000] {
+            let shuffled = random(n, 1_000_000, 50_000);
+            let mut sorted = shuffled.clone();
+            sorted.sort_by_key(|iv| (iv.start(), iv.end()));
+            let mut k_ordered = sorted.clone();
+            for i in (0..n.saturating_sub(7)).step_by(11) {
+                k_ordered.swap(i, i + 7);
+            }
+            let reversed: Vec<Interval> = sorted.iter().rev().copied().collect();
+            // Few distinct instants: equal starts tie-break on the end, equal
+            // intervals on storage order.
+            let duplicates = random(n, 16, 4);
+            let extreme: Vec<Interval> = (0..n)
+                .map(|i| match i % 5 {
+                    0 => Interval::new(Timestamp::MIN, Timestamp::FOREVER).unwrap(),
+                    1 => Interval::instant(Timestamp::MIN),
+                    2 => Interval::from_start(Timestamp::FOREVER),
+                    _ => {
+                        let (a, b) = (step() as i64, step() as i64);
+                        Interval::new(a.min(b), a.max(b)).unwrap()
+                    }
+                })
+                .collect();
+            sets.extend([
+                ("random", shuffled),
+                ("sorted", sorted),
+                ("k-ordered", k_ordered),
+                ("reversed", reversed),
+                ("duplicate-heavy", duplicates),
+                ("i64-extreme", extreme),
+            ]);
+        }
+        for (shape, intervals) in &sets {
+            let (positions, want) = reference(intervals);
+            let n = intervals.len();
+            assert_eq!(
+                sortedness::sorted_positions(intervals),
+                positions,
+                "{shape}, n = {n}"
+            );
+            assert_eq!(
+                RelationStats::analyze_intervals(intervals),
+                want,
+                "{shape}, n = {n}"
+            );
+        }
     }
 }

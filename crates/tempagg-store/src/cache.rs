@@ -822,11 +822,14 @@ mod tests {
             .collect()
     }
 
-    /// A freshly built cache equals the O(n²) oracle run for run, in both of
-    /// the sweep's regimes: a dense relation (event span < 2 × events, the
-    /// counting scatter) and a sparse one past the bucketed scatter's
-    /// threshold. A Delta-class run's state gives its value back, and each
-    /// boundary is counted once per tuple contributing it.
+    /// A freshly built cache equals the O(n²) oracle run for run over two
+    /// relation shapes: a dense one (400 tuples inside 500 instants, so the
+    /// event span is below twice the event count and most instants hold
+    /// several events) and a sparse one (4,500 tuples over 10⁶ instants,
+    /// more than 8 Ki events spread thin). Both have a thirteenth of their
+    /// tuples starting at 0, an eleventh open-ended and a seventh `NULL`.
+    /// A Delta-class run's state gives its value back, and each boundary is
+    /// counted once per tuple contributing it.
     #[test]
     fn a_built_cache_equals_the_oracle_in_both_sweep_regimes() {
         let dense = mixed(400, 500, 100);

@@ -20,13 +20,14 @@ cd "$(dirname "$0")/.."
 # statement's path before it runs, so the dispatcher, its window and scan
 # runners and the window planner they called are gone. So too for the
 # store's own admit/retract loop: every series it computes from tuples comes
-# out of SweepAggregator.
+# out of SweepAggregator. So too for the sweep's dense/sparse lowering: one
+# radix sort on time orders the sweep's and the join's events.
 # History (CHANGES.md, ROADMAP.md, EXPERIMENTS.md's retired table) is
 # exempt, and bench/ is read-only to engine PRs.
 echo "==> no citation of a retired harness command, BENCH_*.json, planner entry point or deleted second path"
-if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel|run_window|run_scan|plan_window|index_report|exec\.rs::run\b|RowBuffer::into_rows|sweep_runs' -- \
+if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel|run_window|run_scan|plan_window|index_report|exec\.rs::run\b|RowBuffer::into_rows|sweep_runs|LoweredEvents|counting_scatter|DENSE_SPAN_FACTOR|sort_bucket_runs' -- \
     README.md DESIGN.md .claude scripts crates src examples tests ':!scripts/check.sh'; then
-    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default(), choose_algorithm, StitchSink, PartitionedAggregator::finish_into or SweepAggregator::finish_states instead" >&2
+    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default(), choose_algorithm, StitchSink, PartitionedAggregator::finish_into, SweepAggregator::finish_states or sort_by_time instead" >&2
     exit 1
 fi
 
