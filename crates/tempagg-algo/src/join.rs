@@ -9,10 +9,10 @@
 //! co-live exactly when their intervals intersect, so each qualifying
 //! pair is found exactly once: at the admit of whichever tuple starts
 //! later (ties broken by the deterministic event order). The cost is a
-//! linear-time radix sort of the `2 (n + m)` events on time — shared with
-//! the aggregation kernel, including its bucket-parallel path
-//! ([`sort_endpoint_events`](crate::sweep::sort_endpoint_events)) — plus
-//! `O(result)` for the dense, branch-light enumeration.
+//! linear-time radix sort of the `2 (n + m)` events on time on the calling
+//! thread — the aggregation kernel's
+//! ([`sort_by_time`](tempagg_core::sort_by_time)) — plus `O(result)` for
+//! the dense, branch-light enumeration.
 //!
 //! The retract-before-admit tie order baked into
 //! [`EndpointEvent`](tempagg_core::EndpointEvent) keeps the enumeration to
@@ -33,9 +33,9 @@
 //! sinks ([`Series`](tempagg_core::Series),
 //! [`ChunkedSink`](tempagg_core::ChunkedSink)) will reject join output.
 
-use crate::sweep::sort_endpoint_events;
 use tempagg_core::{
-    EndpointEvent, GaplessSlots, Interval, Result, SeriesEntry, SeriesSink, TempAggError,
+    sort_by_time, EndpointEvent, GaplessSlots, Interval, Result, SeriesEntry, SeriesSink,
+    TempAggError,
 };
 
 /// The temporal join predicates of the first Allen-algebra slice.
@@ -117,7 +117,6 @@ pub struct SweepJoinOperator {
     domain: Interval,
     left: Vec<Interval>,
     right: Vec<Interval>,
-    threads: usize,
 }
 
 impl SweepJoinOperator {
@@ -133,17 +132,7 @@ impl SweepJoinOperator {
             domain,
             left: Vec::new(),
             right: Vec::new(),
-            threads: 1,
         }
-    }
-
-    /// Sort the co-mingled endpoint events on `threads` workers at
-    /// finish. Purely a throughput knob — the pair set and its emission
-    /// order are identical for every value.
-    #[must_use]
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The predicate this operator filters by.
@@ -215,9 +204,9 @@ impl SweepJoinOperator {
     /// Run the sweep, emitting every qualifying pair with the
     /// intersection of its two intervals. See the module docs for the
     /// (relaxed, possibly overlapping) emission order; pair order is
-    /// deterministic and thread-count-independent.
+    /// deterministic.
     pub fn finish_into(self, sink: &mut impl SeriesSink<JoinPair>) {
-        let events = sort_endpoint_events(self.build_events(), self.threads);
+        let events = sort_by_time(self.build_events());
         let mut left_live: GaplessSlots<Interval> = GaplessSlots::new();
         let mut right_live: GaplessSlots<Interval> = GaplessSlots::new();
         left_live.reserve_slots(self.left.len());
@@ -317,9 +306,8 @@ mod tests {
         predicate: JoinPredicate,
         left: &[Interval],
         right: &[Interval],
-        threads: usize,
     ) -> Vec<(Interval, usize, usize)> {
-        let mut join = SweepJoinOperator::new(predicate).with_parallelism(threads);
+        let mut join = SweepJoinOperator::new(predicate);
         for iv in left {
             join.push_left(*iv).unwrap();
         }
@@ -350,9 +338,7 @@ mod tests {
         ];
         let want = nested_loop(JoinPredicate::Overlaps, &left, &right);
         assert!(!want.is_empty());
-        for threads in [1, 4] {
-            assert_eq!(sweep(JoinPredicate::Overlaps, &left, &right, threads), want);
-        }
+        assert_eq!(sweep(JoinPredicate::Overlaps, &left, &right), want);
     }
 
     #[test]
@@ -376,7 +362,7 @@ mod tests {
         ] {
             let want = nested_loop(predicate, &left, &right);
             assert!(!want.is_empty(), "{predicate:?} oracle found nothing");
-            assert_eq!(sweep(predicate, &left, &right, 1), want, "{predicate:?}");
+            assert_eq!(sweep(predicate, &left, &right), want, "{predicate:?}");
         }
     }
 
@@ -387,7 +373,6 @@ mod tests {
             JoinPredicate::Overlaps,
             &[Interval::at(0, 10)],
             &[Interval::at(10, 20)],
-            1,
         );
         assert_eq!(got, vec![(Interval::at(10, 10), 0, 0)]);
         // [0,9] and [10,20] share nothing: the retract-before-admit tie
@@ -396,7 +381,6 @@ mod tests {
             JoinPredicate::Overlaps,
             &[Interval::at(0, 9)],
             &[Interval::at(10, 20)],
-            1,
         );
         assert!(none.is_empty());
     }
@@ -407,7 +391,6 @@ mod tests {
             JoinPredicate::Meets,
             &[Interval::at(0, 10), Interval::at(0, 9)],
             &[Interval::at(10, 20)],
-            1,
         );
         // Only [0,10] meets [10,20] under the closed-interval reading;
         // the intersection is the single shared instant.
@@ -420,7 +403,6 @@ mod tests {
             JoinPredicate::Overlaps,
             &[Interval::at(5, 10), Interval::at(5, 20)],
             &[Interval::at(5, 7)],
-            1,
         );
         assert_eq!(
             got,
@@ -439,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn randomized_overlap_join_agrees_across_parallelism() {
+    fn randomized_overlap_join_matches_nested_loop() {
         let mut state = 0x13198a2e03707344u64;
         let mut step = move || {
             state ^= state << 13;
@@ -459,13 +441,7 @@ mod tests {
         let left = gen(150, 5_000, 300);
         let right = gen(170, 5_000, 250);
         let want = nested_loop(JoinPredicate::Overlaps, &left, &right);
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                sweep(JoinPredicate::Overlaps, &left, &right, threads),
-                want,
-                "threads = {threads}"
-            );
-        }
+        assert_eq!(sweep(JoinPredicate::Overlaps, &left, &right), want);
     }
 
     #[test]
@@ -483,8 +459,6 @@ mod tests {
         let events = join.build_events();
         let mut want = events.clone();
         want.sort_unstable();
-        for threads in [1, 2] {
-            assert!(sort_endpoint_events(events.clone(), threads) == want);
-        }
+        assert!(sort_by_time(events) == want);
     }
 }

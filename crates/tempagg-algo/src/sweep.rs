@@ -13,16 +13,16 @@
 //! lowered to bare 16-byte [`EndpointEvent`]s — an admit at each start, a
 //! retract at the instant after each end, the tuple index baked into the
 //! payload — written in payload order (every retract, then every admit,
-//! each in tag order). [`sort_endpoint_events`] orders them by time with
-//! tempagg-core's radix sort: a top-digit scatter into disjoint ascending
-//! cache-sized time buckets, which sort on the [`scoped_map`] pool, then
-//! stable counting passes within each bucket. No comparison runs outside
-//! buckets of a few hundred events, and stability keeps the payload order
-//! at each instant, so the sorted sequence is the total `(time, payload)`
-//! order and the emitted series is byte-identical for every thread and
-//! bucket count. The values stay in their column: the replay reads
-//! `values[tag]`, so the sort moves 16 bytes per event, not the event and
-//! a copy of the value, and a `MultiDyn` sweep clones no `Vec<Value>`.
+//! each in tag order). tempagg-core's [`sort_by_time`] orders them by
+//! time with a radix sort on the calling thread: a top-digit scatter into
+//! disjoint ascending cache-sized time buckets, then stable counting
+//! passes within each bucket. No comparison runs outside buckets of a few
+//! hundred events, and stability keeps the payload order at each instant,
+//! so the sorted sequence is the total `(time, payload)` order and the
+//! emitted series is byte-identical for every bucket count. The values
+//! stay in their column: the replay reads `values[tag]`, so the sort moves
+//! 16 bytes per event, not the event and a copy of the value, and a
+//! `MultiDyn` sweep clones no `Vec<Value>`.
 //!
 //! The scan is a single forward replay: each admit/retract applies
 //! through the slot-handle hooks of [`SweepAggregate`]
@@ -36,39 +36,18 @@
 //! constant intervals as every other algorithm (one entry per boundary
 //! segment, not value-coalesced), so the sweep drops into
 //! [`PartitionedAggregator`] unchanged and byte-identically. The plan
-//! executor does not put it there: a sweep's work is this finish-time
-//! sort, so a parallel sweep plan is one kernel with
-//! [`SweepAggregator::with_parallelism`], as the cost model prices it.
+//! executor does not put it there, nor splits its sort: a sweep's push is
+//! a column append, and its linear sort is a small share of its finish,
+//! so a sweep plan is one serial kernel, as the cost model prices it.
 //!
 //! [`PartitionedAggregator`]: crate::parallel::PartitionedAggregator
 
 use crate::memory::{MemoryStats, MODEL_POINTER_BYTES};
-use crate::parallel::scoped_map;
 use crate::traits::TemporalAggregator;
 use tempagg_agg::SweepAggregate;
 use tempagg_core::{
-    sort_by_time_with, Chunk, EndpointEvent, Interval, Result, SeriesSink, TempAggError, TimeRun,
-    Timestamp,
+    sort_by_time, Chunk, EndpointEvent, Interval, Result, SeriesSink, TempAggError, Timestamp,
 };
-
-/// Sort endpoint events into one globally ordered array: the one sort
-/// the sweep and the join share.
-///
-/// [`sort_by_time_with`] radix-sorts on time: a top-digit scatter into
-/// disjoint ascending time buckets sized to stay L2-resident, then each
-/// bucket's counting passes on the [`scoped_map`] worker pool;
-/// concatenation is already the global order, no merge needed. Callers
-/// build `events` in payload order (every retract, then every admit,
-/// each in tag order), which the stable passes keep at every instant, so
-/// the result is the total `(time, payload)` order in every mode.
-pub(crate) fn sort_endpoint_events(
-    events: Vec<EndpointEvent>,
-    threads: usize,
-) -> Vec<EndpointEvent> {
-    sort_by_time_with(events, |runs| {
-        scoped_map(runs, threads, TimeRun::sort);
-    })
-}
 
 /// The columnar endpoint-sweep algorithm (radix-sorted events + gapless
 /// live set).
@@ -93,7 +72,6 @@ pub struct SweepAggregator<A: SweepAggregate> {
     starts: Vec<Timestamp>,
     ends: Vec<Timestamp>,
     values: Vec<A::Input>,
-    threads: usize,
 }
 
 impl<A: SweepAggregate> SweepAggregator<A> {
@@ -110,16 +88,14 @@ impl<A: SweepAggregate> SweepAggregator<A> {
             starts: Vec::new(),
             ends: Vec::new(),
             values: Vec::new(),
-            threads: 1,
         }
     }
 
-    /// Sort the endpoint events on `threads` workers at finish. The
-    /// emitted series is byte-identical for every value — the event order
-    /// is total — so this is purely a throughput knob.
+    /// Does nothing: the endpoint sort runs on the calling thread. Kept
+    /// only so that existing callers still compile.
+    #[deprecated(note = "the endpoint sort is serial; drop the call")]
     #[must_use]
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    pub fn with_parallelism(self, _threads: usize) -> Self {
         self
     }
 
@@ -157,7 +133,7 @@ impl<A: SweepAggregate> SweepAggregator<A> {
     /// from, for a caller that keeps more of a segment than its value.
     pub fn finish_states(self, mut f: impl FnMut(&A, Interval, &A::Active)) {
         let n = self.starts.len();
-        let events = sort_endpoint_events(self.endpoint_events(), self.threads);
+        let events = sort_by_time(self.endpoint_events());
         let mut active = self.agg.active_empty();
         self.agg.active_reserve(&mut active, n);
         let mut seg_start = self.domain.start();
@@ -409,10 +385,10 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_the_aggregation_tree_at_every_parallelism() {
-        // A seeded workload big enough to exercise the scatter path, run
-        // at P∈{1,2,8} — every series must be byte-identical to the
-        // aggregation tree's (an independent, oracle-tied algorithm).
+    fn agrees_with_the_aggregation_tree_across_sort_buckets() {
+        // A seeded workload big enough to exercise the scatter path (about
+        // 20,000 events, two buckets): the series must be byte-identical
+        // to the aggregation tree's (an independent, oracle-tied algorithm).
         let mut state = 0x243f6a8885a308d3u64;
         let mut step = move || {
             state ^= state << 13;
@@ -434,23 +410,20 @@ mod tests {
             tree.push(*iv, *v).unwrap();
         }
         let want = tree.finish();
-        for p in [1usize, 2, 8] {
-            let mut sweep =
-                SweepAggregator::with_domain(Sum::<i64>::new(), domain).with_parallelism(p);
-            for (iv, v) in &tuples {
-                sweep.push(*iv, *v).unwrap();
-            }
-            assert_eq!(sweep.finish().entries(), want.entries(), "P = {p}");
+        let mut sweep = SweepAggregator::with_domain(Sum::<i64>::new(), domain);
+        for (iv, v) in &tuples {
+            sweep.push(*iv, *v).unwrap();
         }
+        assert_eq!(sweep.finish().entries(), want.entries());
     }
 
     #[test]
-    fn parallel_sort_exercises_the_scatter_path() {
+    fn one_bucket_of_radix_passes_agrees_with_the_aggregation_tree() {
         // 12,000 events with duplicate endpoints: one bucket of radix
-        // passes at four threads (several buckets are
+        // passes (several buckets are
         // `the_radix_sort_equals_a_comparison_sort`'s sizes past 16 Ki).
         let domain = Interval::at(0, 1_000_000);
-        let mut sweep = SweepAggregator::with_domain(Count, domain).with_parallelism(4);
+        let mut sweep = SweepAggregator::with_domain(Count, domain);
         let mut tree = AggregationTree::with_domain(Count, domain);
         for i in 0..6_000i64 {
             let iv = Interval::at((i * 97) % 900_000, (i * 97) % 900_000 + 50_000);
@@ -524,14 +497,8 @@ mod tests {
             let events = lowered(tuples);
             let mut want = events.clone();
             want.sort_unstable();
-            for threads in [1, 2, 8] {
-                let got = sort_endpoint_events(events.clone(), threads);
-                assert!(
-                    got == want,
-                    "{shape}, {} events, {threads} threads",
-                    events.len()
-                );
-            }
+            let len = events.len();
+            assert!(sort_by_time(events) == want, "{shape}, {len} events");
         }
     }
 
@@ -548,18 +515,16 @@ mod tests {
                 }
             })
             .collect();
-        for threads in [1, 2] {
-            let sorted = sort_endpoint_events(lowered(&tuples), threads);
-            let at: Vec<&EndpointEvent> = sorted
-                .iter()
-                .filter(|e| e.time == Timestamp(1_000))
-                .collect();
-            assert_eq!(at.len(), 3_000);
-            assert!(at
-                .windows(2)
-                .all(|w| (w[0].is_admit(), w[0].tag()) < (w[1].is_admit(), w[1].tag())));
-            assert!(!at[1_999].is_admit() && at[2_000].is_admit());
-        }
+        let sorted = sort_by_time(lowered(&tuples));
+        let at: Vec<&EndpointEvent> = sorted
+            .iter()
+            .filter(|e| e.time == Timestamp(1_000))
+            .collect();
+        assert_eq!(at.len(), 3_000);
+        assert!(at
+            .windows(2)
+            .all(|w| (w[0].is_admit(), w[0].tag()) < (w[1].is_admit(), w[1].tag())));
+        assert!(!at[1_999].is_admit() && at[2_000].is_admit());
     }
 
     #[test]
@@ -576,8 +541,6 @@ mod tests {
         let events = sweep.endpoint_events();
         let mut want = events.clone();
         want.sort_unstable();
-        for threads in [1, 2] {
-            assert!(sort_endpoint_events(events.clone(), threads) == want);
-        }
+        assert!(sort_by_time(events) == want);
     }
 }

@@ -6,14 +6,14 @@
 //! **admit** at the tuple's start instant and a **retract** at the
 //! instant after its end. Sorting the events once and replaying them in
 //! order reconstructs the active-tuple set at every boundary. Piatov et
-//! al. (arXiv:2008.12665) show the sort is the dominant cost at scale.
-//! Here its key is an integer time with a known range, so
-//! [`sort_by_time`] is a radix sort on `time − lo`, not a comparison
-//! sort: a top-digit scatter into [`TimeBuckets`] (disjoint, ascending,
-//! cache-sized runs, the unit a caller may sort in parallel), then
-//! counting passes within each run over only the bits its time range
-//! needs. Every pass is stable, so records at one instant keep their
-//! input order.
+//! al. (arXiv:2008.12665) show a comparison sort is the dominant cost at
+//! scale. Here the key is an integer time with a known range, so
+//! [`sort_by_time`] is a linear radix sort on `time − lo`, on the calling
+//! thread: a top-digit scatter into [`TimeBuckets`] (disjoint, ascending
+//! runs sized so each sorts within L2), then counting passes within each
+//! run over only the bits its time range needs. Every pass is stable, so
+//! records at one instant keep their input order. At a linear price the
+//! sort is a small share of a sweep, so it is not split across workers.
 //!
 //! [`EndpointEvent`] packs the event kind and a caller-chosen *tag*
 //! (tuple index, or `index × 2 + side` for a two-relation join) into one
@@ -24,8 +24,8 @@
 //! looks for partners. The derived `Ord` on `(time, payload)` is total —
 //! tags are unique per event. A caller that builds its events in payload
 //! order (every retract, then every admit, each kind in tag order) gets
-//! exactly that total order from [`sort_by_time`], for every thread and
-//! bucket count.
+//! exactly that total order from [`sort_by_time`], for every bucket
+//! count.
 
 use crate::timestamp::Timestamp;
 
@@ -149,127 +149,95 @@ impl TimeBuckets {
     }
 }
 
-/// One bucket of a [`sort_by_time`]: the records of one time range, and
-/// a spare slice of the same length the counting passes ping-pong
-/// through. Runs are independent, so a caller may sort them on several
-/// threads.
-#[derive(Debug)]
-pub struct TimeRun<'a> {
-    run: &'a mut [EndpointEvent],
-    spare: &'a mut [EndpointEvent],
-    /// The bucket's first instant: keys are offsets from it.
-    lo: Timestamp,
-    /// Every key of the bucket is below `2^bits`.
-    bits: u32,
-}
-
-impl TimeRun<'_> {
-    /// Sort the run by time, stably: LSD counting passes over the `bits`
-    /// of `time − lo`, in digits of at most [`RADIX_BITS`]. One read
-    /// counts every digit; a digit all records share is not scattered.
-    /// Runs shorter than [`COMPARISON_SORT_MAX`] (or too long for `u32`
-    /// counts) are comparison-sorted by `Ord` instead.
-    pub fn sort(self) {
-        let TimeRun {
-            run,
-            spare,
-            lo,
-            bits,
-        } = self;
-        let len = run.len();
-        let Ok(len32) = u32::try_from(len) else {
-            run.sort_unstable();
-            return;
-        };
-        if len < COMPARISON_SORT_MAX {
-            run.sort_unstable();
-            return;
+/// Sort one bucket of a [`sort_by_time`] stably, with `spare` (as long
+/// as `run`) as the ping-pong buffer: LSD counting passes over the `bits`
+/// of `time − lo`, in digits of at most [`RADIX_BITS`]. One read counts
+/// every digit; a digit all records share is not scattered. Runs shorter
+/// than [`COMPARISON_SORT_MAX`] (or too long for `u32` counts) are
+/// comparison-sorted by `Ord` instead.
+fn sort_run(run: &mut [EndpointEvent], spare: &mut [EndpointEvent], lo: Timestamp, bits: u32) {
+    let len = run.len();
+    let Ok(len32) = u32::try_from(len) else {
+        run.sort_unstable();
+        return;
+    };
+    if len < COMPARISON_SORT_MAX {
+        run.sort_unstable();
+        return;
+    }
+    if bits == 0 {
+        return; // one instant: the input order stands
+    }
+    // Balanced digits: 17 bits take two passes of 9, not 11 + 6.
+    let passes = bits.div_ceil(RADIX_BITS);
+    let width = bits.div_ceil(passes);
+    let (passes, radix, mask) = (passes as usize, 1usize << width, (1u64 << width) - 1);
+    let key = |x: &EndpointEvent| (x.time.get() as u64).wrapping_sub(lo.get() as u64);
+    let mut table = [0u32; MAX_PASSES << RADIX_BITS];
+    // lint: allow(indexing): passes ≤ MAX_PASSES and radix ≤ 2^RADIX_BITS
+    let counts = &mut table[..passes * radix];
+    // One read counts every digit (two, the common case, unrolled).
+    if let (2, (low, high)) = (passes, counts.split_at_mut(radix)) {
+        // lint: hot-loop(time-sort) — the two-digit histogram
+        for x in run.iter() {
+            let k = key(x);
+            // lint: allow(indexing): a digit is masked to `width` bits, and each half has 2^width entries
+            low[(k & mask) as usize] += 1;
+            // lint: allow(indexing): same digit bound as above
+            high[((k >> width) & mask) as usize] += 1;
         }
-        if bits == 0 {
-            return; // one instant: the input order stands
-        }
-        // Balanced digits: 17 bits take two passes of 9, not 11 + 6.
-        let passes = bits.div_ceil(RADIX_BITS);
-        let width = bits.div_ceil(passes);
-        let (passes, radix, mask) = (passes as usize, 1usize << width, (1u64 << width) - 1);
-        let key = |x: &EndpointEvent| (x.time.get() as u64).wrapping_sub(lo.get() as u64);
-        let mut table = [0u32; MAX_PASSES << RADIX_BITS];
-        // lint: allow(indexing): passes ≤ MAX_PASSES and radix ≤ 2^RADIX_BITS
-        let counts = &mut table[..passes * radix];
-        // One read counts every digit (two, the common case, unrolled).
-        if let (2, (low, high)) = (passes, counts.split_at_mut(radix)) {
-            // lint: hot-loop(time-sort) — the two-digit histogram
-            for x in run.iter() {
-                let k = key(x);
-                // lint: allow(indexing): a digit is masked to `width` bits, and each half has 2^width entries
-                low[(k & mask) as usize] += 1;
-                // lint: allow(indexing): same digit bound as above
-                high[((k >> width) & mask) as usize] += 1;
-            }
-        } else {
-            // lint: hot-loop(time-sort) — every digit of every record
-            for x in run.iter() {
-                let k = key(x);
-                let mut shift = 0;
-                for digits in counts.chunks_exact_mut(radix) {
-                    // lint: allow(indexing): a digit is masked to `width` bits, and a chunk has 2^width entries
-                    digits[((k >> shift) & mask) as usize] += 1;
-                    shift += width;
-                }
+    } else {
+        // lint: hot-loop(time-sort) — every digit of every record
+        for x in run.iter() {
+            let k = key(x);
+            let mut shift = 0;
+            for digits in counts.chunks_exact_mut(radix) {
+                // lint: allow(indexing): a digit is masked to `width` bits, and a chunk has 2^width entries
+                digits[((k >> shift) & mask) as usize] += 1;
+                shift += width;
             }
         }
-        let (mut src, mut dst) = (run, spare);
-        let mut in_spare = false;
-        let mut shift = 0;
-        for digits in counts.chunks_exact_mut(radix) {
-            let pass_shift = shift;
-            shift += width;
-            if digits.contains(&len32) {
-                continue;
-            }
-            let mut total = 0u32;
-            // lint: hot-loop(time-sort) — exclusive prefix sums become the write cursors
-            for c in digits.iter_mut() {
-                (*c, total) = (total, total + *c);
-            }
-            // lint: hot-loop(time-sort) — one sequential read, one cursor write per record
-            for x in src.iter() {
-                let d = ((key(x) >> pass_shift) & mask) as usize;
-                // lint: allow(indexing): d < 2^width, and each cursor stays below its digit's end ≤ len
-                dst[digits[d] as usize] = *x;
-                // lint: allow(indexing): same digit bound as above
-                digits[d] += 1;
-            }
-            std::mem::swap(&mut src, &mut dst);
-            in_spare = !in_spare;
+    }
+    let (mut src, mut dst) = (run, spare);
+    let mut in_spare = false;
+    let mut shift = 0;
+    for digits in counts.chunks_exact_mut(radix) {
+        let pass_shift = shift;
+        shift += width;
+        if digits.contains(&len32) {
+            continue;
         }
-        if in_spare {
-            dst.copy_from_slice(src);
+        let mut total = 0u32;
+        // lint: hot-loop(time-sort) — exclusive prefix sums become the write cursors
+        for c in digits.iter_mut() {
+            (*c, total) = (total, total + *c);
         }
+        // lint: hot-loop(time-sort) — one sequential read, one cursor write per record
+        for x in src.iter() {
+            let d = ((key(x) >> pass_shift) & mask) as usize;
+            // lint: allow(indexing): d < 2^width, and each cursor stays below its digit's end ≤ len
+            dst[digits[d] as usize] = *x;
+            // lint: allow(indexing): same digit bound as above
+            digits[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        in_spare = !in_spare;
+    }
+    if in_spare {
+        dst.copy_from_slice(src);
     }
 }
 
-/// Sort `records` by time on the calling thread; see
-/// [`sort_by_time_with`].
-pub fn sort_by_time(records: Vec<EndpointEvent>) -> Vec<EndpointEvent> {
-    sort_by_time_with(records, |runs| runs.into_iter().for_each(TimeRun::sort))
-}
-
-/// Sort `records` by time in linear time, handing the independent
-/// [`TimeRun`]s to `sort_runs`, which must [`TimeRun::sort`] each of them
-/// (serially, or on a worker pool).
+/// Sort `records` by time in linear time, on the calling thread.
 ///
 /// The top digit is a counting scatter into [`TimeBuckets`] — disjoint,
 /// ascending time ranges of about [`TARGET_RUN`] records, so
-/// concatenation is the global order and no merge pass runs; a run then
-/// sorts within cache. Every pass is stable, and a run below
+/// concatenation is the global order and no merge pass runs; each bucket
+/// then sorts within L2. Every pass is stable, and a run below
 /// [`COMPARISON_SORT_MAX`] is sorted by `(time, payload)`, so the result
 /// equals `sort_unstable`'s whenever the events of each instant arrive in
 /// payload order. Scratch space is one array of `records.len()` events.
-pub fn sort_by_time_with(
-    mut records: Vec<EndpointEvent>,
-    sort_runs: impl FnOnce(Vec<TimeRun<'_>>),
-) -> Vec<EndpointEvent> {
+pub fn sort_by_time(mut records: Vec<EndpointEvent>) -> Vec<EndpointEvent> {
     let Some(&first) = records.first() else {
         return records;
     };
@@ -285,12 +253,7 @@ pub fn sort_by_time_with(
     let layout = TimeBuckets::layout(lo, hi, records.len());
     let mut spare = vec![first; records.len()];
     if layout.count() == 1 {
-        sort_runs(vec![TimeRun {
-            run: &mut records,
-            spare: &mut spare,
-            lo,
-            bits: layout.shift,
-        }]);
+        sort_run(&mut records, &mut spare, lo, layout.shift);
         return records;
     }
     let mut cursors = vec![0usize; layout.count()];
@@ -299,12 +262,10 @@ pub fn sort_by_time_with(
         // lint: allow(indexing): bucket_of is < count() for times within the range pass's [lo, hi]
         cursors[layout.bucket_of(x.time)] += 1;
     }
-    let mut ends = Vec::with_capacity(layout.count());
     let mut total = 0usize;
-    // lint: hot-loop(time-sort) — exclusive prefix sums; `ends` was sized above
+    // lint: hot-loop(time-sort) — exclusive prefix sums become the write cursors
     for c in &mut cursors {
         (*c, total) = (total, total + *c);
-        ends.push(total);
     }
     // lint: hot-loop(time-sort) — the top digit's stable scatter
     for x in &records {
@@ -314,24 +275,16 @@ pub fn sort_by_time_with(
         // lint: allow(indexing): same bucket bound as above
         cursors[b] += 1;
     }
-    // The scattered records are in `spare`; `records` is the runs' spare.
-    let mut runs = Vec::with_capacity(layout.count());
+    // The scattered records are in `spare`, and each cursor is its
+    // bucket's end; `records` is the buckets' ping-pong buffer.
     let (mut run_rest, mut spare_rest) = (&mut spare[..], &mut records[..]);
     let mut prev = 0usize;
-    for (b, end) in ends.into_iter().enumerate() {
+    for (b, &end) in cursors.iter().enumerate() {
         let (run, tail) = run_rest.split_at_mut(end - prev);
         let (other, other_tail) = spare_rest.split_at_mut(end - prev);
         (run_rest, spare_rest, prev) = (tail, other_tail, end);
-        if run.len() > 1 {
-            runs.push(TimeRun {
-                run,
-                spare: other,
-                lo: layout.base(b),
-                bits: layout.shift,
-            });
-        }
+        sort_run(run, other, layout.base(b), layout.shift);
     }
-    sort_runs(runs);
     spare
 }
 

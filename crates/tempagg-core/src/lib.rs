@@ -52,7 +52,7 @@ mod version;
 
 pub use bitemporal::{BitemporalRelation, Version};
 pub use chunk::{Chunk, ChunkIter, DEFAULT_CHUNK_CAPACITY};
-pub use endpoint::{sort_by_time, sort_by_time_with, EndpointEvent, TimeRun};
+pub use endpoint::{sort_by_time, EndpointEvent};
 pub use epoch::Epoch;
 pub use error::{Result, TempAggError};
 pub use events::{Event, EventRelation, WindowAlignment};

@@ -12,7 +12,7 @@
 //! * aggregation tree: `Θ(n log c)` node visits on random input, but
 //!   `Θ(n²)` on sorted/near-sorted input (the linear-tree worst case);
 //! * k-ordered tree: `Θ(n (log w + g))` for a window of `w` nodes;
-//! * endpoint sweep: one `Θ(e log e)` unstable sort of `e = 2n` events
+//! * endpoint sweep: one `Θ(e)` radix sort of `e = 2n` events on time
 //!   plus a branch-light linear merge scan;
 //! * a pre-sort adds `Θ(n log n)` CPU plus one extra relation scan of I/O.
 //!
@@ -31,9 +31,10 @@
 //!
 //! What is priced is what runs: a candidate's parallel cost (`parallelise`)
 //! is the cost of the route the executor takes for it — domain partitions
-//! on workers for the list and the trees, whose work is at push time; the
-//! in-kernel bucketed sort on workers for the sweep, whose work is at
-//! finish time (`executor.rs` module docs).
+//! on workers for the list and the trees, whose work is at push time. The
+//! sweep and the join run serially: their push is a column append and
+//! their linear sort a small share of their finish (`executor.rs` module
+//! docs).
 
 use crate::planner::{AlgorithmChoice, Plan, PlannerConfig};
 use crate::stats::{OrderingKnowledge, RelationStats};
@@ -54,15 +55,10 @@ pub struct CostModel {
     /// Cost of touching one k-ordered-tree node (the 2k+1 window stays
     /// cache-resident, so visits are cheaper than cold tree descents).
     pub ktree_node_visit: f64,
-    /// Sort cost per endpoint event per `log₂ e` (the sweep's dominant
-    /// term: the sort of `e = 2n` events, priced as a comparison sort; the
-    /// kernel's is a radix sort on time).
+    /// Sort cost per endpoint event: the sweep's and the join's radix
+    /// sort on time is linear, so each of the `e = 2n` events is charged
+    /// once.
     pub sweep_sort_per_event: f64,
-    /// Sort cost per endpoint event per `log₂ e` when the sweep takes its
-    /// bucket-parallel path (radix scatter into time-bucketed runs, each
-    /// run's counting passes across workers). The whole term divides by
-    /// the degree of parallelism.
-    pub parallel_sort_per_event: f64,
     /// Cost of applying one endpoint event in the sweep's merge scan
     /// (delta add/subtract for `SweepClass::Delta` aggregates).
     pub sweep_event_visit: f64,
@@ -101,8 +97,7 @@ impl Default for CostModel {
             list_cell_visit: 0.5,
             tree_node_visit: 1.0,
             ktree_node_visit: 0.35,
-            sweep_sort_per_event: 0.2,
-            parallel_sort_per_event: 0.1,
+            sweep_sort_per_event: 1.3,
             sweep_event_visit: 0.1,
             ordered_active_multiplier: 8.0,
             io_per_tuple: 50.0,
@@ -207,7 +202,7 @@ pub fn estimate(
                 // estimate finite so direct calls still sort cleanly.
                 SweepClass::Approximate => model.sweep_event_visit * 1e9,
             };
-            let cpu = events * log2(events) * model.sweep_sort_per_event + events * event_visit;
+            let cpu = events * (model.sweep_sort_per_event + event_visit);
             // State is the buffered columnar runs themselves: two
             // timestamps (one model pointer's worth) plus the value per
             // tuple — the sweep holds no per-cell nodes.
@@ -220,8 +215,9 @@ pub fn estimate(
             // enumerates the other side's live set, which behaves like the
             // ordered-class active set rather than a delta update.
             let events = 2.0 * n;
-            let cpu = events * log2(events) * model.sweep_sort_per_event
-                + events * model.sweep_event_visit * model.ordered_active_multiplier;
+            let cpu = events
+                * (model.sweep_sort_per_event
+                    + model.sweep_event_visit * model.ordered_active_multiplier);
             let run_bytes = MODEL_POINTER_BYTES + state_model_bytes;
             (cpu, scan_io, stats.tuple_count.max(1) * run_bytes)
         }
@@ -295,37 +291,26 @@ fn candidates(stats: &RelationStats) -> Vec<AlgorithmChoice> {
 
 /// Re-cost a serial estimate at the cheapest achievable degree of
 /// parallelism `≤ max_p`, returning the adjusted estimate and the chosen
-/// worker count: the `p` minimising `serial + divisible / p +
-/// p · partition_overhead`, where a split is only taken when it is strictly
-/// cheaper than running serially. Non-sweep candidates parallelise through
-/// the partitioned pipeline, so all their CPU divides. The sweeps' dominant
-/// sort term runs partitioned in-kernel (radix scatter + per-bucket
-/// counting passes, costed at [`CostModel::parallel_sort_per_event`]) and
-/// divides by `p`, while the merge scan stays serial —
-/// `SweepAggregator::with_parallelism(p)`, which is what
-/// `execute_chunks_into` builds for a `Sweep` plan and `statement.rs` for a
-/// `SweepJoin` one. Serving a cached snapshot never partitions.
-fn parallelise(
-    est: CostEstimate,
-    stats: &RelationStats,
-    model: &CostModel,
-    max_p: usize,
-) -> (CostEstimate, usize) {
-    let (serial, divisible) = match est.choice {
-        AlgorithmChoice::CachedSeries | AlgorithmChoice::IndexProbe => return (est, 1),
-        AlgorithmChoice::Sweep | AlgorithmChoice::SweepJoin => {
-            let events = 2.0 * stats.tuple_count.max(1) as f64;
-            let sorted = events * log2(events);
-            (
-                est.cpu - sorted * model.sweep_sort_per_event,
-                sorted * model.parallel_sort_per_event,
-            )
-        }
-        _ => (0.0, est.cpu),
-    };
+/// worker count: the `p` minimising `cpu / p + p · partition_overhead`,
+/// where a split is only taken when it is strictly cheaper than running
+/// serially. The list and the trees parallelise through the partitioned
+/// pipeline, so all their CPU divides. The sweep and the join run as one
+/// serial kernel (`execute_chunks_into` for a `Sweep` plan, `statement.rs`
+/// for a `SweepJoin` one), and serving a cached snapshot or probing an
+/// index never partitions.
+fn parallelise(est: CostEstimate, model: &CostModel, max_p: usize) -> (CostEstimate, usize) {
+    if matches!(
+        est.choice,
+        AlgorithmChoice::CachedSeries
+            | AlgorithmChoice::IndexProbe
+            | AlgorithmChoice::Sweep
+            | AlgorithmChoice::SweepJoin
+    ) {
+        return (est, 1);
+    }
     let mut best = (est.cpu, 1);
     for p in 2..=max_p {
-        let cost = serial + divisible / p as f64 + p as f64 * model.partition_overhead;
+        let cost = est.cpu / p as f64 + p as f64 * model.partition_overhead;
         if cost < best.0 {
             best = (cost, p);
         }
@@ -336,9 +321,8 @@ fn parallelise(
 /// Rank `pool` under the cost model, honouring the memory budget, and
 /// wrap the winner in a [`Plan`] whose rationale records every score.
 /// Each candidate is costed at its own best achievable degree of
-/// parallelism (the fix for the sweep being costed as serial: with
-/// workers available, its sort term divides by `p` *before* ranking, so
-/// a parallel sweep can beat a serially-cheaper tree).
+/// parallelism *before* ranking, so a partitioned tree can beat a
+/// serially-cheaper candidate when workers are available.
 fn rank(
     pool: Vec<AlgorithmChoice>,
     stats: &RelationStats,
@@ -355,7 +339,7 @@ fn rank(
             .into_iter()
             .map(|c| {
                 let serial = estimate(c, stats, model, state_model_bytes, class);
-                parallelise(serial, stats, model, max_p)
+                parallelise(serial, model, max_p)
             })
             .collect()
     };
@@ -530,9 +514,9 @@ pub fn choose_window_algorithm(
 
 /// Price a sweep-based interval join of two relations. The sweep join is
 /// currently the only join operator, so this prescribes rather than
-/// chooses: it ranks that one candidate — co-sorting `2·(nₗ + nᵣ)` endpoint
-/// events at the achievable parallelism plus the serial live-set
-/// enumeration scan — and its rationale feeds the SQL layer's `EXPLAIN`.
+/// chooses: it ranks that one candidate — a serial radix sort of
+/// `2·(nₗ + nᵣ)` endpoint events plus the live-set enumeration scan — and
+/// its rationale feeds the SQL layer's `EXPLAIN`.
 pub fn plan_join(
     left: &RelationStats,
     right: &RelationStats,
@@ -708,7 +692,6 @@ mod tests {
     #[test]
     fn parallelism_pays_only_on_big_inputs() {
         let model = CostModel::default();
-        let s = stats(100_000, OrderingKnowledge::Unordered);
         let ways = |cpu: f64, max_p: usize| {
             let serial = CostEstimate {
                 choice: AlgorithmChoice::AggregationTree,
@@ -716,7 +699,7 @@ mod tests {
                 io: 0.0,
                 state_bytes: 0,
             };
-            parallelise(serial, &s, &model, max_p)
+            parallelise(serial, &model, max_p)
         };
         // 1 000 node visits: any split costs more in overhead than it saves.
         assert_eq!(ways(1_000.0, 8).1, 1);
@@ -908,36 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_rescues_the_sweep() {
-        // The satellite fix: the sweep's sort term is costed at the
-        // partitioned per-unit rate divided by the achievable parallelism
-        // *before* ranking. A host whose monolithic sort is slow but whose
-        // partitioned sort is fast keeps the tree serially and flips to
-        // the sweep once workers are configured.
-        let model = CostModel {
-            sweep_sort_per_event: 100.0,
-            ..Default::default()
-        };
-        let s = stats(100_000, OrderingKnowledge::Unordered);
-        let serial = PlannerConfig {
-            parallelism: Some(1),
-            ..Default::default()
-        };
-        assert_eq!(
-            choose_algorithm(&s, SweepClass::Delta, &serial, &model, 4).choice,
-            AlgorithmChoice::AggregationTree
-        );
-        let wide = PlannerConfig {
-            parallelism: Some(8),
-            parallel_min_tuples: 0,
-            ..Default::default()
-        };
-        let p = choose_algorithm(&s, SweepClass::Delta, &wide, &model, 4);
-        assert_eq!(p.choice, AlgorithmChoice::Sweep);
-        assert!(p.parallelism > 1, "plan was:\n{p}");
-    }
-
-    #[test]
     fn sweep_join_is_estimable_and_named() {
         assert_eq!(AlgorithmChoice::SweepJoin.name(), "sweep-join");
         let s = stats(10_000, OrderingKnowledge::Unordered);
@@ -974,16 +927,16 @@ mod tests {
         assert_eq!(p.choice, AlgorithmChoice::SweepJoin);
         assert!(p.to_string().starts_with("algorithm: sweep-join"));
         assert!(p.rationale.iter().any(|r| r.contains("200000")));
-        // Forced-parallel plans say so; forced-serial ones stay quiet.
+        // The join's sort runs on one thread whatever the config allows.
         let wide = PlannerConfig {
             parallelism: Some(8),
             parallel_min_tuples: 0,
             ..Default::default()
         };
         let pp = plan_join(&left, &right, &wide, &CostModel::default());
-        assert!(pp.parallelism > 1);
+        assert_eq!(pp.parallelism, 1, "plan was:\n{pp}");
         assert!(pp.rationale[0].starts_with("co-sorts"));
-        assert!(pp.rationale.iter().any(|r| r.contains("ways")));
+        assert!(!pp.rationale.iter().any(|r| r.contains("ways")));
     }
 
     #[test]
@@ -1199,7 +1152,6 @@ mod tests {
         let model = CostModel {
             sweep_sort_per_event: 100.0,
             sweep_event_visit: 25.0,
-            parallel_sort_per_event: 100.0,
             ..Default::default()
         };
         let s = stats(100_000, OrderingKnowledge::Unordered);

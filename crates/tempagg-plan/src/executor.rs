@@ -15,10 +15,10 @@
 //! at *push* time: the domain is cut at seams drawn from the hull of the
 //! rows' *start* times (finite even when the domain or tuple ends are
 //! unbounded) and each sub-domain runs its own inner aggregator on a scoped
-//! worker via [`PartitionedAggregator`]. The sweep works at *finish* time
-//! (its push is a column append), so it stays one [`SweepAggregator`] whose
-//! bucketed endpoint sort runs on the plan's workers. Either way the result
-//! is byte-identical to the serial run.
+//! worker via [`PartitionedAggregator`], byte-identical to the serial run.
+//! The sweep works at *finish* time (its push is a column append) in a
+//! linear sort and one replay, so it runs as one serial [`SweepAggregator`]
+//! at any `parallelism`.
 
 use crate::planner::{plan, AlgorithmChoice, Plan, PlannerConfig};
 use crate::stats::RelationStats;
@@ -56,10 +56,9 @@ pub struct ExecutionReport {
     pub memory: MemoryStats,
     /// Whether the plan sorted the input first.
     pub presorted: bool,
-    /// Workers the run used (1 = serial). For the list and the trees these
-    /// are the domain partitions that actually ran — the plan's ask capped
-    /// by how many seams the data supports; for the sweep, the threads its
-    /// endpoint sort was allowed.
+    /// Workers the run used (1 = serial): the domain partitions that
+    /// actually ran — the plan's ask capped by how many seams the data
+    /// supports. Always 1 for the sweep.
     pub parallelism: usize,
     /// Per-partition routing counts and memory. Empty for a serial run and
     /// for the sweep, which never cuts the domain.
@@ -146,7 +145,7 @@ fn partitioned_name(choice: AlgorithmChoice) -> &'static str {
     match choice {
         AlgorithmChoice::LinkedList => "partitioned linked-list",
         AlgorithmChoice::AggregationTree => "partitioned aggregation-tree",
-        // Never partitioned: the sweep sorts in-kernel, the rest never run here.
+        // Never partitioned: the sweep runs serially, the rest never run here.
         AlgorithmChoice::Sweep
         | AlgorithmChoice::CachedSeries
         | AlgorithmChoice::SweepJoin
@@ -248,8 +247,8 @@ impl<T, S: SeriesSink<T>> SeriesSink<T> for Counted<'_, S> {
 ///
 /// `the_plan.parallelism > 1` routes the list and the trees through the
 /// domain-partitioned pipeline (seam-aware stitching, see
-/// [`PartitionedAggregator`]) and gives the sweep that many sort threads;
-/// the output is byte-identical to the serial run of the same algorithm. On
+/// [`PartitionedAggregator`]), whose output is byte-identical to the serial
+/// run of the same algorithm; the sweep always runs serially. On
 /// k-ordered input the k-ordered tree emits as it garbage-collects; the
 /// buffering algorithms emit at the end.
 pub fn execute_chunks_into<A, S>(
@@ -290,15 +289,10 @@ where
             chunks,
             sink,
         )?,
-        // The sweep works at finish, where its sort runs on the plan's
-        // workers in-kernel: one aggregator, no seams.
+        // The sweep works at finish, in one linear sort and one replay: one
+        // serial aggregator, no seams.
         AlgorithmChoice::Sweep => {
-            let threads = parallelism.max(1);
-            let sweep = SweepAggregator::with_domain(agg, domain).with_parallelism(threads);
-            ExecutionReport {
-                parallelism: threads,
-                ..drive_one(sweep, chunks, sink)?
-            }
+            drive_one(SweepAggregator::with_domain(agg, domain), chunks, sink)?
         }
         AlgorithmChoice::CachedSeries
         | AlgorithmChoice::SweepJoin
@@ -450,7 +444,9 @@ mod tests {
     }
 
     /// Every choice at p ∈ {2, 4} returns the rows of its serial run — and
-    /// every serial run the same rows — with a report that says what ran.
+    /// every serial run the same rows — with a report that says what ran:
+    /// partitions for the list and the trees, one serial kernel for the
+    /// sweep.
     fn assert_parallel_is_serial<A>(
         agg: &A,
         chunks: &[Chunk<A::Input>],
@@ -483,12 +479,13 @@ mod tests {
             for parallelism in [2usize, 4] {
                 let (rows, report) = run(choice, parallelism);
                 assert!(rows == serial, "{what} × {parallelism}: rows differ");
-                assert_eq!(report.parallelism, parallelism, "{what}");
                 if choice == AlgorithmChoice::Sweep {
-                    // One kernel, sort threads from the plan: no seams.
+                    // One serial kernel whatever the plan asks: no seams.
+                    assert_eq!(report.parallelism, 1, "{what}");
                     assert_eq!(report.algorithm, "endpoint-sweep", "{what}");
                     assert!(report.partitions.is_empty(), "{what}");
                 } else {
+                    assert_eq!(report.parallelism, parallelism, "{what}");
                     assert!(report.algorithm.starts_with("partitioned"), "{what}");
                     assert_eq!(report.partitions.len(), parallelism, "{what}");
                     let routed: usize = report.partitions.iter().map(|p| p.tuples).sum();
@@ -511,9 +508,10 @@ mod tests {
         ];
         // Dense: 768 tuples inside 1,000 instants, many events an instant
         // (small, because `validate` re-walks the trees on every insert).
-        // Sparse: 12,288 tuples over 10⁶ instants — two sort buckets, so at p ≥ 2 the bucketed sort really runs on workers;
-        // only the sweep takes it (the list is quadratic there, and the
-        // trees' partitioned route does not depend on the regime).
+        // Sparse: 12,288 tuples over 10⁶ instants — two sort buckets, so
+        // the sweep's top-digit scatter runs; only the sweep takes it (the
+        // list is quadratic there, and the trees' partitioned route does
+        // not depend on the regime).
         for (n, span, choices) in [(768, 1_000, &every[..]), (12_288, 1_000_000, &every[..1])] {
             assert_parallel_is_serial(&Count, &seeded_chunks(n, span, |_| ()), choices);
             assert_parallel_is_serial(&Sum::<i64>::new(), &seeded_chunks(n, span, |v| v), choices);
@@ -757,7 +755,12 @@ mod tests {
                     execute_chunks_into(&p, agg, &chunks, Interval::TIMELINE, &mut got).unwrap();
                 assert_eq!(got, want, "choice {choice:?} × {parallelism}");
                 assert_eq!(report.tuples, 3000);
-                assert_eq!(report.parallelism, parallelism);
+                let ran = if choice == AlgorithmChoice::Sweep {
+                    1
+                } else {
+                    parallelism
+                };
+                assert_eq!(report.parallelism, ran, "choice {choice:?} × {parallelism}");
                 let mut streamed = Vec::new();
                 let mut sink = ChunkedSink::new(100, |c: &[SeriesEntry<Option<i64>>]| {
                     streamed.extend_from_slice(c);

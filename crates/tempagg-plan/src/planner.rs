@@ -94,7 +94,7 @@ pub struct PlannerConfig {
     /// Degree of parallelism a plan may prescribe: `None` asks the machine
     /// ([`tempagg_algo::parallel::machine_threads`]), `Some(1)` forces a
     /// serial plan, `Some(p)` allows up to `p` workers — domain partitions
-    /// for the push-time algorithms, sort threads for the sweep.
+    /// for the push-time algorithms (the sweep and the join run serially).
     pub parallelism: Option<usize>,
     /// Relations smaller than this stay serial regardless of
     /// [`parallelism`](Self::parallelism) being available: partition setup
@@ -133,7 +133,7 @@ pub fn choose_parallelism(stats: &RelationStats, config: &PlannerConfig) -> usiz
 pub struct Plan {
     pub choice: AlgorithmChoice,
     /// Workers to run on (1 = serial execution): domain partitions for the
-    /// list and the trees, sort threads for the sweep.
+    /// list and the trees; always 1 for the sweep and the join.
     pub parallelism: usize,
     /// Estimated peak state bytes under the paper's 16-byte-node model.
     pub estimated_state_bytes: usize,

@@ -1275,10 +1275,22 @@ mod tests {
     fn forced_parallel_config_returns_identical_rows() {
         // Big enough that the cost model's overhead gate agrees the forced
         // 3-way split pays off (tiny inputs stay serial whatever the ask).
-        let relation = generate(&WorkloadConfig::random(20_000));
+        // A `FLOAT` `SUM` retracts inexactly, so it plans the aggregation
+        // tree, which partitions; whole-number values keep every sum exact
+        // in any order of addition.
+        let generated = generate(&WorkloadConfig::random(20_000));
+        let salary = generated.schema().index_of("salary").unwrap();
+        let schema = tempagg_core::Schema::of(&[("salary", tempagg_core::ValueType::Float)]);
+        let mut relation = TemporalRelation::new(schema);
+        for tuple in generated.tuples() {
+            let value = tuple.value(salary).as_i64().unwrap() as f64;
+            relation
+                .push(vec![Value::Float(value)], tuple.valid())
+                .unwrap();
+        }
         let mut c = Catalog::new();
         c.register("big", relation.clone());
-        let sql = "SELECT COUNT(Name), SUM(salary) FROM big";
+        let sql = "SELECT SUM(salary) FROM big";
         let serial = execute_str(&c, sql).unwrap();
         let config = PlannerConfig {
             parallelism: Some(3),
@@ -1292,6 +1304,7 @@ mod tests {
         let parallel = execute_query(&c2, &parse(sql).unwrap(), &config).unwrap();
         assert_eq!(parallel.rows, serial.rows);
         let plan = parallel.plan.as_ref().unwrap();
+        assert_eq!(plan.choice, AlgorithmChoice::AggregationTree);
         assert_eq!(plan.parallelism, 3);
         assert!(plan.to_string().contains("parallelism = 3"));
     }

@@ -341,16 +341,14 @@ impl Write<'_> {
 }
 
 /// An interval join bound to its catalog and planned on the sweep-based
-/// [`SweepJoinOperator`]: co-sort both relations' endpoint events —
-/// `p`-way partitioned when [`plan_join`] prescribes it — and enumerate
-/// co-live pairs. Result columns are both sides' attributes qualified by
+/// [`SweepJoinOperator`]: co-sort both relations' endpoint events on one
+/// thread and enumerate co-live pairs. Result columns are both sides' attributes qualified by
 /// alias (or relation name), which must differ; each row's valid time is
 /// the intersection of the joined tuples' intervals.
 ///
 /// Rows come in the storage order of the side with more tuples (the left
 /// side on a tie): all of its first tuple's pairs, then its second's, and
-/// within one tuple in the sweep's order, by nondecreasing start. The
-/// order does not depend on the thread count.
+/// within one tuple in the sweep's order, by nondecreasing start.
 pub(crate) struct BoundJoin<'c, 'q> {
     catalog: &'c Catalog,
     join: &'q JoinSelect,
@@ -415,8 +413,7 @@ impl<'c, 'q> BoundJoin<'c, 'q> {
             });
         }
 
-        let mut operator =
-            SweepJoinOperator::new(join.predicate).with_parallelism(self.plan.parallelism.max(1));
+        let mut operator = SweepJoinOperator::new(join.predicate);
         for tuple in left {
             operator.push_left(tuple.valid())?;
         }

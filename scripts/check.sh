@@ -21,13 +21,15 @@ cd "$(dirname "$0")/.."
 # runners and the window planner they called are gone. So too for the
 # store's own admit/retract loop: every series it computes from tuples comes
 # out of SweepAggregator. So too for the sweep's dense/sparse lowering: one
-# radix sort on time orders the sweep's and the join's events.
+# radix sort on time orders the sweep's and the join's events. So too for
+# that sort's bucket-parallel entry points and its parallel price: it runs
+# on the calling thread, and the planner prices it as linear.
 # History (CHANGES.md, ROADMAP.md, EXPERIMENTS.md's retired table) is
 # exempt, and bench/ is read-only to engine PRs.
 echo "==> no citation of a retired harness command, BENCH_*.json, planner entry point or deleted second path"
-if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel|run_window|run_scan|plan_window|index_report|exec\.rs::run\b|RowBuffer::into_rows|sweep_runs|LoweredEvents|counting_scatter|DENSE_SPAN_FACTOR|sort_bucket_runs' -- \
+if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel|run_window|run_scan|plan_window|index_report|exec\.rs::run\b|RowBuffer::into_rows|sweep_runs|LoweredEvents|counting_scatter|DENSE_SPAN_FACTOR|sort_bucket_runs|parallel_sort_per_event|sort_by_time_with|TimeRun\b|sort_endpoint_events' -- \
     README.md DESIGN.md .claude scripts crates src examples tests ':!scripts/check.sh'; then
-    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default(), choose_algorithm, StitchSink, PartitionedAggregator::finish_into, SweepAggregator::finish_states or sort_by_time instead" >&2
+    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default(), choose_algorithm, StitchSink, PartitionedAggregator::finish_into, SweepAggregator::finish_states, sort_by_time (the one serial endpoint sort) or sweep_sort_per_event (its linear price) instead" >&2
     exit 1
 fi
 
@@ -64,7 +66,7 @@ cargo run -q --release --example serve_rows -- --check
 echo "==> reopen_probe --check (PagedReader::open of a file holding two 262K-run series within 4x of the same relation holding none, TemporalStore::open within 4x of PagedReader::open of its 131,072-tuple file, a SQL scan of the reopened store off its pages equal to the resident scan: open costs what is read, not what is stored)"
 cargo run -q --release --example reopen_probe -- --check
 
-echo "==> parallel_plan --check (a parallelism = 2 sweep plan within 1.25x of the serial plan, a two-partition aggregation tree on 2 threads within 1.25x of 1 thread, planning under the default config within 3x of planning with the thread count given: a parallel plan is not slower than the serial one it replaced)"
+echo "==> parallel_plan --check (a two-partition aggregation tree on 2 threads within 1.25x of 1 thread, planning under the default config within 3x of planning with the thread count given: a parallel plan is not slower than the serial one it replaced)"
 cargo run -q --release --example parallel_plan -- --check
 
 echo "==> tree_kernels --check (the k = 1 ordered tree within 3x of the sweep on paged_cycle's sorted input, same rows: a tree walk costs node visits, not a heap allocation per tuple)"

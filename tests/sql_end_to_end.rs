@@ -172,6 +172,40 @@ fn sql_planner_reacts_to_input_order() {
 }
 
 #[test]
+fn sorted_input_with_long_lived_tuples_sweeps_on_one_thread() {
+    // `scan_mix`'s `S`: sorted, a fifth of the tuples long-lived. Those
+    // widen the k-ordered tree's window, and the sweep's linear sort
+    // undercuts it on one worker and on two; the sweep itself never
+    // splits, and neither does a join, however many workers are allowed.
+    use temporal_aggregates::planner::{plan_join, CostModel};
+    use temporal_aggregates::sql::{execute_query, parse};
+    let relation = generate(&WorkloadConfig::sorted(65_536).with_long_lived_pct(20));
+    let catalog = catalog_with("s", relation);
+    let q = parse("EXPLAIN SELECT COUNT(*) FROM s").unwrap();
+    for parallelism in [1, 2] {
+        let config = PlannerConfig {
+            parallelism: Some(parallelism),
+            ..PlannerConfig::default()
+        };
+        let plan = execute_query(&catalog, &q, &config).unwrap().plan.unwrap();
+        assert_eq!(
+            plan.choice,
+            AlgorithmChoice::Sweep,
+            "Some({parallelism}):\n{plan}"
+        );
+        assert_eq!(plan.parallelism, 1, "Some({parallelism}):\n{plan}");
+    }
+    let side = RelationStats::unknown(65_536);
+    let wide = PlannerConfig {
+        parallelism: Some(8),
+        parallel_min_tuples: 0,
+        ..PlannerConfig::default()
+    };
+    let join = plan_join(&side, &side, &wide, &CostModel::default());
+    assert_eq!(join.parallelism, 1, "{join}");
+}
+
+#[test]
 fn sql_multi_aggregate_columns_are_consistent() {
     let relation = generate(&WorkloadConfig::random(200).with_seed(2));
     let catalog = catalog_with("r", relation);

@@ -5,8 +5,7 @@
 //! beside its events.
 //!
 //! A counting global allocator, installed in this test binary only,
-//! counts every allocation on every thread (the sort's workers included)
-//! while one `finish` runs. The binary holds one test, so no other test
+//! counts every allocation on every thread while one `finish` runs. The binary holds one test, so no other test
 //! allocates during a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -89,36 +88,33 @@ fn a_finish_allocates_a_constant_number_of_times() {
         DynAggregate::new(AggKind::Avg, ValueType::Int).unwrap(),
     ]);
     for n in [4_096usize, 16_384] {
-        for threads in [1usize, 2] {
-            let tuples = intervals(n, 0x2545f4914f6cdd1d, 5);
-            let mut sweep = SweepAggregator::new(multi.clone()).with_parallelism(threads);
-            for (i, iv) in (0i64..).zip(&tuples) {
-                let value = vec![Value::Int(1), Value::Int(i % 97), Value::Int(i % 13)];
-                sweep.push(*iv, value).unwrap();
-            }
-            let mut segments = 0usize;
-            let made = allocations_in(|| sweep.finish_states(|_, _, _| segments += 1));
-            assert!(segments > n, "n = {n}: {segments} segments");
-            assert!(
-                made <= BOUND,
-                "SweepAggregator<MultiDyn>::finish_states, n = {n}, p = {threads}: {made} allocations"
-            );
-
-            let mut join =
-                SweepJoinOperator::new(JoinPredicate::Overlaps).with_parallelism(threads);
-            for iv in intervals(n, 0x2545f4914f6cdd1d, 0) {
-                join.push_left(iv).unwrap();
-            }
-            for iv in intervals(n, 0x9e3779b97f4a7c15, 0) {
-                join.push_right(iv).unwrap();
-            }
-            let mut sink = CountingSink::new();
-            let made = allocations_in(|| join.finish_into(&mut sink));
-            assert!(sink.entries() > n, "n = {n}: {} pairs", sink.entries());
-            assert!(
-                made <= BOUND,
-                "SweepJoinOperator::finish_into, n = {n}, p = {threads}: {made} allocations"
-            );
+        let tuples = intervals(n, 0x2545f4914f6cdd1d, 5);
+        let mut sweep = SweepAggregator::new(multi.clone());
+        for (i, iv) in (0i64..).zip(&tuples) {
+            let value = vec![Value::Int(1), Value::Int(i % 97), Value::Int(i % 13)];
+            sweep.push(*iv, value).unwrap();
         }
+        let mut segments = 0usize;
+        let made = allocations_in(|| sweep.finish_states(|_, _, _| segments += 1));
+        assert!(segments > n, "n = {n}: {segments} segments");
+        assert!(
+            made <= BOUND,
+            "SweepAggregator<MultiDyn>::finish_states, n = {n}: {made} allocations"
+        );
+
+        let mut join = SweepJoinOperator::new(JoinPredicate::Overlaps);
+        for iv in intervals(n, 0x2545f4914f6cdd1d, 0) {
+            join.push_left(iv).unwrap();
+        }
+        for iv in intervals(n, 0x9e3779b97f4a7c15, 0) {
+            join.push_right(iv).unwrap();
+        }
+        let mut sink = CountingSink::new();
+        let made = allocations_in(|| join.finish_into(&mut sink));
+        assert!(sink.entries() > n, "n = {n}: {} pairs", sink.entries());
+        assert!(
+            made <= BOUND,
+            "SweepJoinOperator::finish_into, n = {n}: {made} allocations"
+        );
     }
 }

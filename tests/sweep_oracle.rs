@@ -1,11 +1,11 @@
 //! Oracle and property tests for the columnar endpoint-sweep kernel.
 //!
-//! The contract under test: [`SweepAggregator`] at every parallelism
-//! P ∈ {1, 2, 4, 8} produces output byte-identical to the quadratic
-//! reference oracle — the specification; there is no second sweep to
-//! compare against — for every aggregate and every input shape — random, sorted,
-//! reverse-sorted, duplicate-endpoint, touching-interval, dense-instant,
-//! and empty-domain — a domain-partitioned sweep agrees with the serial
+//! The contract under test: [`SweepAggregator`] produces output
+//! byte-identical to the quadratic reference oracle — the specification;
+//! there is no second sweep to compare against — for every aggregate and
+//! every input shape — random, sorted, reverse-sorted, duplicate-endpoint,
+//! touching-interval, dense-instant, and empty-domain — a
+//! domain-partitioned sweep agrees with the serial
 //! sweep at every partition count, and the sweep-based interval join
 //! agrees with a nested loop for every predicate. Run with
 //! `--features validate` to additionally assert the structural tiling
@@ -33,27 +33,21 @@ where
     s.finish()
 }
 
-/// Assert the sweep (P ∈ {1, 2, 4, 8}) == the quadratic oracle for all five
-/// of the paper's aggregates.
+/// Assert the sweep == the quadratic oracle for all five of the paper's
+/// aggregates.
 fn assert_all_aggregates(tuples: &[(Interval, i64)], label: &str) {
     fn family<A>(agg: A, tuples: &[(Interval, A::Input)], label: &str, what: &str)
     where
-        A: SweepAggregate + Clone,
+        A: SweepAggregate,
         A::Input: Clone + Send,
         A::Output: std::fmt::Debug + PartialEq,
     {
         let want = oracle(&agg, DOMAIN, tuples);
-        for p in [1usize, 2, 4, 8] {
-            let mut sweep = SweepAggregator::with_domain(agg.clone(), DOMAIN).with_parallelism(p);
-            for (iv, v) in tuples {
-                sweep.push(*iv, v.clone()).unwrap();
-            }
-            assert_eq!(
-                sweep.finish(),
-                want,
-                "sweep (P = {p}) diverged from the oracle: {what} on {label}"
-            );
-        }
+        assert_eq!(
+            sweep(agg, DOMAIN, tuples),
+            want,
+            "sweep diverged from the oracle: {what} on {label}"
+        );
     }
     let unit: Vec<(Interval, ())> = tuples.iter().map(|&(iv, _)| (iv, ())).collect();
     family(Count, &unit, label, "COUNT");
@@ -246,8 +240,7 @@ fn products_with_extremes_equal_their_members_under_heavy_concurrency() {
 #[test]
 fn sweep_join_agrees_with_a_nested_loop_for_every_predicate() {
     // The sweep-based interval join must enumerate exactly the pairs a
-    // quadratic nested loop finds, for each Allen-style predicate and at
-    // every sort parallelism.
+    // quadratic nested loop finds, for each Allen-style predicate.
     let mut rng = StdRng::seed_from_u64(0x901A);
     let mut gen_side = |n: usize| -> Vec<Interval> {
         (0..n)
@@ -274,25 +267,23 @@ fn sweep_join_agrees_with_a_nested_loop_for_every_predicate() {
             }
         }
         assert!(!want.is_empty(), "degenerate case: no {predicate:?} pairs");
-        for p in [1usize, 2, 8] {
-            let mut op = SweepJoinOperator::new(predicate).with_parallelism(p);
-            for iv in &left {
-                op.push_left(*iv).unwrap();
-            }
-            for iv in &right {
-                op.push_right(*iv).unwrap();
-            }
-            let mut got: Vec<(usize, usize)> = op
-                .finish()
-                .into_iter()
-                .map(|e| (e.value.left, e.value.right))
-                .collect();
-            got.sort_unstable();
-            assert_eq!(
-                got, want,
-                "{predicate:?} join (P = {p}) disagrees with the nested loop"
-            );
+        let mut op = SweepJoinOperator::new(predicate);
+        for iv in &left {
+            op.push_left(*iv).unwrap();
         }
+        for iv in &right {
+            op.push_right(*iv).unwrap();
+        }
+        let mut got: Vec<(usize, usize)> = op
+            .finish()
+            .into_iter()
+            .map(|e| (e.value.left, e.value.right))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(
+            got, want,
+            "{predicate:?} join disagrees with the nested loop"
+        );
     }
 }
 
@@ -300,7 +291,7 @@ fn sweep_join_agrees_with_a_nested_loop_for_every_predicate() {
 /// example compiling and producing exactly the output it claims.
 #[test]
 fn readme_join_snippet_compiles_and_matches() {
-    let mut join = SweepJoinOperator::new(JoinPredicate::Overlaps).with_parallelism(4);
+    let mut join = SweepJoinOperator::new(JoinPredicate::Overlaps);
     join.push_left(Interval::at(0, 10)).unwrap(); // L0
     join.push_left(Interval::at(20, 30)).unwrap(); // L1
     join.push_right(Interval::at(5, 25)).unwrap(); // R0
