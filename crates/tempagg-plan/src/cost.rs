@@ -420,10 +420,15 @@ fn rank(
 /// };
 ///
 /// let stats = RelationStats::unknown(100_000).with_ordering(OrderingKnowledge::Unordered);
+/// // The choice moves with the worker count (DESIGN.md §10), so pin it.
+/// let two_workers = PlannerConfig {
+///     parallelism: Some(2),
+///     ..PlannerConfig::default()
+/// };
 /// let plan = choose_algorithm(
 ///     &stats,
 ///     SweepClass::Delta,
-///     &PlannerConfig::default(),
+///     &two_workers,
 ///     &CostModel::default(),
 ///     4,
 /// );
@@ -561,15 +566,19 @@ mod tests {
         paper_plan(stats, &PlannerConfig::default(), &CostModel::default()).choice
     }
 
+    /// The worker count the default constants were fitted on. The list and
+    /// the trees split across workers and the sweep does not, so which of
+    /// them wins moves with the worker count;
+    /// `choices_move_at_the_documented_worker_counts` pins where.
+    fn two_workers() -> PlannerConfig {
+        PlannerConfig {
+            parallelism: Some(2),
+            ..PlannerConfig::default()
+        }
+    }
+
     fn full_choice(stats: &RelationStats, class: SweepClass) -> AlgorithmChoice {
-        choose_algorithm(
-            stats,
-            class,
-            &PlannerConfig::default(),
-            &CostModel::default(),
-            4,
-        )
-        .choice
+        choose_algorithm(stats, class, &two_workers(), &CostModel::default(), 4).choice
     }
 
     #[test]
@@ -753,8 +762,8 @@ mod tests {
     #[test]
     fn sweep_wins_large_unsorted_delta_aggregates() {
         // The acceptance scenario: COUNT/SUM over a large unordered
-        // relation routes to the sweep under the default constants — on
-        // one worker too, where no partitioned sort can rescue it.
+        // relation routes to the sweep under the default constants, on
+        // two workers and on one.
         let serial = PlannerConfig {
             parallelism: Some(1),
             ..Default::default()
@@ -838,7 +847,7 @@ mod tests {
         let p = choose_algorithm(
             &s,
             SweepClass::Delta,
-            &PlannerConfig::default(),
+            &two_workers(),
             &CostModel::default(),
             4,
         );
@@ -849,6 +858,51 @@ mod tests {
         );
         assert!(p.rationale.iter().any(|r| r.contains("endpoint-sweep:")));
         assert!(p.rationale.iter().any(|r| r.contains("delta class")));
+    }
+
+    #[test]
+    fn choices_move_at_the_documented_worker_counts() {
+        // A tree split p ways costs `cpu / p + p · partition_overhead`
+        // while the sweep stays serial, so past some worker count a tree
+        // overtakes the sweep. These are the counts DESIGN.md §10 states.
+        // On one worker the k-tree and the list lose to the sweep, though
+        // on two they win: their serial constants are off (ROADMAP item 7).
+        use AlgorithmChoice::{AggregationTree as Tree, LinkedList as List, Sweep};
+        use SweepClass::{Delta, Ordered};
+        let k16 = AlgorithmChoice::KOrderedTree {
+            k: 16,
+            presort: false,
+        };
+        let k1 = AlgorithmChoice::KOrderedTree {
+            k: 1,
+            presort: false,
+        };
+        let unordered = |n| stats(n, OrderingKnowledge::Unordered);
+        let k_ordered = |n| stats(n, OrderingKnowledge::KOrdered { k: 16 });
+        let tiny = unordered(100_000).with_expected_result_intervals(12);
+        // (relation, class, choice below `from`, `from`: the first worker
+        // count of the other choice, the other choice)
+        let cases = [
+            (unordered(10_000), Delta, Sweep, 17, Sweep),
+            (unordered(100_000), Delta, Sweep, 8, Tree),
+            (unordered(1_000_000), Delta, Sweep, 8, Tree),
+            (unordered(100_000), Ordered, Sweep, 5, Tree),
+            (k_ordered(10_000), Delta, Sweep, 2, k16),
+            (k_ordered(100_000), Delta, Sweep, 2, k16),
+            (stats(100_000, OrderingKnowledge::Sorted), Delta, k1, 17, k1),
+            (tiny, Delta, Sweep, 2, List),
+        ];
+        for (s, class, before, from, after) in cases {
+            for p in 1..=16 {
+                let config = PlannerConfig {
+                    parallelism: Some(p),
+                    ..PlannerConfig::default()
+                };
+                let plan = choose_algorithm(&s, class, &config, &CostModel::default(), 4);
+                let want = if p < from { before } else { after };
+                assert_eq!(plan.choice, want, "p = {p}:\n{plan}");
+            }
+        }
     }
 
     #[test]
