@@ -351,14 +351,14 @@ impl SweepAggregate for TypedMulti {
     }
 
     fn active_output(&self, active: &Vec<TypedActive>) -> RowValues {
-        self.members
-            .iter()
-            .zip(active)
-            .map(|(kind, member)| match member {
+        let mut row = RowValues::with_capacity(self.members.len());
+        for (kind, member) in self.members.iter().zip(active) {
+            row.push(match member {
                 TypedActive::Running(acc) => kind.output(acc),
                 TypedActive::Extreme(live) => live.best().map_or(Value::Null, |v| Value::Int(*v)),
-            })
-            .collect()
+            });
+        }
+        row
     }
 
     /// The weakest class among members, exactly as `MultiDyn` reports for

@@ -10,12 +10,14 @@
 //!
 //! [`page_seams`] connects the pager to the
 //! [`PartitionedAggregator`](crate::PartitionedAggregator):
-//! seams drawn from page-boundary fence starts put each partition's tuples
-//! on a contiguous page range of a sorted file, while [`feed`] reads the
-//! file once, sequentially. Correctness never depends on the seam placement
-//! — the combinator clips every tuple to every partition it overlaps — so
-//! fence-aligned seams are purely a locality optimisation, and the stitched
-//! output stays byte-identical to a serial run.
+//! seams drawn from page-boundary fence starts of the main lane
+//! ([`PagedReader::main_lane`](tempagg_core::pager::PagedReader::main_lane))
+//! put each partition's tuples on a contiguous page range of a sorted file,
+//! while [`feed`] reads the file once, sequentially. Correctness never
+//! depends on the seam placement — the combinator clips every tuple to
+//! every partition it overlaps — so fence-aligned seams are purely a
+//! locality optimisation, and the stitched output stays byte-identical to
+//! a serial run.
 
 use crate::traits::TemporalAggregator;
 use tempagg_agg::Aggregate;
@@ -66,7 +68,9 @@ where
 
 /// Draw up to `partitions − 1` seams for `domain` from page-boundary
 /// fences: seam `p` is the min-start of the page `p/P` of the way through
-/// the fence table. On a sorted file this maps each partition onto a
+/// the fence table. Given a sorted file's main lane
+/// ([`PagedReader::main_lane`](tempagg_core::pager::PagedReader::main_lane)),
+/// whose fences ascend by min-start, this maps each partition onto a
 /// contiguous page range. Seams violating
 /// [`PartitionedAggregator`](crate::PartitionedAggregator)'s
 /// preconditions (interior, strictly increasing) are simply dropped —
@@ -150,7 +154,7 @@ mod tests {
         let reader = PagedReader::open(&path).unwrap();
         let window = Interval::at(0, 306);
         for partitions in [1usize, 2, 8] {
-            let seams = page_seams(reader.fences(), window, partitions);
+            let seams = page_seams(reader.main_lane(), window, partitions);
             let mut parts = PartitionedAggregator::with_seams(window, seams, |sub| {
                 LinkedListAggregate::with_domain(Sum::<i64>::new(), sub)
             })
@@ -176,7 +180,7 @@ mod tests {
         let reader = PagedReader::open(&path).unwrap();
         let domain = Interval::at(0, 506);
         for p in [2usize, 4, 8, 64] {
-            let seams = page_seams(reader.fences(), domain, p);
+            let seams = page_seams(reader.main_lane(), domain, p);
             assert!(seams.len() < p.max(1));
             // Must satisfy with_seams' preconditions outright.
             PartitionedAggregator::with_seams(domain, seams, |sub| {
@@ -185,8 +189,8 @@ mod tests {
             .unwrap();
         }
         // Degenerate inputs yield no seams, not errors.
-        assert!(page_seams(reader.fences(), domain, 0).is_empty());
-        assert!(page_seams(reader.fences(), domain, 1).is_empty());
+        assert!(page_seams(reader.main_lane(), domain, 0).is_empty());
+        assert!(page_seams(reader.main_lane(), domain, 1).is_empty());
         assert!(page_seams(&[], domain, 8).is_empty());
         std::fs::remove_file(&path).ok();
     }

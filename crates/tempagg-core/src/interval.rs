@@ -11,6 +11,10 @@ use crate::error::{Result, TempAggError};
 use crate::timestamp::Timestamp;
 use std::fmt;
 
+/// Share of a relation's lifespan a tuple must last to count as long-lived:
+/// the paper's §6 long-lived tuples span 20–80 % of the lifespan.
+const LONG_LIVED_SHARE: f64 = 0.2;
+
 /// A closed interval `[start, end]` of instants with `start ≤ end`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Interval {
@@ -88,6 +92,25 @@ impl Interval {
             .get()
             .saturating_sub(self.start.get())
             .saturating_add(1)
+    }
+
+    /// The shortest duration a tuple must last to count as long-lived in a
+    /// relation whose lifespan (the hull of its valid times) is `self`: a
+    /// fifth of the lifespan, rounded up (the paper's §6 long-lived tuples
+    /// last 20–80 % of it).
+    #[must_use]
+    pub fn long_lived_cut(&self) -> i64 {
+        (LONG_LIVED_SHARE * self.duration() as f64).ceil() as i64
+    }
+
+    /// `true` iff the interval is long-lived under `cut` (a lifespan's
+    /// [`long_lived_cut`](Self::long_lived_cut)): it never ends, or it lasts
+    /// at least `cut` instants. The planner's long-lived share and the
+    /// pager's overflow lane both count by this one rule.
+    #[inline]
+    #[must_use]
+    pub fn is_long_lived(&self, cut: i64) -> bool {
+        self.end.is_forever() || self.duration() >= cut
     }
 
     /// `true` iff the interval is a single instant.

@@ -17,6 +17,7 @@ use crate::chunk::Chunk;
 use crate::error::{Result, TempAggError};
 use crate::interval::Interval;
 use crate::value::Value;
+use std::ops::Range;
 
 /// A pull-based producer of interval tuples in chunk-sized batches.
 ///
@@ -52,28 +53,174 @@ pub struct ScanStats {
 }
 
 /// A fence-pruned walk over a [`PagedReader`]'s pages restricted to a
-/// query window. The cursor itself only yields decoded pages; wrap it in
+/// query window, handing out batches of rows in storage order. A sorted
+/// file may keep its long-lived tuples in an overflow lane after the main
+/// lane (DESIGN.md §15): the cursor prunes each lane by its own fences and
+/// merges the two back by `(start, end)`, so a batch is one page of a file
+/// with one lane, and a merged run of the two lanes' current pages
+/// otherwise. The cursor itself only yields decoded batches; wrap it in
 /// [`UnitSource`] / [`IntColumnSource`] to get a [`TupleSource`].
 #[derive(Debug)]
 pub struct PageCursor<'a> {
-    reader: &'a PagedReader,
+    reader: Reader<'a>,
     window: Interval,
-    /// Page indices to visit, in file order.
-    pages: Vec<usize>,
-    next: usize,
+    /// The main lane and the overflow lane (no pages for a file with one).
+    lanes: [Lane; 2],
     stats: ScanStats,
 }
 
+/// The reader a cursor walks: borrowed, or owned by a scan that outlives
+/// the borrow that opened it.
+#[derive(Debug)]
+enum Reader<'a> {
+    Borrowed(&'a PagedReader),
+    Owned(Box<PagedReader>),
+}
+
+impl std::ops::Deref for Reader<'_> {
+    type Target = PagedReader;
+
+    fn deref(&self) -> &PagedReader {
+        match self {
+            Reader::Borrowed(reader) => reader,
+            Reader::Owned(reader) => reader,
+        }
+    }
+}
+
+/// One lane's walk: the pages to visit, and the current page's rows not
+/// yet handed out.
+#[derive(Debug, Default)]
+struct Lane {
+    /// Page indices to visit, in file order.
+    pages: Vec<usize>,
+    next: usize,
+    page: Option<DecodedPage>,
+    /// The first row of `page` not yet handed out.
+    pos: usize,
+}
+
+impl Lane {
+    fn new(pages: Vec<usize>) -> Lane {
+        Lane {
+            pages,
+            ..Lane::default()
+        }
+    }
+
+    /// The interval of the lane's next row, if its current page has one.
+    fn head(&self) -> Option<Interval> {
+        self.page.as_ref()?.intervals.get(self.pos).copied()
+    }
+
+    /// The interval of the current page's last row.
+    fn last(&self) -> Option<Interval> {
+        self.page.as_ref()?.intervals.last().copied()
+    }
+
+    /// Read pages until one has a row not yet handed out, or none is left.
+    fn refill(
+        &mut self,
+        reader: &PagedReader,
+        projection: Option<&[usize]>,
+        stats: &mut ScanStats,
+    ) -> Result<()> {
+        while self.head().is_none() {
+            self.page = None;
+            self.pos = 0;
+            let Some(&index) = self.pages.get(self.next) else {
+                return Ok(());
+            };
+            self.next += 1;
+            let page = reader.read_page(index, projection)?;
+            stats.pages_read += 1;
+            stats.tuples_scanned += page.len();
+            self.page = Some(page);
+        }
+        Ok(())
+    }
+
+    /// The current page's rows not yet handed out, as a batch of their own.
+    fn take_rest(&mut self) -> Option<DecodedPage> {
+        let mut page = self.page.take()?;
+        let from = std::mem::take(&mut self.pos);
+        if from > 0 {
+            page = DecodedPage {
+                intervals: page.intervals.split_off(from),
+                columns: (page.columns.iter_mut())
+                    .map(|column| column.as_mut().map(|values| values.split_off(from)))
+                    .collect(),
+            };
+        }
+        Some(page)
+    }
+}
+
+/// Move rows `rows` of `page` to the end of `batch`, whose columns have the
+/// page's projection.
+fn move_rows(page: &mut DecodedPage, rows: Range<usize>, batch: &mut DecodedPage) {
+    let intervals = page.intervals.get(rows.clone()).unwrap_or_default();
+    batch.intervals.extend_from_slice(intervals);
+    for (from, to) in page.columns.iter_mut().zip(&mut batch.columns) {
+        if let (Some(from), Some(to)) = (from, to) {
+            let values = from.get_mut(rows.clone()).unwrap_or_default();
+            to.extend(values.iter_mut().map(std::mem::take));
+        }
+    }
+}
+
+/// The next batch of two lanes that both have rows: the rows of whichever
+/// current page ends before the other's next row, whole, or else the two
+/// pages' rows merged by `(start, end)` up to the end of whichever runs out
+/// first, moved a run of one lane at a time. Rows with equal `(start, end)`
+/// last equally long, so they share a lane: the merge never meets a tie
+/// across lanes.
+fn merge(main: &mut Lane, overflow: &mut Lane) -> Option<DecodedPage> {
+    let (head, other) = (main.head()?, overflow.head()?);
+    if main.last()? < other {
+        return main.take_rest();
+    }
+    if overflow.last()? < head {
+        return overflow.take_rest();
+    }
+    let (a, b) = (main.page.as_mut()?, overflow.page.as_mut()?);
+    let capacity = a.len() - main.pos + b.len() - overflow.pos;
+    let mut batch = DecodedPage {
+        intervals: Vec::with_capacity(capacity),
+        columns: (a.columns.iter())
+            .map(|column| column.as_ref().map(|_| Vec::with_capacity(capacity)))
+            .collect(),
+    };
+    let (mut i, mut j) = (main.pos, overflow.pos);
+    while let (Some(&x), Some(&y)) = (a.intervals.get(i), b.intervals.get(j)) {
+        // Each run is at least the one row that compared first.
+        if x < y {
+            let run = a.intervals.get(i..).unwrap_or_default();
+            let end = i + run.iter().take_while(|iv| **iv < y).count();
+            move_rows(a, i..end, &mut batch);
+            i = end;
+        } else {
+            let run = b.intervals.get(j..).unwrap_or_default();
+            let end = j + run.iter().take_while(|iv| **iv <= x).count();
+            move_rows(b, j..end, &mut batch);
+            j = end;
+        }
+    }
+    (main.pos, overflow.pos) = (i, j);
+    Some(batch)
+}
+
 impl<'a> PageCursor<'a> {
-    /// Cursor over the pages whose fences overlap `window` (fence-pruned).
-    pub fn new(reader: &'a PagedReader, window: Interval) -> PageCursor<'a> {
-        let pages = reader.pages_overlapping(&window);
+    /// A cursor visiting `pages` (ascending page indices), each lane's in
+    /// file order.
+    fn over(reader: Reader<'a>, window: Interval, mut pages: Vec<usize>) -> PageCursor<'a> {
         let pruned = reader.page_count() - pages.len();
+        let main = reader.main_lane().len();
+        let overflow = pages.split_off(pages.partition_point(|&page| page < main));
         PageCursor {
             reader,
             window,
-            pages,
-            next: 0,
+            lanes: [Lane::new(pages), Lane::new(overflow)],
             stats: ScanStats {
                 pages_pruned: pruned,
                 ..ScanStats::default()
@@ -81,17 +228,23 @@ impl<'a> PageCursor<'a> {
         }
     }
 
+    /// Cursor over the pages whose fences overlap `window` (fence-pruned).
+    pub fn new(reader: &'a PagedReader, window: Interval) -> PageCursor<'a> {
+        let pages = reader.pages_overlapping(&window);
+        PageCursor::over(Reader::Borrowed(reader), window, pages)
+    }
+
     /// Cursor over *every* page, ignoring fences (tuples are still
     /// window-filtered by the sources). This is the full-scan baseline the
     /// harness benchmarks pruning against.
     pub fn full_scan(reader: &'a PagedReader, window: Interval) -> PageCursor<'a> {
-        PageCursor {
-            reader,
-            window,
-            pages: (0..reader.page_count()).collect(),
-            next: 0,
-            stats: ScanStats::default(),
-        }
+        let pages = (0..reader.page_count()).collect();
+        PageCursor::over(Reader::Borrowed(reader), window, pages)
+    }
+
+    /// The reader this cursor walks.
+    pub fn reader(&self) -> &PagedReader {
+        &self.reader
     }
 
     /// The query window tuples are clipped against.
@@ -101,7 +254,12 @@ impl<'a> PageCursor<'a> {
 
     /// Pages this cursor will visit in total.
     pub fn planned_pages(&self) -> usize {
-        self.pages.len()
+        self.lanes.iter().map(|lane| lane.pages.len()).sum()
+    }
+
+    /// Of [`planned_pages`](Self::planned_pages), the overflow lane's.
+    pub fn planned_overflow_pages(&self) -> usize {
+        self.lanes[1].pages.len()
     }
 
     /// Scan counters so far.
@@ -109,18 +267,26 @@ impl<'a> PageCursor<'a> {
         self.stats
     }
 
-    /// Fetch and decode the next page, updating counters. `projection`
+    /// Fetch the next batch of rows in storage order, reading and decoding
+    /// pages as the lanes run dry and updating the counters. `projection`
     /// follows [`PagedReader::read_page`].
     pub fn next_page(&mut self, projection: Option<&[usize]>) -> Result<Option<DecodedPage>> {
-        let Some(&index) = self.pages.get(self.next) else {
-            return Ok(None);
-        };
-        self.next += 1;
-        let page = self.reader.read_page(index, projection)?;
-        self.stats.pages_read += 1;
-        self.stats.tuples_scanned += page.len();
-        self.stats.peak_page_tuples = self.stats.peak_page_tuples.max(page.len());
-        Ok(Some(page))
+        let reader: &PagedReader = &self.reader;
+        for lane in &mut self.lanes {
+            lane.refill(reader, projection, &mut self.stats)?;
+        }
+        let held = (self.lanes.iter())
+            .filter_map(|lane| lane.page.as_ref())
+            .map(DecodedPage::len)
+            .sum();
+        self.stats.peak_page_tuples = self.stats.peak_page_tuples.max(held);
+        let [main, overflow] = &mut self.lanes;
+        Ok(match (main.head(), overflow.head()) {
+            (None, None) => None,
+            (Some(_), None) => main.take_rest(),
+            (None, Some(_)) => overflow.take_rest(),
+            (Some(_), Some(_)) => merge(main, overflow),
+        })
     }
 
     /// Adapt into a `TupleSource<()>` (COUNT-style aggregates).
@@ -141,6 +307,15 @@ impl<'a> PageCursor<'a> {
             values: Vec::new(),
             pos: 0,
         }
+    }
+}
+
+impl PageCursor<'static> {
+    /// A [`full_scan`](PageCursor::full_scan) over [`Interval::ALL`] that
+    /// owns its reader, for a scan that outlives the call that opened it.
+    pub fn owning(reader: PagedReader) -> PageCursor<'static> {
+        let pages = (0..reader.page_count()).collect();
+        PageCursor::over(Reader::Owned(Box::new(reader)), Interval::ALL, pages)
     }
 }
 

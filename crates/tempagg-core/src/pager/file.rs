@@ -2,19 +2,23 @@
 //!
 //! [`write_relation`] streams a [`TemporalRelation`] (plus optional
 //! persisted aggregate series) onto a `.tmp` sibling, each section
-//! checksummed as it goes by, and renames it into place. [`PagedReader`] is
+//! checksummed as it goes by, and renames it into place; a sorted
+//! relation's long-lived tuples go to an overflow lane of pages after the
+//! main lane, so a window's scan skips the pages they would otherwise
+//! stretch across it. [`PagedReader`] is
 //! the out-of-core half: `open` reads only the header, schema and directory;
 //! a page stays on disk until [`PagedReader::read_page`] seeks to it, a
 //! series block until [`PagedReader::series`] asks for it, and each is
 //! verified then. Peak resident tuple memory of a paged scan is therefore one
 //! decoded page, and `open` costs what it reads, whatever is stored.
 
+use super::cursor::PageCursor;
 use super::format::{
     decode_directory, decode_footer, decode_header, decode_page, decode_schema,
     decode_series_block, encode_directory, encode_entries, encode_header, encode_page,
     encode_schema, fnv1a64, plan_pages, relation_is_sorted, verify_header, Checksum, DecodedPage,
-    FileHeader, PageFence, PersistedSeries, SeriesRecord, DEFAULT_PAGE_BYTES, FORMAT_VERSION,
-    HEADER_BYTES, MIN_PAGE_BYTES,
+    FileHeader, LaneRecord, PageFence, PersistedSeries, SeriesRecord, DEFAULT_PAGE_BYTES,
+    FORMAT_VERSION, HEADER_BYTES, MIN_PAGE_BYTES,
 };
 use crate::error::{Result, TempAggError};
 use crate::interval::Interval;
@@ -22,9 +26,12 @@ use crate::relation::TemporalRelation;
 use crate::schema::Schema;
 use crate::series::SeriesEntry;
 use crate::timestamp::Timestamp;
+use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::fs;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,12 +71,59 @@ pub struct PagedWriteStats {
 /// Series entries encoded, hashed and handed to the writer at a time.
 const ENTRIES_PER_WRITE: usize = 4096;
 
+/// A sorted relation's tuples split by [`Interval::is_long_lived`] over its
+/// lifespan: the short ones (the main lane) and the long-lived ones (the
+/// overflow lane), each still in storage order, and the cut. `None` when
+/// either lane would be empty: the file then keeps one lane.
+fn split_lanes(tuples: &[Tuple]) -> Option<([Vec<&Tuple>; 2], i64)> {
+    let lifespan = tuples.iter().map(Tuple::valid).reduce(|a, b| a.hull(&b))?;
+    let cut = lifespan.long_lived_cut();
+    let (long, short): (Vec<&Tuple>, Vec<&Tuple>) =
+        tuples.iter().partition(|t| t.valid().is_long_lived(cut));
+    (!long.is_empty() && !short.is_empty()).then_some(([short, long], cut))
+}
+
+/// Encode, pad and write the pages `ranges` cut from `lane`, recording a
+/// fence for each; `io` names a failed write.
+fn write_pages<T: Borrow<Tuple>>(
+    out: &mut impl Write,
+    schema: &Schema,
+    lane: &[T],
+    ranges: &[Range<usize>],
+    page_size: usize,
+    fences: &mut Vec<PageFence>,
+    io: impl Fn(std::io::Error) -> TempAggError,
+) -> Result<()> {
+    for range in ranges {
+        // lint: allow(indexing): plan_pages emits in-bounds, contiguous ranges over the lane
+        let run = &lane[range.clone()];
+        let mut bytes = encode_page(schema, run)?;
+        debug_assert!(bytes.len() <= page_size);
+        bytes.resize(page_size, 0);
+        let starts = run.iter().map(|t| t.borrow().valid().start());
+        let ends = run.iter().map(|t| t.borrow().valid().end());
+        fences.push(PageFence {
+            min_start: starts.min().unwrap_or(Timestamp::FOREVER),
+            max_end: ends.max().unwrap_or(Timestamp::MIN),
+            tuples: run.len() as u32,
+            checksum: Checksum::of(&bytes),
+        });
+        out.write_all(&bytes).map_err(&io)?;
+    }
+    Ok(())
+}
+
 /// Encode `relation` into the paged columnar format and atomically write
 /// it to `path` (temp file + rename; a crash mid-write never leaves a
-/// half-written file at `path`). Storage order is preserved byte-exactly;
-/// the sorted header flag is set iff the tuples are `(start, end)`-sorted.
-/// One pass, holding one page or one stretch of a series at a time; the
-/// header goes last, over the place kept for it, as it locates the directory.
+/// half-written file at `path`). The sorted header flag is set iff the
+/// tuples are `(start, end)`-sorted. A sorted relation with both short and
+/// long-lived tuples ([`Interval::is_long_lived`] over its lifespan) is
+/// written as two lanes — the short tuples' pages, then the long-lived
+/// ones' — each in storage order; [`PagedReader::read_relation`] and every
+/// [`PageCursor`] merge them back into it. Any other relation is one lane,
+/// its storage order preserved byte-exactly. One pass over the pages,
+/// holding one page or one stretch of a series at a time; the header goes
+/// last, over the place kept for it, as it locates the directory.
 pub fn write_relation(
     relation: &TemporalRelation,
     path: &Path,
@@ -84,16 +138,30 @@ pub fn write_relation(
     let schema = relation.schema();
     let schema_block = encode_schema(schema)?;
     let tuples = relation.tuples();
-    let ranges = plan_pages(schema, tuples, options.page_size)?;
+    let sorted = relation_is_sorted(relation);
+    let lanes = if sorted { split_lanes(tuples) } else { None };
+    let (main, overflow) = match &lanes {
+        Some(([short, long], _)) => (
+            plan_pages(schema, short, options.page_size)?,
+            plan_pages(schema, long, options.page_size)?,
+        ),
+        None => (plan_pages(schema, tuples, options.page_size)?, Vec::new()),
+    };
+    let lane_record = lanes.as_ref().map(|(_, cut)| LaneRecord {
+        main_pages: main.len() as u64,
+        cut: *cut,
+    });
+    let pages = main.len() + overflow.len();
     let page_size = options.page_size as usize;
-    let footer_offset = (HEADER_BYTES + schema_block.len() + ranges.len() * page_size) as u64;
+    let footer_offset = (HEADER_BYTES + schema_block.len() + pages * page_size) as u64;
     let mut header = FileHeader {
         version: FORMAT_VERSION,
-        sorted: relation_is_sorted(relation),
+        sorted,
+        overflow_lane: lane_record.is_some(),
         page_size: options.page_size,
         column_count: schema.len() as u32,
         tuple_count: tuples.len() as u64,
-        page_count: ranges.len() as u64,
+        page_count: pages as u64,
         footer_offset,
         schema_len: schema_block.len() as u32,
         directory_offset: footer_offset,
@@ -106,22 +174,21 @@ pub fn write_relation(
         out.write_all(&[0; HEADER_BYTES]).map_err(io)?;
         out.write_all(&schema_block).map_err(io)?;
 
-        let mut fences = Vec::with_capacity(ranges.len());
-        for range in &ranges {
-            // lint: allow(indexing): plan_pages emits in-bounds, contiguous ranges over tuples
-            let run = &tuples[range.clone()];
-            let mut bytes = encode_page(schema, run)?;
-            debug_assert!(bytes.len() <= page_size);
-            bytes.resize(page_size, 0);
-            let starts = run.iter().map(|t| t.valid().start());
-            let ends = run.iter().map(|t| t.valid().end());
-            fences.push(PageFence {
-                min_start: starts.min().unwrap_or(Timestamp::FOREVER),
-                max_end: ends.max().unwrap_or(Timestamp::MIN),
-                tuples: run.len() as u32,
-                checksum: Checksum::of(&bytes),
-            });
-            out.write_all(&bytes).map_err(io)?;
+        let mut fences = Vec::with_capacity(pages);
+        match &lanes {
+            Some(([short, long], _)) => {
+                write_pages(&mut out, schema, short, &main, page_size, &mut fences, io)?;
+                write_pages(
+                    &mut out,
+                    schema,
+                    long,
+                    &overflow,
+                    page_size,
+                    &mut fences,
+                    io,
+                )?;
+            }
+            None => write_pages(&mut out, schema, tuples, &main, page_size, &mut fences, io)?,
         }
 
         let mut series = Vec::with_capacity(options.caches.len());
@@ -145,7 +212,12 @@ pub fn write_relation(
             });
         }
 
-        let directory = encode_directory(&fences, &series, header.directory_offset)?;
+        let directory = encode_directory(
+            &fences,
+            lane_record.as_ref(),
+            &series,
+            header.directory_offset,
+        )?;
         out.write_all(&directory).map_err(io)?;
         file_bytes = header.directory_offset + directory.len() as u64;
         out.seek(SeekFrom::Start(0)).map_err(io)?;
@@ -155,7 +227,7 @@ pub fn write_relation(
     })?;
     Ok(PagedWriteStats {
         tuples: tuples.len(),
-        pages: ranges.len(),
+        pages,
         file_bytes,
         sorted: header.sorted,
     })
@@ -203,6 +275,9 @@ pub struct PagedReader {
     header: FileHeader,
     schema: Arc<Schema>,
     fences: Vec<PageFence>,
+    /// Where the main lane ends and the overflow lane begins; `None` for a
+    /// file with one lane.
+    lanes: Option<LaneRecord>,
     directory: Vec<SeriesRecord>,
     /// The file version's checksum function.
     sum: fn(&[u8]) -> u64,
@@ -252,12 +327,14 @@ impl PagedReader {
         file.seek(SeekFrom::Start(tail_at))
             .and_then(|_| file.read_exact(&mut tail))
             .map_err(|e| storage_at(path, format!("directory read failed: {e}")))?;
-        let (fences, directory, eager) = if v1 {
-            decode_footer(&tail, header.page_count).map_err(|e| storage_at(path, e))?
+        let (fences, lanes, directory, eager) = if v1 {
+            let (fences, directory, eager) =
+                decode_footer(&tail, header.page_count).map_err(|e| storage_at(path, e))?;
+            (fences, None, directory, eager)
         } else {
-            let (fences, directory) =
+            let (fences, lanes, directory) =
                 decode_directory(&tail, &header, file_len).map_err(|e| storage_at(path, e))?;
-            (fences, directory, Vec::new())
+            (fences, lanes, directory, Vec::new())
         };
 
         let fence_tuples: u64 = fences.iter().map(|f| u64::from(f.tuples)).sum();
@@ -277,6 +354,7 @@ impl PagedReader {
             header,
             schema,
             fences,
+            lanes,
             directory,
             sum,
             eager,
@@ -324,9 +402,36 @@ impl PagedReader {
         self.header.sorted
     }
 
-    /// Per-page min-start/max-end fences (the pruning index).
+    /// Per-page min-start/max-end fences (the pruning index), in file
+    /// order: the main lane's, then the overflow lane's.
     pub fn fences(&self) -> &[PageFence] {
         &self.fences
+    }
+
+    /// Pages of the main lane: all of a file with one lane.
+    fn main_pages(&self) -> usize {
+        self.lanes
+            .map_or(self.fences.len(), |lanes| lanes.main_pages as usize)
+    }
+
+    /// The main lane's fences: every page's for a file with one lane, the
+    /// short tuples' pages' for a file with two. Sorted by `min_start` in a
+    /// sorted file, so page-aligned partition seams come from here.
+    pub fn main_lane(&self) -> &[PageFence] {
+        self.fences.get(..self.main_pages()).unwrap_or_default()
+    }
+
+    /// The overflow lane's fences: the pages of the long-lived tuples,
+    /// after the main lane's; empty for a file with one lane.
+    pub fn overflow_lane(&self) -> &[PageFence] {
+        self.fences.get(self.main_pages()..).unwrap_or_default()
+    }
+
+    /// The cut the writer split the lanes at — a tuple is in the overflow
+    /// lane iff it is [long-lived](Interval::is_long_lived) under it; `None`
+    /// for a file with one lane.
+    pub fn long_lived_cut(&self) -> Option<i64> {
+        self.lanes.map(|lanes| lanes.cut)
     }
 
     /// One record per aggregate series the file persists, in file order:
@@ -432,14 +537,16 @@ impl PagedReader {
     }
 
     /// Materialise the whole file back into a resident
-    /// [`TemporalRelation`], byte-identical to what was written.
+    /// [`TemporalRelation`], byte-identical to what was written: the two
+    /// lanes of a file with two merged back into the written order.
     pub fn read_relation(&self) -> Result<TemporalRelation> {
         let mut relation = TemporalRelation::with_capacity(
             self.schema.clone(),
             usize::try_from(self.header.tuple_count).unwrap_or(0),
         );
-        for index in 0..self.fences.len() {
-            for tuple in self.read_page(index, None)?.into_tuples() {
+        let mut cursor = PageCursor::full_scan(self, Interval::ALL);
+        while let Some(batch) = cursor.next_page(None)? {
+            for tuple in batch.into_tuples() {
                 relation.push_tuple(tuple)?;
             }
         }

@@ -11,12 +11,17 @@
 //!
 //! All integers are little-endian and fixed-width. Every section sits under
 //! a 64-bit [`Checksum`]: the header's covers itself and the schema block;
-//! the directory (fences, one [`SeriesRecord`] per persisted series, the
-//! file's length) carries its own and holds every page's and series block's.
-//! Corruption anywhere therefore surfaces as [`TempAggError::Storage`] at the
-//! first use of the section it lands in, never as a panic or a silently wrong
-//! scan. Version 1 files (one footer under FNV-1a) still decode, through
-//! [`decode_footer`]; nothing writes them.
+//! the directory (fences, the [`LaneRecord`] of a file with two lanes, one
+//! [`SeriesRecord`] per persisted series, the file's length) carries its own
+//! and holds every page's and series block's. Corruption anywhere therefore
+//! surfaces as [`TempAggError::Storage`] at the first use of the section it
+//! lands in, never as a panic or a silently wrong scan.
+//!
+//! Version 3 lets a sorted file keep its long-lived tuples in an overflow
+//! lane of pages after the main lane, each lane sorted by `(start, end)`;
+//! a version 3 file with one lane is laid out exactly as version 2, which
+//! reads as one lane. Version 1 files (one footer under FNV-1a) still
+//! decode, through [`decode_footer`]. Only version 3 is written.
 
 pub use super::checksum::{fnv1a64, Checksum};
 use crate::error::{Result, TempAggError};
@@ -26,6 +31,7 @@ use crate::schema::{Column, Schema};
 use crate::series::SeriesEntry;
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
+use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -34,8 +40,8 @@ use crate::timestamp::Timestamp;
 /// File magic: identifies a temporal-aggregates paged relation.
 pub const MAGIC: [u8; 8] = *b"TAGGPG01";
 /// Current format version — the only one written; readers reject anything
-/// newer and still read version 1.
-pub const FORMAT_VERSION: u16 = 2;
+/// newer and still read versions 1 and 2.
+pub const FORMAT_VERSION: u16 = 3;
 /// Fixed byte length of the file header (excluding the schema block).
 pub const HEADER_BYTES: usize = 64;
 /// Default page size. Mirrors the 8 KiB pages of the paper's I/O model.
@@ -44,6 +50,10 @@ pub const DEFAULT_PAGE_BYTES: u32 = 8192;
 pub const MIN_PAGE_BYTES: u32 = 64;
 /// Header flag bit: tuples are sorted by `(start, end)` across the file.
 pub const FLAG_SORTED: u16 = 1;
+/// Header flag bit (version 3 on, sorted files only): the pages form a main
+/// lane and an overflow lane of long-lived tuples, and the directory holds
+/// the [`LaneRecord`] that says where the second begins.
+pub const FLAG_OVERFLOW_LANE: u16 = 2;
 /// Encoded size of one fence entry.
 pub const FENCE_BYTES: usize = 28;
 /// Smallest encoded series entry: two timestamps and a NULL's tag byte.
@@ -147,8 +157,11 @@ impl<'a> ByteReader<'a> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileHeader {
     pub version: u16,
-    /// Tuples are globally sorted by `(start, end)`.
+    /// Tuples are globally sorted by `(start, end)` (each lane of a file
+    /// with two, and the two merged).
     pub sorted: bool,
+    /// The pages form two lanes; the directory holds their [`LaneRecord`].
+    pub overflow_lane: bool,
     pub page_size: u32,
     pub column_count: u32,
     pub tuple_count: u64,
@@ -173,13 +186,16 @@ impl FileHeader {
 
 /// Encode the 64-byte header. `schema_block` participates in the header
 /// checksum so a tampered schema is caught before any page is trusted.
-/// The checksum is version 2's whatever `header.version` says.
+/// The checksum is [`Checksum`]'s (versions 2 and 3) whatever
+/// `header.version` says.
 #[must_use]
 pub fn encode_header(header: &FileHeader, schema_block: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_BYTES);
     buf.extend_from_slice(&MAGIC);
     put_u16(&mut buf, header.version);
-    put_u16(&mut buf, if header.sorted { FLAG_SORTED } else { 0 });
+    let flags = (u16::from(header.sorted) * FLAG_SORTED)
+        | (u16::from(header.overflow_lane) * FLAG_OVERFLOW_LANE);
+    put_u16(&mut buf, flags);
     put_u32(&mut buf, header.page_size);
     put_u32(&mut buf, header.column_count);
     put_u64(&mut buf, header.tuple_count);
@@ -213,8 +229,17 @@ pub fn decode_header(first: &[u8]) -> Result<FileHeader> {
         )));
     }
     let flags = r.u16()?;
-    if flags & !FLAG_SORTED != 0 {
+    let known = if version >= 3 {
+        FLAG_SORTED | FLAG_OVERFLOW_LANE
+    } else {
+        FLAG_SORTED
+    };
+    if flags & !known != 0 {
         return Err(storage(format!("unknown header flag bits {flags:#06x}")));
+    }
+    // Only a sorted file's tuples are split into lanes.
+    if flags & FLAG_OVERFLOW_LANE != 0 && flags & FLAG_SORTED == 0 {
+        return Err(storage("an overflow lane in a file not sorted by time"));
     }
     let page_size = r.u32()?;
     if page_size < MIN_PAGE_BYTES {
@@ -231,6 +256,7 @@ pub fn decode_header(first: &[u8]) -> Result<FileHeader> {
     let header = FileHeader {
         version,
         sorted: flags & FLAG_SORTED != 0,
+        overflow_lane: flags & FLAG_OVERFLOW_LANE != 0,
         page_size,
         column_count,
         tuple_count,
@@ -382,13 +408,17 @@ fn tuple_slot_cost(schema: &Schema, tuple: &Tuple) -> usize {
 /// Greedily split `tuples` into page-sized runs: each returned range
 /// encodes (with [`encode_page`]) to at most `page_size` bytes. Errors if
 /// any single tuple cannot fit a page on its own.
-pub fn plan_pages(schema: &Schema, tuples: &[Tuple], page_size: u32) -> Result<Vec<Range<usize>>> {
+pub fn plan_pages<T: Borrow<Tuple>>(
+    schema: &Schema,
+    tuples: &[T],
+    page_size: u32,
+) -> Result<Vec<Range<usize>>> {
     let budget = page_size as usize;
     let mut pages = Vec::new();
     let mut begin = 0usize;
     let mut used = 4usize; // page tuple-count word
     for (i, tuple) in tuples.iter().enumerate() {
-        let cost = tuple_slot_cost(schema, tuple);
+        let cost = tuple_slot_cost(schema, tuple.borrow());
         if 4 + cost > budget {
             return Err(storage(format!(
                 "tuple {i} needs {} bytes, exceeding the {page_size}-byte page \
@@ -411,30 +441,31 @@ pub fn plan_pages(schema: &Schema, tuples: &[Tuple], page_size: u32) -> Result<V
 
 /// Encode one page (unpadded): `count u32 | starts | ends | per column:
 /// validity bytes then payload`. The caller pads to the page size.
-pub fn encode_page(schema: &Schema, tuples: &[Tuple]) -> Result<Vec<u8>> {
+pub fn encode_page<T: Borrow<Tuple>>(schema: &Schema, tuples: &[T]) -> Result<Vec<u8>> {
     if tuples.len() > u32::MAX as usize {
         return Err(storage("page tuple count exceeds u32"));
     }
+    let tuples = tuples.iter().map(Borrow::<Tuple>::borrow);
     let mut buf = Vec::new();
     put_u32(&mut buf, tuples.len() as u32);
-    for t in tuples {
+    for t in tuples.clone() {
         put_i64(&mut buf, t.valid().start().get());
     }
-    for t in tuples {
+    for t in tuples.clone() {
         put_i64(&mut buf, t.valid().end().get());
     }
     for (idx, col) in schema.columns().iter().enumerate() {
-        for t in tuples {
+        for t in tuples.clone() {
             buf.push(u8::from(!matches!(t.value(idx), Value::Null)));
         }
         match col.ty {
             ValueType::Int => {
-                for t in tuples {
+                for t in tuples.clone() {
                     put_i64(&mut buf, t.value(idx).as_i64().unwrap_or(0));
                 }
             }
             ValueType::Float => {
-                for t in tuples {
+                for t in tuples.clone() {
                     let bits = match t.value(idx) {
                         Value::Float(f) => f.to_bits(),
                         Value::Int(i) => (*i as f64).to_bits(),
@@ -444,13 +475,13 @@ pub fn encode_page(schema: &Schema, tuples: &[Tuple]) -> Result<Vec<u8>> {
                 }
             }
             ValueType::Bool => {
-                for t in tuples {
+                for t in tuples.clone() {
                     buf.push(u8::from(matches!(t.value(idx), Value::Bool(true))));
                 }
             }
             ValueType::Str => {
                 let mut bytes = Vec::new();
-                for t in tuples {
+                for t in tuples.clone() {
                     let s = t.value(idx).as_str().unwrap_or("");
                     if s.len() > u32::MAX as usize {
                         return Err(storage("string value exceeds u32 length"));
@@ -681,6 +712,17 @@ pub(crate) fn decode_fences(r: &mut ByteReader<'_>, page_count: u64) -> Result<V
     Ok(fences)
 }
 
+/// Where a file with two lanes splits them. Pages `0..main_pages` are the
+/// main lane, the rest the overflow lane; each lane is sorted by
+/// `(start, end)`. A tuple is in the overflow lane iff it is long-lived
+/// under `cut` ([`Interval::is_long_lived`]): the writer's cut over the
+/// relation's lifespan ([`Interval::long_lived_cut`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneRecord {
+    pub main_pages: u64,
+    pub cut: i64,
+}
+
 /// A cached aggregate series persisted alongside the relation: the store
 /// writes one per warmed cache so reopening a file serves aggregates
 /// without recomputation.
@@ -826,11 +868,13 @@ fn split_checksum<'a>(bytes: &'a [u8], what: &str) -> Result<(&'a [u8], u64)> {
 }
 
 /// Encode the directory of a file whose series blocks end at
-/// `directory_offset`: fences, `series count u32`, per series `label_len u16
-/// | label | column i64 (-1: none) | runs u64 | offset u64 | len u64 |
+/// `directory_offset`: fences, the `lanes` record if the file has two
+/// (`main_pages u64 | cut i64`), `series count u32`, per series `label_len
+/// u16 | label | column i64 (-1: none) | runs u64 | offset u64 | len u64 |
 /// checksum u64`, the file's total length, the [`Checksum`] of all that.
 pub fn encode_directory(
     fences: &[PageFence],
+    lanes: Option<&LaneRecord>,
     series: &[SeriesRecord],
     directory_offset: u64,
 ) -> Result<Vec<u8>> {
@@ -838,6 +882,10 @@ pub fn encode_directory(
         return Err(storage("too many persisted caches"));
     }
     let mut buf = encode_fences(fences);
+    if let Some(lanes) = lanes {
+        put_u64(&mut buf, lanes.main_pages);
+        put_i64(&mut buf, lanes.cut);
+    }
     put_u32(&mut buf, series.len() as u32);
     for record in series {
         encode_label(&mut buf, &record.label, record.column)?;
@@ -854,14 +902,16 @@ pub fn encode_directory(
 }
 
 /// Verify and decode the directory — the bytes from `header.directory_offset`
-/// to the end of a file `file_len` bytes long. Every record is held against
-/// the layout before anyone allocates for it: the blocks tile
+/// to the end of a file `file_len` bytes long: its fences, its lane record
+/// (present iff the header says the file has an overflow lane) and its
+/// series records. Every record is held against the layout before anyone
+/// allocates for it: both lanes hold pages, and the blocks tile
 /// `[footer_offset, directory_offset)` in order.
 pub fn decode_directory(
     bytes: &[u8],
     header: &FileHeader,
     file_len: u64,
-) -> Result<(Vec<PageFence>, Vec<SeriesRecord>)> {
+) -> Result<(Vec<PageFence>, Option<LaneRecord>, Vec<SeriesRecord>)> {
     let (body, stored) = split_checksum(bytes, "directory")?;
     if Checksum::of(body) != stored {
         return Err(storage(
@@ -870,6 +920,18 @@ pub fn decode_directory(
     }
     let mut r = ByteReader::new(body, "directory");
     let fences = decode_fences(&mut r, header.page_count)?;
+    let lanes = if header.overflow_lane {
+        let (main_pages, cut) = (r.u64()?, r.i64()?);
+        if main_pages == 0 || main_pages >= header.page_count || cut < 1 {
+            return Err(storage(format!(
+                "lane record: a main lane of {main_pages} of {} pages, cut {cut}",
+                header.page_count
+            )));
+        }
+        Some(LaneRecord { main_pages, cut })
+    } else {
+        None
+    };
     let mut series = Vec::new();
     let mut at = header.footer_offset;
     for _ in 0..r.u32()? {
@@ -898,7 +960,7 @@ pub fn decode_directory(
             header.directory_offset
         )));
     }
-    Ok((fences, series))
+    Ok((fences, lanes, series))
 }
 
 /// Decode a version 1 footer: the fence table, every persisted series in
@@ -987,6 +1049,7 @@ mod tests {
         let header = FileHeader {
             version: FORMAT_VERSION,
             sorted: true,
+            overflow_lane: false,
             page_size: DEFAULT_PAGE_BYTES,
             column_count: schema.len() as u32,
             tuple_count: 7,
@@ -1024,6 +1087,7 @@ mod tests {
         let header = FileHeader {
             version: FORMAT_VERSION,
             sorted: false,
+            overflow_lane: false,
             page_size: DEFAULT_PAGE_BYTES,
             column_count: schema.len() as u32,
             tuple_count: 0,
@@ -1253,6 +1317,7 @@ mod tests {
         FileHeader {
             version: FORMAT_VERSION,
             sorted: true,
+            overflow_lane: false,
             page_size: DEFAULT_PAGE_BYTES,
             column_count: 0,
             tuple_count: 17,
@@ -1278,32 +1343,104 @@ mod tests {
         ]
     }
 
+    /// With one lane and with two: the lane record is there iff the header
+    /// says so, and every bit of it is under the directory's checksum.
     #[test]
     fn directory_roundtrips_and_any_bit_flip_is_caught() {
         let lens = [90, 75];
-        let header = header_with_blocks(lens);
-        let series = records(&header, lens);
+        let one_lane = header_with_blocks(lens);
+        let series = records(&one_lane, lens);
         let fences = sample_fences();
-        let bytes = encode_directory(&fences, &series, header.directory_offset).unwrap();
-        let file_len = header.directory_offset + bytes.len() as u64;
-        let (f2, s2) = decode_directory(&bytes, &header, file_len).unwrap();
-        assert_eq!(f2, fences);
-        assert_eq!(s2, series);
+        let two_lanes = FileHeader {
+            overflow_lane: true,
+            ..one_lane.clone()
+        };
+        let record = LaneRecord {
+            main_pages: 1,
+            cut: 40,
+        };
+        for (header, lanes) in [(one_lane, None), (two_lanes, Some(record))] {
+            let offset = header.directory_offset;
+            let bytes = encode_directory(&fences, lanes.as_ref(), &series, offset).unwrap();
+            let file_len = header.directory_offset + bytes.len() as u64;
+            let (f2, l2, s2) = decode_directory(&bytes, &header, file_len).unwrap();
+            assert_eq!(f2, fences);
+            assert_eq!(l2, lanes);
+            assert_eq!(s2, series);
 
-        for bit in 0..bytes.len() * 8 {
-            let mut bad = bytes.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
+            for bit in 0..bytes.len() * 8 {
+                let mut bad = bytes.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    decode_directory(&bad, &header, file_len).is_err(),
+                    "bit flip at {bit} went undetected"
+                );
+            }
+            // A file that grew or shrank since the directory was written.
+            for wrong in [file_len - 1, file_len + 1] {
+                assert!(decode_directory(&bytes, &header, wrong).is_err());
+            }
+            for cut in 0..bytes.len() {
+                assert!(decode_directory(&bytes[..cut], &header, file_len).is_err());
+            }
+        }
+    }
+
+    /// A lane record that passes the checksum is still held against the
+    /// file: both lanes hold pages and the cut is a duration. A header that
+    /// claims two lanes for an unsorted file, or before version 3, is
+    /// refused before any directory is read.
+    #[test]
+    fn lane_records_are_bounded_by_the_layout() {
+        let lens = [90, 75];
+        let header = FileHeader {
+            overflow_lane: true,
+            ..header_with_blocks(lens)
+        };
+        let series = records(&header, lens);
+        let decode = |main_pages, cut| {
+            let lanes = LaneRecord { main_pages, cut };
+            let offset = header.directory_offset;
+            let bytes = encode_directory(&sample_fences(), Some(&lanes), &series, offset).unwrap();
+            decode_directory(&bytes, &header, offset + bytes.len() as u64)
+        };
+        assert!(decode(1, 1).is_ok());
+        for (main_pages, cut) in [(0, 40), (2, 40), (u64::MAX, 40), (1, 0), (1, i64::MIN)] {
             assert!(
-                decode_directory(&bad, &header, file_len).is_err(),
-                "bit flip at {bit} went undetected"
+                matches!(decode(main_pages, cut), Err(TempAggError::Storage { .. })),
+                "main lane {main_pages}, cut {cut}"
             );
         }
-        // A file that grew or shrank since the directory was written.
-        for wrong in [file_len - 1, file_len + 1] {
-            assert!(decode_directory(&bytes, &header, wrong).is_err());
-        }
-        for cut in 0..bytes.len() {
-            assert!(decode_directory(&bytes[..cut], &header, file_len).is_err());
+        // The same directory read as one lane's: the record's bytes are not
+        // a series count, so the layout check refuses them.
+        let lanes = LaneRecord {
+            main_pages: 1,
+            cut: 40,
+        };
+        let offset = header.directory_offset;
+        let bytes = encode_directory(&sample_fences(), Some(&lanes), &series, offset).unwrap();
+        let one_lane = FileHeader {
+            overflow_lane: false,
+            ..header.clone()
+        };
+        assert!(decode_directory(&bytes, &one_lane, offset + bytes.len() as u64).is_err());
+
+        let block = encode_schema(&sample_schema()).unwrap();
+        for bad in [
+            FileHeader {
+                sorted: false,
+                ..header.clone()
+            },
+            FileHeader {
+                version: 2,
+                ..header.clone()
+            },
+        ] {
+            let bytes = encode_header(&bad, &block);
+            assert!(matches!(
+                decode_header(&bytes),
+                Err(TempAggError::Storage { .. })
+            ));
         }
     }
 
@@ -1320,7 +1457,7 @@ mod tests {
             let mut series = good.clone();
             change(&mut series);
             let bytes =
-                encode_directory(&sample_fences(), &series, header.directory_offset).unwrap();
+                encode_directory(&sample_fences(), None, &series, header.directory_offset).unwrap();
             let file_len = header.directory_offset + bytes.len() as u64;
             decode_directory(&bytes, &header, file_len)
         };

@@ -11,18 +11,19 @@
 //!   a file sits under, and the byte-serial FNV-1a that version 1 files
 //!   are still read with.
 //! - [`format`] — the pure byte codec for the on-disk layout (DESIGN.md
-//!   §15, format v2): a 64-byte header, a schema block, fixed-size
-//!   columnar pages, one block per persisted aggregate series, and a
-//!   directory of per-page min-start/max-end fences plus one record per
-//!   series — and the decoder for version 1's single footer.
+//!   §15, format v3): a 64-byte header, a schema block, fixed-size
+//!   columnar pages (a sorted file's long-lived tuples in an overflow lane
+//!   after the rest), one block per persisted aggregate series, and a
+//!   directory of per-page min-start/max-end fences, the lane record and
+//!   one record per series — and the decoder for version 1's single footer.
 //! - [`file`] — [`write_relation`] (one streaming pass onto a temp file,
 //!   then rename) and [`PagedReader`] (`open` reads header, schema and
 //!   directory; pages and series blocks are fetched, and verified, on
 //!   demand).
 //! - [`cursor`] — the [`TupleSource`] scan abstraction: fence-pruned
-//!   [`PageCursor`] walks feeding [`Chunk`](crate::Chunk) batches to any
-//!   aggregator, with [`SliceSource`] giving resident data the same
-//!   interface.
+//!   [`PageCursor`] walks, merging a file's two lanes back into storage
+//!   order, feeding [`Chunk`](crate::Chunk) batches to any aggregator, with
+//!   [`SliceSource`] giving resident data the same interface.
 //!
 //! The free functions below ([`exists`], [`remove_file`]) are the shared
 //! filesystem helpers the rest of the workspace uses for data files, both

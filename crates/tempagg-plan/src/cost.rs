@@ -392,6 +392,11 @@ fn rank(
             _ => format!("reads all {pages} pages (no fence pruning applies)"),
         });
     }
+    if let Some((read, total)) = stats.overflow_pages {
+        rationale.push(format!(
+            "of which the overflow lane of long-lived tuples: {read} of {total} pages"
+        ));
+    }
     Plan {
         choice: best.choice,
         parallelism,

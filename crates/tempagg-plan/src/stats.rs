@@ -74,6 +74,11 @@ pub struct RelationStats {
     /// scan actually reads. `None` means no pruning knowledge (cost the
     /// full page count).
     pub pages_in_window: Option<usize>,
+    /// When the file keeps its long-lived tuples in an overflow lane of
+    /// pages: `(read, of)`, the lane's pages a scan reads of its total.
+    /// `pages_in_window` and `pages` already count them; this only shows
+    /// them apart.
+    pub overflow_pages: Option<(usize, usize)>,
 }
 
 impl RelationStats {
@@ -88,6 +93,7 @@ impl RelationStats {
             cached_series: None,
             pages: None,
             pages_in_window: None,
+            overflow_pages: None,
         }
     }
 
@@ -116,19 +122,12 @@ impl RelationStats {
             OrderingKnowledge::Unordered
         };
 
-        let lifespan = intervals
-            .iter()
-            .copied()
-            .reduce(|a, b| a.hull(&b))
-            .map_or(0, |iv| iv.duration());
-        let long_lived = if lifespan > 0 {
-            intervals
-                .iter()
-                .filter(|iv| iv.duration() as f64 >= 0.2 * lifespan as f64)
-                .count() as f64
-                / n.max(1) as f64
-        } else {
-            0.0
+        let long_lived = match intervals.iter().copied().reduce(|a, b| a.hull(&b)) {
+            Some(lifespan) => {
+                let cut = lifespan.long_lived_cut();
+                intervals.iter().filter(|iv| iv.is_long_lived(cut)).count() as f64 / n as f64
+            }
+            None => 0.0,
         };
 
         RelationStats {
@@ -140,23 +139,27 @@ impl RelationStats {
             cached_series: None,
             pages: None,
             pages_in_window: None,
+            overflow_pages: None,
         }
     }
 
     /// What a persisted table's file says without a row read: the header's
     /// tuple count and sorted flag, and — from the fences — the file's pages
     /// and how many of them a fence-pruned scan over `window` reads, which
-    /// is what the plan then prices.
+    /// is what the plan then prices, with the overflow lane's share of both.
     pub fn from_pages(reader: &PagedReader, window: Interval) -> RelationStats {
         let ordering = if reader.sorted() {
             OrderingKnowledge::Sorted
         } else {
             OrderingKnowledge::Unknown
         };
-        let in_window = reader.pages_overlapping(&window).len();
+        let in_window = reader.pages_overlapping(&window);
+        let main = reader.main_lane().len();
+        let overflow = in_window.iter().filter(|&&page| page >= main).count();
         RelationStats::unknown(reader.tuple_count() as usize)
             .with_ordering(ordering)
-            .with_pages(reader.page_count(), Some(in_window))
+            .with_pages(reader.page_count(), Some(in_window.len()))
+            .with_overflow_pages(overflow, reader.overflow_lane().len())
     }
 
     /// Distinct timestamps, defaulting to the all-unique worst case.
@@ -188,6 +191,13 @@ impl RelationStats {
     pub fn with_pages(mut self, pages: usize, pages_in_window: Option<usize>) -> RelationStats {
         self.pages = Some(pages);
         self.pages_in_window = pages_in_window.map(|p| p.min(pages));
+        self
+    }
+
+    /// Builder-style setter for the overflow lane's pages: `read` of its
+    /// `total`. A file with one lane (`total` 0) sets nothing.
+    pub fn with_overflow_pages(mut self, read: usize, total: usize) -> RelationStats {
+        self.overflow_pages = (total > 0).then_some((read.min(total), total));
         self
     }
 }
@@ -307,20 +317,15 @@ mod tests {
         } else {
             OrderingKnowledge::Unordered
         };
-        let lifespan = intervals
+        // The long-lived rule is the shared one; only the sorts are checked.
+        let cut = intervals
             .iter()
             .copied()
             .reduce(|a, b| a.hull(&b))
-            .map_or(0, |iv| iv.duration());
-        let long_lived = if lifespan > 0 {
-            intervals
-                .iter()
-                .filter(|iv| iv.duration() as f64 >= 0.2 * lifespan as f64)
-                .count() as f64
-                / n.max(1) as f64
-        } else {
-            0.0
-        };
+            .map(|lifespan| lifespan.long_lived_cut());
+        let long_lived = cut.map_or(0.0, |cut| {
+            intervals.iter().filter(|iv| iv.is_long_lived(cut)).count() as f64 / n as f64
+        });
         let mut ts: Vec<i64> = intervals
             .iter()
             .flat_map(|iv| [iv.start().get(), iv.end().get()])

@@ -659,7 +659,9 @@ where
                         .map_or_else(Vec::new, Group::intervals);
                     let mut stats = RelationStats::analyze_intervals(&representative);
                     if let Some(pages) = pages {
-                        stats = stats.with_pages(pages.total, Some(pages.read));
+                        stats = stats
+                            .with_pages(pages.total, Some(pages.read))
+                            .with_overflow_pages(pages.overflow_read, pages.overflow_total);
                     }
                     // Cost-based selection: the select list's weakest
                     // retraction class gates whether the endpoint sweep

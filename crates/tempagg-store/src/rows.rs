@@ -9,8 +9,9 @@
 //! needed the rows, never a panic.
 //!
 //! [`RowScan`] reads the rows in storage order either way — the resident
-//! tuples as one batch, or the base one page at a time, fence-pruned to the
-//! scan's window and decoding only the columns the scan reads — and both
+//! tuples as one batch, or the base one batch of its `PageCursor` at a time
+//! (a page, or the merge of a sorted file's two lanes' pages), fence-pruned
+//! to the scan's window and decoding only the columns the scan reads — and both
 //! hand out [`Row`]s, so a consumer writes one loop body for the two.
 
 use std::cell::OnceCell;
@@ -115,7 +116,7 @@ impl Rows {
     pub(crate) fn scan(&self, window: Interval, columns: &[usize]) -> RowScan<'_> {
         let source = match (self.pages(), self) {
             (Some(pages), _) => Source::Pages {
-                cursor: PageCursor::new(pages, window),
+                cursor: Box::new(PageCursor::new(pages, window)),
                 projection: columns.to_vec(),
             },
             (None, Rows::Paged { resident, .. }) => {
@@ -139,9 +140,9 @@ enum Source<'a> {
     /// The resident tuples, handed out as one batch.
     Tuples(Option<&'a [Tuple]>),
     /// The base's pages overlapping the window, each decoded to
-    /// `projection`.
+    /// `projection` (the cursor boxed: it holds a page per lane).
     Pages {
-        cursor: PageCursor<'a>,
+        cursor: Box<PageCursor<'a>>,
         projection: Vec<usize>,
     },
 }
@@ -168,6 +169,8 @@ impl<'a> RowScan<'a> {
                 Some(ScanPages {
                     read,
                     total: read + cursor.stats().pages_pruned,
+                    overflow_read: cursor.planned_overflow_pages(),
+                    overflow_total: cursor.reader().overflow_lane().len(),
                 })
             }
         }
@@ -175,14 +178,18 @@ impl<'a> RowScan<'a> {
 }
 
 /// The pages a [`RowScan`] of a file reads — those whose fences overlap
-/// its window, whether read yet or not — of the file's `total`.
+/// its window, whether read yet or not — of the file's `total`, and of
+/// each the overflow lane's (both 0 for a file with one lane).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScanPages {
     pub read: usize,
     pub total: usize,
+    pub overflow_read: usize,
+    pub overflow_total: usize,
 }
 
-/// One batch of a [`RowScan`]: the resident tuples, or one decoded page.
+/// One batch of a [`RowScan`]: the resident tuples, or one decoded batch of
+/// the file's rows (a page, or the merge of two lanes' pages).
 #[derive(Debug)]
 pub enum RowBatch<'a> {
     Tuples(&'a [Tuple]),

@@ -16,7 +16,7 @@
 
 use crate::rng::{SliceRandom, StdRng};
 use std::path::Path;
-use tempagg_core::pager::{PagedReader, PagedWriteOptions, PagedWriteStats};
+use tempagg_core::pager::{PageCursor, PagedReader, PagedWriteOptions, PagedWriteStats};
 use tempagg_core::{pager, Result, TemporalRelation, Tuple};
 
 /// Bytes per page — the core pager's default page size.
@@ -34,14 +34,13 @@ pub fn read_relation(path: &Path) -> Result<TemporalRelation> {
     PagedReader::open(path)?.read_relation()
 }
 
-/// A sequential tuple scanner over a paged file: one page resident at a
-/// time, tuples yielded in storage order.
+/// A sequential tuple scanner over a paged file: one batch of the
+/// [`PageCursor`] resident at a time (a page, or the merge of a sorted
+/// file's two lanes' pages), tuples yielded in storage order.
 #[derive(Debug)]
 pub struct Scan {
-    reader: PagedReader,
-    /// Pages not yet read.
-    pages: std::ops::Range<usize>,
-    /// The rows of the one resident page not yet yielded.
+    cursor: PageCursor<'static>,
+    /// The rows of the one resident batch not yet yielded.
     page: std::vec::IntoIter<Tuple>,
     remaining: u64,
 }
@@ -52,8 +51,7 @@ impl Scan {
         let reader = PagedReader::open(path)?;
         let remaining = reader.tuple_count();
         Ok(Scan {
-            pages: 0..reader.page_count(),
-            reader,
+            cursor: PageCursor::owning(reader),
             page: Vec::new().into_iter(),
             remaining,
         })
@@ -67,8 +65,7 @@ impl Scan {
     /// Tuples stored on each on-disk page, in page order (from the
     /// footer's fences — no page reads needed).
     pub fn page_tuple_counts(&self) -> Vec<usize> {
-        self.reader
-            .fences()
+        (self.cursor.reader().fences())
             .iter()
             .map(|fence| fence.tuples as usize)
             .collect()
@@ -84,10 +81,13 @@ impl Iterator for Scan {
                 self.remaining = self.remaining.saturating_sub(1);
                 return Some(Ok(tuple));
             }
-            match self.reader.read_page(self.pages.next()?, None) {
-                Ok(page) => self.page = page.into_tuples().collect::<Vec<_>>().into_iter(),
+            // Every tuple yielded, or the scan stopped at an error.
+            if self.remaining == 0 {
+                return None;
+            }
+            match self.cursor.next_page(None) {
+                Ok(batch) => self.page = batch?.into_tuples().collect::<Vec<_>>().into_iter(),
                 Err(e) => {
-                    self.pages = 0..0;
                     self.remaining = 0;
                     return Some(Err(e));
                 }

@@ -11,8 +11,11 @@
 //!   not an answer;
 //! * `open` reads no series block, a reopened store decodes only the series
 //!   it is asked for, and none of that shows through SQL;
-//! * files a version 1 writer produced still open, and are version 2 after
-//!   one flush;
+//! * files version 1 and version 2 writers produced still open, and are
+//!   version 3 after one flush;
+//! * a sorted file's overflow lane of long-lived tuples is invisible to
+//!   every reader, costs a window only the pages it needs, and sits under
+//!   checksums like the rest;
 //! * the README's persistence walkthrough works exactly as printed, and
 //!   `CREATE TABLE … PERSIST TO` survives a process boundary (modelled as
 //!   a fresh [`Catalog`]).
@@ -37,7 +40,7 @@ use temporal_aggregates::sql::{execute_statement, Path as SqlPath};
 use temporal_aggregates::workload::rng::StdRng;
 use temporal_aggregates::workload::{generate, WorkloadConfig};
 use temporal_aggregates::{
-    AggKind, DynAggregate, ResultRow, TempAggError, ValueType, DEFAULT_CHUNK_CAPACITY,
+    AggKind, DynAggregate, ResultRow, Schema, TempAggError, ValueType, DEFAULT_CHUNK_CAPACITY,
 };
 
 fn temp_path(name: &str) -> PathBuf {
@@ -121,7 +124,7 @@ where
     A::Output: PartialEq + Send,
     S: TupleSource<A::Input>,
 {
-    let seams = page_seams(reader.fences(), window, partitions);
+    let seams = page_seams(reader.main_lane(), window, partitions);
     let mut parts = PartitionedAggregator::with_seams(window, seams, |sub| {
         SweepAggregator::with_domain(agg.clone(), sub)
     })
@@ -940,4 +943,486 @@ fn store_flush_and_open_roundtrip_preserves_caches() {
     );
     let after = reopened.snapshot(AggKind::CountStar, None).unwrap();
     assert_eq!(*before, *after);
+}
+
+/// The centred window of `share` % of `reader`'s lifespan.
+fn centred_window(reader: &PagedReader, share: i64) -> Interval {
+    let lifespan = reader.lifespan().unwrap();
+    let half = lifespan.duration() * share / 200;
+    let middle = lifespan.start().get() + lifespan.duration() / 2;
+    Interval::new(middle - half, middle + half).unwrap()
+}
+
+/// A fence-pruned `COUNT(*)` scan of `window`: the pages it read, and the
+/// overflow lane's of them.
+fn pages_read(reader: &PagedReader, window: Interval) -> (usize, usize) {
+    let cursor = PageCursor::new(reader, window);
+    let overflow = cursor.planned_overflow_pages();
+    let mut source = cursor.units();
+    let mut chunk: Chunk<()> = Chunk::with_capacity(DEFAULT_CHUNK_CAPACITY);
+    while source.next_chunk(&mut chunk).unwrap() {
+        chunk.clear();
+    }
+    (source.stats().pages_read, overflow)
+}
+
+/// Long-lived tuples cost a window the pages they sit on, not every page
+/// they stretch across: the centred 10 % window of a sorted relation with
+/// 10 % long-lived tuples reads at most twice the pages it reads with
+/// none (with one lane it read five to six times as many). The 40 % and
+/// 80 % shares are printed, not held to a bound.
+#[test]
+fn a_long_lived_share_costs_a_window_few_pages() {
+    let read_at = |pct: u8| {
+        let config = WorkloadConfig::sorted(20_000)
+            .with_seed(44)
+            .with_long_lived_pct(pct);
+        let relation = generate(&config);
+        let path = temp_path(&format!("share-{pct}.tapg"));
+        let _cleanup = Cleanup(path.clone());
+        pager::write_relation(&relation, &path, &PagedWriteOptions::default()).unwrap();
+        let reader = PagedReader::open(&path).unwrap();
+        let (read, overflow) = pages_read(&reader, centred_window(&reader, 10));
+        println!(
+            "{pct:>2} % long-lived: window reads {read} of {} pages \
+             (main lane {} of {}, overflow lane {overflow} of {})",
+            reader.page_count(),
+            read - overflow,
+            reader.main_lane().len(),
+            reader.overflow_lane().len(),
+        );
+        read
+    };
+    let none = read_at(0);
+    let tenth = read_at(10);
+    for pct in [40, 80] {
+        let ratio = read_at(pct) as f64 / none as f64;
+        println!("{pct} % long-lived reads {ratio:.2}x the pages of 0 %");
+    }
+    assert!(
+        tenth <= 2 * none,
+        "10 % long-lived reads {tenth} pages, 0 % reads {none}"
+    );
+}
+
+/// A sorted relation whose lanes the merge must get exactly right: never
+/// ending tuples, duplicate intervals, equal starts in both lanes. `v`
+/// numbers the tuples as pushed, so duplicates are told apart.
+fn lane_edge_cases() -> TemporalRelation {
+    let schema = Schema::of(&[("v", ValueType::Int)]);
+    let mut relation = TemporalRelation::new(schema);
+    let mut push = |interval: Interval| {
+        let v = relation.len() as i64;
+        relation.push(vec![Value::Int(v)], interval).unwrap();
+    };
+    for i in 0..400i64 {
+        let start = i / 4 * 100;
+        push(Interval::at(start, start + 5));
+        push(Interval::at(start, start + 5));
+        match i % 4 {
+            0 => push(Interval::at(start, start + 30_000)),
+            1 => push(Interval::from_start(start)),
+            _ => push(Interval::at(start, start + 50)),
+        }
+    }
+    relation.sort_by_time();
+    relation
+}
+
+/// The pager's two lanes are invisible to every reader of a file: over
+/// sorted relations at 0, 10, 80 and 100 % long-lived, the edge cases of
+/// [`lane_edge_cases`], a single tuple, an empty relation and an unsorted
+/// one (which keeps one lane), `read_relation` returns the written
+/// relation tuple for tuple; over random windows the pruned `units` and
+/// `int_column` scans equal the full scans, and no page holding a tuple
+/// that overlaps the window is pruned, in either lane.
+#[test]
+fn two_lanes_read_back_in_storage_order_and_prune_soundly() {
+    let sorted = |pct: u8| {
+        let config = WorkloadConfig::sorted(1_500)
+            .with_seed(45)
+            .with_long_lived_pct(pct);
+        (format!("sorted at {pct} %"), generate(&config))
+    };
+    let mut single = TemporalRelation::new(Schema::of(&[("v", ValueType::Int)]));
+    single
+        .push(vec![Value::Int(7)], Interval::at(3, 9))
+        .unwrap();
+    let empty = TemporalRelation::new(Schema::of(&[("v", ValueType::Int)]));
+    let unsorted = WorkloadConfig::random(1_500)
+        .with_seed(46)
+        .with_long_lived_pct(10);
+    let cases = [
+        (sorted(0), false),
+        (sorted(10), true),
+        (sorted(80), true),
+        (sorted(100), false),
+        (("edge cases".to_string(), lane_edge_cases()), true),
+        (("a single tuple".to_string(), single), false),
+        (("empty".to_string(), empty), false),
+        (("unsorted".to_string(), generate(&unsorted)), false),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x1A7E5);
+    for ((label, relation), two_lanes) in cases {
+        let (_cleanup, reader) = written(&relation, "lanes.tapg");
+        assert_eq!(!reader.overflow_lane().is_empty(), two_lanes, "{label}");
+        assert_eq!(reader.long_lived_cut().is_some(), two_lanes, "{label}");
+        assert_eq!(
+            reader.read_relation().unwrap().tuples(),
+            relation.tuples(),
+            "{label}"
+        );
+        let column = relation.schema().len() - 1;
+
+        // Each lane is sorted and holds exactly its side of the cut.
+        if let Some(cut) = reader.long_lived_cut() {
+            let main = reader.main_lane().len();
+            for (lane, pages) in [(false, 0..main), (true, main..reader.page_count())] {
+                let mut last = None;
+                for index in pages {
+                    for interval in reader.read_page(index, Some(&[])).unwrap().intervals {
+                        assert_eq!(interval.is_long_lived(cut), lane, "{label}: {interval}");
+                        assert!(last <= Some(interval), "{label}: lane out of order");
+                        last = Some(interval);
+                    }
+                }
+            }
+            // Both lanes are full at the scan's start, and both count.
+            let mut cursor = PageCursor::full_scan(&reader, Interval::ALL);
+            while cursor.next_page(Some(&[])).unwrap().is_some() {}
+            let both = reader.main_lane()[0].tuples + reader.overflow_lane()[0].tuples;
+            assert!(cursor.stats().peak_page_tuples >= both as usize, "{label}");
+        }
+
+        let Some(lifespan) = reader.lifespan() else {
+            assert_eq!(reader.page_count(), 0, "{label}");
+            continue;
+        };
+        for case in 0..24 {
+            let a = rng.random_range(lifespan.start().get()..=lifespan.end().get().min(1 << 40));
+            let b = rng.random_range(lifespan.start().get()..=lifespan.end().get().min(1 << 40));
+            let window = Interval::new(a.min(b), a.max(b)).unwrap();
+            let what = format!("{label}, case {case}, window {window}");
+
+            let kept = reader.pages_overlapping(&window);
+            for index in 0..reader.page_count() {
+                let page = reader.read_page(index, Some(&[])).unwrap();
+                if page.intervals.iter().any(|iv| iv.overlaps(&window)) {
+                    assert!(kept.contains(&index), "{what}: page {index} pruned");
+                }
+            }
+            let (read, overflow) = pages_read(&reader, window);
+            assert_eq!(read, kept.len(), "{what}");
+            let main = reader.main_lane().len();
+            let kept_overflow = kept.iter().filter(|&&page| page >= main).count();
+            assert_eq!(overflow, kept_overflow, "{what}");
+
+            let units = |cursor: PageCursor<'_>| {
+                let mut source = cursor.units();
+                let mut chunk: Chunk<()> = Chunk::with_capacity(97);
+                let mut out = Vec::new();
+                while source.next_chunk(&mut chunk).unwrap() {
+                    out.extend(chunk.iter().map(|(iv, _)| iv));
+                    chunk.clear();
+                }
+                out
+            };
+            let pruned = units(PageCursor::new(&reader, window));
+            assert_eq!(
+                pruned,
+                units(PageCursor::full_scan(&reader, window)),
+                "{what}"
+            );
+            let want: Vec<Interval> = (relation.intervals())
+                .filter_map(|iv| iv.intersect(&window))
+                .collect();
+            assert_eq!(pruned, want, "{what}");
+
+            let ints = |cursor: PageCursor<'_>| {
+                let mut source = cursor.int_column(column);
+                let mut chunk: Chunk<i64> = Chunk::with_capacity(97);
+                let mut out = Vec::new();
+                while source.next_chunk(&mut chunk).unwrap() {
+                    out.extend(chunk.iter().map(|(iv, v)| (iv, *v)));
+                    chunk.clear();
+                }
+                out
+            };
+            let pruned = ints(PageCursor::new(&reader, window));
+            assert_eq!(
+                pruned,
+                ints(PageCursor::full_scan(&reader, window)),
+                "{what}"
+            );
+        }
+    }
+}
+
+/// What a version 2 writer produced for `relation` and `caches`: one lane
+/// of pages in storage order, and a directory of fences, series records,
+/// the file's length and a checksum, each section under [`Checksum`].
+fn encode_v2(relation: &TemporalRelation, page_size: u32, caches: &[PersistedSeries]) -> Vec<u8> {
+    let schema = relation.schema();
+    let schema_block = encode_schema(schema).unwrap();
+    let tuples = relation.tuples();
+    let mut pages = Vec::new();
+    let mut fences = Vec::new();
+    for range in plan_pages(schema, tuples, page_size).unwrap() {
+        let run = &tuples[range];
+        let mut page = encode_page(schema, run).unwrap();
+        page.resize(page_size as usize, 0);
+        fences.push(PageFence {
+            min_start: run.iter().map(|t| t.valid().start()).min().unwrap(),
+            max_end: run.iter().map(|t| t.valid().end()).max().unwrap(),
+            tuples: run.len() as u32,
+            checksum: Checksum::of(&page),
+        });
+        pages.extend_from_slice(&page);
+    }
+    let sorted = tuples.windows(2).all(|w| {
+        (w[0].valid().start(), w[0].valid().end()) <= (w[1].valid().start(), w[1].valid().end())
+    });
+    let footer_offset = (64 + schema_block.len() + pages.len()) as u64;
+    let mut blocks = Vec::new();
+    let mut records = Vec::new();
+    for cache in caches {
+        let offset = footer_offset + blocks.len() as u64;
+        let mut block = Vec::new();
+        encode_entries(&mut block, &cache.entries).unwrap();
+        records.push((cache, offset, block.len() as u64, Checksum::of(&block)));
+        blocks.extend_from_slice(&block);
+    }
+    let directory_offset = footer_offset + blocks.len() as u64;
+
+    let mut directory = encode_fences(&fences);
+    directory.extend_from_slice(&(caches.len() as u32).to_le_bytes());
+    for (cache, offset, len, checksum) in &records {
+        directory.extend_from_slice(&(cache.label.len() as u16).to_le_bytes());
+        directory.extend_from_slice(cache.label.as_bytes());
+        directory.extend_from_slice(&cache.column.map_or(-1, i64::from).to_le_bytes());
+        directory.extend_from_slice(&(cache.entries.len() as u64).to_le_bytes());
+        directory.extend_from_slice(&offset.to_le_bytes());
+        directory.extend_from_slice(&len.to_le_bytes());
+        directory.extend_from_slice(&checksum.to_le_bytes());
+    }
+    let file_len = directory_offset + directory.len() as u64 + 16;
+    directory.extend_from_slice(&file_len.to_le_bytes());
+    let checksum = Checksum::of(&directory);
+    directory.extend_from_slice(&checksum.to_le_bytes());
+
+    let mut file = Vec::new();
+    file.extend_from_slice(b"TAGGPG01");
+    file.extend_from_slice(&2u16.to_le_bytes());
+    file.extend_from_slice(&u16::from(sorted).to_le_bytes());
+    file.extend_from_slice(&page_size.to_le_bytes());
+    file.extend_from_slice(&(schema.len() as u32).to_le_bytes());
+    file.extend_from_slice(&(tuples.len() as u64).to_le_bytes());
+    file.extend_from_slice(&(fences.len() as u64).to_le_bytes());
+    file.extend_from_slice(&footer_offset.to_le_bytes());
+    file.extend_from_slice(&(schema_block.len() as u32).to_le_bytes());
+    file.extend_from_slice(&directory_offset.to_le_bytes());
+    let mut hashed = file.clone();
+    hashed.extend_from_slice(&schema_block);
+    file.extend_from_slice(&Checksum::of(&hashed).to_le_bytes());
+    file.extend_from_slice(&schema_block);
+    file.extend_from_slice(&pages);
+    file.extend_from_slice(&blocks);
+    file.extend_from_slice(&directory);
+    assert_eq!(file.len() as u64, file_len);
+    file
+}
+
+/// Files written before version 3 keep their one lane: a version 2 file of
+/// a sorted relation with long-lived tuples opens, answers as it did and
+/// still refuses a flipped bit, and the store's next flush rewrites it as
+/// version 3 with an overflow lane.
+#[test]
+fn version_2_files_open_answer_identically_and_flush_as_version_3() {
+    let relation = generate(
+        &WorkloadConfig::sorted(400)
+            .with_seed(18)
+            .with_long_lived_pct(10),
+    );
+    let caches = count_and_sum(&relation);
+    let path = temp_path("v2.tapg");
+    let _cleanup = Cleanup(path.clone());
+    let bytes = encode_v2(&relation, 1024, &caches);
+    std::fs::write(&path, &bytes).unwrap();
+    assert_eq!(version_of(&path), 2);
+
+    let reader = PagedReader::open(&path).unwrap();
+    assert!(reader.sorted() && reader.overflow_lane().is_empty());
+    assert_eq!(reader.long_lived_cut(), None);
+    assert_eq!(reader.page_size(), 1024);
+    assert_eq!(reader.read_relation().unwrap().tuples(), relation.tuples());
+    for (slot, cache) in caches.iter().enumerate() {
+        assert_eq!(reader.series_directory()[slot].label, cache.label);
+        assert_eq!(reader.series(slot).unwrap(), cache.entries);
+    }
+    let window = centred_window(&reader, 10);
+    let (read, overflow) = pages_read(&reader, window);
+    assert_eq!(
+        (read, overflow),
+        (reader.pages_overlapping(&window).len(), 0)
+    );
+    drop(reader);
+    for offset in (0..bytes.len()).step_by(89) {
+        let mut mutant = bytes.clone();
+        mutant[offset] ^= 0x08;
+        let mutant_path = temp_path("v2-mut.tapg");
+        let _mutant_cleanup = Cleanup(mutant_path.clone());
+        std::fs::write(&mutant_path, &mutant).unwrap();
+        let read = PagedReader::open(&mutant_path).and_then(|r| {
+            (0..r.series_directory().len()).try_for_each(|slot| r.series(slot).map(drop))?;
+            r.read_relation()
+        });
+        assert!(is_storage(&read), "v2 flip at {offset}");
+    }
+
+    let want_rows = series_rows(TemporalStore::new(relation.clone()));
+    let mut store = TemporalStore::open(&path).unwrap();
+    assert_eq!(series_rows(store.clone()), want_rows);
+    assert!(store.flush().unwrap().is_none());
+    assert_eq!(version_of(&path), 2);
+    let last = relation.lifespan().unwrap().end().get();
+    store
+        .insert(
+            vec![Value::from("late"), Value::Int(7)],
+            Interval::at(last, last + 9),
+        )
+        .unwrap();
+    store.flush().unwrap().unwrap();
+    assert_eq!(version_of(&path), pager::FORMAT_VERSION);
+    let reader = PagedReader::open(&path).unwrap();
+    assert!(
+        !reader.overflow_lane().is_empty(),
+        "the rewrite has two lanes"
+    );
+    let reopened = TemporalStore::open(&path).unwrap();
+    assert_eq!(reopened.relation(), store.relation());
+    assert_eq!(series_rows(reopened), series_rows(store));
+}
+
+/// A file with two lanes holds the overflow lane's pages and its lane
+/// record under checksums like the rest: a flipped bit in an overflow page
+/// fails that page's reads and every scan that needs it, never a panic,
+/// and one in the lane record or the header flag that announces it fails
+/// `open`.
+#[test]
+fn corruption_of_the_overflow_lane_is_a_storage_error() {
+    let relation = generate(
+        &WorkloadConfig::sorted(1_200)
+            .with_seed(19)
+            .with_long_lived_pct(10),
+    );
+    let path = temp_path("lanes-src.tapg");
+    let _cleanup = Cleanup(path.clone());
+    let options = PagedWriteOptions {
+        page_size: 1024,
+        caches: Vec::new(),
+    };
+    pager::write_relation(&relation, &path, &options).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let reader = PagedReader::open(&path).unwrap();
+    let (main, pages) = (reader.main_lane().len(), reader.page_count());
+    assert!(main >= 2 && pages - main >= 2, "{main} of {pages} pages");
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let (schema_len, directory) = (word(44) & 0xffff_ffff, word(48));
+    let data = 64 + schema_len;
+    let mutant_path = temp_path("lanes-mut.tapg");
+    let _mutant_cleanup = Cleanup(mutant_path.clone());
+    let flipped = |offset: usize, bit: usize| {
+        let mut mutant = bytes.clone();
+        mutant[offset] ^= 1 << bit;
+        std::fs::write(&mutant_path, &mutant).unwrap();
+    };
+
+    let overflow_bytes = data + main * 1024..data + pages * 1024;
+    for (i, offset) in overflow_bytes.step_by(331).enumerate() {
+        flipped(offset, i % 8);
+        let reader = PagedReader::open(&mutant_path).unwrap();
+        let hit = (offset - data) / 1024;
+        assert!(is_storage(&reader.read_page(hit, None)), "flip at {offset}");
+        assert!(is_storage(&reader.read_relation()), "flip at {offset}");
+        let mut source = PageCursor::full_scan(&reader, Interval::ALL).int_column(1);
+        let mut chunk: Chunk<i64> = Chunk::with_capacity(DEFAULT_CHUNK_CAPACITY);
+        let scanned = loop {
+            match source.next_chunk(&mut chunk) {
+                Ok(true) => chunk.clear(),
+                other => break other,
+            }
+        };
+        assert!(is_storage(&scanned), "flip at {offset}: {scanned:?}");
+        let mut catalog = Catalog::new();
+        catalog.register_store("t", TemporalStore::open(&mutant_path).unwrap());
+        let failed = execute_str(&catalog, "SELECT SUM(salary) FROM t WHERE salary > 0");
+        assert!(is_storage(&failed), "flip at {offset}");
+    }
+
+    // The lane record follows the fences; the flag is bit 1 of byte 10.
+    let record = directory + pages * 28;
+    for offset in record..record + 16 {
+        for bit in 0..8 {
+            flipped(offset, bit);
+            let opened = PagedReader::open(&mutant_path);
+            assert!(is_storage(&opened), "flip at {offset}.{bit}");
+        }
+    }
+    flipped(10, 1);
+    assert!(is_storage(&PagedReader::open(&mutant_path)));
+}
+
+/// `EXPLAIN` of a window scan over a reopened table with two lanes shows
+/// the overflow lane's pages on a line of their own, beside the count of
+/// all the pages the scan reads, and the scan reads exactly that count.
+#[test]
+fn explain_shows_the_overflow_lane_pages_a_scan_reads() {
+    let path = temp_path("explain-lanes.tapg");
+    let _cleanup = Cleanup(path.clone());
+    let relation = generate(
+        &WorkloadConfig::sorted(4_000)
+            .with_seed(32)
+            .with_long_lived_pct(10),
+    );
+    let live = live_catalog(&relation);
+    let mut store = TemporalStore::new(relation.clone());
+    store.persist_to(&path).unwrap();
+    let mut catalog = Catalog::new();
+    let create = format!(
+        "CREATE TABLE t (name STRING, salary INT) PERSIST TO '{}'",
+        path.display()
+    );
+    execute_statement(&mut catalog, &create).unwrap();
+    let base = catalog.store("t").unwrap().base().unwrap();
+    let window = centred_window(base, 10);
+    let kept = base.pages_overlapping(&window);
+    let main = base.main_lane().len();
+    let overflow = kept.iter().filter(|&&page| page >= main).count();
+    let lane_pages = base.overflow_lane().len();
+    assert!(
+        0 < overflow && overflow <= lane_pages,
+        "{overflow} of {lane_pages}"
+    );
+    let sql = format!(
+        "SELECT SUM(salary) FROM t WHERE VALID OVERLAPS [{}, {}]",
+        window.start(),
+        window.end()
+    );
+    let explained = execute_str(&catalog, &format!("EXPLAIN {sql}")).unwrap();
+    let text = explained.to_string();
+    let all = format!(
+        "reads {} of {} pages (fence-pruned)",
+        kept.len(),
+        base.page_count()
+    );
+    let lane = format!(
+        "of which the overflow lane of long-lived tuples: {overflow} of {lane_pages} pages"
+    );
+    assert!(text.contains(&all), "{text}");
+    assert!(text.contains(&lane), "{text}");
+    let before = base.metrics().pages_read;
+    let scanned = execute_str(&catalog, &sql).unwrap();
+    let base = catalog.store("t").unwrap().base().unwrap();
+    assert_eq!(base.metrics().pages_read - before, kept.len() as u64);
+    assert_eq!(scanned.rows, execute_str(&live, &sql).unwrap().rows);
 }

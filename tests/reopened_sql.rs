@@ -222,3 +222,37 @@ fn plain_selects_and_join_plans_leave_a_reopened_table_on_its_pages() {
         assert!(store.pages().is_some(), "{sql} read the table into memory");
     }
 }
+
+/// A sorted table with long-lived tuples is written as two lanes of pages;
+/// every shape that scans the reopened table's pages — merged back into
+/// storage order — answers as the resident table does, collected and
+/// streamed, and leaves the table on its pages.
+#[test]
+fn a_table_with_an_overflow_lane_scans_as_the_resident_one() {
+    let file = temp_path("lanes.tapg");
+    let _cleanup = Cleanup(file.clone());
+    let config = WorkloadConfig::sorted(2_500)
+        .with_seed(48)
+        .with_long_lived_pct(10);
+    let resident = TemporalStore::new(table(&config));
+    let mut writer = resident.clone();
+    writer.persist_to(&file).unwrap();
+    assert!(!PagedReader::open(&file).unwrap().overflow_lane().is_empty());
+    for sql in [
+        "SELECT COUNT(*), SUM(salary) FROM t WHERE salary > 40000",
+        "SELECT MIN(salary), MAX(salary) FROM t WHERE VALID OVERLAPS [300000, 450000]",
+        "SELECT AVG(salary) FROM t WHERE dept < 4 GROUP BY dept",
+        "SELECT COUNT(*) FROM t WHERE dept = 1 GROUP BY SPAN 50000",
+        "SELECT * FROM t WHERE VALID OVERLAPS [300000, 310000]",
+        "SELECT name, salary FROM t WHERE dept = 3",
+    ] {
+        let want = collected(&mut resident_catalog(&resident), sql);
+        let mut paged = reopened_catalog(&file);
+        assert_eq!(collected(&mut paged, sql), want, "{sql}");
+        assert!(paged.store("t").unwrap().pages().is_some(), "{sql}");
+        if !sql.starts_with("SELECT *") && !sql.starts_with("SELECT name") {
+            let want = streamed(&resident_catalog(&resident), sql);
+            assert_eq!(streamed(&reopened_catalog(&file), sql), want, "{sql}");
+        }
+    }
+}
