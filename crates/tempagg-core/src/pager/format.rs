@@ -413,12 +413,36 @@ pub fn plan_pages<T: Borrow<Tuple>>(
     tuples: &[T],
     page_size: u32,
 ) -> Result<Vec<Range<usize>>> {
-    let budget = page_size as usize;
     let mut pages = Vec::new();
-    let mut begin = 0usize;
+    let mut begin = 0;
+    cut_pages(
+        schema,
+        page_size,
+        tuples.iter().map(Borrow::borrow),
+        |page| {
+            pages.push(begin..begin + page.len());
+            begin += page.len();
+            Ok(())
+        },
+    )?;
+    Ok(pages)
+}
+
+/// Cut `lane` into pages greedily, each as full as it fits — the ranges
+/// [`plan_pages`] plans — and hand each page's tuples to `page` as it
+/// closes: one walk over the lane, holding one page of references. Errors
+/// if any single tuple cannot fit a page on its own.
+pub fn cut_pages<'t>(
+    schema: &Schema,
+    page_size: u32,
+    lane: impl IntoIterator<Item = &'t Tuple>,
+    mut page: impl FnMut(&[&'t Tuple]) -> Result<()>,
+) -> Result<()> {
+    let budget = page_size as usize;
+    let mut held = Vec::new();
     let mut used = 4usize; // page tuple-count word
-    for (i, tuple) in tuples.iter().enumerate() {
-        let cost = tuple_slot_cost(schema, tuple.borrow());
+    for (i, tuple) in lane.into_iter().enumerate() {
+        let cost = tuple_slot_cost(schema, tuple);
         if 4 + cost > budget {
             return Err(storage(format!(
                 "tuple {i} needs {} bytes, exceeding the {page_size}-byte page \
@@ -427,16 +451,17 @@ pub fn plan_pages<T: Borrow<Tuple>>(
             )));
         }
         if used + cost > budget {
-            pages.push(begin..i);
-            begin = i;
+            page(&held)?;
+            held.clear();
             used = 4;
         }
         used += cost;
+        held.push(tuple);
     }
-    if begin < tuples.len() {
-        pages.push(begin..tuples.len());
+    if held.is_empty() {
+        return Ok(());
     }
-    Ok(pages)
+    page(&held)
 }
 
 /// Encode one page (unpadded): `count u32 | starts | ends | per column:
@@ -698,18 +723,19 @@ pub(crate) fn decode_fences(r: &mut ByteReader<'_>, page_count: u64) -> Result<V
     // `open` checked, so this is sized by the file's own length.
     let mut fences = Vec::with_capacity(page_count as usize);
     for _ in 0..page_count {
-        let min_start = Timestamp::new(r.i64()?);
-        let max_end = Timestamp::new(r.i64()?);
-        let tuples = r.u32()?;
-        let checksum = r.u64()?;
-        fences.push(PageFence {
-            min_start,
-            max_end,
-            tuples,
-            checksum,
-        });
+        fences.push(decode_fence(r)?);
     }
     Ok(fences)
+}
+
+/// Decode one fence entry.
+pub(crate) fn decode_fence(r: &mut ByteReader<'_>) -> Result<PageFence> {
+    Ok(PageFence {
+        min_start: Timestamp::new(r.i64()?),
+        max_end: Timestamp::new(r.i64()?),
+        tuples: r.u32()?,
+        checksum: r.u64()?,
+    })
 }
 
 /// Where a file with two lanes splits them. Pages `0..main_pages` are the
@@ -804,7 +830,7 @@ pub fn encode_entries(buf: &mut Vec<u8>, entries: &[SeriesEntry<Value>]) -> Resu
     Ok(())
 }
 
-fn decode_entries(
+pub(crate) fn decode_entries(
     r: &mut ByteReader<'_>,
     count: u64,
     label: &str,
@@ -833,7 +859,7 @@ pub fn decode_series_block(bytes: &[u8], record: &SeriesRecord) -> Result<Vec<Se
     Ok(entries)
 }
 
-fn encode_label(buf: &mut Vec<u8>, label: &str, column: Option<u32>) -> Result<()> {
+pub(crate) fn encode_label(buf: &mut Vec<u8>, label: &str, column: Option<u32>) -> Result<()> {
     if label.len() > usize::from(u16::MAX) {
         return Err(storage("cache label exceeds u16 length"));
     }
@@ -843,7 +869,7 @@ fn encode_label(buf: &mut Vec<u8>, label: &str, column: Option<u32>) -> Result<(
     Ok(())
 }
 
-fn decode_label(r: &mut ByteReader<'_>) -> Result<(String, Option<u32>)> {
+pub(crate) fn decode_label(r: &mut ByteReader<'_>) -> Result<(String, Option<u32>)> {
     let label_len = r.u16()? as usize;
     let label = std::str::from_utf8(r.take(label_len)?)
         .map_err(|_| storage("cache label is not valid UTF-8"))?
@@ -858,7 +884,7 @@ fn decode_label(r: &mut ByteReader<'_>) -> Result<(String, Option<u32>)> {
 }
 
 /// A section's body and the checksum stored in its last eight bytes.
-fn split_checksum<'a>(bytes: &'a [u8], what: &str) -> Result<(&'a [u8], u64)> {
+pub(crate) fn split_checksum<'a>(bytes: &'a [u8], what: &str) -> Result<(&'a [u8], u64)> {
     let Some(body_len) = bytes.len().checked_sub(8) else {
         return Err(storage(format!("{what} truncated (missing checksum)")));
     };

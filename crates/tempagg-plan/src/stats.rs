@@ -147,6 +147,10 @@ impl RelationStats {
     /// tuple count and sorted flag, and — from the fences — the file's pages
     /// and how many of them a fence-pruned scan over `window` reads, which
     /// is what the plan then prices, with the overflow lane's share of both.
+    /// A file with two lanes also knows its long-lived fraction exactly: the
+    /// overflow lane holds the tuples long-lived over the relation's
+    /// lifespan, by the rule [`analyze_intervals`](Self::analyze_intervals)
+    /// counts with.
     pub fn from_pages(reader: &PagedReader, window: Interval) -> RelationStats {
         let ordering = if reader.sorted() {
             OrderingKnowledge::Sorted
@@ -156,10 +160,19 @@ impl RelationStats {
         let in_window = reader.pages_overlapping(&window);
         let main = reader.main_lane().len();
         let overflow = in_window.iter().filter(|&&page| page >= main).count();
-        RelationStats::unknown(reader.tuple_count() as usize)
+        let long: u64 = reader
+            .overflow_lane()
+            .iter()
+            .map(|f| u64::from(f.tuples))
+            .sum();
+        let mut stats = RelationStats::unknown(reader.tuple_count() as usize)
             .with_ordering(ordering)
             .with_pages(reader.page_count(), Some(in_window.len()))
-            .with_overflow_pages(overflow, reader.overflow_lane().len())
+            .with_overflow_pages(overflow, reader.overflow_lane().len());
+        if long > 0 {
+            stats.long_lived_fraction = long as f64 / reader.tuple_count() as f64;
+        }
+        stats
     }
 
     /// Distinct timestamps, defaulting to the all-unique worst case.

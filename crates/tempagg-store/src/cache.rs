@@ -627,13 +627,18 @@ impl CachedSeries {
         }
     }
 
+    /// The series' runs, shared and not copied, without publishing a
+    /// version: O(chunks).
+    pub(crate) fn runs(&self) -> Result<SeriesView<Value>> {
+        match &self.body {
+            Body::Live(cache) => Ok(cache.runs.view()),
+            Body::Restored(_, stored) => stored.view().cloned(),
+        }
+    }
+
     /// The series' runs, copied, without publishing a version.
     pub(crate) fn entries(&self) -> Result<Vec<SeriesEntry<Value>>> {
-        let series = match &self.body {
-            Body::Live(cache) => cache.runs.view().to_series(),
-            Body::Restored(_, stored) => stored.view()?.to_series(),
-        };
-        Ok(series.into_entries())
+        Ok(self.runs()?.to_series().into_entries())
     }
 
     /// The series' current version, shared with every reader since the last

@@ -13,7 +13,7 @@ use tempagg_agg::{AggKind, DynAggregate, SweepAggregate, SweepClass};
 use tempagg_algo::{IndexMode, WindowAggregate};
 use tempagg_core::pager::{
     self, PagedReader, PagedWriteOptions, PagedWriteStats, PersistedSeries, SeriesRecord,
-    DEFAULT_PAGE_BYTES,
+    SeriesRuns, DEFAULT_PAGE_BYTES,
 };
 use tempagg_core::{
     Epoch, Interval, Result, Schema, Series, SeriesView, TempAggError, TemporalRelation, Timestamp,
@@ -115,6 +115,12 @@ pub struct TemporalStore {
     page_size: u32,
     /// Any mutation since the last open/flush.
     dirty: bool,
+    /// The version of the backing file this store last wrote or opened.
+    committed: Option<Arc<PagedReader>>,
+    /// The watermark of the flushed prefix: how many of the rows, in
+    /// storage order, `committed` holds — while every write since was an
+    /// `INSERT`, which appends; `None` after any other write.
+    flushed: Option<usize>,
     /// The same entries per group for `TOP k BY` ranking probes, keyed by
     /// the ranked aggregate plus the grouping column. Built on the first
     /// ranking of a shape; every write then patches the groups its tuples
@@ -140,6 +146,8 @@ impl TemporalStore {
             backing: None,
             page_size: DEFAULT_PAGE_BYTES,
             dirty: true,
+            committed: None,
+            flushed: None,
             grouped: RefCell::new(BTreeMap::new()),
             windex_stats: RefCell::new(WindowIndexStats::default()),
         }
@@ -184,6 +192,8 @@ impl TemporalStore {
             backing: Some(path.to_path_buf()),
             page_size,
             dirty: false,
+            flushed: usize::try_from(base.tuple_count()).ok(),
+            committed: Some(base.clone()),
             ..TemporalStore::over(Rows::Paged {
                 base,
                 resident: OnceCell::new(),
@@ -213,14 +223,17 @@ impl TemporalStore {
     }
 
     /// Write the relation and every cached aggregate series to the
-    /// backing file (atomic temp-file + rename). A clean store is a no-op
-    /// returning `Ok(None)`. Errors if no backing file is attached.
+    /// backing file, durably. A clean store is a no-op returning
+    /// `Ok(None)`. Errors if no backing file is attached.
     ///
-    /// The write is a full rewrite of the file — the dirty flag decides
-    /// *whether* to write, not which bytes (honest trade-off: the format
-    /// packs pages greedily, so one mid-file mutation can shift every
-    /// later page anyway). A store still on its file's pages is clean, so
-    /// only [`persist_to`](TemporalStore::persist_to) a new path reads them.
+    /// When every write since the version this store last wrote or opened
+    /// was an `INSERT` that kept a sorted file sorted, the flush *appends*:
+    /// the pages and series runs those rows changed go to the file's delta
+    /// sidecar, and the file is not touched ([`pager::append_relation`] has
+    /// the rules). Every other flush *compacts*: a full rewrite of the file
+    /// (temp file, sync, rename, sync of the directory) that removes the
+    /// delta. A store still on its file's pages is clean, so only
+    /// [`persist_to`](TemporalStore::persist_to) a new path reads them.
     pub fn flush(&mut self) -> Result<Option<PagedWriteStats>> {
         let Some(path) = self.backing.clone() else {
             return Err(TempAggError::storage(
@@ -230,12 +243,54 @@ impl TemporalStore {
         if !self.dirty {
             return Ok(None);
         }
-        let stats = self.write_to(&path)?;
+        let stats = match self.append(&path)? {
+            Some(stats) => stats,
+            None => self.write_to(&path)?,
+        };
         self.dirty = false;
         Ok(Some(stats))
     }
 
-    /// Write the relation and every cached aggregate series to `path`.
+    /// Append the rows past the flushed prefix, and every cached series, to
+    /// the delta of `path`: `None` when the store may not append there, or
+    /// the pager's rules refuse it.
+    fn append(&mut self, path: &Path) -> Result<Option<PagedWriteStats>> {
+        let committed = match (&self.committed, self.flushed) {
+            (Some(committed), Some(flushed))
+                if committed.path() == path
+                    && usize::try_from(committed.tuple_count()) == Ok(flushed) =>
+            {
+                committed.clone()
+            }
+            _ => return Ok(None),
+        };
+        let relation = self.rows.resident()?;
+        let mut series = Vec::new();
+        for (key, entry) in self.series.get_mut().iter_mut() {
+            entry.load(key.column, || Ok(relation.tuples()))?;
+            series.push(SeriesRuns {
+                label: key.kind.name().to_string(),
+                column: key.column.and_then(|c| u32::try_from(c).ok()),
+                runs: entry.runs()?,
+            });
+        }
+        let stats = pager::append_relation(&committed, relation, &series)?;
+        if stats.is_some() {
+            self.committed_now(path);
+        }
+        Ok(stats)
+    }
+
+    /// Record that `path` now holds every row and series: the version the
+    /// next flush appends to. A version that fails to open costs the next
+    /// flush a rewrite, nothing else.
+    fn committed_now(&mut self, path: &Path) {
+        self.committed = PagedReader::open(path).ok().map(Arc::new);
+        self.flushed = Some(self.rows.len());
+    }
+
+    /// Write the relation and every cached aggregate series to `path`, a
+    /// full rewrite.
     fn write_to(&mut self, path: &Path) -> Result<PagedWriteStats> {
         let relation = self.rows.resident()?;
         // Window indexes are derived from these series in O(runs) and are
@@ -250,14 +305,13 @@ impl TemporalStore {
                 entries: entry.entries()?,
             });
         }
-        pager::write_relation(
-            relation,
-            path,
-            &PagedWriteOptions {
-                page_size: self.page_size,
-                caches,
-            },
-        )
+        let options = PagedWriteOptions {
+            page_size: self.page_size,
+            caches,
+        };
+        let stats = pager::write_relation(relation, path, &options)?;
+        self.committed_now(path);
+        Ok(stats)
     }
 
     /// The rows in memory. A store [opened](TemporalStore::open) from a
@@ -439,6 +493,9 @@ impl TemporalStore {
         promote_restored(self.series.get_mut(), relation.tuples());
         write(relation)?;
         self.dirty = true;
+        if !edits.iter().all(|edit| matches!(edit, Edit::Add(_))) {
+            self.flushed = None;
+        }
         let written = Written::new(relation.tuples(), edits);
         for (key, entry) in self.series.get_mut().iter_mut() {
             if patches(key) {

@@ -63,7 +63,7 @@ cargo run -q --release --example write_cost -- --check
 echo "==> serve_rows --check (a served SELECT's execute is under 40 % of serve + read + drop: rows are built under the reader, not collected first; and right after a one-row INSERT it is within 1.5x of the warm one: a publish shares the chunks, it does not copy the runs)"
 cargo run -q --release --example serve_rows -- --check
 
-echo "==> reopen_probe --check (PagedReader::open of a file holding two 262K-run series within 4x of the same relation holding none, TemporalStore::open within 4x of PagedReader::open of its 131,072-tuple file, a SQL scan of the reopened store off its pages equal to the resident scan: open costs what is read, not what is stored)"
+echo "==> reopen_probe --check (PagedReader::open of a file holding two 262K-run series within 4x of the same relation holding none, TemporalStore::open within 4x of PagedReader::open of its 131,072-tuple file, a SQL scan of the reopened store off its pages equal to the resident scan: open costs what is read, not what is stored; each of eight in-order 64-row flushes into a 131,072-tuple file writes at most 2 % of a full rewrite's bytes, its median ms printed beside it: a flush costs what changed)"
 cargo run -q --release --example reopen_probe -- --check
 
 echo "==> parallel_plan --check (a two-partition aggregation tree on 2 threads within 1.25x of 1 thread, planning under the default config within 3x of planning with the thread count given: a parallel plan is not slower than the serial one it replaced)"

@@ -52,7 +52,7 @@ fn temp_path(name: &str) -> PathBuf {
 struct Cleanup(PathBuf);
 impl Drop for Cleanup {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
+        let _ = pager::remove_file(&self.0);
     }
 }
 
