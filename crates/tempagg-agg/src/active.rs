@@ -13,7 +13,7 @@
 //!
 //! * **Delta** — invertible group aggregates (`COUNT`, integer `SUM`/`AVG`,
 //!   booleans): O(1) per event, retraction reproduces insert-only results
-//!   exactly (`AVG` over integers keeps an exact `i128` total).
+//!   exactly (`SUM` and `AVG` over integers keep one exact `i128` total).
 //! * **Ordered** — selection aggregates (`MIN`/`MAX`) and `DISTINCT`: an
 //!   ordered multiset, O(log a) per event for `a` concurrently-live tuples.
 //! * **Approximate** — floating-point retraction (`f64` sums, `VARIANCE`
@@ -26,6 +26,7 @@ use crate::distinct::CountDistinct;
 use crate::dynamic::{AggKind, DynAggregate};
 use crate::min_max::{Max, Min};
 use crate::multi::MultiDyn;
+use crate::overflow::int_sum;
 use crate::slot_extremes::SlotExtremes;
 use crate::sum::Sum;
 use crate::variance::{StdDev, Variance, VarianceState};
@@ -144,40 +145,31 @@ impl SweepAggregate for Count {
 }
 
 impl<T: Numeric> SweepAggregate for Sum<T> {
-    /// Running sum plus a live-tuple count so the state returns to the
-    /// monoid identity (`None`) when the last tuple retracts.
-    type Active = (T, u64);
+    /// `AVG`'s running total and live-tuple count: the count returns the
+    /// state to the monoid identity (`None`) when the last tuple retracts.
+    type Active = AvgState<T::Total>;
 
-    fn active_empty(&self) -> (T, u64) {
-        (T::ZERO, 0)
+    fn active_empty(&self) -> AvgState<T::Total> {
+        AvgState::default()
     }
 
     #[inline]
-    fn active_insert(&self, active: &mut (T, u64), value: &T) {
-        active.0 = active.0.saturating_add(*value);
-        active.1 += 1;
+    fn active_insert(&self, active: &mut AvgState<T::Total>, value: &T) {
+        Avg::<T>::new().active_insert(active, value);
     }
 
     #[inline]
-    fn active_remove(&self, active: &mut (T, u64), value: &T) {
-        active.0 = active.0.saturating_sub(*value);
-        active.1 = active.1.saturating_sub(1);
-        if active.1 == 0 {
-            active.0 = T::ZERO;
-        }
+    fn active_remove(&self, active: &mut AvgState<T::Total>, value: &T) {
+        Avg::<T>::new().active_remove(active, value);
     }
 
     #[inline]
-    fn active_output(&self, active: &(T, u64)) -> Option<T> {
-        (active.1 > 0).then_some(active.0)
+    fn active_output(&self, active: &AvgState<T::Total>) -> Option<T::Total> {
+        (active.count > 0).then_some(active.sum)
     }
 
     fn sweep_class(&self) -> SweepClass {
-        if T::EXACT_RETRACT {
-            SweepClass::Delta
-        } else {
-            SweepClass::Approximate
-        }
+        Avg::<T>::new().sweep_class()
     }
 }
 
@@ -541,17 +533,17 @@ impl<A: SweepAggregate, B: SweepAggregate, C: SweepAggregate> SweepAggregate for
     }
 }
 
-/// Retractable running state of one [`DynAggregate`].
+/// Retractable running state of one [`DynAggregate`]; `SUM` and `AVG`
+/// share their running total and count, as in [`DynState`](crate::DynState).
 #[derive(Clone, Debug, PartialEq)]
 pub enum DynActive {
     Count(u64),
     Distinct(BTreeMap<Value, u64>),
-    SumInt { sum: i64, count: u64 },
-    SumFloat { sum: f64, count: u64 },
     Min(BTreeMap<Value, u64>),
     Max(BTreeMap<Value, u64>),
-    AvgInt(AvgState<i128>),
-    AvgFloat(AvgState),
+    /// Over an `INT` column: the exact `i128` total.
+    IntTotal(AvgState<i128>),
+    FloatTotal(AvgState),
     Var(VarianceState),
 }
 
@@ -580,15 +572,11 @@ impl SweepAggregate for DynAggregate {
         match self.kind() {
             AggKind::CountStar | AggKind::Count => DynActive::Count(0),
             AggKind::CountDistinct => DynActive::Distinct(BTreeMap::new()),
-            AggKind::Sum => match self.input_type() {
-                tempagg_core::ValueType::Int => DynActive::SumInt { sum: 0, count: 0 },
-                _ => DynActive::SumFloat { sum: 0.0, count: 0 },
-            },
             AggKind::Min => DynActive::Min(BTreeMap::new()),
             AggKind::Max => DynActive::Max(BTreeMap::new()),
-            AggKind::Avg => match self.input_type() {
-                tempagg_core::ValueType::Int => DynActive::AvgInt(AvgState::default()),
-                _ => DynActive::AvgFloat(AvgState::default()),
+            AggKind::Sum | AggKind::Avg => match self.input_type() {
+                tempagg_core::ValueType::Int => DynActive::IntTotal(AvgState::default()),
+                _ => DynActive::FloatTotal(AvgState::default()),
             },
             AggKind::Variance | AggKind::StdDev => DynActive::Var(VarianceState {
                 count: 0,
@@ -607,24 +595,12 @@ impl SweepAggregate for DynAggregate {
             DynActive::Distinct(set) | DynActive::Min(set) | DynActive::Max(set) => {
                 multiset_insert(set, value);
             }
-            DynActive::SumInt { sum, count } => {
-                if let Some(v) = value.as_i64() {
-                    *sum = sum.saturating_add(v);
-                    *count += 1;
-                }
-            }
-            DynActive::SumFloat { sum, count } => {
-                if let Some(v) = value.as_f64() {
-                    *sum += v;
-                    *count += 1;
-                }
-            }
-            DynActive::AvgInt(a) => {
+            DynActive::IntTotal(a) => {
                 if let Some(v) = value.as_i64() {
                     Avg::<i64>::new().active_insert(a, &v);
                 }
             }
-            DynActive::AvgFloat(a) => {
+            DynActive::FloatTotal(a) => {
                 if let Some(v) = value.as_f64() {
                     Avg::<f64>::new().active_insert(a, &v);
                 }
@@ -647,30 +623,12 @@ impl SweepAggregate for DynAggregate {
             DynActive::Distinct(set) | DynActive::Min(set) | DynActive::Max(set) => {
                 multiset_remove(set, value);
             }
-            DynActive::SumInt { sum, count } => {
-                if let Some(v) = value.as_i64() {
-                    *sum = sum.saturating_sub(v);
-                    *count = count.saturating_sub(1);
-                    if *count == 0 {
-                        *sum = 0;
-                    }
-                }
-            }
-            DynActive::SumFloat { sum, count } => {
-                if let Some(v) = value.as_f64() {
-                    *sum -= v;
-                    *count = count.saturating_sub(1);
-                    if *count == 0 {
-                        *sum = 0.0;
-                    }
-                }
-            }
-            DynActive::AvgInt(a) => {
+            DynActive::IntTotal(a) => {
                 if let Some(v) = value.as_i64() {
                     Avg::<i64>::new().active_remove(a, &v);
                 }
             }
-            DynActive::AvgFloat(a) => {
+            DynActive::FloatTotal(a) => {
                 if let Some(v) = value.as_f64() {
                     Avg::<f64>::new().active_remove(a, &v);
                 }
@@ -687,28 +645,10 @@ impl SweepAggregate for DynAggregate {
         match active {
             DynActive::Count(c) => Value::Int(i64::try_from(*c).unwrap_or(i64::MAX)),
             DynActive::Distinct(set) => Value::Int(i64::try_from(set.len()).unwrap_or(i64::MAX)),
-            DynActive::SumInt { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(*sum)
-                }
-            }
-            DynActive::SumFloat { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(*sum)
-                }
-            }
             DynActive::Min(set) => set.keys().next().cloned().unwrap_or(Value::Null),
             DynActive::Max(set) => set.keys().next_back().cloned().unwrap_or(Value::Null),
-            DynActive::AvgInt(a) => Avg::<i64>::new()
-                .finish(a)
-                .map_or(Value::Null, Value::Float),
-            DynActive::AvgFloat(a) => Avg::<f64>::new()
-                .finish(a)
-                .map_or(Value::Null, Value::Float),
+            DynActive::IntTotal(a) => self.of_total::<i64>(a, int_sum),
+            DynActive::FloatTotal(a) => self.of_total::<f64>(a, Value::Float),
             DynActive::Var(s) => {
                 let var: Variance<f64> = Variance::sample();
                 match var.finish(s) {

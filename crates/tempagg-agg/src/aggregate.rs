@@ -54,18 +54,18 @@ pub trait Aggregate {
 /// Numeric inputs accepted by `SUM`/`AVG`/`VARIANCE`.
 ///
 /// A tiny closed abstraction: the paper's aggregates operate on salaries
-/// (integers) and we additionally support floats. Saturating addition
-/// mirrors the fixed-width accumulators of the original implementation
-/// without risking wrap-around UB in long-running scans.
+/// (integers) and we additionally support floats. `SUM` and `AVG` keep one
+/// running [`Total`](Numeric::Total) of their inputs, which is exact over
+/// integers: no fold, merge or retraction of one ever rounds or clamps.
 pub trait Numeric: Copy + std::fmt::Debug + PartialEq + 'static {
-    const ZERO: Self;
-    /// Whether `saturating_sub` exactly inverts `saturating_add` away from
-    /// the saturation rails — true for integers, false for floats, where
-    /// rounding makes retraction approximate. Drives sweep-class selection.
+    /// Whether subtracting a value from a [`Total`](Numeric::Total)
+    /// exactly undoes adding it — true for integers, false for floats,
+    /// where rounding makes retraction approximate. Drives sweep-class
+    /// selection.
     const EXACT_RETRACT: bool;
-    /// The running total `AVG` keeps: `i128` for integers — no sum of
-    /// `i64`s overflows it, so subtracting a value exactly undoes adding
-    /// it — and `f64` for floats.
+    /// The running total `SUM` and `AVG` keep: `i128` for integers — no
+    /// sum of `i64`s a relation can hold overflows it, so subtracting a
+    /// value exactly undoes adding it — and `f64` for floats.
     type Total: Copy
         + Default
         + PartialEq
@@ -76,13 +76,10 @@ pub trait Numeric: Copy + std::fmt::Debug + PartialEq + 'static {
     fn widen(self) -> Self::Total;
     /// A total as the dividend of a mean.
     fn total_to_f64(total: Self::Total) -> f64;
-    fn saturating_add(self, other: Self) -> Self;
-    fn saturating_sub(self, other: Self) -> Self;
     fn to_f64(self) -> f64;
 }
 
 impl Numeric for i64 {
-    const ZERO: Self = 0;
     const EXACT_RETRACT: bool = true;
     type Total = i128;
     #[inline]
@@ -95,14 +92,6 @@ impl Numeric for i64 {
         total as f64
     }
     #[inline]
-    fn saturating_add(self, other: Self) -> Self {
-        i64::saturating_add(self, other)
-    }
-    #[inline]
-    fn saturating_sub(self, other: Self) -> Self {
-        i64::saturating_sub(self, other)
-    }
-    #[inline]
     fn to_f64(self) -> f64 {
         // lint: allow(no-as-cast): widening for AVG statistics; precision loss above 2^53 is inherent to averaging i64
         self as f64
@@ -110,7 +99,6 @@ impl Numeric for i64 {
 }
 
 impl Numeric for f64 {
-    const ZERO: Self = 0.0;
     const EXACT_RETRACT: bool = false;
     type Total = f64;
     #[inline]
@@ -120,14 +108,6 @@ impl Numeric for f64 {
     #[inline]
     fn total_to_f64(total: f64) -> f64 {
         total
-    }
-    #[inline]
-    fn saturating_add(self, other: Self) -> Self {
-        self + other
-    }
-    #[inline]
-    fn saturating_sub(self, other: Self) -> Self {
-        self - other
     }
     #[inline]
     fn to_f64(self) -> f64 {
@@ -140,21 +120,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn numeric_i64_saturates() {
-        assert_eq!(Numeric::saturating_add(i64::MAX, 1), i64::MAX);
-        assert_eq!(Numeric::saturating_add(2i64, 3), 5);
-        assert_eq!(Numeric::saturating_sub(i64::MIN, 1), i64::MIN);
-        assert_eq!(Numeric::saturating_sub(5i64, 3), 2);
+    fn numeric_i64_totals_are_exact() {
+        let mut total = i64::MAX.widen();
+        total += i64::MAX.widen();
+        total -= i64::MAX.widen();
+        assert_eq!(total, i128::from(i64::MAX));
         assert_eq!(5i64.to_f64(), 5.0);
-        assert_eq!(i64::ZERO, 0);
         const _: () = assert!(<i64 as Numeric>::EXACT_RETRACT);
     }
 
     #[test]
     fn numeric_f64() {
-        assert_eq!(Numeric::saturating_add(1.5f64, 2.0), 3.5);
-        assert_eq!(Numeric::saturating_sub(3.5f64, 2.0), 1.5);
-        assert_eq!(f64::ZERO, 0.0);
+        assert_eq!(1.5f64.widen() + 2.0, 3.5);
+        assert_eq!(f64::total_to_f64(3.5), 3.5);
         assert_eq!(2.5f64.to_f64(), 2.5);
         const _: () = assert!(!<f64 as Numeric>::EXACT_RETRACT);
     }

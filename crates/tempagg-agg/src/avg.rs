@@ -6,7 +6,8 @@ use std::marker::PhantomData;
 /// Partial state of an average: running sum and tuple count
 /// ("Average uses 8 bytes, 4 for the sum and 4 for the count", Section 6).
 /// The sum is an input's [`Numeric::Total`]: `i128` over integers, so that
-/// it is exact and retracts exactly, and `f64` over floats.
+/// it is exact and retracts exactly, and `f64` over floats. `SUM`'s running
+/// state under the sweep is the same pair, reporting the sum undivided.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AvgState<S = f64> {
     pub sum: S,

@@ -5,8 +5,9 @@
 //! SQL NULL semantics: every kind except `CountStar` skips `NULL` inputs;
 //! `CountStar` counts every qualifying tuple.
 
-use crate::aggregate::Aggregate;
+use crate::aggregate::{Aggregate, Numeric};
 use crate::avg::{Avg, AvgState};
+use crate::overflow::int_sum;
 use crate::variance::{Variance, VarianceState};
 use tempagg_core::{Result, TempAggError, Value, ValueType};
 
@@ -68,24 +69,24 @@ impl AggKind {
     }
 }
 
-/// Partial state of a [`DynAggregate`].
+/// Partial state of a [`DynAggregate`]. `SUM` and `AVG` keep the same
+/// running total and count: `SUM` reports the total, `AVG` divides it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DynState {
     Count(u64),
     Distinct(std::collections::BTreeSet<Value>),
-    SumInt(Option<i64>),
-    SumFloat(Option<f64>),
     Min(Option<Value>),
     Max(Option<Value>),
-    AvgInt(AvgState<i128>),
-    AvgFloat(AvgState),
+    /// Over an `INT` column: the exact `i128` total.
+    IntTotal(AvgState<i128>),
+    FloatTotal(AvgState),
     Var(VarianceState),
 }
 
 /// A dynamically-configured aggregate over [`Value`] inputs.
 ///
 /// Construct with [`DynAggregate::new`], providing the column type so `SUM`
-/// can keep integer sums exact.
+/// and `AVG` can keep integer totals exact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DynAggregate {
     kind: AggKind,
@@ -116,6 +117,23 @@ impl DynAggregate {
     fn numeric(value: &Value) -> Option<f64> {
         value.as_f64()
     }
+
+    /// `SUM`'s or `AVG`'s value of a running total: `NULL` over no value,
+    /// else the mean, or the total as `sum` reports it — an integer one
+    /// through the range check behind [`checked`](crate::checked).
+    pub(crate) fn of_total<T: Numeric>(
+        &self,
+        total: &AvgState<T::Total>,
+        sum: impl FnOnce(T::Total) -> Value,
+    ) -> Value {
+        match self.kind {
+            _ if total.count == 0 => Value::Null,
+            AggKind::Sum => sum(total.sum),
+            _ => Avg::<T>::new()
+                .finish(total)
+                .map_or(Value::Null, Value::Float),
+        }
+    }
 }
 
 impl Aggregate for DynAggregate {
@@ -131,15 +149,11 @@ impl Aggregate for DynAggregate {
         match self.kind {
             AggKind::CountStar | AggKind::Count => DynState::Count(0),
             AggKind::CountDistinct => DynState::Distinct(std::collections::BTreeSet::new()),
-            AggKind::Sum => match self.input {
-                ValueType::Int => DynState::SumInt(None),
-                _ => DynState::SumFloat(None),
-            },
             AggKind::Min => DynState::Min(None),
             AggKind::Max => DynState::Max(None),
-            AggKind::Avg => match self.input {
-                ValueType::Int => DynState::AvgInt(AvgState::default()),
-                _ => DynState::AvgFloat(AvgState::default()),
+            AggKind::Sum | AggKind::Avg => match self.input {
+                ValueType::Int => DynState::IntTotal(AvgState::default()),
+                _ => DynState::FloatTotal(AvgState::default()),
             },
             AggKind::Variance | AggKind::StdDev => DynState::Var(VarianceState {
                 count: 0,
@@ -158,16 +172,6 @@ impl Aggregate for DynAggregate {
             DynState::Distinct(set) => {
                 set.insert(value.clone());
             }
-            DynState::SumInt(s) => {
-                if let Some(v) = value.as_i64() {
-                    *s = Some(s.unwrap_or(0).saturating_add(v));
-                }
-            }
-            DynState::SumFloat(s) => {
-                if let Some(v) = Self::numeric(value) {
-                    *s = Some(s.unwrap_or(0.0) + v);
-                }
-            }
             DynState::Min(m) => match m {
                 Some(cur) if *cur <= *value => {}
                 _ => *m = Some(value.clone()),
@@ -176,12 +180,12 @@ impl Aggregate for DynAggregate {
                 Some(cur) if *cur >= *value => {}
                 _ => *m = Some(value.clone()),
             },
-            DynState::AvgInt(a) => {
+            DynState::IntTotal(a) => {
                 if let Some(v) = value.as_i64() {
                     Avg::<i64>::new().insert(a, &v);
                 }
             }
-            DynState::AvgFloat(a) => {
+            DynState::FloatTotal(a) => {
                 if let Some(v) = Self::numeric(value) {
                     Avg::<f64>::new().insert(a, &v);
                 }
@@ -201,16 +205,6 @@ impl Aggregate for DynAggregate {
             (DynState::Distinct(a), DynState::Distinct(b)) => {
                 a.extend(b.iter().cloned());
             }
-            (DynState::SumInt(a), DynState::SumInt(b)) => {
-                if let Some(bv) = b {
-                    *a = Some(a.unwrap_or(0).saturating_add(*bv));
-                }
-            }
-            (DynState::SumFloat(a), DynState::SumFloat(b)) => {
-                if let Some(bv) = b {
-                    *a = Some(a.unwrap_or(0.0) + bv);
-                }
-            }
             (DynState::Min(a), DynState::Min(b)) => {
                 if let Some(bv) = b {
                     match a {
@@ -227,8 +221,8 @@ impl Aggregate for DynAggregate {
                     }
                 }
             }
-            (DynState::AvgInt(a), DynState::AvgInt(b)) => Avg::<i64>::new().merge(a, b),
-            (DynState::AvgFloat(a), DynState::AvgFloat(b)) => Avg::<f64>::new().merge(a, b),
+            (DynState::IntTotal(a), DynState::IntTotal(b)) => Avg::<i64>::new().merge(a, b),
+            (DynState::FloatTotal(a), DynState::FloatTotal(b)) => Avg::<f64>::new().merge(a, b),
             (DynState::Var(a), DynState::Var(b)) => {
                 let var: Variance<f64> = Variance::sample();
                 var.merge(a, b);
@@ -247,15 +241,9 @@ impl Aggregate for DynAggregate {
             DynState::Count(c) => Value::Int(*c as i64),
             // lint: allow(no-as-cast): a distinct-set size never approaches i64::MAX
             DynState::Distinct(set) => Value::Int(set.len() as i64),
-            DynState::SumInt(s) => s.map_or(Value::Null, Value::Int),
-            DynState::SumFloat(s) => s.map_or(Value::Null, Value::Float),
             DynState::Min(m) | DynState::Max(m) => m.clone().unwrap_or(Value::Null),
-            DynState::AvgInt(a) => Avg::<i64>::new()
-                .finish(a)
-                .map_or(Value::Null, Value::Float),
-            DynState::AvgFloat(a) => Avg::<f64>::new()
-                .finish(a)
-                .map_or(Value::Null, Value::Float),
+            DynState::IntTotal(a) => self.of_total::<i64>(a, int_sum),
+            DynState::FloatTotal(a) => self.of_total::<f64>(a, Value::Float),
             DynState::Var(v) => {
                 let var: Variance<f64> = Variance::sample();
                 match var.finish(v) {
@@ -271,11 +259,9 @@ impl Aggregate for DynAggregate {
         match state {
             DynState::Count(c) => *c == 0,
             DynState::Distinct(set) => set.is_empty(),
-            DynState::SumInt(s) => s.is_none(),
-            DynState::SumFloat(s) => s.is_none(),
             DynState::Min(m) | DynState::Max(m) => m.is_none(),
-            DynState::AvgInt(a) => a.count == 0,
-            DynState::AvgFloat(a) => a.count == 0,
+            DynState::IntTotal(a) => a.count == 0,
+            DynState::FloatTotal(a) => a.count == 0,
             DynState::Var(v) => v.count == 0,
         }
     }

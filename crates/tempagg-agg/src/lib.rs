@@ -8,7 +8,10 @@
 //! [`Avg`] — are provided, plus [`Variance`]/[`StdDev`] as extensions, and
 //! a [`DynAggregate`] layer for queries configured at runtime (the SQL
 //! front end): [`MultiDyn`] evaluates any select list in one pass, and
-//! [`TypedMulti`] is its heap-free lowering for `INT`-column lists.
+//! [`TypedMulti`] is its heap-free lowering for `INT`-column lists. An
+//! integer `SUM` is exact; where its total leaves the `INT` range, the
+//! computation run under [`checked`] fails with
+//! `TempAggError::Overflow`.
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
@@ -21,6 +24,7 @@ mod distinct;
 mod dynamic;
 mod min_max;
 mod multi;
+mod overflow;
 mod slot_extremes;
 mod sum;
 mod typed;
@@ -34,6 +38,7 @@ pub use distinct::CountDistinct;
 pub use dynamic::{AggKind, DynAggregate, DynState};
 pub use min_max::{Max, Min};
 pub use multi::MultiDyn;
+pub use overflow::checked;
 pub use slot_extremes::SlotExtremes;
 pub use sum::Sum;
 pub use typed::{TypedAcc, TypedActive, TypedInput, TypedMulti, TYPED_WIDTH};

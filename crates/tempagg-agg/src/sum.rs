@@ -5,7 +5,10 @@ use std::marker::PhantomData;
 
 /// Sums a numeric attribute over the tuples overlapping each constant
 /// interval. An empty interval reports `None` (SQL `NULL`), matching the
-/// paper's "4 bytes, plus an additional bit to mark an empty value".
+/// paper's "4 bytes, plus an additional bit to mark an empty value". The
+/// state and the output are the input's [`Numeric::Total`] — the total
+/// [`Avg`](crate::Avg) divides — so an integer sum is exact and never
+/// fails: `i128` holds every sum of `i64`s.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Sum<T>(PhantomData<T>);
 
@@ -17,37 +20,37 @@ impl<T> Sum<T> {
 
 impl<T: Numeric> Aggregate for Sum<T> {
     type Input = T;
-    type State = Option<T>;
-    type Output = Option<T>;
+    type State = Option<T::Total>;
+    type Output = Option<T::Total>;
 
     fn name(&self) -> &'static str {
         "SUM"
     }
 
     #[inline]
-    fn empty_state(&self) -> Option<T> {
+    fn empty_state(&self) -> Option<T::Total> {
         None
     }
 
     #[inline]
-    fn insert(&self, state: &mut Option<T>, value: &T) {
-        *state = Some(state.unwrap_or(T::ZERO).saturating_add(*value));
+    fn insert(&self, state: &mut Option<T::Total>, value: &T) {
+        *state.get_or_insert_with(T::Total::default) += value.widen();
     }
 
     #[inline]
-    fn merge(&self, into: &mut Option<T>, from: &Option<T>) {
+    fn merge(&self, into: &mut Option<T::Total>, from: &Option<T::Total>) {
         if let Some(f) = from {
-            *into = Some(into.unwrap_or(T::ZERO).saturating_add(*f));
+            *into.get_or_insert_with(T::Total::default) += *f;
         }
     }
 
     #[inline]
-    fn finish(&self, state: &Option<T>) -> Option<T> {
+    fn finish(&self, state: &Option<T::Total>) -> Option<T::Total> {
         *state
     }
 
     #[inline]
-    fn is_empty_state(&self, state: &Option<T>) -> bool {
+    fn is_empty_state(&self, state: &Option<T::Total>) -> bool {
         state.is_none()
     }
 
@@ -84,7 +87,7 @@ mod tests {
         let mut a = Some(10);
         agg.merge(&mut a, &None);
         assert_eq!(a, Some(10));
-        let mut b: Option<i64> = None;
+        let mut b = None;
         agg.merge(&mut b, &Some(7));
         assert_eq!(b, Some(7));
         let mut c = Some(1);
@@ -101,11 +104,18 @@ mod tests {
         assert_eq!(agg.finish(&s), Some(3.75));
     }
 
+    /// A sum that leaves the `i64` range on the way keeps counting, so the
+    /// value that brings it back reports the exact total.
     #[test]
-    fn saturation_instead_of_overflow() {
+    fn integer_sums_are_exact_past_the_i64_range() {
         let agg: Sum<i64> = Sum::new();
-        let mut s = Some(i64::MAX);
-        agg.insert(&mut s, &1);
-        assert_eq!(s, Some(i64::MAX));
+        let mut s = agg.empty_state();
+        for v in [i64::MAX, 1, i64::MIN] {
+            agg.insert(&mut s, &v);
+        }
+        assert_eq!(agg.finish(&s), Some(0));
+        agg.insert(&mut s, &i64::MAX);
+        agg.insert(&mut s, &i64::MAX);
+        assert_eq!(agg.finish(&s), Some(2 * i128::from(i64::MAX)));
     }
 }

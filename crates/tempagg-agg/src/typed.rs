@@ -15,9 +15,10 @@
 //! kernel without touching the allocator when the list fits its width —
 //! and is **byte-identical** to `MultiDyn`'s `Vec<Value>` for every
 //! algorithm: NULL inputs are skipped by every member except
-//! `COUNT(*)`, `SUM` saturates (and retracts with `saturating_sub`), an
-//! aggregate over no non-NULL value reports `Value::Null`, and `AVG`
-//! keeps the same exact total and divides it the same way.
+//! `COUNT(*)`, an aggregate over no non-NULL value reports `Value::Null`,
+//! and `SUM` and `AVG` keep the same exact total as `MultiDyn` — `SUM`
+//! reports it through the same range check, `AVG` divides it the same
+//! way.
 //! [`TypedMulti::lower`] decides from the members' kinds and column types
 //! alone whether a select list qualifies; anything else keeps `MultiDyn`.
 
@@ -25,6 +26,7 @@ use crate::active::{SweepAggregate, SweepClass};
 use crate::aggregate::Aggregate;
 use crate::avg::{Avg, AvgState};
 use crate::dynamic::{AggKind, DynAggregate};
+use crate::overflow::int_sum;
 use crate::slot_extremes::SlotExtremes;
 use tempagg_core::{RowValues, Value, ValueType};
 
@@ -111,8 +113,7 @@ impl TypedKind {
     fn insert(self, acc: &mut TypedAcc, value: i64) {
         match self {
             TypedKind::CountStar | TypedKind::Count => {}
-            TypedKind::Sum => acc.int = acc.int.saturating_add(value),
-            TypedKind::Avg => acc.add_to_total(value),
+            TypedKind::Sum | TypedKind::Avg => acc.add_to_total(value),
             TypedKind::Min | TypedKind::Max => {
                 if self.improves(acc, value) {
                     acc.int = value;
@@ -127,8 +128,7 @@ impl TypedKind {
         match self {
             TypedKind::CountStar | TypedKind::Count => {}
             // An empty `from` holds the additive identities.
-            TypedKind::Sum => into.int = into.int.saturating_add(from.int),
-            TypedKind::Avg => {
+            TypedKind::Sum | TypedKind::Avg => {
                 into.add_to_total(from.int);
                 into.carry += from.carry;
             }
@@ -145,10 +145,8 @@ impl TypedKind {
     /// (the extremes retract through their [`SlotExtremes`] instead).
     #[inline]
     fn remove(self, acc: &mut TypedAcc, value: i64) {
-        match self {
-            TypedKind::Sum => acc.int = acc.int.saturating_sub(value),
-            TypedKind::Avg => acc.take_from_total(value),
-            _ => {}
+        if matches!(self, TypedKind::Sum | TypedKind::Avg) {
+            acc.take_from_total(value);
         }
         acc.count = acc.count.saturating_sub(1);
         if acc.count == 0 {
@@ -162,13 +160,14 @@ impl TypedKind {
                 Value::Int(i64::try_from(acc.count).unwrap_or(i64::MAX))
             }
             _ if acc.count == 0 => Value::Null,
+            TypedKind::Sum => int_sum(acc.total()),
             TypedKind::Avg => Avg::<i64>::new()
                 .finish(&AvgState {
                     sum: acc.total(),
                     count: acc.count,
                 })
                 .map_or(Value::Null, Value::Float),
-            TypedKind::Sum | TypedKind::Min | TypedKind::Max => Value::Int(acc.int),
+            TypedKind::Min | TypedKind::Max => Value::Int(acc.int),
         }
     }
 
@@ -179,7 +178,7 @@ impl TypedKind {
 
 /// One member's accumulator, as a tree-node state and as the running
 /// (retractable) state of the non-extreme members: `count` values folded
-/// so far, with `int` the `SUM`/`MIN`/`MAX`. `AVG`'s exact total is
+/// so far, with `int` the `MIN`/`MAX`. `SUM` and `AVG` keep one exact total,
 /// `carry · 2^64 + int`: `int` wraps and `carry` counts the wraps, which
 /// costs the running sum one overflow test and keeps the state 8-byte
 /// aligned (an `i128` field would pad four members by 32 B).
@@ -191,7 +190,7 @@ pub struct TypedAcc {
 }
 
 impl TypedAcc {
-    /// `AVG`'s running total.
+    /// `SUM`'s and `AVG`'s running total.
     fn total(&self) -> i128 {
         (i128::from(self.carry) << 64) + i128::from(self.int)
     }
@@ -524,7 +523,8 @@ mod tests {
         }
     }
 
-    /// Values that exercise NULL skipping and both saturation rails.
+    /// Values that exercise NULL skipping and totals past both ends of the
+    /// `INT` range.
     const COLUMN: [Option<i64>; 8] = [
         Some(5),
         None,
@@ -587,7 +587,7 @@ mod tests {
                 assert_eq!(typed.active_output(&ta), dynamic.active_output(&da));
             }
             // Retract in an order that empties the extremes' cached best
-            // several times and walks SUM back off both rails.
+            // several times and walks SUM back into the `INT` range.
             for slot in [2, 5, 0, 6, 1, 7, 3, 4] {
                 let (t, d) = inputs(&[COLUMN[slot]; 4]);
                 if by_slot {

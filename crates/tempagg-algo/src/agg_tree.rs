@@ -391,7 +391,7 @@ mod tests {
             t.push(iv, salary).unwrap();
         }
         let s = t.finish();
-        let values: Vec<Option<i64>> = s.iter().map(|e| e.value).collect();
+        let values: Vec<Option<i128>> = s.iter().map(|e| e.value).collect();
         assert_eq!(
             values,
             vec![

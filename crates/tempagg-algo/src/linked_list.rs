@@ -326,7 +326,7 @@ mod tests {
         l.push(Interval::at(0, 10), 5).unwrap();
         l.push(Interval::at(5, 15), 7).unwrap();
         let s = l.finish();
-        let rows: Vec<(Interval, Option<i64>)> = s.iter().map(|e| (e.interval, e.value)).collect();
+        let rows: Vec<(Interval, Option<i128>)> = s.iter().map(|e| (e.interval, e.value)).collect();
         assert_eq!(
             rows,
             vec![

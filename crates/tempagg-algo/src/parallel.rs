@@ -31,7 +31,7 @@
 use crate::memory::MemoryStats;
 use crate::traits::TemporalAggregator;
 use std::sync::OnceLock;
-use tempagg_agg::Aggregate;
+use tempagg_agg::{checked, Aggregate};
 use tempagg_core::{Chunk, Interval, Result, SeriesSink, StitchSink, TempAggError, Timestamp};
 
 /// The machine's available parallelism, asked once: the call reads cgroup
@@ -365,14 +365,19 @@ where
         }
         let threads = self.threads;
         let workers: Vec<&mut Partition<G>> = self.parts.iter_mut().collect();
+        // A worker's pushes may turn totals into values (the k-ordered
+        // tree's garbage collection): its overflow flag is its own
+        // thread's, so the worker checks it and reports it as an error.
         let results = scoped_map(workers, threads, |part| -> Result<()> {
-            for (interval, value) in chunk {
-                if let Some(clipped) = interval.intersect(&part.sub) {
-                    part.inner.push(clipped, value.clone())?;
-                    part.tuples += 1;
+            checked(|| {
+                for (interval, value) in chunk {
+                    if let Some(clipped) = interval.intersect(&part.sub) {
+                        part.inner.push(clipped, value.clone())?;
+                        part.tuples += 1;
+                    }
                 }
-            }
-            Ok(())
+                Ok(())
+            })?
         });
         for r in results {
             r?;

@@ -189,7 +189,7 @@ mod tests {
         g.push(Interval::at(0, 719), 40_000).unwrap(); // years 0, 1
         g.push(Interval::at(360, 1079), 45_000).unwrap(); // years 1, 2
         let s = g.finish();
-        let sums: Vec<Option<i64>> = s.iter().map(|e| e.value).collect();
+        let sums: Vec<Option<i128>> = s.iter().map(|e| e.value).collect();
         assert_eq!(sums, vec![Some(40_000), Some(85_000), Some(45_000)]);
     }
 

@@ -60,6 +60,9 @@ pub enum TempAggError {
     /// short read and checksum mismatch in the pager surfaces as this
     /// variant — never as a panic.
     Storage { detail: String },
+    /// An integer aggregate's exact total over some constant interval lies
+    /// outside the `INT` range, so it has no value to report.
+    Overflow { aggregate: &'static str },
 }
 
 impl TempAggError {
@@ -137,6 +140,11 @@ impl fmt::Display for TempAggError {
             TempAggError::Storage { detail } => {
                 write!(f, "storage error: {detail}")
             }
+            TempAggError::Overflow { aggregate } => write!(
+                f,
+                "{aggregate} out of range: a constant interval's exact total \
+                 does not fit in a 64-bit INT"
+            ),
         }
     }
 }
@@ -178,6 +186,9 @@ mod tests {
         let e = TempAggError::storage("page 3 checksum mismatch");
         assert!(e.to_string().contains("storage error"));
         assert!(e.to_string().contains("page 3 checksum mismatch"));
+
+        let e = TempAggError::Overflow { aggregate: "SUM" };
+        assert!(e.to_string().starts_with("SUM out of range"));
     }
 
     #[test]

@@ -637,13 +637,17 @@ impl<'a, 'b> Parser<'a, 'b> {
             .collect()
     }
 
-    /// Advance to the next token matching `pred` at delimiter depth 0;
-    /// returns the scanned range.
+    /// Advance to the next token matching `pred` at delimiter depth 0, or
+    /// to the close of the enclosing delimiter, whichever comes first;
+    /// returns the scanned range. Stopping at that close keeps a construct
+    /// with no `{` of its own — a match guard, `if x => expr,` — inside
+    /// its block: the scan never walks on into the items after it.
     fn range_until(&mut self, pred: impl Fn(&Token<'_>) -> bool) -> (usize, usize) {
         let start = self.i;
         let (mut paren, mut bracket, mut brace) = (0usize, 0usize, 0usize);
         while let Some(t) = self.peek(0) {
-            if paren == 0 && bracket == 0 && brace == 0 && pred(t) {
+            let at_depth0 = paren == 0 && bracket == 0 && brace == 0;
+            if at_depth0 && (pred(t) || t.is_punct(')') || t.is_punct(']') || t.is_punct('}')) {
                 break;
             }
             if t.is_punct('(') {
@@ -1180,4 +1184,39 @@ fn closure_position(t: &[&Token<'_>], i: usize) -> bool {
         || prev.is_ident("return")
         || prev.is_ident("move")
         || prev.is_ident("else")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::lex;
+
+    /// A match guard ends where its arm — or its macro's arguments — do,
+    /// whatever the body: the items after the function stay the file's
+    /// items, and the `#[cfg(test)]` module stays a test module.
+    #[test]
+    fn a_guarded_arm_keeps_the_items_after_it() {
+        for body in [
+            "match r { Ok(v) => Ok(Some(v)), Err(e) if e == 2 => Ok(None), }",
+            "match r { Ok(v) => Ok(Some(v)), Err(e) if e == 2 => return Ok(None), }",
+            "match r { Ok(v) => Ok(Some(v)), Err(e) if e == 2 => { Ok(None) } }",
+            "match r { Ok(v) => Ok(Some(v)), Err(e) => Ok(None), }",
+            "matches!(r, Err(e) if e == 2)",
+        ] {
+            let src = format!(
+                "fn f(r: R) -> R {{ {body} }}\n\
+                 #[cfg(test)]\nmod tests {{ fn g() {{}} }}\nfn h() {{}}"
+            );
+            let shape: Vec<(bool, bool)> = parse(&lex(&src))
+                .items
+                .iter()
+                .map(|item| (matches!(item.kind, ItemKind::Fn(_)), item.cfg_test))
+                .collect();
+            assert_eq!(
+                shape,
+                [(true, false), (false, true), (true, false)],
+                "{body}"
+            );
+        }
+    }
 }

@@ -22,7 +22,7 @@
 
 use crate::planner::{plan, AlgorithmChoice, Plan, PlannerConfig};
 use crate::stats::RelationStats;
-use tempagg_agg::{Aggregate, SweepAggregate};
+use tempagg_agg::{checked, Aggregate, SweepAggregate};
 use tempagg_algo::{
     AggregationTree, KOrderedAggregationTree, LinkedListAggregate, MemoryStats, PartitionReport,
     PartitionedAggregator, SweepAggregator, TemporalAggregator,
@@ -250,7 +250,9 @@ impl<T, S: SeriesSink<T>> SeriesSink<T> for Counted<'_, S> {
 /// [`PartitionedAggregator`]), whose output is byte-identical to the serial
 /// run of the same algorithm; the sweep always runs serially. On
 /// k-ordered input the k-ordered tree emits as it garbage-collects; the
-/// buffering algorithms emit at the end.
+/// buffering algorithms emit at the end. An integer `SUM` whose exact total
+/// over some constant interval leaves the `INT` range fails the run with
+/// [`TempAggError::Overflow`].
 pub fn execute_chunks_into<A, S>(
     the_plan: &Plan,
     agg: A,
@@ -272,50 +274,53 @@ where
     let sink = &mut counted;
     let choice = the_plan.choice;
     let parallelism = the_plan.parallelism;
-    let mut report = match choice {
-        AlgorithmChoice::LinkedList => drive(
-            |sub| LinkedListAggregate::with_domain(agg.clone(), sub),
-            choice,
-            domain,
-            parallelism,
-            chunks,
-            sink,
-        )?,
-        AlgorithmChoice::AggregationTree => drive(
-            |sub| AggregationTree::with_domain(agg.clone(), sub),
-            choice,
-            domain,
-            parallelism,
-            chunks,
-            sink,
-        )?,
-        // The sweep works at finish, in one linear sort and one replay: one
-        // serial aggregator, no seams.
-        AlgorithmChoice::Sweep => {
-            drive_one(SweepAggregator::with_domain(agg, domain), chunks, sink)?
-        }
-        AlgorithmChoice::CachedSeries
-        | AlgorithmChoice::SweepJoin
-        | AlgorithmChoice::IndexProbe => return Err(not_executable(choice)),
-        AlgorithmChoice::KOrderedTree { k, presort } => {
-            // Probe once so an invalid k errors before any instance builds.
-            KOrderedAggregationTree::with_domain(agg.clone(), k, domain)?;
-            let make = |sub| {
-                KOrderedAggregationTree::with_domain(agg.clone(), k, sub)
-                    // lint: allow(no-unwrap): k was validated by the probe construction just above
-                    .expect("k validated above")
-            };
-            if presort {
-                let sorted = sorted_chunks(chunks)?;
-                ExecutionReport {
-                    presorted: true,
-                    ..drive(make, choice, domain, parallelism, &sorted, sink)?
-                }
-            } else {
-                drive(make, choice, domain, parallelism, chunks, sink)?
+    // A total out of range fails the run (see `tempagg_agg::checked`).
+    let mut report = checked(|| -> Result<ExecutionReport> {
+        Ok(match choice {
+            AlgorithmChoice::LinkedList => drive(
+                |sub| LinkedListAggregate::with_domain(agg.clone(), sub),
+                choice,
+                domain,
+                parallelism,
+                chunks,
+                sink,
+            )?,
+            AlgorithmChoice::AggregationTree => drive(
+                |sub| AggregationTree::with_domain(agg.clone(), sub),
+                choice,
+                domain,
+                parallelism,
+                chunks,
+                sink,
+            )?,
+            // The sweep works at finish, in one linear sort and one replay: one
+            // serial aggregator, no seams.
+            AlgorithmChoice::Sweep => {
+                drive_one(SweepAggregator::with_domain(agg, domain), chunks, sink)?
             }
-        }
-    };
+            AlgorithmChoice::CachedSeries
+            | AlgorithmChoice::SweepJoin
+            | AlgorithmChoice::IndexProbe => return Err(not_executable(choice)),
+            AlgorithmChoice::KOrderedTree { k, presort } => {
+                // Probe once so an invalid k errors before any instance builds.
+                KOrderedAggregationTree::with_domain(agg.clone(), k, domain)?;
+                let make = |sub| {
+                    KOrderedAggregationTree::with_domain(agg.clone(), k, sub)
+                        // lint: allow(no-unwrap): k was validated by the probe construction just above
+                        .expect("k validated above")
+                };
+                if presort {
+                    let sorted = sorted_chunks(chunks)?;
+                    ExecutionReport {
+                        presorted: true,
+                        ..drive(make, choice, domain, parallelism, &sorted, sink)?
+                    }
+                } else {
+                    drive(make, choice, domain, parallelism, chunks, sink)?
+                }
+            }
+        })
+    })??;
     report.tuples = chunks.iter().map(Chunk::len).sum();
     report.result_rows = counted.accepted;
     Ok(report)
@@ -762,7 +767,7 @@ mod tests {
                 };
                 assert_eq!(report.parallelism, ran, "choice {choice:?} × {parallelism}");
                 let mut streamed = Vec::new();
-                let mut sink = ChunkedSink::new(100, |c: &[SeriesEntry<Option<i64>>]| {
+                let mut sink = ChunkedSink::new(100, |c: &[SeriesEntry<Option<i128>>]| {
                     streamed.extend_from_slice(c);
                 });
                 execute_chunks_into(&p, agg, &chunks, Interval::TIMELINE, &mut sink).unwrap();

@@ -14,6 +14,7 @@ use crate::exec::{
 };
 use crate::rows::RowBuffer;
 use crate::statement::{BoundJoin, BoundSelect, StatementOutput, Write};
+use tempagg_agg::checked;
 use tempagg_core::{Column, Result, Schema, TempAggError};
 use tempagg_plan::{Plan, PlannerConfig};
 
@@ -250,7 +251,9 @@ pub(crate) fn route_query<'c, 'q>(
 }
 
 /// The one drive: run a routed statement's path into `out` — or, under
-/// `EXPLAIN`, plan the path and run nothing.
+/// `EXPLAIN`, plan the path and run nothing. A scan whose integer `SUM`
+/// leaves the `INT` range over some constant interval fails with
+/// [`TempAggError::Overflow`], before it warms a cache.
 pub(crate) fn drive(read: Read<'_, '_>, out: &mut RowBuffer<'_>) -> Result<StatementOutput> {
     let path = read.arm.path();
     let (plan, cache) = if read.explain {
@@ -261,7 +264,7 @@ pub(crate) fn drive(read: Read<'_, '_>, out: &mut RowBuffer<'_>) -> Result<State
             Arm::Join(join) => return join.run().map(StatementOutput::Tuples),
             Arm::Served(bound, plan) => (Some(plan), bound.serve(out)?),
             Arm::Window(window) => {
-                let cache = window.run(out)?;
+                let cache = checked(|| window.run(out))??;
                 (Some(window.plan), cache)
             }
             Arm::Scan {
@@ -269,7 +272,7 @@ pub(crate) fn drive(read: Read<'_, '_>, out: &mut RowBuffer<'_>) -> Result<State
                 grouping,
                 warm,
             } => {
-                let plan = bound.scan(grouping, Some(&mut *out))?;
+                let plan = checked(|| bound.scan(grouping, Some(&mut *out)))??;
                 if warm {
                     bound.warm()?;
                 }

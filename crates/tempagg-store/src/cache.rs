@@ -55,7 +55,7 @@ use std::borrow::Borrow;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tempagg_agg::{AggKind, DynAggregate, SweepAggregate};
+use tempagg_agg::{checked, AggKind, DynAggregate, SweepAggregate};
 use tempagg_algo::{
     GroupProbe, IndexMode, RunSource, SweepAggregator, TemporalAggregator, WindowAggregate,
     WindowIndex,
@@ -107,7 +107,8 @@ fn sweep_of<T: Borrow<Tuple>>(
 /// Sweep an arbitrary tuple subset (e.g. one group of a `TOP k BY`
 /// ranking query) into its constant-interval aggregate series — the same
 /// sweep as [`AggCache::build`], so the result is byte-identical to what a
-/// full cache over just those tuples would publish.
+/// full cache over just those tuples would publish. A `SUM` out of range
+/// reads `NULL` there; run it under [`tempagg_agg::checked`] to fail instead.
 pub fn sweep_values(agg: &DynAggregate, column: Option<usize>, tuples: &[&Tuple]) -> Series<Value> {
     sweep_of(*agg, column, tuples, |_| {}).finish()
 }
@@ -365,8 +366,13 @@ struct AggCache {
 impl AggCache {
     /// Build the cache from scratch over `tuples` (a relation's, or one
     /// group's members): the sweep kernel's segments, each keeping a
-    /// Delta-class run's state so later writes can patch it.
-    fn build<T: Borrow<Tuple>>(agg: DynAggregate, column: Option<usize>, tuples: &[T]) -> AggCache {
+    /// Delta-class run's state so later writes can patch it. A value out
+    /// of range fails the build with [`TempAggError::Overflow`].
+    fn build<T: Borrow<Tuple>>(
+        agg: DynAggregate,
+        column: Option<usize>,
+        tuples: &[T],
+    ) -> Result<AggCache> {
         let mut boundaries: BTreeMap<Timestamp, u32> = BTreeMap::new();
         let sweep = sweep_of(agg, column, tuples, |iv| {
             for b in boundary_candidates(iv) {
@@ -375,18 +381,20 @@ impl AggCache {
         });
         let states = matches!(Upkeep::of(&agg), Upkeep::Patch);
         let mut runs = RunList::with_capacity(boundaries.len() + 1, states);
-        sweep.finish_states(|agg, interval, active| {
-            let run = SeriesEntry::new(interval, agg.active_output(active));
-            runs.push(run, RunState::of(active));
-        });
-        AggCache {
+        checked(|| {
+            sweep.finish_states(|agg, interval, active| {
+                let run = SeriesEntry::new(interval, agg.active_output(active));
+                runs.push(run, RunState::of(active));
+            });
+        })?;
+        Ok(AggCache {
             agg,
             column,
             runs,
             boundaries,
             versions: Versions::default(),
             patched_runs: 0,
-        }
+        })
     }
 
     /// Reference a boundary; its first contributor splits the run
@@ -474,6 +482,21 @@ impl AggCache {
             }
         }
     }
+
+    /// Whether a run `edits` cover holds a total out of range: a state over
+    /// some value whose run reads `NULL`. A statement patches its edits one
+    /// after another, so a total may leave the range between two of them
+    /// and come back; only the runs as the statement leaves them count.
+    fn out_of_range(&mut self, edits: &[Edit<'_>]) -> bool {
+        let mut found = false;
+        for edit in edits {
+            self.runs.for_each_in_mut(edit.valid(), |run, state| {
+                let counted = matches!(state, Some(RunState::IntTotal { count, .. }) if *count > 0);
+                found |= counted && run.value.is_null();
+            });
+        }
+        found
+    }
 }
 
 /// What a cached series is read from: the patchable runs of a live
@@ -552,16 +575,17 @@ pub(crate) struct CachedSeries {
 
 impl CachedSeries {
     /// A live series built from scratch over `tuples` (a relation's, or
-    /// one group's members).
+    /// one group's members); [`TempAggError::Overflow`] if a value of it is
+    /// out of range.
     pub(crate) fn build<T: Borrow<Tuple>>(
         agg: DynAggregate,
         column: Option<usize>,
         tuples: &[T],
-    ) -> CachedSeries {
-        CachedSeries {
-            body: Body::Live(AggCache::build(agg, column, tuples)),
+    ) -> Result<CachedSeries> {
+        Ok(CachedSeries {
+            body: Body::Live(AggCache::build(agg, column, tuples)?),
             index: None,
-        }
+        })
     }
 
     /// The series of `agg` as block `slot` of `reader`'s file stores it:
@@ -583,10 +607,11 @@ impl CachedSeries {
     /// the relation *before* the write that forces this, so that write
     /// patches real, retractable state. Both bodies hold the same series,
     /// so an index already cut stays; a block nobody read stays unread.
-    pub(crate) fn promote(&mut self, column: Option<usize>, tuples: &[Tuple]) {
+    pub(crate) fn promote(&mut self, column: Option<usize>, tuples: &[Tuple]) -> Result<()> {
         if let Body::Restored(agg, _) = &self.body {
-            self.body = Body::Live(AggCache::build(*agg, column, tuples));
+            self.body = Body::Live(AggCache::build(*agg, column, tuples)?);
         }
+        Ok(())
     }
 
     /// Have a restored body's series in hand before it is read — every door
@@ -601,18 +626,9 @@ impl CachedSeries {
         tuples: impl FnOnce() -> Result<&'a [Tuple]>,
     ) -> Result<()> {
         if matches!(&self.body, Body::Restored(_, stored) if stored.view().is_err()) {
-            self.promote(column, tuples()?);
+            self.promote(column, tuples()?)?;
         }
         Ok(())
-    }
-
-    fn live_mut(&mut self) -> Result<&mut AggCache> {
-        match &mut self.body {
-            Body::Live(cache) => Ok(cache),
-            Body::Restored(..) => Err(TempAggError::internal(
-                "a write reached a restored series before its promotion",
-            )),
-        }
     }
 
     /// How many constant-interval runs the series has now.
@@ -705,9 +721,18 @@ impl CachedSeries {
 
     /// Apply one statement's edits to the runs — `members` are the tuples
     /// a re-derived run reads — and refresh the index over every interval
-    /// they wrote.
+    /// they wrote. Edits that leave a run's value out of range fail with
+    /// [`TempAggError::Overflow`], and the store drops the series.
     pub(crate) fn apply(&mut self, edits: &[Edit<'_>], members: Members<'_, '_>) -> Result<()> {
-        self.live_mut()?.apply(edits, members);
+        let Body::Live(cache) = &mut self.body else {
+            let detail = "a write reached a restored series before its promotion";
+            return Err(TempAggError::internal(detail));
+        };
+        if let Err(overflow) = checked(|| cache.apply(edits, members)) {
+            if cache.out_of_range(edits) {
+                return Err(overflow);
+            }
+        }
         self.refresh(edits);
         Ok(())
     }
@@ -868,7 +893,7 @@ mod tests {
                     .map(|t| (t.valid(), extract(t, column)))
                     .collect();
                 let want = tempagg_algo::oracle::oracle(&agg, Interval::TIMELINE, &pairs);
-                let mut cached = CachedSeries::build(agg, column, tuples);
+                let mut cached = CachedSeries::build(agg, column, tuples).unwrap();
                 cached.validate_structure();
                 assert_eq!(cached.entries().unwrap(), want.entries(), "{kind:?}");
                 let Body::Live(cache) = &mut cached.body else {
@@ -902,7 +927,7 @@ mod tests {
                 .unwrap();
         }
         let sum = DynAggregate::new(AggKind::Sum, ValueType::Int).unwrap();
-        let mut cached = CachedSeries::build(sum, Some(0), relation.tuples());
+        let mut cached = CachedSeries::build(sum, Some(0), relation.tuples()).unwrap();
         cached.validate_structure();
         let Body::Live(cache) = &cached.body else {
             panic!("a built series is live");
@@ -943,7 +968,7 @@ mod tests {
         let schema = Schema::of(&[("g", ValueType::Int), ("v", ValueType::Int)]);
         let mut relation = TemporalRelation::new(schema);
         let sum = DynAggregate::new(AggKind::Sum, ValueType::Int).unwrap();
-        let mut cached = CachedSeries::build(sum, Some(1), relation.tuples());
+        let mut cached = CachedSeries::build(sum, Some(1), relation.tuples()).unwrap();
         let mut cuts = Vec::new();
         for i in 0..200i64 {
             let tuple = Tuple::new(

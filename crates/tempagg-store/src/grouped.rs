@@ -21,11 +21,11 @@ struct Group {
 }
 
 impl Group {
-    fn over(agg: DynAggregate, column: Option<usize>, members: &[&Tuple]) -> Group {
-        Group {
-            series: CachedSeries::build(agg, column, members),
+    fn over(agg: DynAggregate, column: Option<usize>, members: &[&Tuple]) -> Result<Group> {
+        Ok(Group {
+            series: CachedSeries::build(agg, column, members)?,
             members: members.len(),
-        }
+        })
     }
 }
 
@@ -44,13 +44,14 @@ impl GroupedIndexes {
     /// `agg` must be indexable (see [`crate::index_mode_for`]), hence
     /// exactly maintainable: a write patches a group's series from the
     /// written tuples, and re-derives an Ordered-class run from the
-    /// group's members that overlap them.
+    /// group's members that overlap them. A group's value out of range
+    /// fails the build with `TempAggError::Overflow`.
     pub(crate) fn build(
         agg: DynAggregate,
         column: Option<usize>,
         group_column: usize,
         relation: &TemporalRelation,
-    ) -> GroupedIndexes {
+    ) -> Result<GroupedIndexes> {
         let mut members: BTreeMap<&Value, Vec<&Tuple>> = BTreeMap::new();
         for tuple in relation {
             members
@@ -60,14 +61,14 @@ impl GroupedIndexes {
         }
         let groups = members
             .into_iter()
-            .map(|(value, tuples)| (value.clone(), Group::over(agg, column, &tuples)))
-            .collect();
-        GroupedIndexes {
+            .map(|(value, tuples)| Ok((value.clone(), Group::over(agg, column, &tuples)?)))
+            .collect::<Result<_>>()?;
+        Ok(GroupedIndexes {
             agg,
             column,
             group_column,
             groups,
-        }
+        })
     }
 
     /// Apply one statement's edits: each group its tuples join, leave or
@@ -75,7 +76,8 @@ impl GroupedIndexes {
     /// from one group and an add to another, a new aggregated value an
     /// in-place rewrite — over the statement's rows narrowed to the group.
     /// A group is founded by the tuples that join it and dropped when its
-    /// last member leaves.
+    /// last member leaves. A group's value out of range fails with
+    /// `TempAggError::Overflow`, and the store drops the shape.
     pub(crate) fn apply<'e>(&mut self, edits: &[Edit<'e>], written: &Written<'_>) -> Result<()> {
         let g = self.group_column;
         let mut by_group: BTreeMap<&Value, Vec<Edit<'e>>> = BTreeMap::new();
@@ -102,7 +104,7 @@ impl GroupedIndexes {
             let Some(group) = self.groups.get_mut(value) else {
                 let members: Vec<&Tuple> = edits.iter().filter_map(Edit::given).collect();
                 if !members.is_empty() {
-                    let group = Group::over(self.agg, self.column, &members);
+                    let group = Group::over(self.agg, self.column, &members)?;
                     self.groups.insert(value.clone(), group);
                 }
                 continue;
@@ -190,7 +192,7 @@ mod tests {
         let schema = Schema::of(&[("g", ValueType::Int), ("v", ValueType::Int)]);
         let mut relation = TemporalRelation::new(schema);
         let sum = DynAggregate::new(AggKind::Sum, ValueType::Int).unwrap();
-        let mut grouped = GroupedIndexes::build(sum, Some(1), 0, &relation);
+        let mut grouped = GroupedIndexes::build(sum, Some(1), 0, &relation).unwrap();
         assert!(grouped.groups.is_empty());
         for i in 0..200i64 {
             let tuple = Tuple::new(

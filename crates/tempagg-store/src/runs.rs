@@ -32,13 +32,9 @@ const CHUNK_RUNS: usize = 256;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum RunState {
     Count(u64),
-    SumInt {
-        sum: i64,
-        count: u64,
-    },
-    /// Integer `AVG`'s exact total as its high and low words: an `i128`
-    /// field would align every state, and pad it, to 16 B.
-    AvgInt {
+    /// Integer `SUM`'s and `AVG`'s exact total as its high and low words:
+    /// an `i128` field would align every state, and pad it, to 16 B.
+    IntTotal {
         high: i64,
         low: u64,
         count: u64,
@@ -51,8 +47,7 @@ impl RunState {
     pub(crate) fn of(active: &DynActive) -> Option<RunState> {
         Some(match *active {
             DynActive::Count(count) => RunState::Count(count),
-            DynActive::SumInt { sum, count } => RunState::SumInt { sum, count },
-            DynActive::AvgInt(AvgState { sum, count }) => RunState::AvgInt {
+            DynActive::IntTotal(AvgState { sum, count }) => RunState::IntTotal {
                 high: i64::try_from(sum >> 64).unwrap_or(0),
                 low: u64::try_from(sum & i128::from(u64::MAX)).unwrap_or(0),
                 count,
@@ -65,8 +60,7 @@ impl RunState {
     pub(crate) fn active(self) -> DynActive {
         match self {
             RunState::Count(count) => DynActive::Count(count),
-            RunState::SumInt { sum, count } => DynActive::SumInt { sum, count },
-            RunState::AvgInt { high, low, count } => DynActive::AvgInt(AvgState {
+            RunState::IntTotal { high, low, count } => DynActive::IntTotal(AvgState {
                 sum: (i128::from(high) << 64) | i128::from(low),
                 count,
             }),
@@ -565,15 +559,21 @@ mod tests {
         assert_eq!(flat(&list), [(Interval::TIMELINE, Value::Int(0))]);
     }
 
-    /// A run's interval and value stay within 40 B, its state within 32
-    /// B, and an integer `AVG`'s `i128` total goes in and out of the state
-    /// intact.
+    /// A run's interval and value stay within 40 B and its state within 32
+    /// B — 72 B a run — and an integer `SUM`'s or `AVG`'s `i128` total goes
+    /// in and out of the state intact. The states the run is patched
+    /// through stay as small: `SUM` keeps no state of its own.
     #[test]
     fn a_run_is_fixed_size_and_keeps_delta_states_exactly() {
-        assert!(std::mem::size_of::<SeriesEntry<Value>>() <= 40);
-        assert!(std::mem::size_of::<RunState>() <= 32);
+        use std::mem::size_of;
+        assert!(size_of::<SeriesEntry<Value>>() <= 40);
+        assert!(size_of::<RunState>() <= 32);
+        assert!(size_of::<SeriesEntry<Value>>() + size_of::<RunState>() <= 72);
+        assert!(size_of::<tempagg_agg::TypedAcc>() <= 24);
+        assert!(size_of::<DynActive>() <= 48);
+        assert!(size_of::<tempagg_agg::DynState>() <= 48);
         for sum in [0, -1, 1 << 70, -(1 << 70) + 3, i128::from(i64::MIN) - 1] {
-            let active = DynActive::AvgInt(AvgState { sum, count: 7 });
+            let active = DynActive::IntTotal(AvgState { sum, count: 7 });
             assert_eq!(RunState::of(&active).map(RunState::active), Some(active));
         }
         let distinct = DynActive::Distinct(std::collections::BTreeMap::new());

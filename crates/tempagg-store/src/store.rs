@@ -496,15 +496,16 @@ impl TemporalStore {
         if !edits.iter().all(|edit| matches!(edit, Edit::Add(_))) {
             self.flushed = None;
         }
+        // A series the write cannot patch — one it takes out of the `INT`
+        // range — is dropped, to be rebuilt from the rows at its next read:
+        // no cache holds a value out of range.
         let written = Written::new(relation.tuples(), edits);
-        for (key, entry) in self.series.get_mut().iter_mut() {
-            if patches(key) {
-                entry.apply(edits, Members::all(&written))?;
-            }
-        }
-        for grouped in self.grouped.get_mut().values_mut() {
-            grouped.apply(edits, &written)?;
-        }
+        self.series.get_mut().retain(|key, entry| {
+            !patches(key) || entry.apply(edits, Members::all(&written)).is_ok()
+        });
+        self.grouped
+            .get_mut()
+            .retain(|_, grouped| grouped.apply(edits, &written).is_ok());
         self.epoch = self.epoch.next();
         #[cfg(feature = "validate")]
         self.validate_groups(edits);
@@ -581,7 +582,7 @@ impl TemporalStore {
         let mut all = self.series.borrow_mut();
         let entry = match all.entry(key) {
             Entry::Occupied(entry) => entry.into_mut(),
-            Entry::Vacant(slot) => slot.insert(CachedSeries::build(agg, column, self.tuples()?)),
+            Entry::Vacant(slot) => slot.insert(CachedSeries::build(agg, column, self.tuples()?)?),
         };
         entry.load(column, || self.tuples())?;
         RefMut::filter_map(all, |all| all.get_mut(&key))
@@ -687,7 +688,7 @@ impl TemporalStore {
             Entry::Occupied(entry) => entry.into_mut(),
             Entry::Vacant(slot) => {
                 let relation = self.rows.resident()?;
-                slot.insert(GroupedIndexes::build(agg, column, group_column, relation))
+                slot.insert(GroupedIndexes::build(agg, column, group_column, relation)?)
             }
         };
         let (ranked, probes) = entry.top_k(mode, window, k);
@@ -808,11 +809,10 @@ fn cacheable(agg: &DynAggregate) -> Result<()> {
 
 /// Promote file-restored series to live caches before a mutation: the live
 /// cache is rebuilt from the (pre-mutation) `tuples`, so the mutation's
-/// patch applies to real, retractable state.
+/// patch applies to real, retractable state. A rebuild out of range drops
+/// the series.
 fn promote_restored(series: &mut BTreeMap<CacheKey, CachedSeries>, tuples: &[Tuple]) {
-    for (key, entry) in series.iter_mut() {
-        entry.promote(key.column, tuples);
-    }
+    series.retain(|key, entry| entry.promote(key.column, tuples).is_ok());
 }
 
 /// The answer to a read made by one of the accessors that keep an

@@ -23,13 +23,16 @@ cd "$(dirname "$0")/.."
 # out of SweepAggregator. So too for the sweep's dense/sparse lowering: one
 # radix sort on time orders the sweep's and the join's events. So too for
 # that sort's bucket-parallel entry points and its parallel price: it runs
-# on the calling thread, and the planner prices it as linear.
+# on the calling thread, and the planner prices it as linear. So too for
+# SUM's own accumulators (the SumInt / SumFloat states) and Numeric's
+# saturating pair: SUM keeps the exact total AVG keeps, and a total out of
+# the INT range is TempAggError::Overflow, never a clamped value.
 # History (CHANGES.md, ROADMAP.md, EXPERIMENTS.md's retired table) is
 # exempt, and bench/ is read-only to engine PRs.
 echo "==> no citation of a retired harness command, BENCH_*.json, planner entry point or deleted second path"
-if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel|run_window|run_scan|plan_window|index_report|exec\.rs::run\b|RowBuffer::into_rows|sweep_runs|LoweredEvents|counting_scatter|DENSE_SPAN_FACTOR|sort_bucket_runs|parallel_sort_per_event|sort_by_time_with|TimeRun\b|sort_endpoint_events' -- \
+if git grep -nE 'BENCH_(ingest|paged|pipeline|stream|sweep|windowq)\.json|harness( --)? (pipeline|stream|sweep|ingest|paged|windowq|calibrate)\b|calibration\.json|Calibration::|plan_by_cost|recompute_window|recomputed_windows|stitch_where|Series::stitch\b|run_paged_partitioned|finish_parallel|run_window|run_scan|plan_window|index_report|exec\.rs::run\b|RowBuffer::into_rows|sweep_runs|LoweredEvents|counting_scatter|DENSE_SPAN_FACTOR|sort_bucket_runs|parallel_sort_per_event|sort_by_time_with|TimeRun\b|sort_endpoint_events|Sum(Int|Float)\b|Numeric::saturating_|fn saturating_(add|sub)\(self, other: Self\)' -- \
     README.md DESIGN.md .claude scripts crates src examples tests ':!scripts/check.sh'; then
-    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default(), choose_algorithm, StitchSink, PartitionedAggregator::finish_into, SweepAggregator::finish_states, sort_by_time (the one serial endpoint sort) or sweep_sort_per_event (its linear price) instead" >&2
+    echo "retired artifact cited above: name a bench/ metric and workload, CostModel::default(), choose_algorithm, StitchSink, PartitionedAggregator::finish_into, SweepAggregator::finish_states, sort_by_time (the one serial endpoint sort), sweep_sort_per_event (its linear price) or Numeric::Total (the one SUM/AVG total) instead" >&2
     exit 1
 fi
 

@@ -7,8 +7,8 @@ use temporal_aggregates::prelude::*;
 use temporal_aggregates::sql::TupleTable;
 use temporal_aggregates::workload::{generate, WorkloadConfig};
 use temporal_aggregates::{
-    AggKind, DynAggregate, JoinPredicate, QueryResult, SeriesEntry, StatementOutput, Tuple,
-    ValueType,
+    AggKind, DynAggregate, JoinPredicate, QueryResult, SeriesEntry, StatementOutput, TempAggError,
+    Tuple, ValueType,
 };
 
 fn catalog_with(name: &str, relation: TemporalRelation) -> Catalog {
@@ -52,7 +52,7 @@ fn sql_sum_equals_direct_computation() {
         .map(|t| (t.valid(), t.value(salary_idx).as_i64().unwrap()))
         .collect();
     let expected = oracle(&Sum::<i64>::new(), Interval::TIMELINE, &tuples)
-        .map(|v| v.map_or(Value::Null, Value::Int))
+        .map(|v| v.map_or(Value::Null, |sum| Value::Int(i64::try_from(sum).unwrap())))
         .coalesce();
 
     let catalog = catalog_with("r", relation);
@@ -580,6 +580,81 @@ fn every_aggregate() -> Vec<(String, bool)> {
     lists
 }
 
+/// `t (g INT, i INT, f FLOAT)` holding `i64::MAX` over [0, 50], 1 over
+/// [10, 30] and `i64::MIN` over [5, 40]: every instant's exact `SUM(i)`
+/// fits in `INT`, but a sum of two of the three rows may not.
+fn three_rows_at_the_limits() -> Catalog {
+    let mut catalog = Catalog::new();
+    execute_statement(&mut catalog, "CREATE TABLE t (g INT, i INT, f FLOAT)").unwrap();
+    let store = catalog.store_mut("t").unwrap();
+    for (g, i, valid) in [
+        (0, i64::MAX, Interval::at(0, 50)),
+        (1, 1, Interval::at(10, 30)),
+        (2, i64::MIN, Interval::at(5, 40)),
+    ] {
+        let row = vec![Value::Int(g), Value::Int(i), Value::Float(0.5)];
+        store.insert(row, valid).unwrap();
+    }
+    catalog
+}
+
+/// `SUM(i)` over `catalog`'s `t` scanned, served, and served again after
+/// each row is deleted and re-inserted, against the exact oracle. Taking
+/// `i64::MIN` out leaves `i64::MAX + 1` over [10, 30]: the write drops the
+/// cache and the read fails, until the row is back.
+fn check_exact_sums(mut catalog: Catalog) {
+    let sql = "SELECT SUM(i) FROM t";
+    let exact = |catalog: &Catalog| {
+        let tuples: Vec<(Interval, i64)> = catalog
+            .store("t")
+            .unwrap()
+            .relation()
+            .iter()
+            .map(|t| (t.valid(), t.value(1).as_i64().unwrap()))
+            .collect();
+        let sums = oracle(&Sum::<i64>::new(), Interval::TIMELINE, &tuples);
+        let rows = sums.map(|s| s.map_or(Value::Null, |s| Value::Int(i64::try_from(s).unwrap())));
+        format!("{:?}", rows.coalesce().entries())
+    };
+    let rows = |catalog: &Catalog| {
+        let result = execute_str(catalog, sql).unwrap();
+        let entries: Vec<SeriesEntry<Value>> = result
+            .rows
+            .iter()
+            .map(|r| SeriesEntry::new(r.valid, r.values[0].clone()))
+            .collect();
+        (format!("{entries:?}"), result.cache.served_from_cache)
+    };
+    let want = exact(&catalog);
+    assert!(
+        want.contains("Int(-1)") && want.contains("Int(0)"),
+        "{want}"
+    );
+    assert_eq!(rows(&catalog), (want.clone(), true));
+    for step in 0..3 {
+        let store = catalog.store_mut("t").unwrap();
+        let first = store.relation().tuples()[0].clone();
+        let mut seen = 0;
+        store
+            .delete_where(|_| {
+                seen += 1;
+                seen == 1
+            })
+            .unwrap();
+        let out_of_range = first.value(1) == &Value::Int(i64::MIN);
+        assert_eq!(store.has_cache(AggKind::Sum, Some(1)), !out_of_range);
+        if out_of_range {
+            let overflow = TempAggError::Overflow { aggregate: "SUM" };
+            assert_eq!(execute_str(&catalog, sql).err(), Some(overflow));
+        } else {
+            assert_eq!(rows(&catalog), (exact(&catalog), true), "step {step}");
+        }
+        catalog.store_mut("t").unwrap().insert_tuple(first).unwrap();
+        assert_eq!(rows(&catalog), (want.clone(), !out_of_range), "step {step}");
+        assert_eq!(rows(&catalog), (want.clone(), true), "step {step}");
+    }
+}
+
 /// `INSERT` rows for `t (g INT, i INT, f FLOAT)`: `f` takes non-dyadic
 /// values, so a float state that retracts drifts from one that does not.
 fn differential_rows(n: i64, offset: i64) -> String {
@@ -629,7 +704,9 @@ fn assert_scans_agree(catalog: &Catalog, what: &str) {
 /// `INT` and a `FLOAT` column: a cold run and a warm one, after each kind
 /// of write against a fresh catalog, after `PERSIST TO` and a reopen, and
 /// an `OVER` window answered clean and through its `WHERE` fallback. A
-/// file that holds a series no store may cache opens without it.
+/// file that holds a series no store may cache opens without it. On a
+/// table whose sums leave the `INT` range part way, scanned, served and
+/// patched `SUM`s equal the exact `Sum<i64>` oracle.
 #[test]
 fn served_rows_equal_scanned_rows_for_every_aggregate() {
     let mut catalog = Catalog::new();
@@ -637,14 +714,18 @@ fn served_rows_equal_scanned_rows_for_every_aggregate() {
     execute_statement(&mut catalog, &differential_rows(300, 0)).unwrap();
 
     // Cold, then warm: served exactly when every aggregate is cacheable.
+    let limits = three_rows_at_the_limits();
     for (list, cacheable) in every_aggregate() {
         let sql = format!("SELECT {list} FROM t");
-        let (cold, cold_served) = answered(&catalog, &sql);
-        let (warm, warm_served) = answered(&catalog, &sql);
-        assert_eq!(warm, cold, "cold vs warm: {sql}");
-        assert!(!cold_served, "{sql}");
-        assert_eq!(warm_served, cacheable, "{sql}");
+        for catalog in [&catalog, &limits] {
+            let (cold, cold_served) = answered(catalog, &sql);
+            let (warm, warm_served) = answered(catalog, &sql);
+            assert_eq!(warm, cold, "cold vs warm: {sql}");
+            assert!(!cold_served, "{sql}");
+            assert_eq!(warm_served, cacheable, "{sql}");
+        }
     }
+    check_exact_sums(limits);
 
     // Each kind of write, against a fresh catalog over the same rows.
     for write in [

@@ -168,7 +168,7 @@ fn partitioned_finish_into_streams_what_finish_collects() {
         }
         let collected = serial.finish();
         let mut streamed = Vec::new();
-        let mut sink = ChunkedSink::new(1, |chunk: &[SeriesEntry<Option<i64>>]| {
+        let mut sink = ChunkedSink::new(1, |chunk: &[SeriesEntry<Option<i128>>]| {
             assert_eq!(chunk.len(), 1);
             streamed.extend_from_slice(chunk);
         });

@@ -204,7 +204,7 @@ fn products_with_extremes_equal_their_members_under_heavy_concurrency() {
     let sums = sweep(Sum::<i64>::new(), DOMAIN, &tuples);
     let mins = sweep(Min::<i64>::new(), DOMAIN, &tuples);
     let maxs = sweep(Max::<i64>::new(), DOMAIN, &tuples);
-    let check = |got: Series<(Option<i64>, Option<i64>, Option<i64>)>, what: &str| {
+    let check = |got: Series<(Option<i128>, Option<i64>, Option<i64>)>, what: &str| {
         assert_eq!(got.len(), sums.len(), "{what}");
         for (((p, s), lo), hi) in got.iter().zip(&sums).zip(&mins).zip(&maxs) {
             assert_eq!(p.interval, s.interval, "{what}");

@@ -4,7 +4,7 @@
 //! query shape at the SQL level, every algorithm × parallelism at the
 //! executor level — and a list that does not lower must keep working.
 
-use temporal_aggregates::agg::{MultiDyn, TypedInput, TypedMulti, TYPED_WIDTH};
+use temporal_aggregates::agg::{checked, MultiDyn, Sum, TypedInput, TypedMulti, TYPED_WIDTH};
 use temporal_aggregates::algo::oracle::oracle;
 use temporal_aggregates::algo::scan_window;
 use temporal_aggregates::planner::execute_chunks_into;
@@ -108,6 +108,80 @@ fn relation(n: usize, nulls: Nulls, seed: u64) -> TemporalRelation {
     r
 }
 
+/// `i64::MAX` over [0, 50], 1 over [10, 30] and `i64::MIN` over [5, 40]:
+/// every instant's `SUM` fits in `INT`, while the sum of two of them may not.
+fn three_rows_at_the_limits() -> TemporalRelation {
+    let mut r = TemporalRelation::new(schema());
+    for (i, valid) in [
+        (i64::MAX, Interval::at(0, 50)),
+        (1, Interval::at(10, 30)),
+        (i64::MIN, Interval::at(5, 40)),
+    ] {
+        let row = vec![
+            Value::from("north"),
+            Value::Int(0),
+            Value::Int(i),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ];
+        r.push(row, valid).unwrap();
+    }
+    r
+}
+
+/// One tuple of `i64::MIN + 2^40` over the whole timeline, then `pairs`
+/// seeded pairs over one interval each, of values `big` and `small − big`
+/// for a `big` within 2^20 of `i64::MAX` and a `small` in `[0, 100)`: every
+/// instant's exact `SUM` lies in the `INT` range, while the sum of part of
+/// an instant's values — a tree node's, or the sweep's between two events
+/// of one instant — leaves it on either side.
+fn near_the_limits(pairs: usize, seed: u64) -> TemporalRelation {
+    let mut rng = Lcg(seed);
+    let mut r = TemporalRelation::new(schema());
+    let mut push = |v: i64, valid: Interval| {
+        let row = vec![
+            Value::from("north"),
+            Value::Int(0),
+            Value::Int(v),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ];
+        r.push(row, valid).unwrap();
+    };
+    push(i64::MIN + (1 << 40), Interval::from_start(0));
+    for _ in 0..pairs {
+        let start = rng.next(2000);
+        let valid = Interval::at(start, start + rng.next(300));
+        let big = i64::MAX - rng.next(1 << 20);
+        push(big, valid);
+        push(rng.next(100) - big, valid);
+    }
+    r
+}
+
+/// The same tuples in the opposite storage order.
+fn reversed(relation: &TemporalRelation) -> TemporalRelation {
+    let mut r = TemporalRelation::new(relation.schema().clone());
+    for t in relation.tuples().iter().rev() {
+        r.push_tuple(t.clone()).unwrap();
+    }
+    r
+}
+
+/// `SUM` over column `i` as the library's exact `Sum<i64>` computes it on
+/// the O(n²) oracle, every total required to fit in `INT`.
+fn sum_oracle(relation: &TemporalRelation) -> Series<Value> {
+    let tuples: Vec<(Interval, i64)> = relation
+        .tuples()
+        .iter()
+        .filter_map(|t| Some((t.valid(), t.value(2).as_i64()?)))
+        .collect();
+    oracle(&Sum::<i64>::new(), Interval::TIMELINE, &tuples)
+        .map(|total| total.map_or(Value::Null, |s| Value::Int(i64::try_from(s).unwrap())))
+}
+
 fn catalog(relation: &TemporalRelation) -> Catalog {
     let mut c = Catalog::new();
     c.register("t", relation.clone());
@@ -185,7 +259,11 @@ fn int_members(kinds: &[AggKind]) -> Vec<DynAggregate> {
 
 /// Executor level: the lowered product equals `MultiDyn` equals the
 /// oracle for every algorithm and partition count, materialized and
-/// streamed.
+/// streamed — over three NULL patterns, and over relations whose totals
+/// leave the `INT` range part way ([`three_rows_at_the_limits`], and
+/// [`near_the_limits`] in both storage orders, each checked against the
+/// oracle of the first order), whose `SUM` is also held to the exact
+/// `Sum<i64>`.
 #[test]
 fn typed_product_matches_multidyn_and_oracle_for_every_algorithm() {
     let lists: [&[AggKind]; 4] = [
@@ -200,8 +278,24 @@ fn typed_product_matches_multidyn_and_oracle_for_every_algorithm() {
         &[AggKind::Max, AggKind::Min],
     ];
     let i = TYPED_COLUMNS[0].1;
-    for nulls in [Nulls::None, Nulls::Some, Nulls::All] {
-        let r = relation(180, nulls, 11);
+    let near = near_the_limits(90, 11);
+    let mut inputs: Vec<(String, TemporalRelation)> = [Nulls::None, Nulls::Some, Nulls::All]
+        .map(|nulls| (format!("{nulls:?}"), relation(180, nulls, 11)))
+        .into();
+    inputs.push((
+        "three rows at the limits".into(),
+        three_rows_at_the_limits(),
+    ));
+    inputs.push(("near the limits".into(), near.clone()));
+    inputs.push(("near the limits, reversed".into(), reversed(&near)));
+    for (input, r) in &inputs {
+        // The oracle reads the first order: the reversed input must answer
+        // byte for byte as that one does.
+        let first_order = if input.ends_with("reversed") {
+            &near
+        } else {
+            r
+        };
         for kinds in lists {
             let members = int_members(kinds);
             let typed = TypedMulti::lower(&members).expect("INT lists within the width lower");
@@ -210,21 +304,27 @@ fn typed_product_matches_multidyn_and_oracle_for_every_algorithm() {
                 .iter()
                 .map(|k| (*k != AggKind::CountStar).then_some(i))
                 .collect();
-            let chunks = typed_chunks(&r, &columns);
-            let tuples: Vec<(Interval, Vec<Value>)> = r
+            let chunks = typed_chunks(r, &columns);
+            let tuples: Vec<(Interval, Vec<Value>)> = first_order
                 .tuples()
                 .iter()
                 .map(|t| (t.valid(), extract(&columns)(t)))
                 .collect();
             let want = oracle(&multi, Interval::TIMELINE, &tuples).map(RowValues::from);
+            let sum_at = kinds.iter().position(|k| *k == AggKind::Sum);
+            if let Some(j) = sum_at.filter(|_| input.contains("limits")) {
+                let sums: Vec<Value> = want.iter().map(|e| e.value[j].clone()).collect();
+                let exact: Vec<Value> = sum_oracle(r).iter().map(|e| e.value.clone()).collect();
+                assert_eq!(sums, exact, "{kinds:?} {input}");
+            }
             for choice in CHOICES {
                 for parallelism in [1usize, 2, 8] {
                     let plan = forced(choice, parallelism);
-                    let what = format!("{kinds:?} {nulls:?} {choice:?} × {parallelism}");
+                    let what = format!("{kinds:?} {input} {choice:?} × {parallelism}");
                     let (dynamic, _) = execute(
                         &plan,
                         multi.clone(),
-                        &r,
+                        r,
                         extract(&columns),
                         Interval::TIMELINE,
                     )
@@ -255,77 +355,195 @@ fn typed_product_matches_multidyn_and_oracle_for_every_algorithm() {
     }
 }
 
-/// `SUM` rides both saturation rails identically in both products, for
-/// every algorithm (the oracle is left out: saturating addition is not
-/// associative, so algorithms may legitimately differ from it — but never
-/// from each other's product).
+/// `SUM`'s exact total leaves the `INT` range over some constant intervals
+/// of this relation (`2 · i64::MAX` over [10, 19], `3 · i64::MIN` over
+/// [45, 50]). Every path fails with the same `Overflow`: both products
+/// under every algorithm and partition count, collected and streamed, and
+/// the oracle; SQL scanned, streamed and scanned again; the store's cache
+/// build. No cache of the `SUM` is left behind, and a cached series that a
+/// write takes out of range is dropped until the rows are back in range.
 #[test]
 fn saturating_sums_agree_between_the_products() {
-    let mut r = TemporalRelation::new(schema());
-    let mut push = |i: i64, a: i64, b: i64| {
-        let row = vec![
+    let row = |i: i64| {
+        vec![
             Value::from("north"),
             Value::Int(0),
             Value::Int(i),
             Value::Null,
             Value::Null,
             Value::Null,
-        ];
-        r.push(row, Interval::at(a, b)).unwrap();
+        ]
     };
-    push(i64::MAX, 0, 50);
-    push(i64::MAX, 10, 60);
-    push(-7, 20, 30);
-    push(i64::MIN, 25, 80);
-    push(i64::MIN, 40, 90);
-    push(i64::MIN, 45, 70);
-    push(9, 85, 95);
+    let rows = [
+        (i64::MAX, 0, 50),
+        (i64::MAX, 10, 60),
+        (-7, 20, 30),
+        (i64::MIN, 25, 80),
+        (i64::MIN, 40, 90),
+        (i64::MIN, 45, 70),
+        (9, 85, 95),
+    ];
+    let mut r = TemporalRelation::new(schema());
+    for (i, a, b) in rows {
+        r.push(row(i), Interval::at(a, b)).unwrap();
+    }
+    let overflow = Some(TempAggError::Overflow { aggregate: "SUM" });
     let kinds = [AggKind::Sum, AggKind::Avg, AggKind::Min, AggKind::Max];
     let members = int_members(&kinds);
     let typed = TypedMulti::lower(&members).unwrap();
     let multi = MultiDyn::new(members);
     let columns = vec![Some(2); 4];
     let chunks = typed_chunks(&r, &columns);
+    let tuples: Vec<(Interval, Vec<Value>)> = r
+        .tuples()
+        .iter()
+        .map(|t| (t.valid(), extract(&columns)(t)))
+        .collect();
+    let exact = checked(|| oracle(&multi, Interval::TIMELINE, &tuples));
+    assert_eq!(exact.err(), overflow, "the oracle");
     for choice in CHOICES {
-        if VALIDATED && choice == AlgorithmChoice::AggregationTree {
-            continue;
-        }
         for parallelism in [1usize, 2, 8] {
             let plan = forced(choice, parallelism);
-            let (dynamic, _) = execute(
+            let what = format!("{choice:?} × {parallelism}");
+            let dynamic = execute(
                 &plan,
                 multi.clone(),
                 &r,
                 extract(&columns),
                 Interval::TIMELINE,
-            )
-            .unwrap();
-            let (lowered, _) = execute_typed(&plan, &typed, &chunks);
-            assert_eq!(
-                lowered,
-                dynamic.map(RowValues::from),
-                "{choice:?} × {parallelism}"
             );
+            assert_eq!(dynamic.err(), overflow, "MultiDyn: {what}");
+            let mut series = Series::new();
+            let lowered = execute_chunks_into(
+                &plan,
+                typed.clone(),
+                &chunks,
+                Interval::TIMELINE,
+                &mut series,
+            );
+            assert_eq!(lowered.err(), overflow, "typed: {what}");
+            let mut sink = ChunkedSink::new(2, |_: &[SeriesEntry<RowValues>]| {});
+            let streamed =
+                execute_chunks_into(&plan, typed.clone(), &chunks, Interval::TIMELINE, &mut sink);
+            assert_eq!(streamed.err(), overflow, "streamed: {what}");
         }
     }
-    if VALIDATED {
-        return; // the planner may pick the aggregation tree for SQL
-    }
-    // And through SQL (lowered) against MultiDyn under the reported plan.
+    // SQL, lowered and cache-eligible: no run warms a cache.
     let c = catalog(&r);
-    let sql = "SELECT SUM(i), AVG(i), MIN(i), MAX(i) FROM t WHERE w = 0";
-    let result = execute_str(&c, sql).unwrap();
-    let plan = result.plan.clone().unwrap();
-    let (series, _) = execute(&plan, multi, &r, extract(&columns), Interval::TIMELINE).unwrap();
-    assert_eq!(result.rows, rows_of(None, series, true));
-    assert!(result
-        .rows
+    for sql in [
+        "SELECT SUM(i), AVG(i), MIN(i), MAX(i) FROM t WHERE w = 0",
+        "SELECT COUNT(*), SUM(i) FROM t",
+        "SELECT SUM(i) FROM t GROUP BY g",
+    ] {
+        assert_eq!(execute_str(&c, sql).err(), overflow, "{sql}");
+        let config = PlannerConfig::default();
+        let streamed = execute_streaming(&c, &parse(sql).unwrap(), &config, 4, |_| {});
+        assert_eq!(streamed.err(), overflow, "streamed: {sql}");
+        assert_eq!(execute_str(&c, sql).err(), overflow, "again: {sql}");
+    }
+    // The whole relation's total is back in range: 2 · i64::MAX − 7 +
+    // 3 · i64::MIN + 9 = i64::MIN.
+    let snapshot = execute_str(&c, "SELECT SNAPSHOT SUM(i) FROM t").unwrap();
+    assert_eq!(snapshot.rows.to_vec()[0].values, vec![Value::Int(i64::MIN)]);
+    let store = c.store("t").unwrap();
+    assert!(!store.has_cache(AggKind::CountStar, None));
+    assert!(!store.has_cache(AggKind::Sum, Some(2)));
+    let sum = DynAggregate::new(AggKind::Sum, ValueType::Int).unwrap();
+    assert_eq!(store.ensure_cache(sum, Some(2)).err(), overflow);
+    assert!(!store.has_cache(AggKind::Sum, Some(2)));
+
+    // A cached series a write takes out of range is dropped; the next
+    // read fails, and once a write brings the rows back it is rebuilt.
+    let sql = "SELECT COUNT(*), SUM(i) FROM t";
+    let mut c = catalog(&TemporalRelation::new(schema()));
+    let store = c.store_mut("t").unwrap();
+    store.insert(row(i64::MAX), Interval::at(0, 50)).unwrap();
+    store.insert(row(9), Interval::at(85, 95)).unwrap();
+    let before = execute_str(&c, sql).unwrap().rows;
+    assert!(execute_str(&c, sql).unwrap().cache.served_from_cache);
+    let store = c.store_mut("t").unwrap();
+    store.insert(row(i64::MAX), Interval::at(10, 60)).unwrap();
+    assert!(store.has_cache(AggKind::CountStar, None));
+    assert!(!store.has_cache(AggKind::Sum, Some(2)));
+    assert_eq!(execute_str(&c, sql).err(), overflow);
+    let store = c.store_mut("t").unwrap();
+    store
+        .delete_where(|t| t.valid() == Interval::at(10, 60))
+        .unwrap();
+    assert_eq!(execute_str(&c, sql).unwrap().rows, before);
+    assert!(execute_str(&c, sql).unwrap().cache.served_from_cache);
+}
+
+/// The [`near_the_limits`] relation, in both storage orders, through SQL
+/// and the store: scanned, then served from the caches the scan warmed,
+/// then served after each tuple is deleted and re-inserted — a pair in one
+/// `DELETE` and its `big` value first, so that every state in between is
+/// in range too and the caches are patched, never dropped. Every answer
+/// equals the exact oracle of the first order.
+#[test]
+fn near_limit_sums_agree_scanned_served_and_patched() {
+    let near = near_the_limits(40, 29);
+    let sql = "SELECT COUNT(*), SUM(i), AVG(i), MIN(i) FROM t";
+    let kinds = [AggKind::CountStar, AggKind::Sum, AggKind::Avg, AggKind::Min];
+    let members = int_members(&kinds);
+    let columns = [None, Some(2), Some(2), Some(2)];
+    let tuples: Vec<(Interval, Vec<Value>)> = near
+        .tuples()
         .iter()
-        .any(|row| row.values[0] == Value::Int(i64::MAX)));
-    assert!(result
-        .rows
-        .iter()
-        .any(|row| row.values[0] == Value::Int(i64::MIN)));
+        .map(|t| (t.valid(), extract(&columns)(t)))
+        .collect();
+    let want = rows_of(
+        None,
+        oracle(&MultiDyn::new(members), Interval::TIMELINE, &tuples),
+        true,
+    );
+    let exact = rows_of(None, sum_oracle(&near).map(|v| vec![v]), true);
+    let sums = execute_str(&catalog(&near), "SELECT SUM(i) FROM t WHERE w = 0").unwrap();
+    assert_eq!(sums.rows, exact);
+    for r in [near.clone(), reversed(&near)] {
+        let mut c = catalog(&r);
+        let scanned = execute_str(&c, sql).unwrap();
+        assert!(!scanned.cache.served_from_cache);
+        assert_eq!(scanned.rows, want, "scanned");
+        let served = execute_str(&c, sql).unwrap();
+        assert!(served.cache.served_from_cache);
+        assert_eq!(served.rows, want, "served");
+        let patched = |c: &Catalog, what: &str| {
+            let result = execute_str(c, sql).unwrap();
+            assert!(result.cache.served_from_cache, "{what}");
+            assert_eq!(result.rows, want, "{what}");
+        };
+        // The long-lived tuple first, wherever the order put it.
+        let long = Interval::from_start(0);
+        let store = c.store_mut("t").unwrap();
+        let held = store
+            .relation()
+            .tuples()
+            .iter()
+            .find(|t| t.valid() == long)
+            .cloned();
+        store.delete_where(|t| t.valid() == long).unwrap();
+        store.insert_tuple(held.unwrap()).unwrap();
+        patched(&c, "the long-lived tuple");
+        for step in 0..40 {
+            let store = c.store_mut("t").unwrap();
+            let mut pair: Vec<Tuple> = store.relation().tuples()[..2].to_vec();
+            assert_eq!(pair[0].valid(), pair[1].valid());
+            let mut position = 0;
+            store
+                .delete_where(|_| {
+                    position += 1;
+                    position <= 2
+                })
+                .unwrap();
+            pair.sort_by_key(|t| std::cmp::Reverse(t.value(2).as_i64()));
+            for t in pair {
+                store.insert_tuple(t).unwrap();
+            }
+            patched(&c, &format!("pair {step}"));
+        }
+        assert_eq!(c.store("t").unwrap().cache_stats().caches, 4);
+    }
 }
 
 /// Result rows of one aggregation set's series, coalesced like SQL does.
@@ -359,9 +577,9 @@ fn select(
 
 /// Under `--features validate` the aggregation tree replays its input
 /// through a flat left-to-right merge and demands exact equality, which
-/// only associative arithmetic can meet: a saturated `SUM` and the Welford
-/// family legitimately differ from that replay in the last place, so the
-/// validated run leaves those two corners to the default run.
+/// only associative arithmetic can meet: the Welford family legitimately
+/// differs from that replay in the last place, so the validated run leaves
+/// it to the default run.
 const VALIDATED: bool = cfg!(feature = "validate");
 
 /// Whether the oracle (insert-only, storage order) is byte-comparable:
